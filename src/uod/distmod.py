@@ -14,6 +14,13 @@ which is Z-free of rank |G_f| with basis the depth-zero classes.  The depth
 of a class of exact order f is computed from the torsor decomposition over a
 fixed transversal of ker(G_f -> G_{f/rad f}) and the per-prime kernel
 components; depth zero means no kernel component is trivial.
+
+``u_module`` certifies that basis with one sparse column elimination of the
+relation matrix (``znf.complement_projection``): every class outside Xi_0(f)
+gets a ±1 pivot and no relation is left over, so A(f) is the direct sum of
+the span of Xi_0(f) and the relation lattice, and the elimination yields the
+projection onto U(f).  ``xi0_basis`` keeps an independent check through the
+Smith normal form of the relations.
 """
 
 from __future__ import annotations
@@ -37,9 +44,10 @@ from .chainkit import ActionModule
 from .znf import (
     AbGroupInvariants,
     IntMatrix,
+    NotAComplement,
     cokernel,
-    image_basis,
-    snf,
+    cokernel_invariants,
+    complement_projection,
     snf_invariants,
 )
 
@@ -224,39 +232,52 @@ class UModule:
 
 
 def u_module(af: AfModule) -> UModule:
+    """U(f) on the depth-zero basis, with its induced operators.
+
+    The depth-zero basis theorem says that Xi_0(f) spans a complement of the
+    distribution relation lattice in A(f).  One sparse elimination
+    (``complement_projection``) certifies exactly that and returns the
+    projection along the relations, so U(f) = Z^{|G_f|} follows with no Smith
+    reduction.  Only when the certificate fails is the cokernel computed, to
+    tell a wrong structure (StructureCheckFailed) from a wrong basis
+    (BasisCertificateFailed).
+    """
     bk = af.backend
     rel = distribution_relations(af)
-    cok = cokernel(rel)
     expected_rank = len(af.group)
-    if not cok.invariants.is_free or cok.invariants.free_rank != expected_rank:
-        raise StructureCheckFailed(
-            f"U({bk.format_ideal(af.level)}) computed as {cok.invariants}, "
-            f"expected free of rank {expected_rank}"
-        )
     xi0 = [xi for xi in af.basis if depth(bk, xi) == 0]
-    if len(xi0) != expected_rank:
-        raise StructureCheckFailed(
-            f"|Xi_0 ∩ Xi(f)| = {len(xi0)} != |G_f| = {expected_rank}"
-        )
+    try:
+        projection = complement_projection(rel, [af.index[xi] for xi in xi0])
+    except NotAComplement:
+        projection = None
+    if projection is None or len(xi0) != expected_rank:
+        _diagnose(af, rel, len(xi0), expected_rank)
     section = IntMatrix.from_columns(
         [_unit_vector(af.rank, af.index[xi]) for xi in xi0], rows=af.rank
     )
-    rel_basis = image_basis(rel)
-    w = section.hstack(rel_basis)
-    if w.rows != w.cols:
-        raise BasisCertificateFailed("basis + relations do not fill A(f)")
-    res = snf(w)
-    if any(d != 1 for d in res.invariants):
-        raise BasisCertificateFailed(
-            "depth-zero classes do not complement the relation lattice"
-        )
-    w_inv = res.right * res.left
-    projection = w_inv.submatrix(range(expected_rank), range(af.rank))
     induced = {}
-    u = UModule(af, rel, cok.invariants, tuple(xi0), section, projection, induced)
+    invariants = AbGroupInvariants(expected_rank)
+    u = UModule(af, rel, invariants, tuple(xi0), section, projection, induced)
     for name, op in af.operators.operators.items():
         induced[name] = u.induce(op)
     return u
+
+
+def _diagnose(af: AfModule, rel: IntMatrix, basis_size: int, expected_rank: int):
+    """Raise the error that explains why Xi_0(f) is not a basis of U(f)."""
+    found = cokernel_invariants(rel)
+    if not found.is_free or found.free_rank != expected_rank:
+        raise StructureCheckFailed(
+            f"U({af.backend.format_ideal(af.level)}) computed as {found}, "
+            f"expected free of rank {expected_rank}"
+        )
+    if basis_size != expected_rank:
+        raise StructureCheckFailed(
+            f"|Xi_0 ∩ Xi(f)| = {basis_size} != |G_f| = {expected_rank}"
+        )
+    raise BasisCertificateFailed(
+        "depth-zero classes do not complement the relation lattice"
+    )
 
 
 def _unit_vector(n, i):
@@ -453,9 +474,10 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     The first certificate checks that the family X_g xi (g | f, xi depth-zero
     at level f/g) is a Z-basis of A(f): the change-of-basis matrix must be
     square with all invariant factors 1.  The second maps the depth-zero
-    classes at level f through an independently computed splitting of U(f)
-    (the generic SNF section, not the depth-zero one) and checks
-    unimodularity there too.
+    classes at level f through an independently computed projection onto
+    U(f) (from the Smith normal form of the relations, not from the
+    depth-zero elimination ``u_module`` uses) and checks unimodularity there
+    too.
     """
     bk = af.backend
     f = af.level
@@ -480,7 +502,7 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
         )
     lattice_inv = snf_invariants(change)
 
-    cok = cokernel(distribution_relations(af))
+    cok = cokernel(distribution_relations(af), False)
     xi0_here = xi0_set(bk, f)
     images = IntMatrix.from_columns(
         [cok.projection.column(af.index[xi]) for xi in xi0_here],

@@ -11,11 +11,21 @@ On top of it sit the lattice utilities used by every homology computation in
 the package: integer kernels (automatically saturated), column‑lattice bases,
 exact linear solves, cokernel presentations with a splitting of the free
 part, and subquotient invariants lattice(num)/lattice(den).
+
+Next to ``snf`` sits ``complement_projection``, a sparse Gauss–Jordan column
+elimination for the case where a known set of coordinate vectors should
+complement a relation lattice.  It keeps the relation columns as dicts,
+takes ±1 pivots first in Markowitz order (extended-gcd column steps only when
+no unit is left) and either certifies Z^n = span(e_keep) ⊕ im(relations) and
+returns the projection along the relations, or raises.  Almost every pivot
+of a distribution relation lattice is a unit, so this replaces three dense
+Smith reductions by one pass over the nonzeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 
 class ShapeMismatch(ValueError):
@@ -24,6 +34,10 @@ class ShapeMismatch(ValueError):
 
 class NoIntegerSolution(ValueError):
     """A x = b has no solution over Z."""
+
+
+class NotAComplement(ValueError):
+    """The kept coordinates do not complement the relation lattice."""
 
 
 class IntMatrix:
@@ -37,7 +51,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(int(x) for x in row) for row in data)
+        data = tuple(tuple(map(int, row)) for row in data)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -56,33 +70,31 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
+        cols = int(cols)
+        return _trusted(((0,) * cols,) * int(rows), cols)
 
     @classmethod
     def diagonal(cls, entries, rows=None, cols=None) -> "IntMatrix":
         entries = [int(e) for e in entries]
-        rows = len(entries) if rows is None else rows
-        cols = len(entries) if cols is None else cols
-        return cls(
-            tuple(
-                tuple(entries[i] if i == j and i < len(entries) else 0 for j in range(cols))
-                for i in range(rows)
-            ),
-            cols=cols,
-        )
+        rows = len(entries) if rows is None else int(rows)
+        cols = len(entries) if cols is None else int(cols)
+        data = [[0] * cols for _ in range(rows)]
+        for i in range(min(rows, cols, len(entries))):
+            data[i][i] = entries[i]
+        return _trusted(tuple(map(tuple, data)), cols)
 
     @classmethod
     def from_columns(cls, columns, rows=None) -> "IntMatrix":
         columns = [tuple(c) for c in columns]
-        if columns:
-            rows = len(columns[0])
-        elif rows is None:
-            rows = 0
-        return cls(tuple(tuple(c[i] for c in columns) for i in range(rows)), cols=len(columns))
+        if not columns:
+            return cls.zeros(0 if rows is None else rows, 0)
+        if any(len(c) != len(columns[0]) for c in columns):
+            raise ShapeMismatch("ragged columns")
+        return cls(tuple(zip(*columns)), cols=len(columns))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -116,51 +128,50 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.data)
+        return not any(map(any, self.data))
 
     def __neg__(self):
-        return IntMatrix(tuple(tuple(-x for x in row) for row in self.data), cols=self.cols)
+        return _trusted(tuple(tuple(-x for x in row) for row in self.data), self.cols)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch(f"add {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        return IntMatrix(
+        return _trusted(
             tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
-            cols=self.cols,
+            self.cols,
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(k * x for x in row) for row in self.data), cols=self.cols)
+        k = int(k)
+        return _trusted(tuple(tuple(k * x for x in row) for row in self.data), self.cols)
 
     def __mul__(self, other):
-        # Sparse-friendly row accumulation: zero entries are skipped, which
-        # matters because most operators here are permutations or fiber sums.
+        # Most operators here are permutations or fiber sums, so each row of
+        # the right operand is reduced once to its nonzero (column, entry)
+        # pairs and every product term walks only those.
         if self.cols != other.rows:
             raise ShapeMismatch(f"mul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        odata = other.data
+        width = other.cols
+        js = range(width)
+        nonzeros = [list(zip(compress(js, brow), compress(brow, brow))) for brow in other.data]
         out = []
         for row in self.data:
-            acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    brow = odata[k]
-                    if a == 1:
-                        for j, b in enumerate(brow):
-                            if b:
-                                acc[j] += b
-                    elif a == -1:
-                        for j, b in enumerate(brow):
-                            if b:
-                                acc[j] -= b
-                    else:
-                        for j, b in enumerate(brow):
-                            if b:
-                                acc[j] += a * b
+            acc = [0] * width
+            for a, pairs in compress(zip(row, nonzeros), row):
+                if a == 1:
+                    for j, b in pairs:
+                        acc[j] += b
+                elif a == -1:
+                    for j, b in pairs:
+                        acc[j] -= b
+                else:
+                    for j, b in pairs:
+                        acc[j] += a * b
             out.append(tuple(acc))
-        return IntMatrix(tuple(out), cols=other.cols)
+        return _trusted(tuple(out), width)
 
     def apply(self, vector):
         """Matrix times column vector (sequence of ints)."""
@@ -170,48 +181,58 @@ class IntMatrix:
         return tuple(sum(a * v for a, v in zip(row, vector) if a) for row in self.data)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            cols=self.rows,
-        )
+        if not self.rows:
+            return IntMatrix.zeros(self.cols, 0)
+        return _trusted(tuple(zip(*self.data)), self.rows)
 
     def hstack(self, other) -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
-        return IntMatrix(
+        return _trusted(
             tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
-            cols=self.cols + other.cols,
+            self.cols + other.cols,
         )
 
     def vstack(self, other) -> "IntMatrix":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack col mismatch")
-        return IntMatrix(self.data + other.data, cols=self.cols)
+        return _trusted(self.data + other.data, self.cols)
 
     def submatrix(self, row_indices, col_indices) -> "IntMatrix":
-        row_indices = list(row_indices)
+        data = self.data
+        rows = [data[i] for i in row_indices]
         col_indices = list(col_indices)
-        return IntMatrix(
-            tuple(tuple(self.data[i][j] for j in col_indices) for i in row_indices),
-            cols=len(col_indices),
+        return _trusted(
+            tuple(tuple(row[j] for j in col_indices) for row in rows),
+            len(col_indices),
         )
+
+
+def _trusted(data: tuple, cols: int) -> "IntMatrix":
+    """An IntMatrix around ``data``, a tuple of equal-length tuples of ints.
+
+    Internal constructors whose entries already are Python ints (they come
+    from other matrices or from integer arithmetic) skip ``__init__``'s
+    coercion and ragged-row check.
+    """
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", len(data))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "data", data)
+    return m
 
 
 def block_diagonal(blocks) -> IntMatrix:
     blocks = list(blocks)
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    data = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    data = []
+    c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            row = b.data[i]
-            for j in range(b.cols):
-                if row[j]:
-                    data[r0 + i][c0 + j] = row[j]
-        r0 += b.rows
+        left = (0,) * c0
+        right = (0,) * (cols - c0 - b.cols)
+        data.extend(left + row + right for row in b.data)
         c0 += b.cols
-    return IntMatrix(data, cols=cols)
+    return _trusted(tuple(data), cols)
 
 
 @dataclass(frozen=True)
@@ -447,7 +468,7 @@ class _Smith:
 def _run_smith(m, need_left, need_right, need_left_inv, need_right_inv):
     st = _Smith(m, need_left, need_right, need_left_inv, need_right_inv)
     diag = st.reduce()
-    pack = lambda rows, n: IntMatrix(rows, cols=n) if rows is not None else None
+    pack = lambda rows, n: _trusted(tuple(map(tuple, rows)), n) if rows is not None else None
     return (
         diag,
         pack(st.L, st.r),
@@ -517,7 +538,7 @@ def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                     raise NoIntegerSolution(f"divisibility fails at row {i}")
                 if i < a.cols:
                     y[i][j] = q
-    return right * IntMatrix(y, cols=b.cols)
+    return right * _trusted(tuple(map(tuple, y)), b.cols)
 
 
 def lattice_contains(basis_or_gens: IntMatrix, vectors: IntMatrix) -> bool:
@@ -560,14 +581,142 @@ class Cokernel:
         return self.projection * op * self.section
 
 
-def cokernel(m: IntMatrix) -> Cokernel:
-    """Invariants and free-part splitting of Z^rows / im(m)."""
+def cokernel(m: IntMatrix, with_section: bool = True) -> Cokernel:
+    """Invariants and free-part splitting of Z^rows / im(m).
+
+    With ``with_section`` false only the left transform is tracked and the
+    result's ``section`` is None, for callers that need ``projection`` alone.
+    """
     n = m.rows
-    diag, left, _, left_inv, _ = _run_smith(m, True, False, True, False)
+    diag, left, _, left_inv, _ = _run_smith(m, True, False, with_section, False)
     free_idx = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
-    section = left_inv.submatrix(range(n), free_idx)
+    section = left_inv.submatrix(range(n), free_idx) if with_section else None
     projection = left.submatrix(free_idx, range(n))
     return Cokernel(_invariants_from_diag(n, diag), section, projection, m)
+
+
+def cokernel_invariants(m: IntMatrix) -> AbGroupInvariants:
+    """Invariants of Z^rows / im(m), with no transform tracked."""
+    return _invariants_from_diag(m.rows, snf_invariants(m))
+
+
+def complement_projection(relations: IntMatrix, keep_rows) -> IntMatrix:
+    """Projection of Z^n onto span(e_i : i in keep_rows) along im(relations).
+
+    Certifies Z^n = span(e_keep) ⊕ im(relations) by a unimodular Gauss–Jordan
+    column elimination of every row outside ``keep_rows``: each such row must
+    get a ±1 pivot, and every column left over must be identically zero.
+    Pivots are unit entries taken in Markowitz order (fewest updates times
+    fill); a row with no unit entry left is first folded to the gcd of its
+    entries by extended-gcd steps on two columns.  Raises NotAComplement when
+    the certificate fails.
+
+    Row t of the result is the coordinate along e_{keep_rows[t]}: it is 1 in
+    column keep_rows[t], 0 in the other kept columns and -X in the eliminated
+    ones, where X is the kept-row part of the pivot columns.  Such a
+    projection is unique, so it agrees with any other way of computing it.
+    """
+    n = relations.rows
+    keep = list(keep_rows)
+    slot = {i: t for t, i in enumerate(keep)}
+    if len(slot) != len(keep) or any(not 0 <= i < n for i in keep):
+        raise ShapeMismatch("keep_rows must be distinct row indices")
+    cols = [{} for _ in range(relations.cols)]
+    for i, row in enumerate(relations.data):
+        for j, v in enumerate(row):
+            if v:
+                cols[j][i] = v
+    # For each row still to eliminate: the unpivoted ("free") columns and the
+    # pivot columns with a nonzero entry there.  A pivoted row is nonzero in
+    # its own pivot column only, so it drops out of both maps.
+    free_at = {i: set() for i in range(n) if i not in slot}
+    pivot_at = {i: set() for i in free_at}
+    for j, col in enumerate(cols):
+        for i in col:
+            if i in free_at:
+                free_at[i].add(j)
+    pivot_cols = set()
+    pivots = {}
+
+    def fold(t, j, r):
+        # cols (t, j) <- (s*t + u*j, -(q/g)*t + (p/g)*j): determinant 1, and
+        # row r of column j becomes 0 while row r of column t becomes the gcd
+        ct, cj = cols[t], cols[j]
+        p, q = ct[r], cj[r]
+        g, s, u = _xgcd(p, q)
+        x, y = -(q // g), p // g
+        for c, (a, b) in ((t, (s, u)), (j, (x, y))):
+            new = {}
+            for i in ct.keys() | cj.keys():
+                w = a * ct.get(i, 0) + b * cj.get(i, 0)
+                if w:
+                    new[i] = w
+                if i in free_at:
+                    if w:
+                        free_at[i].add(c)
+                    else:
+                        free_at[i].discard(c)
+            cols[c] = new
+
+    while free_at:
+        best = None
+        for r, free in free_at.items():
+            if not free:
+                raise NotAComplement(f"row {r} is not reached by the relations")
+            updates = len(free) + len(pivot_at[r]) - 1
+            for c in free:
+                if cols[c][r] in (1, -1):
+                    cost = updates * (len(cols[c]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, r, c)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            r = min(free_at, key=lambda i: (len(free_at[i]), i))
+            t, *rest = sorted(free_at[r])
+            for j in rest:
+                if cols[t][r] in (1, -1):
+                    break
+                fold(t, j, r)
+            if cols[t][r] not in (1, -1):
+                raise NotAComplement(f"row {r} has no unit pivot")
+            c = t
+        else:
+            _, r, c = best
+        piv = cols[c]
+        if piv[r] == -1:
+            piv = cols[c] = {i: -v for i, v in piv.items()}
+        for i in piv:
+            if i in free_at:
+                free_at[i].discard(c)
+                pivot_at[i].add(c)
+        pivot_cols.add(c)
+        for j in (free_at[r] | pivot_at[r]) - {c}:
+            col = cols[j]
+            at = pivot_at if j in pivot_cols else free_at
+            a = col[r]
+            for i, v in piv.items():
+                w = col.get(i, 0) - a * v
+                if w:
+                    if i not in col and i in at:
+                        at[i].add(j)
+                    col[i] = w
+                else:
+                    del col[i]
+                    if i in at:
+                        at[i].discard(j)
+        del free_at[r], pivot_at[r]
+        pivots[r] = c
+    if any(cols[j] for j in range(len(cols)) if j not in pivot_cols):
+        raise NotAComplement("the relations meet the span of the kept rows")
+    out = [[0] * n for _ in keep]
+    for t, i in enumerate(keep):
+        out[t][i] = 1
+    for r, c in pivots.items():
+        for i, v in cols[c].items():
+            if i != r:
+                out[slot[i]][r] = -v
+    return _trusted(tuple(map(tuple, out)), n)
 
 
 @dataclass(frozen=True)
@@ -591,8 +740,7 @@ def subquotient(numerator_gens: IntMatrix, denominator_gens: IntMatrix) -> Subqu
         rel = IntMatrix.zeros(basis.cols, 0)
     else:
         rel = solve(basis, denominator_gens)
-    inv = _invariants_from_diag(basis.cols, snf_invariants(rel))
-    return Subquotient(inv, basis, rel)
+    return Subquotient(cokernel_invariants(rel), basis, rel)
 
 
 def preimage_lattice(a: IntMatrix, denominator_gens: IntMatrix) -> IntMatrix:

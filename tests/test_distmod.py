@@ -1,5 +1,6 @@
 import pytest
 
+from uod import distmod, znf
 from uod.arith import (
     ArchimedeanBackend,
     FunctionFieldBackend,
@@ -10,6 +11,7 @@ from uod.arith import (
     y_map,
 )
 from uod.distmod import (
+    BasisCertificateFailed,
     InducedOperatorUndefined,
     OrderMismatch,
     build_af,
@@ -17,16 +19,19 @@ from uod.distmod import (
     lemma411_check,
     nu_value,
     partition_tag,
+    StructureCheckFailed,
+    distribution_relations,
     u_module,
     u_tower,
     x_op_name,
     xi0_basis,
     xi0_set,
 )
-from uod.znf import AbGroupInvariants, IntMatrix
+from uod.znf import AbGroupInvariants, IntMatrix, image_basis, snf
 
 Q = ArchimedeanBackend()
 F3 = FunctionFieldBackend(3)
+F5 = FunctionFieldBackend(5)
 T = (0, 1)
 
 
@@ -128,6 +133,84 @@ class TestUModule:
                     for eta in fibers[target]:
                         vec[af.index[eta]] -= 1
                     assert all(v == 0 for v in u.reduce_vector(vec))
+
+
+def dense_u_projection(af, basis_classes):
+    """Projection of A(f) onto the span of ``basis_classes`` along the
+    relations, computed the dense way: SNF of [section | image_basis(rel)]."""
+    section = IntMatrix.from_columns(
+        [[1 if i == af.index[c] else 0 for i in range(af.rank)] for c in basis_classes],
+        rows=af.rank,
+    )
+    w = section.hstack(image_basis(distribution_relations(af)))
+    res = snf(w)
+    assert w.rows == w.cols and all(d == 1 for d in res.invariants)
+    return (res.right * res.left).submatrix(range(len(basis_classes)), range(af.rank))
+
+
+SPARSE_CASES = [
+    pytest.param(Q, f, nu, id=f"Q-{f}-{nu}")
+    for f in (1, 4, 12, 36, 60, 140)
+    for nu in ({}, {2: 0, 3: 5}, {2: -1, 3: 2})
+] + [
+    pytest.param(F3, T, {}, id="F3-T"),
+    pytest.param(F3, F3.mul(T, (1, 1)), {}, id="F3-T(T+1)"),
+    pytest.param(F3, F3.power(T, 2), {T: -1}, id="F3-T^2-nu-1"),
+    pytest.param(F5, T, {}, id="F5-T"),
+    pytest.param(F5, F5.mul(T, (1, 1)), {T: 2}, id="F5-T(T+1)-nu2"),
+]
+
+
+class TestUModuleCertificate:
+    @pytest.mark.parametrize("bk, f, nu", SPARSE_CASES)
+    def test_projection_matches_dense_reference(self, bk, f, nu):
+        af = build_af(bk, f, nu)
+        u = u_module(af)
+        assert u.projection == dense_u_projection(af, u.basis_classes)
+        assert u.projection * u.section == IntMatrix.identity(u.rank)
+        assert (u.projection * u.relation_matrix).is_zero()
+        assert u.invariants == AbGroupInvariants(len(af.group))
+
+    def test_non_complement_basis_raises(self, monkeypatch):
+        # Swap a depth-zero class of order 4 for [1/2]: the relation at [0]
+        # is [0] - ([0] + [1/2]) = -[1/2], so [1/2] lies in the relation
+        # lattice and the swapped set cannot complement it.
+        af = build_af(Q, 4)
+        true_depth = distmod.depth
+        xi0 = [c for c in af.basis if true_depth(Q, c) == 0 and c.order == 4]
+        out, into = xi0[0], xi(1, 2)
+        assert true_depth(Q, into) > 0
+
+        def swapped(bk, cls):
+            if cls == out:
+                return 1
+            if cls == into:
+                return 0
+            return true_depth(bk, cls)
+
+        monkeypatch.setattr(distmod, "depth", swapped)
+        with pytest.raises(BasisCertificateFailed):
+            u_module(af)
+
+    def test_wrong_basis_size_raises_structure_error(self, monkeypatch):
+        monkeypatch.setattr(distmod, "depth", lambda bk, cls: 0)
+        with pytest.raises(StructureCheckFailed, match="Xi_0"):
+            u_module(build_af(Q, 4))
+
+    def test_torsion_quotient_raises_structure_error(self, monkeypatch):
+        doubled = lambda af: distribution_relations(af).scale(2)
+        monkeypatch.setattr(distmod, "distribution_relations", doubled)
+        with pytest.raises(StructureCheckFailed, match="computed as"):
+            u_module(build_af(Q, 4))
+
+    def test_no_smith_reduction(self, monkeypatch):
+        # the direct route certifies U(f) by the sparse elimination alone
+        def refuse(*_args):
+            raise AssertionError("u_module ran a Smith reduction")
+
+        monkeypatch.setattr(znf, "_run_smith", refuse)
+        assert u_module(build_af(Q, 60)).rank == 16
+        assert u_module(build_af(F3, F3.mul(T, (1, 1)))).rank == 4
 
 
 class TestPartition:

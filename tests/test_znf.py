@@ -5,9 +5,12 @@ from uod.znf import (
     AbGroupInvariants,
     IntMatrix,
     NoIntegerSolution,
+    NotAComplement,
     ShapeMismatch,
     block_diagonal,
     cokernel,
+    cokernel_invariants,
+    complement_projection,
     homology_pair,
     image_basis,
     kernel_basis,
@@ -48,6 +51,81 @@ small_matrices = st.integers(0, 4).flatmap(
         ).map(lambda rows: IntMatrix(rows, cols=c))
     )
 )
+
+
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 7])
+
+
+def sparse_matrix(rows, cols):
+    return st.lists(
+        st.lists(sparse_entries, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(lambda data: IntMatrix(data, cols=cols))
+
+
+# (r x k, k x c) pairs with every dimension allowed to be 0
+mul_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda d: st.tuples(sparse_matrix(d[0], d[1]), sparse_matrix(d[1], d[2]))
+)
+
+
+def naive_product(a, b):
+    return [
+        [sum(a[i, t] * b[t, j] for t in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+class TestMatrixConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(mul_pairs)
+    def test_mul_matches_triple_loop(self, pair):
+        a, b = pair
+        prod = a * b
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        assert prod == IntMatrix(naive_product(a, b), cols=b.cols)
+
+    def test_mul_empty_and_zero_rows(self):
+        a = IntMatrix([[0, 0, 0], [1, -1, 2]])
+        b = IntMatrix([[0, 5], [0, 0], [3, 0]])
+        assert a * b == IntMatrix([[0, 0], [6, 5]])
+        assert (IntMatrix.zeros(0, 3) * b) == IntMatrix.zeros(0, 2)
+        assert (IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 4)) == IntMatrix.zeros(2, 4)
+        assert (b * IntMatrix.zeros(2, 0)) == IntMatrix.zeros(3, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices, small_matrices)
+    def test_internal_constructors_match_validated_ones(self, m, other):
+        # every derived matrix equals the same data pushed through __init__
+        derived = [
+            -m, m + m, m.scale(-3), m.transpose(), m.transpose().transpose(),
+            m.submatrix(range(m.rows - 1, -1, -1), range(m.cols)),
+            block_diagonal([m, other]),
+        ]
+        if m.rows == other.rows:
+            derived.append(m.hstack(other))
+        if m.cols == other.cols:
+            derived.append(m.vstack(other))
+        for d in derived:
+            assert d == IntMatrix(d.data, cols=d.cols)
+            assert all(type(row) is tuple for row in d.data)
+        assert m.transpose().rows == m.cols and m.transpose().cols == m.rows
+        assert m.transpose().transpose() == m
+
+    def test_identity_zeros_diagonal(self):
+        assert IntMatrix.identity(2) == IntMatrix([[1, 0], [0, 1]])
+        assert IntMatrix.identity(0) == IntMatrix.zeros(0, 0)
+        assert IntMatrix.zeros(2, 3) == IntMatrix([[0, 0, 0], [0, 0, 0]])
+        assert IntMatrix.zeros(2, 0).rows == 2
+        assert IntMatrix.diagonal([2, 3], rows=3, cols=2) == IntMatrix([[2, 0], [0, 3], [0, 0]])
+        assert IntMatrix.diagonal([2, 3], rows=1, cols=3) == IntMatrix([[2, 0, 0]])
+
+    def test_from_columns(self):
+        assert IntMatrix.from_columns([(1, 2), (3, 4)]) == IntMatrix([[1, 3], [2, 4]])
+        assert IntMatrix.from_columns([], rows=3) == IntMatrix.zeros(3, 0)
+        with pytest.raises(ShapeMismatch):
+            IntMatrix.from_columns([(1, 2), (3,)])
 
 
 class TestSnf:
@@ -124,6 +202,98 @@ class TestCokernel:
         op = IntMatrix([[1, 1], [0, 1]])  # sends (0,2) to (2,2), not in lattice
         with pytest.raises(NoIntegerSolution):
             cokernel(rel).induce(op)
+
+
+    def test_projection_only(self):
+        rel = IntMatrix.from_columns([(0, 0, -1, 0), (0, -1, 1, -1)])
+        full = cokernel(rel)
+        lean = cokernel(rel, False)
+        assert lean.section is None
+        assert lean.projection == full.projection
+        assert lean.invariants == full.invariants == cokernel_invariants(rel)
+
+
+def reference_projection(rel, keep):
+    """Projection onto span(e_keep) along im(rel), the dense way: invert the
+    square matrix [e_keep | basis of im(rel)] through its SNF; None when it
+    is not unimodular (the kept coordinates are no complement)."""
+    section = IntMatrix.from_columns(
+        [[1 if i == k else 0 for i in range(rel.rows)] for k in keep], rows=rel.rows
+    )
+    w = section.hstack(image_basis(rel))
+    if w.rows != w.cols:
+        return None
+    res = snf(w)
+    if any(d != 1 for d in res.invariants):
+        return None
+    return (res.right * res.left).submatrix(range(len(keep)), range(rel.rows))
+
+
+keep_cases = small_matrices.flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.integers(0, max(m.rows - 1, 0)), unique=True, max_size=m.rows)
+        if m.rows
+        else st.just([]),
+    )
+)
+
+
+class TestComplementProjection:
+    def test_unit_pivots(self):
+        # im = span(e2, e1 + e3): e0 and e1 complement it, e0 and e3 too
+        rel = IntMatrix.from_columns([(0, 0, -1, 0), (0, -1, 1, -1)])
+        # (v = v0 e0 + (v1 - v3) e1 + v2 e2 + v3 (e1 + e3))
+        p = complement_projection(rel, [0, 1])
+        assert p == IntMatrix([[1, 0, 0, 0], [0, 1, 0, -1]])
+        assert (p * rel).is_zero()
+        assert complement_projection(rel, [0, 3]) == IntMatrix([[1, 0, 0, 0], [0, -1, 0, 1]])
+
+    def test_gcd_fallback(self):
+        # row 0 holds 2 and 3, no unit: an extended-gcd step on the two
+        # columns produces the pivot 1 = gcd(2, 3) and a zero column.  The
+        # lattice is spanned by (1, 2, -1), so the coordinates along e1 and
+        # e2 are v1 - 2 v0 and v2 + v0.
+        rel = IntMatrix.from_columns([(2, 4, -2), (3, 6, -3)])
+        p = complement_projection(rel, [1, 2])
+        assert p == IntMatrix([[-2, 1, 0], [1, 0, 1]])
+        assert p == reference_projection(rel, [1, 2])
+
+    def test_gcd_fallback_without_unit_fails(self):
+        rel = IntMatrix.from_columns([(2, 2), (4, 4)])
+        with pytest.raises(NotAComplement):
+            complement_projection(rel, [1])
+
+    def test_relations_meeting_kept_span_fail(self):
+        rel = IntMatrix.from_columns([(1, 0), (0, 1)])
+        with pytest.raises(NotAComplement):
+            complement_projection(rel, [1])
+
+    def test_unreached_row_fails(self):
+        with pytest.raises(NotAComplement):
+            complement_projection(IntMatrix.from_columns([(0, 1)]), [1])
+
+    def test_no_relations(self):
+        assert complement_projection(IntMatrix.zeros(2, 0), [1, 0]) == IntMatrix([[0, 1], [1, 0]])
+        with pytest.raises(NotAComplement):
+            complement_projection(IntMatrix.zeros(2, 0), [1])
+
+    def test_bad_keep_rows(self):
+        with pytest.raises(ShapeMismatch):
+            complement_projection(IntMatrix.identity(2), [0, 0])
+        with pytest.raises(ShapeMismatch):
+            complement_projection(IntMatrix.identity(2), [2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(keep_cases)
+    def test_matches_dense_reference(self, case):
+        rel, keep = case
+        want = reference_projection(rel, keep)
+        if want is None:
+            with pytest.raises(NotAComplement):
+                complement_projection(rel, keep)
+        else:
+            assert complement_projection(rel, keep) == want
 
 
 class TestKernel:
