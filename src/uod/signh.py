@@ -22,6 +22,7 @@ from .znf import (
     kernel_basis,
     lattice_contains,
     preimage_lattice,
+    rank_torsion,
     solve,
     subquotient,
 )
@@ -69,8 +70,18 @@ def tate_cycles(gamma: IntMatrix, m: int) -> tuple[Subquotient, Subquotient]:
 
 
 def tate_pair(gamma: IntMatrix, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
-    even, odd = tate_cycles(gamma, m)
-    return even.invariants, odd.invariants
+    """Even and odd Tate homology invariants, without representatives.
+
+    (1 - gamma, norm) is a free two-periodic complex, so both parities have
+    free rank n - rk(1 - gamma) - rk(norm); the even torsion is that of
+    Z^n / im(norm) and the odd torsion that of Z^n / im(1 - gamma).  Two
+    invariants-only reductions; ``tate_cycles`` gives cycle bases.
+    """
+    _check_order(gamma, m)
+    rank_gamma, tors_gamma = rank_torsion(IntMatrix.identity(gamma.rows) - gamma)
+    rank_norm, tors_norm = rank_torsion(norm_matrix(gamma, m))
+    free = gamma.rows - rank_gamma - rank_norm
+    return AbGroupInvariants(free, tors_norm), AbGroupInvariants(free, tors_gamma)
 
 
 def tate_homology(t: TateInput) -> tuple[AbGroupInvariants, AbGroupInvariants]:

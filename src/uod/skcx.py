@@ -145,10 +145,7 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
     ranks = {}
     horiz = {}
     vert = {}
-    neg = IntMatrix.from_columns(
-        [[1 if i == (-a) % denom else 0 for i in range(denom)] for a in range(denom)]
-    )
-    ident = IntMatrix.identity(denom)
+    plus, minus = _sign_differentials(denom)
 
     horiz_per_m = {}
     for m in range(r + 1):
@@ -182,8 +179,8 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
     for m in range(r + 1):
         count = len(by_size.get(m, []))
         sign = -1 if m % 2 else 1
-        even = block_diagonal([(ident + neg).scale(sign)] * count)
-        odd = block_diagonal([(ident - neg).scale(sign)] * count)
+        even = block_diagonal([plus.scale(sign)] * count)
+        odd = block_diagonal([minus.scale(sign)] * count)
         vert_blocks[m] = (even, odd)
     for m in range(r + 1):
         for n in range(lo + 1, hi + 1):
@@ -191,6 +188,15 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
 
     double = DoubleComplex(r, lo, hi, ranks, horiz, vert)
     return SkComplex(f, level, (lo, hi), denom, primes, by_size, double)
+
+
+def _sign_differentials(denom: int) -> tuple[IntMatrix, IntMatrix]:
+    """1 + neg and 1 - neg, with neg the permutation a -> -a mod ``denom``."""
+    neg = IntMatrix.from_columns(
+        [[1 if i == (-a) % denom else 0 for i in range(denom)] for a in range(denom)]
+    )
+    ident = IntMatrix.identity(denom)
+    return ident + neg, ident - neg
 
 
 def _factor(n: int):
@@ -243,16 +249,10 @@ def via_n_complex(sk: SkComplex) -> PresentedComplex:
     lo, hi = sk.window
     denom = sk.denominator
     rel = distribution_presentation(sk)
-    neg = IntMatrix.from_columns(
-        [[1 if i == (-a) % denom else 0 for i in range(denom)] for a in range(denom)]
-    )
-    ident = IntMatrix.identity(denom)
+    even, odd = _sign_differentials(denom)
     ranks = {n: denom for n in range(lo, hi + 1)}
     rels = {n: rel for n in range(lo, hi + 1)}
-    diff = {
-        n: (ident + neg) if n % 2 == 0 else (ident - neg)
-        for n in range(lo + 1, hi + 1)
-    }
+    diff = {n: even if n % 2 == 0 else odd for n in range(lo + 1, hi + 1)}
     return PresentedComplex(ranks, rels, diff, stable=(lo + 1, hi - 1))
 
 
@@ -379,12 +379,9 @@ def sign_action_trivial_on_via_n(sk: SkComplex) -> tuple[int, int]:
     cok = cokernel(rel)
     if not cok.invariants.is_free:
         raise RuntimeError("boundary-route presentation unexpectedly has torsion")
-    neg = IntMatrix.from_columns(
-        [[1 if i == (-a) % denom else 0 for i in range(denom)] for a in range(denom)]
-    )
-    ident_small = IntMatrix.identity(cok.invariants.free_rank)
-    d_even = cok.projection * (IntMatrix.identity(denom) + neg) * cok.section
-    d_odd = cok.projection * (IntMatrix.identity(denom) - neg) * cok.section
+    even, odd = _sign_differentials(denom)
+    d_even = cok.projection * even * cok.section
+    d_odd = cok.projection * odd * cok.section
     spots = [homology_pair(d_even, d_odd), homology_pair(d_odd, d_even)]
     units = [t for t in range(denom) if gcd(t, denom) == 1]
     trivial = 0

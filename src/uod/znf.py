@@ -6,7 +6,10 @@ values, so all operations return new objects and are safe to share between
 threads.
 
 The workhorse is ``snf``, which returns the diagonal invariant factors
-together with the unimodular transforms (and their inverses) realizing them.
+together with the unimodular transforms (and their inverses) realizing them;
+each transform is tracked only when a caller asks for it, and
+``snf_invariants``/``rank_torsion`` track none.  After a unit pivot the
+reduction skips its divisibility scan, since a unit divides every entry.
 On top of it sit the lattice utilities used by every homology computation in
 the package: integer kernels (automatically saturated), column‑lattice bases,
 exact linear solves, cokernel presentations with a splitting of the free
@@ -448,6 +451,9 @@ class _Smith:
                 if self.a[t][t] < 0:
                     self.row_negate(t)
                 p = self.a[t][t]
+                if p == 1:
+                    # every entry is divisible by a unit pivot
+                    break
                 bad = None
                 for i in range(t + 1, self.r):
                     row = self.a[i]
@@ -491,6 +497,15 @@ def snf(m: IntMatrix) -> SnfResult:
 def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors only; much cheaper than full ``snf``."""
     return _run_smith(m, False, False, False, False)[0]
+
+
+def rank_torsion(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """Rank of ``m`` and the torsion of Z^rows / im(m), with no transform.
+
+    The torsion is the invariant factors above 1, a divisibility chain.
+    """
+    diag = snf_invariants(m)
+    return sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

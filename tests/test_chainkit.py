@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uod.znf import AbGroupInvariants, IntMatrix
+from uod import znf
+from uod.znf import AbGroupInvariants, IntMatrix, homology_pair, kernel_basis
 from uod.chainkit import (
     ActionModule,
     ChainMap,
@@ -27,6 +28,34 @@ ZERO = AbGroupInvariants(0)
 def trivial_module(operators, nu=None):
     ops = {k: IntMatrix([[v]]) for k, v in operators.items()}
     return ActionModule(1, ops, nu)
+
+
+def int_matrices(rows, cols):
+    return st.lists(
+        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(lambda data: IntMatrix(data, cols=cols))
+
+
+@st.composite
+def torsion_complexes(draw):
+    """A random finite free complex: each differential is a kernel basis of
+    the one below it times a random integer matrix, so its cokernel in that
+    kernel usually has torsion."""
+    ranks = draw(st.lists(st.integers(0, 4), min_size=2, max_size=5))
+    diffs = [draw(int_matrices(ranks[0], ranks[1]))]
+    for i in range(2, len(ranks)):
+        k = kernel_basis(diffs[-1])
+        diffs.append(k * draw(int_matrices(k.cols, ranks[i])))
+    return make_complex(ranks, diffs, bottom_degree=draw(st.integers(-2, 2)))
+
+
+def per_degree_homology(c):
+    return {
+        n: homology_pair(c.differential(n), c.differential(n + 1)).invariants
+        for n in c.degrees()
+    }
 
 
 class TestMakeComplex:
@@ -297,6 +326,18 @@ class TestPresentedComplex:
         with pytest.raises(NotAComplex):
             PresentedComplex(ranks, rels, diff)
 
+    def test_checks_every_distinct_degree_of_a_periodic_window(self):
+        # d = 2 on Z / 4 in every degree is a complex; shrinking the relations
+        # at one degree alone, with the same differentials all along, breaks
+        # relation preservation there and must still be caught
+        ranks = {n: 1 for n in range(-4, 5)}
+        rels = {n: IntMatrix([[4]]) for n in ranks}
+        diff = {n: IntMatrix([[2]]) for n in range(-3, 5)}
+        PresentedComplex(ranks, rels, diff)
+        rels[1] = IntMatrix([[16]])
+        with pytest.raises(NotAComplex, match="preserve relations"):
+            PresentedComplex(ranks, rels, diff)
+
     def test_free_reduction_matches_generic(self):
         # two-periodic complex over Z^2 / (2e1 - 2e2)... relations make torsion,
         # exercising the generic path; compare against a hand computation.
@@ -309,6 +350,47 @@ class TestPresentedComplex:
         pc = PresentedComplex(ranks, rels, diff, stable=(-3, 3))
         table = pc.homology()
         assert set(table.stable_degrees()) == set(range(-3, 4))
+
+
+class TestFreeHomology:
+    """``ChainComplex.homology`` reads ranks and torsion off the invariant
+    factors of the differentials; ``homology_pair`` is the subquotient
+    ker d_n / im d_{n+1} computed from representatives."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(torsion_complexes())
+    def test_matches_per_degree_subquotients(self, c):
+        assert c.homology().entries == per_degree_homology(c)
+
+    def test_known_torsion(self):
+        # Z --2--> Z --0--> Z: H_0 = Z/2, H_1 = 0, H_2 = Z
+        c = make_complex([1, 1, 1], [[[2]], [[0]]])
+        assert c.homology().entries == {0: Z2, 1: ZERO, 2: Z}
+
+    def test_kt_total_reduces_each_distinct_differential_once(self, monkeypatch):
+        calls = []
+        real = znf._run_smith
+
+        def spy(m, *need):
+            calls.append((m, need))
+            return real(m, *need)
+
+        # Z + Z(-1) with Koszul operators 0 and diag(3, 0): (Z/2)^2 inside
+        gamma = IntMatrix([[1, 0], [0, -1]])
+        ident = IntMatrix.identity(2)
+        module = ActionModule(2, {"X": IntMatrix.zeros(2, 2), "Y": IntMatrix([[3, 0], [0, 0]]),
+                                  "plus": ident + gamma, "minus": ident - gamma})
+        kt = build_kt(module, ["X", "Y"], "plus", "minus", window=(-8, 8))
+        total = companion(kt, "KTtot")
+        monkeypatch.setattr(znf, "_run_smith", spy)
+        table = total.homology()
+        monkeypatch.undo()
+        assert calls and all(not any(need) for _, need in calls)
+        reduced = [m for m, _ in calls]
+        distinct = set(total.diff.values())
+        assert len(reduced) == len(set(reduced)) == len(distinct) < len(total.diff)
+        assert table.entries == per_degree_homology(total)
+        assert table[0] == AbGroupInvariants(0, (2, 2))
 
 
 def test_total_complex_matches_column_when_no_ideals():

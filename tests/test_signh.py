@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uod import znf
 from uod.arith import ArchimedeanBackend, FunctionFieldBackend
-from uod.distmod import build_af, distribution_relations
+from uod.distmod import build_af, distribution_relations, u_module
 from uod.signh import (
     OrderViolation,
     TateInput,
     functoriality_report,
     sign_homology_U,
+    tate_cycles,
     tate_homology,
     tate_pair,
     verify_rank_theorem,
@@ -21,6 +24,42 @@ T = (0, 1)
 
 Z2 = AbGroupInvariants(0, (2,))
 TRIV = AbGroupInvariants(0)
+
+
+def _cycle(length, sign=1):
+    """Permutation matrix of an l-cycle, with one entry negated when sign is -1
+    (then its order is 2l)."""
+    cols = [[int(i == (j + 1) % length) for i in range(length)] for j in range(length)]
+    cols[-1][0] *= sign
+    return IntMatrix.from_columns(cols)
+
+
+# companion matrices of the cyclotomic polynomials of orders 3, 4 and 6
+_CYCLOTOMIC = {3: IntMatrix([[0, -1], [1, -1]]), 4: IntMatrix([[0, -1], [1, 0]]),
+               6: IntMatrix([[0, -1], [1, 1]])}
+
+
+@st.composite
+def finite_order_actions(draw):
+    """(gamma, m) with gamma^m = 1 for m = 2 or m = q - 1 with q a prime power
+    up to 9: blocks of cycles, sign-twisted cycles and cyclotomic companions
+    whose orders divide m, conjugated by a product of elementary matrices."""
+    m = draw(st.sampled_from([2, 3, 4, 6, 7, 8]))
+    choices = [_cycle(l) for l in range(1, m + 1) if m % l == 0 and l <= 4]
+    choices += [_cycle(l, -1) for l in range(1, m + 1) if m % (2 * l) == 0 and l <= 4]
+    choices += [c for d, c in _CYCLOTOMIC.items() if m % d == 0]
+    gamma = block_diagonal(draw(st.lists(st.sampled_from(choices), min_size=1, max_size=3)))
+    n = gamma.rows
+    for i, j, c in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([1, -1, 2])),
+            max_size=4)):
+        if i == j:
+            continue
+        e = [[int(r == s) for s in range(n)] for r in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        gamma = IntMatrix(e) * gamma * IntMatrix(e_inv)
+    return gamma, m
 
 
 class TestTate:
@@ -61,6 +100,33 @@ class TestTate:
     def test_order_one_group(self):
         even, odd = tate_pair(IntMatrix.identity(3), 1)
         assert even == TRIV and odd == TRIV
+
+    @settings(max_examples=120, deadline=None)
+    @given(finite_order_actions())
+    def test_matches_cycle_representatives(self, action):
+        gamma, m = action
+        even, odd = tate_cycles(gamma, m)
+        assert tate_pair(gamma, m) == (even.invariants, odd.invariants)
+
+    def test_closed_forms(self):
+        # trivial Z^2 of order m: even (Z/m)^2, odd 0; sign module: even 0, odd Z/2
+        for m in (2, 4, 6):
+            assert tate_pair(IntMatrix.identity(2), m) == (AbGroupInvariants(0, (m, m)), TRIV)
+        assert tate_pair(IntMatrix([[-1]]), 2) == (TRIV, Z2)
+
+    def test_two_invariants_only_reductions(self, monkeypatch):
+        calls = []
+        real = znf._run_smith
+
+        def spy(m, *need):
+            calls.append(need)
+            return real(m, *need)
+
+        gamma = u_module(build_af(Q, 15)).operators["gamma0"]
+        monkeypatch.setattr(znf, "_run_smith", spy)
+        even, odd = tate_pair(gamma, 2)
+        assert calls == [(False,) * 4] * 2
+        assert even == odd == AbGroupInvariants(0, (2, 2))
 
 
 class TestSignHomologyU:

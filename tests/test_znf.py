@@ -16,6 +16,7 @@ from uod.znf import (
     kernel_basis,
     lattice_contains,
     preimage_lattice,
+    rank_torsion,
     snf,
     snf_invariants,
     solve,
@@ -56,9 +57,9 @@ small_matrices = st.integers(0, 4).flatmap(
 sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 7])
 
 
-def sparse_matrix(rows, cols):
+def sparse_matrix(rows, cols, entries=sparse_entries):
     return st.lists(
-        st.lists(sparse_entries, min_size=cols, max_size=cols),
+        st.lists(entries, min_size=cols, max_size=cols),
         min_size=rows,
         max_size=rows,
     ).map(lambda data: IntMatrix(data, cols=cols))
@@ -67,6 +68,12 @@ def sparse_matrix(rows, cols):
 # (r x k, k x c) pairs with every dimension allowed to be 0
 mul_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(
     lambda d: st.tuples(sparse_matrix(d[0], d[1]), sparse_matrix(d[1], d[2]))
+)
+
+
+# mostly units, so unit pivots come first and the rest follow them
+unit_heavy_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda d: sparse_matrix(*d, st.sampled_from([0, 1, -1, 1, -1, 2, -2, 3]))
 )
 
 
@@ -147,9 +154,8 @@ class TestSnf:
         assert res.invariants == ()
         assert res.right.rows == 3
 
-    @settings(max_examples=150, deadline=None)
-    @given(small_matrices)
-    def test_transforms_and_chain(self, m):
+    @staticmethod
+    def check_snf(m):
         res = snf(m)
         assert res.left * m * res.right == res.diagonal()
         assert res.left * res.left_inv == IntMatrix.identity(m.rows)
@@ -160,6 +166,36 @@ class TestSnf:
         assert all(d >= 0 for d in inv)
         for a, b in zip(inv, inv[1:]):
             assert (b == 0) if a == 0 else (b % a == 0)
+        assert snf_invariants(m) == inv
+        return res
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices)
+    def test_transforms_and_chain(self, m):
+        self.check_snf(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(unit_heavy_matrices)
+    def test_transforms_and_chain_unit_heavy(self, m):
+        self.check_snf(m)
+
+    def test_non_unit_pivots_after_unit_ones(self):
+        # diag(1, 2, 3) and unimodular scramblings that keep a unit entry:
+        # the unit pivot is taken first, and 2 and 3 must still merge into 6
+        for rows in ([[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+                     [[2, 0, 0], [0, 1, 0], [0, 0, 3]],
+                     [[1, 1, 0], [1, 3, 0], [0, 0, 3]],
+                     [[0, 0, 3], [1, 3, 0], [1, 1, 0]],
+                     [[1, 2, 3], [2, 6, 6], [3, 6, 12]]):
+            m = IntMatrix(rows)
+            assert abs(det_laplace(m)) == 6
+            assert self.check_snf(m).invariants == (1, 1, 6)
+            assert rank_torsion(m) == (3, (6,))
+
+    def test_rank_torsion(self):
+        assert rank_torsion(IntMatrix([[2, 4], [6, 8]])) == (2, (2, 4))
+        assert rank_torsion(IntMatrix([[1, 2], [2, 4]])) == (1, ())
+        assert rank_torsion(IntMatrix.zeros(3, 0)) == (0, ())
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices, st.randoms(use_true_random=False))
