@@ -11,6 +11,10 @@ of f-torsion lattice translates is just an element of f^{-1}A/A, stored in
 lowest terms as (order, numerator); the ray-class group at level f is
 (A/f)^x acting by numerator multiplication; and the sign generator acts by
 the inverse of a fixed generator of the roots of unity.
+
+The sorted class list Xi(f), each Y_g fiber map and each level group are
+built once per level and cached.  Class lists and fibers are tuples; the
+fiber dicts and the groups are only read by their callers.
 """
 
 from __future__ import annotations
@@ -385,6 +389,11 @@ class ArchimedeanBackend:
         return (scalar * a) % f if f > 1 else 0
 
 
+# One archimedean backend for the integer-only code (u-function, symbol
+# complex), so that it factors through a single cached factoriser.
+ARCHIMEDEAN = ArchimedeanBackend()
+
+
 class FunctionFieldBackend:
     """Basic data (F_q((1/T)), F_q[T], leading coefficient)."""
 
@@ -719,11 +728,25 @@ def xi_sort_key(bk, xi: XiClass):
     return (bk.ideal_key(xi.order), bk.residue_key(xi.num))
 
 
-def xi_classes(bk, f) -> list[XiClass]:
-    """All homothety classes of f-torsion translates (|A/f| of them)."""
-    out = [xi_from_fraction(bk, a, f) for a in bk.residues(f)]
-    out.sort(key=lambda xi: xi_sort_key(bk, xi))
-    return out
+# Per-level caches.  Their values are never mutated, and uod runs every
+# command in a single thread, so check-then-set needs no lock; the same holds
+# for ``distmod._partition_cache`` and the backends' ``_factor_cache``.
+_classes_cache: dict = {}
+_fiber_cache: dict = {}
+_group_cache: dict = {}
+
+
+def xi_classes(bk, f) -> tuple[XiClass, ...]:
+    """All homothety classes of f-torsion translates (|A/f| of them), sorted.
+
+    Built once per level and cached.
+    """
+    key = (bk.key, bk.ideal_key(f))
+    if key not in _classes_cache:
+        out = [xi_from_fraction(bk, a, f) for a in bk.residues(f)]
+        out.sort(key=lambda xi: xi_sort_key(bk, xi))
+        _classes_cache[key] = tuple(out)
+    return _classes_cache[key]
 
 
 def xi_in_level(bk, xi: XiClass, f) -> bool:
@@ -738,23 +761,30 @@ def y_map(bk, g, xi: XiClass) -> XiClass:
     return xi_from_fraction(bk, lifted, xi.order)
 
 
-def y_fiber(bk, g, xi: XiClass, within_level) -> list[XiClass]:
+def y_fiber(bk, g, xi: XiClass, within_level) -> tuple[XiClass, ...]:
     """All classes at the given level mapping to xi under Y_g."""
     if not bk.divides(g, within_level):
         raise LevelMismatch("g must divide the ambient level")
     if not xi_in_level(bk, xi, bk.divide(within_level, g)):
         raise LevelMismatch("xi must be torsion at level within_level/g")
     fibers = fiber_map(bk, g, within_level)
-    return fibers.get(xi, [])
+    return fibers.get(xi, ())
 
 
 def fiber_map(bk, g, level) -> dict:
-    """Y_g fibers over all of Xi(level/g), computed in one pass."""
-    out: dict = {}
-    for eta in xi_classes(bk, level):
-        image = y_map(bk, g, eta)
-        out.setdefault(image, []).append(eta)
-    return out
+    """Y_g fibers over all of Xi(level/g), computed in one pass over Xi(level).
+
+    Cached per (g, level); each fiber is a tuple in ``xi_classes`` order.
+    Callers must not mutate the returned dict.
+    """
+    key = (bk.key, bk.ideal_key(g), bk.ideal_key(level))
+    if key not in _fiber_cache:
+        out: dict = {}
+        for eta in xi_classes(bk, level):
+            image = y_map(bk, g, eta)
+            out.setdefault(image, []).append(eta)
+        _fiber_cache[key] = {image: tuple(etas) for image, etas in out.items()}
+    return _fiber_cache[key]
 
 
 @dataclass(frozen=True)
@@ -856,9 +886,6 @@ class GfGroup:
         if not self.backend.divides(g, self.level):
             raise LevelMismatch("target level must divide the source level")
         return GfElement(self.backend.key, g, self.backend.residue_of(x.residue, g))
-
-
-_group_cache: dict = {}
 
 
 def gf_group(bk, f) -> GfGroup:

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .arith import ParseError, backend
+from .arith import ARCHIMEDEAN, ParseError, backend, xi_classes
 from .chainkit import HomologyTable, NotAComplex
 from .distmod import (
     BasisCertificateFailed,
@@ -101,14 +99,6 @@ def _levels(args, bk):
     return [bk.parse_ideal(piece) for piece in text.split(",")]
 
 
-def _map_levels(work, levels):
-    threads = int(os.environ.get("UOD_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, levels))
-    return [work(f) for f in levels]
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations, each returning a list of check dicts
 
@@ -134,7 +124,7 @@ def cmd_structure(args):
             "verdict": "PASS" if ok else "FAIL",
         }
 
-    return _map_levels(work, _levels(args, bk))
+    return [work(f) for f in _levels(args, bk)]
 
 
 def cmd_sign_homology(args):
@@ -152,7 +142,7 @@ def cmd_sign_homology(args):
             "verdict": "PASS" if symmetric else "FAIL",
         }
 
-    return _map_levels(work, _levels(args, bk))
+    return [work(f) for f in _levels(args, bk)]
 
 
 def cmd_verify_kubert(args):
@@ -175,7 +165,7 @@ def cmd_verify_kubert(args):
             "verdict": report.verdict,
         }
 
-    return _map_levels(work, _levels(args, bk))
+    return [work(f) for f in _levels(args, bk)]
 
 
 def cmd_verify_yin(args):
@@ -198,7 +188,7 @@ def cmd_verify_yin(args):
             "verdict": report.verdict,
         }
 
-    return _map_levels(work, _levels(args, bk))
+    return [work(f) for f in _levels(args, bk)]
 
 
 def cmd_verify_thm442(args):
@@ -223,7 +213,7 @@ def cmd_verify_thm442(args):
             "verdict": "PASS" if ok else "FAIL",
         }
 
-    return _map_levels(work, _levels(args, bk))
+    return [work(f) for f in _levels(args, bk)]
 
 
 def cmd_verify_basis(args):
@@ -248,33 +238,27 @@ def cmd_verify_basis(args):
             "verdict": "PASS" if ok else "FAIL",
         }
 
-    return _map_levels(work, _levels(args, bk))
+    return [work(f) for f in _levels(args, bk)]
 
 
 def cmd_verify_lemma411(args):
     bk = _backend_of(args)
 
     def work(f):
-        from .arith import xi_classes
-
-        failures = 0
-        count = 0
-        for p, _ in bk.factor(f):
-            for cls in xi_classes(bk, f):
-                if cls.order != f:
-                    continue
-                count += 1
-                if not lemma411_check(bk, p, f, cls).equal:
-                    failures += 1
+        if bk.norm(f) == 1:
+            raise UsageError("lemma411 needs a level with a prime divisor; f = 1 has none")
+        exact = [cls for cls in xi_classes(bk, f) if cls.order == f]
+        equal = [lemma411_check(bk, p, f, cls).equal for p, _ in bk.factor(f) for cls in exact]
+        failures = equal.count(False)
         return {
             "name": "lemma411",
             "params": {"f": bk.format_ideal(f)},
             "route": "direct-tate",
-            "tables": {"checked": count, "failures": failures},
-            "verdict": "PASS" if failures == 0 and count >= 0 else "FAIL",
+            "tables": {"checked": len(equal), "failures": failures},
+            "verdict": "PASS" if equal and failures == 0 else "FAIL",
         }
 
-    return _map_levels(work, _levels(args, bk))
+    return [work(f) for f in _levels(args, bk)]
 
 
 def cmd_verify_ufunction(args):
@@ -302,7 +286,10 @@ def cmd_verify_ufunction(args):
             "verdict": "PASS" if relations_ok else "FAIL",
         }
 
-    return _map_levels(work, [int(f) for f in args.f.split(",")])
+    levels = [int(f) for f in args.f.split(",")]
+    if any(f < 1 for f in levels):
+        raise UsageError(f"u-function levels are positive integers; got --f {args.f}")
+    return [work(f) for f in levels]
 
 
 def cmd_verify_uprime(args):
@@ -320,12 +307,13 @@ def cmd_verify_uprime(args):
             "verdict": "PASS" if report.isomorphism else "FAIL",
         }
 
-    return _map_levels(work, [int(f) for f in args.f.split(",")])
+    levels = [int(f) for f in args.f.split(",")]
+    return [work(f) for f in levels]
 
 
 def cmd_sk_compare(args):
     def work(f):
-        r = len([p for p in range(2, f + 1) if f % p == 0 and all(p % d for d in range(2, p))])
+        r = len(ARCHIMEDEAN.factor(f))
         window = _window_from_width(args.window, r)
         per_level = []
         reference = None
@@ -356,7 +344,8 @@ def cmd_sk_compare(args):
             "verdict": "PASS" if all_ok else "FAIL",
         }
 
-    return _map_levels(work, [int(f) for f in args.f.split(",")])
+    levels = [int(f) for f in args.f.split(",")]
+    return [work(f) for f in levels]
 
 
 def cmd_ftate(args):
@@ -418,7 +407,7 @@ def cmd_tower(args):
             "verdict": "PASS" if ok else "FAIL",
         }
 
-    return _map_levels(work, _levels(args, bk))
+    return [work(f) for f in _levels(args, bk)]
 
 
 # ---------------------------------------------------------------------------

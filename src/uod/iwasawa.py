@@ -22,11 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import ArchimedeanBackend, g_action
+from .arith import ARCHIMEDEAN, g_action
 from .distmod import UModule, build_af, u_module
 from .znf import IntMatrix, image_basis, snf_invariants, solve
-
-_QBACKEND = ArchimedeanBackend()
 
 
 class RationalityFailure(ArithmeticError):
@@ -178,7 +176,7 @@ def unit_group_structure(f: int):
         return (), ()
     gens = []
     orders = []
-    for p, e in _factor(f):
+    for p, e in ARCHIMEDEAN.factor(f):
         pe = p**e
         rest = f // pe
         if p == 2:
@@ -195,22 +193,6 @@ def unit_group_structure(f: int):
             gens.append(lifted)
             orders.append(order)
     return tuple(gens), tuple(orders)
-
-
-def _factor(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _primitive_root(p, e):
@@ -318,7 +300,7 @@ def characters(f: int) -> list[DirichletChar]:
 def _with_conductor(f: int, e: int, gen_exps: tuple) -> DirichletChar:
     probe = DirichletChar(f, e, gen_exps, f)
     conductor = f
-    for c in sorted(_divisors(f)):
+    for c in ARCHIMEDEAN.divisors(f):
         if all(
             probe.log_value(x) == 0
             for x in range(1, f + 1)
@@ -327,13 +309,6 @@ def _with_conductor(f: int, e: int, gen_exps: tuple) -> DirichletChar:
             conductor = c
             break
     return DirichletChar(f, e, gen_exps, conductor)
-
-
-def _divisors(n):
-    out = [1]
-    for p, e in _factor(n):
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +327,7 @@ def u_values(f: int) -> dict:
     chars = characters(f)
     e = chars[0].exponent if chars else 1
     e = max(e, 1)
-    primes = [p for p, _ in _factor(f)]
+    primes = [p for p, _ in ARCHIMEDEAN.factor(f)]
     units = [x for x in range(1, f + 1) if gcd(x, f) == 1]
     phi_f = len(units)
 
@@ -462,7 +437,7 @@ def uprime_lattice(f: int) -> UPrimeLattice:
         units = [1]
     index = {x % f: i for i, x in enumerate(units)}
     vectors = []
-    for g in _divisors(f):
+    for g in ARCHIMEDEAN.divisors(f):
         base = []
         for delta in units:
             dinv = pow(delta, -1, f) if f > 1 else 1
@@ -491,7 +466,7 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
     if f < 2:
         raise ValueError("comparison needs f > 1")
     if u is None:
-        u = u_module(build_af(_QBACKEND, f))
+        u = u_module(build_af(ARCHIMEDEAN, f))
     af = u.parent
     lattice = uprime_lattice(f)
     units = list(lattice.group)

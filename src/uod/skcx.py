@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .arith import ARCHIMEDEAN
 from .chainkit import (
     ActionModule,
     ChainComplex,
@@ -124,7 +125,7 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
     """Assemble and validate the level-f^N symbol double complex."""
     if f <= 1:
         raise NotSquarefree("need f > 1")
-    factors = [(p, e) for p, e in _factor(f)]
+    factors = ARCHIMEDEAN.factor(f)
     if any(e > 1 for _, e in factors):
         raise NotSquarefree(f"{f} is not squarefree")
     primes = tuple(p for p, _ in factors)
@@ -197,22 +198,6 @@ def _sign_differentials(denom: int) -> tuple[IntMatrix, IntMatrix]:
     )
     ident = IntMatrix.identity(denom)
     return ident + neg, ident - neg
-
-
-def _factor(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def distribution_presentation(sk: SkComplex) -> IntMatrix:
@@ -295,7 +280,7 @@ def via_skprime_complex(sk: SkComplex):
 
 def kt_reference(f: int, window=None) -> ChainComplex:
     """KT^tot(Z, {0}_{p|f}, [2; 0]) built through the generic constructor."""
-    r = len(_factor(f))
+    r = len(ARCHIMEDEAN.factor(f))
     ops = {f"p{i}": IntMatrix([[0]]) for i in range(r)}
     ops["plus"] = IntMatrix([[2]])
     ops["minus"] = IntMatrix([[0]])
@@ -336,7 +321,7 @@ def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionRepo
     """Injectivity of the level inclusion on the numerator-killed route."""
     if g % f:
         raise ValueError("need f | g")
-    r_g = len(_factor(g))
+    r_g = len(ARCHIMEDEAN.factor(g))
     if window is None:
         window = (-(r_g + 3), r_g + 3)
     sk_f = build_sk(f, level, window)

@@ -179,6 +179,27 @@ class TestYFiber:
             assert all(len(v) == g for v in fibers.values())
 
 
+class TestLevelCaches:
+    def test_repeated_calls_return_the_cached_object(self):
+        for bk, g, level in ((Q, 2, 12), (F3, T, F3.mul(T, T_PLUS_1))):
+            assert xi_classes(bk, level) is xi_classes(bk, level)
+            assert fiber_map(bk, g, level) is fiber_map(bk, g, level)
+
+    def test_cached_values_are_immutable(self):
+        for bk, g, level in ((Q, 3, 18), (F3, T_PLUS_1, F3.mul(T, T_PLUS_1))):
+            assert isinstance(xi_classes(bk, level), tuple)
+            fibers = fiber_map(bk, g, level)
+            assert fibers and all(isinstance(v, tuple) for v in fibers.values())
+            for xi in fibers:
+                assert y_fiber(bk, g, xi, level) is fibers[xi]
+
+    def test_distinct_levels_and_backends_do_not_share_entries(self):
+        assert len(fiber_map(Q, 2, 8)) == 4 and len(fiber_map(Q, 2, 4)) == 2
+        assert len(fiber_map(Q, 4, 8)) == 2
+        for bk in (F2, F3):  # the unit level has the same ideal key in both
+            assert {xi.backend_key for xi in xi_classes(bk, bk.one)} == {bk.key}
+
+
 class TestGfGroup:
     def test_order_phi_12(self):
         assert len(gf_group(Q, 12)) == 4

@@ -102,6 +102,23 @@ class TestHarnessContract:
         assert main(["verify", "yin", "--f", "T"]) == 2  # missing --q
         assert main(["verify", "kubert"]) == 2  # missing --f
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "lemma411", "--f", "1"],
+            ["verify", "lemma411", "--backend", "fq", "--q", "3", "--f", "1"],
+            ["verify", "u-function", "--f", "0"],
+            ["verify", "u-function", "--f", "-4"],
+            ["verify", "u-function", "--f", "12,-4"],
+        ],
+    )
+    def test_vacuous_levels_exit_2(self, capsys, argv):
+        # nothing to check is a usage error, never a PASS
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_malformed_polynomial_exit_2(self):
         assert main(["verify", "yin", "--q", "3", "--f", "T^"]) == 2
 

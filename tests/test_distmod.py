@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from uod import distmod, znf
+from uod import arith, distmod, znf
 from uod.arith import (
     ArchimedeanBackend,
     FunctionFieldBackend,
@@ -27,6 +29,7 @@ from uod.distmod import (
     xi0_basis,
     xi0_set,
 )
+from uod.cli import main
 from uod.znf import AbGroupInvariants, IntMatrix, image_basis, snf
 
 Q = ArchimedeanBackend()
@@ -357,6 +360,78 @@ class TestLemma411:
     def test_wrong_order_rejected(self):
         with pytest.raises(OrderMismatch):
             lemma411_check(Q, 2, 4, xi(1, 2))
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empty every per-level cache for one test; the old ones come back after."""
+    for module, name in (
+        (arith, "_classes_cache"),
+        (arith, "_fiber_cache"),
+        (arith, "_group_cache"),
+        (distmod, "_partition_cache"),
+    ):
+        monkeypatch.setattr(module, name, {})
+
+
+def classes_by_hand(bk, f):
+    return sorted(
+        {xi_from_fraction(bk, a, f) for a in bk.residues(f)},
+        key=lambda c: (bk.ideal_key(c.order), bk.residue_key(c.num)),
+    )
+
+
+def fibers_by_hand(bk, g, f):
+    """Y_g fibers of Xi(f) from xi_from_fraction and y_map, with no cache."""
+    out = {}
+    for eta in classes_by_hand(bk, f):
+        out.setdefault(y_map(bk, g, eta), []).append(eta)
+    return {image: tuple(etas) for image, etas in out.items()}
+
+
+class TestLevelCaches:
+    @pytest.mark.parametrize("bk, f", [(Q, 60), (F3, F3.mul(T, (1, 1)))])
+    def test_fiber_maps_survive_their_readers(self, bk, f):
+        af = build_af(bk, f)
+        xi0_basis(af)
+        u_module(af)
+        for g in bk.divisors(f):
+            if bk.norm(g) > 1:
+                assert arith.fiber_map(bk, g, f) == fibers_by_hand(bk, g, f), g
+        assert arith.xi_classes(bk, f) == tuple(classes_by_hand(bk, f))
+
+    def test_lemma411_maps_each_class_once_per_prime(self, cold_caches, monkeypatch, tmp_path):
+        # the left side still maps all of Xi(f), but once per prime, not once
+        # per checked class: O(r |Xi(f)|) calls rather than O(r phi(f) |Xi(f)|)
+        calls = []
+        real = arith.y_map
+
+        def counting(bk, g, cls):
+            calls.append(g)
+            return real(bk, g, cls)
+
+        monkeypatch.setattr(arith, "y_map", counting)
+        monkeypatch.setattr(distmod, "y_map", counting)
+        assert main(["verify", "lemma411", "--f", "72", "--out", str(tmp_path / "r.json")]) == 0
+        r, size, phi = 2, 72, 24
+        assert r * size <= len(calls) <= r * (size + phi)
+
+    @pytest.mark.parametrize(
+        "argv, checked",
+        [
+            (["--f", "36,72,360"], [24, 48, 288]),
+            (["--backend", "fq", "--q", "3", "--f", "T^2*(T+1)"], [24]),
+        ],
+    )
+    def test_lemma411_report_is_the_same_cold_and_warm(self, cold_caches, tmp_path, argv, checked):
+        out = tmp_path / "report.json"
+        reports = []
+        for _ in ("cold", "warm"):
+            assert main(["verify", "lemma411", *argv, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        tables = [c["tables"] for c in json.loads(reports[0])["checks"]]
+        assert tables == [{"checked": n, "failures": 0} for n in checked]
 
 
 class TestTower:
