@@ -14,7 +14,8 @@ the inverse of a fixed generator of the roots of unity.
 
 The sorted class list Xi(f), each Y_g fiber map and each level group are
 built once per level and cached.  Class lists and fibers are tuples; the
-fiber dicts and the groups are only read by their callers.
+fiber dicts and the groups are only read by their callers.  Each backend
+caches its factorisations, as tuples of (prime, exponent).
 """
 
 from __future__ import annotations
@@ -347,7 +348,7 @@ class ArchimedeanBackend:
             p += 1
         if n > 1:
             out.append((n, 1))
-        self._factor_cache[f] = out
+        out = self._factor_cache[f] = tuple(out)
         return out
 
     def radical(self, f):
@@ -389,8 +390,8 @@ class ArchimedeanBackend:
         return (scalar * a) % f if f > 1 else 0
 
 
-# One archimedean backend for the integer-only code (u-function, symbol
-# complex), so that it factors through a single cached factoriser.
+# The archimedean backend: ``backend("q")`` returns it too, so the CLI and the
+# integer-only code (u-function, symbol complex) factor through one cache.
 ARCHIMEDEAN = ArchimedeanBackend()
 
 
@@ -507,7 +508,7 @@ class FunctionFieldBackend:
                 e += 1
             out.append((found, e))
         out.sort(key=lambda pe: self.ideal_key(pe[0]))
-        self._factor_cache[f] = out
+        out = self._factor_cache[f] = tuple(out)
         return out
 
     def _decode_monic(self, code):
@@ -577,7 +578,7 @@ class FunctionFieldBackend:
 
 def backend(kind: str, q: int | None = None):
     if kind in ("archimedean", "q"):
-        return ArchimedeanBackend()
+        return ARCHIMEDEAN
     if kind in ("function_field", "fq"):
         if q is None:
             raise ValueError("function field backend needs q")

@@ -65,7 +65,8 @@ def table_json(table: HomologyTable) -> dict:
     return out
 
 
-def _parse_nu(text: str | None, bk) -> dict:
+def _parse_nu(text: str | None, bk, levels) -> dict:
+    """The --nu values; every key must be a prime divisor of every level."""
     if not text:
         return {}
     out = {}
@@ -74,7 +75,20 @@ def _parse_nu(text: str | None, bk) -> dict:
             raise UsageError(f"bad nu assignment {piece!r}; use p=v")
         key, value = piece.split("=", 1)
         out[bk.parse_ideal(key.strip())] = int(value)
+    for f in levels:
+        primes = {p for p, _ in bk.factor(f)}
+        for p in out:
+            if p not in primes:
+                raise UsageError(
+                    f"--nu key {bk.format_ideal(p)} is not a prime divisor of "
+                    f"{bk.format_ideal(f)}"
+                )
     return out
+
+
+def _check_level(level: int):
+    if level < 1:
+        raise UsageError(f"--level must be at least 1; got {level}")
 
 
 def _window_from_width(width: int | None, r: int):
@@ -105,7 +119,9 @@ def _levels(args, bk):
 
 def cmd_structure(args):
     bk = _backend_of(args)
-    nu = _parse_nu(args.nu, bk)
+    _check_level(args.level)
+    levels = _levels(args, bk)
+    nu = _parse_nu(args.nu, bk, levels)
 
     def work(f):
         af = build_af(bk, bk.power(f, args.level), nu)
@@ -124,12 +140,14 @@ def cmd_structure(args):
             "verdict": "PASS" if ok else "FAIL",
         }
 
-    return [work(f) for f in _levels(args, bk)]
+    return [work(f) for f in levels]
 
 
 def cmd_sign_homology(args):
     bk = _backend_of(args)
-    nu = _parse_nu(args.nu, bk)
+    _check_level(args.level)
+    levels = _levels(args, bk)
+    nu = _parse_nu(args.nu, bk, levels)
 
     def work(f):
         table = sign_homology_U(bk, f, nu, level=args.level)
@@ -142,7 +160,7 @@ def cmd_sign_homology(args):
             "verdict": "PASS" if symmetric else "FAIL",
         }
 
-    return [work(f) for f in _levels(args, bk)]
+    return [work(f) for f in levels]
 
 
 def cmd_verify_kubert(args):
@@ -193,7 +211,8 @@ def cmd_verify_yin(args):
 
 def cmd_verify_thm442(args):
     bk = _backend_of(args)
-    nu = _parse_nu(args.nu, bk)
+    levels = _levels(args, bk)
+    nu = _parse_nu(args.nu, bk, levels)
     from .ftate import thm442_lhs
 
     def work(f):
@@ -213,7 +232,7 @@ def cmd_verify_thm442(args):
             "verdict": "PASS" if ok else "FAIL",
         }
 
-    return [work(f) for f in _levels(args, bk)]
+    return [work(f) for f in levels]
 
 
 def cmd_verify_basis(args):
@@ -221,11 +240,8 @@ def cmd_verify_basis(args):
 
     def work(f):
         af = build_af(bk, f)
-        try:
-            cert = xi0_basis(af)
-            ok = cert.unimodular and len(cert.classes) == len(af.group)
-        except BasisCertificateFailed:
-            raise
+        cert = xi0_basis(af)
+        ok = cert.unimodular and len(cert.classes) == len(af.group)
         return {
             "name": "basis",
             "params": {"f": bk.format_ideal(f)},
@@ -312,6 +328,8 @@ def cmd_verify_uprime(args):
 
 
 def cmd_sk_compare(args):
+    _check_level(args.level)
+
     def work(f):
         r = len(ARCHIMEDEAN.factor(f))
         window = _window_from_width(args.window, r)
@@ -382,7 +400,9 @@ def cmd_ftate(args):
 
 def cmd_tower(args):
     bk = _backend_of(args)
-    nu = _parse_nu(args.nu, bk)
+    _check_level(args.level)
+    levels = _levels(args, bk)
+    nu = _parse_nu(args.nu, bk, levels)
 
     def work(f):
         report = u_tower(bk, f, args.level, nu)
@@ -407,7 +427,7 @@ def cmd_tower(args):
             "verdict": "PASS" if ok else "FAIL",
         }
 
-    return [work(f) for f in _levels(args, bk)]
+    return [work(f) for f in levels]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ relation matrix (``znf.complement_projection``): every class outside Xi_0(f)
 gets a ±1 pivot and no relation is left over, so A(f) is the direct sum of
 the span of Xi_0(f) and the relation lattice, and the elimination yields the
 projection onto U(f).  ``xi0_basis`` keeps an independent check through the
-Smith normal form of the relations.
+invariant factors of the relations: U(f) is free of rank |Xi_0(f)|, and the
+relations reach every class outside Xi_0(f).
 """
 
 from __future__ import annotations
@@ -473,11 +474,14 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
 
     The first certificate checks that the family X_g xi (g | f, xi depth-zero
     at level f/g) is a Z-basis of A(f): the change-of-basis matrix must be
-    square with all invariant factors 1.  The second maps the depth-zero
-    classes at level f through an independently computed projection onto
-    U(f) (from the Smith normal form of the relations, not from the
-    depth-zero elimination ``u_module`` uses) and checks unimodularity there
-    too.
+    square with all invariant factors 1.  The second checks that Xi_0(f) maps
+    to a basis of U(f) with two invariants-only reductions of the relation
+    matrix: U(f) must be free of rank |Xi_0(f)|, and the relations restricted
+    to the classes outside Xi_0(f) must have all invariant factors 1, one per
+    such class.  The latter says that every class outside Xi_0(f) is a
+    combination of Xi_0(f) modulo the relations, so the Xi_0 images generate
+    U(f); |Xi_0(f)| generators of Z^{|Xi_0(f)|} are a basis.  Neither
+    reduction shares code with the depth-zero elimination ``u_module`` uses.
     """
     bk = af.backend
     f = af.level
@@ -502,17 +506,30 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
         )
     lattice_inv = snf_invariants(change)
 
-    cok = cokernel(distribution_relations(af), False)
+    rel = distribution_relations(af)
     xi0_here = xi0_set(bk, f)
-    images = IntMatrix.from_columns(
-        [cok.projection.column(af.index[xi]) for xi in xi0_here],
-        rows=cok.invariants.free_rank,
-    )
-    quotient_inv = snf_invariants(images)
-    ok = all(d == 1 for d in lattice_inv) and all(d == 1 for d in quotient_inv)
+    k = len(xi0_here)
+    inside = {af.index[xi] for xi in xi0_here}
+    outside = [i for i in range(af.rank) if i not in inside]
+    quotient = cokernel_invariants(rel)
+    reach = snf_invariants(rel.submatrix(outside, range(rel.cols)))
+    free = quotient == AbGroupInvariants(k)
+    is_basis = free and len(reach) == len(outside) and all(d == 1 for d in reach)
+    if is_basis:
+        quotient_inv = (1,) * k
+    else:
+        # only to say how it failed: the images of Xi_0 in the free part
+        cok = cokernel(rel, False)
+        images = IntMatrix.from_columns(
+            [cok.projection.column(af.index[xi]) for xi in xi0_here],
+            rows=cok.invariants.free_rank,
+        )
+        quotient_inv = snf_invariants(images)
+    ok = is_basis and all(d == 1 for d in lattice_inv)
     if not ok:
+        note = "" if free else f"; U(f) is {quotient}, not Z^{k}"
         raise BasisCertificateFailed(
-            f"certificates: lattice {lattice_inv}, quotient {quotient_inv}"
+            f"certificates: lattice {lattice_inv}, quotient {quotient_inv}{note}"
         )
     return Xi0Basis(tuple(xi0_here), tuple(pairs), lattice_inv, quotient_inv, ok)
 

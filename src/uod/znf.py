@@ -7,13 +7,25 @@ threads.
 
 The workhorse is ``snf``, which returns the diagonal invariant factors
 together with the unimodular transforms (and their inverses) realizing them;
-each transform is tracked only when a caller asks for it, and
-``snf_invariants``/``rank_torsion`` track none.  After a unit pivot the
-reduction skips its divisibility scan, since a unit divides every entry.
-On top of it sit the lattice utilities used by every homology computation in
-the package: integer kernels (automatically saturated), column‑lattice bases,
-exact linear solves, cokernel presentations with a splitting of the free
-part, and subquotient invariants lattice(num)/lattice(den).
+each transform is tracked only when a caller asks for it.  After a unit
+pivot the reduction skips its divisibility scan, since a unit divides every
+entry.
+
+``snf_invariants`` (and through it ``rank_torsion``, ``cokernel_invariants``
+and ``subquotient``) tracks no transform and starts with a sparse stage: the
+nonzeros are held as row dicts with a column-to-rows index, and ±1 entries
+are taken as pivots in Markowitz order, each replacing the matrix by its
+Schur complement.  A unit pivot turns M into diag(1) ⊕ S by unimodular row
+and column operations, so inv(M) = (1) ++ inv(S) and nothing is divided
+except by ±1; the dense reduction only sees the block left when no unit
+entry remains.  The dense ``_Smith`` stays the only reducer that tracks
+transforms.
+
+On top of these sit the lattice utilities used by every homology
+computation in the package: integer kernels (automatically saturated),
+column‑lattice bases, exact linear solves, cokernel presentations with a
+splitting of the free part, and subquotient invariants
+lattice(num)/lattice(den).
 
 Next to ``snf`` sits ``complement_projection``, a sparse Gauss–Jordan column
 elimination for the case where a known set of coordinate vectors should
@@ -494,9 +506,68 @@ def snf(m: IntMatrix) -> SnfResult:
     return SnfResult(diag, left, right, left_inv, right_inv)
 
 
+def _markowitz_unit(rows, at):
+    """(row, column) of a ±1 entry of least (row nnz − 1)·(column nnz − 1)."""
+    best = None
+    for i, r in rows.items():
+        fill = len(r) - 1
+        for j, v in r.items():
+            if v == 1 or v == -1:
+                cost = fill * (len(at[j]) - 1)
+                if not cost:
+                    return i, j
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+    return None if best is None else best[1:]
+
+
 def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only; much cheaper than full ``snf``."""
-    return _run_smith(m, False, False, False, False)[0]
+    """Invariant factors only, with no transform tracked.
+
+    A sparse front end takes ±1 pivots in Markowitz order (fewest
+    (row nnz − 1)·(column nnz − 1) first) and replaces the matrix by its
+    Schur complement; the dense ``_Smith`` reduces whatever is left once no
+    unit entry remains.  A unit pivot makes M ~ diag(1) ⊕ S by unimodular
+    row and column operations, so the invariants are (1,) per pivot followed
+    by those of S, and nothing is ever divided except by ±1.
+    """
+    width = range(m.cols)
+    rows = {}  # row -> {column: nonzero entry}
+    at = {}  # column -> rows with a nonzero entry there
+    for i, row in enumerate(m.data):
+        if any(row):
+            r = rows[i] = dict(zip(compress(width, row), compress(row, row)))
+            for j in r:
+                at.setdefault(j, set()).add(i)
+    units = 0
+    while (unit := _markowitz_unit(rows, at)) is not None:
+        i, j = unit
+        pivot = rows.pop(i)
+        for c in pivot:
+            at[c].discard(i)
+        s = pivot.pop(j)
+        # row k -= (a_kj / s) * pivot row clears column j; the column
+        # operations that then clear the pivot row touch no other row
+        for k in at.pop(j):
+            r = rows[k]
+            a = r.pop(j) * s
+            for c, v in pivot.items():
+                old = r.get(c)
+                if old is None:
+                    r[c] = -a * v
+                    at[c].add(k)
+                elif old == a * v:
+                    del r[c]
+                    at[c].discard(k)
+                else:
+                    r[c] = old - a * v
+            if not r:
+                del rows[k]
+        units += 1
+    left = [j for j, hit in at.items() if hit]
+    residual = _trusted(tuple(tuple(r.get(j, 0) for j in left) for r in rows.values()), len(left))
+    diag = _run_smith(residual, False, False, False, False)[0] if rows else ()
+    return (1,) * units + diag + (0,) * (min(m.rows, m.cols) - units - len(diag))
 
 
 def rank_torsion(m: IntMatrix) -> tuple[int, tuple[int, ...]]:

@@ -1,6 +1,7 @@
 import pytest
 
 from uod.arith import (
+    ARCHIMEDEAN,
     ArchimedeanBackend,
     FunctionFieldBackend,
     LevelMismatch,
@@ -72,7 +73,7 @@ class TestIdealArithmetic:
     def test_factor_f3(self):
         t2_plus_t = parse_polynomial("T^2+T", 3)
         factors = ideal_arithmetic(F3, "factor", t2_plus_t)
-        assert factors == [(T, 1), (T_PLUS_1, 1)]
+        assert factors == ((T, 1), (T_PLUS_1, 1))
 
     def test_divide_not_divisible(self):
         with pytest.raises(NotDivisible):
@@ -80,10 +81,10 @@ class TestIdealArithmetic:
 
     def test_factor_with_multiplicity(self):
         sq = F3.mul(T, T)
-        assert F3.factor(F3.mul(sq, T_PLUS_1)) == [(T, 2), (T_PLUS_1, 1)]
+        assert F3.factor(F3.mul(sq, T_PLUS_1)) == ((T, 2), (T_PLUS_1, 1))
 
     def test_archimedean_factor(self):
-        assert Q.factor(60) == [(2, 2), (3, 1), (5, 1)]
+        assert Q.factor(60) == ((2, 2), (3, 1), (5, 1))
         assert Q.divisors(12) == [1, 2, 3, 4, 6, 12]
 
     def test_parse_and_format_roundtrip(self):
@@ -192,6 +193,11 @@ class TestLevelCaches:
             assert fibers and all(isinstance(v, tuple) for v in fibers.values())
             for xi in fibers:
                 assert y_fiber(bk, g, xi, level) is fibers[xi]
+
+    def test_factor_is_cached_as_a_tuple(self):
+        for bk, f in ((Q, 360), (ARCHIMEDEAN, 84), (F3, F3.mul(T, F3.mul(T, T_PLUS_1)))):
+            factors = bk.factor(f)
+            assert isinstance(factors, tuple) and bk.factor(f) is factors
 
     def test_distinct_levels_and_backends_do_not_share_entries(self):
         assert len(fiber_map(Q, 2, 8)) == 4 and len(fiber_map(Q, 2, 4)) == 2
@@ -319,6 +325,8 @@ class TestSignGroup:
 
 def test_backend_factory():
     assert backend("q").kind == "archimedean"
+    # one archimedean backend, so every caller shares its factor cache
+    assert backend("q") is backend("archimedean") is ARCHIMEDEAN
     assert backend("fq", 3).q == 3
     with pytest.raises(ValueError):
         backend("fq")

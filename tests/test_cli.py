@@ -119,12 +119,40 @@ class TestHarnessContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["structure", "--f", "12", "--level", "0"],
+            ["structure", "--f", "12", "--level", "-1"],
+            ["sign-homology", "--f", "12", "--level", "0"],
+            ["tower", "--f", "6", "--level", "0"],
+            ["sk", "compare", "--f", "15", "--level", "0"],
+            ["structure", "--f", "12", "--nu", "5=2"],
+            ["structure", "--f", "12", "--nu", "4=1"],
+            ["structure", "--f", "4,6", "--nu", "3=1"],
+            ["verify", "thm442", "--f", "15", "--nu", "7=1"],
+            ["tower", "--backend", "fq", "--q", "3", "--f", "T^2+T", "--nu", "T+2=1"],
+        ],
+    )
+    def test_nonsense_level_or_nu_exit_2(self, capsys, argv):
+        # a level below 1, or a nu for a prime that does not divide the level,
+        # is refused before any work, never silently ignored
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_malformed_polynomial_exit_2(self):
         assert main(["verify", "yin", "--q", "3", "--f", "T^"]) == 2
 
     def test_nu_parsing(self, tmp_path):
         code, payload = run_json(
             tmp_path, ["structure", "--f", "4", "--nu", "2=-1"]
+        )
+        assert code == 0
+        code, _ = run_json(
+            tmp_path,
+            ["structure", "--backend", "fq", "--q", "3", "--f", "T^2+T", "--nu", "T+1=-1"],
         )
         assert code == 0
 
@@ -150,8 +178,11 @@ class TestHarnessContract:
         assert lines[0] == "name,params,routes,verdict,tables"
         assert len(lines) == 3 and lines[1].startswith("kubert,f=3,")
 
-    def test_worker_pool_is_order_stable(self, tmp_path, monkeypatch):
-        _, serial = run_json(tmp_path, ["verify", "kubert", "--f", "3,4,5,8,9"])
-        monkeypatch.setenv("UOD_THREADS", "4")
-        _, pooled = run_json(tmp_path, ["verify", "kubert", "--f", "3,4,5,8,9"])
-        assert serial == pooled
+    def test_levels_report_in_argument_order(self, tmp_path):
+        levels = ["9", "8", "5", "4", "3"]
+        _, payload = run_json(tmp_path, ["verify", "kubert", "--f", ",".join(levels)])
+        checks = json.loads(payload)["checks"]
+        assert [c["params"]["f"] for c in checks] == levels
+        for f, check in zip(levels, checks):
+            _, single = run_json(tmp_path, ["verify", "kubert", "--f", f])
+            assert json.loads(single)["checks"] == [check]

@@ -335,6 +335,70 @@ class TestXi0Basis:
             basis = xi0_basis(build_af(Q, 12, nu))
             assert basis.unimodular and len(basis.classes) == 4
 
+    def test_no_transform(self, monkeypatch):
+        # both certificates are invariants-only reductions
+        dense = znf._run_smith
+        requested = []
+
+        def spy(m, *flags):
+            requested.append(flags)
+            return dense(m, *flags)
+
+        monkeypatch.setattr(znf, "_run_smith", spy)
+        for bk, f in ((Q, 60), (F3, F3.mul(T, (1, 1)))):
+            af = build_af(bk, f)
+            basis = xi0_basis(af)
+            assert basis.unimodular
+            assert basis.lattice_invariants == (1,) * af.rank
+            assert basis.quotient_invariants == (1,) * len(af.group)
+        assert not any(any(flags) for flags in requested)
+
+    def test_swapped_basis_raises(self, monkeypatch):
+        # [1/2] lies in the relation lattice at f = 4, so a set that trades a
+        # depth-zero class for it cannot generate U(4)
+        true_set = distmod.xi0_set
+        out, into = xi(3, 4), xi(1, 2)
+        assert out in true_set(Q, 4) and into not in true_set(Q, 4)
+
+        def swapped(bk, f):
+            return [into if c == out else c for c in true_set(bk, f)] if f == 4 else true_set(bk, f)
+
+        monkeypatch.setattr(distmod, "xi0_set", swapped)
+        with pytest.raises(BasisCertificateFailed, match=r"quotient \(1, 0\)"):
+            xi0_basis(build_af(Q, 4))
+
+    def test_free_quotient_not_generated_raises(self, monkeypatch):
+        # U = Z^4 / <[1/2], [0] + [3/4]> is free of rank 2, but [0] and [3/4]
+        # map to +-the same class, so they miss [1/4]; the monomial lattice
+        # certificate does not read the relations and still passes
+        def relations(af):
+            cols = [[0] * af.rank for _ in range(2)]
+            cols[0][af.index[xi(1, 2)]] = 1
+            cols[1][af.index[xi(0, 1)]] = cols[1][af.index[xi(3, 4)]] = 1
+            return IntMatrix.from_columns(cols, rows=af.rank)
+
+        monkeypatch.setattr(distmod, "distribution_relations", relations)
+        with pytest.raises(BasisCertificateFailed, match=r"lattice \(1, 1, 1, 1\), quotient \(1, 0\)$"):
+            xi0_basis(build_af(Q, 4))
+
+    @pytest.mark.parametrize("torsion", ["extra", "doubled"])
+    def test_torsion_in_the_quotient_raises(self, monkeypatch, torsion):
+        # Xi_0 still maps onto a basis of the free part, so only the check
+        # that U(f) is free of rank |Xi_0| can fail here
+        true_relations = distribution_relations
+
+        def relations(af):
+            rel = true_relations(af)
+            if torsion == "doubled":
+                return rel.scale(2)
+            col = [0] * af.rank
+            col[af.index[xi(3, 4)]] = 2
+            return rel.hstack(IntMatrix.from_columns([col], rows=af.rank))
+
+        monkeypatch.setattr(distmod, "distribution_relations", relations)
+        with pytest.raises(BasisCertificateFailed, match="Z/2, not Z\\^2"):
+            xi0_basis(build_af(Q, 4))
+
 
 class TestLemma411:
     def test_f3_p3(self):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uod import znf
 from uod.znf import (
     AbGroupInvariants,
     IntMatrix,
@@ -75,6 +76,33 @@ mul_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).f
 unit_heavy_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
     lambda d: sparse_matrix(*d, st.sampled_from([0, 1, -1, 1, -1, 2, -2, 3]))
 )
+
+
+# entry pools for the sparse Smith front end: units only, no unit at all,
+# units mixed with entries far beyond machine words, and a general mix
+invariant_pools = st.sampled_from([
+    (0, 0, 1, -1),
+    (0, 0, 0, 2, -2, 3, 4, 6, -9),
+    (0, 0, 1, -1, 2, -6, 10**12 + 1, -(2**70)),
+    (0, 0, 0, 0, 1, -1, 2, -3, 7),
+])
+
+
+@st.composite
+def invariant_cases(draw):
+    pool = draw(invariant_pools)
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    data = draw(st.lists(st.lists(st.sampled_from(pool), min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    if r > 1 and c and draw(st.booleans()):
+        # rank-deficient: the last row is a combination of the others
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=r - 1, max_size=r - 1))
+        data[-1] = [sum(k * row[j] for k, row in zip(coeffs, data)) for j in range(c)]
+    return IntMatrix(data, cols=c)
+
+
+def dense_invariants(m):
+    return znf._run_smith(m, False, False, False, False)[0]
 
 
 def naive_product(a, b):
@@ -206,6 +234,47 @@ class TestSnf:
         rng.shuffle(cols)
         shuffled = m.submatrix(rows, cols)
         assert cokernel(m).invariants == cokernel(shuffled).invariants
+
+
+class TestSparseInvariants:
+    @settings(max_examples=400, deadline=None)
+    @given(invariant_cases())
+    def test_matches_dense_smith(self, m):
+        assert snf_invariants(m) == dense_invariants(m)
+
+    def test_shapes_and_zeros(self):
+        for m in (IntMatrix.zeros(0, 4), IntMatrix.zeros(4, 0), IntMatrix.zeros(3, 5),
+                  IntMatrix([[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
+                  IntMatrix([[2, 0, 4], [0, 0, 0], [6, 0, 8]])):
+            assert snf_invariants(m) == dense_invariants(m)
+        assert snf_invariants(IntMatrix.zeros(0, 4)) == ()
+        assert snf_invariants(IntMatrix.zeros(3, 5)) == (0, 0, 0)
+        assert snf_invariants(IntMatrix([[2, 0, 4], [0, 0, 0], [6, 0, 8]])) == (2, 4, 0)
+
+    def test_schur_complement(self):
+        # one unit pivot leaves the 1x1 Schur complement S = +-det = +-2
+        for rows in ([[1, 2], [3, 4]], [[-1, 2], [3, -4]], [[2, 1], [4, 3]], [[4, 3], [-2, -1]]):
+            assert abs(det2(IntMatrix(rows))) == 2
+            assert snf_invariants(IntMatrix(rows)) == (1, 2)
+        # a +1 and a -1 pivot in one column, determinant 2
+        m = IntMatrix([[1, 1, 0], [-1, 0, 1], [0, 1, 3]])
+        assert snf_invariants(m) == dense_invariants(m) == (1, 1, 2)
+
+    def test_dense_stage_sees_only_the_residual(self, monkeypatch):
+        # a unimodular sparse block next to a block with no unit entry
+        shapes = []
+        dense = znf._run_smith
+
+        def spy(m, *flags):
+            shapes.append((m.rows, m.cols, flags))
+            return dense(m, *flags)
+
+        monkeypatch.setattr(znf, "_run_smith", spy)
+        unimodular = IntMatrix([[1, 1, 0, 0], [2, 3, 1, 0], [0, -1, 0, -1], [0, 0, 3, -2]])
+        assert det_laplace(unimodular) in (1, -1)
+        m = block_diagonal([unimodular, IntMatrix([[2, 4], [6, 8]]), IntMatrix.zeros(1, 1)])
+        assert snf_invariants(m) == (1, 1, 1, 1, 2, 4, 0)
+        assert shapes == [(2, 2, (False,) * 4)]
 
 
 class TestCokernel:
