@@ -14,14 +14,13 @@ from .chainkit import (
     PresentedComplex,
     build_kt,
     companion,
-    homology,
     make_complex,
     mapping_cone,
     twist,
 )
 from .arith import backend, gf_group, sign_group, xi_classes, y_fiber, y_map
 from .distmod import build_af, lemma411_check, partition_tag, u_module, u_tower, xi0_basis
-from .signh import sign_homology_U, tate_homology, verify_rank_theorem, functoriality_report
+from .signh import sign_homology_U, tate_pair, verify_rank_theorem, functoriality_report
 from .ftate import AlmostFreeSpec, ftate_closed_form, ftate_via_kt, thm442_lhs
 from .skcx import build_sk, sk_inclusion_check, sk_quotients_homology
 from .iwasawa import characters, u_values, uprime_compare, uprime_lattice
@@ -48,7 +47,6 @@ __all__ = [
     "ftate_via_kt",
     "functoriality_report",
     "gf_group",
-    "homology",
     "kernel_basis",
     "lemma411_check",
     "make_complex",
@@ -59,7 +57,7 @@ __all__ = [
     "sk_inclusion_check",
     "sk_quotients_homology",
     "snf",
-    "tate_homology",
+    "tate_pair",
     "thm442_lhs",
     "twist",
     "u_module",

@@ -12,6 +12,23 @@ lowest terms as (order, numerator); the ray-class group at level f is
 (A/f)^x acting by numerator multiplication; and the sign generator acts by
 the inverse of a fixed generator of the roots of unity.
 
+Everything that differs between the two backends is a method or attribute
+of the backend classes; the code outside them never asks which backend it
+has.  Besides ring arithmetic (``mul``, ``divide``, ``gcd``, ``factor``,
+residues mod an ideal, ``norm``) and the sign data (``sign_order``,
+``sign_scalar``, ``scalar_mul``), the interface carries:
+
+* ``reduce_fraction(a, f)``: the (order, numerator) of [a/f] in lowest terms;
+* ``least_unit_lift(x, base, f)``: the least unit mod f reducing to x mod
+  base;
+* ``crt_lift(x, m, n)``: the t mod mn with t = x mod m and t = 1 mod n;
+* ``outside_rank_theorem(f)``: Kubert's exception, f = 2 mod 4 over Z and
+  never over F_q[T];
+* ``comparison_nu_ok(values)``: whether nu values meet the hypothesis of the
+  comparison theorem (units over Z, anything over F_q[T]).
+
+``kind`` is a label for reports and ``backend()``; nothing branches on it.
+
 The sorted class list Xi(f), each Y_g fiber map and each level group are
 built once per level and cached.  Class lists and fibers are tuples; the
 fiber dicts and the groups are only read by their callers.  Each backend
@@ -275,7 +292,13 @@ def poly_monic(fq, a):
 
 
 class ArchimedeanBackend:
-    """Basic data (R, Z, x -> x/|x|): ideals are positive integers."""
+    """Basic data (R, Z, x -> x/|x|): ideals are positive integers.
+
+    Residues are ints in range(f).  Besides the ring and residue arithmetic
+    it carries the backend interface listed in the module docstring:
+    ``reduce_fraction``, ``least_unit_lift``, ``crt_lift``,
+    ``outside_rank_theorem`` and ``comparison_nu_ok``.
+    """
 
     kind = "archimedean"
     q = None
@@ -389,6 +412,35 @@ class ArchimedeanBackend:
     def scalar_mul(self, scalar, a, f):
         return (scalar * a) % f if f > 1 else 0
 
+    def reduce_fraction(self, a, f):
+        """(order, numerator) of [a/f] in lowest terms, for a residue a mod f."""
+        if f == 1:
+            return 1, 0
+        d = gcd(a, f)
+        order = f // d
+        return order, (a // d) % order if order > 1 else 0
+
+    def least_unit_lift(self, x, base, f):
+        """Least residue mod f that is prime to f and is x mod base (base | f)."""
+        t = x
+        while True:
+            if t and self.coprime(t, f):
+                return t % f
+            t += base
+
+    def crt_lift(self, x, m, n):
+        """The residue t mod mn with t = x mod m and t = 1 mod n (m, n coprime)."""
+        inv = pow(n % m, -1, m) if m > 1 else 0
+        return (1 + n * (((x - 1) * inv) % m)) % (m * n)
+
+    def outside_rank_theorem(self, f) -> bool:
+        """Kubert's exception: the rank theorem excludes f = 2 mod 4."""
+        return f % 4 == 2
+
+    def comparison_nu_ok(self, values) -> bool:
+        """The comparison theorem needs every nu value to be a unit."""
+        return all(v in (1, -1) for v in values)
+
 
 # The archimedean backend: ``backend("q")`` returns it too, so the CLI and the
 # integer-only code (u-function, symbol complex) factor through one cache.
@@ -396,7 +448,12 @@ ARCHIMEDEAN = ArchimedeanBackend()
 
 
 class FunctionFieldBackend:
-    """Basic data (F_q((1/T)), F_q[T], leading coefficient)."""
+    """Basic data (F_q((1/T)), F_q[T], leading coefficient).
+
+    Residues are polynomials over F_q as tuples of codes, low degree first.
+    It carries the same interface as ``ArchimedeanBackend``; Kubert's
+    exception never applies and every nu value meets the comparison theorem.
+    """
 
     kind = "function_field"
 
@@ -575,6 +632,37 @@ class FunctionFieldBackend:
     def scalar_mul(self, scalar, a, f):
         return self.residue_of(poly_scale(self.fq, scalar, a), f)
 
+    def reduce_fraction(self, a, f):
+        """(order, numerator) of [a/f] in lowest terms, for a residue a mod f."""
+        d = self.gcd(a if a else f, f)
+        order = self.divide(f, d)
+        if poly_deg(order) < 1:
+            return self.one, ()
+        return order, self.residue_of(self.divide(a, d) if a else (), order)
+
+    def least_unit_lift(self, x, base, f):
+        """Least residue mod f that is prime to f and is x mod base (base | f).
+
+        None if there is none.
+        """
+        for a in self.residues(f):
+            if self.coprime(a, f) and self.residue_of(a, base) == x:
+                return a
+        return None
+
+    def crt_lift(self, x, m, n):
+        """The residue t mod mn with t = x mod m and t = 1 mod n (m, n coprime)."""
+        inv = self.residue_inverse(self.residue_of(n, m), m)
+        diff = self.residue_of(poly_sub(self.fq, x, self.one), m)
+        t = poly_add(self.fq, self.one, poly_mul(self.fq, n, self.residue_mul(diff, inv, m)))
+        return self.residue_of(t, self.mul(m, n))
+
+    def outside_rank_theorem(self, f) -> bool:
+        return False
+
+    def comparison_nu_ok(self, values) -> bool:
+        return True
+
 
 def backend(kind: str, q: int | None = None):
     if kind in ("archimedean", "q"):
@@ -705,24 +793,8 @@ class XiClass:
 
 def xi_from_fraction(bk, a, f) -> XiClass:
     """Canonical class of [a/f + A]."""
-    a = bk.residue_of(a, f)
-    if bk.kind == "archimedean":
-        if f == 1:
-            return XiClass(bk.key, 1, 0)
-        d = gcd(a, f)
-        order = f // d
-        num = (a // d) % order if order > 1 else 0
-        return XiClass(bk.key, order, num)
-    d = bk.gcd(a if a else f, f)
-    order = bk.divide(f, d)
-    if poly_deg(order) < 1:
-        return XiClass(bk.key, bk.one, ())
-    num = bk.residue_of(bk.divide(a, d) if a else (), order)
+    order, num = bk.reduce_fraction(bk.residue_of(a, f), f)
     return XiClass(bk.key, order, num)
-
-
-def xi_zero(bk) -> XiClass:
-    return XiClass(bk.key, bk.one, 0 if bk.kind == "archimedean" else ())
 
 
 def xi_sort_key(bk, xi: XiClass):
@@ -758,8 +830,7 @@ def y_map(bk, g, xi: XiClass) -> XiClass:
     """[x + W] -> [x + g^{-1} W]: numerator multiplication by g."""
     if xi.order == bk.one:
         return xi
-    lifted = bk.residue_of(bk.mul(g, xi.num) if bk.kind != "archimedean" else g * xi.num, xi.order)
-    return xi_from_fraction(bk, lifted, xi.order)
+    return xi_from_fraction(bk, bk.mul(g, xi.num), xi.order)
 
 
 def y_fiber(bk, g, xi: XiClass, within_level) -> tuple[XiClass, ...]:
@@ -810,19 +881,13 @@ class GfGroup:
         units.sort(key=bk.residue_key)
         self.elements = tuple(GfElement(bk.key, f, u) for u in units)
         self._index = {e.residue: i for i, e in enumerate(self.elements)}
+        self.identity = GfElement(bk.key, f, bk.residue_of(bk.one, f))
 
     def __len__(self):
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    @property
-    def identity(self) -> GfElement:
-        one = 1 % self.backend.norm(self.level) if self.backend.kind == "archimedean" else (
-            self.backend.residue_of(self.backend.one, self.level)
-        )
-        return GfElement(self.backend.key, self.level, one)
 
     def element(self, residue) -> GfElement:
         residue = self.backend.residue_of(residue, self.level)
@@ -926,12 +991,7 @@ class SignGroup:
 
 
 def sign_group(bk, f) -> SignGroup:
-    scalar = bk.sign_scalar
-    if bk.kind == "archimedean":
-        residue = scalar % f if f > 1 else 0
-    else:
-        residue = bk.residue_of(poly_trim([scalar]), f)
-    gamma = GfElement(bk.key, f, residue)
+    gamma = GfElement(bk.key, f, bk.scalar_mul(bk.sign_scalar, bk.one, f))
     return SignGroup(bk.key, f, bk.sign_order, gamma, bk.sign_label)
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from .znf import (
     AbGroupInvariants,
     IntMatrix,
+    ShapeMismatch,
     block_diagonal,
     cokernel,
     lattice_contains,
@@ -41,10 +42,6 @@ from .znf import (
     rank_torsion,
     subquotient,
 )
-
-
-class ShapeMismatch(ValueError):
-    pass
 
 
 class NotAComplex(ValueError):
@@ -88,9 +85,6 @@ class HomologyTable:
             return sorted(self.entries)
         lo, hi = self.stable
         return [n for n in sorted(self.entries) if lo <= n <= hi]
-
-    def stable_entries(self) -> dict:
-        return {n: self.entries[n] for n in self.stable_degrees()}
 
     def agrees_with(self, other: "HomologyTable") -> bool:
         """Equality of invariants on the common stable degrees.
@@ -716,8 +710,3 @@ def _koszul_images(d: DoubleComplex) -> IntMatrix:
     for p in pieces[1:]:
         out = out.hstack(p)
     return out
-
-
-def homology(c) -> HomologyTable:
-    """Homology of a free or presented chain complex."""
-    return c.homology()

@@ -2,13 +2,15 @@
 
 Every subcommand emits one JSON document: a manifest (command, backend,
 parameters, library version) plus a list of checks, each carrying the
-route(s) that produced its numbers and a PASS/FAIL verdict.  Output is
+route(s) that produced its numbers and a PASS/FAIL/NOT_APPLICABLE verdict.
+NOT_APPLICABLE means the input is a theorem's known exception, such as
+Kubert's f = 2 mod 4, with nothing else left to check.  Output is
 byte-identical across reruns of the same command: keys are sorted and no
 timestamps or machine identifiers are recorded.
 
-Exit codes: 0 all checks pass, 1 at least one FAIL, 2 usage error, 3
-internal assertion (a structural certificate or exactness check failed,
-which indicates a bug rather than a mathematical outcome).
+Exit codes: 0 every check is PASS or NOT_APPLICABLE, 1 at least one FAIL, 2
+usage error, 3 internal assertion (a structural certificate or exactness
+check failed, which indicates a bug rather than a mathematical outcome).
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ def cmd_sign_homology(args):
     return [work(f) for f in levels]
 
 
-def cmd_verify_kubert(args):
-    bk = backend("q")
+def _rank_theorem_checks(args, bk, name: str, params: dict):
+    """One rank-theorem check per level: Kubert's over Z, Yin's over F_q[T]."""
 
     def work(f):
         report = verify_rank_theorem(bk, f)
@@ -176,37 +178,22 @@ def cmd_verify_kubert(args):
                 "odd": invariants_json(report.odd),
             }
         return {
-            "name": "kubert",
-            "params": {"f": bk.format_ideal(f)},
+            "name": name,
+            "params": {"f": bk.format_ideal(f), **params},
             "route": "direct-tate",
             "tables": tables,
             "verdict": report.verdict,
         }
 
     return [work(f) for f in _levels(args, bk)]
+
+
+def cmd_verify_kubert(args):
+    return _rank_theorem_checks(args, backend("q"), "kubert", {})
 
 
 def cmd_verify_yin(args):
-    bk = backend("fq", args.q)
-
-    def work(f):
-        report = verify_rank_theorem(bk, f)
-        tables = {}
-        if report.applicable:
-            tables = {
-                "expected": invariants_json(report.expected),
-                "even": invariants_json(report.even),
-                "odd": invariants_json(report.odd),
-            }
-        return {
-            "name": "yin",
-            "params": {"f": bk.format_ideal(f), "q": args.q},
-            "route": "direct-tate",
-            "tables": tables,
-            "verdict": report.verdict,
-        }
-
-    return [work(f) for f in _levels(args, bk)]
+    return _rank_theorem_checks(args, backend("fq", args.q), "yin", {"q": args.q})
 
 
 def cmd_verify_thm442(args):
@@ -219,9 +206,9 @@ def cmd_verify_thm442(args):
         r = len(bk.factor(f))
         window = _window_from_width(args.window, r)
         lhs = thm442_lhs(bk, f, nu, window=window)
-        # the direct side is stable from level 1 except archimedean f = 2 mod 4,
-        # where squaring the level lands back in the stable range
-        level = 2 if bk.kind == "archimedean" and f % 4 == 2 else 1
+        # the direct side is stable from level 1 except outside the rank
+        # theorem (f = 2 mod 4), where squaring the level lands back in range
+        level = 2 if bk.outside_rank_theorem(f) else 1
         rhs = sign_homology_U(bk, f, nu, level=level)
         ok = lhs.agrees_with(rhs)
         return {
@@ -281,7 +268,7 @@ def cmd_verify_ufunction(args):
     bk = backend("q")
 
     def work(f):
-        u_values(f)  # raises on any exactness failure
+        values = u_values(f)  # raises on any exactness failure
         relations_ok = True
         for g in range(2, f + 1):
             if f % g:
@@ -294,9 +281,7 @@ def cmd_verify_ufunction(args):
             "params": {"f": f},
             "route": "closed-form",
             "tables": {
-                "values": {
-                    str(x): str(v) for x, v in sorted(u_values(f).items())
-                },
+                "values": {str(x): str(v) for x, v in sorted(values.items())},
                 "distribution_relations": relations_ok,
             },
             "verdict": "PASS" if relations_ok else "FAIL",
@@ -336,30 +321,41 @@ def cmd_sk_compare(args):
         per_level = []
         reference = None
         agree_levels = True
+        compared = []
         for level in range(1, args.level + 1):
             sk = build_sk(f, level, window)
             cmp = sk_quotients_homology(sk)
+            entry = {
+                "level": level,
+                "agree": cmp.agree,
+                "via_n": table_json(cmp.via_n),
+                "via_skprime": table_json(cmp.via_skprime),
+                "kt_reference": table_json(cmp.kt),
+            }
+            per_level.append(entry)
+            # level 1 at Kubert's exception is reported but not compared; a
+            # higher level f^k is 0 mod 4 and inside the theorem again
+            if level == 1 and ARCHIMEDEAN.outside_rank_theorem(f):
+                entry["exception"] = True
+                continue
+            compared.append(entry)
             stable_value = cmp.via_n.constant_value()
-            per_level.append(
-                {
-                    "level": level,
-                    "agree": cmp.agree,
-                    "via_n": table_json(cmp.via_n),
-                    "via_skprime": table_json(cmp.via_skprime),
-                    "kt_reference": table_json(cmp.kt),
-                }
-            )
             if reference is None:
                 reference = stable_value
             elif stable_value != reference:
                 agree_levels = False
-        all_ok = agree_levels and all(entry["agree"] for entry in per_level)
+        if not compared:
+            verdict = "NOT_APPLICABLE"
+        elif agree_levels and all(entry["agree"] for entry in compared):
+            verdict = "PASS"
+        else:
+            verdict = "FAIL"
         return {
             "name": "sk-compare",
             "params": {"f": f, "levels": args.level},
             "routes": ["sk-viaN", "sk-viaSKprime", "kt-lhs"],
             "tables": {"levels": per_level},
-            "verdict": "PASS" if all_ok else "FAIL",
+            "verdict": verdict,
         }
 
     levels = [int(f) for f in args.f.split(",")]

@@ -103,27 +103,20 @@ class AfModule:
     def rank(self) -> int:
         return len(self.basis)
 
-    def class_vector(self, coeffs: dict) -> tuple:
-        v = [0] * self.rank
-        for xi, c in coeffs.items():
-            v[self.index[xi]] += c
-        return tuple(v)
-
     def x_operator(self, p) -> IntMatrix:
         return self.operators.operator(x_op_name(self.backend, p))
 
-    def gamma_operator(self) -> IntMatrix:
-        return self.operators.operator("gamma0")
 
-    def permutation_matrix(self, mapping) -> IntMatrix:
-        """Matrix of a permutation of the basis given as a callable."""
-        cols = []
-        for xi in self.basis:
-            target = mapping(xi)
-            col = [0] * self.rank
-            col[self.index[target]] = 1
-            cols.append(col)
-        return IntMatrix.from_columns(cols, rows=self.rank)
+def class_matrix(images, index: dict) -> IntMatrix:
+    """Matrix of a map of basis classes: column j is the basis vector of
+    ``images[j]`` in the basis numbered by ``index``."""
+    rank = len(index)
+    cols = []
+    for target in images:
+        col = [0] * rank
+        col[index[target]] = 1
+        cols.append(col)
+    return IntMatrix.from_columns(cols, rows=rank)
 
 
 def build_af(bk, f, nu: dict | None = None) -> AfModule:
@@ -151,19 +144,10 @@ def build_af(bk, f, nu: dict | None = None) -> AfModule:
 
     group = gf_group(bk, f)
     for gen in group.generators():
-        cols = []
-        for xi in basis:
-            col = [0] * rank
-            col[index[g_action(bk, gen, xi)]] = 1
-            cols.append(col)
-        ops[g_op_name(bk, gen.residue)] = IntMatrix.from_columns(cols, rows=rank)
-
-    cols = []
-    for xi in basis:
-        col = [0] * rank
-        col[index[arith.sign_action(bk, xi)]] = 1
-        cols.append(col)
-    ops["gamma0"] = IntMatrix.from_columns(cols, rows=rank)
+        ops[g_op_name(bk, gen.residue)] = class_matrix(
+            [g_action(bk, gen, xi) for xi in basis], index
+        )
+    ops["gamma0"] = class_matrix([arith.sign_action(bk, xi) for xi in basis], index)
 
     module = ActionModule(rank, ops, {x_op_name(bk, p): nu.get(p, 1) for p in primes})
     af = AfModule(bk, f, nu, basis, index, primes, fibers, module, group)
@@ -253,9 +237,7 @@ def u_module(af: AfModule) -> UModule:
         projection = None
     if projection is None or len(xi0) != expected_rank:
         _diagnose(af, rel, len(xi0), expected_rank)
-    section = IntMatrix.from_columns(
-        [_unit_vector(af.rank, af.index[xi]) for xi in xi0], rows=af.rank
-    )
+    section = class_matrix(xi0, af.index)
     induced = {}
     invariants = AbGroupInvariants(expected_rank)
     u = UModule(af, rel, invariants, tuple(xi0), section, projection, induced)
@@ -279,12 +261,6 @@ def _diagnose(af: AfModule, rel: IntMatrix, basis_size: int, expected_rank: int)
     raise BasisCertificateFailed(
         "depth-zero classes do not complement the relation lattice"
     )
-
-
-def _unit_vector(n, i):
-    v = [0] * n
-    v[i] = 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +310,7 @@ class _LevelPartition:
         bk = self.backend
         if bk.norm(modulus) == 1:
             return True
-        one = 1 if bk.kind == "archimedean" else bk.residue_of(bk.one, modulus)
-        return bk.residue_of(residue, modulus) == one
+        return bk.residue_of(residue, modulus) == bk.residue_of(bk.one, modulus)
 
     def _build_transversal(self) -> dict:
         bk = self.backend
@@ -350,7 +325,9 @@ class _LevelPartition:
         for e in self.base_group:
             if e.residue in trans:
                 continue
-            rep = self._least_lift(e.residue)
+            rep = bk.least_unit_lift(e.residue, self.base, self.level)
+            if rep is None:
+                raise StructureCheckFailed("no coprime lift found")
             if not stabilize:
                 trans[e.residue] = rep
                 continue
@@ -363,20 +340,6 @@ class _LevelPartition:
                 lift = bk.residue_mul(lift, gamma_f.residue, self.level)
         return trans
 
-    def _least_lift(self, base_residue):
-        """Smallest residue mod f that is prime to f and reduces to the input."""
-        bk = self.backend
-        if bk.kind == "archimedean":
-            t = base_residue
-            while True:
-                if t and bk.coprime(t, self.level):
-                    return t % self.level
-                t += self.base
-        for a in bk.residues(self.level):
-            if bk.coprime(a, self.level) and bk.residue_of(a, self.base) == base_residue:
-                return a
-        raise StructureCheckFailed("no coprime lift found")
-
     def _crt_component(self, x_residue, p):
         """The factor of x in ker(G_f -> G_{f/p}) under the CRT splitting."""
         bk = self.backend
@@ -384,18 +347,7 @@ class _LevelPartition:
         co = bk.divide(self.level, pe)
         if bk.norm(co) == 1:
             return x_residue
-        if bk.kind == "archimedean":
-            inv = pow(co % pe, -1, pe) if pe > 1 else 0
-            t = (1 + co * (((x_residue - 1) * inv) % pe)) % self.level
-            return t
-        inv = bk.residue_inverse(bk.residue_of(co, pe), pe)
-        diff = bk.residue_of(
-            arith.poly_sub(bk.fq, x_residue, bk.one), pe
-        )
-        t = arith.poly_add(
-            bk.fq, bk.one, arith.poly_mul(bk.fq, co, bk.residue_mul(diff, inv, pe))
-        )
-        return bk.residue_of(t, self.level)
+        return bk.crt_lift(x_residue, pe, co)
 
     def decompose(self, residue):
         """residue = sigma_lift * prod kappas, all inside G_f."""
@@ -609,39 +561,33 @@ class TowerReport:
     squarefree: bool
 
 
+def u_inclusion(u_small: UModule, u_big: UModule) -> IntMatrix:
+    """U(f) -> U(g) on the depth-zero bases, induced by Xi(f) into Xi(g)."""
+    incl = class_matrix(u_small.parent.basis, u_big.parent.index)
+    return u_big.projection * incl * u_small.section
+
+
 def u_tower(bk, f, n_levels: int, nu: dict | None = None) -> TowerReport:
     """U(f), U(f^2), ..., with transition maps and sign-homology per level.
 
-    The archimedean levels with f exactly divisible by 2 are exempt from the
-    stabilization expectation and flagged instead.
+    Levels outside the rank theorem (archimedean f = 2 mod 4) are exempt
+    from the stabilization expectation and flagged instead.
     """
     from .signh import tate_pair  # late import: signh builds on this module
 
     if n_levels < 1:
         raise ValueError("need at least one level")
     squarefree = all(e == 1 for _, e in bk.factor(f))
-    exception = (
-        bk.kind == "archimedean" and f % 2 == 0 and (f // 2) % 2 == 1
-    )
+    exception = bk.outside_rank_theorem(f)
     levels = []
-    afs = []
     for k in range(1, n_levels + 1):
         fk = bk.power(f, k)
-        af = build_af(bk, fk, nu)
-        u = u_module(af)
+        u = u_module(build_af(bk, fk, nu))
         even, odd = tate_pair(u.operators["gamma0"], bk.sign_order)
         levels.append(TowerLevel(k, fk, u, (even, odd)))
-        afs.append(af)
-    transitions = []
-    for k in range(len(levels) - 1):
-        small, big = afs[k], afs[k + 1]
-        incl_cols = []
-        for xi in small.basis:
-            col = [0] * big.rank
-            col[big.index[xi]] = 1
-            incl_cols.append(col)
-        incl = IntMatrix.from_columns(incl_cols, rows=big.rank)
-        transitions.append(levels[k + 1].u.projection * incl * levels[k].u.section)
+    transitions = [
+        u_inclusion(small.u, big.u) for small, big in zip(levels, levels[1:])
+    ]
     first = levels[0].sign_invariants
     stabilized = all(lv.sign_invariants == first for lv in levels)
     return TowerReport(levels, transitions, stabilized, exception, squarefree)

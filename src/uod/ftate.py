@@ -73,19 +73,16 @@ def thm442_lhs(bk, f, nu: dict | None = None, window=None) -> HomologyTable:
 
     Computes KT^tot(Z, {nu_p - 1}_{p | f}, [m; 0]) on a window; with nu = 1
     this is the Farrell-Tate complex of the free group on the primes of f
-    times the roots of unity.  In the archimedean case the theorem requires
-    every nu_p to be a unit.
+    times the roots of unity.  The backend says which nu values the theorem
+    admits (``comparison_nu_ok``): in the archimedean case every nu_p must
+    be a unit.
     """
     nu = dict(nu or {})
     factors = bk.factor(f)
     if any(e > 1 for _, e in factors):
         raise HypothesisViolated(f"{bk.format_ideal(f)} is not squarefree")
-    if bk.kind == "archimedean":
-        for p, _ in factors:
-            if nu.get(p, 1) not in (1, -1):
-                raise HypothesisViolated(
-                    "archimedean comparison requires unit nu values"
-                )
+    if not bk.comparison_nu_ok(nu.get(p, 1) for p, _ in factors):
+        raise HypothesisViolated("archimedean comparison requires unit nu values")
     scalars = [nu.get(p, 1) - 1 for p, _ in factors]
     total = _scalar_kt(scalars, bk.sign_order, 0, window)
     return total.homology()

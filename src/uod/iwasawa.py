@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import ARCHIMEDEAN, g_action
-from .distmod import UModule, build_af, u_module
+from .distmod import UModule, build_af, class_matrix, u_module
 from .znf import IntMatrix, image_basis, snf_invariants, solve
 
 
@@ -519,13 +519,11 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
             ],
             rows=phi_f,
         )
-        op = u.induce(af.permutation_matrix(lambda xi, s=sigma: _act(af.backend, s, xi)))
+        perm = class_matrix([g_action(af.backend, sigma, xi) for xi in af.basis], af.index)
+        op = u.induce(perm)
         if perm_q * mapped != mapped * op:
             equivariant = False
     return UPrimeReport(
         f, basis.cols, phi_f, relations_killed, equivariant, inv, iso and equivariant
     )
 
-
-def _act(bk, sigma, xi):
-    return g_action(bk, sigma, xi)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chainkit import HomologyTable
-from .distmod import UModule, build_af, u_module
+from .arith import g_action
+from .distmod import UModule, build_af, class_matrix, u_inclusion, u_module
 from .znf import (
     AbGroupInvariants,
     IntMatrix,
@@ -30,13 +31,6 @@ from .znf import (
 
 class OrderViolation(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TateInput:
-    rank: int
-    gamma: IntMatrix
-    order: int
 
 
 def norm_matrix(gamma: IntMatrix, m: int) -> IntMatrix:
@@ -84,12 +78,6 @@ def tate_pair(gamma: IntMatrix, m: int) -> tuple[AbGroupInvariants, AbGroupInvar
     return AbGroupInvariants(free, tors_norm), AbGroupInvariants(free, tors_gamma)
 
 
-def tate_homology(t: TateInput) -> tuple[AbGroupInvariants, AbGroupInvariants]:
-    if t.gamma.rows != t.rank or t.gamma.cols != t.rank:
-        raise OrderViolation("gamma must be square of the stated rank")
-    return tate_pair(t.gamma, t.order)
-
-
 def sign_homology_U(bk, f, nu: dict | None = None, level: int = 1,
                     u: UModule | None = None) -> HomologyTable:
     """Both parities of the sign-homology of U(f^level)."""
@@ -128,12 +116,12 @@ def verify_rank_theorem(bk, f, nu: dict | None = None) -> RankTheoremReport:
     """Compare computed sign-homology of U(f) against the closed form.
 
     Archimedean: defined for f > 1 with f not congruent to 2 mod 4 (Kubert's
-    range); function field: any nonunit f, with m' = q - 1 and the class
-    group factor trivial for F_q[T].
+    range, ``bk.outside_rank_theorem``); function field: any nonunit f, with
+    m' = q - 1 and the class group factor trivial for F_q[T].
     """
     if bk.norm(f) == 1:
         return RankTheoremReport(False, False, None, None, None, "unit level")
-    if bk.kind == "archimedean" and f % 4 == 2:
+    if bk.outside_rank_theorem(f):
         return RankTheoremReport(
             False, False, None, None, None, "f = 2 mod 4 is outside the theorem"
         )
@@ -142,18 +130,6 @@ def verify_rank_theorem(bk, f, nu: dict | None = None) -> RankTheoremReport:
     expected = expected_rank_theorem_value(bk, f)
     passed = even == expected and odd == expected
     return RankTheoremReport(True, passed, expected, even, odd, "")
-
-
-def inclusion_matrix(u_small: UModule, u_big: UModule) -> IntMatrix:
-    """U(f) -> U(g) on the depth-zero bases, induced by Xi(f) into Xi(g)."""
-    small, big = u_small.parent, u_big.parent
-    cols = []
-    for xi in small.basis:
-        col = [0] * big.rank
-        col[big.index[xi]] = 1
-        cols.append(col)
-    incl = IntMatrix.from_columns(cols, rows=big.rank)
-    return u_big.projection * incl * u_small.section
 
 
 def induced_kernel(map_on_modules: IntMatrix, source: Subquotient,
@@ -198,7 +174,7 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     m = bk.sign_order
     u_f = u_module(build_af(bk, f, nu))
     u_g = u_module(build_af(bk, g, nu))
-    mat = inclusion_matrix(u_f, u_g)
+    mat = u_inclusion(u_f, u_g)
     gamma_f, gamma_g = u_f.operators["gamma0"], u_g.operators["gamma0"]
     if mat * gamma_f != gamma_g * mat:
         raise RuntimeError("inclusion does not commute with the sign action")
@@ -208,11 +184,10 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     ker_odd = induced_kernel(mat, od_f, od_g)
 
     trivial_count = 0
-    elements = list(u_g.parent.group)
+    af_g = u_g.parent
+    elements = list(af_g.group)
     for sigma in elements:
-        perm = u_g.parent.permutation_matrix(
-            lambda xi, s=sigma: _act_through_level(bk, s, xi)
-        )
+        perm = class_matrix([g_action(bk, sigma, xi) for xi in af_g.basis], af_g.index)
         op = u_g.induce(perm)
         if _acts_as_identity(op, ev_g) and _acts_as_identity(op, od_g):
             trivial_count += 1
@@ -226,12 +201,6 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
         trivial_count,
         len(elements),
     )
-
-
-def _act_through_level(bk, sigma, xi):
-    from .arith import g_action
-
-    return g_action(bk, sigma, xi)
 
 
 def _acts_as_identity(op: IntMatrix, homology: Subquotient) -> bool:

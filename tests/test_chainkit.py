@@ -77,6 +77,9 @@ class TestMakeComplex:
         with pytest.raises(ShapeMismatch):
             make_complex([1, 2], [[[1]]])
 
+    def test_one_shape_mismatch_class(self):
+        assert ShapeMismatch is znf.ShapeMismatch
+
 
 class TestTwist:
     def test_twist_zero_is_identity(self):

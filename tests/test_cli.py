@@ -78,6 +78,26 @@ class TestOtherCommands:
         report = json.loads(payload)
         levels = report["checks"][0]["tables"]["levels"]
         assert len(levels) == 2 and all(entry["agree"] for entry in levels)
+        assert not any("exception" in entry for entry in levels)
+
+    @pytest.mark.parametrize("f", ["6", "30"])
+    def test_sk_compare_kubert_exception_alone(self, tmp_path, f):
+        # f = 2 mod 4 at level 1 is flagged and left out; nothing else to compare
+        code, payload = run_json(tmp_path, ["sk", "compare", "--f", f])
+        assert code == 0
+        check = json.loads(payload)["checks"][0]
+        assert check["verdict"] == "NOT_APPLICABLE"
+        [entry] = check["tables"]["levels"]
+        assert entry["level"] == 1 and entry["exception"] is True
+
+    def test_sk_compare_kubert_exception_with_level_2(self, tmp_path):
+        code, payload = run_json(tmp_path, ["sk", "compare", "--f", "6", "--level", "2"])
+        assert code == 0
+        check = json.loads(payload)["checks"][0]
+        assert check["verdict"] == "PASS"
+        first, second = check["tables"]["levels"]
+        assert first["exception"] is True and not first["agree"]
+        assert "exception" not in second and second["agree"]
 
     def test_ftate_grid(self, tmp_path):
         code, payload = run_json(tmp_path, ["ftate", "--grid", "2x2"])

@@ -6,11 +6,9 @@ from uod.arith import ArchimedeanBackend, FunctionFieldBackend
 from uod.distmod import build_af, distribution_relations, u_module
 from uod.signh import (
     OrderViolation,
-    TateInput,
     functoriality_report,
     sign_homology_U,
     tate_cycles,
-    tate_homology,
     tate_pair,
     verify_rank_theorem,
 )
@@ -64,17 +62,17 @@ def finite_order_actions(draw):
 
 class TestTate:
     def test_trivial_z(self):
-        even, odd = tate_homology(TateInput(1, IntMatrix.identity(1), 2))
+        even, odd = tate_pair(IntMatrix.identity(1), 2)
         assert even == Z2 and odd == TRIV
 
     def test_swap_module_vanishes(self):
         swap = IntMatrix([[0, 1], [1, 0]])
-        even, odd = tate_homology(TateInput(2, swap, 2))
+        even, odd = tate_pair(swap, 2)
         assert even == TRIV and odd == TRIV
 
     def test_order_violation(self):
         with pytest.raises(OrderViolation):
-            tate_homology(TateInput(1, IntMatrix([[2]]), 2))
+            tate_pair(IntMatrix([[2]]), 2)
 
     def test_full_cycle_permutation_vanishes(self):
         # regular representation of Z/m: induced module, so both parities die
