@@ -4,7 +4,7 @@ theorems, all in integer arithmetic."""
 
 __version__ = "0.1.0"
 
-from .znf import AbGroupInvariants, IntMatrix, SnfResult, cokernel, kernel_basis, snf
+from .znf import AbGroupInvariants, IntMatrix, SnfResult, SparseMatrix, cokernel, kernel_basis, snf
 from .chainkit import (
     ActionModule,
     ChainComplex,
@@ -36,6 +36,7 @@ __all__ = [
     "IntMatrix",
     "PresentedComplex",
     "SnfResult",
+    "SparseMatrix",
     "backend",
     "build_af",
     "build_kt",

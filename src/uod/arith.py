@@ -643,10 +643,17 @@ class FunctionFieldBackend:
     def least_unit_lift(self, x, base, f):
         """Least residue mod f that is prime to f and is x mod base (base | f).
 
-        None if there is none.
+        None if there is none.  The residues that are x mod base are the
+        x + base*k with deg k < deg f - deg base, one for each choice of the
+        coefficients of degree >= deg base.  Those coefficients dominate the
+        residue index, so stepping through them in index order tries the
+        lifts in residue-index order, and the first coprime one is the least.
         """
-        for a in self.residues(f):
-            if self.coprime(a, f) and self.residue_of(a, base) == x:
+        b = poly_deg(base)
+        for i in range(self.q ** (poly_deg(f) - b)):
+            high = poly_trim((0,) * b + self._decode(i, poly_deg(f) - b))
+            a = poly_add(self.fq, high, self.residue_of(poly_sub(self.fq, x, high), base))
+            if self.coprime(a, f):
                 return a
         return None
 

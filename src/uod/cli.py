@@ -9,8 +9,9 @@ byte-identical across reruns of the same command: keys are sorted and no
 timestamps or machine identifiers are recorded.
 
 Exit codes: 0 every check is PASS or NOT_APPLICABLE, 1 at least one FAIL, 2
-usage error, 3 internal assertion (a structural certificate or exactness
-check failed, which indicates a bug rather than a mathematical outcome).
+usage error, 3 internal error (a structural certificate or exactness check
+failed, or any other unexpected exception: a bug rather than a mathematical
+outcome), 4 out of memory.  Exit 1 means FAIL and nothing else.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import ARCHIMEDEAN, ParseError, backend, xi_classes
-from .chainkit import HomologyTable, NotAComplex
+from .chainkit import HomologyTable, NonCommutingOperators, NotAComplex, PlusMinusNotZero
 from .distmod import (
     BasisCertificateFailed,
     StructureCheckFailed,
@@ -41,7 +42,7 @@ from .iwasawa import (
 )
 from .signh import OrderViolation, sign_homology_U, verify_rank_theorem
 from .skcx import build_sk, sk_quotients_homology
-from .znf import AbGroupInvariants, NoIntegerSolution
+from .znf import AbGroupInvariants, NoIntegerSolution, ShapeMismatch
 
 
 class UsageError(ValueError):
@@ -562,16 +563,30 @@ def main(argv=None) -> int:
         OrderViolation,
         NoIntegerSolution,
         RationalityFailure,
+        ShapeMismatch,
+        NonCommutingOperators,
+        PlusMinusNotZero,
         AssertionError,
         ArithmeticError,
         RuntimeError,
     ) as exc:
-        # exactness certificates and structural checks: bugs, not outcomes
+        # exactness certificates and structural checks: bugs, not outcomes;
+        # several of them are ValueErrors, so they are caught first
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ParseError, HypothesisViolated, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller level", file=sys.stderr)
+        return 4
+    except Exception as exc:
+        # keep exit 1 for FAIL alone
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     manifest = {
         "command": " ".join(["uod"] + argv),
         "backend": getattr(args, "backend", "q"),

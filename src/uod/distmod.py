@@ -15,6 +15,15 @@ of a class of exact order f is computed from the torsor decomposition over a
 fixed transversal of ker(G_f -> G_{f/rad f}) and the per-prime kernel
 components; depth zero means no kernel component is trivial.
 
+Every operator on A(f) sends a class to a short multiset of classes (a
+group element or the sign permutes Xi(f), X_p sends a class to its fiber
+sum), so operators, the relation matrix, the section and the projection are
+``znf.SparseMatrix`` values with about one nonzero per class.  Building
+them, certifying that all operators commute and that gamma0 has finite
+order (``chainkit.ActionModule``), and checking that an operator preserves
+the relations before inducing it on U(f) all cost O(nnz), not |Xi(f)|^2;
+only the induced |G_f| x |G_f| operators are dense ``IntMatrix`` values.
+
 ``u_module`` certifies that basis with one sparse column elimination of the
 relation matrix (``znf.complement_projection``): every class outside Xi_0(f)
 gets a ±1 pivot and no relation is left over, so A(f) is the direct sum of
@@ -46,6 +55,7 @@ from .znf import (
     AbGroupInvariants,
     IntMatrix,
     NotAComplement,
+    SparseMatrix,
     cokernel,
     cokernel_invariants,
     complement_projection,
@@ -103,20 +113,14 @@ class AfModule:
     def rank(self) -> int:
         return len(self.basis)
 
-    def x_operator(self, p) -> IntMatrix:
+    def x_operator(self, p) -> SparseMatrix:
         return self.operators.operator(x_op_name(self.backend, p))
 
 
-def class_matrix(images, index: dict) -> IntMatrix:
+def class_matrix(images, index: dict) -> SparseMatrix:
     """Matrix of a map of basis classes: column j is the basis vector of
     ``images[j]`` in the basis numbered by ``index``."""
-    rank = len(index)
-    cols = []
-    for target in images:
-        col = [0] * rank
-        col[index[target]] = 1
-        cols.append(col)
-    return IntMatrix.from_columns(cols, rows=rank)
+    return SparseMatrix(len(index), [{index[target]: 1} for target in images])
 
 
 def build_af(bk, f, nu: dict | None = None) -> AfModule:
@@ -133,14 +137,14 @@ def build_af(bk, f, nu: dict | None = None) -> AfModule:
         sub_level = bk.divide(f, p)
         cols = []
         for xi in basis:
-            col = [0] * rank
             if xi_in_level(bk, xi, sub_level):
+                col = {}
                 for eta in fibers[p][xi]:
-                    col[index[eta]] += 1
+                    col[index[eta]] = col.get(index[eta], 0) + 1
             else:
-                col[index[xi]] = nu.get(p, 1)
+                col = {index[xi]: nu.get(p, 1)}
             cols.append(col)
-        ops[x_op_name(bk, p)] = IntMatrix.from_columns(cols, rows=rank)
+        ops[x_op_name(bk, p)] = SparseMatrix(rank, cols)
 
     group = gf_group(bk, f)
     for gen in group.generators():
@@ -169,9 +173,10 @@ def _check_fiber_sums(af: AfModule):
                     )
 
 
-def distribution_relations(af: AfModule) -> IntMatrix:
+def distribution_relations(af: AfModule) -> SparseMatrix:
     """Columns nu_p xi - sum(fiber) for each maximal p | f and xi in Xi(f/p)."""
     bk = af.backend
+    index = af.index
     cols = []
     for p in af.primes:
         sub = bk.divide(af.level, p)
@@ -179,12 +184,11 @@ def distribution_relations(af: AfModule) -> IntMatrix:
         for xi in af.basis:
             if not xi_in_level(bk, xi, sub):
                 continue
-            col = [0] * af.rank
-            col[af.index[xi]] += nu_p
+            col = {index[xi]: nu_p}
             for eta in af.fibers[p][xi]:
-                col[af.index[eta]] -= 1
+                col[index[eta]] = col.get(index[eta], 0) - 1
             cols.append(col)
-    return IntMatrix.from_columns(cols, rows=af.rank)
+    return SparseMatrix(af.rank, cols)
 
 
 @dataclass
@@ -192,28 +196,31 @@ class UModule:
     """U(f) presented on A(f), with the depth-zero classes as free basis."""
 
     parent: AfModule
-    relation_matrix: IntMatrix
+    relation_matrix: SparseMatrix
     invariants: AbGroupInvariants
     basis_classes: tuple
-    section: IntMatrix      # |Xi(f)| x rank, columns are the basis classes
-    projection: IntMatrix   # rank x |Xi(f)|, kills exactly the relations
-    operators: dict         # induced operator matrices on the free basis
+    section: SparseMatrix     # |Xi(f)| x rank, columns are the basis classes
+    projection: SparseMatrix  # rank x |Xi(f)|, kills exactly the relations
+    operators: dict           # induced operator matrices on the free basis
 
     @property
     def rank(self) -> int:
         return self.invariants.free_rank
 
     def reduce_vector(self, vector) -> tuple:
-        return self.projection.apply(vector)
+        return self.projection.dense().apply(vector)
 
-    def induce(self, op: IntMatrix) -> IntMatrix:
-        # the projection kills exactly the relation lattice, so op preserves
-        # relations iff projection @ op @ relations vanishes
+    def induce(self, op: SparseMatrix) -> IntMatrix:
+        """The |G_f| x |G_f| matrix op induces on U(f), from sparse products.
+
+        The projection kills exactly the relation lattice, so op preserves
+        the relations iff projection @ op @ relations vanishes.
+        """
         if not (self.projection * (op * self.relation_matrix)).is_zero():
             raise InducedOperatorUndefined(
                 "operator does not preserve the distribution relations"
             )
-        return self.projection * op * self.section
+        return (self.projection * (op * self.section)).dense()
 
 
 def u_module(af: AfModule) -> UModule:
@@ -246,9 +253,9 @@ def u_module(af: AfModule) -> UModule:
     return u
 
 
-def _diagnose(af: AfModule, rel: IntMatrix, basis_size: int, expected_rank: int):
+def _diagnose(af: AfModule, rel: SparseMatrix, basis_size: int, expected_rank: int):
     """Raise the error that explains why Xi_0(f) is not a basis of U(f)."""
-    found = cokernel_invariants(rel)
+    found = cokernel_invariants(rel.dense())
     if not found.is_free or found.free_rank != expected_rank:
         raise StructureCheckFailed(
             f"U({af.backend.format_ideal(af.level)}) computed as {found}, "
@@ -458,7 +465,7 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
         )
     lattice_inv = snf_invariants(change)
 
-    rel = distribution_relations(af)
+    rel = distribution_relations(af).dense()
     xi0_here = xi0_set(bk, f)
     k = len(xi0_here)
     inside = {af.index[xi] for xi in xi0_here}
@@ -564,7 +571,7 @@ class TowerReport:
 def u_inclusion(u_small: UModule, u_big: UModule) -> IntMatrix:
     """U(f) -> U(g) on the depth-zero bases, induced by Xi(f) into Xi(g)."""
     incl = class_matrix(u_small.parent.basis, u_big.parent.index)
-    return u_big.projection * incl * u_small.section
+    return (u_big.projection * (incl * u_small.section)).dense()
 
 
 def u_tower(bk, f, n_levels: int, nu: dict | None = None) -> TowerReport:

@@ -499,12 +499,12 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
             out.append(int(value))
         scaled.append(out)
     image_int = IntMatrix.from_columns(scaled, rows=phi_f)
-    relations_killed = (image_int * u.relation_matrix).is_zero()
+    relations_killed = (image_int * u.relation_matrix.dense()).is_zero()
     if not relations_killed:
         raise RelationNotKilled("distribution relations survive the u-orbit map")
 
     # the induced map on the free basis, in lattice coordinates
-    mapped = image_int * u.section
+    mapped = image_int * u.section.dense()
     coords = solve(basis, mapped)
     inv = snf_invariants(coords)
     iso = coords.rows == coords.cols == phi_f and all(d == 1 for d in inv)

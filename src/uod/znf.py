@@ -29,12 +29,20 @@ lattice(num)/lattice(den).
 
 Next to ``snf`` sits ``complement_projection``, a sparse Gauss–Jordan column
 elimination for the case where a known set of coordinate vectors should
-complement a relation lattice.  It keeps the relation columns as dicts,
+complement a relation lattice.  It takes the relation columns as dicts,
 takes ±1 pivots first in Markowitz order (extended-gcd column steps only when
 no unit is left) and either certifies Z^n = span(e_keep) ⊕ im(relations) and
 returns the projection along the relations, or raises.  Almost every pivot
 of a distribution relation lattice is a unit, so this replaces three dense
 Smith reductions by one pass over the nonzeros.
+
+Operators on the level module A(f) are permutations or fiber sums, with
+about one nonzero per column, so they are ``SparseMatrix`` values: immutable,
+column-sparse (each column a ``{row: nonzero}`` dict) and multiplied by
+walking nonzeros only.  Products, equality and the zero test all cost
+O(nnz), which is what makes the commutation and induction certificates on
+A(f) linear in |Xi(f)|; ``dense()`` hands an ``IntMatrix`` to the callers
+that need dense arithmetic.
 """
 
 from __future__ import annotations
@@ -234,6 +242,102 @@ def _trusted(data: tuple, cols: int) -> "IntMatrix":
     object.__setattr__(m, "rows", len(data))
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "data", data)
+    return m
+
+
+class SparseMatrix:
+    """Immutable column-sparse integer matrix.
+
+    Column j is held as a dict ``{row: nonzero entry}``; zeros are never
+    stored, so two matrices are equal exactly when their column dicts are.
+    The operators on A(f) send each class to a short multiset of classes, so
+    a product walks only the nonzeros: column j of ``a * b`` is the sum of
+    ``b[k, j] * a.column(k)`` over the nonzeros of column j of b, O(nnz) for
+    permutations and fiber sums.  ``dense()`` converts to an ``IntMatrix``
+    for the callers that need dense arithmetic.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, columns):
+        """``columns`` is a sequence of ``{row: entry}`` maps; zero entries
+        are dropped and every row must lie in range(rows)."""
+        rows = int(rows)
+        entries = []
+        for col in columns:
+            col = {int(i): int(v) for i, v in col.items() if v}
+            if any(not 0 <= i < rows for i in col):
+                raise ShapeMismatch(f"row index outside range({rows})")
+            entries.append(col)
+        _init_sparse(self, rows, tuple(entries))
+
+    def __setattr__(self, *args):
+        raise AttributeError("SparseMatrix is immutable")
+
+    @classmethod
+    def identity(cls, n: int) -> "SparseMatrix":
+        return _sparse(int(n), tuple({i: 1} for i in range(n)))
+
+    def column(self, j):
+        col = self.entries[j]
+        return tuple(col.get(i, 0) for i in range(self.rows))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SparseMatrix)
+            and self.rows == other.rows
+            and self.entries == other.entries
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"SparseMatrix({self.rows}x{self.cols})"
+
+    def is_zero(self) -> bool:
+        return not any(self.entries)
+
+    def __mul__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ShapeMismatch(f"mul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        left = self.entries
+        out = []
+        for col in other.entries:
+            if len(col) == 1:
+                (k, b), = col.items()
+                if b == 1:
+                    # a class map column picks one column; columns are never
+                    # mutated, so it can be shared
+                    out.append(left[k])
+                    continue
+            acc = {}
+            for k, b in col.items():
+                for i, a in left[k].items():
+                    acc[i] = acc.get(i, 0) + a * b
+            out.append({i: v for i, v in acc.items() if v})
+        return _sparse(self.rows, tuple(out))
+
+    def dense(self) -> IntMatrix:
+        data = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.entries):
+            for i, v in col.items():
+                data[i][j] = v
+        return _trusted(tuple(map(tuple, data)), self.cols)
+
+
+def _init_sparse(m, rows: int, entries: tuple):
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", len(entries))
+    object.__setattr__(m, "entries", entries)
+
+
+def _sparse(rows: int, entries: tuple) -> SparseMatrix:
+    """A SparseMatrix around ``entries``, a tuple of column dicts that hold
+    nonzero ints at rows in range(rows); skips ``__init__``'s checks."""
+    m = object.__new__(SparseMatrix)
+    _init_sparse(m, rows, entries)
     return m
 
 
@@ -686,7 +790,7 @@ def cokernel_invariants(m: IntMatrix) -> AbGroupInvariants:
     return _invariants_from_diag(m.rows, snf_invariants(m))
 
 
-def complement_projection(relations: IntMatrix, keep_rows) -> IntMatrix:
+def complement_projection(relations: SparseMatrix, keep_rows) -> SparseMatrix:
     """Projection of Z^n onto span(e_i : i in keep_rows) along im(relations).
 
     Certifies Z^n = span(e_keep) ⊕ im(relations) by a unimodular Gauss–Jordan
@@ -697,21 +801,20 @@ def complement_projection(relations: IntMatrix, keep_rows) -> IntMatrix:
     entries by extended-gcd steps on two columns.  Raises NotAComplement when
     the certificate fails.
 
-    Row t of the result is the coordinate along e_{keep_rows[t]}: it is 1 in
-    column keep_rows[t], 0 in the other kept columns and -X in the eliminated
-    ones, where X is the kept-row part of the pivot columns.  Such a
-    projection is unique, so it agrees with any other way of computing it.
+    Both the relations and the result are ``SparseMatrix``: the elimination
+    starts from copies of the relation columns and the projection is read off
+    the pivot columns, so nothing of size n x n is ever built.  Row t of the
+    result is the coordinate along e_{keep_rows[t]}: it is 1 in column
+    keep_rows[t], 0 in the other kept columns and -X in the eliminated ones,
+    where X is the kept-row part of the pivot columns.  Such a projection is
+    unique, so it agrees with any other way of computing it.
     """
     n = relations.rows
     keep = list(keep_rows)
     slot = {i: t for t, i in enumerate(keep)}
     if len(slot) != len(keep) or any(not 0 <= i < n for i in keep):
         raise ShapeMismatch("keep_rows must be distinct row indices")
-    cols = [{} for _ in range(relations.cols)]
-    for i, row in enumerate(relations.data):
-        for j, v in enumerate(row):
-            if v:
-                cols[j][i] = v
+    cols = [dict(col) for col in relations.entries]
     # For each row still to eliminate: the unpivoted ("free") columns and the
     # pivot columns with a nonzero entry there.  A pivoted row is nonzero in
     # its own pivot column only, so it drops out of both maps.
@@ -795,14 +898,12 @@ def complement_projection(relations: IntMatrix, keep_rows) -> IntMatrix:
         pivots[r] = c
     if any(cols[j] for j in range(len(cols)) if j not in pivot_cols):
         raise NotAComplement("the relations meet the span of the kept rows")
-    out = [[0] * n for _ in keep]
+    out = [None] * n
     for t, i in enumerate(keep):
-        out[t][i] = 1
+        out[i] = {t: 1}
     for r, c in pivots.items():
-        for i, v in cols[c].items():
-            if i != r:
-                out[slot[i]][r] = -v
-    return _trusted(tuple(map(tuple, out)), n)
+        out[r] = {slot[i]: -v for i, v in cols[c].items() if i != r}
+    return _sparse(len(keep), tuple(out))
 
 
 @dataclass(frozen=True)

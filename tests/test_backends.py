@@ -107,9 +107,23 @@ class TestBackendMethods:
         lift = bk.least_unit_lift(x, base, f)
         lifts = [a for a in bk.residues(f)
                  if bk.coprime(a, f) and bk.residue_of(a, base) == x]
-        assert lift in lifts
-        if bk is ARCHIMEDEAN:
-            assert lift == min(lifts)
+        assert lift == min(lifts, key=bk.residue_key)
+
+    def test_least_unit_lift_matches_the_full_scan_over_f2_and_f3(self):
+        # every level of degree <= 5 with a nontrivial base f / rad f, the
+        # base the depth transversal lifts from, and every residue mod base
+        for bk in (FunctionFieldBackend(2), FunctionFieldBackend(3)):
+            for code in range(bk.q, bk.q**6):
+                f = bk._decode_monic(code)
+                base = bk.divide(f, bk.radical(f))
+                if base == bk.one:
+                    continue
+                first = {}
+                for a in bk.residues(f):
+                    if bk.coprime(a, f):
+                        first.setdefault(bk.residue_of(a, base), a)
+                for x in bk.residues(base):
+                    assert bk.least_unit_lift(x, base, f) == first.get(x), (bk.q, f, x)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10**6))

@@ -6,6 +6,7 @@ from uod.znf import AbGroupInvariants, IntMatrix, homology_pair, kernel_basis
 from uod.chainkit import (
     ActionModule,
     ChainMap,
+    GammaOrderUnbounded,
     NonCommutingOperators,
     NotAComplex,
     PlusMinusNotZero,
@@ -143,6 +144,10 @@ class TestActionModule:
         swap = IntMatrix([[0, 1], [1, 0]])
         m = ActionModule(2, {"gamma0": swap})
         assert m.gamma_order() == 2
+
+    def test_gamma_of_infinite_order_rejected(self):
+        with pytest.raises(GammaOrderUnbounded, match="no order up to 64"):
+            ActionModule(2, {"gamma0": IntMatrix([[1, 1], [0, 1]])})
 
 
 class TestBuildKt:

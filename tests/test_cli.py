@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from uod import cli
+from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators, PlusMinusNotZero
 from uod.cli import main
+from uod.znf import ShapeMismatch
 
 
 def run_json(tmp_path, argv):
@@ -206,3 +209,41 @@ class TestHarnessContract:
         for f, check in zip(levels, checks):
             _, single = run_json(tmp_path, ["verify", "kubert", "--f", f])
             assert json.loads(single)["checks"] == [check]
+
+
+class TestExitCodes:
+    """0 PASS, 1 FAIL and nothing else, 2 usage, 3 internal error, 4 memory."""
+
+    def raising(self, monkeypatch, exc):
+        def run(_args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_structure", run)
+        return main(["structure", "--f", "12"])
+
+    @pytest.mark.parametrize("exc", [
+        ShapeMismatch("mul 2x3 by 2x2"),
+        NonCommutingOperators("'a' and 'b' do not commute"),
+        PlusMinusNotZero("'plus' * 'minus' is not zero"),
+        GammaOrderUnbounded("gamma0 has no order up to 64"),
+    ])
+    def test_bug_class_errors_exit_3(self, monkeypatch, capsys, exc):
+        # three of these subclass ValueError, which otherwise means usage
+        assert self.raising(monkeypatch, exc) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal check failed: {exc}\n"
+
+    def test_memory_error_exits_4_with_one_line(self, monkeypatch, capsys):
+        assert self.raising(monkeypatch, MemoryError()) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: out of memory")
+
+    @pytest.mark.parametrize("exc", [KeyError("gamma0"), TypeError("bad operand"), LookupError()])
+    def test_unexpected_exception_exits_3(self, monkeypatch, capsys, exc):
+        assert self.raising(monkeypatch, exc) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"internal error: {type(exc).__name__}")

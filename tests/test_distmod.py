@@ -29,8 +29,9 @@ from uod.distmod import (
     xi0_basis,
     xi0_set,
 )
+from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators
 from uod.cli import main
-from uod.znf import AbGroupInvariants, IntMatrix, image_basis, snf
+from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix, image_basis, snf
 
 Q = ArchimedeanBackend()
 F3 = FunctionFieldBackend(3)
@@ -40,6 +41,10 @@ T = (0, 1)
 
 def xi(a, f):
     return xi_from_fraction(Q, a, f)
+
+
+def sparse(m: IntMatrix) -> SparseMatrix:
+    return SparseMatrix(m.rows, [dict(enumerate(c)) for c in m.columns()])
 
 
 class TestBuildAf:
@@ -115,7 +120,7 @@ class TestUModule:
 
     def test_induce_rejects_bad_operator(self):
         u = u_module(build_af(Q, 4))
-        bad = IntMatrix([[0, 1, 0, 0]] + [[0] * 4] * 3)
+        bad = sparse(IntMatrix([[0, 1, 0, 0]] + [[0] * 4] * 3))
         with pytest.raises(InducedOperatorUndefined):
             u.induce(bad)
 
@@ -145,7 +150,7 @@ def dense_u_projection(af, basis_classes):
         [[1 if i == af.index[c] else 0 for i in range(af.rank)] for c in basis_classes],
         rows=af.rank,
     )
-    w = section.hstack(image_basis(distribution_relations(af)))
+    w = section.hstack(image_basis(distribution_relations(af).dense()))
     res = snf(w)
     assert w.rows == w.cols and all(d == 1 for d in res.invariants)
     return (res.right * res.left).submatrix(range(len(basis_classes)), range(af.rank))
@@ -169,8 +174,8 @@ class TestUModuleCertificate:
     def test_projection_matches_dense_reference(self, bk, f, nu):
         af = build_af(bk, f, nu)
         u = u_module(af)
-        assert u.projection == dense_u_projection(af, u.basis_classes)
-        assert u.projection * u.section == IntMatrix.identity(u.rank)
+        assert u.projection.dense() == dense_u_projection(af, u.basis_classes)
+        assert u.projection * u.section == SparseMatrix.identity(u.rank)
         assert (u.projection * u.relation_matrix).is_zero()
         assert u.invariants == AbGroupInvariants(len(af.group))
 
@@ -201,7 +206,7 @@ class TestUModuleCertificate:
             u_module(build_af(Q, 4))
 
     def test_torsion_quotient_raises_structure_error(self, monkeypatch):
-        doubled = lambda af: distribution_relations(af).scale(2)
+        doubled = lambda af: sparse(distribution_relations(af).dense().scale(2))
         monkeypatch.setattr(distmod, "distribution_relations", doubled)
         with pytest.raises(StructureCheckFailed, match="computed as"):
             u_module(build_af(Q, 4))
@@ -214,6 +219,61 @@ class TestUModuleCertificate:
         monkeypatch.setattr(znf, "_run_smith", refuse)
         assert u_module(build_af(Q, 60)).rank == 16
         assert u_module(build_af(F3, F3.mul(T, (1, 1)))).rank == 4
+
+
+class TestSparseOperators:
+    @pytest.mark.parametrize("bk, f", [(Q, 60), (F3, F3.mul(F3.power(T, 2), (1, 1)))],
+                             ids=["Q-60", "F3-T^2(T+1)"])
+    def test_no_dense_square_matrix(self, monkeypatch, bk, f):
+        # build_af and u_module keep A(f) sparse; only the induced operators,
+        # |G_f| x |G_f|, are read out densely
+        shapes = []
+
+        def record(m):
+            shapes.append((m.rows, m.cols))
+            return m
+
+        init, mul = IntMatrix.__init__, IntMatrix.__mul__
+        from_columns, trusted = IntMatrix.from_columns.__func__, znf._trusted
+
+        def spy_init(m, *args, **kwargs):
+            init(m, *args, **kwargs)
+            record(m)
+
+        monkeypatch.setattr(IntMatrix, "__init__", spy_init)
+        monkeypatch.setattr(IntMatrix, "__mul__", lambda a, b: record(mul(a, b)))
+        monkeypatch.setattr(IntMatrix, "from_columns",
+                            classmethod(lambda cls, *a, **k: record(from_columns(cls, *a, **k))))
+        monkeypatch.setattr(znf, "_trusted", lambda data, cols: record(trusted(data, cols)))
+        u = u_module(build_af(bk, f))
+        order = len(u.parent.group)
+        assert u.parent.rank > order
+        assert shapes and all(max(shape) <= order for shape in shapes)
+
+    def swap(self, af, a, b):
+        """The class map exchanging the classes a and b."""
+        images = list(af.basis)
+        images[af.index[a]], images[af.index[b]] = b, a
+        return distmod.class_matrix(images, af.index)
+
+    def test_injected_noncommuting_operator_raises(self):
+        af = build_af(Q, 12)
+        with pytest.raises(NonCommutingOperators):
+            af.operators.with_operator("bad", self.swap(af, xi(1, 12), xi(1, 6)))
+
+    def test_class_map_off_the_relation_lattice_raises(self):
+        af = build_af(Q, 12)
+        u = u_module(af)
+        with pytest.raises(InducedOperatorUndefined):
+            u.induce(self.swap(af, xi(1, 12), xi(1, 6)))
+
+    def test_gamma_of_infinite_order_raises(self):
+        # 2 times the identity commutes with every operator, so only the
+        # order certificate can reject it
+        af = build_af(Q, 12)
+        doubling = SparseMatrix(af.rank, [{j: 2} for j in range(af.rank)])
+        with pytest.raises(GammaOrderUnbounded):
+            af.operators.with_operator("gamma0", doubling)
 
 
 class TestPartition:
@@ -375,7 +435,7 @@ class TestXi0Basis:
             cols = [[0] * af.rank for _ in range(2)]
             cols[0][af.index[xi(1, 2)]] = 1
             cols[1][af.index[xi(0, 1)]] = cols[1][af.index[xi(3, 4)]] = 1
-            return IntMatrix.from_columns(cols, rows=af.rank)
+            return sparse(IntMatrix.from_columns(cols, rows=af.rank))
 
         monkeypatch.setattr(distmod, "distribution_relations", relations)
         with pytest.raises(BasisCertificateFailed, match=r"lattice \(1, 1, 1, 1\), quotient \(1, 0\)$"):
@@ -388,12 +448,12 @@ class TestXi0Basis:
         true_relations = distribution_relations
 
         def relations(af):
-            rel = true_relations(af)
+            rel = true_relations(af).dense()
             if torsion == "doubled":
-                return rel.scale(2)
+                return sparse(rel.scale(2))
             col = [0] * af.rank
             col[af.index[xi(3, 4)]] = 2
-            return rel.hstack(IntMatrix.from_columns([col], rows=af.rank))
+            return sparse(rel.hstack(IntMatrix.from_columns([col], rows=af.rank)))
 
         monkeypatch.setattr(distmod, "distribution_relations", relations)
         with pytest.raises(BasisCertificateFailed, match="Z/2, not Z\\^2"):

@@ -118,7 +118,7 @@ class TestThm442:
         # operators nu_p - X_p the quotient column is the Tate complex of the
         # distribution module itself, so its homology must equal the direct
         # route for both backends
-        from uod.chainkit import build_kt, companion
+        from uod.chainkit import ActionModule, build_kt, companion
         from uod.distmod import build_af, x_op_name
         from uod.signh import norm_matrix, sign_homology_U
         from uod.znf import IntMatrix
@@ -126,15 +126,14 @@ class TestThm442:
         cases = [(Q, 6), (Q, 12), (F3, F3.mul(T, (1, 1)))]
         for bk, f in cases:
             af = build_af(bk, f)
-            gamma = af.operators.operator("gamma0")
-            module = af.operators
+            dense = {name: op.dense() for name, op in af.operators.operators.items()}
+            gamma = dense["gamma0"]
+            module = ActionModule(af.rank, dense, af.operators.nu)
             names = []
             for p in af.primes:
                 name = f"koszul[{bk.format_ideal(p)}]"
                 scalar = IntMatrix.identity(af.rank)
-                module = module.with_operator(
-                    name, scalar - af.operators.operator(x_op_name(bk, p))
-                )
+                module = module.with_operator(name, scalar - dense[x_op_name(bk, p)])
                 names.append(name)
             module = module.with_operator("norm", norm_matrix(gamma, bk.sign_order))
             module = module.with_operator(

@@ -166,8 +166,8 @@ class TestSignHomologyU:
         pmat = IntMatrix.from_columns(
             [[1 if i == p else 0 for i in range(af.rank)] for p in perm]
         )
-        rel_shuffled = pmat * rel
-        gamma_shuffled = pmat * af.operators.operator("gamma0") * pmat.transpose()
+        rel_shuffled = pmat * rel.dense()
+        gamma_shuffled = pmat * af.operators.operator("gamma0").dense() * pmat.transpose()
         cok = cokernel(rel_shuffled)
         induced = cok.induce(gamma_shuffled)
         even, odd = tate_pair(induced, 2)

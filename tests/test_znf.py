@@ -8,6 +8,7 @@ from uod.znf import (
     NoIntegerSolution,
     NotAComplement,
     ShapeMismatch,
+    SparseMatrix,
     block_diagonal,
     cokernel,
     cokernel_invariants,
@@ -161,6 +162,50 @@ class TestMatrixConstruction:
         assert IntMatrix.from_columns([], rows=3) == IntMatrix.zeros(3, 0)
         with pytest.raises(ShapeMismatch):
             IntMatrix.from_columns([(1, 2), (3,)])
+
+
+# entries for the sparse type: units, zeros, a non-unit and one far beyond
+# machine words, on every shape from 0 x 0 to 6 x 6
+sparse_type_pairs = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda d: st.tuples(
+        *(sparse_matrix(r, c, st.sampled_from([0, 0, 0, 1, -1, 7, 2**70, -(2**70)]))
+          for r, c in ((d[0], d[1]), (d[1], d[2]), (d[0], d[1])))
+    )
+)
+
+
+class TestSparseMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_type_pairs)
+    def test_agrees_with_intmatrix(self, case):
+        a, b, other = case
+        sa, sb, so = sparse(a), sparse(b), sparse(other)
+        assert sa.dense() == a and (sa.rows, sa.cols) == (a.rows, a.cols)
+        prod = sa * sb
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        assert prod.dense() == a * b
+        assert prod.is_zero() == (a * b).is_zero()
+        assert sa.is_zero() == a.is_zero()
+        assert [sa.column(j) for j in range(a.cols)] == a.columns()
+        assert (sa == so) == (a == other)
+        assert sa == sparse(a) and sa != a
+        assert SparseMatrix.identity(a.rows).dense() == IntMatrix.identity(a.rows)
+        assert SparseMatrix.identity(a.rows) * sa == sa == sa * SparseMatrix.identity(a.cols)
+
+    def test_zeros_are_not_stored(self):
+        m = SparseMatrix(3, [{0: 0, 2: 5}, {}, {1: -1}])
+        assert m.entries == ({2: 5}, {}, {1: -1})
+        assert m == SparseMatrix(3, [{2: 5}, {1: 0}, {1: -1}])
+        assert SparseMatrix(2, [{0: 0}]).is_zero()
+        assert SparseMatrix(4, []).dense() == IntMatrix.zeros(4, 0)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeMismatch):
+            SparseMatrix(2, [{2: 1}])
+        with pytest.raises(ShapeMismatch):
+            SparseMatrix(2, [{0: 1}]) * SparseMatrix(2, [{0: 1}])
+        with pytest.raises(TypeError):
+            SparseMatrix.identity(2) * IntMatrix.identity(2)
 
 
 class TestSnf:
@@ -334,6 +379,15 @@ def reference_projection(rel, keep):
     return (res.right * res.left).submatrix(range(len(keep)), range(rel.rows))
 
 
+def sparse(m: IntMatrix) -> SparseMatrix:
+    return SparseMatrix(m.rows, [dict(enumerate(c)) for c in m.columns()])
+
+
+def project(rel: IntMatrix, keep) -> IntMatrix:
+    """complement_projection on the sparse copy of ``rel``, read back dense."""
+    return complement_projection(sparse(rel), keep).dense()
+
+
 keep_cases = small_matrices.flatmap(
     lambda m: st.tuples(
         st.just(m),
@@ -349,10 +403,10 @@ class TestComplementProjection:
         # im = span(e2, e1 + e3): e0 and e1 complement it, e0 and e3 too
         rel = IntMatrix.from_columns([(0, 0, -1, 0), (0, -1, 1, -1)])
         # (v = v0 e0 + (v1 - v3) e1 + v2 e2 + v3 (e1 + e3))
-        p = complement_projection(rel, [0, 1])
+        p = project(rel, [0, 1])
         assert p == IntMatrix([[1, 0, 0, 0], [0, 1, 0, -1]])
         assert (p * rel).is_zero()
-        assert complement_projection(rel, [0, 3]) == IntMatrix([[1, 0, 0, 0], [0, -1, 0, 1]])
+        assert project(rel, [0, 3]) == IntMatrix([[1, 0, 0, 0], [0, -1, 0, 1]])
 
     def test_gcd_fallback(self):
         # row 0 holds 2 and 3, no unit: an extended-gcd step on the two
@@ -360,34 +414,34 @@ class TestComplementProjection:
         # lattice is spanned by (1, 2, -1), so the coordinates along e1 and
         # e2 are v1 - 2 v0 and v2 + v0.
         rel = IntMatrix.from_columns([(2, 4, -2), (3, 6, -3)])
-        p = complement_projection(rel, [1, 2])
+        p = project(rel, [1, 2])
         assert p == IntMatrix([[-2, 1, 0], [1, 0, 1]])
         assert p == reference_projection(rel, [1, 2])
 
     def test_gcd_fallback_without_unit_fails(self):
         rel = IntMatrix.from_columns([(2, 2), (4, 4)])
         with pytest.raises(NotAComplement):
-            complement_projection(rel, [1])
+            project(rel, [1])
 
     def test_relations_meeting_kept_span_fail(self):
         rel = IntMatrix.from_columns([(1, 0), (0, 1)])
         with pytest.raises(NotAComplement):
-            complement_projection(rel, [1])
+            project(rel, [1])
 
     def test_unreached_row_fails(self):
         with pytest.raises(NotAComplement):
-            complement_projection(IntMatrix.from_columns([(0, 1)]), [1])
+            project(IntMatrix.from_columns([(0, 1)]), [1])
 
     def test_no_relations(self):
-        assert complement_projection(IntMatrix.zeros(2, 0), [1, 0]) == IntMatrix([[0, 1], [1, 0]])
+        assert project(IntMatrix.zeros(2, 0), [1, 0]) == IntMatrix([[0, 1], [1, 0]])
         with pytest.raises(NotAComplement):
-            complement_projection(IntMatrix.zeros(2, 0), [1])
+            project(IntMatrix.zeros(2, 0), [1])
 
     def test_bad_keep_rows(self):
         with pytest.raises(ShapeMismatch):
-            complement_projection(IntMatrix.identity(2), [0, 0])
+            project(IntMatrix.identity(2), [0, 0])
         with pytest.raises(ShapeMismatch):
-            complement_projection(IntMatrix.identity(2), [2])
+            project(IntMatrix.identity(2), [2])
 
     @settings(max_examples=300, deadline=None)
     @given(keep_cases)
@@ -396,9 +450,9 @@ class TestComplementProjection:
         want = reference_projection(rel, keep)
         if want is None:
             with pytest.raises(NotAComplement):
-                complement_projection(rel, keep)
+                project(rel, keep)
         else:
-            assert complement_projection(rel, keep) == want
+            assert project(rel, keep) == want
 
 
 class TestKernel:
