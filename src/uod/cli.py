@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .arith import ARCHIMEDEAN, ParseError, backend, xi_classes
@@ -34,12 +33,7 @@ from .distmod import (
     xi0_basis,
 )
 from .ftate import AlmostFreeSpec, HypothesisViolated, ftate_closed_form, ftate_via_kt
-from .iwasawa import (
-    RationalityFailure,
-    distribution_relation_holds,
-    u_values,
-    uprime_compare,
-)
+from .iwasawa import RationalityFailure, level_relations_hold, u_values, uprime_compare
 from .signh import OrderViolation, sign_homology_U, verify_rank_theorem
 from .skcx import build_sk, sk_quotients_homology
 from .znf import AbGroupInvariants, NoIntegerSolution, ShapeMismatch
@@ -266,17 +260,9 @@ def cmd_verify_lemma411(args):
 
 
 def cmd_verify_ufunction(args):
-    bk = backend("q")
-
     def work(f):
         values = u_values(f)  # raises on any exactness failure
-        relations_ok = True
-        for g in range(2, f + 1):
-            if f % g:
-                continue
-            for a_num in range(0, f, g):
-                if not distribution_relation_holds(Fraction(a_num, f), g):
-                    relations_ok = False
+        relations_ok = level_relations_hold(f)
         return {
             "name": "u-function",
             "params": {"f": f},
@@ -310,6 +296,8 @@ def cmd_verify_uprime(args):
         }
 
     levels = [int(f) for f in args.f.split(",")]
+    if any(f < 2 for f in levels):
+        raise UsageError(f"uprime levels are integers of at least 2; got --f {args.f}")
     return [work(f) for f in levels]
 
 

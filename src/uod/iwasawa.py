@@ -1,13 +1,36 @@
 """The archimedean u-function and the comparison with the classical lattice.
 
-u is the unique period-1 rational function whose character transform at every
-level f is the product of (1 - chi(p)) over primes p | f, with chi taken
-primitive (chi(p) = 0 when p divides the conductor).  Values are obtained by
-exact orthogonality inversion inside Z[zeta_e], e the exponent of (Z/fZ)^x:
-the inversion sum is accumulated as an integer vector of zeta-powers and
-reduced modulo the cyclotomic polynomial, where it must collapse to a
-constant.  Any non-constant remainder is an arithmetic bug, not a rounding
-problem, and raises immediately.
+u is the unique period-1 function whose character transform at every level f
+is the product of (1 - chi*(p)) over the primes p | f, where chi* is the
+primitive character behind chi (chi*(p) = 0 when p divides the conductor):
+
+    sum_{x in (Z/f)^x} u(x/f) chi(x) = prod_{p | f} (1 - chi*(p)).
+
+Closed form.  Expanding the product over the subsets S of the primes of f
+gives sum_S (-1)^|S| chi*(m_S) with m_S = prod_{p in S} p.  The value
+chi*(m_S) is nonzero exactly when chi factors through (Z/f_S)^x, f_S being f
+with every prime of S removed, and it is then that character's value at m_S.
+Orthogonality on (Z/f_S)^x inverts the transform:
+
+    phi(f) u(x/f) = sum_S (-1)^|S| phi(f_S) [x = m_S mod f_S],
+
+an integer for every unit x, at a cost of 2^r terms (r primes).  Each level
+is cached as these integers with phi(f); ``Fraction`` values are made only
+for reports and ``u_of``.
+
+Certificate.  Before a level's values are used they are substituted back
+into the defining identity for every one of the phi(f) characters.  (Z/f)^x
+is the product of CRT-local cyclic factors, with one discrete-log table per
+prime power (a primitive root, or -1 and 5 at 2^k), so the transform
+sum_x phi(f) u(x/f) chi(x) over all chi is a multidimensional transform,
+taken one cyclic factor at a time in Z[zeta]/(zeta^e - 1), e the exponent
+of the group.  Each entry is compared with phi(f) prod_{p not | cond chi}
+(1 - chi*(p)) modulo the cyclotomic polynomial Phi_e, and any difference
+raises ``RationalityFailure``.  A character's conductor is the product of
+its local conductors, read off its exponents on each prime-power factor.
+
+Distribution relations at level f are integer comparisons in one table
+U[n] = L u(n/f), 0 <= n < f, with L the lcm of phi(d) over d | f.
 
 The classical lattice at level f is the Z[G_f]-span in Q[G_f] of the vectors
 (u(t_gamma / g))_gamma for divisors g | f; it is free of rank |G_f|, and the
@@ -20,9 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 
-from .arith import ARCHIMEDEAN, g_action
+from .arith import ARCHIMEDEAN, g_action, gf_group
 from .distmod import UModule, build_af, class_matrix, u_module
 from .znf import IntMatrix, image_basis, snf_invariants, solve
 
@@ -40,7 +64,7 @@ class RelationNotKilled(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic arithmetic
+# Cyclotomic reduction
 
 
 @lru_cache(maxsize=None)
@@ -86,155 +110,135 @@ def reduce_zeta_vector(vec, order: int):
     return num[:deg] + [0] * max(deg - len(num), 0)
 
 
-class CycloNumber:
-    """Element of Q(zeta_n) as a rational vector modulo Phi_n."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=None):
-        deg = len(cyclotomic_polynomial(order)) - 1
-        vec = [Fraction(0)] * deg
-        if coeffs is not None:
-            for i, c in enumerate(coeffs):
-                vec[i] = Fraction(c)
-        self.order = order
-        self.coeffs = vec
-
-    @classmethod
-    def zeta_power(cls, order: int, k: int) -> "CycloNumber":
-        vec = [0] * order
-        vec[k % order] = 1
-        reduced = reduce_zeta_vector(vec, order)
-        return cls(order, reduced)
-
-    @classmethod
-    def rational(cls, order: int, value) -> "CycloNumber":
-        out = cls(order)
-        out.coeffs[0] = Fraction(value)
-        return out
-
-    def __add__(self, other):
-        out = CycloNumber(self.order)
-        out.coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        return out
-
-    def __sub__(self, other):
-        out = CycloNumber(self.order)
-        out.coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = CycloNumber(self.order)
-            out.coeffs = [a * other for a in self.coeffs]
-            return out
-        prod = [Fraction(0)] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        phi = cyclotomic_polynomial(self.order)
-        deg = len(phi) - 1
-        for i in range(len(prod) - 1, deg - 1, -1):
-            c = prod[i]
-            if c:
-                shift = i - deg
-                for j, p in enumerate(phi):
-                    prod[shift + j] -= c * p
-        out = CycloNumber(self.order)
-        out.coeffs = prod[:deg]
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CycloNumber)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise RationalityFailure(f"not rational: {self.coeffs}")
-        return self.coeffs[0]
-
-    def __repr__(self):
-        return f"CycloNumber(order={self.order}, {self.coeffs})"
+def _rotate(vec, t):
+    """vec times zeta^t in Z[zeta]/(zeta^e - 1), e = len(vec), 0 <= t < e."""
+    return vec[-t:] + vec[:-t] if t else vec
 
 
 # ---------------------------------------------------------------------------
-# The unit group (Z/fZ)^x and its characters
+# The unit group (Z/fZ)^x, one prime power at a time, and its characters
+
+
+@dataclass(frozen=True)
+class _PrimePower:
+    """(Z/p^k)^x as a product of cyclic factors: a primitive root for odd p,
+    -1 and 5 at 2^k with k >= 3, 3 at 4 and nothing at 2."""
+
+    p: int
+    k: int
+    modulus: int
+    orders: tuple
+    logs: dict  # unit residue mod p^k -> exponents over the generators
+
+    def conductor(self, exps) -> int:
+        """Least p^j such that the local character with these exponents is
+        trivial on the units = 1 mod p^j.
+
+        For odd p those units are the powers of the primitive root by
+        multiples of (p - 1) p^(j-1); at 2^k, k >= 3, and j >= 2 they are the
+        powers of 5 by multiples of 2^(j-2).  So a nonzero exponent c on the
+        last generator gives p^(k - v_p(c)), which is also 4 for the one
+        nontrivial character mod 4.  Otherwise the character is trivial, or
+        it is the sign character, of conductor 4.
+        """
+        c = exps[-1] if exps else 0
+        if c:
+            v = 0
+            while c % self.p == 0:
+                c //= self.p
+                v += 1
+            return self.p ** (self.k - v)
+        return 4 if any(exps) else 1
 
 
 @lru_cache(maxsize=None)
-def unit_group_structure(f: int):
-    """Generators and their orders for (Z/fZ)^x, CRT-combined."""
-    if f == 1:
-        return (), ()
-    gens = []
-    orders = []
-    for p, e in ARCHIMEDEAN.factor(f):
-        pe = p**e
-        rest = f // pe
-        if p == 2:
-            if e == 1:
+def _prime_power(p: int, k: int) -> _PrimePower:
+    pk = p**k
+    if p != 2:
+        order = pk - pk // p
+        for g in range(2, pk):
+            if g % p == 0:
                 continue
-            if e == 2:
-                local = [(3, 2)]
-            else:
-                local = [(pe - 1, 2), (5, 2 ** (e - 2))]
-        else:
-            local = [(_primitive_root(p, e), (p - 1) * p ** (e - 1))]
-        for g, order in local:
-            lifted = _crt(g, pe, 1, rest) if rest > 1 else g % f
-            gens.append(lifted)
-            orders.append(order)
-    return tuple(gens), tuple(orders)
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = x * g % pk
+            if len(powers) == order:
+                return _PrimePower(p, k, pk, (order,), {x: (i,) for i, x in enumerate(powers)})
+    if k == 1:
+        return _PrimePower(2, 1, 2, (), {1: ()})
+    if k == 2:
+        return _PrimePower(2, 2, 4, (2,), {1: (0,), 3: (1,)})
+    logs = {}
+    x = 1
+    for i in range(pk // 4):
+        logs[x] = (0, i)
+        logs[pk - x] = (1, i)
+        x = x * 5 % pk
+    return _PrimePower(2, k, pk, (2, pk // 4), logs)
 
 
-def _primitive_root(p, e):
-    pe = p**e
-    target = (p - 1) * p ** (e - 1)
-    for g in range(2, pe):
-        if gcd(g, pe) != 1:
-            continue
-        order = 1
-        x = g % pe
-        while x != 1:
-            x = (x * g) % pe
-            order += 1
-        if order == target:
-            return g
-    raise ArithmeticError(f"no primitive root mod {p}^{e}")
+class _UnitGroup:
+    """(Z/f)^x as the product of the cyclic factors of its prime powers.
 
+    Characters are exponent tuples c over the factors; chi_c sends the
+    generator of factor i to zeta_e^(steps[i] c_i).  Flat arrays over the
+    group or its characters are indexed by sum_i c_i strides[i], the last
+    factor fastest, which is the order of ``itertools.product``.
+    """
 
-def _crt(a1, m1, a2, m2):
-    inv = pow(m1, -1, m2)
-    return (a1 + m1 * (((a2 - a1) * inv) % m2)) % (m1 * m2)
+    def __init__(self, f: int):
+        self.local = tuple(_prime_power(p, k) for p, k in ARCHIMEDEAN.factor(f))
+        self.orders = tuple(s for loc in self.local for s in loc.orders)
+        self.exponent = lcm(1, *self.orders)
+        self.steps = tuple(self.exponent // s for s in self.orders)
+        strides = [1] * len(self.orders)
+        for i in range(len(self.orders) - 2, -1, -1):
+            strides[i] = strides[i + 1] * self.orders[i + 1]
+        self.strides = tuple(strides)
+
+    def log(self, x: int):
+        """Exponents of x over the factors, or None when x is not a unit."""
+        out = ()
+        for loc in self.local:
+            k = loc.logs.get(x % loc.modulus)
+            if k is None:
+                return None
+            out += k
+        return out
+
+    def conductor(self, exps) -> int:
+        out = 1
+        at = 0
+        for loc in self.local:
+            n = len(loc.orders)
+            out *= loc.conductor(exps[at : at + n])
+            at += n
+        return out
+
+    def prime_data(self):
+        """Per prime p | f: the factors of its prime power, and the exponents
+        of the unit that is p away from p and 1 at p (so chi*(p) is
+        zeta_e^(sum steps[i] c_i logs[i]) when chi is trivial at p)."""
+        out = []
+        at = 0
+        for loc in self.local:
+            n = len(loc.orders)
+            logs = ()
+            for other in self.local:
+                if other is loc:
+                    logs += (0,) * n
+                else:
+                    logs += other.logs[loc.p % other.modulus]
+            out.append((range(at, at + n), logs))
+            at += n
+        return out
 
 
 @lru_cache(maxsize=None)
-def _unit_logs(f: int):
-    """residue -> exponent tuple over the generator decomposition."""
-    gens, orders = unit_group_structure(f)
-    logs = {1 % f: (0,) * len(gens)}
-    frontier = [1 % f]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            ex = logs[x]
-            for i, g in enumerate(gens):
-                y = (x * g) % f
-                if y not in logs:
-                    ey = list(ex)
-                    ey[i] = (ey[i] + 1) % orders[i]
-                    logs[y] = tuple(ey)
-                    fresh.append(y)
-        frontier = fresh
-    return logs
+def _unit_group(f: int) -> _UnitGroup:
+    return _UnitGroup(f)
 
 
 @dataclass(frozen=True)
@@ -243,72 +247,30 @@ class DirichletChar:
 
     modulus: int
     exponent: int               # e = exponent of the unit group
-    gen_exponents: tuple        # chi(g_i) = zeta_e^{gen_exponents[i]}
+    gen_exponents: tuple        # chi(g_i) = zeta_e^{gen_exponents[i]}, g_i the
+                                # generators of the CRT-local cyclic factors
     conductor: int
 
     def log_value(self, x: int):
         """k with chi(x) = zeta_e^k, or None when gcd(x, modulus) > 1."""
-        x = x % self.modulus
-        logs = _unit_logs(self.modulus)
-        if x not in logs:
+        ex = _unit_group(self.modulus).log(x)
+        if ex is None:
             return None
-        ex = logs[x]
-        return sum(a * k for a, k in zip(self.gen_exponents, ex)) % max(self.exponent, 1)
-
-    def value(self, x: int) -> CycloNumber:
-        k = self.log_value(x)
-        if k is None:
-            return CycloNumber.rational(max(self.exponent, 1), 0)
-        return CycloNumber.zeta_power(max(self.exponent, 1), k)
-
-    def log_primitive_value(self, y: int):
-        """Value of the primitive character of conductor c at y (y prime to c)."""
-        if self.conductor == 1:
-            return 0
-        if gcd(y, self.conductor) != 1:
-            return None
-        # lift y to a residue prime to the full modulus in the same class mod c
-        x = y % self.conductor
-        while gcd(x, self.modulus) != 1:
-            x += self.conductor
-        return self.log_value(x)
-
-    def log_at_prime(self, p: int):
-        """chi(p) for the prime-product identity: None encodes the value 0."""
-        if self.conductor > 1 and self.conductor % p == 0:
-            return None
-        return self.log_primitive_value(p)
+        return sum(a * k for a, k in zip(self.gen_exponents, ex)) % self.exponent
 
 
 def characters(f: int) -> list[DirichletChar]:
     """All characters of (Z/fZ)^x with conductors, trivial character first."""
-    gens, orders = unit_group_structure(f)
-    e = 1
-    for s in orders:
-        e = lcm(e, s)
-    chars = []
-    exponent_ranges = [range(s) for s in orders]
-    import itertools
-
-    for combo in itertools.product(*exponent_ranges):
-        gen_exps = tuple((e // orders[i]) * combo[i] for i in range(len(orders)))
-        chars.append(_with_conductor(f, e, gen_exps))
-    chars.sort(key=lambda ch: (ch.gen_exponents != (0,) * len(gens), ch.gen_exponents))
-    return chars
-
-
-def _with_conductor(f: int, e: int, gen_exps: tuple) -> DirichletChar:
-    probe = DirichletChar(f, e, gen_exps, f)
-    conductor = f
-    for c in ARCHIMEDEAN.divisors(f):
-        if all(
-            probe.log_value(x) == 0
-            for x in range(1, f + 1)
-            if gcd(x, f) == 1 and x % c == 1 % c
-        ):
-            conductor = c
-            break
-    return DirichletChar(f, e, gen_exps, conductor)
+    group = _unit_group(f)
+    return [
+        DirichletChar(
+            f,
+            group.exponent,
+            tuple(s * c for s, c in zip(group.steps, exps)),
+            group.conductor(exps),
+        )
+        for exps in product(*map(range, group.orders))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -316,83 +278,121 @@ def _with_conductor(f: int, e: int, gen_exps: tuple) -> DirichletChar:
 
 
 @lru_cache(maxsize=None)
-def u_values(f: int) -> dict:
-    """Exact values u(x/f) for x prime to f, by orthogonality inversion.
-
-    Besides inverting the defining identity, this re-substitutes the values
-    into it for every character and raises if anything fails exactly.
-    """
-    if f == 1:
-        return {0: Fraction(1)}
-    chars = characters(f)
-    e = chars[0].exponent if chars else 1
-    e = max(e, 1)
-    primes = [p for p, _ in ARCHIMEDEAN.factor(f)]
-    units = [x for x in range(1, f + 1) if gcd(x, f) == 1]
-    phi_f = len(units)
-
-    # per character: the expansion of prod_p (1 - chi(p)) as zeta powers
-    expansions = []
-    for ch in chars:
-        terms = [(0, 1)]  # (exponent of zeta_e, integer coefficient)
-        for p in primes:
-            k = ch.log_at_prime(p)
-            if k is None:
-                continue  # factor (1 - 0) = 1
-            terms = [(t, c) for t, c in terms] + [((t + k) % e, -c) for t, c in terms]
-        expansions.append(terms)
-
-    values = {}
-    for x in units:
-        vec = [0] * e
-        for ch, terms in zip(chars, expansions):
-            kx = ch.log_value(x)
-            for t, c in terms:
-                vec[(t - kx) % e] += c
-        reduced = reduce_zeta_vector(vec, e)
-        if any(reduced[1:]):
-            raise RationalityFailure(
-                f"u({x}/{f}) is not rational: remainder {reduced}"
-            )
-        values[x % f] = Fraction(reduced[0], phi_f)
-
-    _check_identity(f, chars, values, primes, e)
-    return values
+def _level(f: int):
+    """(phi(f), {x: phi(f) u(x/f)}) over the units x mod f, certified."""
+    units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
+    phi = len(units)
+    terms = [(phi, f, 1)]  # (+-phi(f_S), f_S, m_S) per subset S of the primes
+    for p, k in ARCHIMEDEAN.factor(f):
+        pk = p**k
+        terms += [(-c // (pk - pk // p), m // pk, r * p) for c, m, r in terms]
+    scaled = {x: sum(c for c, m, r in terms if (x - r) % m == 0) for x in units}
+    _certify(f, scaled)
+    return phi, scaled
 
 
-def _check_identity(f, chars, values, primes, e):
-    # sum_x u(x/f) chi(x) must equal prod_p (1 - chi(p)) exactly, for every chi
-    phi_f = len(values)
-    for ch in chars:
-        lhs = [0] * e
-        for x, val in values.items():
-            scaled = val * phi_f  # integer by construction
-            lhs[ch.log_value(x) % e] += int(scaled)
-        rhs = [0] * e
-        terms = [(0, 1)]
-        for p in primes:
-            k = ch.log_at_prime(p)
-            if k is None:
-                continue
-            terms = terms + [((t + k) % e, -c) for t, c in terms]
-        for t, c in terms:
-            rhs[t] += c * phi_f
-        if reduce_zeta_vector(lhs, e) != reduce_zeta_vector(rhs, e):
+def _certify(f: int, scaled: dict) -> int:
+    """Check the defining identity for every character of (Z/f)^x against
+    the scaled values {x: phi(f) u(x/f)}; return the number of characters."""
+    group = _unit_group(f)
+    e, orders, steps, strides = group.exponent, group.orders, group.steps, group.strides
+    phi = len(scaled)
+    table = [0] * phi
+    for x, v in scaled.items():
+        table[sum(a * b for a, b in zip(group.log(x), strides))] = v
+    # The largest factor goes first: it turns scalars into zeta-vectors by
+    # placing them, which costs no vector additions.
+    axes = sorted(range(len(orders)), key=lambda i: -orders[i])
+    if not axes:  # the trivial group (f = 1, 2), e = 1
+        table = [[v] for v in table]
+    for n, axis in enumerate(axes):
+        s, stride, step = orders[axis], strides[axis], steps[axis]
+        block = s * stride
+        out = [None] * phi
+        for base in range(0, phi, block):
+            for at in range(base, base + stride):
+                column = table[at : at + block : stride]
+                for c in range(s):
+                    acc = [0] * e
+                    if n == 0:
+                        for k, v in enumerate(column):
+                            acc[step * c * k % e] += v
+                    else:
+                        for k, v in enumerate(column):
+                            acc = [a + b for a, b in zip(acc, _rotate(v, step * c * k % e))]
+                    out[at + c * stride] = acc
+        table = out
+
+    primes = group.prime_data()
+    checked = 0
+    for lhs, exps in zip(table, product(*map(range, orders))):
+        rhs = [phi] + [0] * (e - 1)
+        for axes_p, logs in primes:
+            if any(exps[i] for i in axes_p):
+                continue  # p divides the conductor: the factor is 1 - 0
+            t = sum(s * c * k for s, c, k in zip(steps, exps, logs)) % e
+            rhs = [a - b for a, b in zip(rhs, _rotate(rhs, t))]
+        if any(reduce_zeta_vector([a - b for a, b in zip(lhs, rhs)], e)):
             raise RationalityFailure(f"character identity fails at level {f}")
+        checked += 1
+    return checked
+
+
+def u_values(f: int) -> dict:
+    """Exact values u(x/f) for x prime to f, from the certified closed form."""
+    phi, scaled = _level(f)
+    return {x: Fraction(v, phi) for x, v in scaled.items()}
 
 
 def u_of(value: Fraction) -> Fraction:
     """u at any rational, through the reduced fraction's level."""
     value = Fraction(value) % 1
     f = value.denominator
-    x = value.numerator % f if f > 1 else 0
-    return u_values(f)[x]
+    phi, scaled = _level(f)
+    return Fraction(scaled[value.numerator], phi)
 
 
 def distribution_relation_holds(a: Fraction, g: int) -> bool:
     """u(a) = sum_{i<g} u((a+i)/g), checked exactly."""
     total = sum((u_of(Fraction(a + i, g)) for i in range(g)), Fraction(0))
     return total == u_of(a)
+
+
+@lru_cache(maxsize=None)
+def _level_table(f: int):
+    """(L, U) with U[n] = L u(n/f) for 0 <= n < f, L = lcm of phi(d), d | f."""
+    levels = {d: _level(d) for d in ARCHIMEDEAN.divisors(f)}
+    scale = lcm(*(phi for phi, _ in levels.values()))
+    table = []
+    for n in range(f):
+        g = gcd(n, f)
+        phi, scaled = levels[f // g]
+        table.append(scaled[n // g] * (scale // phi))
+    return scale, tuple(table)
+
+
+def _relations_hold(table, f: int) -> bool:
+    # u(gb/f) = sum_{i<g} u((b + i f/g)/f) for g | f, g > 1 and 0 <= b < f/g
+    for g in ARCHIMEDEAN.divisors(f)[1:]:
+        step = f // g
+        for b in range(step):
+            if table[g * b] != sum(table[b::step]):
+                return False
+    return True
+
+
+def level_relations_hold(f: int) -> bool:
+    """Every relation u(a) = sum_{i<g} u((a+i)/g) with g | f, g > 1 and a in
+    (g/f)Z ∩ [0, 1), compared as integers in the level-f table."""
+    return _relations_hold(_level_table(f)[1], f)
+
+
+def _orbit_table(f: int):
+    """(D, W): D the lcm of the reduced denominators of u(n/f), 0 <= n < f,
+    and W[n] = D u(n/f), all integers."""
+    scale, table = _level_table(f)
+    common = gcd(scale, *table)
+    return scale // common, [v // common for v in table]
 
 
 # ---------------------------------------------------------------------------
@@ -432,33 +432,24 @@ class UPrimeLattice:
 
 
 def uprime_lattice(f: int) -> UPrimeLattice:
-    units = [x for x in range(1, f + 1) if gcd(x, f) == 1]
-    if f == 1:
-        units = [1]
-    index = {x % f: i for i, x in enumerate(units)}
-    vectors = []
-    for g in ARCHIMEDEAN.divisors(f):
-        base = []
-        for delta in units:
-            dinv = pow(delta, -1, f) if f > 1 else 1
-            t = dinv % g if g > 1 else 0
-            base.append(u_of(Fraction(t, g) if g > 1 else Fraction(0)))
-        for sigma in units:
-            # coordinate at delta of sigma * v is v at sigma^{-1} delta
-            sinv = pow(sigma, -1, f) if f > 1 else 1
-            vec = tuple(base[index[(sinv * delta) % f]] for delta in units)
-            vectors.append(vec)
-    denom = 1
-    for vec in vectors:
-        for val in vec:
-            denom = lcm(denom, val.denominator)
-    lattice_int = IntMatrix.from_columns(
-        [[int(v * denom) for v in vec] for vec in vectors], rows=len(units)
+    units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
+    inverses = [pow(delta, -1, f) for delta in units]
+    denom, orbit = _orbit_table(f)
+    # coordinate at delta of sigma * (u(delta^-1 / g))_delta, as an index n
+    # of u(n/f)
+    at = [
+        [sigma * dinv * (f // g) % f for dinv in inverses]
+        for g in ARCHIMEDEAN.divisors(f)
+        for sigma in units
+    ]
+    values = [Fraction(v, denom) for v in orbit]
+    generators = tuple(tuple(values[n] for n in col) for col in at)
+    basis = image_basis(
+        IntMatrix.from_columns([[orbit[n] for n in col] for col in at], rows=len(units))
     )
-    basis = image_basis(lattice_int)
     if basis.cols != len(units):
         raise RankMismatch(f"lattice rank {basis.cols}, expected {len(units)}")
-    return UPrimeLattice(f, tuple(units), tuple(vectors), denom, basis)
+    return UPrimeLattice(f, tuple(units), generators, denom, basis)
 
 
 def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
@@ -471,38 +462,19 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
     lattice = uprime_lattice(f)
     units = list(lattice.group)
     phi_f = len(units)
-    denom = lattice.denominator
     basis = lattice.basis
+    inverses = [pow(delta, -1, f) for delta in units]
+    _, orbit = _orbit_table(f)
 
-    # the u-orbit map on classes: coord at delta of the image of xi
-    images = []
-    for xi in af.basis:
-        g = xi.order
-        col = []
-        for delta in units:
-            dinv = pow(delta, -1, f) if f > 1 else 1
-            if g == 1:
-                col.append(u_of(Fraction(0)))
-            else:
-                t = (dinv % g) * xi.num % g
-                col.append(u_of(Fraction(t, g)))
-        images.append(col)
-
-    # images lie in the lattice, so the generator denominator clears them too
-    scaled = []
-    for col in images:
-        out = []
-        for v in col:
-            value = v * denom
-            if value.denominator != 1:
-                raise RelationNotKilled("u-orbit image does not clear denominators")
-            out.append(int(value))
-        scaled.append(out)
-    image_int = IntMatrix.from_columns(scaled, rows=phi_f)
+    # the u-orbit map on classes, scaled by the lattice denominator: the
+    # coordinate at delta of the image of xi = num/g is u(delta^-1 num / g)
+    image_int = IntMatrix.from_columns(
+        [[orbit[dinv * xi.num * (f // xi.order) % f] for dinv in inverses] for xi in af.basis],
+        rows=phi_f,
+    )
     relations_killed = (image_int * u.relation_matrix.dense()).is_zero()
     if not relations_killed:
         raise RelationNotKilled("distribution relations survive the u-orbit map")
-
     # the induced map on the free basis, in lattice coordinates
     mapped = image_int * u.section.dense()
     coords = solve(basis, mapped)

@@ -5,11 +5,12 @@ floating point and no modular shortcut anywhere.  Matrices are immutable
 values, so all operations return new objects and are safe to share between
 threads.
 
-The workhorse is ``snf``, which returns the diagonal invariant factors
-together with the unimodular transforms (and their inverses) realizing them;
-each transform is tracked only when a caller asks for it.  After a unit
-pivot the reduction skips its divisibility scan, since a unit divides every
-entry.
+The dense reducer ``_Smith`` returns the diagonal invariant factors together
+with the unimodular transforms (and their inverses) realizing them; each
+transform is tracked only when a caller asks for it.  After a unit pivot the
+reduction skips its divisibility scan, since a unit divides every entry.
+``snf`` asks for all four transforms; nothing in the package calls it, and
+it stays public as the reference the tests hold the other entry points to.
 
 ``snf_invariants`` (and through it ``rank_torsion``, ``cokernel_invariants``
 and ``subquotient``) tracks no transform and starts with a sparse stage: the
@@ -605,6 +606,8 @@ def snf(m: IntMatrix) -> SnfResult:
 
     The invariant factors are nonnegative and form a divisibility chain
     (zeros trail).  ``left``/``right`` and their inverses are unimodular.
+    The tests' reference for every other Smith entry point; the package
+    itself asks ``_run_smith`` for only the transforms it uses.
     """
     diag, left, right, left_inv, right_inv = _run_smith(m, True, True, True, True)
     return SnfResult(diag, left, right, left_inv, right_inv)

@@ -142,6 +142,17 @@ class TestHarnessContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("levels", ["120,1", "1", "0", "12,-3", "60,x"])
+    def test_uprime_levels_checked_before_any_work(self, monkeypatch, capsys, levels):
+        def refuse(f, u=None):
+            raise AssertionError(f"uprime_compare({f}) ran before the levels were checked")
+
+        monkeypatch.setattr(cli, "uprime_compare", refuse)
+        assert main(["verify", "uprime", "--f", levels]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "argv",
         [
