@@ -549,9 +549,6 @@ class PresentedComplex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
-    def term_invariants(self, n: int) -> AbGroupInvariants:
-        return cokernel(self.relations(n)).invariants
-
     def homology(self) -> HomologyTable:
         coks = {}
         for n in self.degrees():

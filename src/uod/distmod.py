@@ -478,7 +478,7 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
         quotient_inv = (1,) * k
     else:
         # only to say how it failed: the images of Xi_0 in the free part
-        cok = cokernel(rel, False)
+        cok = cokernel(rel)
         images = IntMatrix.from_columns(
             [cok.projection.column(af.index[xi]) for xi in xi0_here],
             rows=cok.invariants.free_rank,

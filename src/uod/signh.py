@@ -189,7 +189,7 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     for sigma in elements:
         perm = class_matrix([g_action(bk, sigma, xi) for xi in af_g.basis], af_g.index)
         op = u_g.induce(perm)
-        if _acts_as_identity(op, ev_g) and _acts_as_identity(op, od_g):
+        if acts_as_identity(op, ev_g) and acts_as_identity(op, od_g):
             trivial_count += 1
     return FunctorialityReport(
         ker_even.is_trivial,
@@ -203,7 +203,8 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     )
 
 
-def _acts_as_identity(op: IntMatrix, homology: Subquotient) -> bool:
+def acts_as_identity(op: IntMatrix, homology: Subquotient) -> bool:
+    """Whether ``op`` induces the identity on the presented ``homology``."""
     coords = solve(homology.basis, op * homology.basis)
     delta = coords - IntMatrix.identity(coords.rows)
     if delta.is_zero():

@@ -40,16 +40,8 @@ from .chainkit import (
     companion,
     total_complex,
 )
-from .znf import (
-    IntMatrix,
-    block_diagonal,
-    cokernel,
-    homology_pair,
-    lattice_contains,
-    preimage_lattice,
-    solve,
-    subquotient,
-)
+from .signh import acts_as_identity, induced_kernel
+from .znf import IntMatrix, block_diagonal, cokernel, homology_pair
 
 
 class NotSquarefree(ValueError):
@@ -75,10 +67,6 @@ class SkComplex:
     primes: tuple
     divisors_by_size: dict       # m -> divisors of f with m prime factors
     double: DoubleComplex
-
-    @property
-    def rank_per_divisor(self) -> int:
-        return self.denominator
 
     def symbols(self, m: int, n: int):
         out = []
@@ -347,10 +335,7 @@ def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionRepo
     for n in range(lo, hi + 1):
         src = homology_pair(total_f.differential(n), total_f.differential(n + 1))
         dst = homology_pair(total_g.differential(n), total_g.differential(n + 1))
-        mapped = components[n] * src.basis
-        coords = solve(dst.basis, mapped)
-        pre = preimage_lattice(coords, dst.rel)
-        kernel = subquotient(pre, src.rel).invariants
+        kernel = induced_kernel(components[n], src, dst)
         degrees[n] = (src.invariants, dst.invariants, kernel)
         if not kernel.is_trivial:
             injective = False
@@ -377,13 +362,6 @@ def sign_action_trivial_on_via_n(sk: SkComplex) -> tuple[int, int]:
         if not (cok.projection * (perm * rel)).is_zero():
             raise RuntimeError("unit action does not preserve the relations")
         op = cok.projection * perm * cok.section
-        ok = True
-        for spot in spots:
-            coords = solve(spot.basis, op * spot.basis)
-            delta = coords - IntMatrix.identity(coords.rows)
-            if not delta.is_zero() and not lattice_contains(spot.rel, delta):
-                ok = False
-                break
-        if ok:
+        if all(acts_as_identity(op, spot) for spot in spots):
             trivial += 1
     return trivial, len(units)

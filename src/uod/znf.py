@@ -1,16 +1,17 @@
-"""Exact linear algebra over Z: Smith normal form, kernels, cokernel presentations.
+"""Exact linear algebra over Z: Smith and Hermite forms, kernels, cokernel presentations.
 
 Everything here works with arbitrary-precision Python integers; there is no
 floating point and no modular shortcut anywhere.  Matrices are immutable
 values, so all operations return new objects and are safe to share between
 threads.
 
-The dense reducer ``_Smith`` returns the diagonal invariant factors together
-with the unimodular transforms (and their inverses) realizing them; each
-transform is tracked only when a caller asks for it.  After a unit pivot the
-reduction skips its divisibility scan, since a unit divides every entry.
-``snf`` asks for all four transforms; nothing in the package calls it, and
-it stays public as the reference the tests hold the other entry points to.
+The dense reducer ``_Smith`` returns the diagonal invariant factors and,
+behind one ``transforms`` switch, the unimodular transforms and their
+inverses that realize them.  After a unit pivot the reduction skips its
+divisibility scan, since a unit divides every entry.  Only ``cokernel``
+(whose presentation needs them) and ``snf`` ask for the transforms; ``snf``
+has no caller in the package and stays public as the reference the tests
+hold every other entry point to.
 
 ``snf_invariants`` (and through it ``rank_torsion``, ``cokernel_invariants``
 and ``subquotient``) tracks no transform and starts with a sparse stage: the
@@ -18,15 +19,24 @@ nonzeros are held as row dicts with a column-to-rows index, and ±1 entries
 are taken as pivots in Markowitz order, each replacing the matrix by its
 Schur complement.  A unit pivot turns M into diag(1) ⊕ S by unimodular row
 and column operations, so inv(M) = (1) ++ inv(S) and nothing is divided
-except by ±1; the dense reduction only sees the block left when no unit
-entry remains.  The dense ``_Smith`` stays the only reducer that tracks
-transforms.
+except by ±1.  The block left when no unit entry remains is replaced by the
+Hermite basis of its columns, which spans the same lattice and so has the
+same nonzero invariants, before ``_Smith`` reduces it.
 
-On top of these sit the lattice utilities used by every homology
-computation in the package: integer kernels (automatically saturated),
-column‑lattice bases, exact linear solves, cokernel presentations with a
-splitting of the free part, and subquotient invariants
-lattice(num)/lattice(den).
+Every lattice operation goes through one reduced column Hermite basis
+(Domich, Kannan and Trotter 1987; Havas, Majewski and Matthews 1998): zero
+above each pivot, a positive pivot, and every entry in another column's
+pivot row in [0, pivot).  Generators are inserted one at a time and only the
+columns an insertion touched are reduced again, so the entries stay bounded
+by the pivots, where Smith transforms grew to hundreds of thousands of bits.
+``image_basis`` is that basis.  ``preimage_lattice(a, d)`` is the part of
+the basis of the graph {(a x + d y, x)} that pivots below a's rows, and
+``kernel_basis`` is the preimage of 0.  ``solve`` reduces (b, 0) against the
+basis of the graph of a, which leaves (0, -x) with a x = b, and
+``lattice_contains`` reduces against the basis of the generators.  On top
+of these sit cokernel presentations with a splitting of the free part and
+the subquotient invariants lattice(num)/lattice(den) used by every homology
+computation in the package.
 
 Next to ``snf`` sits ``complement_projection``, a sparse Gauss–Jordan column
 elimination for the case where a known set of coordinate vectors should
@@ -432,20 +442,18 @@ def _xgcd(a: int, b: int):
 
 
 class _Smith:
-    """Mutable SNF state; each transform is tracked only when requested."""
+    """Mutable SNF state; the four transforms are tracked only on request."""
 
-    def __init__(self, m: IntMatrix, need_left: bool, need_right: bool,
-                 need_left_inv: bool, need_right_inv: bool):
+    def __init__(self, m: IntMatrix, transforms: bool):
         self.r, self.c = m.rows, m.cols
         self.a = [list(row) for row in m.data]
+        self.L = self.Li = self.R = self.Ri = None
+        if transforms:
+            def ident(n):
+                return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-        def ident(n):
-            return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-        self.L = ident(self.r) if need_left else None
-        self.Li = ident(self.r) if need_left_inv else None
-        self.R = ident(self.c) if need_right else None
-        self.Ri = ident(self.c) if need_right_inv else None
+            self.L, self.Li = ident(self.r), ident(self.r)
+            self.R, self.Ri = ident(self.c), ident(self.c)
 
     # Elementary operations keep the identities L*M0*R == A, Li == L^-1,
     # Ri == R^-1 at every step.
@@ -456,7 +464,6 @@ class _Smith:
         self.a[i], self.a[t] = self.a[t], self.a[i]
         if self.L is not None:
             self.L[i], self.L[t] = self.L[t], self.L[i]
-        if self.Li is not None:
             for row in self.Li:
                 row[i], row[t] = row[t], row[i]
 
@@ -468,14 +475,12 @@ class _Smith:
         if self.R is not None:
             for row in self.R:
                 row[j], row[t] = row[t], row[j]
-        if self.Ri is not None:
             self.Ri[j], self.Ri[t] = self.Ri[t], self.Ri[j]
 
     def row_negate(self, i):
         self.a[i] = [-x for x in self.a[i]]
         if self.L is not None:
             self.L[i] = [-x for x in self.L[i]]
-        if self.Li is not None:
             for row in self.Li:
                 row[i] = -row[i]
 
@@ -488,7 +493,6 @@ class _Smith:
             lt, li = self.L[t], self.L[i]
             self.L[t] = [s * p + u * q for p, q in zip(lt, li)]
             self.L[i] = [x * p + y * q for p, q in zip(lt, li)]
-        if self.Li is not None:
             det = s * y - u * x
             for row in self.Li:
                 p, q = row[t], row[i]
@@ -506,7 +510,6 @@ class _Smith:
                 p, q = row[t], row[j]
                 row[t] = s * p + u * q
                 row[j] = x * p + y * q
-        if self.Ri is not None:
             det = s * y - u * x
             rt, rj = self.Ri[t], self.Ri[j]
             self.Ri[t] = [(y * p - x * q) * det for p, q in zip(rt, rj)]
@@ -588,8 +591,8 @@ class _Smith:
         return tuple(self.a[i][i] for i in range(k))
 
 
-def _run_smith(m, need_left, need_right, need_left_inv, need_right_inv):
-    st = _Smith(m, need_left, need_right, need_left_inv, need_right_inv)
+def _run_smith(m, transforms):
+    st = _Smith(m, transforms)
     diag = st.reduce()
     pack = lambda rows, n: _trusted(tuple(map(tuple, rows)), n) if rows is not None else None
     return (
@@ -606,11 +609,90 @@ def snf(m: IntMatrix) -> SnfResult:
 
     The invariant factors are nonnegative and form a divisibility chain
     (zeros trail).  ``left``/``right`` and their inverses are unimodular.
-    The tests' reference for every other Smith entry point; the package
-    itself asks ``_run_smith`` for only the transforms it uses.
+    The tests' reference for every other Smith entry point; in the package
+    only ``cokernel`` asks ``_run_smith`` for transforms.
     """
-    diag, left, right, left_inv, right_inv = _run_smith(m, True, True, True, True)
-    return SnfResult(diag, left, right, left_inv, right_inv)
+    return SnfResult(*_run_smith(m, True))
+
+
+def _hermite(m: IntMatrix) -> dict:
+    """Reduced column Hermite basis of the lattice spanned by the columns of m.
+
+    Returns {pivot row: column} in pivot order, each column a list of
+    ``m.rows`` ints that is zero above its pivot row and positive on it;
+    every entry in another column's pivot row lies in [0, that pivot).
+    Generators are inserted one at a time: a generator is cleared against
+    the pivot of each row it reaches, by subtraction when that pivot divides
+    it and by an extended-gcd step on the two columns otherwise, until it
+    vanishes or becomes the pivot column of a new row.  Only the columns an
+    insertion touched (and those their reduction changes) are reduced
+    again.  No transform is tracked, and the entries stay bounded.
+    """
+    basis = {}
+    for v in m.columns():
+        v = list(v)
+        touched = set()
+        for i in range(m.rows):
+            x = v[i]
+            if not x:
+                continue
+            c = basis.get(i)
+            if c is None:
+                basis[i] = v if x > 0 else [-z for z in v]
+                touched.add(i)
+                break
+            d = c[i]
+            if x % d:
+                # (c, v) <- (s*c + u*v, (d/g)*v - (x/g)*c): determinant 1,
+                # pivot g = gcd(d, x) in c and 0 in v
+                g, s, u = _xgcd(d, x)
+                a, b = d // g, x // g
+                basis[i] = c[:i] + [s * y + u * z for y, z in zip(c[i:], v[i:])]
+                v[i:] = [a * z - b * y for y, z in zip(c[i:], v[i:])]
+                touched.add(i)
+            else:
+                q = x // d
+                v[i:] = [z - q * y for y, z in zip(c[i:], v[i:])]
+        if touched:
+            _rereduce(basis, touched)
+    return dict(sorted(basis.items()))
+
+
+def _rereduce(basis: dict, touched: set):
+    """Restore the reduced form after the pivot columns at ``touched`` changed.
+
+    Row by row from the top: a touched pivot row is reduced in every column
+    to its left, any other pivot row only in the columns changed so far.
+    Subtracting pivot column p changes rows below p only, so the rows above
+    stay reduced.
+    """
+    pivots = sorted(basis)
+    dirty = set(touched)
+    for t, p in enumerate(pivots):
+        c = basis[p]
+        for k in pivots[:t] if p in touched else [k for k in dirty if k < p]:
+            col = basis[k]
+            q = col[p] // c[p]
+            if q:
+                col[p:] = [y - q * z for y, z in zip(col[p:], c[p:])]
+                dirty.add(k)
+
+
+def _reduce(basis: dict, v) -> list:
+    """``v`` less the combination of the Hermite ``basis`` that brings each
+    of its pivot-row entries into [0, pivot); zero exactly when v lies in
+    the lattice."""
+    v = list(v)
+    for p, c in basis.items():
+        q = v[p] // c[p]
+        if q:
+            v = [z - q * y for y, z in zip(c, v)]
+    return v
+
+
+def _graph(a: IntMatrix, d: IntMatrix) -> IntMatrix:
+    """The matrix [[a, d], [1, 0]], whose columns span {(a x + d y, x)}."""
+    return a.vstack(IntMatrix.identity(a.cols)).hstack(d.vstack(IntMatrix.zeros(a.cols, d.cols)))
 
 
 def _markowitz_unit(rows, at):
@@ -673,7 +755,9 @@ def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
         units += 1
     left = [j for j, hit in at.items() if hit]
     residual = _trusted(tuple(tuple(r.get(j, 0) for j in left) for r in rows.values()), len(left))
-    diag = _run_smith(residual, False, False, False, False)[0] if rows else ()
+    # the Hermite basis spans the same column lattice, so it has the same
+    # nonzero invariants, with bounded entries and only rank-many columns
+    diag = _run_smith(image_basis(residual), False)[0] if rows else ()
     return (1,) * units + diag + (0,) * (min(m.rows, m.cols) - units - len(diag))
 
 
@@ -687,60 +771,58 @@ def rank_torsion(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of {x : m x = 0}.
+    """Columns form a basis of {x : m x = 0}, in reduced Hermite form.
 
     The kernel of an integer matrix is a saturated sublattice (Z^n modulo it
     embeds in the free group Z^m), so any basis of it is automatically
     primitive: the SNF of the returned matrix has all invariants 1.
     """
-    diag, _, right, _, _ = _run_smith(m, False, True, False, False)
-    zero_cols = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
-    return right.submatrix(range(m.cols), zero_cols)
+    return preimage_lattice(m, IntMatrix.zeros(m.rows, 0))
 
 
 def image_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the lattice spanned by the columns of m."""
-    diag, _, _, left_inv, _ = _run_smith(m, False, False, True, False)
-    cols = []
-    for j, d in enumerate(diag):
-        if d:
-            cols.append(tuple(d * left_inv.data[i][j] for i in range(m.rows)))
-    return IntMatrix.from_columns(cols, rows=m.rows)
+    """The reduced Hermite basis of the lattice spanned by the columns of m."""
+    return IntMatrix.from_columns(_hermite(m).values(), rows=m.rows)
+
+
+def preimage_lattice(a: IntMatrix, denominator_gens: IntMatrix) -> IntMatrix:
+    """Basis of {x : a x in lattice(denominator_gens)}, in reduced Hermite form.
+
+    In the Hermite basis of the graph {(a x + d y, x)} the columns that pivot
+    at or below row ``a.rows`` are zero in the first ``a.rows`` rows, and
+    their lower parts are a basis of the preimage.
+    """
+    n = a.rows
+    lower = [c[n:] for p, c in _hermite(_graph(a, denominator_gens)).items() if p >= n]
+    return IntMatrix.from_columns(lower, rows=a.cols)
 
 
 def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Some integer X with a @ X = b, or raise NoIntegerSolution.
 
-    When the columns of ``a`` are a lattice basis the solution is unique.
+    Each column of (b, 0) is reduced against the Hermite basis of the graph
+    columns (a e_j, e_j); b lies in the lattice exactly when that leaves
+    (0, -x), and then a x = b.  When the columns of ``a`` are a lattice
+    basis the solution is unique.
     """
     if a.rows != b.rows:
         raise ShapeMismatch("solve: row mismatch")
-    diag, left, right, _, _ = _run_smith(a, True, True, False, False)
-    lb = left * b
-    y = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(a.rows):
-        d = diag[i] if i < len(diag) else 0
-        for j in range(b.cols):
-            v = lb.data[i][j]
-            if d == 0:
-                if v:
-                    raise NoIntegerSolution(f"inconsistent row {i}")
-            else:
-                q, rem = divmod(v, d)
-                if rem:
-                    raise NoIntegerSolution(f"divisibility fails at row {i}")
-                if i < a.cols:
-                    y[i][j] = q
-    return right * _trusted(tuple(map(tuple, y)), b.cols)
+    basis = _hermite(_graph(a, IntMatrix.zeros(a.rows, 0)))
+    cols = []
+    for col in b.vstack(IntMatrix.zeros(a.cols, b.cols)).columns():
+        rest = _reduce(basis, col)
+        if any(rest[: a.rows]):
+            raise NoIntegerSolution("a column of b is outside the lattice of a")
+        cols.append([-x for x in rest[a.rows:]])
+    return IntMatrix.from_columns(cols, rows=a.cols)
 
 
 def lattice_contains(basis_or_gens: IntMatrix, vectors: IntMatrix) -> bool:
     """True when every column of ``vectors`` lies in the span of the columns."""
-    try:
-        solve(basis_or_gens, vectors)
-        return True
-    except NoIntegerSolution:
-        return False
+    if basis_or_gens.rows != vectors.rows:
+        raise ShapeMismatch("lattice_contains: row mismatch")
+    basis = _hermite(basis_or_gens)
+    return not any(any(_reduce(basis, col)) for col in vectors.columns())
 
 
 def _invariants_from_diag(ambient: int, diag) -> AbGroupInvariants:
@@ -770,20 +852,17 @@ class Cokernel:
         Raises NoIntegerSolution when ``op`` does not preserve the relation
         lattice (the induced map would be undefined).
         """
-        solve(self.relations, op * self.relations)
+        if not lattice_contains(self.relations, op * self.relations):
+            raise NoIntegerSolution("the operator does not preserve the relations")
         return self.projection * op * self.section
 
 
-def cokernel(m: IntMatrix, with_section: bool = True) -> Cokernel:
-    """Invariants and free-part splitting of Z^rows / im(m).
-
-    With ``with_section`` false only the left transform is tracked and the
-    result's ``section`` is None, for callers that need ``projection`` alone.
-    """
+def cokernel(m: IntMatrix) -> Cokernel:
+    """Invariants and free-part splitting of Z^rows / im(m)."""
     n = m.rows
-    diag, left, _, left_inv, _ = _run_smith(m, True, False, with_section, False)
+    diag, left, _, left_inv, _ = _run_smith(m, True)
     free_idx = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
-    section = left_inv.submatrix(range(n), free_idx) if with_section else None
+    section = left_inv.submatrix(range(n), free_idx)
     projection = left.submatrix(free_idx, range(n))
     return Cokernel(_invariants_from_diag(n, diag), section, projection, m)
 
@@ -926,18 +1005,8 @@ class Subquotient:
 def subquotient(numerator_gens: IntMatrix, denominator_gens: IntMatrix) -> Subquotient:
     """Quotient of one column lattice by another; denominator must be contained."""
     basis = image_basis(numerator_gens)
-    if denominator_gens.cols == 0:
-        rel = IntMatrix.zeros(basis.cols, 0)
-    else:
-        rel = solve(basis, denominator_gens)
+    rel = solve(basis, denominator_gens)
     return Subquotient(cokernel_invariants(rel), basis, rel)
-
-
-def preimage_lattice(a: IntMatrix, denominator_gens: IntMatrix) -> IntMatrix:
-    """Basis of {x : a x in lattice(denominator_gens)}."""
-    k = kernel_basis(a.hstack(denominator_gens))
-    gens = k.submatrix(range(a.cols), range(k.cols))
-    return image_basis(gens)
 
 
 def homology_pair(d_out: IntMatrix, d_in: IntMatrix) -> Subquotient:

@@ -400,9 +400,9 @@ class TestXi0Basis:
         dense = znf._run_smith
         requested = []
 
-        def spy(m, *flags):
-            requested.append(flags)
-            return dense(m, *flags)
+        def spy(m, transforms):
+            requested.append(transforms)
+            return dense(m, transforms)
 
         monkeypatch.setattr(znf, "_run_smith", spy)
         for bk, f in ((Q, 60), (F3, F3.mul(T, (1, 1)))):
@@ -411,7 +411,7 @@ class TestXi0Basis:
             assert basis.unimodular
             assert basis.lattice_invariants == (1,) * af.rank
             assert basis.quotient_invariants == (1,) * len(af.group)
-        assert not any(any(flags) for flags in requested)
+        assert not any(requested)
 
     def test_swapped_basis_raises(self, monkeypatch):
         # [1/2] lies in the relation lattice at f = 4, so a set that trades a

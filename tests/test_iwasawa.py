@@ -394,3 +394,11 @@ class TestUPrime:
     def test_rejects_unit_level(self):
         with pytest.raises(ValueError):
             uprime_compare(1)
+
+    @pytest.mark.parametrize("f", [45, 56, 70, 77, 84, 90, 99, 120])
+    def test_levels_whose_bases_once_blew_up(self, f):
+        # read off Smith transforms, the lattice basis reached 31k bits at
+        # f = 84 and took 100 s and more at each of these levels
+        report = uprime_compare(f)
+        assert report.lattice_rank == report.expected_rank
+        assert report.isomorphism

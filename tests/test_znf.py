@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uod import znf
+from uod.iwasawa import uprime_lattice
 from uod.znf import (
     AbGroupInvariants,
     IntMatrix,
@@ -103,7 +104,7 @@ def invariant_cases(draw):
 
 
 def dense_invariants(m):
-    return znf._run_smith(m, False, False, False, False)[0]
+    return znf._run_smith(m, False)[0]
 
 
 def naive_product(a, b):
@@ -310,16 +311,16 @@ class TestSparseInvariants:
         shapes = []
         dense = znf._run_smith
 
-        def spy(m, *flags):
-            shapes.append((m.rows, m.cols, flags))
-            return dense(m, *flags)
+        def spy(m, transforms):
+            shapes.append((m.rows, m.cols, transforms))
+            return dense(m, transforms)
 
         monkeypatch.setattr(znf, "_run_smith", spy)
         unimodular = IntMatrix([[1, 1, 0, 0], [2, 3, 1, 0], [0, -1, 0, -1], [0, 0, 3, -2]])
         assert det_laplace(unimodular) in (1, -1)
         m = block_diagonal([unimodular, IntMatrix([[2, 4], [6, 8]]), IntMatrix.zeros(1, 1)])
         assert snf_invariants(m) == (1, 1, 1, 1, 2, 4, 0)
-        assert shapes == [(2, 2, (False,) * 4)]
+        assert shapes == [(2, 2, False)]
 
 
 class TestCokernel:
@@ -356,11 +357,10 @@ class TestCokernel:
 
     def test_projection_only(self):
         rel = IntMatrix.from_columns([(0, 0, -1, 0), (0, -1, 1, -1)])
-        full = cokernel(rel)
-        lean = cokernel(rel, False)
-        assert lean.section is None
-        assert lean.projection == full.projection
-        assert lean.invariants == full.invariants == cokernel_invariants(rel)
+        res = cokernel(rel)
+        assert (res.projection * rel).is_zero()
+        assert res.projection * res.section == IntMatrix.identity(2)
+        assert res.invariants == cokernel_invariants(rel)
 
 
 def reference_projection(rel, keep):
@@ -523,6 +523,90 @@ class TestSolveAndLattices:
         pre = preimage_lattice(a, den)
         assert lattice_contains(pre, IntMatrix.from_columns([(2, 0), (0, 1)]))
         assert not lattice_contains(pre, IntMatrix.from_columns([(1, 0)]))
+
+
+def same_lattice(*ms):
+    """Whether the column lattices of ``ms`` agree, judged by the reference
+    ``snf``: spans of equal rank and equal covolume inside the span, for
+    each matrix and for all of them side by side."""
+    both = ms[0]
+    for m in ms[1:]:
+        both = both.hstack(m)
+
+    def shape(m):
+        nonzero = [d for d in snf(m).invariants if d]
+        product = 1
+        for d in nonzero:
+            product *= d
+        return len(nonzero), product
+
+    return len({shape(m) for m in (*ms, both)}) == 1
+
+
+def pivot_rows(basis):
+    """First nonzero row of each column, or None for a zero column."""
+    return [next((i for i, x in enumerate(col) if x), None) for col in basis.columns()]
+
+
+same_row_pairs = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)).flatmap(
+    lambda d: st.tuples(sparse_matrix(d[0], d[1]), sparse_matrix(d[0], d[2]))
+)
+
+
+class TestHermiteBasis:
+    """``image_basis``, ``kernel_basis`` and ``preimage_lattice`` return
+    reduced Hermite bases; each is held to the reference ``snf``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(small_matrices, invariant_cases()))
+    def test_image_basis_is_reduced_hermite(self, m):
+        basis = image_basis(m)
+        pivots = pivot_rows(basis)
+        assert None not in pivots and pivots == sorted(set(pivots))
+        for j, p in enumerate(pivots):
+            assert basis[p, j] > 0
+            for k in range(basis.cols):
+                if k != j:
+                    assert 0 <= basis[p, k] < basis[p, j]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(small_matrices, invariant_cases()))
+    def test_image_basis_spans_the_input(self, m):
+        basis = image_basis(m)
+        assert basis.cols == sum(1 for d in snf(m).invariants if d)
+        assert same_lattice(m, basis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(same_row_pairs)
+    def test_preimage_matches_smith_kernel(self, pair):
+        a, den = pair
+        # {x : a x in lattice(den)} is the first a.cols rows of ker [a | den]
+        both = a.hstack(den)
+        res = snf(both)
+        zero = [j for j in range(both.cols) if j >= len(res.invariants) or res.invariants[j] == 0]
+        want = res.right.submatrix(range(a.cols), zero)
+        pre = preimage_lattice(a, den)
+        assert same_lattice(pre, want)
+        assert pre.cols == sum(1 for d in snf(want).invariants if d)
+
+    def test_lattice_operations_run_no_smith_reduction(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a lattice operation ran a Smith reduction")
+
+        monkeypatch.setattr(znf, "_run_smith", refuse)
+        a = IntMatrix([[2, 4, 1], [6, 8, 3]])
+        assert image_basis(a) == IntMatrix([[1, 0], [3, 4]])
+        assert (a * kernel_basis(a)).is_zero() and kernel_basis(a).cols == 1
+        assert a * solve(a, IntMatrix([[5], [11]])) == IntMatrix([[5], [11]])
+        assert lattice_contains(a, IntMatrix([[0], [4]]))
+        assert not lattice_contains(a, IntMatrix([[0], [2]]))
+        assert preimage_lattice(a, IntMatrix([[0], [2]])).cols == 2
+
+    def test_uprime_basis_entries_stay_below_their_pivots(self):
+        basis = uprime_lattice(84).basis
+        assert basis.rows == basis.cols == 24
+        for j, p in enumerate(pivot_rows(basis)):
+            assert all(0 <= x < basis[p, j] for k, x in enumerate(basis.row(p)) if k != j)
 
 
 class TestSubquotient:
