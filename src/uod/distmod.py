@@ -21,15 +21,18 @@ sum), so operators, the relation matrix, the section and the projection are
 ``znf.SparseMatrix`` values with about one nonzero per class.  Building
 them, certifying that all operators commute and that gamma0 has finite
 order (``chainkit.ActionModule``), and checking that an operator preserves
-the relations before inducing it on U(f) all cost O(nnz), not |Xi(f)|^2;
-only the induced |G_f| x |G_f| operators are dense ``IntMatrix`` values.
+the relations before inducing it on U(f) all cost O(nnz), not |Xi(f)|^2.
+The induced |G_f| x |G_f| operators are ``SparseMatrix`` values too, and
+the Tate pair of ``signh`` takes them as they are; the callers that do
+dense lattice algebra on them call ``dense()`` themselves.
 
-``u_module`` certifies that basis with one sparse column elimination of the
-relation matrix (``znf.complement_projection``): every class outside Xi_0(f)
-gets a ±1 pivot and no relation is left over, so A(f) is the direct sum of
-the span of Xi_0(f) and the relation lattice, and the elimination yields the
-projection onto U(f).  ``xi0_basis`` keeps an independent check through the
-invariant factors of the relations: U(f) is free of rank |Xi_0(f)|, and the
+``u_module`` certifies that basis with one triangular peel of the relation
+matrix (``znf.complement_projection``): every class outside Xi_0(f) gets a
+±1 pivot in a triangular order and every other relation is a combination
+of the pivot ones, so A(f) is the direct sum of the span of Xi_0(f) and the
+relation lattice, and the peel yields the projection onto U(f).
+``xi0_basis`` keeps an independent check through the invariant factors of
+the relations, taken sparsely: U(f) is free of rank |Xi_0(f)|, and the
 relations reach every class outside Xi_0(f).
 """
 
@@ -56,6 +59,7 @@ from .znf import (
     IntMatrix,
     NotAComplement,
     SparseMatrix,
+    _invariants,
     cokernel,
     cokernel_invariants,
     complement_projection,
@@ -201,38 +205,43 @@ class UModule:
     basis_classes: tuple
     section: SparseMatrix     # |Xi(f)| x rank, columns are the basis classes
     projection: SparseMatrix  # rank x |Xi(f)|, kills exactly the relations
-    operators: dict           # induced operator matrices on the free basis
+    operators: dict           # induced operators on the free basis, SparseMatrix
 
     @property
     def rank(self) -> int:
         return self.invariants.free_rank
 
     def reduce_vector(self, vector) -> tuple:
-        return self.projection.dense().apply(vector)
+        """The coordinates on U(f) of a vector of A(f), from the sparse
+        projection columns."""
+        column = SparseMatrix(len(vector), [dict(enumerate(vector))])
+        return (self.projection * column).column(0)
 
-    def induce(self, op: SparseMatrix) -> IntMatrix:
+    def induce(self, op: SparseMatrix) -> SparseMatrix:
         """The |G_f| x |G_f| matrix op induces on U(f), from sparse products.
 
         The projection kills exactly the relation lattice, so op preserves
-        the relations iff projection @ op @ relations vanishes.
+        the relations iff projection @ op @ relations vanishes.  The result
+        stays sparse; callers that need dense algebra call ``dense()``.
         """
         if not (self.projection * (op * self.relation_matrix)).is_zero():
             raise InducedOperatorUndefined(
                 "operator does not preserve the distribution relations"
             )
-        return (self.projection * (op * self.section)).dense()
+        return self.projection * (op * self.section)
 
 
 def u_module(af: AfModule) -> UModule:
     """U(f) on the depth-zero basis, with its induced operators.
 
     The depth-zero basis theorem says that Xi_0(f) spans a complement of the
-    distribution relation lattice in A(f).  One sparse elimination
-    (``complement_projection``) certifies exactly that and returns the
-    projection along the relations, so U(f) = Z^{|G_f|} follows with no Smith
-    reduction.  Only when the certificate fails is the cokernel computed, to
-    tell a wrong structure (StructureCheckFailed) from a wrong basis
-    (BasisCertificateFailed).
+    distribution relation lattice in A(f).  One triangular peel of the
+    sparse relations (``complement_projection``) certifies exactly that and
+    returns the projection along the relations, so U(f) = Z^{|G_f|} follows
+    with no Smith reduction.  The induced operators are ``SparseMatrix``
+    values, |G_f| x |G_f|.  Only when the certificate fails is the cokernel
+    computed, to tell a wrong structure (StructureCheckFailed) from a basis
+    the peel could not certify (BasisCertificateFailed).
     """
     bk = af.backend
     rel = distribution_relations(af)
@@ -254,8 +263,8 @@ def u_module(af: AfModule) -> UModule:
 
 
 def _diagnose(af: AfModule, rel: SparseMatrix, basis_size: int, expected_rank: int):
-    """Raise the error that explains why Xi_0(f) is not a basis of U(f)."""
-    found = cokernel_invariants(rel.dense())
+    """Raise the error that explains why the peel did not certify Xi_0(f)."""
+    found = cokernel_invariants(rel)
     if not found.is_free or found.free_rank != expected_rank:
         raise StructureCheckFailed(
             f"U({af.backend.format_ideal(af.level)}) computed as {found}, "
@@ -266,7 +275,10 @@ def _diagnose(af: AfModule, rel: SparseMatrix, basis_size: int, expected_rank: i
             f"|Xi_0 ∩ Xi(f)| = {basis_size} != |G_f| = {expected_rank}"
         )
     raise BasisCertificateFailed(
-        "depth-zero classes do not complement the relation lattice"
+        "the triangular peel found no unit pivot order that certifies the "
+        "depth-zero classes as a complement of the relation lattice; this "
+        "does not by itself refute the basis (U(f) is free of rank "
+        f"{expected_rank})"
     )
 
 
@@ -439,46 +451,56 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     to the classes outside Xi_0(f) must have all invariant factors 1, one per
     such class.  The latter says that every class outside Xi_0(f) is a
     combination of Xi_0(f) modulo the relations, so the Xi_0 images generate
-    U(f); |Xi_0(f)| generators of Z^{|Xi_0(f)|} are a basis.  Neither
-    reduction shares code with the depth-zero elimination ``u_module`` uses.
+    U(f); |Xi_0(f)| generators of Z^{|Xi_0(f)|} are a basis.  Both
+    matrices reach the unit-pivot invariants as sparse columns, and each
+    class's depth is computed once.  Neither reduction shares code with the
+    peel ``u_module`` uses.
     """
     bk = af.backend
     f = af.level
+    # a class has the same depth at every level that contains it
+    xi0_here = [xi for xi in af.basis if depth(bk, xi) == 0]
     pairs = []
     columns = []
     for g in bk.divisors(f):
         sub = bk.divide(f, g)
         fibers = fiber_map(bk, g, f) if bk.norm(g) > 1 else None
-        for xi in xi0_set(bk, sub):
-            col = [0] * af.rank
+        for xi in xi0_here:
+            if not xi_in_level(bk, xi, sub):
+                continue
             if fibers is None:
-                col[af.index[xi]] = 1
+                col = {af.index[xi]: 1}
             else:
+                col = {}
                 for eta in fibers[xi]:
-                    col[af.index[eta]] += 1
+                    col[af.index[eta]] = col.get(af.index[eta], 0) + 1
             pairs.append((g, xi))
             columns.append(col)
-    change = IntMatrix.from_columns(columns, rows=af.rank)
-    if change.rows != change.cols:
+    if len(columns) != af.rank:
         raise BasisCertificateFailed(
-            f"monomial family has {change.cols} members for rank {change.rows}"
+            f"monomial family has {len(columns)} members for rank {af.rank}"
         )
-    lattice_inv = snf_invariants(change)
+    # the columns serve as the rows of the transpose, which has the same
+    # invariants
+    lattice_inv = _invariants(columns, len(columns), af.rank)
 
-    rel = distribution_relations(af).dense()
-    xi0_here = xi0_set(bk, f)
+    rel = distribution_relations(af)
     k = len(xi0_here)
     inside = {af.index[xi] for xi in xi0_here}
-    outside = [i for i in range(af.rank) if i not in inside]
+    outside = af.rank - k
     quotient = cokernel_invariants(rel)
-    reach = snf_invariants(rel.submatrix(outside, range(rel.cols)))
+    reach = _invariants(
+        [{i: v for i, v in col.items() if i not in inside} for col in rel.entries],
+        rel.cols,
+        outside,
+    )
     free = quotient == AbGroupInvariants(k)
-    is_basis = free and len(reach) == len(outside) and all(d == 1 for d in reach)
+    is_basis = free and len(reach) == outside and all(d == 1 for d in reach)
     if is_basis:
         quotient_inv = (1,) * k
     else:
         # only to say how it failed: the images of Xi_0 in the free part
-        cok = cokernel(rel)
+        cok = cokernel(rel.dense())
         images = IntMatrix.from_columns(
             [cok.projection.column(af.index[xi]) for xi in xi0_here],
             rows=cok.invariants.free_rank,

@@ -492,7 +492,7 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
             rows=phi_f,
         )
         perm = class_matrix([g_action(af.backend, sigma, xi) for xi in af.basis], af.index)
-        op = u.induce(perm)
+        op = u.induce(perm).dense()
         if perm_q * mapped != mapped * op:
             equivariant = False
     return UPrimeReport(

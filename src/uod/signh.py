@@ -33,22 +33,22 @@ class OrderViolation(ValueError):
     pass
 
 
-def norm_matrix(gamma: IntMatrix, m: int) -> IntMatrix:
-    out = IntMatrix.identity(gamma.rows)
-    power = IntMatrix.identity(gamma.rows)
+def norm_matrix(gamma, m: int):
+    """1 + gamma + ... + gamma^(m-1), of gamma's own matrix type."""
+    out = power = type(gamma).identity(gamma.rows)
     for _ in range(m - 1):
         power = power * gamma
         out = out + power
     return out
 
 
-def _check_order(gamma: IntMatrix, m: int):
+def _check_order(gamma, m: int):
     if m < 1:
         raise OrderViolation("order must be >= 1")
-    power = IntMatrix.identity(gamma.rows)
+    ident = power = type(gamma).identity(gamma.rows)
     for _ in range(m):
         power = power * gamma
-    if power != IntMatrix.identity(gamma.rows):
+    if power != ident:
         raise OrderViolation(f"gamma^{m} is not the identity")
 
 
@@ -63,16 +63,18 @@ def tate_cycles(gamma: IntMatrix, m: int) -> tuple[Subquotient, Subquotient]:
     return even, odd
 
 
-def tate_pair(gamma: IntMatrix, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
+def tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
     """Even and odd Tate homology invariants, without representatives.
 
     (1 - gamma, norm) is a free two-periodic complex, so both parities have
     free rank n - rk(1 - gamma) - rk(norm); the even torsion is that of
     Z^n / im(norm) and the odd torsion that of Z^n / im(1 - gamma).  Two
-    invariants-only reductions; ``tate_cycles`` gives cycle bases.
+    invariants-only reductions; ``tate_cycles`` gives cycle bases.  gamma
+    is an ``IntMatrix`` or a ``SparseMatrix`` (the induced operators of
+    ``u_module``), and all the algebra stays in its type.
     """
     _check_order(gamma, m)
-    rank_gamma, tors_gamma = rank_torsion(IntMatrix.identity(gamma.rows) - gamma)
+    rank_gamma, tors_gamma = rank_torsion(type(gamma).identity(gamma.rows) - gamma)
     rank_norm, tors_norm = rank_torsion(norm_matrix(gamma, m))
     free = gamma.rows - rank_gamma - rank_norm
     return AbGroupInvariants(free, tors_norm), AbGroupInvariants(free, tors_gamma)
@@ -175,7 +177,7 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     u_f = u_module(build_af(bk, f, nu))
     u_g = u_module(build_af(bk, g, nu))
     mat = u_inclusion(u_f, u_g)
-    gamma_f, gamma_g = u_f.operators["gamma0"], u_g.operators["gamma0"]
+    gamma_f, gamma_g = u_f.operators["gamma0"].dense(), u_g.operators["gamma0"].dense()
     if mat * gamma_f != gamma_g * mat:
         raise RuntimeError("inclusion does not commute with the sign action")
     ev_f, od_f = tate_cycles(gamma_f, m)
@@ -188,7 +190,7 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     elements = list(af_g.group)
     for sigma in elements:
         perm = class_matrix([g_action(bk, sigma, xi) for xi in af_g.basis], af_g.index)
-        op = u_g.induce(perm)
+        op = u_g.induce(perm).dense()
         if acts_as_identity(op, ev_g) and acts_as_identity(op, od_g):
             trivial_count += 1
     return FunctorialityReport(

@@ -19,9 +19,15 @@ nonzeros are held as row dicts with a column-to-rows index, and ±1 entries
 are taken as pivots in Markowitz order, each replacing the matrix by its
 Schur complement.  A unit pivot turns M into diag(1) ⊕ S by unimodular row
 and column operations, so inv(M) = (1) ++ inv(S) and nothing is divided
-except by ±1.  The block left when no unit entry remains is replaced by the
-Hermite basis of its columns, which spans the same lattice and so has the
-same nonzero invariants, before ``_Smith`` reduces it.
+except by ±1.  The candidates wait in a priority queue keyed by their
+Markowitz cost: an entry is pushed when it becomes ±1, and a popped entry
+whose cost has risen since goes back with the new cost, so no pivot search
+rescans the matrix (Dumas, Saunders and Villard 2001).  The block left when
+no unit entry remains is replaced by the Hermite basis of its columns, which
+spans the same lattice and so has the same nonzero invariants, before
+``_Smith`` reduces it.  ``rank_torsion`` and ``cokernel_invariants`` also
+take a ``SparseMatrix``, whose column dicts serve as the rows of its
+transpose (same invariants), so a sparse matrix is never densified for them.
 
 Every lattice operation goes through one reduced column Hermite basis
 (Domich, Kannan and Trotter 1987; Havas, Majewski and Matthews 1998): zero
@@ -38,19 +44,23 @@ of these sit cokernel presentations with a splitting of the free part and
 the subquotient invariants lattice(num)/lattice(den) used by every homology
 computation in the package.
 
-Next to ``snf`` sits ``complement_projection``, a sparse Gauss–Jordan column
-elimination for the case where a known set of coordinate vectors should
-complement a relation lattice.  It takes the relation columns as dicts,
-takes ±1 pivots first in Markowitz order (extended-gcd column steps only when
-no unit is left) and either certifies Z^n = span(e_keep) ⊕ im(relations) and
-returns the projection along the relations, or raises.  Almost every pivot
-of a distribution relation lattice is a unit, so this replaces three dense
-Smith reductions by one pass over the nonzeros.
+Next to ``snf`` sits ``complement_projection``, a triangular peel for the
+case where a known set of coordinate vectors should complement a relation
+lattice.  A relation column whose only row outside the kept ones is ±1
+there fixes the projection of that row's coordinate vector; the rows it
+peels leave further columns with one row to go, and a queue holds them.
+When every row is peeled, the pivot columns and the kept coordinate vectors
+form a unimodular triangular matrix, and the projection is certified once
+it kills every other relation column.  Nothing is eliminated, so nothing
+fills in, and there is no gcd step: a row the peel cannot reach with a unit
+raises.  The distribution relations on the depth-zero classes peel this way
+at every level the package uses, so one pass over the nonzeros replaces
+three dense Smith reductions.
 
 Operators on the level module A(f) are permutations or fiber sums, with
 about one nonzero per column, so they are ``SparseMatrix`` values: immutable,
 column-sparse (each column a ``{row: nonzero}`` dict) and multiplied by
-walking nonzeros only.  Products, equality and the zero test all cost
+walking nonzeros only.  Products, sums, equality and the zero test all cost
 O(nnz), which is what makes the commutation and induction certificates on
 A(f) linear in |Xi(f)|; ``dense()`` hands an ``IntMatrix`` to the callers
 that need dense arithmetic.
@@ -58,6 +68,7 @@ that need dense arithmetic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import compress
 
@@ -71,7 +82,8 @@ class NoIntegerSolution(ValueError):
 
 
 class NotAComplement(ValueError):
-    """The kept coordinates do not complement the relation lattice."""
+    """The kept coordinates are not certified to complement the relation
+    lattice: they do not, or the relations do not peel in triangular order."""
 
 
 class IntMatrix:
@@ -264,8 +276,9 @@ class SparseMatrix:
     The operators on A(f) send each class to a short multiset of classes, so
     a product walks only the nonzeros: column j of ``a * b`` is the sum of
     ``b[k, j] * a.column(k)`` over the nonzeros of column j of b, O(nnz) for
-    permutations and fiber sums.  ``dense()`` converts to an ``IntMatrix``
-    for the callers that need dense arithmetic.
+    permutations and fiber sums.  Sums and differences merge the column
+    dicts.  ``dense()`` converts to an ``IntMatrix`` for the callers that
+    need dense arithmetic.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -307,6 +320,25 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.entries)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeMismatch(f"add {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        out = []
+        for a, b in zip(self.entries, other.entries):
+            acc = dict(a)
+            for i, v in b.items():
+                acc[i] = acc.get(i, 0) + sign * v
+            out.append({i: v for i, v in acc.items() if v})
+        return _sparse(self.rows, tuple(out))
 
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -695,41 +727,45 @@ def _graph(a: IntMatrix, d: IntMatrix) -> IntMatrix:
     return a.vstack(IntMatrix.identity(a.cols)).hstack(d.vstack(IntMatrix.zeros(a.cols, d.cols)))
 
 
-def _markowitz_unit(rows, at):
-    """(row, column) of a ±1 entry of least (row nnz − 1)·(column nnz − 1)."""
-    best = None
-    for i, r in rows.items():
-        fill = len(r) - 1
-        for j, v in r.items():
-            if v == 1 or v == -1:
-                cost = fill * (len(at[j]) - 1)
-                if not cost:
-                    return i, j
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-    return None if best is None else best[1:]
+def _pop_unit(queue: list, rows: dict, at: dict):
+    """The next ±1 pivot (row, column) in Markowitz order, or None.
 
-
-def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only, with no transform tracked.
-
-    A sparse front end takes ±1 pivots in Markowitz order (fewest
-    (row nnz − 1)·(column nnz − 1) first) and replaces the matrix by its
-    Schur complement; the dense ``_Smith`` reduces whatever is left once no
-    unit entry remains.  A unit pivot makes M ~ diag(1) ⊕ S by unimodular
-    row and column operations, so the invariants are (1,) per pivot followed
-    by those of S, and nothing is ever divided except by ±1.
+    ``queue`` is a heap of (cost when pushed, row, column) candidates, where
+    the cost of an entry is (row nnz − 1)·(column nnz − 1).  A candidate that
+    is no longer a ±1 entry is dropped; one whose cost has risen since it was
+    pushed goes back with the new cost, so the entry returned costs at most
+    the key of every candidate still queued.
     """
-    width = range(m.cols)
-    rows = {}  # row -> {column: nonzero entry}
+    while queue:
+        cost, i, j = heapq.heappop(queue)
+        r = rows.get(i)
+        if r is None or r.get(j) not in (1, -1):
+            continue
+        now = (len(r) - 1) * (len(at[j]) - 1)
+        if now > cost:
+            heapq.heappush(queue, (now, i, j))
+            continue
+        return i, j
+    return None
+
+
+def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
+    """Invariant factors of the height x width matrix with the given rows.
+
+    ``rows`` is a sequence of ``{column: nonzero}`` dicts, one per row, which
+    the elimination consumes.  A sparse matrix passes its column dicts as
+    the rows of its transpose, which has the same invariants.
+    """
+    rows = {i: r for i, r in enumerate(rows) if r}
     at = {}  # column -> rows with a nonzero entry there
-    for i, row in enumerate(m.data):
-        if any(row):
-            r = rows[i] = dict(zip(compress(width, row), compress(row, row)))
-            for j in r:
-                at.setdefault(j, set()).add(i)
+    for i, r in rows.items():
+        for j in r:
+            at.setdefault(j, set()).add(i)
+    queue = [((len(r) - 1) * (len(at[j]) - 1), i, j)
+             for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1]
+    heapq.heapify(queue)
     units = 0
-    while (unit := _markowitz_unit(rows, at)) is not None:
+    while (unit := _pop_unit(queue, rows, at)) is not None:
         i, j = unit
         pivot = rows.pop(i)
         for c in pivot:
@@ -743,13 +779,16 @@ def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
             for c, v in pivot.items():
                 old = r.get(c)
                 if old is None:
-                    r[c] = -a * v
+                    w = r[c] = -a * v
                     at[c].add(k)
                 elif old == a * v:
                     del r[c]
                     at[c].discard(k)
+                    continue
                 else:
-                    r[c] = old - a * v
+                    w = r[c] = old - a * v
+                if w == 1 or w == -1:
+                    heapq.heappush(queue, ((len(r) - 1) * (len(at[c]) - 1), k, c))
             if not r:
                 del rows[k]
         units += 1
@@ -758,15 +797,39 @@ def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
     # the Hermite basis spans the same column lattice, so it has the same
     # nonzero invariants, with bounded entries and only rank-many columns
     diag = _run_smith(image_basis(residual), False)[0] if rows else ()
-    return (1,) * units + diag + (0,) * (min(m.rows, m.cols) - units - len(diag))
+    return (1,) * units + diag + (0,) * (min(height, width) - units - len(diag))
 
 
-def rank_torsion(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
+def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors only, with no transform tracked.
+
+    A sparse front end takes ±1 pivots in Markowitz order (fewest
+    (row nnz − 1)·(column nnz − 1) first, from a priority queue of the unit
+    entries) and replaces the matrix by its Schur complement; the dense
+    ``_Smith`` reduces whatever is left once no unit entry remains.  A unit
+    pivot makes M ~ diag(1) ⊕ S by unimodular row and column operations, so
+    the invariants are (1,) per pivot followed by those of S, and nothing is
+    ever divided except by ±1.
+    """
+    width = range(m.cols)
+    rows = [dict(zip(compress(width, row), compress(row, row))) for row in m.data]
+    return _invariants(rows, m.rows, m.cols)
+
+
+def _diagonal(m) -> tuple[int, ...]:
+    """Invariant factors of an ``IntMatrix`` or a ``SparseMatrix``."""
+    if isinstance(m, SparseMatrix):
+        return _invariants([dict(col) for col in m.entries], m.cols, m.rows)
+    return snf_invariants(m)
+
+
+def rank_torsion(m) -> tuple[int, tuple[int, ...]]:
     """Rank of ``m`` and the torsion of Z^rows / im(m), with no transform.
 
-    The torsion is the invariant factors above 1, a divisibility chain.
+    ``m`` is an ``IntMatrix`` or a ``SparseMatrix``.  The torsion is the
+    invariant factors above 1, a divisibility chain.
     """
-    diag = snf_invariants(m)
+    diag = _diagonal(m)
     return sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
 
 
@@ -867,125 +930,80 @@ def cokernel(m: IntMatrix) -> Cokernel:
     return Cokernel(_invariants_from_diag(n, diag), section, projection, m)
 
 
-def cokernel_invariants(m: IntMatrix) -> AbGroupInvariants:
-    """Invariants of Z^rows / im(m), with no transform tracked."""
-    return _invariants_from_diag(m.rows, snf_invariants(m))
+def cokernel_invariants(m) -> AbGroupInvariants:
+    """Invariants of Z^rows / im(m) for an ``IntMatrix`` or a ``SparseMatrix``,
+    with no transform tracked."""
+    return _invariants_from_diag(m.rows, _diagonal(m))
 
 
 def complement_projection(relations: SparseMatrix, keep_rows) -> SparseMatrix:
     """Projection of Z^n onto span(e_i : i in keep_rows) along im(relations).
 
-    Certifies Z^n = span(e_keep) ⊕ im(relations) by a unimodular Gauss–Jordan
-    column elimination of every row outside ``keep_rows``: each such row must
-    get a ±1 pivot, and every column left over must be identically zero.
-    Pivots are unit entries taken in Markowitz order (fewest updates times
-    fill); a row with no unit entry left is first folded to the gcd of its
-    entries by extended-gcd steps on two columns.  Raises NotAComplement when
-    the certificate fails.
+    Certifies Z^n = span(e_keep) ⊕ im(relations) by a triangular peel.  A
+    relation column with exactly one unpeeled row outside ``keep_rows``, and
+    ±1 there, peels that row r: the projection P kills the column, so
+    P(e_r) = -(±1) · sum of the column's other entries times their P(e_i),
+    all known already.  Peeling a row can leave further columns with one
+    unpeeled row; they wait in a queue.  The pivot columns and e_keep then
+    form a triangular matrix with ±1 on the diagonal, so they are a basis of
+    Z^n and P is the projection along the span of the pivot columns; that
+    span is im(relations) exactly when P kills every other column, which is
+    checked last.  Nothing is eliminated, so nothing fills in.  Raises
+    NotAComplement when a row is left unpeeled or a column survives; an
+    unpeeled row does not by itself prove that no complement exists.
 
-    Both the relations and the result are ``SparseMatrix``: the elimination
-    starts from copies of the relation columns and the projection is read off
-    the pivot columns, so nothing of size n x n is ever built.  Row t of the
-    result is the coordinate along e_{keep_rows[t]}: it is 1 in column
-    keep_rows[t], 0 in the other kept columns and -X in the eliminated ones,
-    where X is the kept-row part of the pivot columns.  Such a projection is
-    unique, so it agrees with any other way of computing it.
+    Both the relations and the result are ``SparseMatrix``, and nothing of
+    size n x n is ever built.  Row t of the result is the coordinate along
+    e_{keep_rows[t]}.  Such a projection is unique, so it agrees with any
+    other way of computing it.
     """
     n = relations.rows
     keep = list(keep_rows)
     slot = {i: t for t, i in enumerate(keep)}
     if len(slot) != len(keep) or any(not 0 <= i < n for i in keep):
         raise ShapeMismatch("keep_rows must be distinct row indices")
-    cols = [dict(col) for col in relations.entries]
-    # For each row still to eliminate: the unpivoted ("free") columns and the
-    # pivot columns with a nonzero entry there.  A pivoted row is nonzero in
-    # its own pivot column only, so it drops out of both maps.
-    free_at = {i: set() for i in range(n) if i not in slot}
-    pivot_at = {i: set() for i in free_at}
+    cols = relations.entries
+    proj = [None] * n  # P(e_i) as {slot: coefficient}; None while row i is unpeeled
+    for t, i in enumerate(keep):
+        proj[i] = {t: 1}
+    unpeeled = [0] * len(cols)  # per column: its unpeeled rows outside keep_rows
+    meets = {}  # row outside keep_rows -> the columns with a nonzero there
     for j, col in enumerate(cols):
         for i in col:
-            if i in free_at:
-                free_at[i].add(j)
-    pivot_cols = set()
-    pivots = {}
+            if i not in slot:
+                meets.setdefault(i, []).append(j)
+                unpeeled[j] += 1
 
-    def fold(t, j, r):
-        # cols (t, j) <- (s*t + u*j, -(q/g)*t + (p/g)*j): determinant 1, and
-        # row r of column j becomes 0 while row r of column t becomes the gcd
-        ct, cj = cols[t], cols[j]
-        p, q = ct[r], cj[r]
-        g, s, u = _xgcd(p, q)
-        x, y = -(q // g), p // g
-        for c, (a, b) in ((t, (s, u)), (j, (x, y))):
-            new = {}
-            for i in ct.keys() | cj.keys():
-                w = a * ct.get(i, 0) + b * cj.get(i, 0)
-                if w:
-                    new[i] = w
-                if i in free_at:
-                    if w:
-                        free_at[i].add(c)
-                    else:
-                        free_at[i].discard(c)
-            cols[c] = new
+    def image(col, skip=None):
+        acc = {}
+        for i, v in col.items():
+            if i != skip:
+                for t, a in proj[i].items():
+                    acc[t] = acc.get(t, 0) + a * v
+        return {t: w for t, w in acc.items() if w}
 
-    while free_at:
-        best = None
-        for r, free in free_at.items():
-            if not free:
-                raise NotAComplement(f"row {r} is not reached by the relations")
-            updates = len(free) + len(pivot_at[r]) - 1
-            for c in free:
-                if cols[c][r] in (1, -1):
-                    cost = updates * (len(cols[c]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, r, c)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            r = min(free_at, key=lambda i: (len(free_at[i]), i))
-            t, *rest = sorted(free_at[r])
-            for j in rest:
-                if cols[t][r] in (1, -1):
-                    break
-                fold(t, j, r)
-            if cols[t][r] not in (1, -1):
-                raise NotAComplement(f"row {r} has no unit pivot")
-            c = t
-        else:
-            _, r, c = best
-        piv = cols[c]
-        if piv[r] == -1:
-            piv = cols[c] = {i: -v for i, v in piv.items()}
-        for i in piv:
-            if i in free_at:
-                free_at[i].discard(c)
-                pivot_at[i].add(c)
-        pivot_cols.add(c)
-        for j in (free_at[r] | pivot_at[r]) - {c}:
-            col = cols[j]
-            at = pivot_at if j in pivot_cols else free_at
-            a = col[r]
-            for i, v in piv.items():
-                w = col.get(i, 0) - a * v
-                if w:
-                    if i not in col and i in at:
-                        at[i].add(j)
-                    col[i] = w
-                else:
-                    del col[i]
-                    if i in at:
-                        at[i].discard(j)
-        del free_at[r], pivot_at[r]
-        pivots[r] = c
-    if any(cols[j] for j in range(len(cols)) if j not in pivot_cols):
+    ready = [j for j, k in enumerate(unpeeled) if k == 1]
+    pivot = [False] * len(cols)
+    while ready:
+        j = ready.pop()
+        if unpeeled[j] != 1:
+            continue  # another column peeled its last row
+        col = cols[j]
+        r = next(i for i in col if proj[i] is None)
+        s = col[r]
+        if s != 1 and s != -1:
+            continue
+        proj[r] = {t: -s * w for t, w in image(col, r).items()}
+        pivot[j] = True
+        for k in meets[r]:
+            unpeeled[k] -= 1
+            if unpeeled[k] == 1:
+                ready.append(k)
+    if None in proj:
+        raise NotAComplement(f"row {proj.index(None)} is not peeled by a unit pivot")
+    if any(image(col) for col, p in zip(cols, pivot) if not p):
         raise NotAComplement("the relations meet the span of the kept rows")
-    out = [None] * n
-    for t, i in enumerate(keep):
-        out[i] = {t: 1}
-    for r, c in pivots.items():
-        out[r] = {slot[i]: -v for i, v in cols[c].items() if i != r}
-    return _sparse(len(keep), tuple(out))
+    return _sparse(len(keep), tuple(proj))
 
 
 @dataclass(frozen=True)

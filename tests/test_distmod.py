@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -106,13 +107,13 @@ class TestUModule:
             af = build_af(Q, f, nu)
             u = u_module(af)
             for p in af.primes:
-                induced = u.operators[x_op_name(Q, p)]
+                induced = u.operators[x_op_name(Q, p)].dense()
                 assert induced == IntMatrix.identity(u.rank).scale(nu.get(p, 1))
 
     def test_gamma_has_sign_order(self):
         u = u_module(build_af(Q, 12))
         g = u.operators["gamma0"]
-        assert g * g == IntMatrix.identity(u.rank)
+        assert g * g == SparseMatrix.identity(u.rank)
 
     def test_nonunit_nu_still_free(self):
         u = u_module(build_af(Q, 4, {2: 0}))
@@ -211,6 +212,21 @@ class TestUModuleCertificate:
         with pytest.raises(StructureCheckFailed, match="computed as"):
             u_module(build_af(Q, 4))
 
+    def test_failed_peel_on_a_free_module(self, monkeypatch, capsys):
+        # U(12) is free of rank 4, so a peel that finds no order is reported
+        # as an uncertified basis, not as a refutation, and exits 3
+        def no_order(rel, keep):
+            raise znf.NotAComplement("row 0 is not peeled by a unit pivot")
+
+        monkeypatch.setattr(distmod, "complement_projection", no_order)
+        with pytest.raises(BasisCertificateFailed,
+                           match=r"triangular peel found no unit pivot order.*does not by "
+                                 r"itself refute the basis \(U\(f\) is free of rank 4\)$"):
+            u_module(build_af(Q, 12))
+        assert main(["structure", "--f", "12"]) == 3
+        err = capsys.readouterr().err
+        assert "triangular peel" in err and "does not by itself refute" in err
+
     def test_no_smith_reduction(self, monkeypatch):
         # the direct route certifies U(f) by the sparse elimination alone
         def refuse(*_args):
@@ -221,12 +237,38 @@ class TestUModuleCertificate:
         assert u_module(build_af(F3, F3.mul(T, (1, 1)))).rank == 4
 
 
+def monic_levels(bk, max_degree):
+    """Every monic polynomial of degree 1 .. max_degree over F_q."""
+    return [low + (1,) for d in range(1, max_degree + 1)
+            for low in itertools.product(range(bk.q), repeat=d)]
+
+
+class TestPeelCoverage:
+    """The peel has no fallback, so it must certify every level in use."""
+
+    def test_q_levels_up_to_200(self):
+        for f in range(2, 201):
+            assert u_module(build_af(Q, f)).rank == len(arith.gf_group(Q, f)), f
+
+    @pytest.mark.parametrize("f", [12, 36, 60])
+    def test_nu_grid(self, f):
+        primes = [p for p, _ in Q.factor(f)]
+        for values in itertools.product((-1, 0, 2, 3, 5), repeat=len(primes)):
+            nu = dict(zip(primes, values))
+            assert u_module(build_af(Q, f, nu)).rank == len(arith.gf_group(Q, f)), nu
+
+    @pytest.mark.parametrize("bk", [F3, F5], ids=["F3", "F5"])
+    def test_function_field_levels_up_to_degree_3(self, bk):
+        for f in monic_levels(bk, 3):
+            assert u_module(build_af(bk, f)).rank == len(arith.gf_group(bk, f)), f
+
+
 class TestSparseOperators:
     @pytest.mark.parametrize("bk, f", [(Q, 60), (F3, F3.mul(F3.power(T, 2), (1, 1)))],
                              ids=["Q-60", "F3-T^2(T+1)"])
     def test_no_dense_square_matrix(self, monkeypatch, bk, f):
-        # build_af and u_module keep A(f) sparse; only the induced operators,
-        # |G_f| x |G_f|, are read out densely
+        # build_af and u_module keep A(f) and the induced operators sparse:
+        # no IntMatrix is built at all
         shapes = []
 
         def record(m):
@@ -246,9 +288,8 @@ class TestSparseOperators:
                             classmethod(lambda cls, *a, **k: record(from_columns(cls, *a, **k))))
         monkeypatch.setattr(znf, "_trusted", lambda data, cols: record(trusted(data, cols)))
         u = u_module(build_af(bk, f))
-        order = len(u.parent.group)
-        assert u.parent.rank > order
-        assert shapes and all(max(shape) <= order for shape in shapes)
+        assert u.parent.rank > len(u.parent.group)
+        assert shapes == []
 
     def swap(self, af, a, b):
         """The class map exchanging the classes a and b."""
@@ -414,18 +455,19 @@ class TestXi0Basis:
         assert not any(requested)
 
     def test_swapped_basis_raises(self, monkeypatch):
-        # [1/2] lies in the relation lattice at f = 4, so a set that trades a
-        # depth-zero class for it cannot generate U(4)
-        true_set = distmod.xi0_set
-        out, into = xi(3, 4), xi(1, 2)
-        assert out in true_set(Q, 4) and into not in true_set(Q, 4)
+        # trading the depth-zero class [3/8] for the deeper [1/8] of the same
+        # order keeps |Xi_0| at every level, but the images of the new set
+        # miss a direction of U(8)
+        true_depth = distmod.depth
+        out, into = xi(3, 8), xi(1, 8)
+        assert true_depth(Q, out) == 0 and true_depth(Q, into) > 0
 
-        def swapped(bk, f):
-            return [into if c == out else c for c in true_set(bk, f)] if f == 4 else true_set(bk, f)
+        def swapped(bk, cls):
+            return 1 if cls == out else 0 if cls == into else true_depth(bk, cls)
 
-        monkeypatch.setattr(distmod, "xi0_set", swapped)
-        with pytest.raises(BasisCertificateFailed, match=r"quotient \(1, 0\)"):
-            xi0_basis(build_af(Q, 4))
+        monkeypatch.setattr(distmod, "depth", swapped)
+        with pytest.raises(BasisCertificateFailed, match=r"quotient \(1, 1, 1, 0\)$"):
+            xi0_basis(build_af(Q, 8))
 
     def test_free_quotient_not_generated_raises(self, monkeypatch):
         # U = Z^4 / <[1/2], [0] + [3/4]> is free of rank 2, but [0] and [3/4]
@@ -574,6 +616,6 @@ class TestTower:
     def test_transitions_commute_with_gamma(self):
         report = u_tower(Q, 3, 2)
         (m,) = report.transitions
-        g1 = report.levels[0].u.operators["gamma0"]
-        g2 = report.levels[1].u.operators["gamma0"]
+        g1 = report.levels[0].u.operators["gamma0"].dense()
+        g2 = report.levels[1].u.operators["gamma0"].dense()
         assert m * g1 == g2 * m

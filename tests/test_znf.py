@@ -1,7 +1,11 @@
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uod import znf
+from uod.arith import ArchimedeanBackend, gf_group
+from uod.distmod import build_af, distribution_relations
 from uod.iwasawa import uprime_lattice
 from uod.znf import (
     AbGroupInvariants,
@@ -25,6 +29,9 @@ from uod.znf import (
     solve,
     subquotient,
 )
+
+
+Q = ArchimedeanBackend()
 
 
 def det2(m):
@@ -105,6 +112,28 @@ def invariant_cases(draw):
 
 def dense_invariants(m):
     return znf._run_smith(m, False)[0]
+
+
+def sparse_invariants(m):
+    """The unit-pivot core on the column dicts of m, read as rows of m^T."""
+    return znf._invariants([dict(c) for c in sparse(m).entries], m.cols, m.rows)
+
+
+@st.composite
+def costly_cases(draw):
+    """Matrices whose rows and columns all hold two or more nonzeros, so
+    that no unit pivot costs 0."""
+    r, c = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    pool = (0, 0, 1, -1, 2, -3)
+    data = [[draw(st.sampled_from(pool)) for _ in range(c)] for _ in range(r)]
+    nonzero = st.sampled_from((1, -1, 1, -1, 2))
+    for i in range(r):
+        for j in (i % c, (i + 1) % c):
+            data[i][j] = data[i][j] or draw(nonzero)
+    for j in range(c):
+        for i in (j % r, (j + 1) % r):
+            data[i][j] = data[i][j] or draw(nonzero)
+    return IntMatrix(data, cols=c)
 
 
 def naive_product(a, b):
@@ -189,6 +218,8 @@ class TestSparseMatrix:
         assert sa.is_zero() == a.is_zero()
         assert [sa.column(j) for j in range(a.cols)] == a.columns()
         assert (sa == so) == (a == other)
+        assert (sa + so).dense() == a + other and (sa - so).dense() == a - other
+        assert (sa - sa).entries == tuple({} for _ in sa.entries)  # no zero is stored
         assert sa == sparse(a) and sa != a
         assert SparseMatrix.identity(a.rows).dense() == IntMatrix.identity(a.rows)
         assert SparseMatrix.identity(a.rows) * sa == sa == sa * SparseMatrix.identity(a.cols)
@@ -207,6 +238,10 @@ class TestSparseMatrix:
             SparseMatrix(2, [{0: 1}]) * SparseMatrix(2, [{0: 1}])
         with pytest.raises(TypeError):
             SparseMatrix.identity(2) * IntMatrix.identity(2)
+        with pytest.raises(ShapeMismatch):
+            SparseMatrix(2, [{0: 1}]) - SparseMatrix(3, [{0: 1}])
+        with pytest.raises(TypeError):
+            SparseMatrix.identity(2) + IntMatrix.identity(2)
 
 
 class TestSnf:
@@ -286,7 +321,39 @@ class TestSparseInvariants:
     @settings(max_examples=400, deadline=None)
     @given(invariant_cases())
     def test_matches_dense_smith(self, m):
+        want = dense_invariants(m)
+        assert snf_invariants(m) == want
+        # sparse columns reach the same core as the rows of the transpose
+        assert sparse_invariants(m) == want
+        assert rank_torsion(sparse(m)) == rank_torsion(m)
+        assert cokernel_invariants(sparse(m)) == cokernel_invariants(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(costly_cases())
+    def test_no_pivot_costs_zero(self, m):
+        # every unit pivot fills in, so queued costs go stale and re-keying
+        # decides the order
         assert snf_invariants(m) == dense_invariants(m)
+        assert sparse_invariants(m) == dense_invariants(m)
+
+    def test_stale_candidates_are_rekeyed_or_dropped(self):
+        # (0, 0) was queued at cost 0 but now costs (3 - 1) * (2 - 1) = 2;
+        # row 2 no longer holds a unit at column 0 and row 3 is gone
+        rows = {0: {0: 1, 1: 1, 2: 1}, 1: {1: -1}, 2: {0: 5}}
+        at = {0: {0, 2}, 1: {0, 1}, 2: {0}}
+        queue = [(0, 2, 0), (0, 0, 0), (1, 1, 1), (0, 3, 3)]
+        heapq.heapify(queue)
+        assert znf._pop_unit(queue, rows, at) == (1, 1)
+        assert queue == [(2, 0, 0)]
+        assert znf._pop_unit(queue, rows, at) == (0, 0)
+        assert znf._pop_unit(queue, rows, at) is None
+
+    def test_relation_blocks(self):
+        # the relation matrices of the direct route, on both paths
+        for f in (140, 156):
+            rel = distribution_relations(build_af(Q, f))
+            want = cokernel_invariants(rel.dense())
+            assert want == cokernel_invariants(rel) == AbGroupInvariants(len(gf_group(Q, f)))
 
     def test_shapes_and_zeros(self):
         for m in (IntMatrix.zeros(0, 4), IntMatrix.zeros(4, 0), IntMatrix.zeros(3, 5),
@@ -398,6 +465,35 @@ keep_cases = small_matrices.flatmap(
 )
 
 
+@st.composite
+def peelable_cases(draw):
+    """Relations with a ±1 triangular block on the rows outside keep_rows.
+
+    The rows outside keep_rows get an order r_0, r_1, ...; the pivot column
+    of r_t is ±1 at r_t, arbitrary at r_0 .. r_{t-1} and on the kept rows,
+    and zero elsewhere.  Extra columns are integer combinations of the pivot
+    columns, and all columns are shuffled.
+    """
+    n = draw(st.integers(0, 7))
+    order = draw(st.permutations(range(n)))
+    split = draw(st.integers(0, n))
+    keep, peeled = list(order[:split]), order[split:]
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 10**12 + 1])
+    pivots = []
+    for t, r in enumerate(peeled):
+        col = [0] * n
+        col[r] = draw(st.sampled_from([1, -1]))
+        for i in keep + peeled[:t]:
+            col[i] = draw(entries)
+        pivots.append(col)
+    extra = []
+    for _ in range(draw(st.integers(0, 3)) if pivots else 0):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(pivots), max_size=len(pivots)))
+        extra.append([sum(k * c[i] for k, c in zip(coeffs, pivots)) for i in range(n)])
+    cols = draw(st.permutations(pivots + extra))
+    return IntMatrix.from_columns(cols, rows=n), draw(st.permutations(keep))
+
+
 class TestComplementProjection:
     def test_unit_pivots(self):
         # im = span(e2, e1 + e3): e0 and e1 complement it, e0 and e3 too
@@ -409,14 +505,14 @@ class TestComplementProjection:
         assert project(rel, [0, 3]) == IntMatrix([[1, 0, 0, 0], [0, -1, 0, 1]])
 
     def test_gcd_fallback(self):
-        # row 0 holds 2 and 3, no unit: an extended-gcd step on the two
-        # columns produces the pivot 1 = gcd(2, 3) and a zero column.  The
-        # lattice is spanned by (1, 2, -1), so the coordinates along e1 and
-        # e2 are v1 - 2 v0 and v2 + v0.
+        # row 0 holds 2 and 3, no unit.  e1 and e2 do complement the lattice,
+        # which is spanned by (1, 2, -1), but only an extended-gcd step on
+        # the two columns would reach the pivot 1 = gcd(2, 3).  The peel
+        # takes no such step, so it refuses rather than fold.
         rel = IntMatrix.from_columns([(2, 4, -2), (3, 6, -3)])
-        p = project(rel, [1, 2])
-        assert p == IntMatrix([[-2, 1, 0], [1, 0, 1]])
-        assert p == reference_projection(rel, [1, 2])
+        assert reference_projection(rel, [1, 2]) == IntMatrix([[-2, 1, 0], [1, 0, 1]])
+        with pytest.raises(NotAComplement, match="row 0 is not peeled"):
+            project(rel, [1, 2])
 
     def test_gcd_fallback_without_unit_fails(self):
         rel = IntMatrix.from_columns([(2, 2), (4, 4)])
@@ -446,13 +542,25 @@ class TestComplementProjection:
     @settings(max_examples=300, deadline=None)
     @given(keep_cases)
     def test_matches_dense_reference(self, case):
+        # soundness: every projection returned is the reference one, and a
+        # case with no complement always raises (a complement that needs a
+        # non-unit or non-triangular step may raise too)
         rel, keep = case
         want = reference_projection(rel, keep)
-        if want is None:
-            with pytest.raises(NotAComplement):
-                project(rel, keep)
-        else:
-            assert project(rel, keep) == want
+        try:
+            got = project(rel, keep)
+        except NotAComplement:
+            return
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(peelable_cases())
+    def test_peels_every_triangular_relation(self, case):
+        # completeness on the relations the peel is built for
+        rel, keep = case
+        want = reference_projection(rel, keep)
+        assert want is not None
+        assert project(rel, keep) == want
 
 
 class TestKernel:
