@@ -125,7 +125,10 @@ class ChainComplex:
 
     ``diff[n]`` is the matrix of the map from degree n to degree n-1; absent
     degrees have rank zero.  Composition of consecutive differentials is
-    checked at construction.
+    checked at construction.  The differentials are ``IntMatrix`` or
+    ``SparseMatrix`` values, one type per complex: the check multiplies
+    them in their own type, and ``homology`` reduces sparse columns as they
+    are and memoises each differential by value.
     """
 
     def __init__(self, ranks: dict, diff: dict, stable=None, check=True):
@@ -351,7 +354,9 @@ class DoubleComplex:
     """Bigraded free complex: horizontal d of bidegree (-1,0), vertical of (0,-1).
 
     Rows m run over 0..m_max (Koszul subset size); columns n over the stored
-    window.  d^2 = 0 both ways and anticommutation are checked entrywise.
+    window.  d^2 = 0 both ways and anticommutation are checked entrywise,
+    with products and sums in the blocks' own type, so sparse blocks are
+    checked in O(nnz).
     """
 
     def __init__(self, m_max: int, n_lo: int, n_hi: int, ranks: dict,

@@ -17,6 +17,7 @@ outcome), 4 out of memory.  Exit 1 means FAIL and nothing else.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -443,44 +444,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structure", parents=[output], help="rank and basis of the distribution module")
     common(p)
-    p.set_defaults(run=cmd_structure)
+    p.set_defaults(run="cmd_structure")
 
     p = sub.add_parser("sign-homology", parents=[output], help="both parities of the sign homology")
     common(p)
-    p.set_defaults(run=cmd_sign_homology)
+    p.set_defaults(run="cmd_sign_homology")
 
     verify = sub.add_parser("verify", help="theorem verification campaigns")
     vsub = verify.add_subparsers(dest="verify_what", required=True)
 
     p = vsub.add_parser("kubert", parents=[output])
     p.add_argument("--f", required=True)
-    p.set_defaults(run=cmd_verify_kubert)
+    p.set_defaults(run="cmd_verify_kubert")
 
     p = vsub.add_parser("yin", parents=[output])
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--f", required=True)
-    p.set_defaults(run=cmd_verify_yin)
+    p.set_defaults(run="cmd_verify_yin")
 
     p = vsub.add_parser("thm442", parents=[output])
     common(p, level_flag=False)
     p.add_argument("--window", type=int, default=None)
-    p.set_defaults(run=cmd_verify_thm442)
+    p.set_defaults(run="cmd_verify_thm442")
 
     p = vsub.add_parser("basis", parents=[output])
     common(p, nu_flag=False, level_flag=False)
-    p.set_defaults(run=cmd_verify_basis)
+    p.set_defaults(run="cmd_verify_basis")
 
     p = vsub.add_parser("lemma411", parents=[output])
     common(p, nu_flag=False, level_flag=False)
-    p.set_defaults(run=cmd_verify_lemma411)
+    p.set_defaults(run="cmd_verify_lemma411")
 
     p = vsub.add_parser("u-function", parents=[output])
     p.add_argument("--f", required=True)
-    p.set_defaults(run=cmd_verify_ufunction)
+    p.set_defaults(run="cmd_verify_ufunction")
 
     p = vsub.add_parser("uprime", parents=[output])
     p.add_argument("--f", required=True)
-    p.set_defaults(run=cmd_verify_uprime)
+    p.set_defaults(run="cmd_verify_uprime")
 
     sk = sub.add_parser("sk", help="symbol double complex routes")
     ssub = sk.add_subparsers(dest="sk_what", required=True)
@@ -488,18 +489,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--window", type=int, default=None)
-    p.set_defaults(run=cmd_sk_compare)
+    p.set_defaults(run="cmd_sk_compare")
 
     p = sub.add_parser("ftate", parents=[output], help="almost-free homology, closed form vs complex")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--grid", default=None, help="RxM sweep, e.g. 6x6")
     p.add_argument("--window", type=int, default=None)
-    p.set_defaults(run=cmd_ftate)
+    p.set_defaults(run="cmd_ftate")
 
     p = sub.add_parser("tower", parents=[output], help="level towers and stabilization")
     common(p)
-    p.set_defaults(run=cmd_tower)
+    p.set_defaults(run="cmd_tower")
 
     return parser
 
@@ -535,15 +536,24 @@ def _manifest_parameters(args) -> dict:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``build_parser``, built on the first ``main`` call of a
+    process and reused by the later ones.  Building it takes milliseconds,
+    since argparse sizes the terminal for every argument; building it at
+    import would add that to every start-up."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        checks = args.run(args)
+        # the parser names its command, which is looked up at each call
+        checks = globals()[args.run](args)
     except (
         StructureCheckFailed,
         BasisCertificateFailed,

@@ -20,6 +20,15 @@ boundaries leaves the distribution-relation presentation with its
 two-periodic sign differential; killing all symbols with nonzero numerator
 leaves one copy of the scalar double complex with operators 0 and vertical
 pair [2; 0], whose total homology is (Z/2)^{2^{r-1}} in every degree.
+
+Every matrix of the symbol complex is a ``znf.SparseMatrix``: a column of
+the horizontal differential has at most p + 1 nonzeros per prime of g, and
+the vertical one is 1 +- neg, with neg the numerator negation.  The via-N
+quotient is the free quotient certified by the triangular peel of the
+boundary relations onto the depth-zero numerators
+(``znf.complement_projection``), the same certificate as the direct route's
+depth-zero basis; its induced differentials P d S stay sparse.  Only the
+small blocks of the numerator-killed route are dense.
 """
 
 from __future__ import annotations
@@ -27,21 +36,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import ARCHIMEDEAN
+from .arith import ARCHIMEDEAN, xi_from_fraction
 from .chainkit import (
     ActionModule,
     ChainComplex,
     ChainMap,
     DoubleComplex,
     HomologyTable,
-    PresentedComplex,
     WindowTooSmall,
     build_kt,
     companion,
     total_complex,
 )
+from .distmod import BasisCertificateFailed, depth
 from .signh import acts_as_identity, induced_kernel
-from .znf import IntMatrix, block_diagonal, cokernel, homology_pair
+from .znf import (
+    IntMatrix,
+    NotAComplement,
+    SparseMatrix,
+    complement_projection,
+    homology_pair,
+)
 
 
 class NotSquarefree(ValueError):
@@ -144,22 +159,23 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
         if m == 0:
             continue
         rows = len(by_size.get(m - 1, [])) * denom
-        cols = count * denom
-        data = [[0] * cols for _ in range(rows)]
-        for gi, g in enumerate(by_size[m]):
+        columns = []
+        for g in by_size[m]:
             gprimes = [p for p in primes if g % p == 0]
-            for i, p in enumerate(gprimes):
-                sign = -1 if i % 2 else 1
-                target = g // p
-                ti = by_size[m - 1].index(target)
-                for a in range(denom):
-                    col = gi * denom + a
-                    data[ti * denom + a][col] += sign
+            targets = [
+                (-1 if i % 2 else 1, p, by_size[m - 1].index(g // p) * denom)
+                for i, p in enumerate(gprimes)
+            ]
+            for a in range(denom):
+                col = {}
+                for sign, p, t0 in targets:
+                    col[t0 + a] = col.get(t0 + a, 0) + sign
                     if a % p == 0:
                         for j in range(p):
-                            b = (a + j * denom) // p
-                            data[ti * denom + b][col] -= sign
-        horiz_per_m[m] = IntMatrix(data, cols=cols)
+                            b = t0 + (a + j * denom) // p
+                            col[b] = col.get(b, 0) - sign
+                columns.append(col)
+        horiz_per_m[m] = SparseMatrix(rows, columns)
     for m in range(1, r + 1):
         for n in range(lo, hi + 1):
             horiz[(m, n)] = horiz_per_m[m]
@@ -168,9 +184,10 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
     for m in range(r + 1):
         count = len(by_size.get(m, []))
         sign = -1 if m % 2 else 1
-        even = block_diagonal([plus.scale(sign)] * count)
-        odd = block_diagonal([minus.scale(sign)] * count)
-        vert_blocks[m] = (even, odd)
+        vert_blocks[m] = (
+            _repeat_diagonal(plus, count, sign),
+            _repeat_diagonal(minus, count, sign),
+        )
     for m in range(r + 1):
         for n in range(lo + 1, hi + 1):
             vert[(m, n)] = vert_blocks[m][0] if n % 2 == 0 else vert_blocks[m][1]
@@ -179,16 +196,34 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
     return SkComplex(f, level, (lo, hi), denom, primes, by_size, double)
 
 
-def _sign_differentials(denom: int) -> tuple[IntMatrix, IntMatrix]:
-    """1 + neg and 1 - neg, with neg the permutation a -> -a mod ``denom``."""
-    neg = IntMatrix.from_columns(
-        [[1 if i == (-a) % denom else 0 for i in range(denom)] for a in range(denom)]
+def _sign_differentials(denom: int) -> tuple[SparseMatrix, SparseMatrix]:
+    """1 + neg and 1 - neg, with neg the permutation a -> -a mod ``denom``.
+
+    Column a is {a: 1, -a: +-1}, or {a: 2} and {} where a = -a.
+    """
+    plus, minus = [], []
+    for a in range(denom):
+        b = -a % denom
+        if a == b:
+            plus.append({a: 2})
+            minus.append({})
+        else:
+            plus.append({a: 1, b: 1})
+            minus.append({a: 1, b: -1})
+    return SparseMatrix(denom, plus), SparseMatrix(denom, minus)
+
+
+def _repeat_diagonal(block: SparseMatrix, copies: int, sign: int) -> SparseMatrix:
+    """The block diagonal of ``copies`` copies of sign * block."""
+    n = block.rows
+    return SparseMatrix(
+        n * copies,
+        [{k * n + i: sign * v for i, v in col.items()}
+         for k in range(copies) for col in block.entries],
     )
-    ident = IntMatrix.identity(denom)
-    return ident + neg, ident - neg
 
 
-def distribution_presentation(sk: SkComplex) -> IntMatrix:
+def distribution_presentation(sk: SkComplex) -> SparseMatrix:
     """Boundary relations of the g = 1 row that live entirely at this level.
 
     A prime boundary [a] - sum of its p-fiber belongs to the level-N span
@@ -200,15 +235,66 @@ def distribution_presentation(sk: SkComplex) -> IntMatrix:
     cols = []
     for p in sk.primes:
         for a in range(0, denom, p):
-            col = [0] * denom
-            col[a] += 1
+            col = {a: 1}
             for j in range(p):
-                col[(a + j * denom) // p] -= 1
+                b = (a + j * denom) // p
+                col[b] = col.get(b, 0) - 1
             cols.append(col)
-    return IntMatrix.from_columns(cols, rows=denom)
+    return SparseMatrix(denom, cols)
 
 
-def via_n_complex(sk: SkComplex) -> PresentedComplex:
+def depth_zero_numerators(denom: int) -> list[int]:
+    """The numerators a whose class a/denom has depth zero."""
+    return [
+        a for a in range(denom)
+        if depth(ARCHIMEDEAN, xi_from_fraction(ARCHIMEDEAN, a, denom)) == 0
+    ]
+
+
+@dataclass(frozen=True)
+class _BoundaryQuotient:
+    """Z^{f^N} modulo the boundary relations, on the depth-zero numerators.
+
+    ``projection`` P kills exactly the relations R and ``section`` S sends
+    the quotient basis to the kept numerators, so P S = 1.
+    """
+
+    relations: SparseMatrix
+    projection: SparseMatrix
+    section: SparseMatrix
+
+    def induce(self, op: SparseMatrix) -> SparseMatrix:
+        """P op S, after certifying that op preserves the relations
+        (P (op R) = 0), as ``distmod.UModule.induce`` does."""
+        if not (self.projection * (op * self.relations)).is_zero():
+            raise RuntimeError("operator does not preserve the boundary relations")
+        return self.projection * (op * self.section)
+
+
+def _via_n_quotient(sk: SkComplex):
+    """The peeled boundary quotient and the sign differentials it induces.
+
+    The triangular peel certifies Z^{f^N} = span(kept numerators) + im(R),
+    so the quotient is free on the kept numerators.  A failed peel is a
+    certificate failure, never a FAIL verdict, and nothing falls back to a
+    Smith reduction.
+    """
+    denom = sk.denominator
+    rel = distribution_presentation(sk)
+    keep = depth_zero_numerators(denom)
+    try:
+        projection = complement_projection(rel, keep)
+    except NotAComplement as exc:
+        raise BasisCertificateFailed(
+            f"the boundary relations at level {denom} do not peel onto the "
+            f"depth-zero numerators: {exc}"
+        ) from exc
+    quotient = _BoundaryQuotient(rel, projection, SparseMatrix(denom, [{a: 1} for a in keep]))
+    even, odd = _sign_differentials(denom)
+    return quotient, quotient.induce(even), quotient.induce(odd)
+
+
+def via_n_complex(sk: SkComplex) -> ChainComplex:
     """Level-N piece of the total complex of the boundary quotient.
 
     In the full tower the quotient by the subgroup generated by the g != 1
@@ -217,16 +303,15 @@ def via_n_complex(sk: SkComplex) -> PresentedComplex:
     spanned by the level-N numerators with the boundary relations that stay
     at this level, so homology here is the sign-homology of the level-f^N
     distribution module; agreement between consecutive N is checked by the
-    callers rather than assumed.
+    callers rather than assumed.  The peel makes that piece free on the
+    depth-zero numerators, and the complex is returned there, with the
+    sparse induced differentials.
     """
     lo, hi = sk.window
-    denom = sk.denominator
-    rel = distribution_presentation(sk)
-    even, odd = _sign_differentials(denom)
-    ranks = {n: denom for n in range(lo, hi + 1)}
-    rels = {n: rel for n in range(lo, hi + 1)}
+    quotient, even, odd = _via_n_quotient(sk)
+    ranks = {n: quotient.section.cols for n in range(lo, hi + 1)}
     diff = {n: even if n % 2 == 0 else odd for n in range(lo + 1, hi + 1)}
-    return PresentedComplex(ranks, rels, diff, stable=(lo + 1, hi - 1))
+    return ChainComplex(ranks, diff, stable=(lo + 1, hi - 1))
 
 
 def via_skprime_complex(sk: SkComplex):
@@ -248,10 +333,11 @@ def via_skprime_complex(sk: SkComplex):
         m: [gi * denom for gi in range(len(sk.divisors_by_size.get(m, [])))]
         for m in range(r + 1)
     }
+    # the blocks have one row per divisor, so they are dense from here on
     for (m, n), mat in sk.double.horiz.items():
-        horiz[(m, n)] = mat.submatrix(zero_rows[m - 1], zero_rows[m])
+        horiz[(m, n)] = mat.submatrix(zero_rows[m - 1], zero_rows[m]).dense()
     for (m, n), mat in sk.double.vert.items():
-        vert[(m, n)] = mat.submatrix(zero_rows[m], zero_rows[m])
+        vert[(m, n)] = mat.submatrix(zero_rows[m], zero_rows[m]).dense()
     quotient = DoubleComplex(r, lo, hi, ranks, horiz, vert)
     total = total_complex(quotient, stable=(lo + r + 2, hi - 2))
     layout = {}
@@ -345,23 +431,14 @@ def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionRepo
 def sign_action_trivial_on_via_n(sk: SkComplex) -> tuple[int, int]:
     """How many unit classes act as the identity on the boundary-route homology."""
     denom = sk.denominator
-    rel = distribution_presentation(sk)
-    cok = cokernel(rel)
-    if not cok.invariants.is_free:
-        raise RuntimeError("boundary-route presentation unexpectedly has torsion")
-    even, odd = _sign_differentials(denom)
-    d_even = cok.projection * even * cok.section
-    d_odd = cok.projection * odd * cok.section
+    quotient, even, odd = _via_n_quotient(sk)
+    d_even, d_odd = even.dense(), odd.dense()
     spots = [homology_pair(d_even, d_odd), homology_pair(d_odd, d_even)]
     units = [t for t in range(denom) if gcd(t, denom) == 1]
     trivial = 0
     for t in units:
-        perm = IntMatrix.from_columns(
-            [[1 if i == (t * a) % denom else 0 for i in range(denom)] for a in range(denom)]
-        )
-        if not (cok.projection * (perm * rel)).is_zero():
-            raise RuntimeError("unit action does not preserve the relations")
-        op = cok.projection * perm * cok.section
+        perm = SparseMatrix(denom, [{t * a % denom: 1} for a in range(denom)])
+        op = quotient.induce(perm).dense()
         if all(acts_as_identity(op, spot) for spot in spots):
             trivial += 1
     return trivial, len(units)

@@ -63,7 +63,14 @@ column-sparse (each column a ``{row: nonzero}`` dict) and multiplied by
 walking nonzeros only.  Products, sums, equality and the zero test all cost
 O(nnz), which is what makes the commutation and induction certificates on
 A(f) linear in |Xi(f)|; ``dense()`` hands an ``IntMatrix`` to the callers
-that need dense arithmetic.
+that need dense arithmetic.  The symbol double complex of ``skcx`` and the
+differentials it induces on its via-N quotient are ``SparseMatrix`` values
+too.
+
+A residual of the sparse stage with one nonzero per row and per column (m
+times a signed permutation, as in the almost-free complexes of ``ftate``)
+skips the dense stage: its invariants are its entries' absolute values,
+brought into a divisibility chain by gcd/lcm swaps.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 
 
 class ShapeMismatch(ValueError):
@@ -277,11 +285,15 @@ class SparseMatrix:
     a product walks only the nonzeros: column j of ``a * b`` is the sum of
     ``b[k, j] * a.column(k)`` over the nonzeros of column j of b, O(nnz) for
     permutations and fiber sums.  Sums and differences merge the column
-    dicts.  ``dense()`` converts to an ``IntMatrix`` for the callers that
-    need dense arithmetic.
+    dicts, and ``submatrix`` picks rows and columns.  ``dense()`` converts
+    to an ``IntMatrix`` for the callers that need dense arithmetic.
+
+    Like ``IntMatrix`` it is hashable: the hash is cached on first use and
+    equal matrices hash alike, so homology computations can memoise their
+    differentials by value.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, rows: int, columns):
         """``columns`` is a sequence of ``{row: entry}`` maps; zero entries
@@ -313,7 +325,13 @@ class SparseMatrix:
             and self.entries == other.entries
         )
 
-    __hash__ = None
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rows, tuple(frozenset(col.items()) for col in self.entries)))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols})"
@@ -361,6 +379,16 @@ class SparseMatrix:
                     acc[i] = acc.get(i, 0) + a * b
             out.append({i: v for i, v in acc.items() if v})
         return _sparse(self.rows, tuple(out))
+
+    def submatrix(self, row_indices, col_indices) -> "SparseMatrix":
+        """The entries in the given (distinct) rows and the given columns, in
+        that order; O(nnz) of the chosen columns."""
+        slot = {i: t for t, i in enumerate(row_indices)}
+        entries = self.entries
+        return _sparse(
+            len(slot),
+            tuple({slot[i]: v for i, v in entries[j].items() if i in slot} for j in col_indices),
+        )
 
     def dense(self) -> IntMatrix:
         data = [[0] * self.cols for _ in range(self.rows)]
@@ -793,11 +821,36 @@ def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
                 del rows[k]
         units += 1
     left = [j for j, hit in at.items() if hit]
-    residual = _trusted(tuple(tuple(r.get(j, 0) for j in left) for r in rows.values()), len(left))
-    # the Hermite basis spans the same column lattice, so it has the same
-    # nonzero invariants, with bounded entries and only rank-many columns
-    diag = _run_smith(image_basis(residual), False)[0] if rows else ()
+    if all(len(r) == 1 for r in rows.values()) and all(len(at[j]) == 1 for j in left):
+        # one nonzero per row and per column: diag(entries) up to signed
+        # permutations of the rows and the columns
+        diag = _divisibility_chain([abs(v) for r in rows.values() for v in r.values()])
+    else:
+        residual = _trusted(tuple(tuple(r.get(j, 0) for j in left) for r in rows.values()),
+                            len(left))
+        # the Hermite basis spans the same column lattice, so it has the same
+        # nonzero invariants, with bounded entries and only rank-many columns
+        diag = _run_smith(image_basis(residual), False)[0]
     return (1,) * units + diag + (0,) * (min(height, width) - units - len(diag))
+
+
+def _divisibility_chain(entries) -> tuple[int, ...]:
+    """Invariant factors of diag(entries), for positive entries.
+
+    diag(a, b) ~ diag(gcd(a, b), lcm(a, b)), so replacing each pair (d_i,
+    d_j), i < j, by its gcd and lcm leaves d_i the gcd of d_i..d_k and every
+    later entry a multiple of it.  Entries that already form a chain once
+    sorted (m times a signed permutation has them all equal) are returned
+    sorted.
+    """
+    d = sorted(entries)
+    if all(b % a == 0 for a, b in zip(d, d[1:])):
+        return tuple(d)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
 
 
 def snf_invariants(m: IntMatrix) -> tuple[int, ...]:

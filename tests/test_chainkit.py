@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uod import znf
-from uod.znf import AbGroupInvariants, IntMatrix, homology_pair, kernel_basis
+from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix, homology_pair, kernel_basis
 from uod.chainkit import (
     ActionModule,
+    ChainComplex,
     ChainMap,
     GammaOrderUnbounded,
     NonCommutingOperators,
@@ -376,12 +377,19 @@ class TestFreeHomology:
         assert c.homology().entries == {0: Z2, 1: ZERO, 2: Z}
 
     def test_kt_total_reduces_each_distinct_differential_once(self, monkeypatch):
+        # each reduction enters through snf_invariants; a residual it hands
+        # to the dense stage must not ask for transforms
         calls = []
-        real = znf._run_smith
+        smith = []
+        real, real_smith = znf.snf_invariants, znf._run_smith
 
-        def spy(m, transforms):
-            calls.append((m, transforms))
-            return real(m, transforms)
+        def spy(m):
+            calls.append(m)
+            return real(m)
+
+        def smith_spy(m, transforms):
+            smith.append(transforms)
+            return real_smith(m, transforms)
 
         # Z + Z(-1) with Koszul operators 0 and diag(3, 0): (Z/2)^2 inside
         gamma = IntMatrix([[1, 0], [0, -1]])
@@ -390,15 +398,40 @@ class TestFreeHomology:
                                   "plus": ident + gamma, "minus": ident - gamma})
         kt = build_kt(module, ["X", "Y"], "plus", "minus", window=(-8, 8))
         total = companion(kt, "KTtot")
-        monkeypatch.setattr(znf, "_run_smith", spy)
+        monkeypatch.setattr(znf, "snf_invariants", spy)
+        monkeypatch.setattr(znf, "_run_smith", smith_spy)
         table = total.homology()
         monkeypatch.undo()
-        assert calls and not any(transforms for _, transforms in calls)
-        reduced = [m for m, _ in calls]
+        assert calls and not any(smith)
         distinct = set(total.diff.values())
-        assert len(reduced) == len(set(reduced)) == len(distinct) < len(total.diff)
+        assert len(calls) == len(set(calls)) == len(distinct) < len(total.diff)
         assert table.entries == per_degree_homology(total)
         assert table[0] == AbGroupInvariants(0, (2, 2))
+
+    def test_sparse_differentials_reduce_each_distinct_value_once(self, monkeypatch):
+        # the Tate column of Z[C2] (gamma swaps the two coordinates): every
+        # degree gets its own SparseMatrix object, equal to one of two values
+        def sign_map(sign):
+            return SparseMatrix(2, [{0: 1, 1: sign}, {0: sign, 1: 1}])
+
+        ranks = {n: 2 for n in range(-6, 7)}
+        diff = {n: sign_map(1 if n % 2 == 0 else -1) for n in range(-5, 7)}
+        c = ChainComplex(ranks, diff, stable=(-5, 5))
+        calls = []
+        real = znf._invariants
+
+        def spy(rows, height, width):
+            calls.append((height, width))
+            return real(rows, height, width)
+
+        monkeypatch.setattr(znf, "_invariants", spy)
+        table = c.homology()
+        monkeypatch.undo()
+        assert len(calls) == 2 < len(c.diff)
+        dense = ChainComplex(ranks, {n: d.dense() for n, d in diff.items()}, stable=(-5, 5))
+        assert table == dense.homology()
+        # Z[C2] is induced, so its Tate cohomology vanishes
+        assert all(table[n].is_trivial for n in table.stable_degrees())
 
 
 def test_total_complex_matches_column_when_no_ideals():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from uod import cli
 from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators, PlusMinusNotZero
 from uod.cli import main
 from uod.znf import ShapeMismatch
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run_json(tmp_path, argv):
@@ -119,6 +125,23 @@ class TestHarnessContract:
         _, first = run_json(tmp_path, ["verify", "kubert", "--f", "3,4,5,15"])
         _, second = run_json(tmp_path, ["verify", "kubert", "--f", "3,4,5,15"])
         assert first == second
+
+    def test_reused_parser_matches_fresh_processes(self, capsys):
+        # main builds its parser once per process; a usage error must leave
+        # it as a fresh one would be, so sequential calls answer like
+        # separate processes do, exit codes and stdout alike
+        runs = [
+            ["verify", "kubert", "--f", "3,x"],
+            ["verify", "yin", "--f", "T"],  # argparse: missing --q
+            ["verify", "kubert", "--f", "3,5"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for argv in runs:
+            fresh = subprocess.run([sys.executable, "-m", "uod", *argv],
+                                   capture_output=True, env=env)
+            code = main(argv)
+            assert (code, capsys.readouterr().out.encode()) == (fresh.returncode, fresh.stdout)
+        assert [main(argv) for argv in runs] == [2, 2, 0]
 
     def test_usage_error_exit_2(self, capsys):
         assert main(["sk", "compare", "--f", "not-a-number", "--level", "2"]) == 2

@@ -1,19 +1,44 @@
 import pytest
 
-from uod.chainkit import WindowTooSmall
+from uod import skcx
+from uod.chainkit import PresentedComplex, WindowTooSmall
+from uod.cli import main
 from uod.skcx import (
     NotSquarefree,
     SkSymbol,
     build_sk,
+    distribution_presentation,
     sign_action_trivial_on_via_n,
     sk_inclusion_check,
     sk_quotients_homology,
     via_n_complex,
     via_skprime_complex,
 )
-from uod.znf import AbGroupInvariants
+from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix
 
 Z2 = AbGroupInvariants(0, (2,))
+
+
+def squarefree(n):
+    return all(n % (p * p) for p in range(2, int(n**0.5) + 1))
+
+
+def dense_via_n_reference(sk):
+    """The boundary quotient as a presented complex on all numerators, with
+    the dense relations and the dense 1 +- neg: its homology goes through
+    the cokernel's Smith reduction, independent of the peel."""
+    lo, hi = sk.window
+    denom = sk.denominator
+    rel = distribution_presentation(sk).dense()
+    neg = IntMatrix.from_columns(
+        [[1 if i == (-a) % denom else 0 for i in range(denom)] for a in range(denom)]
+    )
+    ident = IntMatrix.identity(denom)
+    even, odd = ident + neg, ident - neg
+    ranks = {n: denom for n in range(lo, hi + 1)}
+    rels = {n: rel for n in range(lo, hi + 1)}
+    diff = {n: even if n % 2 == 0 else odd for n in range(lo + 1, hi + 1)}
+    return PresentedComplex(ranks, rels, diff, stable=(lo + 1, hi - 1))
 
 
 class TestBuildSk:
@@ -109,6 +134,47 @@ class TestQuotientRoutes:
         sk = build_sk(15, 1)
         trivial, total = sign_action_trivial_on_via_n(sk)
         assert trivial == total
+
+
+class TestViaNPeel:
+    @pytest.mark.parametrize("f, level", [(f, 1) for f in range(2, 71) if squarefree(f)]
+                             + [(f, 2) for f in range(2, 16) if squarefree(f)])
+    def test_matches_the_dense_presented_complex(self, f, level):
+        sk = build_sk(f, level)
+        table = via_n_complex(sk).homology()
+        assert table == dense_via_n_reference(sk).homology()
+
+    def test_differentials_are_sparse_on_the_depth_zero_numerators(self):
+        sk = build_sk(15, 2)
+        c = via_n_complex(sk)
+        keep = skcx.depth_zero_numerators(sk.denominator)
+        assert all(isinstance(d, SparseMatrix) for d in c.diff.values())
+        assert {c.rank(n) for n in c.degrees()} == {len(keep)}
+
+    def test_an_operator_that_breaks_the_relations_is_refused(self):
+        sk = build_sk(15, 1)
+        quotient, _, _ = skcx._via_n_quotient(sk)
+        # swapping numerators 1 and 2 sends the 3-boundary of 0, which
+        # meets 0, 5 and 10 only, to itself, but not the 5-boundary of 5
+        swap = SparseMatrix(15, [{a: 1} for a in (0, 2, 1, *range(3, 15))])
+        with pytest.raises(RuntimeError, match="does not preserve"):
+            quotient.induce(swap)
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_a_wrong_keep_set_exits_3_and_never_fails(self, monkeypatch, capsys, change):
+        real = skcx.depth_zero_numerators
+
+        def wrong(denom):
+            keep = real(denom)
+            if change == "drop":
+                return keep[1:]
+            return keep + [min(set(range(denom)) - set(keep))]
+
+        monkeypatch.setattr(skcx, "depth_zero_numerators", wrong)
+        assert main(["sk", "compare", "--f", "15"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal check failed: the boundary relations")
 
 
 class TestInclusion:

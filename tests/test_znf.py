@@ -120,6 +120,21 @@ def sparse_invariants(m):
 
 
 @st.composite
+def monomial_cases(draw):
+    """Signed monomial matrices, possibly rectangular: one nonzero in some
+    rows and columns, mixing units, small non-units and huge entries."""
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    k = draw(st.integers(0, min(r, c)))
+    rows = draw(st.permutations(range(r)))[:k]
+    cols = draw(st.permutations(range(c)))[:k]
+    values = st.sampled_from((1, -1, 2, -2, 3, 4, -6, 9, 10, 12, -15, 2**70, -(3**40)))
+    data = [[0] * c for _ in range(r)]
+    for i, j in zip(rows, cols):
+        data[i][j] = draw(values)
+    return IntMatrix(data, cols=c)
+
+
+@st.composite
 def costly_cases(draw):
     """Matrices whose rows and columns all hold two or more nonzeros, so
     that no unit pivot costs 0."""
@@ -223,6 +238,27 @@ class TestSparseMatrix:
         assert sa == sparse(a) and sa != a
         assert SparseMatrix.identity(a.rows).dense() == IntMatrix.identity(a.rows)
         assert SparseMatrix.identity(a.rows) * sa == sa == sa * SparseMatrix.identity(a.cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_type_pairs)
+    def test_hash_agrees_with_equality(self, case):
+        a, _, other = case
+        sa, so = sparse(a), sparse(other)
+        # equal values built along other paths: a product, a difference
+        same = [sparse(a), sa * SparseMatrix.identity(a.cols), sa + (so - so)]
+        assert all(m == sa and hash(m) == hash(sa) for m in same)
+        assert hash(sa) == hash(sa)  # cached, and stable
+        assert len({sa, so, *same}) == (1 if a == other else 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_type_pairs, st.randoms(use_true_random=False))
+    def test_submatrix_agrees_with_intmatrix(self, case, rng):
+        a = case[0]
+        rows = rng.sample(range(a.rows), rng.randint(0, a.rows))
+        cols = [rng.randrange(a.cols) for _ in range(rng.randint(0, 4))] if a.cols else []
+        sub = sparse(a).submatrix(rows, cols)
+        assert (sub.rows, sub.cols) == (len(rows), len(cols))
+        assert sub.dense() == a.submatrix(rows, cols)
 
     def test_zeros_are_not_stored(self):
         m = SparseMatrix(3, [{0: 0, 2: 5}, {}, {1: -1}])
@@ -372,6 +408,22 @@ class TestSparseInvariants:
         # a +1 and a -1 pivot in one column, determinant 2
         m = IntMatrix([[1, 1, 0], [-1, 0, 1], [0, 1, 3]])
         assert snf_invariants(m) == dense_invariants(m) == (1, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_cases())
+    def test_monomial_residual_matches_dense_smith(self, m):
+        assert snf_invariants(m) == dense_invariants(m)
+        assert sparse_invariants(m) == dense_invariants(m)
+
+    def test_monomial_residual_skips_the_dense_stage(self, monkeypatch):
+        def refuse(m, transforms):
+            raise AssertionError("a monomial residual reached _run_smith")
+
+        monkeypatch.setattr(znf, "_run_smith", refuse)
+        assert snf_invariants(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
+        assert snf_invariants(IntMatrix([[0, -4, 0], [0, 0, 0], [6, 0, 0]])) == (2, 12, 0)
+        m = IntMatrix([[0, 1, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 10], [0, 0, 4, 0]])
+        assert snf_invariants(m) == (1, 2, 2, 20)
 
     def test_dense_stage_sees_only_the_residual(self, monkeypatch):
         # a unimodular sparse block next to a block with no unit entry
