@@ -56,6 +56,7 @@ from .arith import (
 from .chainkit import ActionModule
 from .znf import (
     AbGroupInvariants,
+    FreeQuotient,
     IntMatrix,
     NotAComplement,
     SparseMatrix,
@@ -68,10 +69,6 @@ from .znf import (
 
 
 class OrderMismatch(ValueError):
-    pass
-
-
-class InducedOperatorUndefined(RuntimeError):
     pass
 
 
@@ -195,16 +192,15 @@ def distribution_relations(af: AfModule) -> SparseMatrix:
     return SparseMatrix(af.rank, cols)
 
 
-@dataclass
-class UModule:
-    """U(f) presented on A(f), with the depth-zero classes as free basis."""
+@dataclass(frozen=True)
+class UModule(FreeQuotient):
+    """U(f), the free quotient of A(f) by the distribution relations, kept
+    on the depth-zero classes: ``section`` is |Xi(f)| x rank with the basis
+    classes as columns, ``projection`` rank x |Xi(f)|."""
 
     parent: AfModule
-    relation_matrix: SparseMatrix
     invariants: AbGroupInvariants
     basis_classes: tuple
-    section: SparseMatrix     # |Xi(f)| x rank, columns are the basis classes
-    projection: SparseMatrix  # rank x |Xi(f)|, kills exactly the relations
     operators: dict           # induced operators on the free basis, SparseMatrix
 
     @property
@@ -216,19 +212,6 @@ class UModule:
         projection columns."""
         column = SparseMatrix(len(vector), [dict(enumerate(vector))])
         return (self.projection * column).column(0)
-
-    def induce(self, op: SparseMatrix) -> SparseMatrix:
-        """The |G_f| x |G_f| matrix op induces on U(f), from sparse products.
-
-        The projection kills exactly the relation lattice, so op preserves
-        the relations iff projection @ op @ relations vanishes.  The result
-        stays sparse; callers that need dense algebra call ``dense()``.
-        """
-        if not (self.projection * (op * self.relation_matrix)).is_zero():
-            raise InducedOperatorUndefined(
-                "operator does not preserve the distribution relations"
-            )
-        return self.projection * (op * self.section)
 
 
 def u_module(af: AfModule) -> UModule:
@@ -256,7 +239,8 @@ def u_module(af: AfModule) -> UModule:
     section = class_matrix(xi0, af.index)
     induced = {}
     invariants = AbGroupInvariants(expected_rank)
-    u = UModule(af, rel, invariants, tuple(xi0), section, projection, induced)
+    u = UModule(relations=rel, projection=projection, section=section, parent=af,
+                invariants=invariants, basis_classes=tuple(xi0), operators=induced)
     for name, op in af.operators.operators.items():
         induced[name] = u.induce(op)
     return u

@@ -472,7 +472,7 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
         [[orbit[dinv * xi.num * (f // xi.order) % f] for dinv in inverses] for xi in af.basis],
         rows=phi_f,
     )
-    relations_killed = (image_int * u.relation_matrix.dense()).is_zero()
+    relations_killed = (image_int * u.relations.dense()).is_zero()
     if not relations_killed:
         raise RelationNotKilled("distribution relations survive the u-orbit map")
     # the induced map on the free basis, in lattice coordinates

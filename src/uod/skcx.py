@@ -51,6 +51,7 @@ from .chainkit import (
 from .distmod import BasisCertificateFailed, depth
 from .signh import acts_as_identity, induced_kernel
 from .znf import (
+    FreeQuotient,
     IntMatrix,
     NotAComplement,
     SparseMatrix,
@@ -251,33 +252,15 @@ def depth_zero_numerators(denom: int) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class _BoundaryQuotient:
-    """Z^{f^N} modulo the boundary relations, on the depth-zero numerators.
-
-    ``projection`` P kills exactly the relations R and ``section`` S sends
-    the quotient basis to the kept numerators, so P S = 1.
-    """
-
-    relations: SparseMatrix
-    projection: SparseMatrix
-    section: SparseMatrix
-
-    def induce(self, op: SparseMatrix) -> SparseMatrix:
-        """P op S, after certifying that op preserves the relations
-        (P (op R) = 0), as ``distmod.UModule.induce`` does."""
-        if not (self.projection * (op * self.relations)).is_zero():
-            raise RuntimeError("operator does not preserve the boundary relations")
-        return self.projection * (op * self.section)
-
-
 def _via_n_quotient(sk: SkComplex):
-    """The peeled boundary quotient and the sign differentials it induces.
+    """The boundary quotient, free on the depth-zero numerators, and the
+    sign differentials it induces.
 
     The triangular peel certifies Z^{f^N} = span(kept numerators) + im(R),
-    so the quotient is free on the kept numerators.  A failed peel is a
-    certificate failure, never a FAIL verdict, and nothing falls back to a
-    Smith reduction.
+    so the quotient is free on the kept numerators; ``FreeQuotient.induce``
+    checks that 1 +- neg preserves the relations before inducing it.  A
+    failed peel is a certificate failure, never a FAIL verdict, and nothing
+    falls back to a Smith reduction.
     """
     denom = sk.denominator
     rel = distribution_presentation(sk)
@@ -289,7 +272,7 @@ def _via_n_quotient(sk: SkComplex):
             f"the boundary relations at level {denom} do not peel onto the "
             f"depth-zero numerators: {exc}"
         ) from exc
-    quotient = _BoundaryQuotient(rel, projection, SparseMatrix(denom, [{a: 1} for a in keep]))
+    quotient = FreeQuotient(rel, projection, SparseMatrix(denom, [{a: 1} for a in keep]))
     even, odd = _sign_differentials(denom)
     return quotient, quotient.induce(even), quotient.induce(odd)
 

@@ -94,6 +94,11 @@ class NotAComplement(ValueError):
     lattice: they do not, or the relations do not peel in triangular order."""
 
 
+class InducedOperatorUndefined(RuntimeError):
+    """An operator does not preserve the relations, so it induces no map on
+    their quotient."""
+
+
 class IntMatrix:
     """Immutable dense integer matrix.
 
@@ -839,13 +844,9 @@ def _divisibility_chain(entries) -> tuple[int, ...]:
 
     diag(a, b) ~ diag(gcd(a, b), lcm(a, b)), so replacing each pair (d_i,
     d_j), i < j, by its gcd and lcm leaves d_i the gcd of d_i..d_k and every
-    later entry a multiple of it.  Entries that already form a chain once
-    sorted (m times a signed permutation has them all equal) are returned
-    sorted.
+    later entry a multiple of it.
     """
-    d = sorted(entries)
-    if all(b % a == 0 for a, b in zip(d, d[1:])):
-        return tuple(d)
+    d = list(entries)
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             g = gcd(d[i], d[j])
@@ -1057,6 +1058,32 @@ def complement_projection(relations: SparseMatrix, keep_rows) -> SparseMatrix:
     if any(image(col) for col, p in zip(cols, pivot) if not p):
         raise NotAComplement("the relations meet the span of the kept rows")
     return _sparse(len(keep), tuple(proj))
+
+
+@dataclass(frozen=True)
+class FreeQuotient:
+    """Z^n / im(relations), free on kept coordinates.
+
+    ``projection`` P is the ``complement_projection`` of the relations R
+    onto the kept coordinates, so it kills exactly im(R), and ``section`` S
+    sends the quotient basis to the kept basis vectors, so P S = 1.  All
+    three are ``SparseMatrix``.
+    """
+
+    relations: SparseMatrix
+    projection: SparseMatrix
+    section: SparseMatrix
+
+    def induce(self, op: SparseMatrix) -> SparseMatrix:
+        """P op S, the map op induces on the quotient.
+
+        P kills exactly im(R), so op preserves the relations iff P (op R)
+        vanishes; otherwise InducedOperatorUndefined.  The result stays
+        sparse; callers that need dense algebra call ``dense()``.
+        """
+        if not (self.projection * (op * self.relations)).is_zero():
+            raise InducedOperatorUndefined("operator does not preserve the relations")
+        return self.projection * (op * self.section)
 
 
 @dataclass(frozen=True)

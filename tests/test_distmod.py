@@ -15,7 +15,6 @@ from uod.arith import (
 )
 from uod.distmod import (
     BasisCertificateFailed,
-    InducedOperatorUndefined,
     OrderMismatch,
     build_af,
     depth,
@@ -32,7 +31,14 @@ from uod.distmod import (
 )
 from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators
 from uod.cli import main
-from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix, image_basis, snf
+from uod.znf import (
+    AbGroupInvariants,
+    InducedOperatorUndefined,
+    IntMatrix,
+    SparseMatrix,
+    image_basis,
+    snf,
+)
 
 Q = ArchimedeanBackend()
 F3 = FunctionFieldBackend(3)
@@ -177,7 +183,7 @@ class TestUModuleCertificate:
         u = u_module(af)
         assert u.projection.dense() == dense_u_projection(af, u.basis_classes)
         assert u.projection * u.section == SparseMatrix.identity(u.rank)
-        assert (u.projection * u.relation_matrix).is_zero()
+        assert (u.projection * u.relations).is_zero()
         assert u.invariants == AbGroupInvariants(len(af.group))
 
     def test_non_complement_basis_raises(self, monkeypatch):

@@ -9,6 +9,8 @@ from uod.distmod import build_af, distribution_relations
 from uod.iwasawa import uprime_lattice
 from uod.znf import (
     AbGroupInvariants,
+    FreeQuotient,
+    InducedOperatorUndefined,
     IntMatrix,
     NoIntegerSolution,
     NotAComplement,
@@ -613,6 +615,31 @@ class TestComplementProjection:
         want = reference_projection(rel, keep)
         assert want is not None
         assert project(rel, keep) == want
+
+
+class TestFreeQuotient:
+    # im(R) = span(e2, e1 + e3), free on e0 and e1
+    rel = sparse(IntMatrix.from_columns([(0, 0, -1, 0), (0, -1, 1, -1)]))
+
+    def quotient(self):
+        return FreeQuotient(self.rel, complement_projection(self.rel, [0, 1]),
+                            SparseMatrix(4, [{0: 1}, {1: 1}]))
+
+    def test_induces_an_operator_that_preserves_the_relations(self):
+        q = self.quotient()
+        assert q.projection * q.section == SparseMatrix.identity(2)
+        # swapping e1 and e3 fixes e2 and e1 + e3; on the quotient e3 = -e1
+        swap = SparseMatrix(4, [{0: 1}, {3: 1}, {2: 1}, {1: 1}])
+        assert q.induce(swap).dense() == IntMatrix([[1, 0], [0, -1]])
+        # e0 -> e2 sends e0 to a relation, so it induces 0 there
+        kill = SparseMatrix(4, [{2: 1}, {1: 1}, {2: 1}, {3: 1}])
+        assert q.induce(kill).dense() == IntMatrix([[0, 0], [0, 1]])
+
+    def test_refuses_an_operator_that_breaks_the_relations(self):
+        # swapping e0 and e2 sends the relation e2 to e0, which survives
+        swap = SparseMatrix(4, [{2: 1}, {1: 1}, {0: 1}, {3: 1}])
+        with pytest.raises(InducedOperatorUndefined):
+            self.quotient().induce(swap)
 
 
 class TestKernel:
