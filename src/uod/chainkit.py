@@ -16,6 +16,16 @@ and both ranks and the torsion are read off the invariant factors of the
 differentials.  ``ChainComplex.homology`` therefore runs one Smith reduction
 without transforms per distinct differential, however wide the window.
 
+The Koszul-Tate double complex and its total complexes are sparse: every
+block and every total differential is a ``znf.SparseMatrix``.  ``build_kt``
+builds the blocks from the operators' columns, and ``total_complex`` offsets
+each block's column dicts into the total column.  A window repeats its
+differentials, so every total degree whose differential equals an earlier
+one by value gets that same object: the d*d check of ``ChainComplex``
+multiplies each distinct pair once, and ``homology`` reduces each distinct
+differential once through the sparse unit-pivot core of ``znf``.  Absent
+blocks and degrees read as zero matrices of the complex's own type.
+
 Quotient companions (by the image of one operator, or of all Koszul
 operators) are returned as complexes of *presented* abelian groups.  Their
 homology at degree n is computed by the exact subquotient formula
@@ -24,6 +34,8 @@ homology at degree n is computed by the exact subquotient formula
 
 which avoids resolving each term; when every term happens to be Z-free the
 complex is first reduced to an honest free complex, which is much cheaper.
+Presented complexes need dense lattice algebra, so the ``Kbar`` and
+``Tbar`` companions call ``dense()`` on the sparse blocks they take.
 """
 
 from __future__ import annotations
@@ -35,11 +47,14 @@ from .znf import (
     AbGroupInvariants,
     IntMatrix,
     ShapeMismatch,
-    block_diagonal,
+    SparseMatrix,
+    _sparse,
+    as_sparse,
     cokernel,
     lattice_contains,
     preimage_lattice,
     rank_torsion,
+    repeat_diagonal,
     subquotient,
 )
 
@@ -126,15 +141,18 @@ class ChainComplex:
     ``diff[n]`` is the matrix of the map from degree n to degree n-1; absent
     degrees have rank zero.  Composition of consecutive differentials is
     checked at construction.  The differentials are ``IntMatrix`` or
-    ``SparseMatrix`` values, one type per complex: the check multiplies
-    them in their own type, and ``homology`` reduces sparse columns as they
-    are and memoises each differential by value.
+    ``SparseMatrix`` values, one type per complex (``matrix_type``): the
+    check multiplies them in their own type, an absent differential reads
+    as a zero matrix of that type, and ``homology`` reduces sparse columns
+    as they are and memoises each differential by value.
     """
 
     def __init__(self, ranks: dict, diff: dict, stable=None, check=True):
         self.ranks = {n: r for n, r in ranks.items() if r}
         self.diff = {}
         self.stable = stable
+        first = next(iter(diff.values()), None)
+        self.matrix_type = IntMatrix if first is None else type(first)
         if self.ranks:
             self.lo = min(self.ranks)
             self.hi = max(self.ranks)
@@ -163,10 +181,10 @@ class ChainComplex:
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
 
-    def differential(self, n: int) -> IntMatrix:
+    def differential(self, n: int):
         if n in self.diff:
             return self.diff[n]
-        return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
+        return self.matrix_type.zeros(self.rank(n - 1), self.rank(n))
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -355,8 +373,9 @@ class DoubleComplex:
 
     Rows m run over 0..m_max (Koszul subset size); columns n over the stored
     window.  d^2 = 0 both ways and anticommutation are checked entrywise,
-    with products and sums in the blocks' own type, so sparse blocks are
-    checked in O(nnz).
+    with products and sums in the blocks' own type (``matrix_type``, one
+    per complex), so sparse blocks are checked in O(nnz).  An absent block
+    reads as a zero matrix of that type.
     """
 
     def __init__(self, m_max: int, n_lo: int, n_hi: int, ranks: dict,
@@ -367,19 +386,21 @@ class DoubleComplex:
         self.ranks = ranks
         self.horiz = horiz
         self.vert = vert
+        first = next(iter(horiz.values()), next(iter(vert.values()), None))
+        self.matrix_type = IntMatrix if first is None else type(first)
         if check:
             self._validate()
 
     def rank(self, m: int, n: int) -> int:
         return self.ranks.get((m, n), 0)
 
-    def horizontal(self, m: int, n: int) -> IntMatrix:
+    def horizontal(self, m: int, n: int):
         d = self.horiz.get((m, n))
-        return IntMatrix.zeros(self.rank(m - 1, n), self.rank(m, n)) if d is None else d
+        return self.matrix_type.zeros(self.rank(m - 1, n), self.rank(m, n)) if d is None else d
 
-    def vertical(self, m: int, n: int) -> IntMatrix:
+    def vertical(self, m: int, n: int):
         d = self.vert.get((m, n))
-        return IntMatrix.zeros(self.rank(m, n - 1), self.rank(m, n)) if d is None else d
+        return self.matrix_type.zeros(self.rank(m, n - 1), self.rank(m, n)) if d is None else d
 
     def bidegrees(self):
         return [
@@ -443,13 +464,19 @@ def build_kt(module: ActionModule, ideal_names, plus_name: str, minus_name: str,
     removes one ideal at a time with the alternating subset sign, and the
     vertical one applies the plus operator at even k and the minus operator
     at odd k, scaled by (-1)^|I|.
+
+    Every block is a ``SparseMatrix`` built from the operators' columns (a
+    dense operator is converted first), and the window shares one object
+    per distinct block: one horizontal block per row, and one even and one
+    odd vertical block per row.  Only the ``Kbar`` and ``Tbar`` companions
+    turn blocks dense again.
     """
     ideal_names = list(ideal_names)
     r = len(ideal_names)
     n_lo, n_hi = _check_window(window, r)
-    ops = [module.operator(name) for name in ideal_names]
-    plus = module.operator(plus_name)
-    minus = module.operator(minus_name)
+    ops = [as_sparse(module.operator(name)) for name in ideal_names]
+    plus = as_sparse(module.operator(plus_name))
+    minus = as_sparse(module.operator(minus_name))
     if not (plus * minus).is_zero():
         raise PlusMinusNotZero(f"{plus_name!r} * {minus_name!r} is not zero")
     involved = ops + [plus, minus]
@@ -460,38 +487,33 @@ def build_kt(module: ActionModule, ideal_names, plus_name: str, minus_name: str,
     d = module.rank
     subsets = {m: list(itertools.combinations(range(r), m)) for m in range(r + 1)}
     index = {m: {s: i for i, s in enumerate(subsets[m])} for m in range(r + 1)}
-
-    ranks = {}
+    ranks = {(m, n): d * len(subsets[m]) for m in range(r + 1) for n in range(n_lo, n_hi + 1)}
     horiz = {}
     vert = {}
-    horiz_per_m = {}
-    for m in range(r + 1):
-        ranks_m = d * len(subsets[m])
-        for n in range(n_lo, n_hi + 1):
-            ranks[(m, n)] = ranks_m
-        if m >= 1:
-            rows = d * len(subsets[m - 1])
-            data = [[0] * ranks_m for _ in range(rows)]
-            for si, subset in enumerate(subsets[m]):
-                for pos, i in enumerate(subset):
-                    target = tuple(x for x in subset if x != i)
-                    ti = index[m - 1][target]
-                    sign = -1 if pos % 2 else 1
-                    op = ops[i]
-                    for a in range(d):
-                        row = op.data[a]
-                        for b in range(d):
-                            if row[b]:
-                                data[ti * d + a][si * d + b] += sign * row[b]
-            horiz_per_m[m] = IntMatrix(data, cols=ranks_m)
     for m in range(1, r + 1):
+        # column b of the [I] block is the sum over the i in I, with the
+        # alternating sign, of column b of f_i placed in the [I - i] block
+        columns = []
+        for subset in subsets[m]:
+            targets = [
+                (-1 if pos % 2 else 1, ops[i].entries,
+                 index[m - 1][subset[:pos] + subset[pos + 1:]] * d)
+                for pos, i in enumerate(subset)
+            ]
+            for b in range(d):
+                col = {}
+                for sign, op, t0 in targets:
+                    for a, v in op[b].items():
+                        col[t0 + a] = sign * v
+                columns.append(col)
+        block = SparseMatrix(d * len(subsets[m - 1]), columns)
         for n in range(n_lo, n_hi + 1):
-            horiz[(m, n)] = horiz_per_m[m]
+            horiz[(m, n)] = block
     for m in range(r + 1):
         sign = -1 if m % 2 else 1
         count = len(subsets[m])
-        even_block = block_diagonal([plus.scale(sign)] * count) if count else IntMatrix.zeros(0, 0)
-        odd_block = block_diagonal([minus.scale(sign)] * count) if count else IntMatrix.zeros(0, 0)
+        even_block = repeat_diagonal(plus, count, sign)
+        odd_block = repeat_diagonal(minus, count, sign)
         for n in range(n_lo + 1, n_hi + 1):
             vert[(m, n)] = even_block if n % 2 == 0 else odd_block
     return DoubleComplex(r, n_lo, n_hi, ranks, horiz, vert)
@@ -604,46 +626,49 @@ def total_complex(d: DoubleComplex, keep=None, stable=None) -> ChainComplex:
     """Total complex with differential induced by the sum of both directions.
 
     ``keep`` optionally filters bidegrees (used for the k >= 0 truncation).
+    The blocks of ``d`` must be ``SparseMatrix``.  Each column of a total
+    differential is the block column of the horizontal map into (m-1, n)
+    and of the vertical map into (m, n-1), its rows offset to where those
+    blocks sit in the degree below; those two never overlap.  A total
+    differential equal by value to an earlier one is that same object, so
+    the d*d check of ``ChainComplex`` multiplies each distinct pair once and
+    ``homology`` reduces each distinct differential once.  A caller that
+    needs dense lattice algebra (``skcx.sk_inclusion_check``) calls
+    ``dense()`` on the differentials itself.
     """
     keep = keep or (lambda m, n: True)
-    blocks = {}
+    offsets = {}  # total degree -> {kept bidegree: its first row or column}
+    ranks = {}
     for total in range(d.n_lo, d.n_hi + d.m_max + 1):
-        parts = [
-            (m, total - m)
-            for m in range(d.m_max + 1)
-            if d.n_lo <= total - m <= d.n_hi and keep(m, total - m)
-        ]
-        blocks[total] = parts
-    ranks = {t: sum(d.rank(m, n) for m, n in parts) for t, parts in blocks.items()}
-    offsets = {}
-    for t, parts in blocks.items():
-        off = {}
-        pos = 0
-        for m, n in parts:
-            off[(m, n)] = pos
-            pos += d.rank(m, n)
-        offsets[t] = off
+        off, pos = {}, 0
+        for m in range(d.m_max + 1):
+            n = total - m
+            if d.n_lo <= n <= d.n_hi and keep(m, n):
+                off[(m, n)] = pos
+                pos += d.rank(m, n)
+        offsets[total], ranks[total] = off, pos
     diff = {}
-    for t in blocks:
-        if t - 1 not in blocks:
+    interned = {}
+    for t, off in offsets.items():
+        below = offsets.get(t - 1)
+        if below is None:
             continue
-        rows, cols = ranks[t - 1], ranks[t]
-        data = [[0] * cols for _ in range(rows)]
-
-        def paste(mat, r0, c0):
-            for i in range(mat.rows):
-                row = mat.data[i]
-                for j in range(mat.cols):
-                    if row[j]:
-                        data[r0 + i][c0 + j] += row[j]
-
-        for m, n in blocks[t]:
-            c0 = offsets[t][(m, n)]
-            if (m - 1, n) in offsets[t - 1]:
-                paste(d.horizontal(m, n), offsets[t - 1][(m - 1, n)], c0)
-            if (m, n - 1) in offsets[t - 1]:
-                paste(d.vertical(m, n), offsets[t - 1][(m, n - 1)], c0)
-        diff[t] = IntMatrix(data, cols=cols)
+        columns = []
+        for m, n in off:
+            parts = [
+                (block.entries, below[target])
+                for block, target in ((d.horiz.get((m, n)), (m - 1, n)),
+                                      (d.vert.get((m, n)), (m, n - 1)))
+                if block is not None and target in below
+            ]
+            for j in range(d.rank(m, n)):
+                col = {}
+                for entries, r0 in parts:
+                    for i, v in entries[j].items():
+                        col[r0 + i] = v
+                columns.append(col)
+        mat = _sparse(ranks[t - 1], tuple(columns))
+        diff[t] = interned.setdefault(mat, mat)
     return ChainComplex(ranks, diff, stable=stable)
 
 
@@ -670,18 +695,19 @@ def companion(d: DoubleComplex, which: str):
         # quotient of each Koszul spot by the image of the odd (minus) operator
         minus = d.vertical(0, _odd_in(d))
         ranks = {m: d.rank(m, 0) for m in range(r + 1)}
-        rels = {}
-        for m in range(r + 1):
-            copies = d.rank(m, 0) // max(minus.rows, 1) if minus.rows else 0
-            rels[m] = block_diagonal([minus] * copies) if copies else IntMatrix.zeros(d.rank(m, 0), 0)
-        diff = {m: d.horizontal(m, 0) for m in range(1, r + 1)}
+        rels = {
+            m: repeat_diagonal(minus, d.rank(m, 0) // minus.rows if minus.rows else 0).dense()
+            for m in range(r + 1)
+        }
+        diff = {m: d.horizontal(m, 0).dense() for m in range(1, r + 1)}
         return PresentedComplex(ranks, rels, diff)
     if which == "Tbar":
-        # quotient of the Tate column by the images of all Koszul operators
-        rel = _koszul_images(d)
+        # quotient of the Tate column by the images of all Koszul operators:
+        # the horizontal map out of the singleton row is [f_1 | ... | f_r]
+        rel = d.horizontal(1, 0).dense()
         ranks = {n: d.rank(0, n) for n in range(d.n_lo, d.n_hi + 1)}
         rels = {n: rel for n in ranks}
-        diff = {n: d.vertical(0, n) for n in range(d.n_lo + 1, d.n_hi + 1)}
+        diff = {n: d.vertical(0, n).dense() for n in range(d.n_lo + 1, d.n_hi + 1)}
         return PresentedComplex(ranks, rels, diff, stable=(d.n_lo + 1, d.n_hi - 1))
     if which == "KTtot":
         return total_complex(d, stable=stable)
@@ -699,20 +725,3 @@ def _odd_in(d: DoubleComplex):
         if n % 2 == 1:
             return n
     raise WindowTooSmall("window has no odd degree")
-
-
-def _koszul_images(d: DoubleComplex) -> IntMatrix:
-    """Concatenated images of the Koszul operators acting on the module."""
-    r = d.m_max
-    rank0 = d.rank(0, 0)
-    if r == 0:
-        return IntMatrix.zeros(rank0, 0)
-    # the horizontal differential from each singleton row recovers f_s itself
-    h = d.horizontal(1, 0)
-    pieces = [
-        h.submatrix(range(rank0), range(s * rank0, (s + 1) * rank0)) for s in range(r)
-    ]
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = out.hstack(p)
-    return out

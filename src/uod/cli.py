@@ -352,11 +352,22 @@ def cmd_sk_compare(args):
     return [work(f) for f in levels]
 
 
+def _parse_grid(text: str) -> tuple[int, int]:
+    """R and M of an ``RxM`` grid, both at least 1."""
+    try:
+        rmax, mmax = (int(x) for x in text.lower().split("x"))
+    except ValueError:
+        raise UsageError(f"--grid takes RxM with integers R, M >= 1; got {text!r}") from None
+    if rmax < 1 or mmax < 1:
+        raise UsageError(f"--grid needs R, M >= 1; got {text!r}")
+    return rmax, mmax
+
+
 def cmd_ftate(args):
     checks = []
     pairs = []
     if args.grid:
-        rmax, mmax = (int(x) for x in args.grid.lower().split("x"))
+        rmax, mmax = _parse_grid(args.grid)
         pairs = [(r, m) for r in range(1, rmax + 1) for m in range(1, mmax + 1)]
     else:
         if args.r is None or args.m is None:

@@ -75,10 +75,15 @@ def thm442_lhs(bk, f, nu: dict | None = None, window=None) -> HomologyTable:
     this is the Farrell-Tate complex of the free group on the primes of f
     times the roots of unity.  The backend says which nu values the theorem
     admits (``comparison_nu_ok``): in the archimedean case every nu_p must
-    be a unit.
+    be a unit.  A level with no prime divisor is refused: with no Koszul
+    operator the complex is the bare Tate column, one parity off the
+    sign-homology it is compared with.
     """
     nu = dict(nu or {})
     factors = bk.factor(f)
+    if not factors:
+        raise RankZeroUnsupported(
+            f"thm442 needs a level with a prime divisor; {bk.format_ideal(f)} has none")
     if any(e > 1 for _, e in factors):
         raise HypothesisViolated(f"{bk.format_ideal(f)} is not squarefree")
     if not bk.comparison_nu_ok(nu.get(p, 1) for p, _ in factors):

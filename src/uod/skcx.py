@@ -27,8 +27,10 @@ the vertical one is 1 +- neg, with neg the numerator negation.  The via-N
 quotient is the free quotient certified by the triangular peel of the
 boundary relations onto the depth-zero numerators
 (``znf.complement_projection``), the same certificate as the direct route's
-depth-zero basis; its induced differentials P d S stay sparse.  Only the
-small blocks of the numerator-killed route are dense.
+depth-zero basis; its induced differentials P d S stay sparse.  The
+numerator-killed route keeps its blocks sparse into ``total_complex``; only
+``sk_inclusion_check`` converts its total complexes with ``dense()``, for
+the chain map and the subquotients it compares.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .znf import (
     SparseMatrix,
     complement_projection,
     homology_pair,
+    repeat_diagonal,
 )
 
 
@@ -186,8 +189,8 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
         count = len(by_size.get(m, []))
         sign = -1 if m % 2 else 1
         vert_blocks[m] = (
-            _repeat_diagonal(plus, count, sign),
-            _repeat_diagonal(minus, count, sign),
+            repeat_diagonal(plus, count, sign),
+            repeat_diagonal(minus, count, sign),
         )
     for m in range(r + 1):
         for n in range(lo + 1, hi + 1):
@@ -212,16 +215,6 @@ def _sign_differentials(denom: int) -> tuple[SparseMatrix, SparseMatrix]:
             plus.append({a: 1, b: 1})
             minus.append({a: 1, b: -1})
     return SparseMatrix(denom, plus), SparseMatrix(denom, minus)
-
-
-def _repeat_diagonal(block: SparseMatrix, copies: int, sign: int) -> SparseMatrix:
-    """The block diagonal of ``copies`` copies of sign * block."""
-    n = block.rows
-    return SparseMatrix(
-        n * copies,
-        [{k * n + i: sign * v for i, v in col.items()}
-         for k in range(copies) for col in block.entries],
-    )
 
 
 def distribution_presentation(sk: SkComplex) -> SparseMatrix:
@@ -316,11 +309,10 @@ def via_skprime_complex(sk: SkComplex):
         m: [gi * denom for gi in range(len(sk.divisors_by_size.get(m, [])))]
         for m in range(r + 1)
     }
-    # the blocks have one row per divisor, so they are dense from here on
     for (m, n), mat in sk.double.horiz.items():
-        horiz[(m, n)] = mat.submatrix(zero_rows[m - 1], zero_rows[m]).dense()
+        horiz[(m, n)] = mat.submatrix(zero_rows[m - 1], zero_rows[m])
     for (m, n), mat in sk.double.vert.items():
-        vert[(m, n)] = mat.submatrix(zero_rows[m], zero_rows[m]).dense()
+        vert[(m, n)] = mat.submatrix(zero_rows[m], zero_rows[m])
     quotient = DoubleComplex(r, lo, hi, ranks, horiz, vert)
     total = total_complex(quotient, stable=(lo + r + 2, hi - 2))
     layout = {}
@@ -385,6 +377,8 @@ def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionRepo
     sk_g = build_sk(g, level, window)
     total_f, layout_f = via_skprime_complex(sk_f)
     total_g, layout_g = via_skprime_complex(sk_g)
+    # the chain map and the subquotients need dense lattice algebra
+    total_f, total_g = _dense_complex(total_f), _dense_complex(total_g)
     components = {}
     for t, blocks in layout_f.items():
         rows = total_g.rank(t)
@@ -409,6 +403,12 @@ def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionRepo
         if not kernel.is_trivial:
             injective = False
     return InclusionReport(injective, degrees)
+
+
+def _dense_complex(c: ChainComplex) -> ChainComplex:
+    """``c`` with its differentials as ``IntMatrix``; already checked."""
+    diff = {n: d.dense() for n, d in c.diff.items()}
+    return ChainComplex(c.ranks, diff, stable=c.stable, check=False)
 
 
 def sign_action_trivial_on_via_n(sk: SkComplex) -> tuple[int, int]:

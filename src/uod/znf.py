@@ -63,9 +63,9 @@ column-sparse (each column a ``{row: nonzero}`` dict) and multiplied by
 walking nonzeros only.  Products, sums, equality and the zero test all cost
 O(nnz), which is what makes the commutation and induction certificates on
 A(f) linear in |Xi(f)|; ``dense()`` hands an ``IntMatrix`` to the callers
-that need dense arithmetic.  The symbol double complex of ``skcx`` and the
-differentials it induces on its via-N quotient are ``SparseMatrix`` values
-too.
+that need dense arithmetic.  The symbol double complex of ``skcx``, the
+differentials it induces on its via-N quotient, and the Koszul-Tate blocks
+and total complexes of ``chainkit`` are ``SparseMatrix`` values too.
 
 A residual of the sparse stage with one nonzero per row and per column (m
 times a signed permutation, as in the almost-free complexes of ``ftate``)
@@ -319,6 +319,10 @@ class SparseMatrix:
     def identity(cls, n: int) -> "SparseMatrix":
         return _sparse(int(n), tuple({i: 1} for i in range(n)))
 
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
+        return _sparse(int(rows), ({},) * int(cols))
+
     def column(self, j):
         col = self.entries[j]
         return tuple(col.get(i, 0) for i in range(self.rows))
@@ -415,6 +419,25 @@ def _sparse(rows: int, entries: tuple) -> SparseMatrix:
     m = object.__new__(SparseMatrix)
     _init_sparse(m, rows, entries)
     return m
+
+
+def as_sparse(m) -> SparseMatrix:
+    """``m`` as a ``SparseMatrix``: an ``IntMatrix`` is converted, a
+    ``SparseMatrix`` is returned as it is."""
+    if isinstance(m, SparseMatrix):
+        return m
+    return _sparse(m.rows, tuple({i: v for i, v in enumerate(col) if v} for col in zip(*m.data))
+                   if m.rows else ({},) * m.cols)
+
+
+def repeat_diagonal(block: SparseMatrix, copies: int, sign: int = 1) -> SparseMatrix:
+    """The block diagonal of ``copies`` copies of sign * block, sign = ±1."""
+    n = block.rows
+    return _sparse(
+        n * copies,
+        tuple({k * n + i: sign * v for i, v in col.items()}
+              for k in range(copies) for col in block.entries),
+    )
 
 
 def block_diagonal(blocks) -> IntMatrix:

@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uod import znf
+from uod import chainkit, znf
 from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix, homology_pair, kernel_basis
 from uod.chainkit import (
     ActionModule,
     ChainComplex,
     ChainMap,
+    DoubleComplex,
     GammaOrderUnbounded,
     NonCommutingOperators,
     NotAComplex,
@@ -53,11 +56,115 @@ def torsion_complexes(draw):
     return make_complex(ranks, diffs, bottom_degree=draw(st.integers(-2, 2)))
 
 
+def dense(m):
+    return m.dense() if isinstance(m, SparseMatrix) else m
+
+
 def per_degree_homology(c):
     return {
-        n: homology_pair(c.differential(n), c.differential(n + 1)).invariants
+        n: homology_pair(dense(c.differential(n)), dense(c.differential(n + 1))).invariants
         for n in c.degrees()
     }
+
+
+def dense_kt_blocks(ops, plus, minus, window):
+    """The Koszul-Tate blocks of ``build_kt`` from dense operators, entry by
+    entry: (ranks, horizontal, vertical) keyed by bidegree."""
+    r, d = len(ops), plus.rows
+    lo, hi = window
+    subsets = {m: list(itertools.combinations(range(r), m)) for m in range(r + 1)}
+    ranks, horiz, vert = {}, {}, {}
+    for m in range(r + 1):
+        count = len(subsets[m])
+        sign = -1 if m % 2 else 1
+        for n in range(lo, hi + 1):
+            ranks[(m, n)] = d * count
+            op = plus if n % 2 == 0 else minus
+            vert[(m, n)] = [[sign * op[a, b] if i == j else 0
+                             for j in range(count) for b in range(d)]
+                            for i in range(count) for a in range(d)]
+        if m == 0:
+            continue
+        data = [[0] * (d * count) for _ in range(d * len(subsets[m - 1]))]
+        for si, subset in enumerate(subsets[m]):
+            for pos, i in enumerate(subset):
+                ti = subsets[m - 1].index(tuple(x for x in subset if x != i))
+                for a in range(d):
+                    for b in range(d):
+                        data[ti * d + a][si * d + b] += (-1) ** pos * ops[i][a, b]
+        for n in range(lo, hi + 1):
+            horiz[(m, n)] = data
+    return ranks, horiz, vert
+
+
+def dense_paste_total(ranks, horiz, vert, r, window, keep):
+    """Reference total complex: every block pasted cell by cell into dense
+    lists.  Returns (ranks, differentials) keyed by total degree."""
+    lo, hi = window
+    offsets = {}
+    for t in range(lo, hi + r + 1):
+        off, pos = {}, 0
+        for m in range(r + 1):
+            if lo <= t - m <= hi and keep(m, t - m):
+                off[(m, t - m)] = pos
+                pos += ranks[(m, t - m)]
+        offsets[t] = off
+    total_ranks = {t: sum(ranks[b] for b in off) for t, off in offsets.items()}
+    diff = {}
+    for t, off in offsets.items():
+        if t - 1 not in offsets:
+            continue
+        below = offsets[t - 1]
+        data = [[0] * total_ranks[t] for _ in range(total_ranks[t - 1])]
+
+        def paste(block, r0, c0):
+            for i, row in enumerate(block):
+                for j, v in enumerate(row):
+                    data[r0 + i][c0 + j] += v
+
+        for (m, n), c0 in off.items():
+            if (m - 1, n) in below:
+                paste(horiz[(m, n)], below[(m - 1, n)], c0)
+            if (m, n - 1) in below:
+                paste(vert[(m, n)], below[(m, n - 1)], c0)
+        diff[t] = IntMatrix(data, cols=total_ranks[t])
+    return total_ranks, diff
+
+
+# Commuting operators with plus * minus = 0, all in the ring Z[A] for one
+# matrix A: each entry lists A and pairs (u, v) of ring elements with u v = 0.
+RING_BASES = [
+    (IntMatrix([[0]]), [(IntMatrix([[1]]), IntMatrix([[0]])),
+                        (IntMatrix([[0]]), IntMatrix([[1]])),
+                        (IntMatrix([[0]]), IntMatrix([[0]]))]),
+    # the group ring of C2: norm and 1 - gamma
+    (IntMatrix([[0, 1], [1, 0]]), [(IntMatrix([[1, 1], [1, 1]]), IntMatrix([[1, -1], [-1, 1]])),
+                                   (IntMatrix([[1, -1], [-1, 1]]), IntMatrix([[1, 1], [1, 1]]))]),
+    # an idempotent e and 1 - e
+    (IntMatrix([[1, 1], [0, 0]]), [(IntMatrix([[1, 1], [0, 0]]), IntMatrix([[0, -1], [0, 1]])),
+                                   (IntMatrix([[0, -1], [0, 1]]), IntMatrix([[1, 1], [0, 0]]))]),
+    # a nilpotent
+    (IntMatrix([[0, 1], [0, 0]]), [(IntMatrix([[0, 1], [0, 0]]), IntMatrix([[0, 1], [0, 0]])),
+                                   (IntMatrix([[0, 1], [0, 0]]), IntMatrix([[0, 0], [0, 0]]))]),
+]
+
+
+@st.composite
+def kt_modules(draw):
+    """(operators, plus, minus): rank 1 or 2, 0-3 Koszul operators, entries
+    in -3..3, all commuting, and plus * minus = 0."""
+    base, pairs = draw(st.sampled_from(RING_BASES))
+    ident = IntMatrix.identity(base.rows)
+    in_range = lambda m: all(-3 <= x <= 3 for row in m.data for x in row)  # noqa: E731
+    element = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda ab: ident.scale(ab[0]) + base.scale(ab[1])).filter(in_range)
+    ops = draw(st.lists(element, min_size=0, max_size=3))
+    u, v = draw(st.sampled_from(pairs))
+    scales = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    plus, minus = u.scale(draw(scales)), v.scale(draw(scales))
+    if draw(st.booleans()):
+        plus, minus = minus, plus
+    return ops, plus, minus
 
 
 class TestMakeComplex:
@@ -377,11 +484,11 @@ class TestFreeHomology:
         assert c.homology().entries == {0: Z2, 1: ZERO, 2: Z}
 
     def test_kt_total_reduces_each_distinct_differential_once(self, monkeypatch):
-        # each reduction enters through snf_invariants; a residual it hands
+        # each reduction enters through rank_torsion; a residual it hands
         # to the dense stage must not ask for transforms
         calls = []
         smith = []
-        real, real_smith = znf.snf_invariants, znf._run_smith
+        real, real_smith = znf.rank_torsion, znf._run_smith
 
         def spy(m):
             calls.append(m)
@@ -398,7 +505,7 @@ class TestFreeHomology:
                                   "plus": ident + gamma, "minus": ident - gamma})
         kt = build_kt(module, ["X", "Y"], "plus", "minus", window=(-8, 8))
         total = companion(kt, "KTtot")
-        monkeypatch.setattr(znf, "snf_invariants", spy)
+        monkeypatch.setattr(chainkit, "rank_torsion", spy)
         monkeypatch.setattr(znf, "_run_smith", smith_spy)
         table = total.homology()
         monkeypatch.undo()
@@ -446,3 +553,48 @@ def test_total_complex_matches_column_when_no_ideals():
     assert table.entries[0] == ZERO
     assert table.entries[1] == Z2
     assert table.entries[-1] == Z2
+
+
+class TestSparseTotal:
+    """``build_kt`` and ``total_complex`` build sparse differentials, one
+    object per distinct value; a dense entry-by-entry construction of the
+    same complex is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kt_modules(), st.sampled_from([0, 2]), st.sampled_from(["KTtot", "KTplus"]))
+    def test_matches_the_dense_paste(self, module, widen, which):
+        ops, plus, minus = module
+        r = len(ops)
+        window = (-(r + 2) - widen // 2, r + 1 + widen // 2)  # the minimum width, + widen
+        names = {f"X{i}": op for i, op in enumerate(ops)}
+        m = ActionModule(plus.rows, names | {"plus": plus, "minus": minus})
+        total = companion(build_kt(m, list(names), "plus", "minus", window=window), which)
+        keep = (lambda m, n: n >= 0) if which == "KTplus" else (lambda m, n: True)
+        ranks, diff = dense_paste_total(*dense_kt_blocks(ops, plus, minus, window), r, window, keep)
+        assert total.ranks == {t: k for t, k in ranks.items() if k}
+        assert all(isinstance(d, SparseMatrix) for d in total.diff.values())
+        for t in range(total.lo, total.hi + 2):
+            assert total.differential(t).dense() == diff.get(t, IntMatrix.zeros(
+                total.rank(t - 1), total.rank(t)))
+        # equal differentials are one object
+        assert len({id(d) for d in total.diff.values()}) == len(set(total.diff.values()))
+        assert total.homology().entries == per_degree_homology(total)
+
+    def test_absent_blocks_read_as_sparse_zeros(self):
+        m = trivial_module({"X": 0, "plus": 2, "minus": 0})
+        kt = build_kt(m, ["X"], "plus", "minus", window=(-4, 4))
+        assert kt.horizontal(2, 0) == SparseMatrix.zeros(1, 0)
+        assert kt.vertical(0, -4) == SparseMatrix.zeros(0, 1)
+        total = companion(kt, "KTtot")
+        assert total.differential(total.lo) == SparseMatrix.zeros(0, total.rank(total.lo))
+
+    def test_a_double_complex_that_is_not_one_is_refused(self):
+        # rows and columns commute instead of anticommuting: built unchecked,
+        # the total differential must still fail d*d = 0
+        one = SparseMatrix.identity(1)
+        ranks = {(m, n): 1 for m in (0, 1) for n in range(-3, 4)}
+        horiz = {(1, n): one for n in range(-3, 4)}
+        vert = {(m, n): one for m in (0, 1) for n in range(-2, 4)}
+        d = DoubleComplex(1, -3, 3, ranks, horiz, vert, check=False)
+        with pytest.raises(NotAComplex):
+            total_complex(d)

@@ -156,6 +156,16 @@ class TestHarnessContract:
             ["verify", "u-function", "--f", "0"],
             ["verify", "u-function", "--f", "-4"],
             ["verify", "u-function", "--f", "12,-4"],
+            # no prime gives no Koszul operator: the KT side would be the bare
+            # Tate column, one parity off the direct side
+            ["verify", "thm442", "--f", "1"],
+            ["verify", "thm442", "--f", "15,1"],
+            ["verify", "thm442", "--backend", "fq", "--q", "3", "--f", "1"],
+            ["ftate", "--grid", "0x3"],
+            ["ftate", "--grid", "2x0"],
+            ["ftate", "--grid", "3"],
+            ["ftate", "--grid", "axb"],
+            ["ftate", "--grid=-1x2"],
         ],
     )
     def test_vacuous_levels_exit_2(self, capsys, argv):
@@ -164,6 +174,7 @@ class TestHarnessContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("levels", ["120,1", "1", "0", "12,-3", "60,x"])
     def test_uprime_levels_checked_before_any_work(self, monkeypatch, capsys, levels):

@@ -85,6 +85,12 @@ class TestThm442:
         with pytest.raises(HypothesisViolated):
             thm442_lhs(Q, 4)
 
+    @pytest.mark.parametrize("bk, f", [(Q, 1), (F3, (1,))])
+    def test_level_without_a_prime_rejected(self, bk, f):
+        # no Koszul operator: the bare Tate column is one parity off
+        with pytest.raises(RankZeroUnsupported, match="prime divisor"):
+            thm442_lhs(bk, f)
+
     def test_nu_minus_one(self):
         # nu_3 = -1: operator scalar -2; pin the interior table by direct SNF
         table = thm442_lhs(Q, 3, {3: -1})
