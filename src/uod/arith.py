@@ -33,6 +33,12 @@ The sorted class list Xi(f), each Y_g fiber map and each level group are
 built once per level and cached.  Class lists and fibers are tuples; the
 fiber dicts and the groups are only read by their callers.  Each backend
 caches its factorisations, as tuples of (prime, exponent).
+
+Polynomials over F_q are tuples of field codes.  Their kernels (``poly_add``,
+``poly_mul``, ``poly_divmod``) index the tables of ``FqTable`` directly, and
+``poly_divmod``, through which every residue, gcd, inverse and CRT lift goes,
+is memoised in a bounded LRU cache of 2^14 divisions.  ``fq_table`` refuses
+q > ``FQ_MAX`` = 4096 before it builds any q x q table.
 """
 
 from __future__ import annotations
@@ -204,8 +210,16 @@ class FqTable:
         return self.inv_table[a]
 
 
+# The largest field size uod accepts.  FqTable builds q x q tables before any
+# other work (about 1.2 GB and 47 s at q = 4001 on a 2-core x86 host), so a
+# larger q is refused up front rather than left to starve.
+FQ_MAX = 4096
+
+
 @lru_cache(maxsize=None)
 def fq_table(q: int) -> FqTable:
+    if q > FQ_MAX:
+        raise ValueError(f"q = {q} is too large: F_q tables are built for q <= {FQ_MAX} only")
     return FqTable(q)
 
 
@@ -214,8 +228,11 @@ def fq_table(q: int) -> FqTable:
 
 
 def poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
+    return _trimmed(list(coeffs))
+
+
+def _trimmed(coeffs: list) -> tuple:
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
 
@@ -224,15 +241,20 @@ def poly_deg(a):
     return len(a) - 1  # deg(0) = -1
 
 
+# The kernels index the F_q tables directly: a method call per coefficient
+# step cost more than the arithmetic it wrapped.  Each trims once, at the end.
+
+
 def poly_add(fq, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim(fq.add(x, y) for x, y in zip(a, b))
+    if len(a) < len(b):
+        a, b = b, a
+    add = fq.add_table
+    return _trimmed([add[x][y] for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def poly_neg(fq, a):
-    return tuple(fq.neg(x) for x in a)
+    neg = fq.neg_table
+    return tuple(neg[x] for x in a)
 
 
 def poly_sub(fq, a, b):
@@ -242,37 +264,53 @@ def poly_sub(fq, a, b):
 def poly_mul(fq, a, b):
     if not a or not b:
         return ()
+    add, mul = fq.add_table, fq.mul_table
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            row = mul[x]
+            for j, y in enumerate(b, i):
                 if y:
-                    out[i + j] = fq.add(out[i + j], fq.mul(x, y))
-    return poly_trim(out)
+                    out[j] = add[out[j]][row[y]]
+    return _trimmed(out)
 
 
 def poly_scale(fq, c, a):
-    return poly_trim(fq.mul(c, x) for x in a)
+    row = fq.mul_table[c]
+    return _trimmed([row[x] for x in a])
 
 
+# Residue arithmetic over F_q[T] divides the same few pairs again and again
+# (reductions mod a level, its prime powers and their gcds), so divisions are
+# memoised.  The memo is bounded; its key includes the table, since the same
+# tuples mean different polynomials over different fields.  A level of degree
+# 3 over F_5 makes about 1,400 distinct divisions; at ``verify yin --q 5 --f
+# T^5+T`` (45k distinct) a bound of 2^16 held 11 MB more than 2^14 and was no
+# faster.
+@lru_cache(maxsize=1 << 14)
 def poly_divmod(fq, a, b):
+    """(quotient, remainder) of a by b; a and b are tuples."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    inv_lead = fq.inv(b[-1])
-    out = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        q = fq.mul(a[-1], inv_lead)
-        shift = len(a) - len(b)
-        if q:
-            out[shift] = q
-            for i, c in enumerate(b):
-                a[shift + i] = fq.add(a[shift + i], fq.neg(fq.mul(q, c)))
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < len(b) - 1:
-            break
-    return poly_trim(out), poly_trim(a)
+    top = len(b) - 1
+    if len(a) <= top:
+        return (), a
+    add, mul, neg = fq.add_table, fq.mul_table, fq.neg_table
+    lead_inv = mul[fq.inv_table[b[-1]]]
+    # subtracting q T^shift b adds q times the negated terms of b below its lead
+    low = [(i, neg[c]) for i, c in enumerate(b[:top]) if c]
+    r = list(a)
+    out = [0] * (len(a) - top)
+    for shift in range(len(out) - 1, -1, -1):
+        c = r[shift + top]
+        if c:
+            out[shift] = q = lead_inv[c]
+            row = mul[q]
+            for i, y in low:
+                i += shift
+                r[i] = add[r[i]][row[y]]
+    del r[top:]
+    return _trimmed(out), _trimmed(r)
 
 
 def poly_gcd(fq, a, b):
@@ -810,7 +848,9 @@ def xi_sort_key(bk, xi: XiClass):
 
 # Per-level caches.  Their values are never mutated, and uod runs every
 # command in a single thread, so check-then-set needs no lock; the same holds
-# for ``distmod._partition_cache`` and the backends' ``_factor_cache``.
+# for ``distmod._partition_cache`` and the backends' ``_factor_cache``.  These
+# grow with the levels a process visits; the ``poly_divmod`` memo is the one
+# bounded cache, since it sees every division of every level.
 _classes_cache: dict = {}
 _fiber_cache: dict = {}
 _group_cache: dict = {}

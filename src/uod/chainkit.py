@@ -74,11 +74,13 @@ class NonCommutingOperators(ValueError):
 
 
 class GammaOrderUnbounded(RuntimeError):
-    """gamma0 has no finite order up to ``GAMMA_ORDER_BOUND``."""
+    """gamma0 has no finite order up to the module's bound."""
 
 
-# The sign generator has order dividing q - 1 (2 over Z); this bound only
-# has to stop the certificate on an operator of infinite order.
+# The bound of a module that is not told its sign order.  The sign generator
+# of A(f) has order dividing q - 1 (2 over Z), so ``build_af`` passes the
+# backend's ``sign_order`` instead; the bound only has to stop the
+# certificate on an operator of infinite order.
 GAMMA_ORDER_BOUND = 64
 
 
@@ -327,16 +329,18 @@ class ActionModule:
     attached to ideal names.
 
     Construction certifies that every pair of operators commutes and that
-    gamma0 has finite order at most ``GAMMA_ORDER_BOUND``.  The checks use
+    gamma0 has finite order at most ``order_bound``.  The checks use
     only products, equality and the identity of the operators' own matrix
     type, so a module of ``SparseMatrix`` class maps (as on A(f)) is
     certified in O(nnz) per product and a dense one as before.
     """
 
-    def __init__(self, rank: int, operators: dict, nu: dict | None = None):
+    def __init__(self, rank: int, operators: dict, nu: dict | None = None,
+                 order_bound: int = GAMMA_ORDER_BOUND):
         self.rank = rank
         self.operators = dict(operators)
         self.nu = dict(nu or {})
+        self.order_bound = order_bound
         for name, op in self.operators.items():
             if op.rows != rank or op.cols != rank:
                 raise ShapeMismatch(f"operator {name!r} is not {rank}x{rank}")
@@ -354,18 +358,18 @@ class ActionModule:
     def with_operator(self, name: str, op) -> "ActionModule":
         ops = dict(self.operators)
         ops[name] = op
-        return ActionModule(self.rank, ops, self.nu)
+        return ActionModule(self.rank, ops, self.nu, self.order_bound)
 
     def gamma_order(self) -> int:
         """Least m >= 1 with gamma0^m = 1; GammaOrderUnbounded past the bound."""
         g = self.operators["gamma0"]
         ident = type(g).identity(self.rank)
         power = g
-        for m in range(1, GAMMA_ORDER_BOUND + 1):
+        for m in range(1, self.order_bound + 1):
             if power == ident:
                 return m
             power = power * g
-        raise GammaOrderUnbounded(f"gamma0 has no order up to {GAMMA_ORDER_BOUND}")
+        raise GammaOrderUnbounded(f"gamma0 has no order up to {self.order_bound}")
 
 
 class DoubleComplex:

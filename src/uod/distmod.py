@@ -154,7 +154,8 @@ def build_af(bk, f, nu: dict | None = None) -> AfModule:
         )
     ops["gamma0"] = class_matrix([arith.sign_action(bk, xi) for xi in basis], index)
 
-    module = ActionModule(rank, ops, {x_op_name(bk, p): nu.get(p, 1) for p in primes})
+    module = ActionModule(rank, ops, {x_op_name(bk, p): nu.get(p, 1) for p in primes},
+                          order_bound=bk.sign_order)
     af = AfModule(bk, f, nu, basis, index, primes, fibers, module, group)
     _check_fiber_sums(af)
     return af

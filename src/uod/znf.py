@@ -69,13 +69,14 @@ and total complexes of ``chainkit`` are ``SparseMatrix`` values too.
 
 A residual of the sparse stage with one nonzero per row and per column (m
 times a signed permutation, as in the almost-free complexes of ``ftate``)
-skips the dense stage: its invariants are its entries' absolute values,
-brought into a divisibility chain by gcd/lcm swaps.
+skips the dense stage: its invariants are read off its entries' absolute
+values, by the exponents of a coprime base of them in increasing order.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
@@ -865,16 +866,45 @@ def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
 def _divisibility_chain(entries) -> tuple[int, ...]:
     """Invariant factors of diag(entries), for positive entries.
 
-    diag(a, b) ~ diag(gcd(a, b), lcm(a, b)), so replacing each pair (d_i,
-    d_j), i < j, by its gcd and lcm leaves d_i the gcd of d_i..d_k and every
-    later entry a multiple of it.
+    The distinct entries are split over a coprime base: pairwise coprime
+    b > 1, of which every entry is a product of powers.  Each prime divides
+    at most one b, so the invariants take the exponents of each b in the
+    entries in increasing order, as they would at a prime.  The work grows
+    with the number of distinct entries times the base, not with the k²/2
+    pairs of a gcd/lcm sweep over k entries.
     """
-    d = list(entries)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
-    return tuple(d)
+    counts = Counter(entries)
+    base: set[int] = set()
+    todo = [v for v in counts if v > 1]
+    while todo:
+        x = todo.pop()
+        for b in base:
+            g = gcd(x, b)
+            if g > 1:
+                # g (x/g) (b/g) = xb/g < xb, so the splitting ends
+                base.remove(b)
+                todo += [y for y in (g, x // g, b // g) if y > 1]
+                break
+        else:
+            base.add(x)
+    chain = [1] * len(entries)
+    for b in base:
+        start = 0
+        for e, k in sorted((_valuation(v, b), k) for v, k in counts.items()):
+            if e:
+                power = b**e
+                for i in range(start, start + k):
+                    chain[i] *= power
+            start += k
+    return tuple(chain)
+
+
+def _valuation(v: int, b: int) -> int:
+    e = 0
+    while v % b == 0:
+        v //= b
+        e += 1
+    return e
 
 
 def snf_invariants(m: IntMatrix) -> tuple[int, ...]:

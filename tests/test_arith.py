@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uod.arith import (
     ARCHIMEDEAN,
@@ -14,7 +15,11 @@ from uod.arith import (
     gf_group,
     ideal_arithmetic,
     parse_polynomial,
+    poly_add,
     poly_deg,
+    poly_divmod,
+    poly_mul,
+    poly_trim,
     sign_action,
     sign_group,
     xi_classes,
@@ -335,3 +340,88 @@ def test_backend_factory():
 def test_poly_deg():
     assert poly_deg(()) == -1
     assert poly_deg(T) == 1
+
+
+# Coefficient-wise reference kernels: one ``fq`` method call per coefficient
+# step, as the table-driven kernels of uod.arith replace them.
+
+
+def ref_add(fq, a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return poly_trim(fq.add(x, y) for x, y in zip(a, b))
+
+
+def ref_mul(fq, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = fq.add(out[i + j], fq.mul(x, y))
+    return poly_trim(out)
+
+
+def ref_divmod(fq, a, b):
+    a = list(a)
+    inv_lead = fq.inv(b[-1])
+    out = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        q = fq.mul(a[-1], inv_lead)
+        shift = len(a) - len(b)
+        if q:
+            out[shift] = q
+            for i, c in enumerate(b):
+                a[shift + i] = fq.add(a[shift + i], fq.neg(fq.mul(q, c)))
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) - 1 < len(b) - 1:
+            break
+    return poly_trim(out), poly_trim(a)
+
+
+@st.composite
+def poly_cases(draw):
+    """A field size, a polynomial a (possibly zero) and a nonzero divisor b,
+    monic or not, sometimes of higher degree than a."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 8, 9)))
+    coeff = st.integers(0, q - 1)
+    a = poly_trim(draw(st.lists(coeff, max_size=9)))
+    lead = draw(st.just(1) | st.integers(1, q - 1))
+    b = tuple(draw(st.lists(coeff, max_size=6))) + (lead,)
+    return fq_table(q), a, b
+
+
+class TestPolynomialKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(poly_cases())
+    def test_kernels_match_the_coefficientwise_reference(self, case):
+        fq, a, b = case
+        assert poly_add(fq, a, b) == ref_add(fq, a, b)
+        assert poly_add(fq, a, tuple(fq.neg(x) for x in a)) == ()  # a - a
+        assert poly_mul(fq, a, b) == ref_mul(fq, a, b)
+        want = ref_divmod(fq, a, b)
+        assert poly_divmod(fq, a, b) == want
+        assert poly_divmod(fq, a, b) == want  # the memoised call
+        quo, rem = want
+        assert poly_add(fq, poly_mul(fq, quo, b), rem) == a
+        assert poly_deg(rem) < poly_deg(b)
+
+    def test_lower_degree_dividend_is_its_own_remainder(self):
+        fq = fq_table(5)
+        assert poly_divmod(fq, (3, 4), (1, 2, 3)) == ((), (3, 4))
+        assert poly_divmod(fq, (), (2,)) == ((), ())
+
+    def test_memo_tells_fields_apart(self):
+        # the same tuples divide differently over F_3, F_4 and F_5
+        a, b = (1, 2, 2, 1), (2, 1)
+        for q in (3, 4, 5, 3, 5, 4):
+            fq = fq_table(q)
+            assert poly_divmod(fq, a, b) == ref_divmod(fq, a, b)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(fq_table(3), (1,), ())

@@ -257,6 +257,17 @@ class TestActionModule:
         with pytest.raises(GammaOrderUnbounded, match="no order up to 64"):
             ActionModule(2, {"gamma0": IntMatrix([[1, 1], [0, 1]])})
 
+    def test_gamma_order_bound_is_the_modules_own(self):
+        # a cyclic shift of order 100 passes under its bound, fails under 99,
+        # and the bound survives with_operator
+        n = 100
+        shift = SparseMatrix(n, [{(j + 1) % n: 1} for j in range(n)])
+        m = ActionModule(n, {"gamma0": shift}, order_bound=n)
+        assert m.gamma_order() == n
+        assert m.with_operator("X", SparseMatrix.identity(n)).order_bound == n
+        with pytest.raises(GammaOrderUnbounded, match="no order up to 99"):
+            ActionModule(n, {"gamma0": shift}, order_bound=n - 1)
+
 
 class TestBuildKt:
     def test_limit_shape(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from uod import cli
+from uod import arith, cli
 from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators, PlusMinusNotZero
 from uod.cli import main
 from uod.znf import ShapeMismatch
@@ -42,6 +42,19 @@ class TestVerifyCommands:
             "free_rank": 0,
             "torsion": [2],
         }
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "yin", "--q", "67", "--f", "T"],
+        ["verify", "yin", "--q", "81", "--f", "T"],
+        ["verify", "yin", "--q", "101", "--f", "T"],
+        ["sign-homology", "--backend", "fq", "--q", "71", "--f", "T"],
+    ])
+    def test_sign_order_above_64(self, tmp_path, argv):
+        # gamma0 has order q - 1 here; its certificate is bounded by that
+        code, payload = run_json(tmp_path, argv)
+        assert code == 0
+        [check] = json.loads(payload)["checks"]
+        assert check["verdict"] == "PASS"
 
     def test_thm442(self, tmp_path):
         code, payload = run_json(tmp_path, ["verify", "thm442", "--f", "15"])
@@ -209,6 +222,21 @@ class TestHarnessContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "yin", "--q", "4099", "--f", "T"],
+        ["sign-homology", "--backend", "fq", "--q", "1000003", "--f", "T"],
+    ])
+    def test_field_too_large_refused_before_any_table(self, monkeypatch, capsys, argv):
+        def refuse(q):
+            raise AssertionError(f"F_{q} tables were built")
+
+        monkeypatch.setattr(arith, "FqTable", refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_malformed_polynomial_exit_2(self):
         assert main(["verify", "yin", "--q", "3", "--f", "T^"]) == 2

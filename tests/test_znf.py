@@ -1,4 +1,5 @@
 import heapq
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,16 @@ def costly_cases(draw):
         for i in (j % r, (j + 1) % r):
             data[i][j] = data[i][j] or draw(nonzero)
     return IntMatrix(data, cols=c)
+
+
+def pairwise_chain(entries):
+    """Invariant factors of diag(entries) by the gcd/lcm sweep over all pairs."""
+    d = list(entries)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
 
 
 def naive_product(a, b):
@@ -426,6 +437,17 @@ class TestSparseInvariants:
         assert snf_invariants(IntMatrix([[0, -4, 0], [0, 0, 0], [6, 0, 0]])) == (2, 12, 0)
         m = IntMatrix([[0, 1, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 10], [0, 0, 4, 0]])
         assert snf_invariants(m) == (1, 2, 2, 20)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 40), max_size=24)
+           | st.lists(st.sampled_from((1, 2, 4, 6, 9, 12, 2**40, 6**25)), max_size=40))
+    def test_divisibility_chain_matches_the_pairwise_sweep(self, entries):
+        assert znf._divisibility_chain(entries) == pairwise_chain(entries)
+
+    def test_divisibility_chain_of_equal_entries(self):
+        assert znf._divisibility_chain([6] * 512) == (6,) * 512
+        assert znf._divisibility_chain([4] * 300 + [6] * 2) == (2, 2) + (4,) * 298 + (12, 12)
+        assert znf._divisibility_chain([]) == ()
 
     def test_dense_stage_sees_only_the_residual(self, monkeypatch):
         # a unimodular sparse block next to a block with no unit entry
