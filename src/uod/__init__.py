@@ -4,7 +4,7 @@ theorems, all in integer arithmetic."""
 
 __version__ = "0.1.0"
 
-from .znf import AbGroupInvariants, IntMatrix, SnfResult, SparseMatrix, cokernel, kernel_basis, snf
+from .znf import AbGroupInvariants, IntMatrix, SnfResult, SparseMatrix, kernel_basis, snf
 from .chainkit import (
     ActionModule,
     ChainComplex,
@@ -42,7 +42,6 @@ __all__ = [
     "build_kt",
     "build_sk",
     "characters",
-    "cokernel",
     "companion",
     "ftate_closed_form",
     "ftate_via_kt",

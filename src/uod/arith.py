@@ -313,12 +313,6 @@ def poly_divmod(fq, a, b):
     return _trimmed(out), _trimmed(r)
 
 
-def poly_gcd(fq, a, b):
-    while b:
-        a, b = b, poly_divmod(fq, a, b)[1]
-    return poly_monic(fq, a)
-
-
 def poly_monic(fq, a):
     if not a:
         return a

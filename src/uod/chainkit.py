@@ -32,10 +32,10 @@ homology at degree n is computed by the exact subquotient formula
 
     {x : d_n x in relations} / (im d_{n+1} + relations),
 
-which avoids resolving each term; when every term happens to be Z-free the
-complex is first reduced to an honest free complex, which is much cheaper.
-Presented complexes need dense lattice algebra, so the ``Kbar`` and
-``Tbar`` companions call ``dense()`` on the sparse blocks they take.
+which needs no resolution and no splitting of any term; each distinct
+tuple of the four matrices it reads is reduced once.  Presented complexes
+need dense lattice algebra, so the ``Kbar`` and ``Tbar`` companions call
+``dense()`` on the sparse blocks they take.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .znf import (
     SparseMatrix,
     _sparse,
     as_sparse,
-    cokernel,
     lattice_contains,
     preimage_lattice,
     rank_torsion,
@@ -249,7 +248,7 @@ def twist(c: ChainComplex, k: int) -> ChainComplex:
 class ChainMap:
     """Degreewise map commuting with the differentials."""
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, components: dict, check=True):
+    def __init__(self, source: ChainComplex, target: ChainComplex, components: dict):
         self.source = source
         self.target = target
         self.components = {}
@@ -258,14 +257,11 @@ class ChainMap:
                 raise ShapeMismatch(f"component at degree {n} has wrong shape")
             if m.rows and m.cols:
                 self.components[n] = m
-        if check:
-            lo = min(source.lo, target.lo)
-            hi = max(source.hi, target.hi)
-            for n in range(lo, hi + 2):
-                lhs = self.component(n - 1) * source.differential(n)
-                rhs = target.differential(n) * self.component(n)
-                if lhs != rhs:
-                    raise NotAComplex(n, "chain map does not commute with differentials")
+        for n in range(min(source.lo, target.lo), max(source.hi, target.hi) + 2):
+            lhs = self.component(n - 1) * source.differential(n)
+            rhs = target.differential(n) * self.component(n)
+            if lhs != rhs:
+                raise NotAComplex(n, "chain map does not commute with differentials")
 
     def component(self, n: int) -> IntMatrix:
         if n in self.components:
@@ -530,7 +526,7 @@ class PresentedComplex:
     they carry relations into relations and compose to zero modulo relations.
     """
 
-    def __init__(self, ranks: dict, rels: dict, diff: dict, stable=None, check=True):
+    def __init__(self, ranks: dict, rels: dict, diff: dict, stable=None):
         self.ranks = {n: r for n, r in ranks.items() if r}
         self.rels = {n: m for n, m in rels.items() if m.cols and not m.is_zero()}
         self.diff = {n: m for n, m in diff.items() if m.rows and m.cols}
@@ -539,31 +535,30 @@ class PresentedComplex:
             self.lo, self.hi = min(self.ranks), max(self.ranks)
         else:
             self.lo, self.hi = 0, -1
-        if check:
-            for n, m in self.diff.items():
-                if m.rows != self.rank(n - 1) or m.cols != self.rank(n):
-                    raise ShapeMismatch(f"differential shape at degree {n}")
-            # both checks at degree n depend on these five matrices only, and
-            # a periodic complex repeats them, so each distinct tuple runs once
-            passed = set()
-            for n in self.degrees():
-                key = (
-                    self.differential(n - 1),
-                    self.differential(n),
-                    self.relations(n - 2),
-                    self.relations(n - 1),
-                    self.relations(n),
-                )
-                if key in passed:
-                    continue
-                d_prev, d, rel_prev2, rel_prev, rel = key
-                moved = d * rel
-                if not moved.is_zero() and not lattice_contains(rel_prev, moved):
-                    raise NotAComplex(n, "differential does not preserve relations")
-                composite = d_prev * d
-                if not composite.is_zero() and not lattice_contains(rel_prev2, composite):
-                    raise NotAComplex(n, "d*d is nonzero modulo relations")
-                passed.add(key)
+        for n, m in self.diff.items():
+            if m.rows != self.rank(n - 1) or m.cols != self.rank(n):
+                raise ShapeMismatch(f"differential shape at degree {n}")
+        # both checks at degree n depend on these five matrices only, and a
+        # periodic complex repeats them, so each distinct tuple runs once
+        passed = set()
+        for n in self.degrees():
+            key = (
+                self.differential(n - 1),
+                self.differential(n),
+                self.relations(n - 2),
+                self.relations(n - 1),
+                self.relations(n),
+            )
+            if key in passed:
+                continue
+            d_prev, d, rel_prev2, rel_prev, rel = key
+            moved = d * rel
+            if not moved.is_zero() and not lattice_contains(rel_prev, moved):
+                raise NotAComplex(n, "differential does not preserve relations")
+            composite = d_prev * d
+            if not composite.is_zero() and not lattice_contains(rel_prev2, composite):
+                raise NotAComplex(n, "d*d is nonzero modulo relations")
+            passed.add(key)
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
@@ -581,33 +576,7 @@ class PresentedComplex:
         return range(self.lo, self.hi + 1)
 
     def homology(self) -> HomologyTable:
-        coks = {}
-        for n in self.degrees():
-            rel = self.relations(n)
-            if rel not in coks:
-                coks[rel] = cokernel(rel)
-        if all(c.invariants.is_free for c in coks.values()):
-            return self._homology_via_free(coks)
-        return self._homology_generic()
-
-    def _homology_via_free(self, coks) -> HomologyTable:
-        ranks = {}
-        diff = {}
-        for n in self.degrees():
-            ranks[n] = coks[self.relations(n)].invariants.free_rank
-        induced = {}
-        for n in range(self.lo + 1, self.hi + 1):
-            # relation preservation was validated at construction, so the
-            # induced matrix on free quotients can be formed directly
-            key = (self.relations(n - 1), self.differential(n), self.relations(n))
-            if key not in induced:
-                dst, d, src = key
-                induced[key] = coks[dst].projection * d * coks[src].section
-            diff[n] = induced[key]
-        free = ChainComplex(ranks, diff, stable=self.stable)
-        return free.homology()
-
-    def _homology_generic(self) -> HomologyTable:
+        """The subquotient formula of the module docstring at every degree."""
         entries = {}
         cache = {}
         for n in self.degrees():

@@ -61,10 +61,9 @@ from .znf import (
     NotAComplement,
     SparseMatrix,
     _invariants,
-    cokernel,
     cokernel_invariants,
     complement_projection,
-    snf_invariants,
+    kernel_basis,
 )
 
 
@@ -484,13 +483,15 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     if is_basis:
         quotient_inv = (1,) * k
     else:
-        # only to say how it failed: the images of Xi_0 in the free part
-        cok = cokernel(rel.dense())
-        images = IntMatrix.from_columns(
-            [cok.projection.column(af.index[xi]) for xi in xi0_here],
-            rows=cok.invariants.free_rank,
-        )
-        quotient_inv = snf_invariants(images)
+        # only to say how it failed: the invariant factors of the images of
+        # Xi_0 in the free part Z^n / sat(im R), where sat(im R) is the
+        # lattice killed by every row that kills im R; what the images miss
+        # of the free part has their nonunit invariants
+        sat = kernel_basis(kernel_basis(rel.dense().transpose()).transpose())
+        missed = cokernel_invariants(sat.hstack(class_matrix(xi0_here, af.index).dense()))
+        rank = quotient.free_rank - missed.free_rank
+        quotient_inv = ((1,) * (rank - len(missed.torsion)) + missed.torsion
+                        + (0,) * (min(quotient.free_rank, k) - rank))
     ok = is_basis and all(d == 1 for d in lattice_inv)
     if not ok:
         note = "" if free else f"; U(f) is {quotient}, not Z^{k}"

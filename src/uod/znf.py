@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z: Smith and Hermite forms, kernels, cokernel presentations.
+"""Exact linear algebra over Z: Smith and Hermite forms, kernels, free quotients.
 
 Everything here works with arbitrary-precision Python integers; there is no
 floating point and no modular shortcut anywhere.  Matrices are immutable
@@ -6,12 +6,11 @@ values, so all operations return new objects and are safe to share between
 threads.
 
 The dense reducer ``_Smith`` returns the diagonal invariant factors and,
-behind one ``transforms`` switch, the unimodular transforms and their
-inverses that realize them.  After a unit pivot the reduction skips its
-divisibility scan, since a unit divides every entry.  Only ``cokernel``
-(whose presentation needs them) and ``snf`` ask for the transforms; ``snf``
-has no caller in the package and stays public as the reference the tests
-hold every other entry point to.
+behind one ``transforms`` switch, the two unimodular transforms that realize
+them.  After a unit pivot the reduction skips its divisibility scan, since a
+unit divides every entry.  Only ``snf`` asks for the transforms; it has no
+caller in the package and stays public as the reference the tests hold
+every other entry point to.
 
 ``snf_invariants`` (and through it ``rank_torsion``, ``cokernel_invariants``
 and ``subquotient``) tracks no transform and starts with a sparse stage: the
@@ -40,15 +39,15 @@ the basis of the graph {(a x + d y, x)} that pivots below a's rows, and
 ``kernel_basis`` is the preimage of 0.  ``solve`` reduces (b, 0) against the
 basis of the graph of a, which leaves (0, -x) with a x = b, and
 ``lattice_contains`` reduces against the basis of the generators.  On top
-of these sit cokernel presentations with a splitting of the free part and
-the subquotient invariants lattice(num)/lattice(den) used by every homology
-computation in the package.
+of these sit the subquotients lattice(num)/lattice(den), for homology with
+representatives or over presented terms.
 
-Next to ``snf`` sits ``complement_projection``, a triangular peel for the
-case where a known set of coordinate vectors should complement a relation
-lattice.  A relation column whose only row outside the kept ones is ±1
-there fixes the projection of that row's coordinate vector; the rows it
-peels leave further columns with one row to go, and a queue holds them.
+The one quotient with a splitting of Z^n is ``FreeQuotient``, certified by
+``complement_projection``, a triangular peel for the case where a known set
+of coordinate vectors should complement a relation lattice.  A relation
+column whose only row outside the kept ones is ±1 there fixes the
+projection of that row's coordinate vector; the rows it peels leave
+further columns with one row to go, and a queue holds them.
 When every row is peeled, the pivot columns and the kept coordinate vectors
 form a unimodular triangular matrix, and the projection is certified once
 it kills every other relation column.  Nothing is eliminated, so nothing
@@ -232,13 +231,6 @@ class IntMatrix:
                         acc[j] += a * b
             out.append(tuple(acc))
         return _trusted(tuple(out), width)
-
-    def apply(self, vector):
-        """Matrix times column vector (sequence of ints)."""
-        vector = list(vector)
-        if len(vector) != self.cols:
-            raise ShapeMismatch("vector length mismatch")
-        return tuple(sum(a * v for a, v in zip(row, vector) if a) for row in self.data)
 
     def transpose(self) -> "IntMatrix":
         if not self.rows:
@@ -503,13 +495,11 @@ class AbGroupInvariants:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """L * M * R = diagonal(invariants), with all four transforms unimodular."""
+    """L * M * R = diagonal(invariants), with both transforms unimodular."""
 
     invariants: tuple[int, ...]
     left: IntMatrix
     right: IntMatrix
-    left_inv: IntMatrix
-    right_inv: IntMatrix
 
     def diagonal(self) -> IntMatrix:
         return IntMatrix.diagonal(self.invariants, rows=self.left.rows, cols=self.right.rows)
@@ -531,21 +521,19 @@ def _xgcd(a: int, b: int):
 
 
 class _Smith:
-    """Mutable SNF state; the four transforms are tracked only on request."""
+    """Mutable SNF state; the two transforms are tracked only on request."""
 
     def __init__(self, m: IntMatrix, transforms: bool):
         self.r, self.c = m.rows, m.cols
         self.a = [list(row) for row in m.data]
-        self.L = self.Li = self.R = self.Ri = None
+        self.L = self.R = None
         if transforms:
             def ident(n):
                 return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-            self.L, self.Li = ident(self.r), ident(self.r)
-            self.R, self.Ri = ident(self.c), ident(self.c)
+            self.L, self.R = ident(self.r), ident(self.c)
 
-    # Elementary operations keep the identities L*M0*R == A, Li == L^-1,
-    # Ri == R^-1 at every step.
+    # Elementary operations keep the identity L*M0*R == A at every step.
 
     def row_swap(self, i, t):
         if i == t:
@@ -553,8 +541,6 @@ class _Smith:
         self.a[i], self.a[t] = self.a[t], self.a[i]
         if self.L is not None:
             self.L[i], self.L[t] = self.L[t], self.L[i]
-            for row in self.Li:
-                row[i], row[t] = row[t], row[i]
 
     def col_swap(self, j, t):
         if j == t:
@@ -564,14 +550,11 @@ class _Smith:
         if self.R is not None:
             for row in self.R:
                 row[j], row[t] = row[t], row[j]
-            self.Ri[j], self.Ri[t] = self.Ri[t], self.Ri[j]
 
     def row_negate(self, i):
         self.a[i] = [-x for x in self.a[i]]
         if self.L is not None:
             self.L[i] = [-x for x in self.L[i]]
-            for row in self.Li:
-                row[i] = -row[i]
 
     def row_two(self, t, i, s, u, x, y):
         """Rows (t, i) <- (s*row_t + u*row_i, x*row_t + y*row_i); det = +-1."""
@@ -582,11 +565,6 @@ class _Smith:
             lt, li = self.L[t], self.L[i]
             self.L[t] = [s * p + u * q for p, q in zip(lt, li)]
             self.L[i] = [x * p + y * q for p, q in zip(lt, li)]
-            det = s * y - u * x
-            for row in self.Li:
-                p, q = row[t], row[i]
-                row[t] = (y * p - x * q) * det
-                row[i] = (-u * p + s * q) * det
 
     def col_two(self, t, j, s, u, x, y):
         """Cols (t, j) <- (s*col_t + u*col_j, x*col_t + y*col_j); det = +-1."""
@@ -599,10 +577,6 @@ class _Smith:
                 p, q = row[t], row[j]
                 row[t] = s * p + u * q
                 row[j] = x * p + y * q
-            det = s * y - u * x
-            rt, rj = self.Ri[t], self.Ri[j]
-            self.Ri[t] = [(y * p - x * q) * det for p, q in zip(rt, rj)]
-            self.Ri[j] = [(-u * p + s * q) * det for p, q in zip(rt, rj)]
 
     def _find_pivot(self, t):
         best = None
@@ -684,22 +658,16 @@ def _run_smith(m, transforms):
     st = _Smith(m, transforms)
     diag = st.reduce()
     pack = lambda rows, n: _trusted(tuple(map(tuple, rows)), n) if rows is not None else None
-    return (
-        diag,
-        pack(st.L, st.r),
-        pack(st.R, st.c),
-        pack(st.Li, st.r),
-        pack(st.Ri, st.c),
-    )
+    return diag, pack(st.L, st.r), pack(st.R, st.c)
 
 
 def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form with transforms: left * m * right = diagonal.
 
     The invariant factors are nonnegative and form a divisibility chain
-    (zeros trail).  ``left``/``right`` and their inverses are unimodular.
-    The tests' reference for every other Smith entry point; in the package
-    only ``cokernel`` asks ``_run_smith`` for transforms.
+    (zeros trail).  ``left`` and ``right`` are unimodular.  The tests'
+    reference for every other Smith entry point, and the only caller that
+    asks ``_run_smith`` for transforms.
     """
     return SnfResult(*_run_smith(m, True))
 
@@ -995,52 +963,11 @@ def lattice_contains(basis_or_gens: IntMatrix, vectors: IntMatrix) -> bool:
     return not any(any(_reduce(basis, col)) for col in vectors.columns())
 
 
-def _invariants_from_diag(ambient: int, diag) -> AbGroupInvariants:
-    nonzero = [d for d in diag if d]
-    torsion = tuple(d for d in nonzero if d > 1)
-    return AbGroupInvariants(ambient - len(nonzero), torsion)
-
-
-@dataclass(frozen=True)
-class Cokernel:
-    """Presentation of Z^n / column-lattice(relations).
-
-    ``section`` maps the free quotient back into Z^n (its columns project to
-    a basis of the free part) and ``projection`` gives quotient coordinates;
-    projection @ section is the identity.  The pair expresses endomorphisms
-    on the quotient whenever the quotient is free.
-    """
-
-    invariants: AbGroupInvariants
-    section: IntMatrix
-    projection: IntMatrix
-    relations: IntMatrix
-
-    def induce(self, op: IntMatrix) -> IntMatrix:
-        """Matrix of the endomorphism induced on the free quotient.
-
-        Raises NoIntegerSolution when ``op`` does not preserve the relation
-        lattice (the induced map would be undefined).
-        """
-        if not lattice_contains(self.relations, op * self.relations):
-            raise NoIntegerSolution("the operator does not preserve the relations")
-        return self.projection * op * self.section
-
-
-def cokernel(m: IntMatrix) -> Cokernel:
-    """Invariants and free-part splitting of Z^rows / im(m)."""
-    n = m.rows
-    diag, left, _, left_inv, _ = _run_smith(m, True)
-    free_idx = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
-    section = left_inv.submatrix(range(n), free_idx)
-    projection = left.submatrix(free_idx, range(n))
-    return Cokernel(_invariants_from_diag(n, diag), section, projection, m)
-
-
 def cokernel_invariants(m) -> AbGroupInvariants:
     """Invariants of Z^rows / im(m) for an ``IntMatrix`` or a ``SparseMatrix``,
     with no transform tracked."""
-    return _invariants_from_diag(m.rows, _diagonal(m))
+    rank, torsion = rank_torsion(m)
+    return AbGroupInvariants(m.rows - rank, torsion)
 
 
 def complement_projection(relations: SparseMatrix, keep_rows) -> SparseMatrix:

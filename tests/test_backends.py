@@ -28,6 +28,28 @@ def test_no_module_branches_on_backend_kind():
     assert reads == []
 
 
+def test_only_snf_asks_for_smith_transforms():
+    # every other Smith reduction in the package passes a literal False
+    owner = {}  # _run_smith call -> (module, innermost enclosing function)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        # ast.walk is breadth-first, so an inner function overwrites its outer one
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.Module, ast.FunctionDef)):
+                for node in ast.walk(scope):
+                    callee = getattr(node, "func", None)
+                    if getattr(callee, "id", getattr(callee, "attr", None)) == "_run_smith":
+                        owner[node] = (path.name, getattr(scope, "name", None))
+
+    def invariants_only(call):
+        flag = call.args[1] if len(call.args) == 2 and not call.keywords else None
+        return isinstance(flag, ast.Constant) and flag.value is False
+
+    asking = [where for call, where in owner.items() if not invariants_only(call)]
+    assert asking == [("znf.py", "snf")]
+    assert len(owner) > 1
+
+
 def test_distmod_does_no_polynomial_arithmetic():
     path = SRC / "distmod.py"
     hits = _attribute_reads(path, lambda attr: attr == "fq" or attr.startswith("poly_"))

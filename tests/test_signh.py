@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uod import znf
+from uod.chainkit import PresentedComplex
 from uod.arith import ArchimedeanBackend, FunctionFieldBackend
 from uod.distmod import build_af, distribution_relations, u_module
 from uod.signh import (
@@ -12,7 +13,7 @@ from uod.signh import (
     tate_pair,
     verify_rank_theorem,
 )
-from uod.znf import AbGroupInvariants, IntMatrix, block_diagonal, cokernel
+from uod.znf import AbGroupInvariants, IntMatrix, block_diagonal
 
 Q = ArchimedeanBackend()
 F3 = FunctionFieldBackend(3)
@@ -154,8 +155,10 @@ class TestSignHomologyU:
             assert table[0].order() == table[1].order()
 
     def test_independent_of_section_choice(self):
-        # recompute the quotient with a shuffled basis enumeration and an
-        # arbitrary SNF section; the invariants cannot change
+        # recompute the Tate pair with no section at all: the two-periodic
+        # complex (1 - gamma, N) on all of A(12), presented by the relations
+        # in a shuffled basis enumeration, has U(12)'s Tate groups as its
+        # homology; gamma0 has order 2, so N = 1 + gamma
         import random
 
         af = build_af(Q, 12)
@@ -168,11 +171,14 @@ class TestSignHomologyU:
         )
         rel_shuffled = pmat * rel.dense()
         gamma_shuffled = pmat * af.operators.operator("gamma0").dense() * pmat.transpose()
-        cok = cokernel(rel_shuffled)
-        induced = cok.induce(gamma_shuffled)
-        even, odd = tate_pair(induced, 2)
+        ident = IntMatrix.identity(af.rank)
+        one_minus, norm = ident - gamma_shuffled, ident + gamma_shuffled
+        ranks = {n: af.rank for n in range(4)}
+        rels = {n: rel_shuffled for n in ranks}
+        diff = {n: one_minus if n % 2 == 0 else norm for n in range(1, 4)}
+        presented = PresentedComplex(ranks, rels, diff, stable=(1, 2)).homology()
         table = sign_homology_U(Q, 12)
-        assert (even, odd) == (table[0], table[1])
+        assert (presented[2], presented[1]) == (table[0], table[1])
 
 
 class TestRankTheorem:

@@ -25,8 +25,8 @@ def squarefree(n):
 
 def dense_via_n_reference(sk):
     """The boundary quotient as a presented complex on all numerators, with
-    the dense relations and the dense 1 +- neg: its homology goes through
-    the cokernel's Smith reduction, independent of the peel."""
+    the dense relations and the dense 1 +- neg: its homology is the exact
+    subquotient formula on the Hermite bases, independent of the peel."""
     lo, hi = sk.window
     denom = sk.denominator
     rel = distribution_presentation(sk).dense()
