@@ -21,22 +21,31 @@ two-periodic sign differential; killing all symbols with nonzero numerator
 leaves one copy of the scalar double complex with operators 0 and vertical
 pair [2; 0], whose total homology is (Z/2)^{2^{r-1}} in every degree.
 
-Every matrix of the symbol complex is a ``znf.SparseMatrix``: a column of
-the horizontal differential has at most p + 1 nonzeros per prime of g, and
-the vertical one is 1 +- neg, with neg the numerator negation.  The via-N
-quotient is the free quotient certified by the triangular peel of the
-boundary relations onto the depth-zero numerators
-(``znf.complement_projection``), the same certificate as the direct route's
-depth-zero basis; its induced differentials P d S stay sparse.  The
-numerator-killed route keeps its blocks sparse into ``total_complex``; only
-``sk_inclusion_check`` converts its total complexes with ``dense()``, for
-the chain map and the subquotients it compares.
+The symbol double complex is the Koszul-Tate complex of the distribution
+operators: ``build_sk`` returns ``chainkit.build_kt`` of the module
+Z^{f^N} with the Koszul operators T_p = 1 - Psi_p (Psi_p the p-fiber sum
+above) and the sign pair plus = 1 + neg, minus = 1 - neg, with neg the
+numerator negation.  Every matrix is a ``znf.SparseMatrix``.  ``build_kt``
+does not validate the double complex; ``ActionModule`` certifies that the
+T_p, plus and minus commute pairwise, and ``build_kt`` that plus * minus
+= 0, which together imply d^2 = 0 both ways and anticommutation.
+
+The via-N quotient is the free quotient certified by the triangular peel of
+the boundary relations (the columns of T_p at the multiples of p) onto the
+depth-zero numerators (``znf.complement_projection``), the same certificate
+as the direct route's depth-zero basis; its induced differentials P d S
+stay sparse.  The numerator-killed route checks that the nonzero numerators
+span a subcomplex and is then ``build_kt`` of the 1x1 module of the
+numerator-0 entries; only ``sk_inclusion_check`` converts its total
+complexes with ``dense()``, for the chain map and the subquotients it
+compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 from .arith import ARCHIMEDEAN, xi_from_fraction
 from .chainkit import (
@@ -45,10 +54,8 @@ from .chainkit import (
     ChainMap,
     DoubleComplex,
     HomologyTable,
-    WindowTooSmall,
     build_kt,
     companion,
-    total_complex,
 )
 from .distmod import BasisCertificateFailed, depth
 from .signh import acts_as_identity, induced_kernel
@@ -59,22 +66,11 @@ from .znf import (
     SparseMatrix,
     complement_projection,
     homology_pair,
-    repeat_diagonal,
 )
 
 
 class NotSquarefree(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SkSymbol:
-    numerator: int       # over the fixed denominator f^N
-    divisor: int         # squarefree g | f
-    degree: int
-
-    def bidegree(self, primes_of):
-        return (len(primes_of(self.divisor)), self.degree)
 
 
 @dataclass
@@ -84,120 +80,56 @@ class SkComplex:
     window: tuple
     denominator: int             # f^level
     primes: tuple
-    divisors_by_size: dict       # m -> divisors of f with m prime factors
+    divisors_by_size: dict       # m -> divisors of f with m prime factors, in subset order
+    module: ActionModule         # Z^{f^level} with the T_p, plus = 1 + neg, minus = 1 - neg
     double: DoubleComplex
-
-    def symbols(self, m: int, n: int):
-        out = []
-        for g in self.divisors_by_size[m]:
-            for a in range(self.denominator):
-                out.append(SkSymbol(a, g, n))
-        return out
-
-    def index_of(self, sym: SkSymbol) -> int:
-        m = len([p for p in self.primes if sym.divisor % p == 0])
-        gi = self.divisors_by_size[m].index(sym.divisor)
-        return gi * self.denominator + sym.numerator
-
-    def delta_symbol(self, sym: SkSymbol) -> dict:
-        m = sum(1 for p in self.primes if sym.divisor % p == 0)
-        sign = -1 if m % 2 else 1
-        out: dict = {}
-        down = SkSymbol(sym.numerator, sym.divisor, sym.degree - 1)
-        out[down] = out.get(down, 0) + sign
-        mirrored = SkSymbol(
-            (-sym.numerator) % self.denominator, sym.divisor, sym.degree - 1
-        )
-        parity = 1 if sym.degree % 2 == 0 else -1
-        out[mirrored] = out.get(mirrored, 0) + sign * parity
-        return {k: v for k, v in out.items() if v}
-
-    def partial_symbol(self, sym: SkSymbol) -> dict:
-        out: dict = {}
-        primes = [p for p in self.primes if sym.divisor % p == 0]
-        for i, p in enumerate(primes):
-            sign = -1 if i % 2 else 1
-            smaller = sym.divisor // p
-            keep = SkSymbol(sym.numerator, smaller, sym.degree)
-            out[keep] = out.get(keep, 0) + sign
-            if sym.numerator % p == 0:
-                for j in range(p):
-                    b = (sym.numerator + j * self.denominator) // p
-                    pre = SkSymbol(b, smaller, sym.degree)
-                    out[pre] = out.get(pre, 0) - sign
-        return {k: v for k, v in out.items() if v}
 
 
 def build_sk(f: int, level: int, window=None) -> SkComplex:
-    """Assemble and validate the level-f^N symbol double complex."""
+    """The level-f^N symbol double complex: ``build_kt`` of the module
+    Z^{f^N} with the Koszul operators T_p and the sign pair 1 +- neg.
+
+    Block g of row m belongs to the divisor whose primes form the m-subset
+    at that position in ``build_kt``'s subset order (``divisors_by_size``).
+    ``ActionModule`` certifies that the operators commute, and ``build_kt``
+    that plus * minus = 0; together they make the blocks a double complex.
+    """
     if f <= 1:
         raise NotSquarefree("need f > 1")
     factors = ARCHIMEDEAN.factor(f)
     if any(e > 1 for _, e in factors):
         raise NotSquarefree(f"{f} is not squarefree")
     primes = tuple(p for p, _ in factors)
-    r = len(primes)
-    if window is None:
-        window = (-(r + 3), r + 3)
-    lo, hi = window
-    if hi - lo + 1 < 2 * r + 4:
-        raise WindowTooSmall(f"window shorter than {2 * r + 4}")
     denom = f**level
-
-    divisors = sorted(d for d in range(1, f + 1) if f % d == 0)
-    by_size = {}
-    for d in divisors:
-        m = sum(1 for p in primes if d % p == 0)
-        by_size.setdefault(m, []).append(d)
-
-    ranks = {}
-    horiz = {}
-    vert = {}
+    names = _ideal_names(primes)
     plus, minus = _sign_differentials(denom)
+    ops = {name: _fiber_operator(p, denom) for name, p in zip(names, primes)}
+    module = ActionModule(denom, ops | {"plus": plus, "minus": minus})
+    double = build_kt(module, names, "plus", "minus", window)
+    by_size = {
+        m: [prod(subset) for subset in combinations(primes, m)]
+        for m in range(len(primes) + 1)
+    }
+    return SkComplex(f, level, (double.n_lo, double.n_hi), denom, primes, by_size,
+                     module, double)
 
-    horiz_per_m = {}
-    for m in range(r + 1):
-        count = len(by_size.get(m, []))
-        for n in range(lo, hi + 1):
-            ranks[(m, n)] = count * denom
-        if m == 0:
-            continue
-        rows = len(by_size.get(m - 1, [])) * denom
-        columns = []
-        for g in by_size[m]:
-            gprimes = [p for p in primes if g % p == 0]
-            targets = [
-                (-1 if i % 2 else 1, p, by_size[m - 1].index(g // p) * denom)
-                for i, p in enumerate(gprimes)
-            ]
-            for a in range(denom):
-                col = {}
-                for sign, p, t0 in targets:
-                    col[t0 + a] = col.get(t0 + a, 0) + sign
-                    if a % p == 0:
-                        for j in range(p):
-                            b = t0 + (a + j * denom) // p
-                            col[b] = col.get(b, 0) - sign
-                columns.append(col)
-        horiz_per_m[m] = SparseMatrix(rows, columns)
-    for m in range(1, r + 1):
-        for n in range(lo, hi + 1):
-            horiz[(m, n)] = horiz_per_m[m]
 
-    vert_blocks = {}
-    for m in range(r + 1):
-        count = len(by_size.get(m, []))
-        sign = -1 if m % 2 else 1
-        vert_blocks[m] = (
-            repeat_diagonal(plus, count, sign),
-            repeat_diagonal(minus, count, sign),
-        )
-    for m in range(r + 1):
-        for n in range(lo + 1, hi + 1):
-            vert[(m, n)] = vert_blocks[m][0] if n % 2 == 0 else vert_blocks[m][1]
+def _ideal_names(primes) -> list[str]:
+    return [f"T{p}" for p in primes]
 
-    double = DoubleComplex(r, lo, hi, ranks, horiz, vert)
-    return SkComplex(f, level, (lo, hi), denom, primes, by_size, double)
+
+def _fiber_operator(p: int, denom: int) -> SparseMatrix:
+    """T_p = 1 - Psi_p on Z^denom, where Psi_p e_a is the p-fiber sum
+    e_{(a + j denom)/p} over 0 <= j < p if p | a, and 0 otherwise."""
+    columns = []
+    for a in range(denom):
+        col = {a: 1}
+        if a % p == 0:
+            for j in range(p):
+                b = (a + j * denom) // p
+                col[b] = col.get(b, 0) - 1
+        columns.append(col)
+    return SparseMatrix(denom, columns)
 
 
 def _sign_differentials(denom: int) -> tuple[SparseMatrix, SparseMatrix]:
@@ -224,17 +156,14 @@ def distribution_presentation(sk: SkComplex) -> SparseMatrix:
     exactly when p divides the numerator (otherwise the whole fiber escapes
     to level N+1), so those are the relations of the level-N piece of the
     boundary quotient; they present the universal distribution at level f^N.
+    They are the columns of T_p at the multiples of p.
     """
     denom = sk.denominator
-    cols = []
-    for p in sk.primes:
-        for a in range(0, denom, p):
-            col = {a: 1}
-            for j in range(p):
-                b = (a + j * denom) // p
-                col[b] = col.get(b, 0) - 1
-            cols.append(col)
-    return SparseMatrix(denom, cols)
+    return SparseMatrix(denom, [
+        sk.module.operator(name).entries[a]
+        for name, p in zip(_ideal_names(sk.primes), sk.primes)
+        for a in range(0, denom, p)
+    ])
 
 
 def depth_zero_numerators(denom: int) -> list[int]:
@@ -266,7 +195,7 @@ def _via_n_quotient(sk: SkComplex):
             f"depth-zero numerators: {exc}"
         ) from exc
     quotient = FreeQuotient(rel, projection, SparseMatrix(denom, [{a: 1} for a in keep]))
-    even, odd = _sign_differentials(denom)
+    even, odd = sk.module.operator("plus"), sk.module.operator("minus")
     return quotient, quotient.induce(even), quotient.induce(odd)
 
 
@@ -293,36 +222,33 @@ def via_n_complex(sk: SkComplex) -> ChainComplex:
 def via_skprime_complex(sk: SkComplex):
     """Total complex of the quotient by all symbols with nonzero numerator.
 
+    Those symbols span a subcomplex exactly when no operator of the module
+    sends a nonzero numerator to numerator 0: row 0 of every operator is
+    zero off column 0, which is checked in O(nnz) and raises
+    ``BasisCertificateFailed`` if it fails.  The quotient is then
+    ``build_kt`` of the 1x1 module of the operators' numerator-0 entries.
+
     Returns (complex, layout) where layout maps each total degree to the
     ordered list of (m, n, divisor) blocks of size one.
     """
     lo, hi = sk.window
-    r = len(sk.primes)
-    denom = sk.denominator
-    ranks = {}
-    horiz = {}
-    vert = {}
-    for (m, n), rank in sk.double.ranks.items():
-        count = rank // denom
-        ranks[(m, n)] = count
-    zero_rows = {
-        m: [gi * denom for gi in range(len(sk.divisors_by_size.get(m, [])))]
-        for m in range(r + 1)
-    }
-    for (m, n), mat in sk.double.horiz.items():
-        horiz[(m, n)] = mat.submatrix(zero_rows[m - 1], zero_rows[m])
-    for (m, n), mat in sk.double.vert.items():
-        vert[(m, n)] = mat.submatrix(zero_rows[m], zero_rows[m])
-    quotient = DoubleComplex(r, lo, hi, ranks, horiz, vert)
-    total = total_complex(quotient, stable=(lo + r + 2, hi - 2))
+    ops = {}
+    for name, op in sk.module.operators.items():
+        if any(0 in col for col in op.entries[1:]):
+            raise BasisCertificateFailed(
+                f"{name} sends a nonzero numerator to numerator 0 at level "
+                f"{sk.denominator}: the numerator-killed quotient is not a complex"
+            )
+        ops[name] = SparseMatrix(1, [{0: op.entries[0].get(0, 0)}])
+    scalar = build_kt(ActionModule(1, ops), _ideal_names(sk.primes), "plus", "minus", sk.window)
+    total = companion(scalar, "KTtot")
     layout = {}
-    for t in range(lo, hi + r + 1):
+    for t in range(lo, hi + len(sk.primes) + 1):
         blocks = []
-        for m in range(r + 1):
+        for m, divisors in sk.divisors_by_size.items():
             n = t - m
             if lo <= n <= hi:
-                for g in sk.divisors_by_size.get(m, []):
-                    blocks.append((m, n, g))
+                blocks.extend((m, n, g) for g in divisors)
         layout[t] = blocks
     return total, layout
 

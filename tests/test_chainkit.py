@@ -97,6 +97,13 @@ def dense_kt_blocks(ops, plus, minus, window):
     return ranks, horiz, vert
 
 
+def assert_validates(kt):
+    """``build_kt`` does not validate its double complex; rebuilding it from
+    the same blocks with ``check=True`` must pass d^2 = 0 both ways and the
+    anticommutation of rows and columns."""
+    DoubleComplex(kt.m_max, kt.n_lo, kt.n_hi, kt.ranks, kt.horiz, kt.vert, check=True)
+
+
 def dense_paste_total(ranks, horiz, vert, r, window, keep):
     """Reference total complex: every block pasted cell by cell into dense
     lists.  Returns (ranks, differentials) keyed by total degree."""
@@ -297,7 +304,8 @@ class TestBuildKt:
             build_kt(m, ["X"], "plus", "minus", window=(-2, 2))
 
     def test_signs_anticommute_nontrivial_module(self):
-        # 2x2 module with a genuine operator; construction validates the signs
+        # 2x2 module with a genuine operator; the double complex rebuilt with
+        # check=True validates the signs
         op = IntMatrix([[1, 1], [0, 1]])
         gamma = IntMatrix([[0, 1], [1, 0]])
         norm = IntMatrix([[1, 1], [1, 1]])
@@ -305,6 +313,7 @@ class TestBuildKt:
         m = ActionModule(2, {"X": op * IntMatrix.zeros(2, 2), "N": norm, "D": one_minus})
         kt = build_kt(m, ["X"], "N", "D", window=(-4, 4))
         assert kt.rank(1, 0) == 2
+        assert_validates(kt)
 
 
 class TestCompanions:
@@ -579,7 +588,9 @@ class TestSparseTotal:
         window = (-(r + 2) - widen // 2, r + 1 + widen // 2)  # the minimum width, + widen
         names = {f"X{i}": op for i, op in enumerate(ops)}
         m = ActionModule(plus.rows, names | {"plus": plus, "minus": minus})
-        total = companion(build_kt(m, list(names), "plus", "minus", window=window), which)
+        kt = build_kt(m, list(names), "plus", "minus", window=window)
+        assert_validates(kt)
+        total = companion(kt, which)
         keep = (lambda m, n: n >= 0) if which == "KTplus" else (lambda m, n: True)
         ranks, diff = dense_paste_total(*dense_kt_blocks(ops, plus, minus, window), r, window, keep)
         assert total.ranks == {t: k for t, k in ranks.items() if k}

@@ -1,11 +1,13 @@
+from dataclasses import dataclass
+
 import pytest
 
-from uod import skcx
-from uod.chainkit import PresentedComplex, WindowTooSmall
+from uod import cli, skcx
+from uod.chainkit import NonCommutingOperators, PresentedComplex, WindowTooSmall
 from uod.cli import main
+from uod.distmod import BasisCertificateFailed
 from uod.skcx import (
     NotSquarefree,
-    SkSymbol,
     build_sk,
     distribution_presentation,
     sign_action_trivial_on_via_n,
@@ -21,6 +23,62 @@ Z2 = AbGroupInvariants(0, (2,))
 
 def squarefree(n):
     return all(n % (p * p) for p in range(2, int(n**0.5) + 1))
+
+
+@dataclass(frozen=True)
+class SkSymbol:
+    numerator: int       # over the fixed denominator f^N
+    divisor: int         # squarefree g | f
+    degree: int
+
+
+# The symbol formulas of the skcx module docstring, symbol by symbol: the
+# reference that the blocks of ``build_sk`` are held to.
+
+def symbols(sk, m, n):
+    return [SkSymbol(a, g, n) for g in sk.divisors_by_size[m] for a in range(sk.denominator)]
+
+
+def index_of(sk, sym):
+    m = sum(1 for p in sk.primes if sym.divisor % p == 0)
+    return sk.divisors_by_size[m].index(sym.divisor) * sk.denominator + sym.numerator
+
+
+def delta_symbol(sk, sym):
+    m = sum(1 for p in sk.primes if sym.divisor % p == 0)
+    sign = -1 if m % 2 else 1
+    out = {}
+    down = SkSymbol(sym.numerator, sym.divisor, sym.degree - 1)
+    out[down] = out.get(down, 0) + sign
+    mirrored = SkSymbol((-sym.numerator) % sk.denominator, sym.divisor, sym.degree - 1)
+    parity = 1 if sym.degree % 2 == 0 else -1
+    out[mirrored] = out.get(mirrored, 0) + sign * parity
+    return {k: v for k, v in out.items() if v}
+
+
+def partial_symbol(sk, sym):
+    out = {}
+    primes = [p for p in sk.primes if sym.divisor % p == 0]
+    for i, p in enumerate(primes):
+        sign = -1 if i % 2 else 1
+        smaller = sym.divisor // p
+        keep = SkSymbol(sym.numerator, smaller, sym.degree)
+        out[keep] = out.get(keep, 0) + sign
+        if sym.numerator % p == 0:
+            for j in range(p):
+                b = (sym.numerator + j * sk.denominator) // p
+                pre = SkSymbol(b, smaller, sym.degree)
+                out[pre] = out.get(pre, 0) - sign
+    return {k: v for k, v in out.items() if v}
+
+
+def column_of(sk, formula):
+    """A symbol formula as a sparse column dict of the blocks."""
+    col = {}
+    for target, coeff in formula.items():
+        i = index_of(sk, target)
+        col[i] = col.get(i, 0) + coeff
+    return {i: v for i, v in col.items() if v}
 
 
 def dense_via_n_reference(sk):
@@ -52,43 +110,62 @@ class TestBuildSk:
 
     def test_delta_formula(self):
         sk = build_sk(3, 1, window=(-5, 5))
-        out = sk.delta_symbol(SkSymbol(1, 1, 0))
+        out = delta_symbol(sk, SkSymbol(1, 1, 0))
         assert out == {SkSymbol(1, 1, -1): 1, SkSymbol(2, 1, -1): 1}
 
     def test_delta_odd_degree(self):
         sk = build_sk(3, 1, window=(-5, 5))
-        out = sk.delta_symbol(SkSymbol(1, 1, 1))
+        out = delta_symbol(sk, SkSymbol(1, 1, 1))
         assert out == {SkSymbol(1, 1, 0): 1, SkSymbol(2, 1, 0): -1}
 
     def test_partial_formula_zero_numerator(self):
         sk = build_sk(3, 1, window=(-5, 5))
         # [0,3,n]: the kept term cancels against the b = 0 preimage
-        out = sk.partial_symbol(SkSymbol(0, 3, 0))
+        out = partial_symbol(sk, SkSymbol(0, 3, 0))
         assert out == {SkSymbol(1, 1, 0): -1, SkSymbol(2, 1, 0): -1}
 
     def test_partial_drops_escaping_preimages(self):
         sk = build_sk(3, 1, window=(-5, 5))
         # numerator 1 is not divisible by 3, so the whole fiber escapes
-        out = sk.partial_symbol(SkSymbol(1, 3, 0))
+        out = partial_symbol(sk, SkSymbol(1, 3, 0))
         assert out == {SkSymbol(1, 1, 0): 1}
 
-    def test_matrices_match_symbol_formulas(self):
-        sk = build_sk(15, 1, window=(-6, 6))
+    # at 330 the subset order of the pairs (6, 10, 22, 15, 33, 55) is not
+    # the sorted divisor order
+    @pytest.mark.parametrize("f, level", [(15, 1), (15, 2), (330, 1)])
+    def test_matrices_match_symbol_formulas(self, f, level):
+        sk = build_sk(f, level)
+        if f == 330:
+            assert sk.divisors_by_size[2] == [6, 10, 22, 15, 33, 55]
         for m, n in ((1, 0), (2, 0), (2, 3)):
             mat = sk.double.horizontal(m, n)
-            for sym in sk.symbols(m, n):
-                col = mat.column(sk.index_of(sym))
-                expected = [0] * mat.rows
-                for target, coeff in sk.partial_symbol(sym).items():
-                    expected[sk.index_of(target)] += coeff
-                assert list(col) == expected, sym
             vmat = sk.double.vertical(m, n)
-            for sym in sk.symbols(m, n):
-                col = vmat.column(sk.index_of(sym))
-                expected = [0] * vmat.rows
-                for target, coeff in sk.delta_symbol(sym).items():
-                    expected[sk.index_of(target)] += coeff
-                assert list(col) == expected, sym
+            for sym in symbols(sk, m, n):
+                j = index_of(sk, sym)
+                assert mat.entries[j] == column_of(sk, partial_symbol(sk, sym)), sym
+                assert vmat.entries[j] == column_of(sk, delta_symbol(sk, sym)), sym
+
+    def test_distribution_presentation_is_the_prime_boundaries(self):
+        # the columns of T_p at the multiples of p are the boundaries of the
+        # symbols [a, p, n] with p | a, whose fibers stay at this level
+        sk = build_sk(15, 2)
+        expected = [column_of(sk, partial_symbol(sk, SkSymbol(a, p, 0)))
+                    for p in sk.primes for a in range(0, sk.denominator, p)]
+        assert list(distribution_presentation(sk).entries) == expected
+
+    def test_a_noncommuting_pair_is_refused(self, monkeypatch):
+        # T_3 with one extra entry no longer commutes with neg or with T_5
+        real = skcx._fiber_operator
+
+        def broken(p, denom):
+            op = real(p, denom)
+            if p != 3:
+                return op
+            return op + SparseMatrix(denom, [{1: 1}] + [{}] * (denom - 1))
+
+        monkeypatch.setattr(skcx, "_fiber_operator", broken)
+        with pytest.raises(NonCommutingOperators):
+            build_sk(15, 1)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(NotSquarefree):
@@ -134,6 +211,25 @@ class TestQuotientRoutes:
         sk = build_sk(15, 1)
         trivial, total = sign_action_trivial_on_via_n(sk)
         assert trivial == total
+
+    def test_a_row_0_entry_off_column_0_exits_3(self, monkeypatch, capsys):
+        # T_3 also sending numerator 5 to numerator 0: the symbols with
+        # nonzero numerator no longer span a subcomplex, so the numerator-0
+        # entries are no quotient complex
+        def mutated(sk):
+            op = sk.module.operators["T3"]
+            extra = SparseMatrix(op.rows, [{}] * 5 + [{0: 1}] + [{}] * (op.cols - 6))
+            sk.module.operators["T3"] = op + extra
+            return sk
+
+        with pytest.raises(BasisCertificateFailed, match="numerator 0"):
+            via_skprime_complex(mutated(build_sk(15, 1)))
+        real = cli.build_sk
+        monkeypatch.setattr(cli, "build_sk", lambda *args: mutated(real(*args)))
+        assert main(["sk", "compare", "--f", "15"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal check failed: T3 sends a nonzero numerator")
 
 
 class TestViaNPeel:
