@@ -37,7 +37,8 @@ caches its factorisations, as tuples of (prime, exponent).
 Polynomials over F_q are tuples of field codes.  Their kernels (``poly_add``,
 ``poly_mul``, ``poly_divmod``) index the tables of ``FqTable`` directly, and
 ``poly_divmod``, through which every residue, gcd, inverse and CRT lift goes,
-is memoised in a bounded LRU cache of 2^14 divisions.  ``fq_table`` refuses
+is memoised in a bounded LRU cache of 2^14 divisions; residue inverses
+(``poly_inverse_mod``) have a bounded memo of their own.  ``fq_table`` refuses
 q > ``FQ_MAX`` = 4096 before it builds any q x q table.
 """
 
@@ -278,6 +279,29 @@ def poly_mul(fq, a, b):
 def poly_scale(fq, c, a):
     row = fq.mul_table[c]
     return _trimmed([row[x] for x in a])
+
+
+# The depth tag inverts few distinct residues many times: each class's
+# transversal lift, and n mod m in every CRT lift (2,912 lifts over only 6
+# pairs (m, n) at ``verify yin --q 3 --f T^7+T``).  There, 5,098 inversions
+# had 164 distinct arguments, and each extended Euclid's products and
+# differences lie outside the division memo.  So the inverses are memoised
+# too, bounded and keyed by the table like the divisions.
+@lru_cache(maxsize=1 << 12)
+def poly_inverse_mod(fq, a, f):
+    """The inverse of the residue a mod f; () when f is a unit."""
+    if poly_deg(f) < 1:
+        return ()
+    # extended Euclid over F_q[T]
+    r0, r1 = f, a
+    s0, s1 = (), (1,)
+    while r1:
+        qp, rem = poly_divmod(fq, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, poly_sub(fq, s0, poly_mul(fq, qp, s1))
+    if poly_deg(r0) != 0:
+        raise ZeroDivisionError("residue not invertible")
+    return poly_divmod(fq, poly_scale(fq, fq.inv(r0[0]), s0), f)[1]
 
 
 # Residue arithmetic over F_q[T] divides the same few pairs again and again
@@ -530,18 +554,7 @@ class FunctionFieldBackend:
         return self._gcd_raw(a, f) == self.one
 
     def residue_inverse(self, a, f):
-        if poly_deg(f) < 1:
-            return ()
-        # extended Euclid over F_q[T]
-        r0, r1 = f, a
-        s0, s1 = (), (1,)
-        while r1:
-            qp, rem = poly_divmod(self.fq, r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, poly_sub(self.fq, s0, poly_mul(self.fq, qp, s1))
-        if poly_deg(r0) != 0:
-            raise ZeroDivisionError("residue not invertible")
-        return self.residue_of(poly_scale(self.fq, self.fq.inv(r0[0]), s0), f)
+        return poly_inverse_mod(self.fq, a, f)
 
     def mul(self, f, g):
         return poly_mul(self.fq, f, g)

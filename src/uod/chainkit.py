@@ -318,6 +318,44 @@ def mapping_cone(f: ChainMap) -> MappingCone:
     return MappingCone(cone, incl, proj)
 
 
+def _permutation(op):
+    """The images pi of a permutation matrix (column j is e_{pi[j]}), or
+    None unless ``op`` is a ``SparseMatrix`` with one entry 1 per column
+    and no row hit twice."""
+    if not isinstance(op, SparseMatrix):
+        return None
+    images = []
+    for col in op.entries:
+        if len(col) != 1:
+            return None
+        (i, v), = col.items()
+        if v != 1:
+            return None
+        images.append(i)
+    return images if len(set(images)) == len(images) else None
+
+
+def _commute(a, b, pa, pb) -> bool:
+    """Whether a b = b a, given the images ``pa``, ``pb`` of whichever of
+    the two is a permutation (None otherwise)."""
+    if pa is not None and pb is not None:
+        return [pa[k] for k in pb] == [pb[k] for k in pa]
+    if pa is None:
+        a, b, pa = b, a, pb
+    if pa is not None and isinstance(b, SparseMatrix):
+        # pi b pi^-1 = b: column pi[j] of b is column j with rows sent by pi
+        cols = b.entries
+        for j, col in enumerate(cols):
+            image = cols[pa[j]]
+            if len(image) != len(col):
+                return False
+            for i, v in col.items():
+                if image.get(pa[i]) != v:
+                    return False
+        return True
+    return a * b == b * a
+
+
 class ActionModule:
     """Free Z-module with named commuting endomorphisms.
 
@@ -327,10 +365,15 @@ class ActionModule:
     attached to ideal names.
 
     Construction certifies that every pair of operators commutes and that
-    gamma0 has finite order at most ``order_bound``.  The checks use
-    only products, equality and the identity of the operators' own matrix
-    type, so a module of ``SparseMatrix`` class maps (as on A(f)) is
-    certified in O(nnz) per product and a dense one as before.
+    gamma0 has finite order at most ``order_bound``.  A pair with a true
+    permutation (a ``SparseMatrix`` with one entry 1 per column and no
+    repeated row) needs no product: two permutations commute when their
+    compositions agree as index lists, and a permutation pi commutes with a
+    ``SparseMatrix`` X when X[pi i, pi j] = X[i, j], checked column by
+    column.  Every other pair, and the order of gamma0, is checked by
+    products, equality and the identity of the operators' own matrix type,
+    so a module of ``SparseMatrix`` operators (as on A(f)) is certified in
+    O(nnz) per pair and a dense one as before.
     """
 
     def __init__(self, rank: int, operators: dict, nu: dict | None = None,
@@ -342,10 +385,9 @@ class ActionModule:
         for name, op in self.operators.items():
             if op.rows != rank or op.cols != rank:
                 raise ShapeMismatch(f"operator {name!r} is not {rank}x{rank}")
-        names = sorted(self.operators)
-        for a, b in itertools.combinations(names, 2):
-            ma, mb = self.operators[a], self.operators[b]
-            if ma * mb != mb * ma:
+        perms = {name: _permutation(op) for name, op in self.operators.items()}
+        for a, b in itertools.combinations(sorted(self.operators), 2):
+            if not _commute(self.operators[a], self.operators[b], perms[a], perms[b]):
                 raise NonCommutingOperators(f"{a!r} and {b!r} do not commute")
         if "gamma0" in self.operators:
             self.gamma_order()

@@ -20,8 +20,9 @@ group element or the sign permutes Xi(f), X_p sends a class to its fiber
 sum), so operators, the relation matrix, the section and the projection are
 ``znf.SparseMatrix`` values with about one nonzero per class.  Building
 them, certifying that all operators commute and that gamma0 has finite
-order (``chainkit.ActionModule``), and checking that an operator preserves
-the relations before inducing it on U(f) all cost O(nnz), not |Xi(f)|^2.
+order (``chainkit.ActionModule``), and certifying that the relations are
+the columns of the nu_p - X_p, so that every commuting operator preserves
+them and induces an operator on U(f), all cost O(nnz), not |Xi(f)|^2.
 The induced |G_f| x |G_f| operators are ``SparseMatrix`` values too, and
 the Tate pair of ``signh`` takes them as they are; the callers that do
 dense lattice algebra on them call ``dense()`` themselves.
@@ -196,7 +197,10 @@ def distribution_relations(af: AfModule) -> SparseMatrix:
 class UModule(FreeQuotient):
     """U(f), the free quotient of A(f) by the distribution relations, kept
     on the depth-zero classes: ``section`` is |Xi(f)| x rank with the basis
-    classes as columns, ``projection`` rank x |Xi(f)|."""
+    classes as columns, ``projection`` rank x |Xi(f)|.  ``operators`` holds
+    the operators of A(f) induced by ``u_module`` with no product check,
+    which its relation certificate makes redundant; any other operator goes
+    through the checked ``induce``."""
 
     parent: AfModule
     invariants: AbGroupInvariants
@@ -221,10 +225,15 @@ def u_module(af: AfModule) -> UModule:
     distribution relation lattice in A(f).  One triangular peel of the
     sparse relations (``complement_projection``) certifies exactly that and
     returns the projection along the relations, so U(f) = Z^{|G_f|} follows
-    with no Smith reduction.  The induced operators are ``SparseMatrix``
-    values, |G_f| x |G_f|.  Only when the certificate fails is the cokernel
-    computed, to tell a wrong structure (StructureCheckFailed) from a basis
-    the peel could not certify (BasisCertificateFailed).
+    with no Smith reduction.  Only when the certificate fails is the
+    cokernel computed, to tell a wrong structure (StructureCheckFailed) from
+    a basis the peel could not certify (BasisCertificateFailed).
+
+    The relations are then certified, in O(nnz), to be the nonzero columns
+    of the nu_p - X_p; a mismatch raises StructureCheckFailed.  Every
+    operator of A(f) commutes with the X_p, so it preserves the relations,
+    and its induced operator is P op S with no P (op R) product.  The
+    induced operators are ``SparseMatrix`` values, |G_f| x |G_f|.
     """
     bk = af.backend
     rel = distribution_relations(af)
@@ -236,14 +245,38 @@ def u_module(af: AfModule) -> UModule:
         projection = None
     if projection is None or len(xi0) != expected_rank:
         _diagnose(af, rel, len(xi0), expected_rank)
+    _certify_relations(af, rel)
     section = class_matrix(xi0, af.index)
     induced = {}
     invariants = AbGroupInvariants(expected_rank)
     u = UModule(relations=rel, projection=projection, section=section, parent=af,
                 invariants=invariants, basis_classes=tuple(xi0), operators=induced)
     for name, op in af.operators.operators.items():
-        induced[name] = u.induce(op)
+        induced[name] = u.induce_preserving(op)
     return u
+
+
+def _certify_relations(af: AfModule, rel: SparseMatrix):
+    """Check that the nonzero columns of ``rel`` are those of the nu_p - X_p,
+    over ``af.primes`` and then the basis, in that order; O(nnz).
+
+    Then im(rel) = sum_p im(nu_p - X_p).  ``ActionModule`` has certified
+    that every operator of A(f) commutes with each X_p, so each maps every
+    im(nu_p - X_p), and with them im(rel), into itself: the relations are
+    preserved with no product against the projection.
+    """
+    expected = []
+    for p in af.primes:
+        nu_p = af.nu.get(p, 1)
+        for j, col in enumerate(af.x_operator(p).entries):
+            diff = {i: -v for i, v in col.items()}
+            diff[j] = diff.get(j, 0) + nu_p
+            if any(diff.values()):
+                expected.append({i: v for i, v in diff.items() if v})
+    if [col for col in rel.entries if col] != expected:
+        raise StructureCheckFailed(
+            "the distribution relations are not the nonzero columns of nu_p - X_p"
+        )
 
 
 def _diagnose(af: AfModule, rel: SparseMatrix, basis_size: int, expected_rank: int):

@@ -46,8 +46,8 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .arith import ARCHIMEDEAN, g_action, gf_group
-from .distmod import UModule, build_af, class_matrix, u_module
+from .arith import ARCHIMEDEAN, gf_group
+from .distmod import UModule, build_af, g_op_name, u_module
 from .znf import IntMatrix, image_basis, snf_invariants, solve
 
 
@@ -491,8 +491,8 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
             ],
             rows=phi_f,
         )
-        perm = class_matrix([g_action(af.backend, sigma, xi) for xi in af.basis], af.index)
-        op = u.induce(perm).dense()
+        # build_af made this generator's class map, and u_module induced it
+        op = u.operators[g_op_name(af.backend, t)].dense()
         if perm_q * mapped != mapped * op:
             equivariant = False
     return UPrimeReport(

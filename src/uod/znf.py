@@ -1048,6 +1048,12 @@ class FreeQuotient:
     onto the kept coordinates, so it kills exactly im(R), and ``section`` S
     sends the quotient basis to the kept basis vectors, so P S = 1.  All
     three are ``SparseMatrix``.
+
+    An operator induces P op S on the quotient once it maps im(R) into
+    itself.  ``induce`` checks that by the product P (op R);
+    ``induce_preserving`` forms P op S alone, for a caller that has
+    certified the preservation another way, as ``distmod.u_module`` does
+    for the commuting operators of A(f).
     """
 
     relations: SparseMatrix
@@ -1063,6 +1069,14 @@ class FreeQuotient:
         """
         if not (self.projection * (op * self.relations)).is_zero():
             raise InducedOperatorUndefined("operator does not preserve the relations")
+        return self.induce_preserving(op)
+
+    def induce_preserving(self, op: SparseMatrix) -> SparseMatrix:
+        """P op S for an operator already known to map im(R) into itself.
+
+        Nothing is checked here: on an operator that moves a relation off
+        im(R) the result is not a map of the quotient.
+        """
         return self.projection * (op * self.section)
 
 

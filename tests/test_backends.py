@@ -122,6 +122,16 @@ class TestBackendMethods:
         assert bk.residue_of(t, m) == bk.residue_of(x, m)
         assert bk.residue_of(t, n) == bk.residue_of(bk.one, n)
 
+    def test_crt_lift_memo_tells_fields_apart(self):
+        # the same tuples (m, n) = (T + 1, T) over F_3 and F_5: T = -1 mod
+        # T + 1 has inverse -1, which is code 2 in F_3 and code 4 in F_5
+        m, n = (1, 1), (0, 1)
+        for q in (3, 5, 3):
+            bk = FunctionFieldBackend(q)
+            t = bk.crt_lift((0,), m, n)
+            assert bk.residue_of(t, m) == ()
+            assert bk.residue_of(t, n) == (1,)
+
     @settings(max_examples=300, deadline=None)
     @given(unit_over_divisor())
     def test_least_unit_lift_is_a_least_coprime_lift(self, case):

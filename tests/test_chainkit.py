@@ -276,6 +276,122 @@ class TestActionModule:
             ActionModule(n, {"gamma0": shift}, order_bound=n - 1)
 
 
+def class_map(images):
+    """The SparseMatrix sending e_j to e_{images[j]}."""
+    return SparseMatrix(len(images), [{i: 1} for i in images])
+
+
+@st.composite
+def operator_pairs(draw):
+    """(a, b) on Z^n: a a permutation, a non-injective class map or a
+    signed permutation; b a permutation, a class map or a sparse matrix,
+    sometimes a polynomial in a so that the pair commutes."""
+    n = draw(st.integers(1, 5))
+    pi = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["perm", "class", "signed"]))
+    if kind == "perm":
+        a = class_map(pi)
+    elif kind == "class":
+        a = class_map(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    else:
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        a = SparseMatrix(n, [{i: s} for i, s in zip(pi, signs)])
+    other = draw(st.sampled_from(["perm", "class", "matrix", "polynomial"]))
+    if other == "perm":
+        b = class_map(draw(st.permutations(range(n))))
+    elif other == "class":
+        b = class_map(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    elif other == "matrix":
+        b = SparseMatrix(n, [dict(enumerate(row)) for row in draw(int_matrices(n, n)).data])
+    else:
+        b, power = SparseMatrix.zeros(n, n), SparseMatrix.identity(n)
+        for c in draw(st.lists(st.integers(-2, 2), max_size=3)):
+            b, power = b + SparseMatrix(n, [{i: c * v for i, v in col.items()}
+                                            for col in power.entries]), power * a
+    return a, b
+
+
+class TestPermutationPairs:
+    """Pairs with a true permutation are certified without a product; every
+    other pair still multiplies, and both verdicts are the product's."""
+
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = []
+        mul = SparseMatrix.__mul__
+
+        def counted(a, b):
+            calls.append((a.rows, b.cols))
+            return mul(a, b)
+
+        monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+        return calls
+
+    def test_commuting_permutations_need_no_product(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
+        shift = class_map([1, 2, 3, 0])
+        fiber = SparseMatrix(4, [{j % 2: 1, j % 2 + 2: 1} for j in range(4)])
+        ActionModule(4, {"a": shift, "b": class_map([2, 3, 0, 1]), "X": fiber})
+        assert calls == []
+
+    def test_noncommuting_permutations_rejected(self):
+        # two transpositions sharing a point
+        with pytest.raises(NonCommutingOperators, match="'a' and 'b'"):
+            ActionModule(3, {"a": class_map([1, 0, 2]), "b": class_map([0, 2, 1])})
+
+    def test_permutation_off_a_fiber_sum_rejected(self, monkeypatch):
+        # X e_j = e_{j mod 2} + e_{j mod 2 + 2} commutes with (0 2)(1 3),
+        # not with (0 1)
+        calls = self.count_products(monkeypatch)
+        fiber = SparseMatrix(4, [{j % 2: 1, j % 2 + 2: 1} for j in range(4)])
+        ActionModule(4, {"X": fiber, "p": class_map([2, 3, 0, 1])})
+        with pytest.raises(NonCommutingOperators, match="'X' and 'p'"):
+            ActionModule(4, {"X": fiber, "p": class_map([1, 0, 2, 3])})
+        assert calls == []
+
+    def test_non_injective_class_map_takes_the_product_route(self, monkeypatch):
+        # c = e_0 for both basis vectors.  Read as a permutation, c would
+        # pass the entrywise test against X = [[1, 1], [0, 1]]
+        # (X[c i, c j] = X[0, 0] = 1 = X[i, j] wherever X[i, j] is nonzero),
+        # yet c X != X c
+        calls = self.count_products(monkeypatch)
+        c = class_map([0, 0])
+        x = SparseMatrix(2, [{0: 1}, {0: 1, 1: 1}])
+        with pytest.raises(NonCommutingOperators):
+            ActionModule(2, {"c": c, "X": x})
+        assert calls
+        ActionModule(2, {"c": c, "X": SparseMatrix(2, [{0: 2}, {1: 2}])})
+
+    def test_signed_permutation_takes_the_product_route(self, monkeypatch):
+        # the rotation r: e_0 -> -e_1, e_1 -> e_0 moves like the swap s.
+        # Read as a permutation, it would pass against s by composition;
+        # it is a sparse operator instead, so s is conjugated onto it and
+        # the pair is refused.  Against -1 and the sign flip, neither of them
+        # a permutation, it multiplies: -1 commutes with it, the flip not.
+        calls = self.count_products(monkeypatch)
+        r = SparseMatrix(2, [{1: -1}, {0: 1}])
+        with pytest.raises(NonCommutingOperators):
+            ActionModule(2, {"r": r, "s": class_map([1, 0])})
+        assert calls == []
+        ActionModule(2, {"r": r, "m": SparseMatrix(2, [{0: -1}, {1: -1}])})
+        assert calls
+        with pytest.raises(NonCommutingOperators):
+            ActionModule(2, {"r": r, "f": SparseMatrix(2, [{0: 1}, {1: -1}])})
+
+    @settings(max_examples=300, deadline=None)
+    @given(operator_pairs())
+    def test_verdict_is_the_products(self, pair):
+        a, b = pair
+        commute = a * b == b * a
+        for ops in ({"a": a, "b": b}, {"a": b, "b": a}):
+            try:
+                ActionModule(a.rows, ops)
+            except NonCommutingOperators:
+                assert not commute
+            else:
+                assert commute
+
+
 class TestBuildKt:
     def test_limit_shape(self):
         # one ideal acting by zero, plus = 2, minus = 0: column ranks 1 per row

@@ -243,6 +243,66 @@ class TestUModuleCertificate:
         assert u_module(build_af(F3, F3.mul(T, (1, 1)))).rank == 4
 
 
+INDUCE_CASES = [
+    pytest.param(Q, f, {}, id=f"Q-{f}") for f in (12, 60, 140, 308)
+] + [
+    pytest.param(Q, 148, {2: -1, 37: 3}, id="Q-148-nu"),
+    pytest.param(F3, F3.mul(F3.power(T, 2), (1, 1)), {}, id="F3-T^2(T+1)"),
+    pytest.param(F5, F5.mul(T, (1, 1)), {T: 2}, id="F5-T(T+1)-nu2"),
+]
+
+
+class TestRelationCertificate:
+    """u_module induces A(f)'s operators with no P (op R) product: the
+    relations are certified to be the columns of the nu_p - X_p, with which
+    every certified operator commutes."""
+
+    @pytest.mark.parametrize("bk, f, nu", INDUCE_CASES)
+    def test_induced_operators_match_the_checked_induce(self, bk, f, nu):
+        af = build_af(bk, f, nu)
+        u = u_module(af)
+        assert set(u.operators) == set(af.operators.operators)
+        for name, op in af.operators.operators.items():
+            assert u.operators[name] == u.induce(op), name
+
+    def test_no_product_with_the_projection(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("u_module ran the checked induce")
+
+        monkeypatch.setattr(znf.FreeQuotient, "induce", refuse)
+        assert u_module(build_af(Q, 60)).rank == 16
+        assert u_module(build_af(F3, F3.mul(T, (1, 1)))).rank == 4
+
+    @staticmethod
+    def relations_with(monkeypatch, edit):
+        true_relations = distmod.distribution_relations
+        monkeypatch.setattr(distmod, "distribution_relations",
+                            lambda af: SparseMatrix(af.rank, edit(true_relations(af).entries)))
+
+    def test_negated_relation_column_is_refused(self, monkeypatch):
+        # -(nu_p - X_p) e_xi spans the same lattice, so the peel and the
+        # projection are unchanged and only the certificate can see it
+        self.relations_with(monkeypatch, lambda cols: [
+            {i: -v for i, v in cols[0].items()}, *cols[1:]])
+        with pytest.raises(StructureCheckFailed, match="nu_p - X_p"):
+            u_module(build_af(Q, 12))
+
+    def test_extra_relation_column_is_refused(self, monkeypatch):
+        def with_sum(cols):
+            total = dict(cols[0])
+            for i, v in cols[1].items():
+                total[i] = total.get(i, 0) + v
+            return [*cols, total]
+
+        self.relations_with(monkeypatch, with_sum)
+        with pytest.raises(StructureCheckFailed, match="nu_p - X_p"):
+            u_module(build_af(F3, F3.mul(T, (1, 1))))
+
+    def test_zero_columns_are_ignored(self, monkeypatch):
+        self.relations_with(monkeypatch, lambda cols: [{}, *cols, {}])
+        assert u_module(build_af(Q, 12)).rank == 4
+
+
 def monic_levels(bk, max_degree):
     """Every monic polynomial of degree 1 .. max_degree over F_q."""
     return [low + (1,) for d in range(1, max_degree + 1)

@@ -22,6 +22,7 @@ from uod.iwasawa import (
     uprime_compare,
     uprime_lattice,
 )
+from uod.znf import FreeQuotient
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +395,15 @@ class TestUPrime:
     def test_rejects_unit_level(self):
         with pytest.raises(ValueError):
             uprime_compare(1)
+
+    def test_reads_the_induced_generators(self, monkeypatch):
+        # u_module has induced every generator's class map already
+        def refuse(*_args):
+            raise AssertionError("uprime_compare induced an operator again")
+
+        monkeypatch.setattr(FreeQuotient, "induce", refuse)
+        report = uprime_compare(60)
+        assert report.equivariant and report.isomorphism
 
     @pytest.mark.parametrize("f", [45, 56, 70, 77, 84, 90, 99, 120])
     def test_levels_whose_bases_once_blew_up(self, f):
