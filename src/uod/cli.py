@@ -111,6 +111,18 @@ def _levels(args, bk):
     return [bk.parse_ideal(piece) for piece in text.split(",")]
 
 
+def _int_levels(text: str, least: int, rule: str) -> list:
+    """The comma-separated integer levels of ``--f``, each at least
+    ``least``; anything else is a UsageError that states ``rule``."""
+    try:
+        levels = [int(piece) for piece in text.split(",")]
+    except ValueError:
+        levels = None
+    if levels is None or any(f < least for f in levels):
+        raise UsageError(f"{rule}; got --f {text}")
+    return levels
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations, each returning a list of check dicts
 
@@ -275,9 +287,7 @@ def cmd_verify_ufunction(args):
             "verdict": "PASS" if relations_ok else "FAIL",
         }
 
-    levels = [int(f) for f in args.f.split(",")]
-    if any(f < 1 for f in levels):
-        raise UsageError(f"u-function levels are positive integers; got --f {args.f}")
+    levels = _int_levels(args.f, 1, "u-function levels are positive integers")
     return [work(f) for f in levels]
 
 
@@ -296,9 +306,7 @@ def cmd_verify_uprime(args):
             "verdict": "PASS" if report.isomorphism else "FAIL",
         }
 
-    levels = [int(f) for f in args.f.split(",")]
-    if any(f < 2 for f in levels):
-        raise UsageError(f"uprime levels are integers of at least 2; got --f {args.f}")
+    levels = _int_levels(args.f, 2, "uprime levels are integers of at least 2")
     return [work(f) for f in levels]
 
 

@@ -35,7 +35,13 @@ U[n] = L u(n/f), 0 <= n < f, with L the lcm of phi(d) over d | f.
 The classical lattice at level f is the Z[G_f]-span in Q[G_f] of the vectors
 (u(t_gamma / g))_gamma for divisors g | f; it is free of rank |G_f|, and the
 map sending a class to its u-orbit vector identifies the universal
-distribution with it, certified here by an index-one determinant.
+distribution with it.  That isomorphism is certified by structure, with no
+basis of the lattice: the classes of Xi(f) give exactly the lattice's
+generators, every distribution relation sums to zero under the map, and the
+map on U(f)'s free basis has a nonzero determinant modulo the prime 2^61 - 1.
+Only when that determinant vanishes modulo the prime does the exact route,
+a Hermite basis of the lattice and the Smith invariants of the coordinates,
+decide.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ class RankMismatch(RuntimeError):
 
 
 class RelationNotKilled(RuntimeError):
+    pass
+
+
+class GeneratorMismatch(RuntimeError):
     pass
 
 
@@ -431,17 +441,26 @@ class UPrimeLattice:
         return self.basis.cols
 
 
+def _generator_offsets(f: int, units) -> list:
+    """n0 = sigma f/g mod f for the U'(f) generators (g, sigma), g | f and
+    sigma a unit mod f, divisors outermost: each generator is the orbit
+    vector of the class n0/f (``_orbit_indices``)."""
+    return [sigma * (f // g) % f for g in ARCHIMEDEAN.divisors(f) for sigma in units]
+
+
+def _orbit_indices(n0: int, inverses, f: int) -> list:
+    """The n of u(n/f) at each coordinate delta of the orbit vector of the
+    class n0/f, n = delta^-1 n0 mod f; ``inverses`` holds the delta^-1."""
+    return [dinv * n0 % f for dinv in inverses]
+
+
 def uprime_lattice(f: int) -> UPrimeLattice:
     units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
     inverses = [pow(delta, -1, f) for delta in units]
     denom, orbit = _orbit_table(f)
     # coordinate at delta of sigma * (u(delta^-1 / g))_delta, as an index n
     # of u(n/f)
-    at = [
-        [sigma * dinv * (f // g) % f for dinv in inverses]
-        for g in ARCHIMEDEAN.divisors(f)
-        for sigma in units
-    ]
+    at = [_orbit_indices(n0, inverses, f) for n0 in _generator_offsets(f, units)]
     values = [Fraction(v, denom) for v in orbit]
     generators = tuple(tuple(values[n] for n in col) for col in at)
     basis = image_basis(
@@ -452,50 +471,126 @@ def uprime_lattice(f: int) -> UPrimeLattice:
     return UPrimeLattice(f, tuple(units), generators, denom, basis)
 
 
+_RANK_PRIME = (1 << 61) - 1  # a Mersenne prime
+
+
+def _combine(column: dict, vectors, length: int) -> list:
+    """The sum of c vectors[k] over the entries {k: c} of a sparse column."""
+    if len(column) == 1:
+        (k, c), = column.items()
+        return vectors[k] if c == 1 else [c * v for v in vectors[k]]
+    acc = [0] * length
+    for k, c in column.items():
+        acc = [a + c * v for a, v in zip(acc, vectors[k])]
+    return acc
+
+
+def _rank_mod_p(vectors) -> int:
+    """Rank modulo the prime 2^61 - 1 of integer vectors of one length, a
+    lower bound for their rank over Q.
+
+    Gaussian elimination on whole rows: each row is one integer with a
+    fixed-width slot per entry, lowest slot first, so ``x >> w`` drops the
+    eliminated entry and ``x + (p - k) head`` clears it from a row in one
+    big-integer step.  Entries are packed in [0, p) and the pivot row is
+    reduced before use, so a step adds less than p^2 to a slot and n rows
+    never carry out of a slot.
+    """
+    p = _RANK_PRIME
+    if not vectors:
+        return 0
+    width = len(vectors[0])
+    size = (2 * p.bit_length() + len(vectors).bit_length() + 8) // 8  # bytes
+    w, mask = 8 * size, (1 << 8 * size) - 1
+
+    def pack(values):
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+    rows = [pack([v % p for v in vec]) for vec in vectors]
+    rank = 0
+    for c in range(width):
+        at = next((i for i, x in enumerate(rows) if (x & mask) % p), None)
+        if at is None:
+            rows = [x >> w for x in rows]
+            continue
+        pivot = rows.pop(at)
+        inv = pow((pivot & mask) % p, -1, p)
+        raw = (pivot >> w).to_bytes(size * (width - c - 1), "little")
+        head = pack([int.from_bytes(raw[i : i + size], "little") % p * inv % p
+                     for i in range(0, len(raw), size)])
+        rows = [(x >> w) + (p - k) * head if (k := (x & mask) % p) else x >> w for x in rows]
+        rank += 1
+        if not rows:
+            break
+    return rank
+
+
 def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
-    """Build the lattice, map the distribution module onto it, certify."""
+    """Map the distribution module onto the classical lattice and certify
+    that the map is a G_f-equivariant isomorphism, by structure:
+
+    * generator identity: the offsets n0 = num f/g of the classes num/g of
+      Xi(f) are those of the U'(f) generators (``_generator_offsets``), so
+      the u-orbit map's columns, one per class, are the generators of U'(f)
+      scaled by its denominator; otherwise GeneratorMismatch;
+    * relations killed: the columns each relation names sum to zero, or
+      RelationNotKilled;
+    * full rank: ``mapped``, the map on U(f)'s free basis, has rank phi(f)
+      modulo the prime 2^61 - 1, so its determinant is nonzero over Z.
+
+    The peel behind U(f) gives A(f) = im S + im R and R is killed, so the
+    phi(f) columns of ``mapped`` span U'(f); with a nonzero determinant they
+    are a basis of it.  The map is then an isomorphism, the lattice rank is
+    phi(f) and the index invariants are all 1.  If the rank modulo the prime
+    comes up short, the exact route decides: the Hermite basis of
+    ``uprime_lattice``, the coordinates of ``mapped`` in it by ``solve``,
+    and their Smith invariants.
+
+    Equivariance is checked for each generator of G_f column by column:
+    ``mapped`` with its rows permuted equals ``mapped`` times the
+    generator's induced operator, summed over that operator's sparse column.
+    """
     if f < 2:
         raise ValueError("comparison needs f > 1")
     if u is None:
         u = u_module(build_af(ARCHIMEDEAN, f))
     af = u.parent
-    lattice = uprime_lattice(f)
-    units = list(lattice.group)
+    units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
     phi_f = len(units)
-    basis = lattice.basis
     inverses = [pow(delta, -1, f) for delta in units]
     _, orbit = _orbit_table(f)
 
-    # the u-orbit map on classes, scaled by the lattice denominator: the
-    # coordinate at delta of the image of xi = num/g is u(delta^-1 num / g)
-    image_int = IntMatrix.from_columns(
-        [[orbit[dinv * xi.num * (f // xi.order) % f] for dinv in inverses] for xi in af.basis],
-        rows=phi_f,
-    )
-    relations_killed = (image_int * u.relations.dense()).is_zero()
-    if not relations_killed:
+    # the coordinate at delta of the image of xi = num/g is u(delta^-1 num / g),
+    # scaled by the lattice denominator
+    offsets = [xi.num * (f // xi.order) % f for xi in af.basis]
+    if sorted(offsets) != sorted(set(_generator_offsets(f, units))):
+        raise GeneratorMismatch("the classes of Xi(f) are not the U'(f) generators")
+    image = [[orbit[n] for n in _orbit_indices(n0, inverses, f)] for n0 in offsets]
+    if any(any(_combine(col, image, phi_f)) for col in u.relations.entries):
         raise RelationNotKilled("distribution relations survive the u-orbit map")
-    # the induced map on the free basis, in lattice coordinates
-    mapped = image_int * u.section.dense()
-    coords = solve(basis, mapped)
-    inv = snf_invariants(coords)
-    iso = coords.rows == coords.cols == phi_f and all(d == 1 for d in inv)
+    mapped = [_combine(col, image, phi_f) for col in u.section.entries]
+    if len(mapped) == phi_f and _rank_mod_p(mapped) == phi_f:
+        lattice_rank, inv, iso = phi_f, (1,) * phi_f, True
+    else:
+        lattice = uprime_lattice(f)
+        coords = solve(lattice.basis, IntMatrix.from_columns(mapped, rows=phi_f))
+        inv = snf_invariants(coords)
+        lattice_rank = lattice.rank
+        iso = coords.rows == coords.cols == phi_f and all(d == 1 for d in inv)
 
+    where = {delta: i for i, delta in enumerate(units)}
     equivariant = True
     for sigma in af.group.generators():
         t = sigma.residue
-        perm_q = IntMatrix.from_columns(
-            [
-                [1 if (t * delta) % f == target else 0 for target in units]
-                for delta in units
-            ],
-            rows=phi_f,
-        )
+        # row i of perm * mapped is row t^-1 units[i] of mapped
+        t_inv = pow(t, -1, f)
+        source = [where[t_inv * delta % f] for delta in units]
         # build_af made this generator's class map, and u_module induced it
-        op = u.operators[g_op_name(af.backend, t)].dense()
-        if perm_q * mapped != mapped * op:
+        op = u.operators[g_op_name(af.backend, t)]
+        if any(
+            [col[i] for i in source] != _combine(entry, mapped, phi_f)
+            for col, entry in zip(mapped, op.entries)
+        ):
             equivariant = False
-    return UPrimeReport(
-        f, basis.cols, phi_f, relations_killed, equivariant, inv, iso and equivariant
-    )
-
+            break
+    return UPrimeReport(f, lattice_rank, phi_f, True, equivariant, inv, iso and equivariant)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from uod import arith, cli
+from uod import arith, cli, iwasawa
 from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators, PlusMinusNotZero
 from uod.cli import main
-from uod.znf import ShapeMismatch
+from uod.distmod import g_op_name
+from uod.znf import ShapeMismatch, SparseMatrix
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -199,6 +201,29 @@ class TestHarnessContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("levels", ["12,1x", "x", "12,", "1.5"])
+    def test_uprime_malformed_level_is_one_usage_line(self, capsys, levels):
+        assert main(["verify", "uprime", "--f", levels]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: uprime levels are integers of at least 2; got --f {levels}\n"
+
+    def test_uprime_non_equivariant_operator_is_a_fail(self, monkeypatch, tmp_path):
+        # an induced generator that is not the group action: FAIL, exit 1
+        real = iwasawa.u_module
+
+        def tampered(af):
+            u = real(af)
+            name = g_op_name(af.backend, af.group.generators()[0].residue)
+            wrong = SparseMatrix.identity(u.rank)
+            return dataclasses.replace(u, operators={**u.operators, name: wrong})
+
+        monkeypatch.setattr(iwasawa, "u_module", tampered)
+        out = tmp_path / "r.json"
+        assert main(["verify", "uprime", "--f", "12", "--out", str(out)]) == 1
+        [check] = json.loads(out.read_text())["checks"]
+        assert check["verdict"] == "FAIL"
 
     @pytest.mark.parametrize(
         "argv",

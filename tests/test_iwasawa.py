@@ -1,13 +1,22 @@
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uod.iwasawa as iwasawa
 from uod.arith import ARCHIMEDEAN
+from uod.distmod import build_af, g_op_name, u_module
 from uod.iwasawa import (
+    GeneratorMismatch,
+    RankMismatch,
     RationalityFailure,
+    RelationNotKilled,
+    UPrimeReport,
     _certify,
     _level,
     _relations_hold,
@@ -22,7 +31,7 @@ from uod.iwasawa import (
     uprime_compare,
     uprime_lattice,
 )
-from uod.znf import FreeQuotient
+from uod.znf import FreeQuotient, IntMatrix, SparseMatrix, snf_invariants, solve
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +421,223 @@ class TestUPrime:
         report = uprime_compare(f)
         assert report.lattice_rank == report.expected_rank
         assert report.isomorphism
+
+
+# ---------------------------------------------------------------------------
+# Reference: the comparison through U'(f)'s Hermite basis with dense
+# products, as uprime_compare made it before its structural certificate.
+
+
+def hermite_report(f: int, u) -> UPrimeReport:
+    """The image matrix times the relations and the section, coordinates of
+    the induced map in the Hermite basis of U'(f) by ``solve``, their Smith
+    invariants, and perm * mapped == mapped * op for each generator."""
+    af = u.parent
+    lattice = uprime_lattice(f)
+    units = list(lattice.group)
+    phi_f = len(units)
+    _, orbit = iwasawa._orbit_table(f)
+    image = IntMatrix.from_columns(
+        [[orbit[pow(d, -1, f) * xi.num * (f // xi.order) % f] for d in units] for xi in af.basis],
+        rows=phi_f,
+    )
+    killed = (image * u.relations.dense()).is_zero()
+    mapped = image * u.section.dense()
+    coords = solve(lattice.basis, mapped)
+    inv = snf_invariants(coords)
+    iso = coords.rows == coords.cols == phi_f and all(d == 1 for d in inv)
+    equivariant = True
+    for sigma in af.group.generators():
+        t = sigma.residue
+        perm = IntMatrix.from_columns(
+            [[1 if t * d % f == target else 0 for target in units] for d in units], rows=phi_f
+        )
+        op = u.operators[g_op_name(ARCHIMEDEAN, t)].dense()
+        equivariant = equivariant and perm * mapped == mapped * op
+    return UPrimeReport(f, lattice.rank, phi_f, killed, equivariant, inv, iso and equivariant)
+
+
+def _module(f: int):
+    return u_module(build_af(ARCHIMEDEAN, f))
+
+
+def _exact_rank(vectors) -> int:
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        at = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            k = rows[i][c] / rows[rank][c]
+            rows[i] = [a - k * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _mapped_columns(f, u):
+    """The columns of the induced map on U(f)'s basis, as uprime_compare forms them."""
+    inverses = [pow(d, -1, f) for d in uprime_lattice(f).group]
+    _, orbit = iwasawa._orbit_table(f)
+    image = [[orbit[n] for n in iwasawa._orbit_indices(xi.num * (f // xi.order) % f, inverses, f)]
+             for xi in u.parent.basis]
+    return [iwasawa._combine(col, image, len(inverses)) for col in u.section.entries]
+
+
+class TestUPrimeCertificate:
+    @pytest.mark.parametrize("f", list(range(2, 121)) + [240])
+    def test_structural_report_matches_the_hermite_oracle(self, f):
+        u = _module(f)
+        report = uprime_compare(f, u)
+        oracle = hermite_report(f, u)
+        assert report.lattice_rank == oracle.lattice_rank
+        assert report.expected_rank == oracle.expected_rank
+        assert report.index_invariants == oracle.index_invariants
+        assert report.relations_killed == oracle.relations_killed
+        assert report.equivariant == oracle.equivariant
+        assert report.isomorphism == oracle.isomorphism
+        assert report.level == oracle.level
+
+    def test_structural_route_builds_no_lattice_basis(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("the Hermite route ran at full rank")
+
+        monkeypatch.setattr(iwasawa, "uprime_lattice", refuse)
+        monkeypatch.setattr(iwasawa, "image_basis", refuse)
+        monkeypatch.setattr(iwasawa, "solve", refuse)
+        report = uprime_compare(120)
+        assert report.isomorphism and report.index_invariants == (1,) * 32
+
+    @pytest.mark.parametrize("f", [12, 60, 81])
+    def test_short_rank_falls_back_to_the_hermite_route(self, monkeypatch, f):
+        u = _module(f)
+        expected = hermite_report(f, u)
+        rank = iwasawa._rank_mod_p
+        monkeypatch.setattr(iwasawa, "_rank_mod_p", lambda vectors: rank(vectors) - 1)
+        lattice = iwasawa.uprime_lattice
+        built = []
+
+        def spy(level):
+            built.append(level)
+            return lattice(level)
+
+        monkeypatch.setattr(iwasawa, "uprime_lattice", spy)
+        report = uprime_compare(f, u)
+        assert built == [f]
+        assert report == expected
+        assert report.isomorphism and report.index_invariants == (1,) * report.expected_rank
+
+    def test_singular_map_is_never_an_isomorphism(self):
+        # two basis classes sent to the same image: the rank modulo the prime
+        # is short, and the exact route finds a zero invariant
+        f = 60
+        u = _module(f)
+        cols = list(u.section.entries)
+        cols[1] = cols[0]
+        bad = dataclasses.replace(u, section=SparseMatrix(u.section.rows, cols))
+        assert iwasawa._rank_mod_p(_mapped_columns(f, bad)) == 15
+        report = uprime_compare(f, bad)
+        assert not report.isomorphism
+        assert 0 in report.index_invariants
+
+    @pytest.mark.parametrize("f, g", [(12, 2), (12, 12), (60, 5), (60, 1), (81, 27)])
+    def test_dropped_generator_divisor_fails_the_identity(self, monkeypatch, f, g):
+        offsets = iwasawa._generator_offsets
+
+        def dropped(level, units):
+            # the generators (g, sigma) are the offsets n0 with gcd(n0, f) = f/g
+            return [n0 for n0 in offsets(level, units) if gcd(n0, level) != level // g]
+
+        u = _module(f)
+        monkeypatch.setattr(iwasawa, "_generator_offsets", dropped)
+        with pytest.raises(GeneratorMismatch):
+            uprime_compare(f, u)
+
+    @pytest.mark.parametrize("f", [12, 60, 81])
+    def test_changed_orbit_value_breaks_a_relation(self, monkeypatch, f):
+        u = _module(f)
+        table = iwasawa._orbit_table
+        for n in range(1, f):
+            def changed(level, n=n):
+                denom, orbit = table(level)
+                orbit = list(orbit)
+                orbit[n] += 1
+                return denom, orbit
+
+            monkeypatch.setattr(iwasawa, "_orbit_table", changed)
+            with pytest.raises(RelationNotKilled):
+                uprime_compare(f, u)
+
+    @pytest.mark.parametrize("f", [12, 60])
+    def test_zeroed_norm_value_fails_the_rank_check(self, monkeypatch, f):
+        # u(0) cancels from every relation it enters; at 0 the norm class
+        # maps to zero, the rank modulo the prime is short, and the exact
+        # route refuses the lattice
+        table = iwasawa._orbit_table
+
+        def zeroed(level):
+            denom, orbit = table(level)
+            return denom, [0] + list(orbit[1:])
+
+        rank = iwasawa._rank_mod_p
+        ranks = []
+        monkeypatch.setattr(iwasawa, "_rank_mod_p", lambda v: ranks.append(rank(v)) or ranks[-1])
+        monkeypatch.setattr(iwasawa, "_orbit_table", zeroed)
+        u = _module(f)
+        with pytest.raises(RankMismatch):
+            uprime_compare(f, u)
+        assert ranks == [len(u.basis_classes) - 1]
+
+    @pytest.mark.parametrize("f", [12, 60])
+    def test_non_equivariant_operator_fails(self, f):
+        u = _module(f)
+        t = u.parent.group.generators()[0].residue
+        name = g_op_name(ARCHIMEDEAN, t)
+        op = u.operators[name]
+        for wrong in (
+            SparseMatrix.identity(op.rows),
+            op + SparseMatrix(op.rows, [{0: 1}] + [{}] * (op.cols - 1)),
+        ):
+            bad = dataclasses.replace(u, operators={**u.operators, name: wrong})
+            report = uprime_compare(f, bad)
+            assert not report.equivariant and not report.isomorphism
+            assert report == hermite_report(f, bad)
+
+
+class TestRankModP:
+    def test_small_ranks(self):
+        assert iwasawa._rank_mod_p([]) == 0
+        assert iwasawa._rank_mod_p([[0, 0], [0, 0]]) == 0
+        assert iwasawa._rank_mod_p([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+        assert iwasawa._rank_mod_p([[0, 1], [1, 0]]) == 2
+        assert iwasawa._rank_mod_p([[-3, 5], [7, -11]]) == 2
+
+    def test_a_multiple_of_the_prime_is_zero(self):
+        p = (1 << 61) - 1
+        assert iwasawa._rank_mod_p([[p, 0], [0, 1]]) == 1
+        assert iwasawa._rank_mod_p([[1, 1], [1, 1 + 3 * p]]) == 1
+        assert iwasawa._rank_mod_p([[p + 1, 2], [3, 4]]) == 2
+
+    def test_slots_do_not_carry(self):
+        # every pivot step adds up to p^2 to each slot of the rows below it;
+        # dense rows of entries near p take the most such steps
+        p = (1 << 61) - 1
+        rng = random.Random(1)
+        n = 30
+        rows = [[p - 1 - rng.randrange(1 << 20) for _ in range(n)] for _ in range(n)]
+        assert iwasawa._rank_mod_p(rows) == n
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        assert iwasawa._rank_mod_p(rows) == n - 1
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=8
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_rank_over_q(self, vectors):
+        # small entries: no minor is divisible by the prime
+        assert iwasawa._rank_mod_p(vectors) == _exact_rank(vectors)
