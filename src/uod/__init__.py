@@ -8,21 +8,15 @@ from .znf import AbGroupInvariants, IntMatrix, SnfResult, SparseMatrix, kernel_b
 from .chainkit import (
     ActionModule,
     ChainComplex,
-    ChainMap,
     DoubleComplex,
     HomologyTable,
-    PresentedComplex,
     build_kt,
-    companion,
-    make_complex,
-    mapping_cone,
-    twist,
 )
 from .arith import backend, gf_group, sign_group, xi_classes, y_fiber, y_map
 from .distmod import build_af, lemma411_check, partition_tag, u_module, u_tower, xi0_basis
-from .signh import sign_homology_U, tate_pair, verify_rank_theorem, functoriality_report
+from .signh import sign_homology_U, tate_pair, verify_rank_theorem
 from .ftate import AlmostFreeSpec, ftate_closed_form, ftate_via_kt, thm442_lhs
-from .skcx import build_sk, sk_inclusion_check, sk_quotients_homology
+from .skcx import build_sk, sk_quotients_homology
 from .iwasawa import characters, u_values, uprime_compare, uprime_lattice
 
 __all__ = [
@@ -30,11 +24,9 @@ __all__ = [
     "ActionModule",
     "AlmostFreeSpec",
     "ChainComplex",
-    "ChainMap",
     "DoubleComplex",
     "HomologyTable",
     "IntMatrix",
-    "PresentedComplex",
     "SnfResult",
     "SparseMatrix",
     "backend",
@@ -42,24 +34,18 @@ __all__ = [
     "build_kt",
     "build_sk",
     "characters",
-    "companion",
     "ftate_closed_form",
     "ftate_via_kt",
-    "functoriality_report",
     "gf_group",
     "kernel_basis",
     "lemma411_check",
-    "make_complex",
-    "mapping_cone",
     "partition_tag",
     "sign_group",
     "sign_homology_U",
-    "sk_inclusion_check",
     "sk_quotients_homology",
     "snf",
     "tate_pair",
     "thm442_lhs",
-    "twist",
     "u_module",
     "u_tower",
     "u_values",

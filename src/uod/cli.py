@@ -356,7 +356,10 @@ def cmd_sk_compare(args):
             "verdict": verdict,
         }
 
-    levels = [int(f) for f in args.f.split(",")]
+    rule = "sk compare levels are squarefree integers of at least 2"
+    levels = _int_levels(args.f, 2, rule)
+    if any(e > 1 for f in levels for _, e in ARCHIMEDEAN.factor(f)):
+        raise UsageError(f"{rule}; got --f {args.f}")
     return [work(f) for f in levels]
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chainkit import ActionModule, HomologyTable, build_kt, companion
-from .znf import AbGroupInvariants, IntMatrix
+from .chainkit import HomologyTable, scalar_kt
+from .znf import AbGroupInvariants
 
 
 class RankZeroUnsupported(ValueError):
@@ -50,21 +50,11 @@ def ftate_closed_form(spec: AlmostFreeSpec, degree: int | None = None) -> AbGrou
     return AbGroupInvariants(0, (spec.torsion_order,) * 2 ** (spec.rank - 1))
 
 
-def _scalar_kt(scalars, plus: int, minus: int, window):
-    """KT total complex of the rank-one module with the given scalar data."""
-    ops = {f"f{i}": IntMatrix([[c]]) for i, c in enumerate(scalars)}
-    ops["plus"] = IntMatrix([[plus]])
-    ops["minus"] = IntMatrix([[minus]])
-    module = ActionModule(1, ops)
-    kt = build_kt(module, [f"f{i}" for i in range(len(scalars))], "plus", "minus", window)
-    return companion(kt, "KTtot")
-
-
 def ftate_via_kt(spec: AlmostFreeSpec, window=None) -> HomologyTable:
     """Interior homology of KT^tot(Z, {0}^r, [m; 0])."""
     if spec.rank == 0:
         raise RankZeroUnsupported("the KT route requires positive rank")
-    total = _scalar_kt([0] * spec.rank, spec.torsion_order, 0, window)
+    total = scalar_kt([0] * spec.rank, spec.torsion_order, 0, window)
     return total.homology()
 
 
@@ -89,5 +79,5 @@ def thm442_lhs(bk, f, nu: dict | None = None, window=None) -> HomologyTable:
     if not bk.comparison_nu_ok(nu.get(p, 1) for p, _ in factors):
         raise HypothesisViolated("archimedean comparison requires unit nu values")
     scalars = [nu.get(p, 1) - 1 for p, _ in factors]
-    total = _scalar_kt(scalars, bk.sign_order, 0, window)
+    total = scalar_kt(scalars, bk.sign_order, 0, window)
     return total.homology()

@@ -22,51 +22,41 @@ leaves one copy of the scalar double complex with operators 0 and vertical
 pair [2; 0], whose total homology is (Z/2)^{2^{r-1}} in every degree.
 
 The symbol double complex is the Koszul-Tate complex of the distribution
-operators: ``build_sk`` returns ``chainkit.build_kt`` of the module
-Z^{f^N} with the Koszul operators T_p = 1 - Psi_p (Psi_p the p-fiber sum
-above) and the sign pair plus = 1 + neg, minus = 1 - neg, with neg the
-numerator negation.  Every matrix is a ``znf.SparseMatrix``.  ``build_kt``
-does not validate the double complex; ``ActionModule`` certifies that the
-T_p, plus and minus commute pairwise, and ``build_kt`` that plus * minus
-= 0, which together imply d^2 = 0 both ways and anticommutation.
+operators: ``chainkit.build_kt`` of the module Z^{f^N} with the Koszul
+operators T_p = 1 - Psi_p (Psi_p the p-fiber sum above) and the sign pair
+plus = 1 + neg, minus = 1 - neg, with neg the numerator negation.  Both
+quotients read the module alone, so ``build_sk`` returns the module and
+makes the checks that make ``build_kt`` of it a double complex:
+``ActionModule`` certifies that the T_p, plus and minus commute pairwise,
+and plus * minus = 0 is checked, which together imply d^2 = 0 both ways
+and anticommutation.  Every matrix is a ``znf.SparseMatrix``.
 
 The via-N quotient is the free quotient certified by the triangular peel of
 the boundary relations (the columns of T_p at the multiples of p) onto the
 depth-zero numerators (``znf.complement_projection``), the same certificate
 as the direct route's depth-zero basis; its induced differentials P d S
 stay sparse.  The numerator-killed route checks that the nonzero numerators
-span a subcomplex and is then ``build_kt`` of the 1x1 module of the
-numerator-0 entries; only ``sk_inclusion_check`` converts its total
-complexes with ``dense()``, for the chain map and the subquotients it
-compares.
+span a subcomplex and is then ``chainkit.scalar_kt`` of the numerator-0
+entries of the operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 from .arith import ARCHIMEDEAN, xi_from_fraction
 from .chainkit import (
     ActionModule,
     ChainComplex,
-    ChainMap,
-    DoubleComplex,
     HomologyTable,
-    build_kt,
-    companion,
+    PlusMinusNotZero,
+    _check_window,
+    scalar_kt,
 )
 from .distmod import BasisCertificateFailed, depth
-from .signh import acts_as_identity, induced_kernel
-from .znf import (
-    FreeQuotient,
-    IntMatrix,
-    NotAComplement,
-    SparseMatrix,
-    complement_projection,
-    homology_pair,
-)
+from .znf import FreeQuotient, NotAComplement, SparseMatrix, complement_projection
 
 
 class NotSquarefree(ValueError):
@@ -82,17 +72,19 @@ class SkComplex:
     primes: tuple
     divisors_by_size: dict       # m -> divisors of f with m prime factors, in subset order
     module: ActionModule         # Z^{f^level} with the T_p, plus = 1 + neg, minus = 1 - neg
-    double: DoubleComplex
 
 
 def build_sk(f: int, level: int, window=None) -> SkComplex:
-    """The level-f^N symbol double complex: ``build_kt`` of the module
-    Z^{f^N} with the Koszul operators T_p and the sign pair 1 +- neg.
+    """The level-f^N symbol double complex, as the module Z^{f^N} with the
+    Koszul operators T_p and the sign pair 1 +- neg.
 
-    Block g of row m belongs to the divisor whose primes form the m-subset
-    at that position in ``build_kt``'s subset order (``divisors_by_size``).
-    ``ActionModule`` certifies that the operators commute, and ``build_kt``
-    that plus * minus = 0; together they make the blocks a double complex.
+    ``chainkit.build_kt`` of that module is the double complex; no command
+    reads it whole, so it is not built here, but every check it would make
+    is: the window (``WindowTooSmall``), the commutation certificate of
+    ``ActionModule`` (``NonCommutingOperators``) and plus * minus = 0
+    (``PlusMinusNotZero``).  Block g of row m belongs to the divisor whose
+    primes form the m-subset at that position in ``build_kt``'s subset
+    order (``divisors_by_size``).
     """
     if f <= 1:
         raise NotSquarefree("need f > 1")
@@ -100,18 +92,19 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
     if any(e > 1 for _, e in factors):
         raise NotSquarefree(f"{f} is not squarefree")
     primes = tuple(p for p, _ in factors)
+    window = _check_window(window, len(primes))
     denom = f**level
     names = _ideal_names(primes)
     plus, minus = _sign_differentials(denom)
     ops = {name: _fiber_operator(p, denom) for name, p in zip(names, primes)}
     module = ActionModule(denom, ops | {"plus": plus, "minus": minus})
-    double = build_kt(module, names, "plus", "minus", window)
+    if not (plus * minus).is_zero():
+        raise PlusMinusNotZero("'plus' * 'minus' is not zero")
     by_size = {
         m: [prod(subset) for subset in combinations(primes, m)]
         for m in range(len(primes) + 1)
     }
-    return SkComplex(f, level, (double.n_lo, double.n_hi), denom, primes, by_size,
-                     module, double)
+    return SkComplex(f, level, window, denom, primes, by_size, module)
 
 
 def _ideal_names(primes) -> list[str]:
@@ -219,49 +212,28 @@ def via_n_complex(sk: SkComplex) -> ChainComplex:
     return ChainComplex(ranks, diff, stable=(lo + 1, hi - 1))
 
 
-def via_skprime_complex(sk: SkComplex):
+def via_skprime_complex(sk: SkComplex) -> ChainComplex:
     """Total complex of the quotient by all symbols with nonzero numerator.
 
     Those symbols span a subcomplex exactly when no operator of the module
     sends a nonzero numerator to numerator 0: row 0 of every operator is
     zero off column 0, which is checked in O(nnz) and raises
     ``BasisCertificateFailed`` if it fails.  The quotient is then
-    ``build_kt`` of the 1x1 module of the operators' numerator-0 entries.
+    ``scalar_kt`` of the operators' numerator-0 entries.
 
-    Returns (complex, layout) where layout maps each total degree to the
-    ordered list of (m, n, divisor) blocks of size one.
+    The total degree t holds the symbols [0, g, t - m] for the divisors g
+    with m primes, in ``divisors_by_size`` order within each row m.
     """
-    lo, hi = sk.window
-    ops = {}
+    scalars = {}
     for name, op in sk.module.operators.items():
         if any(0 in col for col in op.entries[1:]):
             raise BasisCertificateFailed(
                 f"{name} sends a nonzero numerator to numerator 0 at level "
                 f"{sk.denominator}: the numerator-killed quotient is not a complex"
             )
-        ops[name] = SparseMatrix(1, [{0: op.entries[0].get(0, 0)}])
-    scalar = build_kt(ActionModule(1, ops), _ideal_names(sk.primes), "plus", "minus", sk.window)
-    total = companion(scalar, "KTtot")
-    layout = {}
-    for t in range(lo, hi + len(sk.primes) + 1):
-        blocks = []
-        for m, divisors in sk.divisors_by_size.items():
-            n = t - m
-            if lo <= n <= hi:
-                blocks.extend((m, n, g) for g in divisors)
-        layout[t] = blocks
-    return total, layout
-
-
-def kt_reference(f: int, window=None) -> ChainComplex:
-    """KT^tot(Z, {0}_{p|f}, [2; 0]) built through the generic constructor."""
-    r = len(ARCHIMEDEAN.factor(f))
-    ops = {f"p{i}": IntMatrix([[0]]) for i in range(r)}
-    ops["plus"] = IntMatrix([[2]])
-    ops["minus"] = IntMatrix([[0]])
-    module = ActionModule(1, ops)
-    kt = build_kt(module, [f"p{i}" for i in range(r)], "plus", "minus", window)
-    return companion(kt, "KTtot")
+        scalars[name] = op.entries[0].get(0, 0)
+    return scalar_kt([scalars[name] for name in _ideal_names(sk.primes)],
+                     scalars["plus"], scalars["minus"], sk.window)
 
 
 @dataclass(frozen=True)
@@ -275,79 +247,11 @@ class SkComparison:
 def sk_quotients_homology(sk: SkComplex) -> SkComparison:
     """The two quotient routes and the scalar KT reference, compared."""
     table_n = via_n_complex(sk).homology()
-    total, _ = via_skprime_complex(sk)
-    table_prime = total.homology()
-    table_kt = kt_reference(sk.f, sk.window).homology()
+    table_prime = via_skprime_complex(sk).homology()
+    table_kt = scalar_kt([0] * len(sk.primes), 2, 0, sk.window).homology()
     agree = (
         table_n.agrees_with(table_prime)
         and table_prime.agrees_with(table_kt)
         and table_n.agrees_with(table_kt)
     )
     return SkComparison(table_n, table_prime, table_kt, agree)
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    injective: bool
-    degrees: dict  # n -> (source invariants, target invariants, kernel invariants)
-
-
-def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionReport:
-    """Injectivity of the level inclusion on the numerator-killed route."""
-    if g % f:
-        raise ValueError("need f | g")
-    r_g = len(ARCHIMEDEAN.factor(g))
-    if window is None:
-        window = (-(r_g + 3), r_g + 3)
-    sk_f = build_sk(f, level, window)
-    sk_g = build_sk(g, level, window)
-    total_f, layout_f = via_skprime_complex(sk_f)
-    total_g, layout_g = via_skprime_complex(sk_g)
-    # the chain map and the subquotients need dense lattice algebra
-    total_f, total_g = _dense_complex(total_f), _dense_complex(total_g)
-    components = {}
-    for t, blocks in layout_f.items():
-        rows = total_g.rank(t)
-        cols = total_f.rank(t)
-        data = [[0] * cols for _ in range(rows)]
-        targets = layout_g[t]
-        for j, block in enumerate(blocks):
-            data[targets.index(block)][j] = 1
-        components[t] = IntMatrix(data, cols=cols)
-    ChainMap(total_f, total_g, components)  # validates commuting squares
-
-    degrees = {}
-    injective = True
-    lo_f, hi_f = total_f.stable
-    lo_g, hi_g = total_g.stable
-    lo, hi = max(lo_f, lo_g), min(hi_f, hi_g)
-    for n in range(lo, hi + 1):
-        src = homology_pair(total_f.differential(n), total_f.differential(n + 1))
-        dst = homology_pair(total_g.differential(n), total_g.differential(n + 1))
-        kernel = induced_kernel(components[n], src, dst)
-        degrees[n] = (src.invariants, dst.invariants, kernel)
-        if not kernel.is_trivial:
-            injective = False
-    return InclusionReport(injective, degrees)
-
-
-def _dense_complex(c: ChainComplex) -> ChainComplex:
-    """``c`` with its differentials as ``IntMatrix``; already checked."""
-    diff = {n: d.dense() for n, d in c.diff.items()}
-    return ChainComplex(c.ranks, diff, stable=c.stable, check=False)
-
-
-def sign_action_trivial_on_via_n(sk: SkComplex) -> tuple[int, int]:
-    """How many unit classes act as the identity on the boundary-route homology."""
-    denom = sk.denominator
-    quotient, even, odd = _via_n_quotient(sk)
-    d_even, d_odd = even.dense(), odd.dense()
-    spots = [homology_pair(d_even, d_odd), homology_pair(d_odd, d_even)]
-    units = [t for t in range(denom) if gcd(t, denom) == 1]
-    trivial = 0
-    for t in units:
-        perm = SparseMatrix(denom, [{t * a % denom: 1} for a in range(denom)])
-        op = quotient.induce(perm).dense()
-        if all(acts_as_identity(op, spot) for spot in spots):
-            trivial += 1
-    return trivial, len(units)

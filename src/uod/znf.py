@@ -12,11 +12,11 @@ unit divides every entry.  Only ``snf`` asks for the transforms; it has no
 caller in the package and stays public as the reference the tests hold
 every other entry point to.
 
-``snf_invariants`` (and through it ``rank_torsion``, ``cokernel_invariants``
-and ``subquotient``) tracks no transform and starts with a sparse stage: the
-nonzeros are held as row dicts with a column-to-rows index, and ±1 entries
-are taken as pivots in Markowitz order, each replacing the matrix by its
-Schur complement.  A unit pivot turns M into diag(1) ⊕ S by unimodular row
+``snf_invariants`` (and through it ``rank_torsion`` and
+``cokernel_invariants``) tracks no transform and starts with a sparse
+stage: the nonzeros are held as row dicts with a column-to-rows index, and
+±1 entries are taken as pivots in Markowitz order, each replacing the
+matrix by its Schur complement.  A unit pivot turns M into diag(1) ⊕ S by unimodular row
 and column operations, so inv(M) = (1) ++ inv(S) and nothing is divided
 except by ±1.  The candidates wait in a priority queue keyed by their
 Markowitz cost: an entry is pushed when it becomes ±1, and a popped entry
@@ -35,12 +35,9 @@ pivot row in [0, pivot).  Generators are inserted one at a time and only the
 columns an insertion touched are reduced again, so the entries stay bounded
 by the pivots, where Smith transforms grew to hundreds of thousands of bits.
 ``image_basis`` is that basis.  ``preimage_lattice(a, d)`` is the part of
-the basis of the graph {(a x + d y, x)} that pivots below a's rows, and
-``kernel_basis`` is the preimage of 0.  ``solve`` reduces (b, 0) against the
-basis of the graph of a, which leaves (0, -x) with a x = b, and
-``lattice_contains`` reduces against the basis of the generators.  On top
-of these sit the subquotients lattice(num)/lattice(den), for homology with
-representatives or over presented terms.
+the basis of the graph {(a x + d y, x)} that pivots below a's rows;
+``kernel_basis`` is the preimage of 0, and ``solve`` reduces (b, 0) against
+the basis of the graph of a, which leaves (0, -x) with a x = b.
 
 The one quotient with a splitting of Z^n is ``FreeQuotient``, certified by
 ``complement_projection``, a triangular peel for the case where a known set
@@ -62,9 +59,10 @@ column-sparse (each column a ``{row: nonzero}`` dict) and multiplied by
 walking nonzeros only.  Products, sums, equality and the zero test all cost
 O(nnz), which is what makes the commutation and induction certificates on
 A(f) linear in |Xi(f)|; ``dense()`` hands an ``IntMatrix`` to the callers
-that need dense arithmetic.  The symbol double complex of ``skcx``, the
-differentials it induces on its via-N quotient, and the Koszul-Tate blocks
-and total complexes of ``chainkit`` are ``SparseMatrix`` values too.
+that need dense arithmetic.  The operators of the symbol module of
+``skcx``, the differentials they induce on its via-N quotient, and the
+Koszul-Tate blocks and total complexes of ``chainkit`` are ``SparseMatrix``
+values too.
 
 A residual of the sparse stage with one nonzero per row and per column (m
 times a signed permutation, as in the almost-free complexes of ``ftate``)
@@ -955,14 +953,6 @@ def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=a.cols)
 
 
-def lattice_contains(basis_or_gens: IntMatrix, vectors: IntMatrix) -> bool:
-    """True when every column of ``vectors`` lies in the span of the columns."""
-    if basis_or_gens.rows != vectors.rows:
-        raise ShapeMismatch("lattice_contains: row mismatch")
-    basis = _hermite(basis_or_gens)
-    return not any(any(_reduce(basis, col)) for col in vectors.columns())
-
-
 def cokernel_invariants(m) -> AbGroupInvariants:
     """Invariants of Z^rows / im(m) for an ``IntMatrix`` or a ``SparseMatrix``,
     with no transform tracked."""
@@ -1078,31 +1068,3 @@ class FreeQuotient:
         im(R) the result is not a map of the quotient.
         """
         return self.projection * (op * self.section)
-
-
-@dataclass(frozen=True)
-class Subquotient:
-    """lattice(numerator)/lattice(denominator) with explicit representatives.
-
-    ``basis`` columns are a lattice basis of the numerator; ``rel`` expresses
-    the denominator generators in that basis, so the group is presented as
-    Z^s / im(rel) and ``invariants`` describes it.
-    """
-
-    invariants: AbGroupInvariants
-    basis: IntMatrix
-    rel: IntMatrix
-
-
-def subquotient(numerator_gens: IntMatrix, denominator_gens: IntMatrix) -> Subquotient:
-    """Quotient of one column lattice by another; denominator must be contained."""
-    basis = image_basis(numerator_gens)
-    rel = solve(basis, denominator_gens)
-    return Subquotient(cokernel_invariants(rel), basis, rel)
-
-
-def homology_pair(d_out: IntMatrix, d_in: IntMatrix) -> Subquotient:
-    """ker(d_out)/im(d_in) for one spot of a complex of free groups."""
-    if d_out.cols != d_in.rows:
-        raise ShapeMismatch("homology_pair: ambient rank mismatch")
-    return subquotient(kernel_basis(d_out), d_in)

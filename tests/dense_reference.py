@@ -1,0 +1,493 @@
+"""Dense lattice references that only the tests use.
+
+The package computes homology from invariant factors alone and keeps every
+complex sparse.  The constructions here work with representatives instead:
+subquotients lattice(num)/lattice(den) on Hermite bases, chain maps and
+cones of dense complexes, complexes of presented groups, the companion
+complexes of a Koszul-Tate double complex, and the functoriality, inclusion
+and sign-action checks built on them.  They are slow and independent of the
+package's shortcuts, which is what makes them references.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+from math import gcd
+
+from uod import skcx
+from uod.arith import ARCHIMEDEAN, g_action
+from uod.chainkit import ChainComplex, HomologyTable, NotAComplex, total_complex
+from uod.distmod import build_af, class_matrix, u_inclusion, u_module
+from uod.signh import _check_order, norm_matrix
+from uod.znf import (
+    AbGroupInvariants,
+    IntMatrix,
+    ShapeMismatch,
+    SparseMatrix,
+    _hermite,
+    _reduce,
+    cokernel_invariants,
+    image_basis,
+    kernel_basis,
+    preimage_lattice,
+    solve,
+)
+
+
+# -- lattices ----------------------------------------------------------------
+
+def lattice_contains(basis_or_gens: IntMatrix, vectors: IntMatrix) -> bool:
+    """True when every column of ``vectors`` lies in the span of the columns."""
+    if basis_or_gens.rows != vectors.rows:
+        raise ShapeMismatch("lattice_contains: row mismatch")
+    basis = _hermite(basis_or_gens)
+    return not any(any(_reduce(basis, col)) for col in vectors.columns())
+
+
+@dataclass(frozen=True)
+class Subquotient:
+    """lattice(numerator)/lattice(denominator) with explicit representatives.
+
+    ``basis`` columns are a lattice basis of the numerator; ``rel`` expresses
+    the denominator generators in that basis, so the group is presented as
+    Z^s / im(rel) and ``invariants`` describes it.
+    """
+
+    invariants: AbGroupInvariants
+    basis: IntMatrix
+    rel: IntMatrix
+
+
+def subquotient(numerator_gens: IntMatrix, denominator_gens: IntMatrix) -> Subquotient:
+    """Quotient of one column lattice by another; denominator must be contained."""
+    basis = image_basis(numerator_gens)
+    rel = solve(basis, denominator_gens)
+    return Subquotient(cokernel_invariants(rel), basis, rel)
+
+
+def homology_pair(d_out: IntMatrix, d_in: IntMatrix) -> Subquotient:
+    """ker(d_out)/im(d_in) for one spot of a complex of free groups."""
+    if d_out.cols != d_in.rows:
+        raise ShapeMismatch("homology_pair: ambient rank mismatch")
+    return subquotient(kernel_basis(d_out), d_in)
+
+
+# -- dense complexes, chain maps and cones -----------------------------------
+
+def dense_differential(c: ChainComplex, n: int) -> IntMatrix:
+    d = c.differential(n)
+    return d.dense() if isinstance(d, SparseMatrix) else d
+
+
+def make_complex(ranks, differentials, bottom_degree: int = 0) -> ChainComplex:
+    """Complex from a rank list and consecutive differentials.
+
+    ``differentials[i]`` maps degree bottom+i+1 to degree bottom+i and must be
+    shaped ranks[i] x ranks[i+1].  Rejects data violating d*d = 0.
+    """
+    ranks = list(ranks)
+    differentials = [
+        d if isinstance(d, IntMatrix) else IntMatrix(d) for d in differentials
+    ]
+    if len(differentials) != max(len(ranks) - 1, 0):
+        raise ShapeMismatch("need exactly len(ranks)-1 differentials")
+    rank_map = {bottom_degree + i: r for i, r in enumerate(ranks)}
+    diff_map = {bottom_degree + i + 1: d for i, d in enumerate(differentials)}
+    return ChainComplex(rank_map, diff_map)
+
+
+def twist(c: ChainComplex, k: int) -> ChainComplex:
+    """Degree shift by k with differentials scaled by (-1)^k."""
+    sign = -1 if k % 2 else 1
+    ranks = {n + k: r for n, r in c.ranks.items()}
+    diff = {n + k: dense_differential(c, n).scale(sign) for n in c.diff}
+    return ChainComplex(ranks, diff)
+
+
+def shift_eq(a: ChainComplex, b: ChainComplex) -> bool:
+    return a.ranks == b.ranks and all(
+        dense_differential(a, n) == dense_differential(b, n)
+        for n in range(a.lo, a.hi + 2)
+    )
+
+
+def euler_characteristic(c: ChainComplex) -> int:
+    return sum((-1) ** n * r for n, r in c.ranks.items())
+
+
+class ChainMap:
+    """Degreewise map commuting with the differentials."""
+
+    def __init__(self, source: ChainComplex, target: ChainComplex, components: dict):
+        self.source = source
+        self.target = target
+        self.components = {}
+        for n, m in components.items():
+            if m.rows != target.rank(n) or m.cols != source.rank(n):
+                raise ShapeMismatch(f"component at degree {n} has wrong shape")
+            if m.rows and m.cols:
+                self.components[n] = m
+        for n in range(min(source.lo, target.lo), max(source.hi, target.hi) + 2):
+            lhs = self.component(n - 1) * dense_differential(source, n)
+            rhs = dense_differential(target, n) * self.component(n)
+            if lhs != rhs:
+                raise NotAComplex(n, "chain map does not commute with differentials")
+
+    def component(self, n: int) -> IntMatrix:
+        if n in self.components:
+            return self.components[n]
+        return IntMatrix.zeros(self.target.rank(n), self.source.rank(n))
+
+
+@dataclass(frozen=True)
+class MappingCone:
+    """Cone(f) together with the maps realizing 0 -> Y -> Cone -> X[1] -> 0."""
+
+    complex: ChainComplex
+    inclusion: ChainMap
+    projection: ChainMap
+
+
+def mapping_cone(f: ChainMap) -> MappingCone:
+    x, y = f.source, f.target
+    lo = min(x.lo + 1, y.lo)
+    hi = max(x.hi + 1, y.hi)
+    ranks = {n: x.rank(n - 1) + y.rank(n) for n in range(lo, hi + 1)}
+    diff = {}
+    for n in range(lo, hi + 2):
+        # block differential [[-dX, 0], [f, dY]] from X_{n-1} (+) Y_n
+        top = (-dense_differential(x, n - 1)).hstack(
+            IntMatrix.zeros(x.rank(n - 2), y.rank(n))
+        )
+        bottom = f.component(n - 1).hstack(dense_differential(y, n))
+        m = top.vstack(bottom)
+        if m.rows and m.cols:
+            diff[n] = m
+    cone = ChainComplex(ranks, diff)
+    incl = ChainMap(
+        y,
+        cone,
+        {
+            n: IntMatrix.zeros(x.rank(n - 1), y.rank(n)).vstack(IntMatrix.identity(y.rank(n)))
+            for n in range(y.lo, y.hi + 1)
+        },
+    )
+    x1 = twist(x, 1)
+    proj = ChainMap(
+        cone,
+        x1,
+        {
+            n: IntMatrix.identity(x.rank(n - 1)).hstack(
+                IntMatrix.zeros(x.rank(n - 1), y.rank(n))
+            )
+            for n in range(lo, hi + 1)
+        },
+    )
+    return MappingCone(cone, incl, proj)
+
+
+# -- presented complexes -----------------------------------------------------
+
+class PresentedComplex:
+    """Complex whose terms are presented abelian groups Z^g / relation lattice.
+
+    Differentials are given on generators; at construction it is checked that
+    they carry relations into relations and compose to zero modulo relations.
+    Homology at degree n is the exact subquotient
+
+        {x : d_n x in relations} / (im d_{n+1} + relations),
+
+    which needs no resolution and no splitting of any term; each distinct
+    tuple of the matrices it reads is reduced once.
+    """
+
+    def __init__(self, ranks: dict, rels: dict, diff: dict, stable=None):
+        self.ranks = {n: r for n, r in ranks.items() if r}
+        self.rels = {n: m for n, m in rels.items() if m.cols and not m.is_zero()}
+        self.diff = {n: m for n, m in diff.items() if m.rows and m.cols}
+        self.stable = stable
+        if self.ranks:
+            self.lo, self.hi = min(self.ranks), max(self.ranks)
+        else:
+            self.lo, self.hi = 0, -1
+        for n, m in self.diff.items():
+            if m.rows != self.rank(n - 1) or m.cols != self.rank(n):
+                raise ShapeMismatch(f"differential shape at degree {n}")
+        # both checks at degree n depend on these five matrices only, and a
+        # periodic complex repeats them, so each distinct tuple runs once
+        passed = set()
+        for n in self.degrees():
+            key = (
+                self.differential(n - 1),
+                self.differential(n),
+                self.relations(n - 2),
+                self.relations(n - 1),
+                self.relations(n),
+            )
+            if key in passed:
+                continue
+            d_prev, d, rel_prev2, rel_prev, rel = key
+            moved = d * rel
+            if not moved.is_zero() and not lattice_contains(rel_prev, moved):
+                raise NotAComplex(n, "differential does not preserve relations")
+            composite = d_prev * d
+            if not composite.is_zero() and not lattice_contains(rel_prev2, composite):
+                raise NotAComplex(n, "d*d is nonzero modulo relations")
+            passed.add(key)
+
+    def rank(self, n: int) -> int:
+        return self.ranks.get(n, 0)
+
+    def relations(self, n: int) -> IntMatrix:
+        rel = self.rels.get(n)
+        return IntMatrix.zeros(self.rank(n), 0) if rel is None else rel
+
+    def differential(self, n: int) -> IntMatrix:
+        if n in self.diff:
+            return self.diff[n]
+        return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
+
+    def degrees(self):
+        return range(self.lo, self.hi + 1)
+
+    def homology(self) -> HomologyTable:
+        entries = {}
+        cache = {}
+        for n in self.degrees():
+            key = (
+                self.differential(n),
+                self.differential(n + 1),
+                self.relations(n - 1),
+                self.relations(n),
+            )
+            if key not in cache:
+                d_out, d_in, rel_prev, rel_here = key
+                num = preimage_lattice(d_out, rel_prev)
+                den = d_in.hstack(rel_here)
+                cache[key] = subquotient(num, den).invariants
+            entries[n] = cache[key]
+        return HomologyTable(entries, stable=self.stable)
+
+
+# -- the Koszul-Tate double complex ------------------------------------------
+
+def validate_double_complex(kt) -> None:
+    """Horizontal and vertical d^2 = 0 and the anticommutation of rows and
+    columns, block by block on the per-row data; NotAComplex otherwise."""
+    r = len(kt.even) - 1
+    h = kt.horizontal
+    for m in range(2, r + 1):
+        if not (h[m - 1] * h[m]).is_zero():
+            raise NotAComplex(m, "horizontal d^2 != 0")
+    for m in range(r + 1):
+        if not ((kt.even[m] * kt.odd[m]).is_zero() and (kt.odd[m] * kt.even[m]).is_zero()):
+            raise NotAComplex(m, "vertical d^2 != 0")
+    for m in range(1, r + 1):
+        for v in (kt.even, kt.odd):
+            if not (h[m] * v[m] + v[m - 1] * h[m]).is_zero():
+                raise NotAComplex(m, "rows and columns do not anticommute")
+
+
+def companion(kt, which: str):
+    """One of the named companion complexes of a Koszul-Tate double complex.
+
+    K and T are the edge row and column; Kbar and Tbar are the same shapes
+    over the quotient modules, as presented complexes; KTtot is the total
+    complex and KTplus its k >= 0 truncation, the total complex of the
+    non-negative half of the window.
+    """
+    lo, hi = kt.window
+    r = len(kt.even) - 1
+    row = {m: kt.rank(m) for m in range(r + 1)}
+    column = {n: kt.rank(0) for n in range(lo, hi + 1)}
+    vertical = {n: kt.even[0] if n % 2 == 0 else kt.odd[0] for n in range(lo + 1, hi + 1)}
+    if which == "K":
+        return ChainComplex(row, {m: kt.horizontal[m] for m in range(1, r + 1)})
+    if which == "T":
+        return ChainComplex(column, vertical, stable=(lo + 1, hi - 1))
+    if which == "Kbar":
+        # each Koszul spot modulo the image of the odd (minus) operator
+        rels = {m: kt.odd[m].dense() for m in row}
+        diff = {m: kt.horizontal[m].dense() for m in range(1, r + 1)}
+        return PresentedComplex(row, rels, diff)
+    if which == "Tbar":
+        # the Tate column modulo the images of all Koszul operators: the
+        # horizontal map out of the singleton row is [f_1 | ... | f_r]
+        rel = kt.horizontal[1].dense() if r else IntMatrix.zeros(kt.rank(0), 0)
+        diff = {n: d.dense() for n, d in vertical.items()}
+        return PresentedComplex(column, {n: rel for n in column}, diff,
+                                stable=(lo + 1, hi - 1))
+    if which == "KTtot":
+        return total_complex(kt)
+    if which == "KTplus":
+        return total_complex(dataclasses.replace(kt, window=(max(lo, 0), hi)))
+    raise ValueError(f"unknown companion {which!r}")
+
+
+# -- sign homology with representatives --------------------------------------
+
+def tate_cycles(gamma: IntMatrix, m: int) -> tuple[Subquotient, Subquotient]:
+    """Presented even and odd Tate homology with explicit cycle bases."""
+    _check_order(gamma, m)
+    one_minus = IntMatrix.identity(gamma.rows) - gamma
+    norm = norm_matrix(gamma, m)
+    even = subquotient(kernel_basis(one_minus), norm)
+    odd = subquotient(kernel_basis(norm), one_minus)
+    return even, odd
+
+
+def induced_kernel(map_on_modules: IntMatrix, source: Subquotient,
+                   target: Subquotient) -> AbGroupInvariants:
+    """Kernel invariants of the induced map on presented homology groups."""
+    mapped = map_on_modules * source.basis
+    coords = solve(target.basis, mapped)
+    pre = preimage_lattice(coords, target.rel)
+    return subquotient(pre, source.rel).invariants
+
+
+def acts_as_identity(op: IntMatrix, homology: Subquotient) -> bool:
+    """Whether ``op`` induces the identity on the presented ``homology``."""
+    coords = solve(homology.basis, op * homology.basis)
+    delta = coords - IntMatrix.identity(coords.rows)
+    if delta.is_zero():
+        return True
+    return lattice_contains(homology.rel, delta)
+
+
+@dataclass(frozen=True)
+class FunctorialityReport:
+    injective_even: bool
+    injective_odd: bool
+    kernel_even: AbGroupInvariants
+    kernel_odd: AbGroupInvariants
+    source_even: AbGroupInvariants
+    target_even: AbGroupInvariants
+    gens_acting_trivially: int
+    gens_total: int
+
+    @property
+    def injective(self) -> bool:
+        return self.injective_even and self.injective_odd
+
+    @property
+    def g_acts_trivially(self) -> bool:
+        return self.gens_acting_trivially == self.gens_total
+
+
+def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityReport:
+    """Injectivity of the induced map on sign-homology, and G-triviality.
+
+    Checks (a) that the map induced by U(f) -> U(g) is injective on both
+    parities, via an explicit kernel computation on mapped cycle lattices,
+    and (b) that every element of the level-g group induces the identity on
+    the sign-homology of U(g).
+    """
+    if not bk.divides(f, g):
+        raise ValueError("need f | g")
+    m = bk.sign_order
+    u_f = u_module(build_af(bk, f, nu))
+    u_g = u_module(build_af(bk, g, nu))
+    mat = u_inclusion(u_f, u_g)
+    gamma_f, gamma_g = u_f.operators["gamma0"].dense(), u_g.operators["gamma0"].dense()
+    if mat * gamma_f != gamma_g * mat:
+        raise RuntimeError("inclusion does not commute with the sign action")
+    ev_f, od_f = tate_cycles(gamma_f, m)
+    ev_g, od_g = tate_cycles(gamma_g, m)
+    ker_even = induced_kernel(mat, ev_f, ev_g)
+    ker_odd = induced_kernel(mat, od_f, od_g)
+
+    trivial_count = 0
+    af_g = u_g.parent
+    elements = list(af_g.group)
+    for sigma in elements:
+        perm = class_matrix([g_action(bk, sigma, xi) for xi in af_g.basis], af_g.index)
+        op = u_g.induce(perm).dense()
+        if acts_as_identity(op, ev_g) and acts_as_identity(op, od_g):
+            trivial_count += 1
+    return FunctorialityReport(
+        ker_even.is_trivial,
+        ker_odd.is_trivial,
+        ker_even,
+        ker_odd,
+        ev_f.invariants,
+        ev_g.invariants,
+        trivial_count,
+        len(elements),
+    )
+
+
+# -- the symbol route --------------------------------------------------------
+
+def skprime_layout(sk) -> dict:
+    """Each total degree t of ``skcx.via_skprime_complex`` as its ordered
+    list of (m, n, divisor) blocks of size one."""
+    lo, hi = sk.window
+    layout = {}
+    for t in range(lo, hi + len(sk.primes) + 1):
+        blocks = []
+        for m, divisors in sk.divisors_by_size.items():
+            n = t - m
+            if lo <= n <= hi:
+                blocks.extend((m, n, g) for g in divisors)
+        layout[t] = blocks
+    return layout
+
+
+@dataclass(frozen=True)
+class InclusionReport:
+    injective: bool
+    degrees: dict  # n -> (source invariants, target invariants, kernel invariants)
+
+
+def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionReport:
+    """Injectivity of the level inclusion on the numerator-killed route."""
+    if g % f:
+        raise ValueError("need f | g")
+    r_g = len(ARCHIMEDEAN.factor(g))
+    if window is None:
+        window = (-(r_g + 3), r_g + 3)
+    sk_f = skcx.build_sk(f, level, window)
+    sk_g = skcx.build_sk(g, level, window)
+    total_f, layout_f = skcx.via_skprime_complex(sk_f), skprime_layout(sk_f)
+    total_g, layout_g = skcx.via_skprime_complex(sk_g), skprime_layout(sk_g)
+    components = {}
+    for t, blocks in layout_f.items():
+        rows = total_g.rank(t)
+        cols = total_f.rank(t)
+        data = [[0] * cols for _ in range(rows)]
+        targets = layout_g[t]
+        for j, block in enumerate(blocks):
+            data[targets.index(block)][j] = 1
+        components[t] = IntMatrix(data, cols=cols)
+    ChainMap(total_f, total_g, components)  # validates commuting squares
+
+    degrees = {}
+    injective = True
+    lo_f, hi_f = total_f.stable
+    lo_g, hi_g = total_g.stable
+    lo, hi = max(lo_f, lo_g), min(hi_f, hi_g)
+    for n in range(lo, hi + 1):
+        src = homology_pair(dense_differential(total_f, n), dense_differential(total_f, n + 1))
+        dst = homology_pair(dense_differential(total_g, n), dense_differential(total_g, n + 1))
+        kernel = induced_kernel(components[n], src, dst)
+        degrees[n] = (src.invariants, dst.invariants, kernel)
+        if not kernel.is_trivial:
+            injective = False
+    return InclusionReport(injective, degrees)
+
+
+def sign_action_trivial_on_via_n(sk) -> tuple[int, int]:
+    """How many unit classes act as the identity on the boundary-route homology."""
+    denom = sk.denominator
+    quotient, even, odd = skcx._via_n_quotient(sk)
+    d_even, d_odd = even.dense(), odd.dense()
+    spots = [homology_pair(d_even, d_odd), homology_pair(d_odd, d_even)]
+    units = [t for t in range(denom) if gcd(t, denom) == 1]
+    trivial = 0
+    for t in units:
+        perm = SparseMatrix(denom, [{t * a % denom: 1} for a in range(denom)])
+        op = quotient.induce(perm).dense()
+        if all(acts_as_identity(op, spot) for spot in spots):
+            trivial += 1
+    return trivial, len(units)

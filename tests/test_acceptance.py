@@ -11,6 +11,7 @@ from math import gcd
 
 import pytest
 
+from dense_reference import companion, functoriality_report, sign_action_trivial_on_via_n
 from uod.arith import (
     ArchimedeanBackend,
     FunctionFieldBackend,
@@ -21,7 +22,7 @@ from uod.arith import (
     xi_classes,
     y_map,
 )
-from uod.chainkit import ActionModule, build_kt, companion
+from uod.chainkit import ActionModule, build_kt
 from uod.distmod import (
     build_af,
     lemma411_check,
@@ -33,8 +34,8 @@ from uod.distmod import (
 )
 from uod.ftate import AlmostFreeSpec, ftate_closed_form, ftate_via_kt, thm442_lhs
 from uod.iwasawa import distribution_relation_holds, u_of, u_values, uprime_compare
-from uod.signh import functoriality_report, sign_homology_U, tate_pair
-from uod.skcx import build_sk, sign_action_trivial_on_via_n, sk_quotients_homology
+from uod.signh import sign_homology_U, tate_pair
+from uod.skcx import build_sk, sk_quotients_homology
 from uod.znf import AbGroupInvariants, IntMatrix, cokernel_invariants, kernel_basis, snf
 
 Q = ArchimedeanBackend()

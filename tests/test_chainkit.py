@@ -3,26 +3,33 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import (
+    ChainMap,
+    PresentedComplex,
+    companion,
+    euler_characteristic,
+    homology_pair,
+    make_complex,
+    mapping_cone,
+    shift_eq,
+    twist,
+    validate_double_complex,
+)
 from uod import chainkit, znf
-from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix, homology_pair, kernel_basis
+from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix, kernel_basis
 from uod.chainkit import (
     ActionModule,
     ChainComplex,
-    ChainMap,
     DoubleComplex,
     GammaOrderUnbounded,
     NonCommutingOperators,
     NotAComplex,
     PlusMinusNotZero,
-    PresentedComplex,
     ShapeMismatch,
     WindowTooSmall,
     build_kt,
-    companion,
-    make_complex,
-    mapping_cone,
+    scalar_kt,
     total_complex,
-    twist,
 )
 
 Z = AbGroupInvariants(1)
@@ -95,13 +102,6 @@ def dense_kt_blocks(ops, plus, minus, window):
         for n in range(lo, hi + 1):
             horiz[(m, n)] = data
     return ranks, horiz, vert
-
-
-def assert_validates(kt):
-    """``build_kt`` does not validate its double complex; rebuilding it from
-    the same blocks with ``check=True`` must pass d^2 = 0 both ways and the
-    anticommutation of rows and columns."""
-    DoubleComplex(kt.m_max, kt.n_lo, kt.n_hi, kt.ranks, kt.horiz, kt.vert, check=True)
 
 
 def dense_paste_total(ranks, horiz, vert, r, window, keep):
@@ -200,7 +200,7 @@ class TestMakeComplex:
 class TestTwist:
     def test_twist_zero_is_identity(self):
         c = make_complex([1, 1], [[[2]]])
-        assert twist(c, 0).shift_eq(c)
+        assert shift_eq(twist(c, 0), c)
 
     def test_twist_by_one_negates(self):
         c = make_complex([1, 1], [[[2]]])
@@ -210,7 +210,7 @@ class TestTwist:
 
     def test_twist_composes(self):
         c = make_complex([2, 1], [[[1], [0]]])
-        assert twist(twist(c, 1), 1).shift_eq(twist(c, 2))
+        assert shift_eq(twist(twist(c, 1), 1), twist(c, 2))
 
 
 class TestMappingCone:
@@ -240,12 +240,12 @@ class TestMappingCone:
         y = make_complex([1, 1], [[[a]]])
         f = ChainMap(x, y, {0: IntMatrix([[b * a == a * b and b]]), 1: IntMatrix([[b]])})
         cone = mapping_cone(f).complex
-        assert cone.euler_characteristic() == twist(x, 1).euler_characteristic() + y.euler_characteristic()
+        assert euler_characteristic(cone) == euler_characteristic(twist(x, 1)) + euler_characteristic(y)
         table = cone.homology()
         chi_h = 0
         for n, inv in table.entries.items():
             chi_h += (-1) ** n * inv.free_rank
-        assert chi_h == cone.euler_characteristic()
+        assert chi_h == euler_characteristic(cone)
 
 
 class TestActionModule:
@@ -397,9 +397,9 @@ class TestBuildKt:
         # one ideal acting by zero, plus = 2, minus = 0: column ranks 1 per row
         m = trivial_module({"X": 0, "plus": 2, "minus": 0})
         kt = build_kt(m, ["X"], "plus", "minus", window=(-4, 4))
-        assert kt.m_max == 1
-        assert all(kt.rank(row, n) == 1 for row in (0, 1) for n in range(-4, 5))
-        assert kt.horizontal(1, 0).is_zero()
+        assert kt.window == (-4, 4) and len(kt.horizontal) == len(kt.even) == len(kt.odd) == 2
+        assert all(kt.rank(row) == 1 for row in (0, 1))
+        assert kt.horizontal[1].is_zero()
 
     def test_no_ideals_degenerates_to_tate_column(self):
         m = trivial_module({"plus": 2, "minus": 0})
@@ -420,16 +420,16 @@ class TestBuildKt:
             build_kt(m, ["X"], "plus", "minus", window=(-2, 2))
 
     def test_signs_anticommute_nontrivial_module(self):
-        # 2x2 module with a genuine operator; the double complex rebuilt with
-        # check=True validates the signs
+        # 2x2 module with a genuine operator; the block-by-block validator
+        # checks the signs
         op = IntMatrix([[1, 1], [0, 1]])
         gamma = IntMatrix([[0, 1], [1, 0]])
         norm = IntMatrix([[1, 1], [1, 1]])
         one_minus = IntMatrix([[1, -1], [-1, 1]])
         m = ActionModule(2, {"X": op * IntMatrix.zeros(2, 2), "N": norm, "D": one_minus})
         kt = build_kt(m, ["X"], "N", "D", window=(-4, 4))
-        assert kt.rank(1, 0) == 2
-        assert_validates(kt)
+        assert kt.rank(1) == 2
+        validate_double_complex(kt)
 
 
 class TestCompanions:
@@ -705,7 +705,7 @@ class TestSparseTotal:
         names = {f"X{i}": op for i, op in enumerate(ops)}
         m = ActionModule(plus.rows, names | {"plus": plus, "minus": minus})
         kt = build_kt(m, list(names), "plus", "minus", window=window)
-        assert_validates(kt)
+        validate_double_complex(kt)
         total = companion(kt, which)
         keep = (lambda m, n: n >= 0) if which == "KTplus" else (lambda m, n: True)
         ranks, diff = dense_paste_total(*dense_kt_blocks(ops, plus, minus, window), r, window, keep)
@@ -719,20 +719,28 @@ class TestSparseTotal:
         assert total.homology().entries == per_degree_homology(total)
 
     def test_absent_blocks_read_as_sparse_zeros(self):
+        # row 0 maps to nothing: its horizontal block has no rows
         m = trivial_module({"X": 0, "plus": 2, "minus": 0})
         kt = build_kt(m, ["X"], "plus", "minus", window=(-4, 4))
-        assert kt.horizontal(2, 0) == SparseMatrix.zeros(1, 0)
-        assert kt.vertical(0, -4) == SparseMatrix.zeros(0, 1)
+        assert kt.horizontal[0] == SparseMatrix.zeros(0, 1)
         total = companion(kt, "KTtot")
         assert total.differential(total.lo) == SparseMatrix.zeros(0, total.rank(total.lo))
 
+    @pytest.mark.parametrize("scalars, plus, minus, window", [
+        ([0, 0], 2, 0, None), ([2, -2], 2, 0, (-6, 7)), ([], 3, 0, (-3, 3)), ([1], 0, 5, None)])
+    def test_scalar_kt_is_the_total_of_the_rank_one_module(self, scalars, plus, minus, window):
+        names = [f"X{i}" for i in range(len(scalars))]
+        m = trivial_module(dict(zip(names, scalars)) | {"plus": plus, "minus": minus})
+        expected = total_complex(build_kt(m, names, "plus", "minus", window))
+        got = scalar_kt(scalars, plus, minus, window)
+        assert (got.ranks, got.diff, got.stable) == (expected.ranks, expected.diff, expected.stable)
+
     def test_a_double_complex_that_is_not_one_is_refused(self):
-        # rows and columns commute instead of anticommuting: built unchecked,
-        # the total differential must still fail d*d = 0
+        # rows and columns commute instead of anticommuting: stored as it
+        # is, the total differential must still fail d*d = 0
         one = SparseMatrix.identity(1)
-        ranks = {(m, n): 1 for m in (0, 1) for n in range(-3, 4)}
-        horiz = {(1, n): one for n in range(-3, 4)}
-        vert = {(m, n): one for m in (0, 1) for n in range(-2, 4)}
-        d = DoubleComplex(1, -3, 3, ranks, horiz, vert, check=False)
+        d = DoubleComplex((-3, 3), (SparseMatrix.zeros(0, 1), one), (one, one), (one, one))
+        with pytest.raises(NotAComplex):
+            validate_double_complex(d)
         with pytest.raises(NotAComplex):
             total_complex(d)

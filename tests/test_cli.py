@@ -209,6 +209,20 @@ class TestHarnessContract:
         assert captured.out == ""
         assert captured.err == f"error: uprime levels are integers of at least 2; got --f {levels}\n"
 
+    @pytest.mark.parametrize("levels", ["12,1x", "x", "15,1", "15,12", "1", "4"])
+    def test_sk_levels_checked_before_any_work(self, monkeypatch, capsys, levels):
+        # a malformed or non-squarefree level is one usage line, and no
+        # level runs before it is refused
+        def refuse(f, level, window=None):
+            raise AssertionError(f"build_sk({f}) ran before the levels were checked")
+
+        monkeypatch.setattr(cli, "build_sk", refuse)
+        assert main(["sk", "compare", "--f", levels]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: sk compare levels are squarefree integers of at least 2; got --f {levels}\n")
+
     def test_uprime_non_equivariant_operator_is_a_fail(self, monkeypatch, tmp_path):
         # an induced generator that is not the group action: FAIL, exit 1
         real = iwasawa.u_module

@@ -105,7 +105,8 @@ class TestThm442:
         # Koszul operator -2 and vertical [2; 0] has, per degree, matrix
         # [[2 or 0, -2], [0, -(0 or 2)]] acting on Z^2; brute-force both
         # parities with the generic machinery in znf only.
-        from uod.znf import IntMatrix, homology_pair
+        from dense_reference import homology_pair
+        from uod.znf import IntMatrix
 
         d_even = IntMatrix([[2, -2], [0, 0]])
         d_odd = IntMatrix([[0, -2], [0, -2]])
@@ -124,7 +125,8 @@ class TestThm442:
         # operators nu_p - X_p the quotient column is the Tate complex of the
         # distribution module itself, so its homology must equal the direct
         # route for both backends
-        from uod.chainkit import ActionModule, build_kt, companion
+        from dense_reference import companion
+        from uod.chainkit import ActionModule, build_kt
         from uod.distmod import build_af, x_op_name
         from uod.signh import norm_matrix, sign_homology_U
         from uod.znf import IntMatrix

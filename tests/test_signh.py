@@ -1,15 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import PresentedComplex, functoriality_report, tate_cycles
 from uod import znf
-from uod.chainkit import PresentedComplex
 from uod.arith import ArchimedeanBackend, FunctionFieldBackend
 from uod.distmod import build_af, distribution_relations, u_module
 from uod.signh import (
     OrderViolation,
-    functoriality_report,
     sign_homology_U,
-    tate_cycles,
     tate_pair,
     verify_rank_theorem,
 )

@@ -2,16 +2,20 @@ from dataclasses import dataclass
 
 import pytest
 
-from uod import cli, skcx
-from uod.chainkit import NonCommutingOperators, PresentedComplex, WindowTooSmall
+from dense_reference import (
+    PresentedComplex,
+    sign_action_trivial_on_via_n,
+    sk_inclusion_check,
+    skprime_layout,
+)
+from uod import chainkit, cli, skcx
+from uod.chainkit import NonCommutingOperators, PlusMinusNotZero, WindowTooSmall, build_kt
 from uod.cli import main
 from uod.distmod import BasisCertificateFailed
 from uod.skcx import (
     NotSquarefree,
     build_sk,
     distribution_presentation,
-    sign_action_trivial_on_via_n,
-    sk_inclusion_check,
     sk_quotients_homology,
     via_n_complex,
     via_skprime_complex,
@@ -81,6 +85,11 @@ def column_of(sk, formula):
     return {i: v for i, v in col.items() if v}
 
 
+def symbol_double_complex(sk):
+    """``build_kt`` of the module of ``build_sk``: the symbol double complex."""
+    return build_kt(sk.module, [f"T{p}" for p in sk.primes], "plus", "minus", sk.window)
+
+
 def dense_via_n_reference(sk):
     """The boundary quotient as a presented complex on all numerators, with
     the dense relations and the dense 1 +- neg: its homology is the exact
@@ -102,10 +111,12 @@ def dense_via_n_reference(sk):
 class TestBuildSk:
     def test_symbol_counts_f3(self):
         sk = build_sk(3, 1, window=(-5, 5))
+        kt = symbol_double_complex(sk)
         # numerators over 3, divisors {1, 3}, eleven window degrees
-        assert sk.double.rank(0, 0) == 3
-        assert sk.double.rank(1, 0) == 3
-        total = sum(sk.double.rank(m, n) for m in (0, 1) for n in range(-5, 6))
+        assert kt.window == sk.window == (-5, 5)
+        assert kt.rank(0) == 3
+        assert kt.rank(1) == 3
+        total = sum(kt.rank(m) for m in (0, 1) for n in range(-5, 6))
         assert total == 3 * 2 * 11
 
     def test_delta_formula(self):
@@ -135,11 +146,12 @@ class TestBuildSk:
     @pytest.mark.parametrize("f, level", [(15, 1), (15, 2), (330, 1)])
     def test_matrices_match_symbol_formulas(self, f, level):
         sk = build_sk(f, level)
+        kt = symbol_double_complex(sk)
         if f == 330:
             assert sk.divisors_by_size[2] == [6, 10, 22, 15, 33, 55]
         for m, n in ((1, 0), (2, 0), (2, 3)):
-            mat = sk.double.horizontal(m, n)
-            vmat = sk.double.vertical(m, n)
+            mat = kt.horizontal[m]
+            vmat = kt.even[m] if n % 2 == 0 else kt.odd[m]
             for sym in symbols(sk, m, n):
                 j = index_of(sk, sym)
                 assert mat.entries[j] == column_of(sk, partial_symbol(sk, sym)), sym
@@ -167,6 +179,28 @@ class TestBuildSk:
         with pytest.raises(NonCommutingOperators):
             build_sk(15, 1)
 
+    def test_plus_minus_not_zero_is_refused(self, monkeypatch):
+        # plus paired with itself still commutes with every T_p, so the
+        # commutation certificate passes and plus * minus = 0 must catch it
+        real = skcx._sign_differentials
+        monkeypatch.setattr(skcx, "_sign_differentials", lambda denom: (real(denom)[0],) * 2)
+        with pytest.raises(PlusMinusNotZero):
+            build_sk(15, 1)
+
+    def test_window_narrower_than_2r_plus_4_is_refused(self):
+        # r = 2 at f = 15: eight degrees pass, seven do not
+        assert build_sk(15, 1, window=(-3, 4)).window == (-3, 4)
+        with pytest.raises(WindowTooSmall, match="shorter than 8"):
+            build_sk(15, 1, window=(-3, 3))
+
+    def test_builds_no_double_complex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_sk built a double complex")
+
+        monkeypatch.setattr(chainkit, "DoubleComplex", refuse)
+        sk = build_sk(15, 2)
+        assert sk.module.rank == 225 and sk.window == (-5, 5)
+
     def test_rejects_bad_levels(self):
         with pytest.raises(NotSquarefree):
             build_sk(4, 1)
@@ -191,7 +225,7 @@ class TestQuotientRoutes:
 
     def test_via_skprime_ranks_are_binomial(self):
         sk = build_sk(15, 1)
-        total, layout = via_skprime_complex(sk)
+        total, layout = via_skprime_complex(sk), skprime_layout(sk)
         # at a deep interior degree all rows contribute: 1 + 2 + 1
         mid = 0
         assert total.rank(mid) == 4

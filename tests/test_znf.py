@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import homology_pair, lattice_contains, subquotient
 from uod import znf
 from uod.arith import ArchimedeanBackend, gf_group
 from uod.distmod import build_af, distribution_relations
@@ -20,16 +21,13 @@ from uod.znf import (
     block_diagonal,
     cokernel_invariants,
     complement_projection,
-    homology_pair,
     image_basis,
     kernel_basis,
-    lattice_contains,
     preimage_lattice,
     rank_torsion,
     snf,
     snf_invariants,
     solve,
-    subquotient,
 )
 
 
