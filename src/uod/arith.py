@@ -29,9 +29,14 @@ residues mod an ideal, ``norm``) and the sign data (``sign_order``,
 
 ``kind`` is a label for reports and ``backend()``; nothing branches on it.
 
-The sorted class list Xi(f), each Y_g fiber map and each level group are
-built once per level and cached.  Class lists and fibers are tuples; the
-fiber dicts and the groups are only read by their callers.  Each backend
+Each level has one cached ``LevelTable``: the sorted class list Xi(f), the
+residue a mod f of each class [a/f] and the position of each residue.
+Numerator multiplication by c in A is the map a -> c a mod f on residues,
+so the Y_g fibers, the group elements and the sign act on positions, and
+``distmod`` builds A(f) from these integer tables with no class objects.
+``xi_classes`` reads the table, and ``fiber_map`` is the class view of its
+position fibers.  Class lists and fibers are tuples; the fiber dicts, the
+tables and the level groups are only read by their callers.  Each backend
 caches its factorisations, as tuples of (prime, exponent).
 
 Polynomials over F_q are tuples of field codes.  Their kernels (``poly_add``,
@@ -45,7 +50,7 @@ q > ``FQ_MAX`` = 4096 before it builds any q x q table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 
@@ -855,25 +860,96 @@ def xi_sort_key(bk, xi: XiClass):
 
 # Per-level caches.  Their values are never mutated, and uod runs every
 # command in a single thread, so check-then-set needs no lock; the same holds
-# for ``distmod._partition_cache`` and the backends' ``_factor_cache``.  These
-# grow with the levels a process visits; the ``poly_divmod`` memo is the one
-# bounded cache, since it sees every division of every level.
-_classes_cache: dict = {}
-_fiber_cache: dict = {}
+# for the memos inside a ``LevelTable``, for ``distmod._partition_cache`` and
+# for the backends' ``_factor_cache``.  These grow with the levels a process
+# visits; the ``poly_divmod`` memo is the one bounded cache, since it sees
+# every division of every level.
+_table_cache: dict = {}
 _group_cache: dict = {}
 
 
-def xi_classes(bk, f) -> tuple[XiClass, ...]:
-    """All homothety classes of f-torsion translates (|A/f| of them), sorted.
+class LevelTable:
+    """The classes of Xi(f) and their residues, built once per level.
 
-    Built once per level and cached.
+    ``classes`` is Xi(f) in sorted order, ``residues[i]`` is the residue a
+    mod f with [a/f] = ``classes[i]``, and ``position`` maps each residue
+    to its place.  Multiplying numerators by c in A maps [a/f] to [c a/f],
+    so Y_g (c = g), a group element (c = its unit residue) and the sign
+    (c = gamma's residue) all act on positions through ``images``, with no
+    class objects.  ``fibers`` and ``inside`` are memoised per divisor.
     """
+
+    def __init__(self, bk, f):
+        self.backend = bk
+        self.level = f
+        pairs = sorted(
+            ((xi_from_fraction(bk, a, f), a) for a in bk.residues(f)),
+            key=lambda pair: xi_sort_key(bk, pair[0]),
+        )
+        self.classes = tuple(xi for xi, _ in pairs)
+        self.residues = tuple(a for _, a in pairs)
+        # one int object per position, shared by the fibers, the inside
+        # tuples and the operator columns instead of a copy in each
+        self.positions = tuple(range(len(pairs)))
+        self.position = dict(zip(self.residues, self.positions))
+        self._fibers: dict = {}
+        self._inside: dict = {}
+        self._views: dict = {}
+
+    @cached_property
+    def index(self) -> dict:
+        """Position of each class, built on first use."""
+        return dict(zip(self.classes, self.positions))
+
+    def images(self, c) -> list:
+        """The position of [c a/f] for each class [a/f], in order."""
+        bk, f, position = self.backend, self.level, self.position
+        return [position[bk.residue_mul(c, a, f)] for a in self.residues]
+
+    def inside(self, g) -> tuple:
+        """Positions of the classes of Xi(f/g) for g | f: [a/f] has order
+        dividing f/g exactly when g divides a."""
+        key = self.backend.ideal_key(g)
+        if key not in self._inside:
+            divides = self.backend.divides
+            self._inside[key] = tuple(
+                i for i, a in zip(self.positions, self.residues) if divides(g, a)
+            )
+        return self._inside[key]
+
+    def fibers(self, g) -> dict:
+        """Y_g fibers by position: each position of Xi(f/g) maps to the
+        positions over it, ascending."""
+        key = self.backend.ideal_key(g)
+        if key not in self._fibers:
+            out: dict = {}
+            for j, i in zip(self.positions, self.images(g)):
+                out.setdefault(i, []).append(j)
+            self._fibers[key] = {i: tuple(js) for i, js in out.items()}
+        return self._fibers[key]
+
+    def fiber_classes(self, g) -> dict:
+        """``fibers(g)`` with classes in place of positions."""
+        key = self.backend.ideal_key(g)
+        if key not in self._views:
+            classes = self.classes
+            self._views[key] = {
+                classes[i]: tuple(classes[j] for j in js) for i, js in self.fibers(g).items()
+            }
+        return self._views[key]
+
+
+def level_table(bk, f) -> LevelTable:
+    """The class table of level f, cached."""
     key = (bk.key, bk.ideal_key(f))
-    if key not in _classes_cache:
-        out = [xi_from_fraction(bk, a, f) for a in bk.residues(f)]
-        out.sort(key=lambda xi: xi_sort_key(bk, xi))
-        _classes_cache[key] = tuple(out)
-    return _classes_cache[key]
+    if key not in _table_cache:
+        _table_cache[key] = LevelTable(bk, f)
+    return _table_cache[key]
+
+
+def xi_classes(bk, f) -> tuple[XiClass, ...]:
+    """All homothety classes of f-torsion translates (|A/f| of them), sorted."""
+    return level_table(bk, f).classes
 
 
 def xi_in_level(bk, xi: XiClass, f) -> bool:
@@ -898,19 +974,13 @@ def y_fiber(bk, g, xi: XiClass, within_level) -> tuple[XiClass, ...]:
 
 
 def fiber_map(bk, g, level) -> dict:
-    """Y_g fibers over all of Xi(level/g), computed in one pass over Xi(level).
+    """Y_g fibers over all of Xi(level/g), keyed by class: the class view
+    of ``LevelTable.fibers``, cached with the table.
 
-    Cached per (g, level); each fiber is a tuple in ``xi_classes`` order.
-    Callers must not mutate the returned dict.
+    Each fiber is a tuple in ``xi_classes`` order.  Callers must not mutate
+    the returned dict.
     """
-    key = (bk.key, bk.ideal_key(g), bk.ideal_key(level))
-    if key not in _fiber_cache:
-        out: dict = {}
-        for eta in xi_classes(bk, level):
-            image = y_map(bk, g, eta)
-            out.setdefault(image, []).append(eta)
-        _fiber_cache[key] = {image: tuple(etas) for image, etas in out.items()}
-    return _fiber_cache[key]
+    return level_table(bk, level).fiber_classes(g)
 
 
 @dataclass(frozen=True)

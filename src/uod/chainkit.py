@@ -271,11 +271,6 @@ class ActionModule:
     def operator(self, name: str):
         return self.operators[name]
 
-    def with_operator(self, name: str, op) -> "ActionModule":
-        ops = dict(self.operators)
-        ops[name] = op
-        return ActionModule(self.rank, ops, self.nu, self.order_bound)
-
     def gamma_order(self) -> int:
         """Least m >= 1 with gamma0^m = 1; GammaOrderUnbounded past the bound."""
         g = self.operators["gamma0"]

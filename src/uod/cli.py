@@ -442,13 +442,22 @@ def cmd_tower(args):
 # wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with one ``prog: error: ...`` line and exit 2,
+    like every other refusal, instead of argparse's usage text.  Subparsers
+    take the class of their parent."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    output = argparse.ArgumentParser(add_help=False)
+    output = _Parser(add_help=False)
     output.add_argument("--out", help="write the JSON report to this file")
     output.add_argument("--csv", help="write a flat CSV of the checks to this file")
     output.add_argument("--pretty", action="store_true", help="human-readable table")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uod",
         description="exact universal-ordinary-distribution computations and checks",
     )

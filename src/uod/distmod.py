@@ -13,12 +13,20 @@ operators commute, and they descend to the quotient
 which is Z-free of rank |G_f| with basis the depth-zero classes.  The depth
 of a class of exact order f is computed from the torsor decomposition over a
 fixed transversal of ker(G_f -> G_{f/rad f}) and the per-prime kernel
-components; depth zero means no kernel component is trivial.
+components; depth zero means no kernel component is trivial.  The depths of
+all classes of one exact order are computed together, once per process
+(``_LevelPartition.depths``); ``partition_tag`` gives the whole
+decomposition of one class, with its checks.
 
+A(f) is built from the level's residue table (``arith.level_table``): the
+class [a/f] sits at the position of its residue a, and Y_p, a group
+element and the sign are the maps a -> c a mod f, so every column is found
+by residue arithmetic and a position lookup, with no class objects.
 Every operator on A(f) sends a class to a short multiset of classes (a
 group element or the sign permutes Xi(f), X_p sends a class to its fiber
 sum), so operators, the relation matrix, the section and the projection are
-``znf.SparseMatrix`` values with about one nonzero per class.  Building
+``znf.SparseMatrix`` values with about one nonzero per class; their indices
+all come from the table, so they skip the validating constructor.  Building
 them, certifying that all operators commute and that gamma0 has finite
 order (``chainkit.ActionModule``), and certifying that the relations are
 the columns of the nu_p - X_p, so that every commuting operator preserves
@@ -40,18 +48,19 @@ relations reach every class outside Xi_0(f).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import arith
 from .arith import (
     GfElement,
     GfGroup,
+    LevelTable,
     XiClass,
-    fiber_map,
     g_action,
     gf_group,
+    level_table,
     sign_group,
     xi_classes,
-    xi_in_level,
     y_map,
 )
 from .chainkit import ActionModule
@@ -62,6 +71,7 @@ from .znf import (
     NotAComplement,
     SparseMatrix,
     _invariants,
+    _sparse,
     cokernel_invariants,
     complement_projection,
     kernel_basis,
@@ -98,99 +108,93 @@ def g_op_name(bk, residue) -> str:
 
 @dataclass
 class AfModule:
-    """A(f) with its operator package."""
+    """A(f) with its operator package, on the positions of ``table``."""
 
     backend: object
     level: object
     nu: dict
-    basis: tuple
-    index: dict
+    table: LevelTable
     primes: tuple
-    fibers: dict            # p -> {xi in Xi(f/p): full Y_p fiber in Xi(f)}
+    fibers: dict            # p -> {position in Xi(f/p): positions of its Y_p fiber}
     operators: ActionModule
     group: GfGroup
 
     @property
+    def basis(self) -> tuple:
+        return self.table.classes
+
+    @property
+    def index(self) -> dict:
+        return self.table.index
+
+    @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.table.classes)
 
     def x_operator(self, p) -> SparseMatrix:
         return self.operators.operator(x_op_name(self.backend, p))
 
 
-def class_matrix(images, index: dict) -> SparseMatrix:
-    """Matrix of a map of basis classes: column j is the basis vector of
-    ``images[j]`` in the basis numbered by ``index``."""
-    return SparseMatrix(len(index), [{index[target]: 1} for target in images])
+def position_matrix(rows: int, positions) -> SparseMatrix:
+    """Column j is the basis vector at ``positions[j]``, each in range(rows)."""
+    return _sparse(rows, tuple({i: 1} for i in positions))
 
 
 def build_af(bk, f, nu: dict | None = None) -> AfModule:
-    """Assemble A(f): basis Xi(f), fiber-sum operators, group generators, sign."""
+    """Assemble A(f): basis Xi(f), fiber-sum operators, group generators, sign.
+
+    Every column comes from the level's table, so the matrices skip the
+    validating constructor."""
     nu = dict(nu or {})
-    basis = tuple(xi_classes(bk, f))
-    index = {xi: i for i, xi in enumerate(basis)}
+    table = level_table(bk, f)
+    rank = len(table.classes)
     primes = tuple(p for p, _ in bk.factor(f))
-    fibers = {p: fiber_map(bk, p, f) for p in primes}
-    rank = len(basis)
+    fibers = {p: table.fibers(p) for p in primes}
+    _check_fiber_sums(table, fibers)
 
     ops = {}
     for p in primes:
-        sub_level = bk.divide(f, p)
-        cols = []
-        for xi in basis:
-            if xi_in_level(bk, xi, sub_level):
-                col = {}
-                for eta in fibers[p][xi]:
-                    col[index[eta]] = col.get(index[eta], 0) + 1
-            else:
-                col = {index[xi]: nu.get(p, 1)}
-            cols.append(col)
-        ops[x_op_name(bk, p)] = SparseMatrix(rank, cols)
+        nu_p = nu.get(p, 1)
+        cols = [{j: nu_p} if nu_p else {} for j in table.positions]
+        for i in table.inside(p):
+            cols[i] = dict.fromkeys(fibers[p][i], 1)
+        ops[x_op_name(bk, p)] = _sparse(rank, tuple(cols))
 
     group = gf_group(bk, f)
     for gen in group.generators():
-        ops[g_op_name(bk, gen.residue)] = class_matrix(
-            [g_action(bk, gen, xi) for xi in basis], index
-        )
-    ops["gamma0"] = class_matrix([arith.sign_action(bk, xi) for xi in basis], index)
+        ops[g_op_name(bk, gen.residue)] = position_matrix(rank, table.images(gen.residue))
+    ops["gamma0"] = position_matrix(rank, table.images(sign_group(bk, f).gamma.residue))
 
     module = ActionModule(rank, ops, {x_op_name(bk, p): nu.get(p, 1) for p in primes},
                           order_bound=bk.sign_order)
-    af = AfModule(bk, f, nu, basis, index, primes, fibers, module, group)
-    _check_fiber_sums(af)
-    return af
+    return AfModule(bk, f, nu, table, primes, fibers, module, group)
 
 
-def _check_fiber_sums(af: AfModule):
+def _check_fiber_sums(table: LevelTable, fibers: dict):
     # X_p xi must be the full Y_p fiber sum wherever that fiber stays at level f
-    bk = af.backend
-    for p in af.primes:
-        sub = bk.divide(af.level, p)
-        want = bk.norm(p)
-        for xi in af.basis:
-            if xi_in_level(bk, xi, sub):
-                if len(af.fibers[p][xi]) != want:
-                    raise StructureCheckFailed(
-                        f"fiber over {xi} has {len(af.fibers[p][xi])} elements, expected {want}"
-                    )
+    for p, by_position in fibers.items():
+        want = table.backend.norm(p)
+        for i in table.inside(p):
+            size = len(by_position.get(i, ()))
+            if size != want:
+                raise StructureCheckFailed(
+                    f"fiber over {table.classes[i]} has {size} elements, expected {want}"
+                )
 
 
 def distribution_relations(af: AfModule) -> SparseMatrix:
     """Columns nu_p xi - sum(fiber) for each maximal p | f and xi in Xi(f/p)."""
-    bk = af.backend
-    index = af.index
     cols = []
     for p in af.primes:
-        sub = bk.divide(af.level, p)
         nu_p = af.nu.get(p, 1)
-        for xi in af.basis:
-            if not xi_in_level(bk, xi, sub):
-                continue
-            col = {index[xi]: nu_p}
-            for eta in af.fibers[p][xi]:
-                col[index[eta]] = col.get(index[eta], 0) - 1
+        fibers = af.fibers[p]
+        for i in af.table.inside(p):
+            col = dict.fromkeys(fibers[i], -1)
+            col[i] = col.get(i, 0) + nu_p
+            if not col[i]:
+                del col[i]
             cols.append(col)
-    return SparseMatrix(af.rank, cols)
+    return _sparse(af.rank, tuple(cols))
 
 
 @dataclass(frozen=True)
@@ -235,22 +239,22 @@ def u_module(af: AfModule) -> UModule:
     and its induced operator is P op S with no P (op R) product.  The
     induced operators are ``SparseMatrix`` values, |G_f| x |G_f|.
     """
-    bk = af.backend
     rel = distribution_relations(af)
     expected_rank = len(af.group)
-    xi0 = [xi for xi in af.basis if depth(bk, xi) == 0]
+    xi0 = _depth_zero_positions(af)
     try:
-        projection = complement_projection(rel, [af.index[xi] for xi in xi0])
+        projection = complement_projection(rel, xi0)
     except NotAComplement:
         projection = None
     if projection is None or len(xi0) != expected_rank:
         _diagnose(af, rel, len(xi0), expected_rank)
     _certify_relations(af, rel)
-    section = class_matrix(xi0, af.index)
+    section = position_matrix(af.rank, xi0)
     induced = {}
     invariants = AbGroupInvariants(expected_rank)
     u = UModule(relations=rel, projection=projection, section=section, parent=af,
-                invariants=invariants, basis_classes=tuple(xi0), operators=induced)
+                invariants=invariants, basis_classes=tuple(af.basis[i] for i in xi0),
+                operators=induced)
     for name, op in af.operators.operators.items():
         induced[name] = u.induce_preserving(op)
     return u
@@ -331,7 +335,15 @@ class _LevelPartition:
         self.radical = bk.radical(f)
         self.base = bk.divide(f, self.radical)
         self.base_group = gf_group(bk, self.base)
-        self.kernels = {
+        self.one = self.group.identity.residue
+        self.transversal = self._build_transversal()
+
+    @cached_property
+    def kernels(self) -> dict:
+        """ker(G_f -> G_{f/p}) for each maximal p | f, as unit residues;
+        only ``decompose`` and the fiber identity read them."""
+        bk, f = self.backend, self.level
+        return {
             p: frozenset(
                 e.residue
                 for e in self.group
@@ -339,8 +351,26 @@ class _LevelPartition:
             )
             for p in self.primes
         }
-        self.one = self.group.identity.residue
-        self.transversal = self._build_transversal()
+
+    @cached_property
+    def depths(self) -> dict:
+        """The depth of each class of exact order f, keyed by its numerator
+        (a unit mod f), in ``xi_classes`` order.
+
+        With x = num * lift^{-1} for num's transversal lift, the CRT
+        component of x at p is trivial exactly when x = 1 mod p^e, so the
+        depth counts those p; each lift is inverted once.  ``decompose``
+        takes the same steps one class at a time, with its checks.
+        """
+        bk, f = self.backend, self.level
+        inverse = {b: bk.residue_inverse(lift, f) for b, lift in self.transversal.items()}
+        ones = [(pe, bk.residue_of(bk.one, pe)) for pe in self.prime_powers.values()]
+        out = {}
+        for e in self.group:
+            num = e.residue
+            x = bk.residue_mul(num, inverse[bk.residue_of(num, self.base)], f)
+            out[num] = sum(1 for pe, one in ones if bk.residue_of(x, pe) == one)
+        return out
 
     def _is_one_mod(self, residue, modulus) -> bool:
         bk = self.backend
@@ -440,12 +470,33 @@ def partition_tag(bk, xi: XiClass, context_level=None) -> PartitionTag:
 
 
 def depth(bk, xi: XiClass) -> int:
-    return partition_tag(bk, xi).depth
+    """The depth of ``partition_tag(bk, xi)``, read from its order's table."""
+    if bk.norm(xi.order) == 1:
+        return 0
+    return level_partition(bk, xi.order).depths[xi.num]
+
+
+def level_depths(bk, f) -> tuple:
+    """The depth of every class of Xi(f), in ``xi_classes`` order.
+
+    Xi(f) lists its classes by order d, the divisors of f in key order,
+    and within an order by numerator; those numerators are the units mod d
+    in the order in which ``level_partition(d).depths`` lists them.
+    """
+    out = []
+    for d in bk.divisors(f):
+        out.extend(level_partition(bk, d).depths.values() if bk.norm(d) > 1 else (0,))
+    return tuple(out)
+
+
+def _depth_zero_positions(af: AfModule) -> list:
+    return [i for i, d in enumerate(level_depths(af.backend, af.level)) if d == 0]
 
 
 def xi0_set(bk, f) -> list[XiClass]:
     """Depth-zero classes at level f; cardinality |G_f| by the counting lemma."""
-    return [xi for xi in xi_classes(bk, f) if depth(bk, xi) == 0]
+    classes = xi_classes(bk, f)
+    return [classes[i] for i, d in enumerate(level_depths(bk, f)) if d == 0]
 
 
 @dataclass(frozen=True)
@@ -474,25 +525,18 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     peel ``u_module`` uses.
     """
     bk = af.backend
-    f = af.level
+    table = af.table
     # a class has the same depth at every level that contains it
-    xi0_here = [xi for xi in af.basis if depth(bk, xi) == 0]
+    xi0_here = _depth_zero_positions(af)
     pairs = []
     columns = []
-    for g in bk.divisors(f):
-        sub = bk.divide(f, g)
-        fibers = fiber_map(bk, g, f) if bk.norm(g) > 1 else None
-        for xi in xi0_here:
-            if not xi_in_level(bk, xi, sub):
-                continue
-            if fibers is None:
-                col = {af.index[xi]: 1}
-            else:
-                col = {}
-                for eta in fibers[xi]:
-                    col[af.index[eta]] = col.get(af.index[eta], 0) + 1
-            pairs.append((g, xi))
-            columns.append(col)
+    for g in bk.divisors(af.level):
+        fibers = table.fibers(g)
+        in_sub = set(table.inside(g))
+        for i in xi0_here:
+            if i in in_sub:
+                pairs.append((g, af.basis[i]))
+                columns.append(dict.fromkeys(fibers[i], 1))
     if len(columns) != af.rank:
         raise BasisCertificateFailed(
             f"monomial family has {len(columns)} members for rank {af.rank}"
@@ -503,7 +547,7 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
 
     rel = distribution_relations(af)
     k = len(xi0_here)
-    inside = {af.index[xi] for xi in xi0_here}
+    inside = set(xi0_here)
     outside = af.rank - k
     quotient = cokernel_invariants(rel)
     reach = _invariants(
@@ -521,7 +565,7 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
         # lattice killed by every row that kills im R; what the images miss
         # of the free part has their nonunit invariants
         sat = kernel_basis(kernel_basis(rel.dense().transpose()).transpose())
-        missed = cokernel_invariants(sat.hstack(class_matrix(xi0_here, af.index).dense()))
+        missed = cokernel_invariants(sat.hstack(position_matrix(af.rank, xi0_here).dense()))
         rank = quotient.free_rank - missed.free_rank
         quotient_inv = ((1,) * (rank - len(missed.torsion)) + missed.torsion
                         + (0,) * (min(quotient.free_rank, k) - rank))
@@ -531,7 +575,8 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
         raise BasisCertificateFailed(
             f"certificates: lattice {lattice_inv}, quotient {quotient_inv}{note}"
         )
-    return Xi0Basis(tuple(xi0_here), tuple(pairs), lattice_inv, quotient_inv, ok)
+    return Xi0Basis(tuple(af.basis[i] for i in xi0_here), tuple(pairs), lattice_inv,
+                    quotient_inv, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +656,12 @@ class TowerReport:
 
 def u_inclusion(u_small: UModule, u_big: UModule) -> IntMatrix:
     """U(f) -> U(g) on the depth-zero bases, induced by Xi(f) into Xi(g)."""
-    incl = class_matrix(u_small.parent.basis, u_big.parent.index)
+    small, big = u_small.parent.table, u_big.parent.table
+    scale = small.backend.divide(big.level, small.level)
+    # [a/f] is [a (g/f) / g]
+    incl = position_matrix(len(big.classes), [
+        big.position[small.backend.residue_mul(scale, a, big.level)] for a in small.residues
+    ])
     return (u_big.projection * (incl * u_small.section)).dense()
 
 

@@ -431,19 +431,6 @@ def repeat_diagonal(block: SparseMatrix, copies: int, sign: int = 1) -> SparseMa
     )
 
 
-def block_diagonal(blocks) -> IntMatrix:
-    blocks = list(blocks)
-    cols = sum(b.cols for b in blocks)
-    data = []
-    c0 = 0
-    for b in blocks:
-        left = (0,) * c0
-        right = (0,) * (cols - c0 - b.cols)
-        data.extend(left + row + right for row in b.data)
-        c0 += b.cols
-    return _trusted(tuple(data), cols)
-
-
 @dataclass(frozen=True)
 class AbGroupInvariants:
     """A finitely generated abelian group: free rank plus elementary divisors.

@@ -1,9 +1,10 @@
 """Dense lattice references that only the tests use.
 
-The package computes homology from invariant factors alone and keeps every
-complex sparse.  The constructions here work with representatives instead:
-subquotients lattice(num)/lattice(den) on Hermite bases, chain maps and
-cones of dense complexes, complexes of presented groups, the companion
+The package computes homology from invariant factors alone, keeps every
+complex sparse and builds A(f) on per-level residue tables.  The
+constructions here work with representatives instead: A(f) built class by
+class, subquotients lattice(num)/lattice(den) on Hermite bases, chain maps
+and cones of dense complexes, complexes of presented groups, the companion
 complexes of a Koszul-Tate double complex, and the functoriality, inclusion
 and sign-action checks built on them.  They are slow and independent of the
 package's shortcuts, which is what makes them references.
@@ -16,9 +17,18 @@ from dataclasses import dataclass
 from math import gcd
 
 from uod import skcx
-from uod.arith import ARCHIMEDEAN, g_action
-from uod.chainkit import ChainComplex, HomologyTable, NotAComplex, total_complex
-from uod.distmod import build_af, class_matrix, u_inclusion, u_module
+from uod.arith import (
+    ARCHIMEDEAN,
+    g_action,
+    gf_group,
+    sign_action,
+    xi_from_fraction,
+    xi_in_level,
+    xi_sort_key,
+    y_map,
+)
+from uod.chainkit import ActionModule, ChainComplex, HomologyTable, NotAComplex, total_complex
+from uod.distmod import build_af, g_op_name, u_inclusion, u_module, x_op_name
 from uod.signh import _check_order, norm_matrix
 from uod.znf import (
     AbGroupInvariants,
@@ -33,6 +43,79 @@ from uod.znf import (
     preimage_lattice,
     solve,
 )
+
+
+# -- matrices and modules ----------------------------------------------------
+
+def block_diagonal(blocks) -> IntMatrix:
+    blocks = list(blocks)
+    cols = sum(b.cols for b in blocks)
+    rows = []
+    c0 = 0
+    for b in blocks:
+        left = [0] * c0
+        right = [0] * (cols - c0 - b.cols)
+        rows.extend(left + list(row) + right for row in b.data)
+        c0 += b.cols
+    return IntMatrix(rows, cols)
+
+
+def with_operator(module: ActionModule, name: str, op) -> ActionModule:
+    """``module`` with ``op`` added or replaced under ``name``, certified
+    again like any new ``ActionModule``."""
+    return ActionModule(module.rank, {**module.operators, name: op}, module.nu,
+                        module.order_bound)
+
+
+def class_matrix(images, index: dict) -> SparseMatrix:
+    """Matrix of a map of basis classes: column j is the basis vector of
+    ``images[j]`` in the basis numbered by ``index``."""
+    return SparseMatrix(len(index), [{index[target]: 1} for target in images])
+
+
+@dataclass(frozen=True)
+class ReferenceAf:
+    basis: tuple
+    fibers: dict          # p -> {class of Xi(f/p): its Y_p fiber in basis order}
+    operators: dict       # operator name -> SparseMatrix, named as in build_af
+    relations: SparseMatrix
+
+
+def reference_af(bk, f, nu: dict | None = None) -> ReferenceAf:
+    """A(f) built class by class, as ``build_af`` built it before its level
+    tables: Xi(f) from ``xi_from_fraction``, the Y_p fibers from ``y_map``,
+    X_p from ``xi_in_level`` and the fibers, the group generators and the
+    sign from ``g_action`` and ``sign_action`` through ``class_matrix``, and
+    the relations nu_p xi - sum(fiber), every matrix through the validating
+    ``SparseMatrix`` constructor."""
+    nu = dict(nu or {})
+    basis = tuple(sorted({xi_from_fraction(bk, a, f) for a in bk.residues(f)},
+                         key=lambda xi: xi_sort_key(bk, xi)))
+    index = {xi: i for i, xi in enumerate(basis)}
+    fibers, operators, relations = {}, {}, []
+    for p, _ in bk.factor(f):
+        mates: dict = {}
+        for eta in basis:
+            mates.setdefault(y_map(bk, p, eta), []).append(eta)
+        fibers[p] = {xi: tuple(etas) for xi, etas in mates.items()}
+        sub, nu_p = bk.divide(f, p), nu.get(p, 1)
+        cols = []
+        for xi in basis:
+            if not xi_in_level(bk, xi, sub):
+                cols.append({index[xi]: nu_p})
+                continue
+            col, rel = {}, {index[xi]: nu_p}
+            for eta in fibers[p][xi]:
+                col[index[eta]] = col.get(index[eta], 0) + 1
+                rel[index[eta]] = rel.get(index[eta], 0) - 1
+            cols.append(col)
+            relations.append(rel)
+        operators[x_op_name(bk, p)] = SparseMatrix(len(basis), cols)
+    for gen in gf_group(bk, f).generators():
+        operators[g_op_name(bk, gen.residue)] = class_matrix(
+            [g_action(bk, gen, xi) for xi in basis], index)
+    operators["gamma0"] = class_matrix([sign_action(bk, xi) for xi in basis], index)
+    return ReferenceAf(basis, fibers, operators, SparseMatrix(len(basis), relations))
 
 
 # -- lattices ----------------------------------------------------------------

@@ -14,6 +14,7 @@ from dense_reference import (
     shift_eq,
     twist,
     validate_double_complex,
+    with_operator,
 )
 from uod import chainkit, znf
 from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix, kernel_basis
@@ -271,7 +272,7 @@ class TestActionModule:
         shift = SparseMatrix(n, [{(j + 1) % n: 1} for j in range(n)])
         m = ActionModule(n, {"gamma0": shift}, order_bound=n)
         assert m.gamma_order() == n
-        assert m.with_operator("X", SparseMatrix.identity(n)).order_bound == n
+        assert with_operator(m, "X", SparseMatrix.identity(n)).order_bound == n
         with pytest.raises(GammaOrderUnbounded, match="no order up to 99"):
             ActionModule(n, {"gamma0": shift}, order_bound=n - 1)
 

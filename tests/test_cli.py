@@ -353,6 +353,24 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: out of memory")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ftate", "--grid", "-1x2"], "uod ftate: error: argument --grid: expected one argument"),
+        (["verify", "basis"], "uod verify basis: error: the following arguments are required: --f"),
+        (["structure", "--f", "12", "--level", "two"],
+         "uod structure: error: argument --level: invalid int value: 'two'"),
+        (["tower", "--f", "6", "--backend", "z"],
+         "uod tower: error: argument --backend: invalid choice: 'z'"),
+        (["nonsense"], "uod: error: argument command: invalid choice: 'nonsense' "),
+    ])
+    def test_parser_refusals_are_one_error_line(self, capsys, argv, message):
+        # argparse's own refusals follow the rule of the others: exit 2 with
+        # one error line and no usage text
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(message)
+
     @pytest.mark.parametrize("exc", [KeyError("gamma0"), TypeError("bad operand"), LookupError()])
     def test_unexpected_exception_exits_3(self, monkeypatch, capsys, exc):
         assert self.raising(monkeypatch, exc) == 3

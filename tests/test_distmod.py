@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dense_reference import class_matrix, reference_af, with_operator
 from uod import arith, distmod, znf
 from uod.arith import (
     ArchimedeanBackend,
@@ -52,6 +53,22 @@ def xi(a, f):
 
 def sparse(m: IntMatrix) -> SparseMatrix:
     return SparseMatrix(m.rows, [dict(enumerate(c)) for c in m.columns()])
+
+
+def override_depths(monkeypatch, changes: dict):
+    """Make ``distmod.level_depths`` report ``changes`` (class -> depth) at
+    every level that holds those classes, and the true depths elsewhere."""
+    true_depths = distmod.level_depths
+
+    def patched(bk, f):
+        depths = list(true_depths(bk, f))
+        index = arith.level_table(bk, f).index
+        for cls, d in changes.items():
+            if cls in index:
+                depths[index[cls]] = d
+        return tuple(depths)
+
+    monkeypatch.setattr(distmod, "level_depths", patched)
 
 
 class TestBuildAf:
@@ -196,19 +213,12 @@ class TestUModuleCertificate:
         out, into = xi0[0], xi(1, 2)
         assert true_depth(Q, into) > 0
 
-        def swapped(bk, cls):
-            if cls == out:
-                return 1
-            if cls == into:
-                return 0
-            return true_depth(bk, cls)
-
-        monkeypatch.setattr(distmod, "depth", swapped)
+        override_depths(monkeypatch, {out: 1, into: 0})
         with pytest.raises(BasisCertificateFailed):
             u_module(af)
 
     def test_wrong_basis_size_raises_structure_error(self, monkeypatch):
-        monkeypatch.setattr(distmod, "depth", lambda bk, cls: 0)
+        monkeypatch.setattr(distmod, "level_depths", lambda bk, f: (0,) * len(xi_classes(bk, f)))
         with pytest.raises(StructureCheckFailed, match="Xi_0"):
             u_module(build_af(Q, 4))
 
@@ -329,6 +339,75 @@ class TestPeelCoverage:
             assert u_module(build_af(bk, f)).rank == len(arith.gf_group(bk, f)), f
 
 
+F2 = FunctionFieldBackend(2)
+FF_TABLE_LEVELS = [(F2, 4), (F3, 3), (F5, 2)]
+
+
+class TestLevelTables:
+    """A(f) on the per-level residue tables against the class-by-class
+    reference of ``dense_reference.reference_af``, and the per-level depths
+    against ``partition_tag``."""
+
+    @staticmethod
+    def assert_matches_reference(bk, f, nu=None):
+        af = build_af(bk, f, nu)
+        ref = reference_af(bk, f, nu)
+        assert af.basis == ref.basis
+        ops = af.operators.operators
+        assert list(ops) == list(ref.operators)
+        for name, op in ref.operators.items():
+            assert ops[name] == op, (f, name)
+        assert af.operators.nu == {x_op_name(bk, p): (nu or {}).get(p, 1) for p in af.primes}
+        fibers = {
+            p: {af.basis[i]: tuple(af.basis[j] for j in js) for i, js in by_position.items()}
+            for p, by_position in af.fibers.items()
+        }
+        assert fibers == ref.fibers
+        assert distribution_relations(af) == ref.relations
+
+    def test_q_levels_up_to_200(self):
+        for f in range(1, 201):
+            self.assert_matches_reference(Q, f)
+
+    @pytest.mark.parametrize("nu", [{2: 0, 3: 5}, {2: -1, 3: 2}, {3: 0}])
+    def test_nu_values(self, nu):
+        for f in (12, 36, 60):
+            self.assert_matches_reference(Q, f, nu)
+
+    @pytest.mark.parametrize("bk, degree", FF_TABLE_LEVELS, ids=["F2", "F3", "F5"])
+    def test_function_field_levels(self, bk, degree):
+        for f in monic_levels(bk, degree):
+            self.assert_matches_reference(bk, f)
+        self.assert_matches_reference(bk, bk.mul(T, (1, 1)), {T: 0})
+
+    def test_depths_match_the_partition_tags_up_to_400(self):
+        for f in range(1, 401):
+            depths = distmod.level_depths(Q, f)
+            assert depths == tuple(partition_tag(Q, c).depth for c in xi_classes(Q, f)), f
+
+    @pytest.mark.parametrize("bk, degree", FF_TABLE_LEVELS, ids=["F2", "F3", "F5"])
+    def test_function_field_depths_match_the_partition_tags(self, bk, degree):
+        for f in monic_levels(bk, degree):
+            depths = distmod.level_depths(bk, f)
+            assert depths == tuple(partition_tag(bk, c).depth for c in xi_classes(bk, f)), f
+
+    def test_fiber_missing_a_class_is_refused(self):
+        af = build_af(Q, 12)
+        fibers = dict(af.fibers[2])
+        i = min(fibers)
+        fibers[i] = fibers[i][:-1]
+        with pytest.raises(StructureCheckFailed, match=r"fiber over .* has 1 elements, expected 2"):
+            distmod._check_fiber_sums(af.table, {**af.fibers, 2: fibers})
+
+    def test_misdirected_group_column_is_refused(self):
+        af = build_af(Q, 12)
+        name = next(n for n in af.operators.operators if n.startswith("G["))
+        cols = list(af.operators.operators[name].entries)
+        cols[0] = cols[1]
+        with pytest.raises(NonCommutingOperators):
+            with_operator(af.operators, name, SparseMatrix(af.rank, cols))
+
+
 class TestSparseOperators:
     @pytest.mark.parametrize("bk, f", [(Q, 60), (F3, F3.mul(F3.power(T, 2), (1, 1)))],
                              ids=["Q-60", "F3-T^2(T+1)"])
@@ -361,12 +440,12 @@ class TestSparseOperators:
         """The class map exchanging the classes a and b."""
         images = list(af.basis)
         images[af.index[a]], images[af.index[b]] = b, a
-        return distmod.class_matrix(images, af.index)
+        return class_matrix(images, af.index)
 
     def test_injected_noncommuting_operator_raises(self):
         af = build_af(Q, 12)
         with pytest.raises(NonCommutingOperators):
-            af.operators.with_operator("bad", self.swap(af, xi(1, 12), xi(1, 6)))
+            with_operator(af.operators, "bad", self.swap(af, xi(1, 12), xi(1, 6)))
 
     def test_class_map_off_the_relation_lattice_raises(self):
         af = build_af(Q, 12)
@@ -380,7 +459,7 @@ class TestSparseOperators:
         af = build_af(Q, 12)
         doubling = SparseMatrix(af.rank, [{j: 2} for j in range(af.rank)])
         with pytest.raises(GammaOrderUnbounded):
-            af.operators.with_operator("gamma0", doubling)
+            with_operator(af.operators, "gamma0", doubling)
 
 
 class TestPartition:
@@ -528,10 +607,7 @@ class TestXi0Basis:
         out, into = xi(3, 8), xi(1, 8)
         assert true_depth(Q, out) == 0 and true_depth(Q, into) > 0
 
-        def swapped(bk, cls):
-            return 1 if cls == out else 0 if cls == into else true_depth(bk, cls)
-
-        monkeypatch.setattr(distmod, "depth", swapped)
+        override_depths(monkeypatch, {out: 1, into: 0})
         with pytest.raises(BasisCertificateFailed, match=r"quotient \(1, 1, 1, 0\)$"):
             xi0_basis(build_af(Q, 8))
 
@@ -603,8 +679,7 @@ class TestLemma411:
 def cold_caches(monkeypatch):
     """Empty every per-level cache for one test; the old ones come back after."""
     for module, name in (
-        (arith, "_classes_cache"),
-        (arith, "_fiber_cache"),
+        (arith, "_table_cache"),
         (arith, "_group_cache"),
         (distmod, "_partition_cache"),
     ):
@@ -638,20 +713,29 @@ class TestLevelCaches:
         assert arith.xi_classes(bk, f) == tuple(classes_by_hand(bk, f))
 
     def test_lemma411_maps_each_class_once_per_prime(self, cold_caches, monkeypatch, tmp_path):
-        # the left side still maps all of Xi(f), but once per prime, not once
-        # per checked class: O(r |Xi(f)|) calls rather than O(r phi(f) |Xi(f)|)
-        calls = []
-        real = arith.y_map
+        # the left side still maps all of Xi(f), but once per prime through
+        # the level table, not once per checked class: r passes over |Xi(f)|
+        # residues and one y_map per checked class, rather than
+        # O(r phi(f) |Xi(f)|) maps
+        passes, calls = [], []
+        real_images, real_map = arith.LevelTable.images, arith.y_map
+
+        def counting_images(table, c):
+            out = real_images(table, c)
+            passes.append(len(out))
+            return out
 
         def counting(bk, g, cls):
             calls.append(g)
-            return real(bk, g, cls)
+            return real_map(bk, g, cls)
 
+        monkeypatch.setattr(arith.LevelTable, "images", counting_images)
         monkeypatch.setattr(arith, "y_map", counting)
         monkeypatch.setattr(distmod, "y_map", counting)
         assert main(["verify", "lemma411", "--f", "72", "--out", str(tmp_path / "r.json")]) == 0
         r, size, phi = 2, 72, 24
-        assert r * size <= len(calls) <= r * (size + phi)
+        assert passes == [size] * r
+        assert len(calls) == r * phi
 
     @pytest.mark.parametrize(
         "argv, checked",

@@ -125,7 +125,7 @@ class TestThm442:
         # operators nu_p - X_p the quotient column is the Tate complex of the
         # distribution module itself, so its homology must equal the direct
         # route for both backends
-        from dense_reference import companion
+        from dense_reference import companion, with_operator
         from uod.chainkit import ActionModule, build_kt
         from uod.distmod import build_af, x_op_name
         from uod.signh import norm_matrix, sign_homology_U
@@ -141,11 +141,11 @@ class TestThm442:
             for p in af.primes:
                 name = f"koszul[{bk.format_ideal(p)}]"
                 scalar = IntMatrix.identity(af.rank)
-                module = module.with_operator(name, scalar - dense[x_op_name(bk, p)])
+                module = with_operator(module, name, scalar - dense[x_op_name(bk, p)])
                 names.append(name)
-            module = module.with_operator("norm", norm_matrix(gamma, bk.sign_order))
-            module = module.with_operator(
-                "one_minus", IntMatrix.identity(af.rank) - gamma
+            module = with_operator(module, "norm", norm_matrix(gamma, bk.sign_order))
+            module = with_operator(
+                module, "one_minus", IntMatrix.identity(af.rank) - gamma
             )
             kt = build_kt(module, names, "norm", "one_minus",
                           window=(-(len(names) + 3), len(names) + 3))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import PresentedComplex, functoriality_report, tate_cycles
+from dense_reference import PresentedComplex, block_diagonal, functoriality_report, tate_cycles
 from uod import znf
 from uod.arith import ArchimedeanBackend, FunctionFieldBackend
 from uod.distmod import build_af, distribution_relations, u_module
@@ -11,7 +11,7 @@ from uod.signh import (
     tate_pair,
     verify_rank_theorem,
 )
-from uod.znf import AbGroupInvariants, IntMatrix, block_diagonal
+from uod.znf import AbGroupInvariants, IntMatrix
 
 Q = ArchimedeanBackend()
 F3 = FunctionFieldBackend(3)

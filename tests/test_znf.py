@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import homology_pair, lattice_contains, subquotient
+from dense_reference import block_diagonal, homology_pair, lattice_contains, subquotient
 from uod import znf
 from uod.arith import ArchimedeanBackend, gf_group
 from uod.distmod import build_af, distribution_relations
@@ -18,7 +18,6 @@ from uod.znf import (
     NotAComplement,
     ShapeMismatch,
     SparseMatrix,
-    block_diagonal,
     cokernel_invariants,
     complement_projection,
     image_basis,
