@@ -13,7 +13,7 @@ from .chainkit import (
     build_kt,
 )
 from .arith import backend, gf_group, sign_group, xi_classes, y_fiber, y_map
-from .distmod import build_af, lemma411_check, partition_tag, u_module, u_tower, xi0_basis
+from .distmod import build_af, partition_tag, u_module, u_tower, xi0_basis
 from .signh import sign_homology_U, tate_pair, verify_rank_theorem
 from .ftate import AlmostFreeSpec, ftate_closed_form, ftate_via_kt, thm442_lhs
 from .skcx import build_sk, sk_quotients_homology
@@ -38,7 +38,6 @@ __all__ = [
     "ftate_via_kt",
     "gf_group",
     "kernel_basis",
-    "lemma411_check",
     "partition_tag",
     "sign_group",
     "sign_homology_U",

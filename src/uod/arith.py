@@ -1119,14 +1119,6 @@ def sign_group(bk, f) -> SignGroup:
     return SignGroup(bk.key, f, bk.sign_order, gamma, bk.sign_label)
 
 
-def sign_action(bk, xi: XiClass) -> XiClass:
-    """The sign generator acting on a class."""
-    if xi.order == bk.one:
-        return xi
-    num = bk.scalar_mul(bk.sign_scalar, xi.num, xi.order)
-    return XiClass(bk.key, xi.order, num)
-
-
 def ideal_arithmetic(bk, op: str, *inputs):
     """Dispatcher matching the ideal-arithmetic contract."""
     if op == "multiply":

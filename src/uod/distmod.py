@@ -43,6 +43,11 @@ relation lattice, and the peel yields the projection onto U(f).
 ``xi0_basis`` keeps an independent check through the invariant factors of
 the relations, taken sparsely: U(f) is free of rank |Xi_0(f)|, and the
 relations reach every class outside Xi_0(f).
+
+The fiber identity behind U(f) = U'(f) (Lemma 4.1.1) is checked on the same
+table: ``lemma411_counts`` compares, for every prime p | f and every class of
+exact order f, the positions of its Y_p fiber with those of its kernel
+translates and the extra term, as sorted tuples.
 """
 
 from __future__ import annotations
@@ -50,18 +55,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import arith
 from .arith import (
     GfElement,
     GfGroup,
     LevelTable,
     XiClass,
-    g_action,
     gf_group,
     level_table,
     sign_group,
     xi_classes,
-    y_map,
 )
 from .chainkit import ActionModule
 from .znf import (
@@ -580,57 +582,45 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
 
 
 # ---------------------------------------------------------------------------
-# The fiber identity (kernel transversal form)
+# The fiber identity (kernel transversal form), by position
 
 
-@dataclass(frozen=True)
-class FiberIdentityReport:
-    lhs: dict
-    rhs: dict
-    equal: bool
-    multiplicity: int
+def lemma411_counts(bk, f) -> tuple[int, int]:
+    """(checked, failures) of the fiber identity over every prime p | f and
+    every class of exact order f, on the positions of ``level_table(bk, f)``.
 
-
-def lemma411_check(bk, p, f, xi: XiClass) -> FiberIdentityReport:
-    """Both sides of the fiber identity for a class of exact order f.
-
-    Left side: the full Y_p fiber over Y_p(xi) at level f.  Right side: the
-    kernel ker(G_f -> G_{f/p}) applied to xi, plus, when p divides f exactly
-    once, the extra term phi^{-1} Y_p xi with phi the class of p at level
-    f/p^n.
+    For p^n exactly dividing f and the class [a/f], the left side is the
+    full Y_p fiber over [p a/f].  The right side is the kernel
+    ker(G_f -> G_{f/p}) applied to [a/f], that is the positions of sigma a
+    for its residues sigma, plus, when n = 1, the extra term
+    phi^{-1} Y_p [a/f] = [p (phi^{-1} a mod c)/f] with c = f/p and phi the
+    class of p mod c ([p a/f] itself when c is the unit ideal).  The two
+    are compared as sorted tuples of positions, with no class objects; Y_p
+    is read off the fibers, so each prime costs one pass over the table.
     """
-    if xi.order != f:
-        raise OrderMismatch("class must have exact order f")
-    if not bk.divides(p, f):
-        raise OrderMismatch("p must divide f")
-    n = 0
-    rest = f
-    while bk.divides(p, rest):
-        rest = bk.divide(rest, p)
-        n += 1
-    c = rest
-
-    image = y_map(bk, p, xi)
-    lhs: dict = {}
-    for eta in arith.y_fiber(bk, p, image, f):
-        lhs[eta] = lhs.get(eta, 0) + 1
-
-    rhs: dict = {}
-    part = level_partition(bk, f)
-    for residue in sorted(part.kernels[p], key=bk.residue_key):
-        sigma = GfElement(bk.key, f, residue)
-        eta = g_action(bk, sigma, xi)
-        rhs[eta] = rhs.get(eta, 0) + 1
-    if n == 1:
-        if bk.norm(c) == 1:
-            extra = image
-        else:
-            phi = bk.residue_of(p, c)
-            phi_inv = bk.residue_inverse(phi, c)
-            extra = g_action(bk, GfElement(bk.key, c, phi_inv), image)
-        rhs[extra] = rhs.get(extra, 0) + 1
-
-    return FiberIdentityReport(lhs, rhs, lhs == rhs, n)
+    table = level_table(bk, f)
+    position, residues = table.position, table.residues
+    exact = [i for i, xi in enumerate(table.classes) if xi.order == f]
+    kernels = level_partition(bk, f).kernels
+    checked = failures = 0
+    for p, n in bk.factor(f):
+        fibers = table.fibers(p)
+        ypos = {j: i for i, js in fibers.items() for j in js}
+        kernel = kernels[p]
+        c = bk.divide(f, p)
+        extra = n == 1 and bk.norm(c) > 1
+        if extra:
+            phi_inv = bk.residue_inverse(bk.residue_of(p, c), c)
+        for i in exact:
+            a = residues[i]
+            rhs = [position[bk.residue_mul(sigma, a, f)] for sigma in kernel]
+            if extra:
+                rhs.append(position[bk.residue_mul(p, bk.residue_mul(phi_inv, a, c), f)])
+            elif n == 1:
+                rhs.append(ypos[i])
+            checked += 1
+            failures += fibers[ypos[i]] != tuple(sorted(rhs))
+    return checked, failures
 
 
 # ---------------------------------------------------------------------------

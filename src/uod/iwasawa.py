@@ -23,11 +23,17 @@ into the defining identity for every one of the phi(f) characters.  (Z/f)^x
 is the product of CRT-local cyclic factors, with one discrete-log table per
 prime power (a primitive root, or -1 and 5 at 2^k), so the transform
 sum_x phi(f) u(x/f) chi(x) over all chi is a multidimensional transform,
-taken one cyclic factor at a time in Z[zeta]/(zeta^e - 1), e the exponent
-of the group.  Each entry is compared with phi(f) prod_{p not | cond chi}
-(1 - chi*(p)) modulo the cyclotomic polynomial Phi_e, and any difference
-raises ``RationalityFailure``.  A character's conductor is the product of
-its local conductors, read off its exponents on each prime-power factor.
+taken one cyclic factor at a time in Z[x]/(x^e - 1), e the exponent of the
+group and x standing for zeta_e.  Each element of that ring is one packed
+integer (Kronecker substitution x -> 2^B, modulo 2^(eB) - 1), so an addition
+or a multiplication by a power of x is one big-integer step.  Each entry is
+compared with phi(f) prod_{p not | cond chi} (1 - chi*(p)): their difference
+must vanish modulo the cyclotomic polynomial Phi_e, which is tested exactly
+as (x^e - 1) dividing the difference times (x^e - 1)/Phi_e, with the slot
+width B chosen per level from the size of its values so that no packed
+coefficient can wrap (``_certify``).  Any difference raises
+``RationalityFailure``.  A character's conductor is the product of its
+local conductors, read off its exponents on each prime-power factor.
 
 Distribution relations at level f are integer comparisons in one table
 U[n] = L u(n/f), 0 <= n < f, with L the lcm of phi(d) over d | f.
@@ -51,6 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
+from operator import lshift
 
 from .arith import ARCHIMEDEAN, gf_group
 from .distmod import UModule, build_af, g_op_name, u_module
@@ -74,7 +81,7 @@ class GeneratorMismatch(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic reduction
+# Cyclotomic polynomials
 
 
 @lru_cache(maxsize=None)
@@ -106,23 +113,10 @@ def _int_poly_div(num, den):
     return out
 
 
-def reduce_zeta_vector(vec, order: int):
-    """Reduce an integer vector of zeta_order powers modulo Phi_order."""
-    phi = list(cyclotomic_polynomial(order))
-    num = list(vec)
-    deg = len(phi) - 1
-    for i in range(len(num) - 1, deg - 1, -1):
-        c = num[i]
-        if c:
-            shift = i - deg
-            for j, p in enumerate(phi):
-                num[shift + j] -= c * p
-    return num[:deg] + [0] * max(deg - len(num), 0)
-
-
-def _rotate(vec, t):
-    """vec times zeta^t in Z[zeta]/(zeta^e - 1), e = len(vec), 0 <= t < e."""
-    return vec[-t:] + vec[:-t] if t else vec
+@lru_cache(maxsize=None)
+def _cofactor(e: int) -> tuple[int, ...]:
+    """Psi_e = (x^e - 1)/Phi_e, low degree first."""
+    return tuple(_int_poly_div([-1] + [0] * (e - 1) + [1], cyclotomic_polynomial(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,48 +295,77 @@ def _level(f: int):
     return phi, scaled
 
 
+def _slot_bits(scaled: dict, e: int, r: int) -> int:
+    """The slot width B of ``_certify`` at a level with these scaled values,
+    exponent e and r primes: the least B with 2^(B-1) > H ||Psi_e||_1,
+    H = sum |v| + phi(f) 2^r."""
+    bound = (sum(map(abs, scaled.values())) + (len(scaled) << r)) * sum(
+        map(abs, _cofactor(e)))
+    return bound.bit_length() + 1
+
+
 def _certify(f: int, scaled: dict) -> int:
     """Check the defining identity for every character of (Z/f)^x against
-    the scaled values {x: phi(f) u(x/f)}; return the number of characters."""
+    the scaled values {x: phi(f) u(x/f)}; return the number of characters.
+
+    An element sum_t a_t x^t of Z[x]/(x^e - 1) is held as the integer
+    sum_t a_t 2^(tB) modulo M = 2^(eB) - 1: x -> 2^B is a ring homomorphism
+    onto Z/M since 2^(eB) = 1 mod M, and multiplying by x^t is a shift by
+    tB bits followed by a reduction modulo M.  The character identity at chi
+    says that Phi_e divides d = lhs - rhs, which holds exactly when
+    x^e - 1 = Phi_e Psi_e divides d Psi_e, that is when
+    c = d Psi_e mod (x^e - 1) is zero; the check is that the image of c in
+    Z/M is zero.
+
+    That is exact.  Each lhs is sum_x v_x x^(t_x), of l1 norm at most
+    sum |v|, and each rhs is phi(f) times at most r factors 1 - x^t, of l1
+    norm at most phi(f) 2^r; so every coefficient of d is at most H in
+    absolute value, and every coefficient of c at most H ||Psi_e||_1,
+    below 2^(B-1) by the choice of B (``_slot_bits``).  Then
+    |c(2^B)| <= (2^(B-1) - 1)(2^(eB) - 1)/(2^B - 1) < M, so c(2^B) = 0 mod M
+    forces c(2^B) = 0, and base-2^B digits below 2^(B-1) in absolute value
+    represent 0 only when every digit is 0: c = 0.
+    """
     group = _unit_group(f)
     e, orders, steps, strides = group.exponent, group.orders, group.steps, group.strides
     phi = len(scaled)
+    primes = group.prime_data()
+    width = _slot_bits(scaled, e, len(primes))
+    bits = e * width
+    mask = (1 << bits) - 1  # M
+
+    def reduce(x):
+        # x mod M: 2^bits = 1 mod M, so two folds leave a few bits over M
+        x = (x & mask) + (x >> bits)
+        return ((x & mask) + (x >> bits)) % mask
+
     table = [0] * phi
     for x, v in scaled.items():
         table[sum(a * b for a, b in zip(group.log(x), strides))] = v
-    # The largest factor goes first: it turns scalars into zeta-vectors by
-    # placing them, which costs no vector additions.
-    axes = sorted(range(len(orders)), key=lambda i: -orders[i])
-    if not axes:  # the trivial group (f = 1, 2), e = 1
-        table = [[v] for v in table]
-    for n, axis in enumerate(axes):
+    # The largest factor goes first, while its terms are still scalars.
+    for axis in sorted(range(len(orders)), key=lambda i: -orders[i]):
         s, stride, step = orders[axis], strides[axis], steps[axis]
+        # row c: the shifts that multiply term k by x^(step c k)
+        shifts = [[step * c * k % e * width for k in range(s)] for c in range(s)]
         block = s * stride
-        out = [None] * phi
+        out = [0] * phi
         for base in range(0, phi, block):
             for at in range(base, base + stride):
                 column = table[at : at + block : stride]
-                for c in range(s):
-                    acc = [0] * e
-                    if n == 0:
-                        for k, v in enumerate(column):
-                            acc[step * c * k % e] += v
-                    else:
-                        for k, v in enumerate(column):
-                            acc = [a + b for a, b in zip(acc, _rotate(v, step * c * k % e))]
-                    out[at + c * stride] = acc
+                for c, row in enumerate(shifts):
+                    out[at + c * stride] = reduce(sum(map(lshift, column, row)))
         table = out
 
-    primes = group.prime_data()
+    psi = reduce(sum(a << (t * width) for t, a in enumerate(_cofactor(e))))
     checked = 0
     for lhs, exps in zip(table, product(*map(range, orders))):
-        rhs = [phi] + [0] * (e - 1)
+        rhs = phi
         for axes_p, logs in primes:
             if any(exps[i] for i in axes_p):
                 continue  # p divides the conductor: the factor is 1 - 0
             t = sum(s * c * k for s, c, k in zip(steps, exps, logs)) % e
-            rhs = [a - b for a, b in zip(rhs, _rotate(rhs, t))]
-        if any(reduce_zeta_vector([a - b for a, b in zip(lhs, rhs)], e)):
+            rhs = reduce(rhs - (rhs << t * width))
+        if reduce((lhs - rhs) * psi):
             raise RationalityFailure(f"character identity fails at level {f}")
         checked += 1
     return checked

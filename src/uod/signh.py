@@ -94,19 +94,27 @@ class RankTheoremReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def verify_rank_theorem(bk, f, nu: dict | None = None) -> RankTheoremReport:
-    """Compare computed sign-homology of U(f) against the closed form.
+def rank_theorem_exception(bk, f) -> str:
+    """Why the rank theorem says nothing at level f, or "" where it applies.
 
     Archimedean: defined for f > 1 with f not congruent to 2 mod 4 (Kubert's
-    range, ``bk.outside_rank_theorem``); function field: any nonunit f, with
-    m' = q - 1 and the class group factor trivial for F_q[T].
+    range, ``bk.outside_rank_theorem``); function field: any nonunit f.
     """
     if bk.norm(f) == 1:
-        return RankTheoremReport(False, False, None, None, None, "unit level")
+        return "unit level"
     if bk.outside_rank_theorem(f):
-        return RankTheoremReport(
-            False, False, None, None, None, "f = 2 mod 4 is outside the theorem"
-        )
+        return "f = 2 mod 4 is outside the theorem"
+    return ""
+
+
+def verify_rank_theorem(bk, f, nu: dict | None = None) -> RankTheoremReport:
+    """Compare computed sign-homology of U(f) against the closed form, where
+    ``rank_theorem_exception`` finds none; over F_q[T], m' = q - 1 and the
+    class group factor is trivial.
+    """
+    reason = rank_theorem_exception(bk, f)
+    if reason:
+        return RankTheoremReport(False, False, None, None, None, reason)
     table = sign_homology_U(bk, f, nu)
     even, odd = table[0], table[1]
     expected = expected_rank_theorem_value(bk, f)

@@ -6,8 +6,9 @@ constructions here work with representatives instead: A(f) built class by
 class, subquotients lattice(num)/lattice(den) on Hermite bases, chain maps
 and cones of dense complexes, complexes of presented groups, the companion
 complexes of a Koszul-Tate double complex, and the functoriality, inclusion
-and sign-action checks built on them.  They are slow and independent of the
-package's shortcuts, which is what makes them references.
+and sign-action checks built on them, and the fiber identity class by
+class.  They are slow and independent of the package's shortcuts, which is
+what makes them references.
 """
 
 from __future__ import annotations
@@ -19,16 +20,27 @@ from math import gcd
 from uod import skcx
 from uod.arith import (
     ARCHIMEDEAN,
+    GfElement,
+    XiClass,
     g_action,
     gf_group,
-    sign_action,
+    xi_classes,
     xi_from_fraction,
     xi_in_level,
     xi_sort_key,
+    y_fiber,
     y_map,
 )
 from uod.chainkit import ActionModule, ChainComplex, HomologyTable, NotAComplex, total_complex
-from uod.distmod import build_af, g_op_name, u_inclusion, u_module, x_op_name
+from uod.distmod import (
+    OrderMismatch,
+    build_af,
+    g_op_name,
+    level_partition,
+    u_inclusion,
+    u_module,
+    x_op_name,
+)
 from uod.signh import _check_order, norm_matrix
 from uod.znf import (
     AbGroupInvariants,
@@ -116,6 +128,73 @@ def reference_af(bk, f, nu: dict | None = None) -> ReferenceAf:
             [g_action(bk, gen, xi) for xi in basis], index)
     operators["gamma0"] = class_matrix([sign_action(bk, xi) for xi in basis], index)
     return ReferenceAf(basis, fibers, operators, SparseMatrix(len(basis), relations))
+
+
+def sign_action(bk, xi: XiClass) -> XiClass:
+    """The sign generator acting on a class."""
+    if xi.order == bk.one:
+        return xi
+    num = bk.scalar_mul(bk.sign_scalar, xi.num, xi.order)
+    return XiClass(bk.key, xi.order, num)
+
+
+@dataclass(frozen=True)
+class FiberIdentityReport:
+    lhs: dict
+    rhs: dict
+    equal: bool
+    multiplicity: int
+
+
+def lemma411_check(bk, p, f, xi: XiClass) -> FiberIdentityReport:
+    """Both sides of the fiber identity for a class of exact order f, as
+    multisets of classes: the reference for ``distmod.lemma411_counts``.
+
+    Left side: the full Y_p fiber over Y_p(xi) at level f.  Right side: the
+    kernel ker(G_f -> G_{f/p}) applied to xi, plus, when p divides f exactly
+    once, the extra term phi^{-1} Y_p xi with phi the class of p at level
+    f/p^n.
+    """
+    if xi.order != f:
+        raise OrderMismatch("class must have exact order f")
+    if not bk.divides(p, f):
+        raise OrderMismatch("p must divide f")
+    n = 0
+    rest = f
+    while bk.divides(p, rest):
+        rest = bk.divide(rest, p)
+        n += 1
+    c = rest
+
+    image = y_map(bk, p, xi)
+    lhs: dict = {}
+    for eta in y_fiber(bk, p, image, f):
+        lhs[eta] = lhs.get(eta, 0) + 1
+
+    rhs: dict = {}
+    part = level_partition(bk, f)
+    for residue in sorted(part.kernels[p], key=bk.residue_key):
+        sigma = GfElement(bk.key, f, residue)
+        eta = g_action(bk, sigma, xi)
+        rhs[eta] = rhs.get(eta, 0) + 1
+    if n == 1:
+        if bk.norm(c) == 1:
+            extra = image
+        else:
+            phi = bk.residue_of(p, c)
+            phi_inv = bk.residue_inverse(phi, c)
+            extra = g_action(bk, GfElement(bk.key, c, phi_inv), image)
+        rhs[extra] = rhs.get(extra, 0) + 1
+
+    return FiberIdentityReport(lhs, rhs, lhs == rhs, n)
+
+
+def lemma411_reference_counts(bk, f) -> tuple[int, int]:
+    """(checked, failures) of ``lemma411_check`` over every prime p | f and
+    every class of exact order f."""
+    exact = [cls for cls in xi_classes(bk, f) if cls.order == f]
+    equal = [lemma411_check(bk, p, f, cls).equal for p, _ in bk.factor(f) for cls in exact]
+    return len(equal), equal.count(False)
 
 
 # -- lattices ----------------------------------------------------------------

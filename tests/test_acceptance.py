@@ -11,21 +11,26 @@ from math import gcd
 
 import pytest
 
-from dense_reference import companion, functoriality_report, sign_action_trivial_on_via_n
+from dense_reference import (
+    companion,
+    functoriality_report,
+    lemma411_check,
+    sign_action,
+    sign_action_trivial_on_via_n,
+)
 from uod.arith import (
     ArchimedeanBackend,
     FunctionFieldBackend,
     fiber_map,
     g_action,
     gf_group,
-    sign_action,
     xi_classes,
     y_map,
 )
 from uod.chainkit import ActionModule, build_kt
 from uod.distmod import (
     build_af,
-    lemma411_check,
+    lemma411_counts,
     nu_value,
     u_module,
     u_tower,
@@ -179,10 +184,13 @@ def test_criterion_8_fiber_identity_exhaustive():
         for p, _ in Q.factor(f):
             for cls in (c for c in xi_classes(Q, f) if c.order == f):
                 assert lemma411_check(Q, p, f, cls).equal, (f, p)
+        assert lemma411_counts(Q, f) == (len(Q.factor(f)) * phi(f), 0), f
     for f in monic_polys(F3, 2):
         for p, _ in F3.factor(f):
             for cls in (c for c in xi_classes(F3, f) if c.order == f):
                 assert lemma411_check(F3, p, f, cls).equal, F3.format_ideal(f)
+        exact = len(gf_group(F3, f))
+        assert lemma411_counts(F3, f) == (len(F3.factor(f)) * exact, 0), F3.format_ideal(f)
     report(8, True, "fiber identity holds exhaustively (f <= 36 and deg f <= 2)")
 
 

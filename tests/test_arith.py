@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import sign_action
 from uod.arith import (
     ARCHIMEDEAN,
     ArchimedeanBackend,
@@ -20,7 +21,6 @@ from uod.arith import (
     poly_divmod,
     poly_mul,
     poly_trim,
-    sign_action,
     sign_group,
     xi_classes,
     xi_from_fraction,

@@ -96,6 +96,59 @@ class TestOtherCommands:
         table = report["checks"][0]["tables"]["sign_homology"]
         assert table["even"] == {"free_rank": 0, "torsion": [2]}
 
+    @pytest.mark.parametrize("argv, even, odd", [
+        # U(1) and U(2) are Z with trivial sign, since -1/2 = 1/2
+        (["--f", "1"], [2], []),
+        (["--f", "2"], [2], []),
+        (["--backend", "fq", "--q", "3", "--f", "1"], [2], []),
+        # f = 2 mod 4 lies outside the rank theorem, even where the orders agree
+        (["--f", "6"], [2], [2]),
+    ])
+    def test_sign_homology_outside_the_theorem_is_not_applicable(self, tmp_path, argv, even, odd):
+        code, payload = run_json(tmp_path, ["sign-homology", *argv])
+        assert code == 0
+        [check] = json.loads(payload)["checks"]
+        assert check["verdict"] == "NOT_APPLICABLE"
+        table = check["tables"]["sign_homology"]
+        assert (table["even"]["torsion"], table["odd"]["torsion"]) == (even, odd)
+
+    @pytest.mark.parametrize("argv", [["--f", "140"], ["--f", "2", "--level", "2"],
+                                      ["--f", "6", "--level", "2"]])
+    def test_sign_homology_inside_the_theorem_passes(self, tmp_path, argv):
+        code, payload = run_json(tmp_path, ["sign-homology", *argv])
+        assert code == 0
+        [check] = json.loads(payload)["checks"]
+        assert check["verdict"] == "PASS"
+
+    def test_sign_homology_140_report(self, tmp_path):
+        # the report of a benchmark op, pinned field by field
+        code, payload = run_json(tmp_path, ["sign-homology", "--f", "140"])
+        assert code == 0
+        [check] = json.loads(payload)["checks"]
+        z2_4 = {"free_rank": 0, "torsion": [2, 2, 2, 2]}
+        assert check == {
+            "name": "sign-homology",
+            "params": {"f": "140", "level": 1},
+            "route": "direct-tate",
+            "tables": {"sign_homology": {"periodic": True, "even": z2_4, "odd": z2_4}},
+            "verdict": "PASS",
+        }
+
+    def test_sign_homology_off_the_closed_form_fails(self, tmp_path, monkeypatch):
+        # equal orders are not enough where the theorem applies and no --nu
+        # is given: each parity must be the rank theorem's value
+        from uod.znf import AbGroupInvariants
+
+        monkeypatch.setattr(cli, "expected_rank_theorem_value",
+                            lambda bk, f: AbGroupInvariants(0, (4,)))
+        code, payload = run_json(tmp_path, ["sign-homology", "--f", "3"])
+        assert code == 1
+        assert json.loads(payload)["checks"][0]["verdict"] == "FAIL"
+        # with --nu only the orders are compared
+        code, payload = run_json(tmp_path, ["sign-homology", "--f", "12", "--nu", "2=-1"])
+        assert code == 0
+        assert json.loads(payload)["checks"][0]["verdict"] == "PASS"
+
     def test_sk_compare(self, tmp_path):
         code, payload = run_json(tmp_path, ["sk", "compare", "--f", "3", "--level", "2"])
         assert code == 0

@@ -1,14 +1,22 @@
+import copy
 import itertools
 import json
+import types
 
 import pytest
 
-from dense_reference import class_matrix, reference_af, with_operator
+from dense_reference import (
+    class_matrix,
+    lemma411_check,
+    lemma411_reference_counts,
+    reference_af,
+    sign_action,
+    with_operator,
+)
 from uod import arith, distmod, znf
 from uod.arith import (
     ArchimedeanBackend,
     FunctionFieldBackend,
-    sign_action,
     xi_classes,
     xi_from_fraction,
     xi_in_level,
@@ -19,7 +27,7 @@ from uod.distmod import (
     OrderMismatch,
     build_af,
     depth,
-    lemma411_check,
+    lemma411_counts,
     nu_value,
     partition_tag,
     StructureCheckFailed,
@@ -649,7 +657,74 @@ class TestXi0Basis:
             xi0_basis(build_af(Q, 4))
 
 
+F3_DEGREE_3 = (0, 1, 0, 1)  # T^3 + T = T (T^2 + 1), two primes
+
+
 class TestLemma411:
+    @pytest.mark.parametrize("f", [*range(2, 37), 240, 288, 360, 432, 600, 648])
+    def test_counts_match_the_class_reference_q(self, f):
+        assert lemma411_counts(Q, f) == lemma411_reference_counts(Q, f)
+        assert lemma411_counts(Q, f) == (len(Q.factor(f)) * len(arith.gf_group(Q, f)), 0)
+
+    def test_counts_match_the_class_reference_f3(self):
+        levels = [f for d in (1, 2) for f in itertools.product(range(3), repeat=d)]
+        levels = [(*f, 1) for f in levels] + [F3_DEGREE_3]
+        for f in levels:
+            checked, failures = lemma411_counts(F3, f)
+            assert (checked, failures) == lemma411_reference_counts(F3, f), f
+            assert checked == len(F3.factor(f)) * len(arith.gf_group(F3, f)) and not failures, f
+
+    @staticmethod
+    def report(tmp_path, argv):
+        out = tmp_path / "report.json"
+        code = main(["verify", "lemma411", *argv, "--out", str(out)])
+        [check] = json.loads(out.read_text())["checks"]
+        return code, check
+
+    @pytest.mark.parametrize("bk, f, argv", [
+        (Q, 12, ["--f", "12"]),
+        (Q, 360, ["--f", "360"]),
+        (F3, F3_DEGREE_3, ["--backend", "fq", "--q", "3", "--f", "T^3+T"]),
+    ])
+    def test_a_moved_fiber_position_fails(self, monkeypatch, tmp_path, bk, f, argv):
+        # a copy of the level table in which a class of exact order f moved
+        # from its Y_p fiber to another one; the real table stays as it is
+        real = arith.level_table(bk, f)
+        p = bk.factor(f)[0][0]
+        fibers = dict(real.fibers(p))
+        moved = next(i for i, xi in enumerate(real.classes) if xi.order == f)
+        first = next(i for i, js in fibers.items() if moved in js)
+        second = next(i for i in fibers if i != first)
+        fibers[first] = tuple(j for j in fibers[first] if j != moved)
+        fibers[second] = tuple(sorted(fibers[second] + (moved,)))
+        fake = copy.copy(real)
+        fake._fibers = {**real._fibers, bk.ideal_key(p): fibers}
+        monkeypatch.setattr(distmod, "level_table", lambda _bk, _f: fake)
+        assert lemma411_counts(bk, f)[1] > 0
+        code, check = self.report(tmp_path, argv)
+        assert code == 1 and check["verdict"] == "FAIL"
+        assert check["tables"]["failures"] > 0
+
+    @pytest.mark.parametrize("bk, f, argv", [
+        (Q, 12, ["--f", "12"]),
+        (Q, 648, ["--f", "648"]),
+        (F3, F3_DEGREE_3, ["--backend", "fq", "--q", "3", "--f", "T^3+T"]),
+    ])
+    def test_a_wrong_kernel_residue_fails(self, monkeypatch, tmp_path, bk, f, argv):
+        # one kernel residue of the first prime swapped for a unit outside
+        # the kernel
+        real = distmod.level_partition(bk, f)
+        p = bk.factor(f)[0][0]
+        kernel = set(real.kernels[p])
+        outside = next(e.residue for e in arith.gf_group(bk, f) if e.residue not in kernel)
+        kernel.remove(max(kernel, key=bk.residue_key))
+        kernel.add(outside)
+        fake = types.SimpleNamespace(kernels={**real.kernels, p: frozenset(kernel)})
+        monkeypatch.setattr(distmod, "level_partition", lambda _bk, _f: fake)
+        code, check = self.report(tmp_path, argv)
+        assert code == 1 and check["verdict"] == "FAIL"
+        assert check["tables"]["failures"] > 0
+
     def test_f3_p3(self):
         report = lemma411_check(Q, 3, 3, xi(1, 3))
         assert report.equal and report.multiplicity == 1
@@ -713,9 +788,9 @@ class TestLevelCaches:
         assert arith.xi_classes(bk, f) == tuple(classes_by_hand(bk, f))
 
     def test_lemma411_maps_each_class_once_per_prime(self, cold_caches, monkeypatch, tmp_path):
-        # the left side still maps all of Xi(f), but once per prime through
-        # the level table, not once per checked class: r passes over |Xi(f)|
-        # residues and one y_map per checked class, rather than
+        # the check maps all of Xi(f) once per prime through the level
+        # table, not once per checked class: r passes over |Xi(f)| residues
+        # (the Y_p fibers) and no y_map call at all, rather than
         # O(r phi(f) |Xi(f)|) maps
         passes, calls = [], []
         real_images, real_map = arith.LevelTable.images, arith.y_map
@@ -731,11 +806,12 @@ class TestLevelCaches:
 
         monkeypatch.setattr(arith.LevelTable, "images", counting_images)
         monkeypatch.setattr(arith, "y_map", counting)
-        monkeypatch.setattr(distmod, "y_map", counting)
+        # distmod no longer imports y_map: the check never builds a class
+        assert not hasattr(distmod, "y_map")
         assert main(["verify", "lemma411", "--f", "72", "--out", str(tmp_path / "r.json")]) == 0
-        r, size, phi = 2, 72, 24
+        r, size = 2, 72
         assert passes == [size] * r
-        assert len(calls) == r * phi
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv, checked",

@@ -19,19 +19,35 @@ from uod.iwasawa import (
     UPrimeReport,
     _certify,
     _level,
+    _slot_bits,
     _relations_hold,
     _unit_group,
     characters,
     cyclotomic_polynomial,
     distribution_relation_holds,
     level_relations_hold,
-    reduce_zeta_vector,
     u_of,
     u_values,
     uprime_compare,
     uprime_lattice,
 )
 from uod.znf import FreeQuotient, IntMatrix, SparseMatrix, snf_invariants, solve
+
+
+def reduce_zeta_vector(vec, order: int):
+    """Reduce an integer vector of zeta_order powers modulo Phi_order,
+    coefficient by coefficient: the test-only reference for the packed
+    divisibility test of ``_certify``."""
+    phi = list(cyclotomic_polynomial(order))
+    num = list(vec)
+    deg = len(phi) - 1
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = num[i]
+        if c:
+            shift = i - deg
+            for j, p in enumerate(phi):
+                num[shift + j] -= c * p
+    return num[:deg] + [0] * max(deg - len(num), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +359,44 @@ class TestUValues:
             scaled[y] -= 1
             with pytest.raises(RationalityFailure):
                 _certify(f, scaled)
+
+    @pytest.mark.parametrize("f", [5, 12, 64, 81, 600, 30030])
+    def test_a_huge_change_cannot_alias(self, f):
+        # the slot width grows with the values, so a change of 2^200 to one
+        # value is no multiple of M = 2^(eB) - 1 in disguise
+        for x in (min(_level(f)[1]), max(_level(f)[1])):
+            scaled = dict(_level(f)[1])
+            scaled[x] += 2**200
+            with pytest.raises(RationalityFailure):
+                _certify(f, scaled)
+
+    @pytest.mark.parametrize("f", [5, 12, 64, 600])
+    def test_a_change_by_the_old_modulus_is_seen(self, f):
+        # adding M = 2^(eB) - 1 of the unchanged values to one value is
+        # invisible modulo that M; the width taken from the changed values
+        # moves M, so the change is refused
+        scaled = dict(_level(f)[1])
+        e = _unit_group(f).exponent
+        modulus = (1 << e * _slot_bits(scaled, e, len(ARCHIMEDEAN.factor(f)))) - 1
+        scaled[min(scaled)] += modulus
+        with pytest.raises(RationalityFailure):
+            _certify(f, scaled)
+
+    def test_slot_width_follows_the_values(self):
+        def width(f, scaled):
+            group = _unit_group(f)
+            return _slot_bits(scaled, group.exponent, len(ARCHIMEDEAN.factor(f)))
+
+        widths = {f: width(f, _level(f)[1]) for f in (5, 12, 64, 600, 30030)}
+        assert len(set(widths.values())) > 1, widths
+        for f, plain in widths.items():
+            scaled = dict(_level(f)[1])
+            first = min(scaled)
+            scaled[first] += 2**200
+            # 2^(B-1) exceeds the sum of |values| on its own
+            assert plain < 100 < 201 < width(f, scaled), f
+            scaled[first] = -(2**300)
+            assert width(f, scaled) > 301, f
 
     def test_level_relations_match_the_rational_check(self):
         for f in range(1, 61):
