@@ -9,9 +9,10 @@ byte-identical across reruns of the same command: keys are sorted and no
 timestamps or machine identifiers are recorded.
 
 Exit codes: 0 every check is PASS or NOT_APPLICABLE, 1 at least one FAIL, 2
-usage error, 3 internal error (a structural certificate or exactness check
-failed, or any other unexpected exception: a bug rather than a mathematical
-outcome), 4 out of memory.  Exit 1 means FAIL and nothing else.
+usage error (also an --out or --csv path that cannot be written), 3 internal
+error (a structural certificate or exactness check failed, or any other
+unexpected exception: a bug rather than a mathematical outcome), 4 out of
+memory.  Exit 1 means FAIL and nothing else.
 """
 
 from __future__ import annotations
@@ -639,12 +640,17 @@ def main(argv=None) -> int:
     }
     report = {"manifest": manifest, "checks": checks}
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(_csv_payload(report))
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        if args.csv:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(_csv_payload(report))
+    except OSError as exc:
+        # an unwritable path is a usage error; exit 1 stays for FAIL
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     if args.pretty:
         _pretty_print(report, sys.stdout)
     elif not args.out:

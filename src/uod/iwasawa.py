@@ -43,11 +43,12 @@ The classical lattice at level f is the Z[G_f]-span in Q[G_f] of the vectors
 map sending a class to its u-orbit vector identifies the universal
 distribution with it.  That isomorphism is certified by structure, with no
 basis of the lattice: the classes of Xi(f) give exactly the lattice's
-generators, every distribution relation sums to zero under the map, and the
-map on U(f)'s free basis has a nonzero determinant modulo the prime 2^61 - 1.
-Only when that determinant vanishes modulo the prime does the exact route,
-a Hermite basis of the lattice and the Smith invariants of the coordinates,
-decide.
+generators, every distribution relation sums to zero under the map, U(f)'s
+section is a right inverse of its projection, and the lattice has rank
+|G_f| over Q.  That rank is a count of characters: the number of chi at
+which some orbit vector has a nonzero transform, taken exactly in
+Q(zeta_e) by the same packed transform as the certificate above
+(``_span_rank``).
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import lshift
 
 from .arith import ARCHIMEDEAN, gf_group
-from .distmod import UModule, build_af, g_op_name, u_module
-from .znf import IntMatrix, image_basis, snf_invariants, solve
+from .distmod import StructureCheckFailed, UModule, build_af, g_op_name, u_module
+from .znf import IntMatrix, SparseMatrix, image_basis
 
 
 class RationalityFailure(ArithmeticError):
@@ -304,33 +305,21 @@ def _slot_bits(scaled: dict, e: int, r: int) -> int:
     return bound.bit_length() + 1
 
 
-def _certify(f: int, scaled: dict) -> int:
-    """Check the defining identity for every character of (Z/f)^x against
-    the scaled values {x: phi(f) u(x/f)}; return the number of characters.
+def _transform(group: _UnitGroup, values: dict, width: int):
+    """The character transform sum_x values[x] chi(x) of integer values on
+    the units x of (Z/f)^x, at every character of ``group`` in product
+    order, as packed elements of Z[x]/(x^e - 1) with x standing for zeta_e.
 
-    An element sum_t a_t x^t of Z[x]/(x^e - 1) is held as the integer
-    sum_t a_t 2^(tB) modulo M = 2^(eB) - 1: x -> 2^B is a ring homomorphism
-    onto Z/M since 2^(eB) = 1 mod M, and multiplying by x^t is a shift by
-    tB bits followed by a reduction modulo M.  The character identity at chi
-    says that Phi_e divides d = lhs - rhs, which holds exactly when
-    x^e - 1 = Phi_e Psi_e divides d Psi_e, that is when
-    c = d Psi_e mod (x^e - 1) is zero; the check is that the image of c in
-    Z/M is zero.
-
-    That is exact.  Each lhs is sum_x v_x x^(t_x), of l1 norm at most
-    sum |v|, and each rhs is phi(f) times at most r factors 1 - x^t, of l1
-    norm at most phi(f) 2^r; so every coefficient of d is at most H in
-    absolute value, and every coefficient of c at most H ||Psi_e||_1,
-    below 2^(B-1) by the choice of B (``_slot_bits``).  Then
-    |c(2^B)| <= (2^(B-1) - 1)(2^(eB) - 1)/(2^B - 1) < M, so c(2^B) = 0 mod M
-    forces c(2^B) = 0, and base-2^B digits below 2^(B-1) in absolute value
-    represent 0 only when every digit is 0: c = 0.
+    An element sum_t a_t x^t is held as the integer sum_t a_t 2^(t width)
+    modulo M = 2^(e width) - 1: x -> 2^width is a ring homomorphism onto Z/M
+    since 2^(e width) = 1 mod M, and multiplying by x^t is a shift by
+    t width bits followed by a reduction modulo M.  The transform is taken
+    one cyclic factor at a time.  Returns the table, the reduction modulo M
+    and Psi_e = (x^e - 1)/Phi_e packed alike; a caller picks ``width`` so
+    that no coefficient it tests can wrap.
     """
-    group = _unit_group(f)
     e, orders, steps, strides = group.exponent, group.orders, group.steps, group.strides
-    phi = len(scaled)
-    primes = group.prime_data()
-    width = _slot_bits(scaled, e, len(primes))
+    phi = prod(orders)
     bits = e * width
     mask = (1 << bits) - 1  # M
 
@@ -340,7 +329,7 @@ def _certify(f: int, scaled: dict) -> int:
         return ((x & mask) + (x >> bits)) % mask
 
     table = [0] * phi
-    for x, v in scaled.items():
+    for x, v in values.items():
         table[sum(a * b for a, b in zip(group.log(x), strides))] = v
     # The largest factor goes first, while its terms are still scalars.
     for axis in sorted(range(len(orders)), key=lambda i: -orders[i]):
@@ -355,10 +344,37 @@ def _certify(f: int, scaled: dict) -> int:
                 for c, row in enumerate(shifts):
                     out[at + c * stride] = reduce(sum(map(lshift, column, row)))
         table = out
-
     psi = reduce(sum(a << (t * width) for t, a in enumerate(_cofactor(e))))
+    return table, reduce, psi
+
+
+def _certify(f: int, scaled: dict) -> int:
+    """Check the defining identity for every character of (Z/f)^x against
+    the scaled values {x: phi(f) u(x/f)}; return the number of characters.
+
+    The left sides are the packed ``_transform`` of the values.  The
+    character identity at chi says that Phi_e divides d = lhs - rhs, which
+    holds exactly when x^e - 1 = Phi_e Psi_e divides d Psi_e, that is when
+    c = d Psi_e mod (x^e - 1) is zero; the check is that the image of c in
+    Z/M is zero.
+
+    That is exact.  Each lhs is sum_x v_x x^(t_x), of l1 norm at most
+    sum |v|, and each rhs is phi(f) times at most r factors 1 - x^t, of l1
+    norm at most phi(f) 2^r; so every coefficient of d is at most H in
+    absolute value, and every coefficient of c at most H ||Psi_e||_1,
+    below 2^(B-1) by the choice of the slot width B (``_slot_bits``).  Then
+    |c(2^B)| <= (2^(B-1) - 1)(2^(eB) - 1)/(2^B - 1) < M, so c(2^B) = 0 mod M
+    forces c(2^B) = 0, and base-2^B digits below 2^(B-1) in absolute value
+    represent 0 only when every digit is 0: c = 0.
+    """
+    group = _unit_group(f)
+    e, steps = group.exponent, group.steps
+    phi = len(scaled)
+    primes = group.prime_data()
+    width = _slot_bits(scaled, e, len(primes))
+    table, reduce, psi = _transform(group, scaled, width)
     checked = 0
-    for lhs, exps in zip(table, product(*map(range, orders))):
+    for lhs, exps in zip(table, product(*map(range, group.orders))):
         rhs = phi
         for axes_p, logs in primes:
             if any(exps[i] for i in axes_p):
@@ -369,6 +385,36 @@ def _certify(f: int, scaled: dict) -> int:
             raise RationalityFailure(f"character identity fails at level {f}")
         checked += 1
     return checked
+
+
+def _span_rank(f: int, units, vectors) -> int:
+    """The rank over Q of the Z[G_f]-span of integer vectors on (Z/f)^x,
+    each indexed like ``units``.
+
+    The rank over Q is the dimension of the complex span in C[G_f], which
+    is the sum of one line per character chi; the span of the translates
+    of v is the sum of the lines of the chi at which
+    T(v)(chi) = sum_x v(x) chi(x) is nonzero (the group-determinant
+    principle).  So the rank is the number of characters at which some
+    T(v_i)(chi) is nonzero in Q(zeta_e), that is not divisible by Phi_e in
+    Z[x]/(x^e - 1), or again not killed by Psi_e there.
+
+    The vectors are stacked as base-2^b digits of one vector,
+    w = sum_i 2^(ib) v_i, and transformed once.  The transform is linear,
+    so each coefficient of T(w)(chi) Psi_e is sum_i 2^(ib) c_i with c_i the
+    same coefficient of T(v_i)(chi) Psi_e, and |c_i| <= ||v_i||_1 ||Psi_e||_1
+    < 2^(b-2) by the choice of b.  Digits that small represent 0 only when
+    each is 0, so T(w)(chi) Psi_e is zero exactly when every
+    T(v_i)(chi) Psi_e is.  Those coefficients are below 2^(kb-1) for k
+    vectors, so with the slot width kb + 2 the argument of ``_certify``
+    carries over: a zero packed residue is a zero polynomial.
+    """
+    group = _unit_group(f)
+    norm = max((sum(map(abs, v)) for v in vectors), default=0)
+    b = (norm * sum(map(abs, _cofactor(group.exponent)))).bit_length() + 2
+    stacked = [sum(v[at] << (i * b) for i, v in enumerate(vectors)) for at in range(len(units))]
+    table, reduce, psi = _transform(group, dict(zip(units, stacked)), b * len(vectors) + 2)
+    return sum(1 for t in table if reduce(t * psi))
 
 
 def u_values(f: int) -> dict:
@@ -494,9 +540,6 @@ def uprime_lattice(f: int) -> UPrimeLattice:
     return UPrimeLattice(f, tuple(units), generators, denom, basis)
 
 
-_RANK_PRIME = (1 << 61) - 1  # a Mersenne prime
-
-
 def _combine(column: dict, vectors, length: int) -> list:
     """The sum of c vectors[k] over the entries {k: c} of a sparse column."""
     if len(column) == 1:
@@ -506,46 +549,6 @@ def _combine(column: dict, vectors, length: int) -> list:
     for k, c in column.items():
         acc = [a + c * v for a, v in zip(acc, vectors[k])]
     return acc
-
-
-def _rank_mod_p(vectors) -> int:
-    """Rank modulo the prime 2^61 - 1 of integer vectors of one length, a
-    lower bound for their rank over Q.
-
-    Gaussian elimination on whole rows: each row is one integer with a
-    fixed-width slot per entry, lowest slot first, so ``x >> w`` drops the
-    eliminated entry and ``x + (p - k) head`` clears it from a row in one
-    big-integer step.  Entries are packed in [0, p) and the pivot row is
-    reduced before use, so a step adds less than p^2 to a slot and n rows
-    never carry out of a slot.
-    """
-    p = _RANK_PRIME
-    if not vectors:
-        return 0
-    width = len(vectors[0])
-    size = (2 * p.bit_length() + len(vectors).bit_length() + 8) // 8  # bytes
-    w, mask = 8 * size, (1 << 8 * size) - 1
-
-    def pack(values):
-        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
-
-    rows = [pack([v % p for v in vec]) for vec in vectors]
-    rank = 0
-    for c in range(width):
-        at = next((i for i, x in enumerate(rows) if (x & mask) % p), None)
-        if at is None:
-            rows = [x >> w for x in rows]
-            continue
-        pivot = rows.pop(at)
-        inv = pow((pivot & mask) % p, -1, p)
-        raw = (pivot >> w).to_bytes(size * (width - c - 1), "little")
-        head = pack([int.from_bytes(raw[i : i + size], "little") % p * inv % p
-                     for i in range(0, len(raw), size)])
-        rows = [(x >> w) + (p - k) * head if (k := (x & mask) % p) else x >> w for x in rows]
-        rank += 1
-        if not rows:
-            break
-    return rank
 
 
 def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
@@ -558,16 +561,17 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
       scaled by its denominator; otherwise GeneratorMismatch;
     * relations killed: the columns each relation names sum to zero, or
       RelationNotKilled;
-    * full rank: ``mapped``, the map on U(f)'s free basis, has rank phi(f)
-      modulo the prime 2^61 - 1, so its determinant is nonzero over Z.
+    * section: P S = 1 for U(f)'s projection P and section S, or
+      StructureCheckFailed.  P kills exactly im R, so A(f) = im S + im R;
+    * lattice rank: the span of the G_f-translates of the orbit vectors v_g
+      of the classes 1/g, g | f, which are the generators of U'(f), has
+      rank phi(f) over Q by the character count of ``_span_rank``, or
+      RankMismatch.
 
-    The peel behind U(f) gives A(f) = im S + im R and R is killed, so the
-    phi(f) columns of ``mapped`` span U'(f); with a nonzero determinant they
-    are a basis of it.  The map is then an isomorphism, the lattice rank is
-    phi(f) and the index invariants are all 1.  If the rank modulo the prime
-    comes up short, the exact route decides: the Hermite basis of
-    ``uprime_lattice``, the coordinates of ``mapped`` in it by ``solve``,
-    and their Smith invariants.
+    R is killed and A(f) = im S + im R, so ``mapped``, the map on U(f)'s
+    free basis, spans U'(f); its phi(f) columns span a lattice of rank
+    phi(f), so they are a basis of it.  The map is then an isomorphism and
+    the index invariants are all 1.
 
     Equivariance is checked for each generator of G_f column by column:
     ``mapped`` with its rows permuted equals ``mapped`` times the
@@ -591,15 +595,13 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
     image = [[orbit[n] for n in _orbit_indices(n0, inverses, f)] for n0 in offsets]
     if any(any(_combine(col, image, phi_f)) for col in u.relations.entries):
         raise RelationNotKilled("distribution relations survive the u-orbit map")
+    if u.section.cols != phi_f or u.projection * u.section != SparseMatrix.identity(phi_f):
+        raise StructureCheckFailed("the section of U(f) is not a right inverse of its projection")
+    # the classes 1/g have n0 = f/g, which is 0 at g = 1
+    rank = _span_rank(f, units, [v for v, n0 in zip(image, offsets) if n0 == 0 or f % n0 == 0])
+    if rank != phi_f:
+        raise RankMismatch(f"lattice rank {rank}, expected {phi_f}")
     mapped = [_combine(col, image, phi_f) for col in u.section.entries]
-    if len(mapped) == phi_f and _rank_mod_p(mapped) == phi_f:
-        lattice_rank, inv, iso = phi_f, (1,) * phi_f, True
-    else:
-        lattice = uprime_lattice(f)
-        coords = solve(lattice.basis, IntMatrix.from_columns(mapped, rows=phi_f))
-        inv = snf_invariants(coords)
-        lattice_rank = lattice.rank
-        iso = coords.rows == coords.cols == phi_f and all(d == 1 for d in inv)
 
     where = {delta: i for i, delta in enumerate(units)}
     equivariant = True
@@ -616,4 +618,4 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
         ):
             equivariant = False
             break
-    return UPrimeReport(f, lattice_rank, phi_f, True, equivariant, inv, iso and equivariant)
+    return UPrimeReport(f, phi_f, phi_f, True, equivariant, (1,) * phi_f, equivariant)

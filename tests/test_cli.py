@@ -315,6 +315,17 @@ class TestHarnessContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_path_exit_2(self, tmp_path, capsys, flag, where):
+        # a path that cannot be written is a usage error: one line, no report
+        path = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+        assert main(["verify", "uprime", "--f", "3", flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["verify", "yin", "--q", "4099", "--f", "T"],
         ["sign-homology", "--backend", "fq", "--q", "1000003", "--f", "T"],

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import uod.iwasawa as iwasawa
 from uod.arith import ARCHIMEDEAN
-from uod.distmod import build_af, g_op_name, u_module
+from uod.distmod import StructureCheckFailed, build_af, g_op_name, u_module
 from uod.iwasawa import (
     GeneratorMismatch,
     RankMismatch,
@@ -21,6 +20,7 @@ from uod.iwasawa import (
     _level,
     _slot_bits,
     _relations_hold,
+    _span_rank,
     _unit_group,
     characters,
     cyclotomic_polynomial,
@@ -555,45 +555,39 @@ class TestUPrimeCertificate:
 
     def test_structural_route_builds_no_lattice_basis(self, monkeypatch):
         def refuse(*_args):
-            raise AssertionError("the Hermite route ran at full rank")
+            raise AssertionError("uprime_compare built a lattice basis")
 
         monkeypatch.setattr(iwasawa, "uprime_lattice", refuse)
         monkeypatch.setattr(iwasawa, "image_basis", refuse)
-        monkeypatch.setattr(iwasawa, "solve", refuse)
         report = uprime_compare(120)
         assert report.isomorphism and report.index_invariants == (1,) * 32
 
     @pytest.mark.parametrize("f", [12, 60, 81])
-    def test_short_rank_falls_back_to_the_hermite_route(self, monkeypatch, f):
+    def test_short_count_raises_and_builds_no_lattice_basis(self, monkeypatch, f):
         u = _module(f)
-        expected = hermite_report(f, u)
-        rank = iwasawa._rank_mod_p
-        monkeypatch.setattr(iwasawa, "_rank_mod_p", lambda vectors: rank(vectors) - 1)
-        lattice = iwasawa.uprime_lattice
-        built = []
+        rank = iwasawa._span_rank
+        monkeypatch.setattr(iwasawa, "_span_rank", lambda *args: rank(*args) - 1)
 
-        def spy(level):
-            built.append(level)
-            return lattice(level)
+        def refuse(*_args):
+            raise AssertionError("a short count built a lattice basis")
 
-        monkeypatch.setattr(iwasawa, "uprime_lattice", spy)
-        report = uprime_compare(f, u)
-        assert built == [f]
-        assert report == expected
-        assert report.isomorphism and report.index_invariants == (1,) * report.expected_rank
+        monkeypatch.setattr(iwasawa, "uprime_lattice", refuse)
+        monkeypatch.setattr(iwasawa, "image_basis", refuse)
+        phi = len(u.basis_classes)
+        with pytest.raises(RankMismatch, match=f"lattice rank {phi - 1}, expected {phi}"):
+            uprime_compare(f, u)
 
     def test_singular_map_is_never_an_isomorphism(self):
-        # two basis classes sent to the same image: the rank modulo the prime
-        # is short, and the exact route finds a zero invariant
+        # two basis classes sent to the same image: the section is no right
+        # inverse of the projection, so the map is refused before any count
         f = 60
         u = _module(f)
         cols = list(u.section.entries)
         cols[1] = cols[0]
         bad = dataclasses.replace(u, section=SparseMatrix(u.section.rows, cols))
-        assert iwasawa._rank_mod_p(_mapped_columns(f, bad)) == 15
-        report = uprime_compare(f, bad)
-        assert not report.isomorphism
-        assert 0 in report.index_invariants
+        assert _exact_rank(_mapped_columns(f, bad)) == 15
+        with pytest.raises(StructureCheckFailed):
+            uprime_compare(f, bad)
 
     @pytest.mark.parametrize("f, g", [(12, 2), (12, 12), (60, 5), (60, 1), (81, 27)])
     def test_dropped_generator_divisor_fails_the_identity(self, monkeypatch, f, g):
@@ -626,17 +620,17 @@ class TestUPrimeCertificate:
     @pytest.mark.parametrize("f", [12, 60])
     def test_zeroed_norm_value_fails_the_rank_check(self, monkeypatch, f):
         # u(0) cancels from every relation it enters; at 0 the norm class
-        # maps to zero, the rank modulo the prime is short, and the exact
-        # route refuses the lattice
+        # maps to zero, and no other orbit vector has a nonzero transform at
+        # the trivial character, so the count is one short
         table = iwasawa._orbit_table
 
         def zeroed(level):
             denom, orbit = table(level)
             return denom, [0] + list(orbit[1:])
 
-        rank = iwasawa._rank_mod_p
+        rank = iwasawa._span_rank
         ranks = []
-        monkeypatch.setattr(iwasawa, "_rank_mod_p", lambda v: ranks.append(rank(v)) or ranks[-1])
+        monkeypatch.setattr(iwasawa, "_span_rank", lambda *a: ranks.append(rank(*a)) or ranks[-1])
         monkeypatch.setattr(iwasawa, "_orbit_table", zeroed)
         u = _module(f)
         with pytest.raises(RankMismatch):
@@ -659,39 +653,43 @@ class TestUPrimeCertificate:
             assert report == hermite_report(f, bad)
 
 
-class TestRankModP:
-    def test_small_ranks(self):
-        assert iwasawa._rank_mod_p([]) == 0
-        assert iwasawa._rank_mod_p([[0, 0], [0, 0]]) == 0
-        assert iwasawa._rank_mod_p([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
-        assert iwasawa._rank_mod_p([[0, 1], [1, 0]]) == 2
-        assert iwasawa._rank_mod_p([[-3, 5], [7, -11]]) == 2
+def _translates(f, units, vectors):
+    """Every G_f-translate x -> v(t^-1 x) of the vectors, indexed like units."""
+    where = {x: i for i, x in enumerate(units)}
+    return [[v[where[pow(t, -1, f) * x % f]] for x in units] for v in vectors for t in units]
 
-    def test_a_multiple_of_the_prime_is_zero(self):
-        p = (1 << 61) - 1
-        assert iwasawa._rank_mod_p([[p, 0], [0, 1]]) == 1
-        assert iwasawa._rank_mod_p([[1, 1], [1, 1 + 3 * p]]) == 1
-        assert iwasawa._rank_mod_p([[p + 1, 2], [3, 4]]) == 2
 
-    def test_slots_do_not_carry(self):
-        # every pivot step adds up to p^2 to each slot of the rows below it;
-        # dense rows of entries near p take the most such steps
-        p = (1 << 61) - 1
-        rng = random.Random(1)
-        n = 30
-        rows = [[p - 1 - rng.randrange(1 << 20) for _ in range(n)] for _ in range(n)]
-        assert iwasawa._rank_mod_p(rows) == n
-        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
-        assert iwasawa._rank_mod_p(rows) == n - 1
+@st.composite
+def _unit_vectors(draw):
+    """A level f and integer vectors on (Z/f)^x, some of them constant on the
+    cosets of the subgroup generated by one unit."""
+    f = draw(st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 28, 36]))
+    units = [x for x in range(1, f) if gcd(x, f) == 1]
+    vectors = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            h = draw(st.sampled_from(units))
+            coset = {x: min(x * pow(h, k, f) % f for k in range(len(units))) for x in units}
+            values = {r: draw(st.integers(-3, 3)) for r in sorted(set(coset.values()))}
+            vectors.append([values[coset[x]] for x in units])
+        else:
+            vectors.append(draw(st.lists(st.integers(-3, 3), min_size=len(units),
+                                         max_size=len(units))))
+    return f, units, vectors
 
-    @given(
-        st.integers(1, 7).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=8
-            )
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_the_rank_over_q(self, vectors):
-        # small entries: no minor is divisible by the prime
-        assert iwasawa._rank_mod_p(vectors) == _exact_rank(vectors)
+
+class TestSpanRank:
+    @given(_unit_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_exact_rank_of_the_translates(self, case):
+        f, units, vectors = case
+        assert _span_rank(f, units, vectors) == _exact_rank(_translates(f, units, vectors))
+
+    @pytest.mark.parametrize("f", [5, 12, 16, 21])
+    def test_digits_are_wide_enough_not_to_cancel(self, f):
+        # with a fixed 40-bit digit, 2^40 w and -w would stack to zero
+        units = [x for x in range(1, f) if gcd(x, f) == 1]
+        w = [(3 * x) % 7 - 3 for x in units]
+        expected = _exact_rank(_translates(f, units, [w]))
+        assert expected > 0
+        assert _span_rank(f, units, [[(1 << 40) * a for a in w], [-a for a in w]]) == expected
