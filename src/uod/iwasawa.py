@@ -43,12 +43,18 @@ The classical lattice at level f is the Z[G_f]-span in Q[G_f] of the vectors
 map sending a class to its u-orbit vector identifies the universal
 distribution with it.  That isomorphism is certified by structure, with no
 basis of the lattice: the classes of Xi(f) give exactly the lattice's
-generators, every distribution relation sums to zero under the map, U(f)'s
+generators, every distribution relation is killed by the map, U(f)'s
 section is a right inverse of its projection, and the lattice has rank
 |G_f| over Q.  That rank is a count of characters: the number of chi at
 which some orbit vector has a nonzero transform, taken exactly in
 Q(zeta_e) by the same packed transform as the certificate above
-(``_span_rank``).
+(``_span_rank``).  The map is G_f-equivariant by construction: the
+coordinate at delta of the image of xi is lam(delta^-1 xi), with
+lam(xi) = u(n0(xi)/f) one integer per class.  So the relations and the
+equivariance are checked on lam and on permutations, in O(nnz): the
+relations are the nu_p - X_p, whose span every class map preserves, lam
+kills each of them, and each generator of G_f acts on A(f) by the
+permutation of the offsets n0, with U(f)'s operator induced from it.
 """
 
 from __future__ import annotations
@@ -61,7 +67,15 @@ from math import gcd, lcm, prod
 from operator import lshift
 
 from .arith import ARCHIMEDEAN, gf_group
-from .distmod import StructureCheckFailed, UModule, build_af, g_op_name, u_module
+from .distmod import (
+    StructureCheckFailed,
+    UModule,
+    _certify_relations,
+    build_af,
+    g_op_name,
+    position_matrix,
+    u_module,
+)
 from .znf import IntMatrix, SparseMatrix, image_basis
 
 
@@ -480,13 +494,13 @@ def _orbit_table(f: int):
 
 @dataclass(frozen=True)
 class UPrimeReport:
+    """The comparison at ``level``.  ``uprime_compare`` raises unless the
+    u-orbit map is a basis of U'(f), of rank phi(f) = ``rank`` with index
+    invariants all 1, so whether the map is G_f-equivariant is the verdict."""
+
     level: int
-    lattice_rank: int
-    expected_rank: int
-    relations_killed: bool
+    rank: int
     equivariant: bool
-    index_invariants: tuple
-    isomorphism: bool
 
 
 @dataclass(frozen=True)
@@ -540,27 +554,25 @@ def uprime_lattice(f: int) -> UPrimeLattice:
     return UPrimeLattice(f, tuple(units), generators, denom, basis)
 
 
-def _combine(column: dict, vectors, length: int) -> list:
-    """The sum of c vectors[k] over the entries {k: c} of a sparse column."""
-    if len(column) == 1:
-        (k, c), = column.items()
-        return vectors[k] if c == 1 else [c * v for v in vectors[k]]
-    acc = [0] * length
-    for k, c in column.items():
-        acc = [a + c * v for a, v in zip(acc, vectors[k])]
-    return acc
-
-
 def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
     """Map the distribution module onto the classical lattice and certify
-    that the map is a G_f-equivariant isomorphism, by structure:
+    that the map is a G_f-equivariant isomorphism, by structure.
+
+    The coordinate at delta of the image of a class with offset n0 is
+    u(delta^-1 n0 / f), so row delta of the image is lam rho(delta^-1), with
+    lam(xi) = u(n0(xi)/f) the row at delta = 1 and rho(t) the class map
+    n0 -> t n0 mod f on A(f).  Each check reads scalars or a permutation:
 
     * generator identity: the offsets n0 = num f/g of the classes num/g of
       Xi(f) are those of the U'(f) generators (``_generator_offsets``), so
-      the u-orbit map's columns, one per class, are the generators of U'(f)
-      scaled by its denominator; otherwise GeneratorMismatch;
-    * relations killed: the columns each relation names sum to zero, or
-      RelationNotKilled;
+      the map's columns, one per class, are the generators of U'(f) scaled
+      by its denominator; otherwise GeneratorMismatch;
+    * relations: the columns of R are those of the nu_p - X_p
+      (``distmod._certify_relations``), or StructureCheckFailed.  Every
+      class map of A(f) commutes with the X_p (``ActionModule``), so im R
+      is G_f-stable once those maps are the rho(t), as checked below;
+    * relations killed: lam kills each column of R, or RelationNotKilled.
+      Then so does every row lam rho(delta^-1), im R being G_f-stable;
     * section: P S = 1 for U(f)'s projection P and section S, or
       StructureCheckFailed.  P kills exactly im R, so A(f) = im S + im R;
     * lattice rank: the span of the G_f-translates of the orbit vectors v_g
@@ -568,14 +580,17 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
       rank phi(f) over Q by the character count of ``_span_rank``, or
       RankMismatch.
 
-    R is killed and A(f) = im S + im R, so ``mapped``, the map on U(f)'s
-    free basis, spans U'(f); its phi(f) columns span a lattice of rank
-    phi(f), so they are a basis of it.  The map is then an isomorphism and
-    the index invariants are all 1.
+    R is killed and A(f) = im S + im R, so ``mapped`` = image S, the map on
+    U(f)'s free basis, spans U'(f); its phi(f) columns span a lattice of
+    rank phi(f), so they are a basis of it.  The map is then an isomorphism
+    and the index invariants are all 1.
 
-    Equivariance is checked for each generator of G_f column by column:
-    ``mapped`` with its rows permuted equals ``mapped`` times the
-    generator's induced operator, summed over that operator's sparse column.
+    Equivariance, per generator t of G_f: A(f)'s class map is rho(t), and
+    U(f)'s operator is its induced P rho(t) S; otherwise the report is not
+    equivariant.  Then mapped op = image S P rho(t) S = image rho(t) S =
+    perm mapped, perm the coordinate permutation by t: S P - 1 maps into
+    ker P = im R, which the image kills, and image rho(t) = perm image by
+    the orbit formula above.
     """
     if f < 2:
         raise ValueError("comparison needs f > 1")
@@ -584,38 +599,33 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
     af = u.parent
     units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
     phi_f = len(units)
-    inverses = [pow(delta, -1, f) for delta in units]
     _, orbit = _orbit_table(f)
 
-    # the coordinate at delta of the image of xi = num/g is u(delta^-1 num / g),
-    # scaled by the lattice denominator
     offsets = [xi.num * (f // xi.order) % f for xi in af.basis]
     if sorted(offsets) != sorted(set(_generator_offsets(f, units))):
         raise GeneratorMismatch("the classes of Xi(f) are not the U'(f) generators")
-    image = [[orbit[n] for n in _orbit_indices(n0, inverses, f)] for n0 in offsets]
-    if any(any(_combine(col, image, phi_f)) for col in u.relations.entries):
+    _certify_relations(af, u.relations)
+    lam = [orbit[n0] for n0 in offsets]
+    if any(sum(c * lam[k] for k, c in col.items()) for col in u.relations.entries):
         raise RelationNotKilled("distribution relations survive the u-orbit map")
     if u.section.cols != phi_f or u.projection * u.section != SparseMatrix.identity(phi_f):
         raise StructureCheckFailed("the section of U(f) is not a right inverse of its projection")
     # the classes 1/g have n0 = f/g, which is 0 at g = 1
-    rank = _span_rank(f, units, [v for v, n0 in zip(image, offsets) if n0 == 0 or f % n0 == 0])
+    inverses = [pow(delta, -1, f) for delta in units]
+    vectors = [[orbit[n] for n in _orbit_indices(n0, inverses, f)]
+               for n0 in offsets if n0 == 0 or f % n0 == 0]
+    rank = _span_rank(f, units, vectors)
     if rank != phi_f:
         raise RankMismatch(f"lattice rank {rank}, expected {phi_f}")
-    mapped = [_combine(col, image, phi_f) for col in u.section.entries]
 
-    where = {delta: i for i, delta in enumerate(units)}
+    where = {n0: i for i, n0 in enumerate(offsets)}
     equivariant = True
     for sigma in af.group.generators():
         t = sigma.residue
-        # row i of perm * mapped is row t^-1 units[i] of mapped
-        t_inv = pow(t, -1, f)
-        source = [where[t_inv * delta % f] for delta in units]
-        # build_af made this generator's class map, and u_module induced it
-        op = u.operators[g_op_name(af.backend, t)]
-        if any(
-            [col[i] for i in source] != _combine(entry, mapped, phi_f)
-            for col, entry in zip(mapped, op.entries)
-        ):
+        name = g_op_name(af.backend, t)
+        op = af.operators.operator(name)
+        if (op != position_matrix(af.rank, [where[t * n0 % f] for n0 in offsets])
+                or u.operators[name] != u.induce_preserving(op)):
             equivariant = False
             break
-    return UPrimeReport(f, phi_f, phi_f, True, equivariant, (1,) * phi_f, equivariant)
+    return UPrimeReport(f, phi_f, equivariant)

@@ -204,7 +204,7 @@ def test_criterion_9_u_function():
                 assert distribution_relation_holds(Fraction(a_num, f), g), (f, g)
     for f in (3, 4, 5, 12):
         rep = uprime_compare(f, u=cached_u(Q, f))
-        assert rep.isomorphism, f
+        assert rep.equivariant, f
     report(9, True, "character identity, distribution relations, lattice index one")
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -444,37 +445,37 @@ class TestUPrime:
 
     def test_f3_isomorphism(self):
         report = uprime_compare(3)
-        assert report.lattice_rank == 2
-        assert report.isomorphism and report.relations_killed and report.equivariant
+        assert report == UPrimeReport(3, 2, True)
 
     def test_f4(self):
         report = uprime_compare(4)
-        assert report.lattice_rank == 2 and report.isomorphism
+        assert report.rank == 2 and report.equivariant
 
     def test_f12(self):
         report = uprime_compare(12)
-        assert report.lattice_rank == 4 and report.isomorphism
+        assert report.rank == 4 and report.equivariant
 
     def test_rejects_unit_level(self):
         with pytest.raises(ValueError):
             uprime_compare(1)
 
     def test_reads_the_induced_generators(self, monkeypatch):
-        # u_module has induced every generator's class map already
+        # u_module has certified that the relations are preserved, so the
+        # generators' induced maps are compared with no checked induce
         def refuse(*_args):
             raise AssertionError("uprime_compare induced an operator again")
 
         monkeypatch.setattr(FreeQuotient, "induce", refuse)
         report = uprime_compare(60)
-        assert report.equivariant and report.isomorphism
+        assert report.equivariant
 
     @pytest.mark.parametrize("f", [45, 56, 70, 77, 84, 90, 99, 120])
     def test_levels_whose_bases_once_blew_up(self, f):
         # read off Smith transforms, the lattice basis reached 31k bits at
         # f = 84 and took 100 s and more at each of these levels
         report = uprime_compare(f)
-        assert report.lattice_rank == report.expected_rank
-        assert report.isomorphism
+        assert report.rank == sum(1 for x in range(1, f) if gcd(x, f) == 1)
+        assert report.equivariant
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +483,35 @@ class TestUPrime:
 # products, as uprime_compare made it before its structural certificate.
 
 
+def _image(f: int, u) -> IntMatrix:
+    """The u-orbit map on A(f), scaled by the lattice denominator: column xi
+    is the orbit vector of the class xi, its coordinates in G_f order."""
+    units = [el.residue for el in u.parent.group]
+    _, orbit = iwasawa._orbit_table(f)
+    return IntMatrix.from_columns(
+        [[orbit[pow(d, -1, f) * xi.num * (f // xi.order) % f] for d in units]
+         for xi in u.parent.basis],
+        rows=len(units),
+    )
+
+
 def hermite_report(f: int, u) -> UPrimeReport:
     """The image matrix times the relations and the section, coordinates of
     the induced map in the Hermite basis of U'(f) by ``solve``, their Smith
-    invariants, and perm * mapped == mapped * op for each generator."""
+    invariants, and perm * mapped == mapped * op for each generator.
+
+    A report stands for a map that kills the relations and is a basis of
+    U'(f) (``uprime_compare`` raises otherwise), so those two are asserted."""
     af = u.parent
     lattice = uprime_lattice(f)
     units = list(lattice.group)
     phi_f = len(units)
-    _, orbit = iwasawa._orbit_table(f)
-    image = IntMatrix.from_columns(
-        [[orbit[pow(d, -1, f) * xi.num * (f // xi.order) % f] for d in units] for xi in af.basis],
-        rows=phi_f,
-    )
-    killed = (image * u.relations.dense()).is_zero()
+    image = _image(f, u)
+    assert (image * u.relations.dense()).is_zero(), "a relation survives the map"
     mapped = image * u.section.dense()
     coords = solve(lattice.basis, mapped)
-    inv = snf_invariants(coords)
-    iso = coords.rows == coords.cols == phi_f and all(d == 1 for d in inv)
+    assert coords.rows == coords.cols == phi_f and set(snf_invariants(coords)) <= {1}, \
+        "the map is not a basis of U'(f)"
     equivariant = True
     for sigma in af.group.generators():
         t = sigma.residue
@@ -508,7 +520,7 @@ def hermite_report(f: int, u) -> UPrimeReport:
         )
         op = u.operators[g_op_name(ARCHIMEDEAN, t)].dense()
         equivariant = equivariant and perm * mapped == mapped * op
-    return UPrimeReport(f, lattice.rank, phi_f, killed, equivariant, inv, iso and equivariant)
+    return UPrimeReport(f, lattice.rank, equivariant)
 
 
 def _module(f: int):
@@ -531,12 +543,9 @@ def _exact_rank(vectors) -> int:
 
 
 def _mapped_columns(f, u):
-    """The columns of the induced map on U(f)'s basis, as uprime_compare forms them."""
-    inverses = [pow(d, -1, f) for d in uprime_lattice(f).group]
-    _, orbit = iwasawa._orbit_table(f)
-    image = [[orbit[n] for n in iwasawa._orbit_indices(xi.num * (f // xi.order) % f, inverses, f)]
-             for xi in u.parent.basis]
-    return [iwasawa._combine(col, image, len(inverses)) for col in u.section.entries]
+    """The columns of the induced map on U(f)'s basis: the image times the
+    section."""
+    return (_image(f, u) * u.section.dense()).columns()
 
 
 class TestUPrimeCertificate:
@@ -544,14 +553,7 @@ class TestUPrimeCertificate:
     def test_structural_report_matches_the_hermite_oracle(self, f):
         u = _module(f)
         report = uprime_compare(f, u)
-        oracle = hermite_report(f, u)
-        assert report.lattice_rank == oracle.lattice_rank
-        assert report.expected_rank == oracle.expected_rank
-        assert report.index_invariants == oracle.index_invariants
-        assert report.relations_killed == oracle.relations_killed
-        assert report.equivariant == oracle.equivariant
-        assert report.isomorphism == oracle.isomorphism
-        assert report.level == oracle.level
+        assert report == hermite_report(f, u)
 
     def test_structural_route_builds_no_lattice_basis(self, monkeypatch):
         def refuse(*_args):
@@ -559,8 +561,7 @@ class TestUPrimeCertificate:
 
         monkeypatch.setattr(iwasawa, "uprime_lattice", refuse)
         monkeypatch.setattr(iwasawa, "image_basis", refuse)
-        report = uprime_compare(120)
-        assert report.isomorphism and report.index_invariants == (1,) * 32
+        assert uprime_compare(120) == UPrimeReport(120, 32, True)
 
     @pytest.mark.parametrize("f", [12, 60, 81])
     def test_short_count_raises_and_builds_no_lattice_basis(self, monkeypatch, f):
@@ -649,8 +650,45 @@ class TestUPrimeCertificate:
         ):
             bad = dataclasses.replace(u, operators={**u.operators, name: wrong})
             report = uprime_compare(f, bad)
-            assert not report.equivariant and not report.isomorphism
+            assert not report.equivariant
             assert report == hermite_report(f, bad)
+
+    @pytest.mark.parametrize("f", [12, 60])
+    def test_extra_relation_equal_at_the_identity_is_refused(self, f):
+        # e_i - e_j with lam(i) = lam(j) passes the relation test on the
+        # coordinate at 1 alone, though the image does not kill it; only
+        # the check that the relations are the nu_p - X_p refuses it
+        u = _module(f)
+        image = _image(f, u)
+        orbits = image.columns()
+        _, orbit = iwasawa._orbit_table(f)
+        lam = [orbit[xi.num * (f // xi.order) % f] for xi in u.parent.basis]
+        i, j = next((i, j) for i, j in itertools.combinations(range(len(lam)), 2)
+                    if lam[i] == lam[j] and orbits[i] != orbits[j])
+        extra = SparseMatrix(u.relations.rows, [*u.relations.entries, {i: 1, j: -1}])
+        assert not (image * extra.dense()).is_zero()
+        bad = dataclasses.replace(u, relations=extra)
+        with pytest.raises(StructureCheckFailed, match="nu_p - X_p"):
+            uprime_compare(f, bad)
+
+    @pytest.mark.parametrize("f", [12, 60])
+    def test_swapped_generator_permutation_is_not_equivariant(self, f):
+        # one generator's class map on A(f) with the images of two basis
+        # classes swapped, past the commutation certificate; u_module
+        # induces it as P op S, so U(f)'s operator agrees with it and only
+        # the comparison with the offset permutation refuses it
+        af = build_af(ARCHIMEDEAN, f)
+        name = g_op_name(ARCHIMEDEAN, af.group.generators()[0].residue)
+        a, b = (next(iter(col)) for col in u_module(af).section.entries[:2])
+        cols = list(af.operators.operator(name).entries)
+        cols[a], cols[b] = cols[b], cols[a]
+        ops = copy.copy(af.operators)
+        ops.operators = {**ops.operators, name: SparseMatrix(af.rank, cols)}
+        bad = u_module(dataclasses.replace(af, operators=ops))
+        assert bad.operators[name] == bad.induce_preserving(ops.operator(name))
+        report = uprime_compare(f, bad)
+        assert not report.equivariant
+        assert report == hermite_report(f, bad)
 
 
 def _translates(f, units, vectors):
