@@ -31,6 +31,7 @@ them, certifying that all operators commute and that gamma0 has finite
 order (``chainkit.ActionModule``), and certifying that the relations are
 the columns of the nu_p - X_p, so that every commuting operator preserves
 them and induces an operator on U(f), all cost O(nnz), not |Xi(f)|^2.
+The relation certificate runs once per ``UModule``, when it is built.
 The induced |G_f| x |G_f| operators are ``SparseMatrix`` values too, and
 the Tate pair of ``signh`` takes them as they are; the callers that do
 dense lattice algebra on them call ``dense()`` themselves.
@@ -42,7 +43,11 @@ of the pivot ones, so A(f) is the direct sum of the span of Xi_0(f) and the
 relation lattice, and the peel yields the projection onto U(f).
 ``xi0_basis`` keeps an independent check through the invariant factors of
 the relations, taken sparsely: U(f) is free of rank |Xi_0(f)|, and the
-relations reach every class outside Xi_0(f).
+relations reach every class outside Xi_0(f).  ``u_module`` and
+``xi0_basis`` return only what can vary: a certificate that fails raises,
+so neither value carries invariant factors that always read 1.  ``u_tower`` reports the sign-homology of each
+level and no transition maps; functoriality along a tower is checked in
+the tests.
 
 The fiber identity behind U(f) = U'(f) (Lemma 4.1.1) is checked on the same
 table: ``lemma411_counts`` compares, for every prime p | f and every class of
@@ -69,7 +74,6 @@ from .chainkit import ActionModule
 from .znf import (
     AbGroupInvariants,
     FreeQuotient,
-    IntMatrix,
     NotAComplement,
     SparseMatrix,
     _invariants,
@@ -205,17 +209,23 @@ class UModule(FreeQuotient):
     on the depth-zero classes: ``section`` is |Xi(f)| x rank with the basis
     classes as columns, ``projection`` rank x |Xi(f)|.  ``operators`` holds
     the operators of A(f) induced by ``u_module`` with no product check,
-    which its relation certificate makes redundant; any other operator goes
-    through the checked ``induce``."""
+    which the relation certificate makes redundant; any other operator goes
+    through the checked ``induce``.
+
+    Building a UModule, directly or by ``dataclasses.replace``, certifies
+    that its relations are the nonzero columns of the nu_p - X_p of its
+    parent (``_certify_relations``), or raises StructureCheckFailed."""
 
     parent: AfModule
-    invariants: AbGroupInvariants
     basis_classes: tuple
     operators: dict           # induced operators on the free basis, SparseMatrix
 
+    def __post_init__(self):
+        _certify_relations(self.parent, self.relations)
+
     @property
     def rank(self) -> int:
-        return self.invariants.free_rank
+        return self.section.cols
 
     def reduce_vector(self, vector) -> tuple:
         """The coordinates on U(f) of a vector of A(f), from the sparse
@@ -235,11 +245,12 @@ def u_module(af: AfModule) -> UModule:
     cokernel computed, to tell a wrong structure (StructureCheckFailed) from
     a basis the peel could not certify (BasisCertificateFailed).
 
-    The relations are then certified, in O(nnz), to be the nonzero columns
-    of the nu_p - X_p; a mismatch raises StructureCheckFailed.  Every
-    operator of A(f) commutes with the X_p, so it preserves the relations,
-    and its induced operator is P op S with no P (op R) product.  The
-    induced operators are ``SparseMatrix`` values, |G_f| x |G_f|.
+    Building the UModule certifies, in O(nnz), that the relations are the
+    nonzero columns of the nu_p - X_p; a mismatch raises
+    StructureCheckFailed.  Every operator of A(f) commutes with the X_p, so
+    it preserves the relations, and its induced operator is P op S with no
+    P (op R) product.  The induced operators are ``SparseMatrix`` values,
+    |G_f| x |G_f|.
     """
     rel = distribution_relations(af)
     expected_rank = len(af.group)
@@ -250,13 +261,10 @@ def u_module(af: AfModule) -> UModule:
         projection = None
     if projection is None or len(xi0) != expected_rank:
         _diagnose(af, rel, len(xi0), expected_rank)
-    _certify_relations(af, rel)
     section = position_matrix(af.rank, xi0)
     induced = {}
-    invariants = AbGroupInvariants(expected_rank)
     u = UModule(relations=rel, projection=projection, section=section, parent=af,
-                invariants=invariants, basis_classes=tuple(af.basis[i] for i in xi0),
-                operators=induced)
+                basis_classes=tuple(af.basis[i] for i in xi0), operators=induced)
     for name, op in af.operators.operators.items():
         induced[name] = u.induce_preserving(op)
     return u
@@ -503,11 +511,11 @@ def xi0_set(bk, f) -> list[XiClass]:
 
 @dataclass(frozen=True)
 class Xi0Basis:
+    """The certified bases; ``xi0_basis`` raises unless both certificates
+    hold, so every invariant factor behind a returned value is 1."""
+
     classes: tuple                 # Xi_0 at the module level
     pair_index: tuple              # (divisor g, class xi) per basis column
-    lattice_invariants: tuple      # SNF of the X_g xi change of basis
-    quotient_invariants: tuple     # SNF of the images of Xi_0 in U(f)
-    unimodular: bool
 
 
 def xi0_basis(af: AfModule) -> Xi0Basis:
@@ -559,6 +567,8 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     )
     free = quotient == AbGroupInvariants(k)
     is_basis = free and len(reach) == outside and all(d == 1 for d in reach)
+    if is_basis and all(d == 1 for d in lattice_inv):
+        return Xi0Basis(tuple(af.basis[i] for i in xi0_here), tuple(pairs))
     if is_basis:
         quotient_inv = (1,) * k
     else:
@@ -571,14 +581,10 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
         rank = quotient.free_rank - missed.free_rank
         quotient_inv = ((1,) * (rank - len(missed.torsion)) + missed.torsion
                         + (0,) * (min(quotient.free_rank, k) - rank))
-    ok = is_basis and all(d == 1 for d in lattice_inv)
-    if not ok:
-        note = "" if free else f"; U(f) is {quotient}, not Z^{k}"
-        raise BasisCertificateFailed(
-            f"certificates: lattice {lattice_inv}, quotient {quotient_inv}{note}"
-        )
-    return Xi0Basis(tuple(af.basis[i] for i in xi0_here), tuple(pairs), lattice_inv,
-                    quotient_inv, ok)
+    note = "" if free else f"; U(f) is {quotient}, not Z^{k}"
+    raise BasisCertificateFailed(
+        f"certificates: lattice {lattice_inv}, quotient {quotient_inv}{note}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -638,25 +644,13 @@ class TowerLevel:
 @dataclass
 class TowerReport:
     levels: list
-    transitions: list       # U(f^k) -> U(f^{k+1}) in the depth-zero bases
     stabilized: bool
     exception_flagged: bool
     squarefree: bool
 
 
-def u_inclusion(u_small: UModule, u_big: UModule) -> IntMatrix:
-    """U(f) -> U(g) on the depth-zero bases, induced by Xi(f) into Xi(g)."""
-    small, big = u_small.parent.table, u_big.parent.table
-    scale = small.backend.divide(big.level, small.level)
-    # [a/f] is [a (g/f) / g]
-    incl = position_matrix(len(big.classes), [
-        big.position[small.backend.residue_mul(scale, a, big.level)] for a in small.residues
-    ])
-    return (u_big.projection * (incl * u_small.section)).dense()
-
-
 def u_tower(bk, f, n_levels: int, nu: dict | None = None) -> TowerReport:
-    """U(f), U(f^2), ..., with transition maps and sign-homology per level.
+    """U(f), U(f^2), ..., with the sign-homology of each level.
 
     Levels outside the rank theorem (archimedean f = 2 mod 4) are exempt
     from the stabilization expectation and flagged instead.
@@ -673,9 +667,6 @@ def u_tower(bk, f, n_levels: int, nu: dict | None = None) -> TowerReport:
         u = u_module(build_af(bk, fk, nu))
         even, odd = tate_pair(u.operators["gamma0"], bk.sign_order)
         levels.append(TowerLevel(k, fk, u, (even, odd)))
-    transitions = [
-        u_inclusion(small.u, big.u) for small, big in zip(levels, levels[1:])
-    ]
     first = levels[0].sign_invariants
     stabilized = all(lv.sign_invariants == first for lv in levels)
-    return TowerReport(levels, transitions, stabilized, exception, squarefree)
+    return TowerReport(levels, stabilized, exception, squarefree)

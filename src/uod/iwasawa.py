@@ -70,7 +70,6 @@ from .arith import ARCHIMEDEAN, gf_group
 from .distmod import (
     StructureCheckFailed,
     UModule,
-    _certify_relations,
     build_af,
     g_op_name,
     position_matrix,
@@ -567,10 +566,11 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
       Xi(f) are those of the U'(f) generators (``_generator_offsets``), so
       the map's columns, one per class, are the generators of U'(f) scaled
       by its denominator; otherwise GeneratorMismatch;
-    * relations: the columns of R are those of the nu_p - X_p
-      (``distmod._certify_relations``), or StructureCheckFailed.  Every
-      class map of A(f) commutes with the X_p (``ActionModule``), so im R
-      is G_f-stable once those maps are the rho(t), as checked below;
+    * relations: the columns of R are those of the nu_p - X_p, certified
+      when ``u`` was built (``UModule``), so no UModule reaches this point
+      otherwise.  Every class map of A(f) commutes with the X_p
+      (``ActionModule``), so im R is G_f-stable once those maps are the
+      rho(t), as checked below;
     * relations killed: lam kills each column of R, or RelationNotKilled.
       Then so does every row lam rho(delta^-1), im R being G_f-stable;
     * section: P S = 1 for U(f)'s projection P and section S, or
@@ -604,7 +604,6 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
     offsets = [xi.num * (f // xi.order) % f for xi in af.basis]
     if sorted(offsets) != sorted(set(_generator_offsets(f, units))):
         raise GeneratorMismatch("the classes of Xi(f) are not the U'(f) generators")
-    _certify_relations(af, u.relations)
     lam = [orbit[n0] for n0 in offsets]
     if any(sum(c * lam[k] for k, c in col.items()) for col in u.relations.entries):
         raise RelationNotKilled("distribution relations survive the u-orbit map")

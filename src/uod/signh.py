@@ -8,7 +8,9 @@ with norm = 1 + gamma + ... + gamma^{m-1}.  Both theories are two-periodic;
 tables are reported at degrees 0 (even) and 1 (odd).  Sign-cohomology is the
 same list read with degrees i and 1-i paired, so only homology is computed.
 Only invariants are computed, never cycle representatives: ``tate_pair``
-reads both parities off two transform-free reductions.
+reads both parities off two transform-free reductions.  The order of gamma
+is certified on the chain of powers that builds the norm (``norm_matrix``),
+with no second chain.
 """
 
 from __future__ import annotations
@@ -25,22 +27,21 @@ class OrderViolation(ValueError):
 
 
 def norm_matrix(gamma, m: int):
-    """1 + gamma + ... + gamma^(m-1), of gamma's own matrix type."""
-    out = power = type(gamma).identity(gamma.rows)
-    for _ in range(m - 1):
-        power = power * gamma
-        out = out + power
-    return out
+    """1 + gamma + ... + gamma^(m-1), of gamma's own matrix type.
 
-
-def _check_order(gamma, m: int):
+    The same chain of powers ends at gamma^m, which must be the identity,
+    or OrderViolation: m - 1 products in all, on every input.
+    """
     if m < 1:
         raise OrderViolation("order must be >= 1")
-    ident = power = type(gamma).identity(gamma.rows)
-    for _ in range(m):
+    ident = type(gamma).identity(gamma.rows)
+    out, power = ident, gamma
+    for _ in range(m - 1):
+        out = out + power
         power = power * gamma
     if power != ident:
         raise OrderViolation(f"gamma^{m} is not the identity")
+    return out
 
 
 def tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
@@ -51,11 +52,12 @@ def tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
     Z^n / im(norm) and the odd torsion that of Z^n / im(1 - gamma).  Two
     invariants-only reductions.  gamma is an ``IntMatrix`` or a
     ``SparseMatrix`` (the induced operators of ``u_module``), and all the
-    algebra stays in its type.
+    algebra stays in its type.  ``norm_matrix`` certifies gamma^m = 1 on the
+    norm's own powers, before either reduction.
     """
-    _check_order(gamma, m)
+    norm = norm_matrix(gamma, m)
     rank_gamma, tors_gamma = rank_torsion(type(gamma).identity(gamma.rows) - gamma)
-    rank_norm, tors_norm = rank_torsion(norm_matrix(gamma, m))
+    rank_norm, tors_norm = rank_torsion(norm)
     free = gamma.rows - rank_gamma - rank_norm
     return AbGroupInvariants(free, tors_norm), AbGroupInvariants(free, tors_gamma)
 

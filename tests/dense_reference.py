@@ -37,11 +37,11 @@ from uod.distmod import (
     build_af,
     g_op_name,
     level_partition,
-    u_inclusion,
+    position_matrix,
     u_module,
     x_op_name,
 )
-from uod.signh import _check_order, norm_matrix
+from uod.signh import norm_matrix
 from uod.znf import (
     AbGroupInvariants,
     IntMatrix,
@@ -491,9 +491,8 @@ def companion(kt, which: str):
 
 def tate_cycles(gamma: IntMatrix, m: int) -> tuple[Subquotient, Subquotient]:
     """Presented even and odd Tate homology with explicit cycle bases."""
-    _check_order(gamma, m)
-    one_minus = IntMatrix.identity(gamma.rows) - gamma
     norm = norm_matrix(gamma, m)
+    one_minus = IntMatrix.identity(gamma.rows) - gamma
     even = subquotient(kernel_basis(one_minus), norm)
     odd = subquotient(kernel_basis(norm), one_minus)
     return even, odd
@@ -535,6 +534,17 @@ class FunctorialityReport:
     @property
     def g_acts_trivially(self) -> bool:
         return self.gens_acting_trivially == self.gens_total
+
+
+def u_inclusion(u_small, u_big) -> IntMatrix:
+    """U(f) -> U(g) on the depth-zero bases, induced by Xi(f) into Xi(g)."""
+    small, big = u_small.parent.table, u_big.parent.table
+    scale = small.backend.divide(big.level, small.level)
+    # [a/f] is [a (g/f) / g]
+    incl = position_matrix(len(big.classes), [
+        big.position[small.backend.residue_mul(scale, a, big.level)] for a in small.residues
+    ])
+    return (u_big.projection * (incl * u_small.section)).dense()
 
 
 def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityReport:

@@ -1,13 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from uod import arith, cli, iwasawa
+from uod import arith, cli, distmod, iwasawa
 from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators, PlusMinusNotZero
 from uod.cli import main
 from uod.distmod import g_op_name
@@ -441,3 +445,88 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(f"internal error: {type(exc).__name__}")
+
+
+# -- the exit-code contract under fuzzing -----------------------------------
+
+_MALFORMED = st.sampled_from(["", "x", "1.5", "3,", ",", "2x", "T^", "-", "0x0", "12,-3", "1e3"])
+_SMALL = st.integers(-3, 30).map(str)
+_LINEAR = ["T", "T+1", "2T+1", "T^0"]
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with flag values drawn from small integers, malformed
+    strings and levels in [-1, 2].  Every level stays within 30^2 classes
+    (over F_q, q <= 29, a polynomial of degree 2 only where no --level is
+    taken), and ftate's rank within 8, so every draw runs in well under a
+    second."""
+    # a malformed string in about one draw of four
+    value = lambda small: draw(st.one_of(small, small, small, _MALFORMED))
+    command = draw(st.sampled_from([
+        "structure", "sign-homology", "tower", "basis", "lemma411", "thm442",
+        "kubert", "u-function", "uprime", "yin", "sk", "ftate",
+    ]))
+    if command == "ftate":
+        argv = ["ftate"]
+        if draw(st.booleans()):
+            argv += ["--grid", value(st.sampled_from(["1x1", "2x3", "3x2"]))]
+        else:
+            argv += [f"--r={value(st.integers(-3, 8).map(str))}", f"--m={value(_SMALL)}"]
+        if draw(st.booleans()):
+            argv.append(f"--window={value(_SMALL)}")
+        return argv
+    leveled = command in ("structure", "sign-homology", "tower", "sk")
+    polynomials = st.sampled_from(_LINEAR if leveled else _LINEAR + ["T^2+T"])
+    if command == "yin":
+        return ["verify", "yin", f"--q={value(_SMALL)}", f"--f={value(polynomials)}"]
+    prefix = {"structure": ["structure"], "sign-homology": ["sign-homology"],
+              "tower": ["tower"], "sk": ["sk", "compare"]}.get(command, ["verify", command])
+    function_field = command in ("structure", "sign-homology", "tower", "basis", "lemma411",
+                                 "thm442") and draw(st.booleans())
+    if function_field:
+        argv = prefix + ["--backend", "fq", f"--q={value(_SMALL)}", f"--f={value(polynomials)}"]
+    else:
+        f = value(_SMALL)
+        # thm442 puts the direct side at level f^2 when f = 2 mod 4
+        assume(command != "thm442" or not (f.isdigit() and int(f) % 4 == 2))
+        argv = prefix + [f"--f={f}"]
+    if leveled and draw(st.booleans()):
+        argv.append(f"--level={value(st.integers(-1, 2).map(str))}")
+    if command in ("thm442", "sk") and draw(st.booleans()):
+        argv.append(f"--window={value(_SMALL)}")
+    return argv
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(cli_argv())
+    def test_small_and_malformed_flags_exit_0_or_2(self, argv):
+        # correct code on small or malformed input passes, is not
+        # applicable, or is refused with one line: never FAIL, never a crash
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), (argv, code, err)
+        if code == 2:
+            assert out == ""
+            assert re.fullmatch(r"(uod[\w -]*: )?error: [^\n]*\n", err), (argv, err)
+        else:
+            assert err == ""
+            json.loads(out)
+
+
+class TestRelationCertificate:
+    @pytest.mark.parametrize("f", [12, 60])
+    def test_verify_uprime_certifies_the_relations_once(self, monkeypatch, f):
+        calls = []
+        real = distmod._certify_relations
+
+        def spy(af, rel):
+            calls.append(af.level)
+            return real(af, rel)
+
+        monkeypatch.setattr(distmod, "_certify_relations", spy)
+        assert main(["verify", "uprime", "--f", str(f), "--out", os.devnull]) == 0
+        assert calls == [f]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import types
@@ -11,6 +12,7 @@ from dense_reference import (
     lemma411_reference_counts,
     reference_af,
     sign_action,
+    u_inclusion,
     with_operator,
 )
 from uod import arith, distmod, znf
@@ -31,6 +33,7 @@ from uod.distmod import (
     nu_value,
     partition_tag,
     StructureCheckFailed,
+    UModule,
     distribution_relations,
     u_module,
     u_tower,
@@ -41,7 +44,6 @@ from uod.distmod import (
 from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators
 from uod.cli import main
 from uod.znf import (
-    AbGroupInvariants,
     InducedOperatorUndefined,
     IntMatrix,
     SparseMatrix,
@@ -116,15 +118,15 @@ class TestBuildAf:
 class TestUModule:
     def test_u4_rank_2(self):
         u = u_module(build_af(Q, 4))
-        assert u.invariants == AbGroupInvariants(2)
+        assert u.rank == 2
 
     def test_u1_is_z(self):
         u = u_module(build_af(Q, 1))
-        assert u.invariants == AbGroupInvariants(1)
+        assert u.rank == 1
 
     def test_ff_t_rank_2(self):
         u = u_module(build_af(F3, T))
-        assert u.invariants == AbGroupInvariants(2)
+        assert u.rank == 2
 
     def test_rank_is_phi_for_a_spread_of_levels(self):
         phi = lambda n: sum(1 for a in range(1, n + 1) if __import__("math").gcd(a, n) == 1)
@@ -148,7 +150,7 @@ class TestUModule:
 
     def test_nonunit_nu_still_free(self):
         u = u_module(build_af(Q, 4, {2: 0}))
-        assert u.invariants == AbGroupInvariants(2)
+        assert u.rank == 2
 
     def test_induce_rejects_bad_operator(self):
         u = u_module(build_af(Q, 4))
@@ -209,7 +211,7 @@ class TestUModuleCertificate:
         assert u.projection.dense() == dense_u_projection(af, u.basis_classes)
         assert u.projection * u.section == SparseMatrix.identity(u.rank)
         assert (u.projection * u.relations).is_zero()
-        assert u.invariants == AbGroupInvariants(len(af.group))
+        assert u.rank == len(af.group)
 
     def test_non_complement_basis_raises(self, monkeypatch):
         # Swap a depth-zero class of order 4 for [1/2]: the relation at [0]
@@ -272,8 +274,8 @@ INDUCE_CASES = [
 
 class TestRelationCertificate:
     """u_module induces A(f)'s operators with no P (op R) product: the
-    relations are certified to be the columns of the nu_p - X_p, with which
-    every certified operator commutes."""
+    relations are certified, whenever a UModule is built, to be the columns
+    of the nu_p - X_p, with which every certified operator commutes."""
 
     @pytest.mark.parametrize("bk, f, nu", INDUCE_CASES)
     def test_induced_operators_match_the_checked_induce(self, bk, f, nu):
@@ -296,6 +298,22 @@ class TestRelationCertificate:
         true_relations = distmod.distribution_relations
         monkeypatch.setattr(distmod, "distribution_relations",
                             lambda af: SparseMatrix(af.rank, edit(true_relations(af).entries)))
+
+    @pytest.mark.parametrize("bk, f", [(Q, 12), (Q, 60), (F3, F3.mul(T, (1, 1)))])
+    def test_relation_off_the_nu_minus_x_is_refused_when_built(self, bk, f):
+        # one relation column with one entry moved by 1: the UModule's own
+        # certificate refuses it, whether built directly or by replace
+        af = build_af(bk, f)
+        u = u_module(af)
+        cols = [dict(col) for col in u.relations.entries]
+        i = next(iter(cols[0]))
+        cols[0][i] += 1
+        bad = SparseMatrix(u.relations.rows, cols)
+        with pytest.raises(StructureCheckFailed, match="nu_p - X_p"):
+            UModule(relations=bad, projection=u.projection, section=u.section, parent=af,
+                    basis_classes=u.basis_classes, operators=u.operators)
+        with pytest.raises(StructureCheckFailed, match="nu_p - X_p"):
+            dataclasses.replace(u, relations=bad)
 
     def test_negated_relation_column_is_refused(self, monkeypatch):
         # -(nu_p - X_p) e_xi spans the same lattice, so the peel and the
@@ -565,6 +583,9 @@ class TestPartition:
 
 
 class TestXi0Basis:
+    """xi0_basis returns only when both certificates hold; every failure
+    raises BasisCertificateFailed."""
+
     def test_unit_level(self):
         basis = xi0_basis(build_af(Q, 1))
         assert len(basis.classes) == 1
@@ -572,22 +593,21 @@ class TestXi0Basis:
     def test_f4(self):
         basis = xi0_basis(build_af(Q, 4))
         assert len(basis.classes) == 2
-        assert basis.unimodular
 
     def test_f12(self):
         basis = xi0_basis(build_af(Q, 12))
         assert len(basis.classes) == 4
-        assert basis.unimodular
 
     def test_ff(self):
-        basis = xi0_basis(build_af(F3, F3.mul(T, (1, 1))))
-        assert basis.unimodular
+        af = build_af(F3, F3.mul(T, (1, 1)))
+        basis = xi0_basis(af)
+        assert len(basis.classes) == len(af.group)
 
     def test_general_nu(self):
         # the monomial and quotient bases do not depend on invertibility of nu
         for nu in ({2: 0, 3: 5}, {2: -1, 3: 2}):
             basis = xi0_basis(build_af(Q, 12, nu))
-            assert basis.unimodular and len(basis.classes) == 4
+            assert len(basis.classes) == 4
 
     def test_no_transform(self, monkeypatch):
         # both certificates are invariants-only reductions
@@ -602,9 +622,8 @@ class TestXi0Basis:
         for bk, f in ((Q, 60), (F3, F3.mul(T, (1, 1)))):
             af = build_af(bk, f)
             basis = xi0_basis(af)
-            assert basis.unimodular
-            assert basis.lattice_invariants == (1,) * af.rank
-            assert basis.quotient_invariants == (1,) * len(af.group)
+            assert len(basis.classes) == len(af.group)
+            assert len(basis.pair_index) == af.rank
         assert not any(requested)
 
     def test_swapped_basis_raises(self, monkeypatch):
@@ -846,7 +865,7 @@ class TestTower:
 
     def test_transitions_commute_with_gamma(self):
         report = u_tower(Q, 3, 2)
-        (m,) = report.transitions
+        m = u_inclusion(report.levels[0].u, report.levels[1].u)
         g1 = report.levels[0].u.operators["gamma0"].dense()
         g2 = report.levels[1].u.operators["gamma0"].dense()
         assert m * g1 == g2 * m

@@ -657,7 +657,8 @@ class TestUPrimeCertificate:
     def test_extra_relation_equal_at_the_identity_is_refused(self, f):
         # e_i - e_j with lam(i) = lam(j) passes the relation test on the
         # coordinate at 1 alone, though the image does not kill it; only
-        # the check that the relations are the nu_p - X_p refuses it
+        # the check that the relations are the nu_p - X_p refuses it, when
+        # the UModule is built
         u = _module(f)
         image = _image(f, u)
         orbits = image.columns()
@@ -667,9 +668,8 @@ class TestUPrimeCertificate:
                     if lam[i] == lam[j] and orbits[i] != orbits[j])
         extra = SparseMatrix(u.relations.rows, [*u.relations.entries, {i: 1, j: -1}])
         assert not (image * extra.dense()).is_zero()
-        bad = dataclasses.replace(u, relations=extra)
         with pytest.raises(StructureCheckFailed, match="nu_p - X_p"):
-            uprime_compare(f, bad)
+            uprime_compare(f, dataclasses.replace(u, relations=extra))
 
     @pytest.mark.parametrize("f", [12, 60])
     def test_swapped_generator_permutation_is_not_equivariant(self, f):

@@ -7,16 +7,18 @@ from uod.arith import ArchimedeanBackend, FunctionFieldBackend
 from uod.distmod import build_af, distribution_relations, u_module
 from uod.signh import (
     OrderViolation,
+    norm_matrix,
     sign_homology_U,
     tate_pair,
     verify_rank_theorem,
 )
-from uod.znf import AbGroupInvariants, IntMatrix
+from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix
 
 Q = ArchimedeanBackend()
 F3 = FunctionFieldBackend(3)
 F2 = FunctionFieldBackend(2)
 F5 = FunctionFieldBackend(5)
+F7 = FunctionFieldBackend(7)
 T = (0, 1)
 
 Z2 = AbGroupInvariants(0, (2,))
@@ -29,6 +31,31 @@ def _cycle(length, sign=1):
     cols = [[int(i == (j + 1) % length) for i in range(length)] for j in range(length)]
     cols[-1][0] *= sign
     return IntMatrix.from_columns(cols)
+
+
+def _sparse_cycle(length):
+    """The l-cycle e_j -> e_(j+1 mod l), as a ``SparseMatrix``."""
+    return SparseMatrix(length, [{(j + 1) % length: 1} for j in range(length)])
+
+
+def _dense_power(m, k):
+    out = IntMatrix.identity(m.rows)
+    for _ in range(k):
+        out = out * m
+    return out
+
+
+def _count_products(monkeypatch) -> list:
+    """Spy on ``SparseMatrix.__mul__``: the list grows by one per product."""
+    products = []
+    real = SparseMatrix.__mul__
+
+    def spy(a, b):
+        products.append((a.rows, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__mul__", spy)
+    return products
 
 
 # companion matrices of the cyclotomic polynomials of orders 3, 4 and 6
@@ -72,6 +99,38 @@ class TestTate:
     def test_order_violation(self):
         with pytest.raises(OrderViolation):
             tate_pair(IntMatrix([[2]]), 2)
+
+    @pytest.mark.parametrize("m, length", [(2, 3), (6, 4), (6, 5)])
+    def test_sparse_order_violation(self, m, length):
+        # a sparse cycle whose length does not divide m
+        with pytest.raises(OrderViolation, match=f"gamma\\^{m} is not the identity"):
+            norm_matrix(_sparse_cycle(length), m)
+
+    @pytest.mark.parametrize("m, length", [(2, 2), (6, 2), (6, 3), (6, 6)])
+    def test_norm_is_the_sum_of_the_powers(self, m, length):
+        gamma = _sparse_cycle(length)
+        want = sum((_dense_power(gamma.dense(), k) for k in range(m)),
+                   IntMatrix.zeros(length, length))
+        assert norm_matrix(gamma, m).dense() == want
+
+    @pytest.mark.parametrize("gamma, m", [
+        pytest.param(SparseMatrix.identity(3), 2, id="identity-2"),
+        pytest.param(_sparse_cycle(2), 2, id="swap-2"),
+        pytest.param(_sparse_cycle(6), 6, id="6-cycle-6"),
+        pytest.param(_sparse_cycle(3), 6, id="3-cycle-6"),
+    ])
+    def test_one_power_chain(self, monkeypatch, gamma, m):
+        # the norm and the order certificate share one chain of m - 1 products
+        products = _count_products(monkeypatch)
+        tate_pair(gamma, m)
+        assert len(products) == m - 1
+
+    def test_one_power_chain_on_u(self, monkeypatch):
+        # U(T^2 + T) over F_7, whose sign group has order 6
+        gamma = u_module(build_af(F7, F7.mul(T, (1, 1)))).operators["gamma0"]
+        products = _count_products(monkeypatch)
+        tate_pair(gamma, F7.sign_order)
+        assert F7.sign_order == 6 and len(products) == 5
 
     def test_full_cycle_permutation_vanishes(self):
         # regular representation of Z/m: induced module, so both parities die
