@@ -876,7 +876,8 @@ class LevelTable:
     to its place.  Multiplying numerators by c in A maps [a/f] to [c a/f],
     so Y_g (c = g), a group element (c = its unit residue) and the sign
     (c = gamma's residue) all act on positions through ``images``, with no
-    class objects.  ``fibers`` and ``inside`` are memoised per divisor.
+    class objects.  ``y_images`` (Y_g's images), ``fibers`` and ``inside``
+    are memoised per divisor.
     """
 
     def __init__(self, bk, f):
@@ -892,6 +893,7 @@ class LevelTable:
         # tuples and the operator columns instead of a copy in each
         self.positions = tuple(range(len(pairs)))
         self.position = dict(zip(self.residues, self.positions))
+        self._y_images: dict = {}
         self._fibers: dict = {}
         self._inside: dict = {}
         self._views: dict = {}
@@ -905,6 +907,14 @@ class LevelTable:
         """The position of [c a/f] for each class [a/f], in order."""
         bk, f, position = self.backend, self.level, self.position
         return [position[bk.residue_mul(c, a, f)] for a in self.residues]
+
+    def y_images(self, g) -> tuple:
+        """``images(g)`` for a divisor g of f, as a tuple: the map of Y_g on
+        positions."""
+        key = self.backend.ideal_key(g)
+        if key not in self._y_images:
+            self._y_images[key] = tuple(self.images(g))
+        return self._y_images[key]
 
     def inside(self, g) -> tuple:
         """Positions of the classes of Xi(f/g) for g | f: [a/f] has order
@@ -923,7 +933,7 @@ class LevelTable:
         key = self.backend.ideal_key(g)
         if key not in self._fibers:
             out: dict = {}
-            for j, i in zip(self.positions, self.images(g)):
+            for j, i in zip(self.positions, self.y_images(g)):
                 out.setdefault(i, []).append(j)
             self._fibers[key] = {i: tuple(js) for i, js in out.items()}
         return self._fibers[key]

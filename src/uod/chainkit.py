@@ -21,8 +21,12 @@ without transforms per distinct differential, however wide the window.
 Every block and every total differential is a ``znf.SparseMatrix``.
 ``build_kt`` builds the blocks from the operators' columns without
 validating them: the module's commutation certificate and plus * minus = 0
-already make them a double complex.  ``total_complex`` offsets each block's
-column dicts into the total column.  A window repeats its differentials, so
+already make them a double complex.  Both are read off position maps where
+the operators are given as ``MapOperator`` values, as on A(f) and the
+symbol module: each pair by one O(n) rule on the maps, and plus * minus = 0
+as neg o neg = id; only operators given as matrices, such as the 1 x 1
+scalars of ``scalar_kt``, are multiplied.  ``total_complex`` offsets each
+block's column dicts into the total column.  A window repeats its differentials, so
 every total degree whose differential equals an earlier one by value gets
 that same object: the d*d check of ``ChainComplex`` multiplies each
 distinct pair once, and ``homology`` reduces each distinct differential
@@ -35,6 +39,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
 from .znf import (
     AbGroupInvariants,
@@ -194,42 +200,66 @@ class ChainComplex:
         return HomologyTable(entries, stable=self.stable)
 
 
-def _permutation(op):
-    """The images pi of a permutation matrix (column j is e_{pi[j]}), or
-    None unless ``op`` is a ``SparseMatrix`` with one entry 1 per column
-    and no row hit twice."""
-    if not isinstance(op, SparseMatrix):
-        return None
-    images = []
-    for col in op.entries:
-        if len(col) != 1:
-            return None
-        (i, v), = col.items()
-        if v != 1:
-            return None
-        images.append(i)
-    return images if len(set(images)) == len(images) else None
+class MapOperator:
+    """The operator shift * 1 + scale * Op(images, nu) on Z^n, n = len(images).
+
+    Op(y, nu) e_i = sum_{y(k) = i} e_k + nu [i not in im y] e_i is the fiber
+    sum of a map y on positions, completed by the scalar nu where the fiber
+    is empty.  X_p on A(f) is Op(Y_p, nu_p), a permutation pi is
+    Op(pi^-1, 0), and on Z^(f^N) the Koszul operator T_p is 1 - Op(b -> pb)
+    and the sign pair 1 +- Op(neg).  ``ActionModule`` certifies these on
+    their maps and hands on ``matrix()``, the ``SparseMatrix`` built from
+    the map, so the certificate covers the matrix every caller reads.
+    """
+
+    def __init__(self, images: tuple, nu: int = 0, shift: int = 0, scale: int = 1):
+        # scale is nonzero
+        self.images, self.nu, self.shift, self.scale = images, nu, shift, scale
+
+    @cached_property
+    def in_image(self) -> list:
+        """[i in im y] for each position i."""
+        image = set(self.images)
+        return [i in image for i in range(len(self.images))]
+
+    def matrix(self, positions=None) -> SparseMatrix:
+        """The matrix of the operator; ``positions``, range(n) as a tuple,
+        lets the matrices of one module share their row index objects."""
+        shift, scale = self.shift, self.scale
+        positions = positions or range(len(self.images))
+        if shift:
+            cols = [{i: shift} for i in positions]
+            for k, i in zip(positions, self.images):
+                cols[i][k] = cols[i].get(k, 0) + scale
+        else:
+            cols = [{} for _ in positions]
+            for k, i in zip(positions, self.images):
+                cols[i][k] = scale
+        if self.nu:
+            for i, hit in zip(positions, self.in_image):
+                if not hit:
+                    cols[i][i] = shift + scale * self.nu
+        if shift:
+            # only the diagonal can cancel
+            for i, col in zip(positions, cols):
+                if not col[i]:
+                    del col[i]
+        return _sparse(len(cols), tuple(cols))
 
 
-def _commute(a, b, pa, pb) -> bool:
-    """Whether a b = b a, given the images ``pa``, ``pb`` of whichever of
-    the two is a permutation (None otherwise)."""
-    if pa is not None and pb is not None:
-        return [pa[k] for k in pb] == [pb[k] for k in pa]
-    if pa is None:
-        a, b, pa = b, a, pb
-    if pa is not None and isinstance(b, SparseMatrix):
-        # pi b pi^-1 = b: column pi[j] of b is column j with rows sent by pi
-        cols = b.entries
-        for j, col in enumerate(cols):
-            image = cols[pa[j]]
-            if len(image) != len(col):
+def _maps_commute(a: MapOperator, b: MapOperator) -> bool:
+    """The pair rule of ``ActionModule``, in O(n)."""
+    y, z = a.images, b.images
+    if [y[k] for k in z] != [z[k] for k in y]:
+        return False
+    for x, other in ((y, b), (z, a)):
+        # where the other's nu counts, x must map the other's image into
+        # itself and its complement into itself
+        if other.nu:
+            flags = other.in_image
+            if [flags[i] for i in x] != flags:
                 return False
-            for i, v in col.items():
-                if image.get(pa[i]) != v:
-                    return False
-        return True
-    return a * b == b * a
+    return True
 
 
 class ActionModule:
@@ -238,32 +268,57 @@ class ActionModule:
     Operator names follow the conventions used downstream: ``X[p]`` for the
     fiber-sum operator of an ideal p, ``G[t]`` for a group element, and
     ``gamma0`` for the sign generator.  ``nu`` holds the integer scalars
-    attached to ideal names.
+    attached to ideal names.  An operator is given as a ``MapOperator``
+    (kept in ``maps``) or as a matrix; ``operators`` holds every operator's
+    matrix, a map's built from the map.
 
     Construction certifies that every pair of operators commutes and that
-    gamma0 has finite order at most ``order_bound``.  A pair with a true
-    permutation (a ``SparseMatrix`` with one entry 1 per column and no
-    repeated row) needs no product: two permutations commute when their
-    compositions agree as index lists, and a permutation pi commutes with a
-    ``SparseMatrix`` X when X[pi i, pi j] = X[i, j], checked column by
-    column.  Every other pair, and the order of gamma0, is checked by
-    products, equality and the identity of the operators' own matrix type,
-    so a module of ``SparseMatrix`` operators (as on A(f)) is certified in
-    O(nnz) per pair and a dense one as before.
+    gamma0 has finite order at most ``order_bound``.
+
+    Two maps are certified by one O(n) rule with no product.  Write
+    F_y = Op(y, 0) and E_y for the diagonal projection onto the e_i with
+    i not in im y, so Op(y, nu) = F_y + nu E_y.  Op(y, nu) and Op(z, mu)
+    commute when
+      * y o z = z o y, compared as index lists, and
+      * where mu != 0, y maps im z into im z and the complement of im z into
+        itself, and symmetrically where nu != 0.
+    Proof: the transpose of F_y is the function matrix M_y (M_y e_k =
+    e_{y(k)}), and M_y M_z = M_{y o z}, so F_y F_z = (M_{z o y})^T and
+    F_z F_y = (M_{y o z})^T are equal.  Entry (k, i) of F_y E_z is [y(k) = i][i not in im z] and that
+    of E_z F_y is [k not in im z][y(k) = i], so the image condition gives
+    F_y E_z = E_z F_y, and symmetrically F_z E_y = E_y F_z; diagonal
+    projections commute.  Expanding both products of F_y + nu E_y and
+    F_z + mu E_z then gives equal sums.  Shifts and scales do not matter:
+    (s + c A)(t + d B) - (t + d B)(s + c A) = cd (AB - BA).
+
+    Any pair with a matrix is checked by products, ``a * b == b * a`` as
+    ``SparseMatrix`` values.  gamma0 must be a map; its order is the least
+    common multiple of the cycle lengths of its permutation.
     """
 
     def __init__(self, rank: int, operators: dict, nu: dict | None = None,
                  order_bound: int = GAMMA_ORDER_BOUND):
         self.rank = rank
-        self.operators = dict(operators)
+        self.maps = {n: op for n, op in operators.items() if isinstance(op, MapOperator)}
+        for name, op in self.maps.items():
+            y = op.images
+            if len(y) != rank or (y and not 0 <= min(y) <= max(y) < rank):
+                raise ShapeMismatch(f"operator {name!r} is not a map of range({rank})")
+        positions = tuple(range(rank))
+        self.operators = {n: op.matrix(positions) if n in self.maps else op
+                          for n, op in operators.items()}
         self.nu = dict(nu or {})
         self.order_bound = order_bound
         for name, op in self.operators.items():
             if op.rows != rank or op.cols != rank:
                 raise ShapeMismatch(f"operator {name!r} is not {rank}x{rank}")
-        perms = {name: _permutation(op) for name, op in self.operators.items()}
         for a, b in itertools.combinations(sorted(self.operators), 2):
-            if not _commute(self.operators[a], self.operators[b], perms[a], perms[b]):
+            if a in self.maps and b in self.maps:
+                commute = _maps_commute(self.maps[a], self.maps[b])
+            else:
+                x, y = as_sparse(self.operators[a]), as_sparse(self.operators[b])
+                commute = x * y == y * x
+            if not commute:
                 raise NonCommutingOperators(f"{a!r} and {b!r} do not commute")
         if "gamma0" in self.operators:
             self.gamma_order()
@@ -272,15 +327,25 @@ class ActionModule:
         return self.operators[name]
 
     def gamma_order(self) -> int:
-        """Least m >= 1 with gamma0^m = 1; GammaOrderUnbounded past the bound."""
-        g = self.operators["gamma0"]
-        ident = type(g).identity(self.rank)
-        power = g
-        for m in range(1, self.order_bound + 1):
-            if power == ident:
-                return m
-            power = power * g
-        raise GammaOrderUnbounded(f"gamma0 has no order up to {self.order_bound}")
+        """The order of gamma0, the lcm of its map's cycle lengths;
+        GammaOrderUnbounded if the map is not a permutation or the order
+        passes the bound."""
+        g = self.maps.get("gamma0")
+        if g is None:
+            raise TypeError("gamma0 must be a MapOperator")
+        y = g.images
+        if g.shift or g.scale != 1 or len(set(y)) != len(y):
+            raise GammaOrderUnbounded("gamma0 is not a permutation of the basis")
+        order, seen = 1, bytearray(len(y))
+        for start in range(len(y)):
+            length, k = 0, start
+            while not seen[k]:
+                seen[k], k, length = 1, y[k], length + 1
+            if length:
+                order = lcm(order, length)
+        if order > self.order_bound:
+            raise GammaOrderUnbounded(f"gamma0 has no order up to {self.order_bound}")
+        return order
 
 
 @dataclass(frozen=True)
@@ -316,6 +381,29 @@ def _check_window(window, r):
     return lo, hi
 
 
+def check_plus_minus(module: ActionModule, plus_name: str, minus_name: str):
+    """plus * minus = 0, or PlusMinusNotZero.
+
+    Two maps a + b Op(neg) and c + d Op(neg) on one involution neg
+    (neg o neg = id, so Op(neg)^2 = 1) multiply to
+    (ac + bd) + (ad + bc) Op(neg), which vanishes when both coefficients
+    do; that is checked on the map and the coefficients, with no product.
+    Any other pair is multiplied.
+    """
+    plus, minus = module.maps.get(plus_name), module.maps.get(minus_name)
+    if plus is None or minus is None:
+        zero = (as_sparse(module.operator(plus_name))
+                * as_sparse(module.operator(minus_name))).is_zero()
+    else:
+        neg = plus.images
+        zero = (minus.images == neg
+                and [neg[k] for k in neg] == list(range(len(neg)))
+                and plus.shift * minus.shift + plus.scale * minus.scale == 0
+                and plus.shift * minus.scale + plus.scale * minus.shift == 0)
+    if not zero:
+        raise PlusMinusNotZero(f"{plus_name!r} * {minus_name!r} is not zero")
+
+
 def build_kt(module: ActionModule, ideal_names, plus_name: str, minus_name: str,
              window=None) -> DoubleComplex:
     """The Koszul-Tate double complex of a module with chosen operators.
@@ -330,18 +418,18 @@ def build_kt(module: ActionModule, ideal_names, plus_name: str, minus_name: str,
     operators' columns (a dense operator is converted first).  They are not
     validated as a double complex: ``ActionModule`` has certified that the
     module's operators commute pairwise, and plus * minus = 0 is checked
-    here; with the alternating subset signs that gives horizontal d^2 = 0,
-    vertical d^2 = 0 and the anticommutation of rows and columns.
+    here (``check_plus_minus``); with the alternating subset signs that
+    gives horizontal d^2 = 0, vertical d^2 = 0 and the anticommutation of
+    rows and columns.
     ``total_complex`` still checks d*d on the total differentials.
     """
     ideal_names = list(ideal_names)
     r = len(ideal_names)
     window = _check_window(window, r)
     ops = [as_sparse(module.operator(name)) for name in ideal_names]
+    check_plus_minus(module, plus_name, minus_name)
     plus = as_sparse(module.operator(plus_name))
     minus = as_sparse(module.operator(minus_name))
-    if not (plus * minus).is_zero():
-        raise PlusMinusNotZero(f"{plus_name!r} * {minus_name!r} is not zero")
 
     d = module.rank
     subsets = [list(itertools.combinations(range(r), m)) for m in range(r + 1)]

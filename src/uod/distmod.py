@@ -22,15 +22,18 @@ A(f) is built from the level's residue table (``arith.level_table``): the
 class [a/f] sits at the position of its residue a, and Y_p, a group
 element and the sign are the maps a -> c a mod f, so every column is found
 by residue arithmetic and a position lookup, with no class objects.
-Every operator on A(f) sends a class to a short multiset of classes (a
-group element or the sign permutes Xi(f), X_p sends a class to its fiber
-sum), so operators, the relation matrix, the section and the projection are
-``znf.SparseMatrix`` values with about one nonzero per class; their indices
-all come from the table, so they skip the validating constructor.  Building
-them, certifying that all operators commute and that gamma0 has finite
-order (``chainkit.ActionModule``), and certifying that the relations are
-the columns of the nu_p - X_p, so that every commuting operator preserves
-them and induces an operator on U(f), all cost O(nnz), not |Xi(f)|^2.
+Every operator on A(f) is a ``chainkit.MapOperator``: X_p is the fiber sum
+of the position map of Y_p, completed by nu_p off its image Xi(f/p), which
+is checked; a group element or the sign permutes the positions by its
+unit, pi, and is given as Op(pi^-1), which is pi.
+``chainkit.ActionModule`` certifies on those maps that all operators
+commute and that gamma0 has finite order, and builds each
+``znf.SparseMatrix`` from its map, with about one nonzero per class; the
+relation matrix, the section and the projection are sparse too, and their
+indices all come from the table, so they skip the validating constructor.  Building them, those certificates, and certifying
+that the relations are the columns of the nu_p - X_p, so that every
+commuting operator preserves them and induces an operator on U(f), all cost
+O(nnz), not |Xi(f)|^2, and multiply no matrices.
 The relation certificate runs once per ``UModule``, when it is built.
 The induced |G_f| x |G_f| operators are ``SparseMatrix`` values too, and
 the Tate pair of ``signh`` takes them as they are; the callers that do
@@ -45,9 +48,10 @@ relation lattice, and the peel yields the projection onto U(f).
 the relations, taken sparsely: U(f) is free of rank |Xi_0(f)|, and the
 relations reach every class outside Xi_0(f).  ``u_module`` and
 ``xi0_basis`` return only what can vary: a certificate that fails raises,
-so neither value carries invariant factors that always read 1.  ``u_tower`` reports the sign-homology of each
-level and no transition maps; functoriality along a tower is checked in
-the tests.
+so neither value carries invariant factors that always read 1, and
+``xi0_basis`` returns only the basis classes.  ``u_tower`` reports the
+sign-homology of each level and keeps neither the levels' modules nor
+transition maps; functoriality along a tower is checked in the tests.
 
 The fiber identity behind U(f) = U'(f) (Lemma 4.1.1) is checked on the same
 table: ``lemma411_counts`` compares, for every prime p | f and every class of
@@ -70,7 +74,7 @@ from .arith import (
     sign_group,
     xi_classes,
 )
-from .chainkit import ActionModule
+from .chainkit import ActionModule, MapOperator
 from .znf import (
     AbGroupInvariants,
     FreeQuotient,
@@ -160,20 +164,35 @@ def build_af(bk, f, nu: dict | None = None) -> AfModule:
 
     ops = {}
     for p in primes:
-        nu_p = nu.get(p, 1)
-        cols = [{j: nu_p} if nu_p else {} for j in table.positions]
-        for i in table.inside(p):
-            cols[i] = dict.fromkeys(fibers[p][i], 1)
-        ops[x_op_name(bk, p)] = _sparse(rank, tuple(cols))
+        images = table.y_images(p)
+        _check_image(table, p, images)
+        ops[x_op_name(bk, p)] = MapOperator(images, nu.get(p, 1))
 
     group = gf_group(bk, f)
     for gen in group.generators():
-        ops[g_op_name(bk, gen.residue)] = position_matrix(rank, table.images(gen.residue))
-    ops["gamma0"] = position_matrix(rank, table.images(sign_group(bk, f).gamma.residue))
+        ops[g_op_name(bk, gen.residue)] = _permutation(table, gen.residue)
+    ops["gamma0"] = _permutation(table, sign_group(bk, f).gamma.residue)
 
     module = ActionModule(rank, ops, {x_op_name(bk, p): nu.get(p, 1) for p in primes},
                           order_bound=bk.sign_order)
     return AfModule(bk, f, nu, table, primes, fibers, module, group)
+
+
+def _permutation(table: LevelTable, unit) -> MapOperator:
+    """The permutation of the classes by ``unit``, pi: [a/f] -> [unit a/f],
+    as Op(pi^-1)."""
+    inverse = list(table.positions)
+    for i, j in zip(table.positions, table.images(unit)):
+        inverse[j] = i
+    return MapOperator(tuple(inverse))
+
+
+def _check_image(table: LevelTable, p, images):
+    # X_p is completed by nu_p exactly off Xi(f/p): the image of Y_p
+    if set(images) != set(table.inside(p)):
+        raise StructureCheckFailed(
+            f"Y_{table.backend.format_ideal(p)} does not map Xi(f) onto Xi(f/p)"
+        )
 
 
 def _check_fiber_sums(table: LevelTable, fibers: dict):
@@ -515,7 +534,6 @@ class Xi0Basis:
     hold, so every invariant factor behind a returned value is 1."""
 
     classes: tuple                 # Xi_0 at the module level
-    pair_index: tuple              # (divisor g, class xi) per basis column
 
 
 def xi0_basis(af: AfModule) -> Xi0Basis:
@@ -538,15 +556,11 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     table = af.table
     # a class has the same depth at every level that contains it
     xi0_here = _depth_zero_positions(af)
-    pairs = []
     columns = []
     for g in bk.divisors(af.level):
         fibers = table.fibers(g)
         in_sub = set(table.inside(g))
-        for i in xi0_here:
-            if i in in_sub:
-                pairs.append((g, af.basis[i]))
-                columns.append(dict.fromkeys(fibers[i], 1))
+        columns.extend(dict.fromkeys(fibers[i], 1) for i in xi0_here if i in in_sub)
     if len(columns) != af.rank:
         raise BasisCertificateFailed(
             f"monomial family has {len(columns)} members for rank {af.rank}"
@@ -568,7 +582,7 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     free = quotient == AbGroupInvariants(k)
     is_basis = free and len(reach) == outside and all(d == 1 for d in reach)
     if is_basis and all(d == 1 for d in lattice_inv):
-        return Xi0Basis(tuple(af.basis[i] for i in xi0_here), tuple(pairs))
+        return Xi0Basis(tuple(af.basis[i] for i in xi0_here))
     if is_basis:
         quotient_inv = (1,) * k
     else:
@@ -637,7 +651,6 @@ def lemma411_counts(bk, f) -> tuple[int, int]:
 class TowerLevel:
     exponent: int
     level: object
-    u: UModule
     sign_invariants: tuple  # (even, odd) AbGroupInvariants
 
 
@@ -664,9 +677,8 @@ def u_tower(bk, f, n_levels: int, nu: dict | None = None) -> TowerReport:
     levels = []
     for k in range(1, n_levels + 1):
         fk = bk.power(f, k)
-        u = u_module(build_af(bk, fk, nu))
-        even, odd = tate_pair(u.operators["gamma0"], bk.sign_order)
-        levels.append(TowerLevel(k, fk, u, (even, odd)))
+        gamma = u_module(build_af(bk, fk, nu)).operators["gamma0"]
+        levels.append(TowerLevel(k, fk, tate_pair(gamma, bk.sign_order)))
     first = levels[0].sign_invariants
     stabilized = all(lv.sign_invariants == first for lv in levels)
     return TowerReport(levels, stabilized, exception, squarefree)

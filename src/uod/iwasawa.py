@@ -426,8 +426,12 @@ def _span_rank(f: int, units, vectors) -> int:
     norm = max((sum(map(abs, v)) for v in vectors), default=0)
     b = (norm * sum(map(abs, _cofactor(group.exponent)))).bit_length() + 2
     stacked = [sum(v[at] << (i * b) for i, v in enumerate(vectors)) for at in range(len(units))]
-    table, reduce, psi = _transform(group, dict(zip(units, stacked)), b * len(vectors) + 2)
-    return sum(1 for t in table if reduce(t * psi))
+    width = b * len(vectors) + 2
+    table, reduce, _ = _transform(group, dict(zip(units, stacked)), width)
+    # t Psi_e by one shift per nonzero coefficient of Psi_e: the slots are
+    # wide here, so that is cheaper than multiplying by packed Psi_e
+    psi = [(a, k * width) for k, a in enumerate(_cofactor(group.exponent)) if a]
+    return sum(1 for t in table if reduce(sum(a * (t << shift) for a, shift in psi)))
 
 
 def u_values(f: int) -> dict:

@@ -24,20 +24,24 @@ pair [2; 0], whose total homology is (Z/2)^{2^{r-1}} in every degree.
 The symbol double complex is the Koszul-Tate complex of the distribution
 operators: ``chainkit.build_kt`` of the module Z^{f^N} with the Koszul
 operators T_p = 1 - Psi_p (Psi_p the p-fiber sum above) and the sign pair
-plus = 1 + neg, minus = 1 - neg, with neg the numerator negation.  Both
-quotients read the module alone, so ``build_sk`` returns the module and
-makes the checks that make ``build_kt`` of it a double complex:
-``ActionModule`` certifies that the T_p, plus and minus commute pairwise,
-and plus * minus = 0 is checked, which together imply d^2 = 0 both ways
-and anticommutation.  Every matrix is a ``znf.SparseMatrix``.
+plus = 1 + neg, minus = 1 - neg, with neg the numerator negation.  Psi_p is
+the fiber sum of the map b -> p b mod f^N, so every operator is a
+``chainkit.MapOperator`` on the numerators.  Both quotients read the module
+alone, so ``build_sk`` returns the module and makes the checks that make
+``build_kt`` of it a double complex: ``ActionModule`` certifies on the maps
+that the T_p, plus and minus commute pairwise, and plus * minus = 0 is
+checked as neg o neg = id, which together imply d^2 = 0 both ways and
+anticommutation.  Neither check multiplies a matrix.  Every matrix is a
+``znf.SparseMatrix``.
 
 The via-N quotient is the free quotient certified by the triangular peel of
 the boundary relations (the columns of T_p at the multiples of p) onto the
 depth-zero numerators (``znf.complement_projection``), the same certificate
-as the direct route's depth-zero basis; its induced differentials P d S
-stay sparse.  The numerator-killed route checks that the nonzero numerators
-span a subcomplex and is then ``chainkit.scalar_kt`` of the numerator-0
-entries of the operators.
+as the direct route's depth-zero basis; plus and minus preserve the
+relations by a witness on the neg map, so they are induced as P d S with
+no product against the relations, and stay sparse.  The numerator-killed
+route checks that the nonzero numerators span a subcomplex and is then
+``chainkit.scalar_kt`` of the numerator-0 entries of the operators.
 """
 
 from __future__ import annotations
@@ -51,12 +55,19 @@ from .chainkit import (
     ActionModule,
     ChainComplex,
     HomologyTable,
-    PlusMinusNotZero,
+    MapOperator,
     _check_window,
+    check_plus_minus,
     scalar_kt,
 )
 from .distmod import BasisCertificateFailed, depth
-from .znf import FreeQuotient, NotAComplement, SparseMatrix, complement_projection
+from .znf import (
+    FreeQuotient,
+    InducedOperatorUndefined,
+    NotAComplement,
+    SparseMatrix,
+    complement_projection,
+)
 
 
 class NotSquarefree(ValueError):
@@ -82,9 +93,9 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
     reads it whole, so it is not built here, but every check it would make
     is: the window (``WindowTooSmall``), the commutation certificate of
     ``ActionModule`` (``NonCommutingOperators``) and plus * minus = 0
-    (``PlusMinusNotZero``).  Block g of row m belongs to the divisor whose
-    primes form the m-subset at that position in ``build_kt``'s subset
-    order (``divisors_by_size``).
+    (``chainkit.check_plus_minus``, ``PlusMinusNotZero``).  Block g of row
+    m belongs to the divisor whose primes form the m-subset at that position
+    in ``build_kt``'s subset order (``divisors_by_size``).
     """
     if f <= 1:
         raise NotSquarefree("need f > 1")
@@ -98,8 +109,7 @@ def build_sk(f: int, level: int, window=None) -> SkComplex:
     plus, minus = _sign_differentials(denom)
     ops = {name: _fiber_operator(p, denom) for name, p in zip(names, primes)}
     module = ActionModule(denom, ops | {"plus": plus, "minus": minus})
-    if not (plus * minus).is_zero():
-        raise PlusMinusNotZero("'plus' * 'minus' is not zero")
+    check_plus_minus(module, "plus", "minus")
     by_size = {
         m: [prod(subset) for subset in combinations(primes, m)]
         for m in range(len(primes) + 1)
@@ -111,35 +121,20 @@ def _ideal_names(primes) -> list[str]:
     return [f"T{p}" for p in primes]
 
 
-def _fiber_operator(p: int, denom: int) -> SparseMatrix:
+def _fiber_operator(p: int, denom: int) -> MapOperator:
     """T_p = 1 - Psi_p on Z^denom, where Psi_p e_a is the p-fiber sum
-    e_{(a + j denom)/p} over 0 <= j < p if p | a, and 0 otherwise."""
-    columns = []
-    for a in range(denom):
-        col = {a: 1}
-        if a % p == 0:
-            for j in range(p):
-                b = (a + j * denom) // p
-                col[b] = col.get(b, 0) - 1
-        columns.append(col)
-    return SparseMatrix(denom, columns)
+    e_{(a + j denom)/p} over 0 <= j < p if p | a, and 0 otherwise: the
+    fiber sum of the map b -> p b mod ``denom``."""
+    return MapOperator(tuple(p * b % denom for b in range(denom)), shift=1, scale=-1)
 
 
-def _sign_differentials(denom: int) -> tuple[SparseMatrix, SparseMatrix]:
+def _sign_differentials(denom: int) -> tuple[MapOperator, MapOperator]:
     """1 + neg and 1 - neg, with neg the permutation a -> -a mod ``denom``.
 
     Column a is {a: 1, -a: +-1}, or {a: 2} and {} where a = -a.
     """
-    plus, minus = [], []
-    for a in range(denom):
-        b = -a % denom
-        if a == b:
-            plus.append({a: 2})
-            minus.append({})
-        else:
-            plus.append({a: 1, b: 1})
-            minus.append({a: 1, b: -1})
-    return SparseMatrix(denom, plus), SparseMatrix(denom, minus)
+    neg = tuple(-a % denom for a in range(denom))
+    return MapOperator(neg, shift=1), MapOperator(neg, shift=1, scale=-1)
 
 
 def distribution_presentation(sk: SkComplex) -> SparseMatrix:
@@ -172,10 +167,15 @@ def _via_n_quotient(sk: SkComplex):
     sign differentials it induces.
 
     The triangular peel certifies Z^{f^N} = span(kept numerators) + im(R),
-    so the quotient is free on the kept numerators; ``FreeQuotient.induce``
-    checks that 1 +- neg preserves the relations before inducing it.  A
-    failed peel is a certificate failure, never a FAIL verdict, and nothing
-    falls back to a Smith reduction.
+    so the quotient is free on the kept numerators.  The relations are the
+    columns T_p e_a at the multiples a of p.  ``build_sk`` has certified
+    that 1 +- neg commutes with every T_p and that neg is an involution, so
+    (1 +- neg) T_p e_a = T_p e_a +- T_p e_{-a}, which lies in im(R) once
+    neg maps the multiples of p onto themselves.  That is checked on the
+    map of each of plus and minus, or InducedOperatorUndefined, and both are
+    induced with no product against R.  A failed peel is a certificate
+    failure, never a FAIL verdict, and nothing falls back to a Smith
+    reduction.
     """
     denom = sk.denominator
     rel = distribution_presentation(sk)
@@ -188,8 +188,15 @@ def _via_n_quotient(sk: SkComplex):
             f"depth-zero numerators: {exc}"
         ) from exc
     quotient = FreeQuotient(rel, projection, SparseMatrix(denom, [{a: 1} for a in keep]))
-    even, odd = sk.module.operator("plus"), sk.module.operator("minus")
-    return quotient, quotient.induce(even), quotient.induce(odd)
+    for name in ("plus", "minus"):
+        neg = sk.module.maps[name].images
+        if any(neg[a] % p for p in sk.primes for a in range(0, denom, p)):
+            raise InducedOperatorUndefined(
+                f"{name} does not preserve the relations: neg moves a multiple "
+                "of a prime off the multiples"
+            )
+    return (quotient, quotient.induce_preserving(sk.module.operator("plus")),
+            quotient.induce_preserving(sk.module.operator("minus")))
 
 
 def via_n_complex(sk: SkComplex) -> ChainComplex:

@@ -1029,8 +1029,10 @@ class FreeQuotient:
     An operator induces P op S on the quotient once it maps im(R) into
     itself.  ``induce`` checks that by the product P (op R);
     ``induce_preserving`` forms P op S alone, for a caller that has
-    certified the preservation another way, as ``distmod.u_module`` does
-    for the commuting operators of A(f).
+    certified the preservation another way: ``distmod.u_module`` for the
+    commuting operators of A(f), whose relations are certified to be the
+    columns of the nu_p - X_p, and the via-N quotient of ``skcx`` for
+    1 +- neg, whose neg map is checked to keep the multiples of each p.
     """
 
     relations: SparseMatrix

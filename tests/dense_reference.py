@@ -31,7 +31,14 @@ from uod.arith import (
     y_fiber,
     y_map,
 )
-from uod.chainkit import ActionModule, ChainComplex, HomologyTable, NotAComplex, total_complex
+from uod.chainkit import (
+    ActionModule,
+    ChainComplex,
+    GammaOrderUnbounded,
+    HomologyTable,
+    NotAComplex,
+    total_complex,
+)
 from uod.distmod import (
     OrderMismatch,
     build_af,
@@ -74,9 +81,23 @@ def block_diagonal(blocks) -> IntMatrix:
 
 def with_operator(module: ActionModule, name: str, op) -> ActionModule:
     """``module`` with ``op`` added or replaced under ``name``, certified
-    again like any new ``ActionModule``."""
-    return ActionModule(module.rank, {**module.operators, name: op}, module.nu,
-                        module.order_bound)
+    again like any new ``ActionModule``; the operators given as maps are
+    passed on as maps."""
+    return ActionModule(module.rank, {**module.operators, **module.maps, name: op},
+                        module.nu, module.order_bound)
+
+
+def gamma_order_by_powers(g, bound: int) -> int:
+    """Least m >= 1 with g^m = 1, from the powers of the matrix g;
+    GammaOrderUnbounded past ``bound``.  The oracle for ``ActionModule``'s
+    order of gamma0, which reads it off its map's cycles."""
+    ident = type(g).identity(g.rows)
+    power = g
+    for m in range(1, bound + 1):
+        if power == ident:
+            return m
+        power = power * g
+    raise GammaOrderUnbounded(f"gamma0 has no order up to {bound}")
 
 
 def class_matrix(images, index: dict) -> SparseMatrix:

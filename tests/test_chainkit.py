@@ -8,6 +8,7 @@ from dense_reference import (
     PresentedComplex,
     companion,
     euler_characteristic,
+    gamma_order_by_powers,
     homology_pair,
     make_complex,
     mapping_cone,
@@ -23,6 +24,7 @@ from uod.chainkit import (
     ChainComplex,
     DoubleComplex,
     GammaOrderUnbounded,
+    MapOperator,
     NonCommutingOperators,
     NotAComplex,
     PlusMinusNotZero,
@@ -257,24 +259,41 @@ class TestActionModule:
             ActionModule(2, {"a": a, "b": b})
 
     def test_gamma_order(self):
-        swap = IntMatrix([[0, 1], [1, 0]])
+        swap = MapOperator((1, 0))
         m = ActionModule(2, {"gamma0": swap})
-        assert m.gamma_order() == 2
+        assert m.gamma_order() == 2 == gamma_order_by_powers(m.operator("gamma0"), 64)
 
     def test_gamma_of_infinite_order_rejected(self):
-        with pytest.raises(GammaOrderUnbounded, match="no order up to 64"):
-            ActionModule(2, {"gamma0": IntMatrix([[1, 1], [0, 1]])})
+        # a map that is not injective and a unipotent 1 + Op(y): neither is
+        # a permutation, and the power oracle agrees that neither matrix has
+        # finite order
+        for gamma in (MapOperator((0, 0)), MapOperator((1, 1), shift=1)):
+            with pytest.raises(GammaOrderUnbounded, match="not a permutation"):
+                ActionModule(2, {"gamma0": gamma})
+            with pytest.raises(GammaOrderUnbounded):
+                gamma_order_by_powers(gamma.matrix(), 64)
+
+    def test_gamma_given_as_a_matrix_is_refused(self):
+        with pytest.raises(TypeError, match="MapOperator"):
+            ActionModule(2, {"gamma0": IntMatrix([[0, 1], [1, 0]])})
 
     def test_gamma_order_bound_is_the_modules_own(self):
         # a cyclic shift of order 100 passes under its bound, fails under 99,
         # and the bound survives with_operator
         n = 100
-        shift = SparseMatrix(n, [{(j + 1) % n: 1} for j in range(n)])
+        shift = MapOperator(tuple((j - 1) % n for j in range(n)))
         m = ActionModule(n, {"gamma0": shift}, order_bound=n)
         assert m.gamma_order() == n
         assert with_operator(m, "X", SparseMatrix.identity(n)).order_bound == n
         with pytest.raises(GammaOrderUnbounded, match="no order up to 99"):
             ActionModule(n, {"gamma0": shift}, order_bound=n - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
+    def test_gamma_order_is_the_power_orders(self, pi):
+        gamma = MapOperator(tuple(pi))
+        order = ActionModule(len(pi), {"gamma0": gamma}).gamma_order()
+        assert order == gamma_order_by_powers(gamma.matrix(), 64)
 
 
 def class_map(images):
@@ -312,9 +331,29 @@ def operator_pairs(draw):
     return a, b
 
 
+@st.composite
+def map_pairs(draw):
+    """Two MapOperator values on Z^n, n <= 12: the second map is random,
+    the first map itself, or its square, so that commuting pairs come up."""
+    n = draw(st.integers(1, 12))
+    y = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    z = draw(st.sampled_from(["random", "same", "square"]))
+    if z == "random":
+        z = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    else:
+        z = y if z == "same" else [y[k] for k in y]
+
+    def operator(images):
+        return MapOperator(tuple(images), draw(st.integers(-2, 2)), draw(st.integers(-1, 1)),
+                           draw(st.sampled_from([1, -1])))
+
+    return operator(y), operator(z)
+
+
 class TestPermutationPairs:
-    """Pairs with a true permutation are certified without a product; every
-    other pair still multiplies, and both verdicts are the product's."""
+    """Two ``MapOperator`` values are certified on their maps, without a
+    product; every pair with a matrix still multiplies, and its verdict is
+    the product's."""
 
     @staticmethod
     def count_products(monkeypatch):
@@ -329,26 +368,66 @@ class TestPermutationPairs:
         return calls
 
     def test_commuting_permutations_need_no_product(self, monkeypatch):
+        # on the residues mod 4: the units 3 and 1 as permutations, and the
+        # fiber sum of b -> 2b, completed by nu = 1 off its image {0, 2}
         calls = self.count_products(monkeypatch)
-        shift = class_map([1, 2, 3, 0])
-        fiber = SparseMatrix(4, [{j % 2: 1, j % 2 + 2: 1} for j in range(4)])
-        ActionModule(4, {"a": shift, "b": class_map([2, 3, 0, 1]), "X": fiber})
+        ActionModule(4, {"a": MapOperator((0, 3, 2, 1)), "b": MapOperator((0, 1, 2, 3)),
+                         "X": MapOperator((0, 2, 0, 2), nu=1)})
         assert calls == []
 
     def test_noncommuting_permutations_rejected(self):
         # two transpositions sharing a point
         with pytest.raises(NonCommutingOperators, match="'a' and 'b'"):
             ActionModule(3, {"a": class_map([1, 0, 2]), "b": class_map([0, 2, 1])})
+        with pytest.raises(NonCommutingOperators, match="'a' and 'b'"):
+            ActionModule(3, {"a": MapOperator((1, 0, 2)), "b": MapOperator((0, 2, 1))})
 
     def test_permutation_off_a_fiber_sum_rejected(self, monkeypatch):
-        # X e_j = e_{j mod 2} + e_{j mod 2 + 2} commutes with (0 2)(1 3),
-        # not with (0 1)
+        # the fiber sum of b -> 2b mod 4 commutes with the unit 3, not with
+        # the transposition (0 1)
         calls = self.count_products(monkeypatch)
-        fiber = SparseMatrix(4, [{j % 2: 1, j % 2 + 2: 1} for j in range(4)])
-        ActionModule(4, {"X": fiber, "p": class_map([2, 3, 0, 1])})
+        fiber = MapOperator((0, 2, 0, 2), nu=1)
+        ActionModule(4, {"X": fiber, "p": MapOperator((0, 3, 2, 1))})
         with pytest.raises(NonCommutingOperators, match="'X' and 'p'"):
-            ActionModule(4, {"X": fiber, "p": class_map([1, 0, 2, 3])})
+            ActionModule(4, {"X": fiber, "p": MapOperator((1, 0, 2, 3))})
         assert calls == []
+
+    def test_the_image_rule_refuses_what_composition_passes(self):
+        # one map (0, 0) with and without nu: the compositions agree, but
+        # where nu = 1 completes the empty fiber of 1 the other does not
+        # preserve im y = {0}, and indeed the matrices do not commute
+        x, z = MapOperator((0, 0), nu=1), MapOperator((0, 0))
+        assert x.matrix() * z.matrix() != z.matrix() * x.matrix()
+        with pytest.raises(NonCommutingOperators, match="'x' and 'z'"):
+            ActionModule(2, {"x": x, "z": z})
+        ActionModule(2, {"x": x, "one": MapOperator((0, 1), nu=3)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(map_pairs())
+    def test_map_rule_passes_only_commuting_pairs(self, pair):
+        # whenever the rule says "commute", the dense product agrees
+        a, b = pair
+        try:
+            ActionModule(len(a.images), {"a": a, "b": b})
+        except NonCommutingOperators:
+            return
+        x, w = a.matrix().dense(), b.matrix().dense()
+        assert x * w == w * x
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2]))))
+    def test_matrix_is_the_defining_sum(self, case):
+        # column i is shift e_i + scale (sum_{y(k) = i} e_k + nu [i not in im y] e_i)
+        y, nu, shift, scale = case
+        n = len(y)
+        data = [[shift * (i == j) for j in range(n)] for i in range(n)]
+        for k, i in enumerate(y):
+            data[k][i] += scale
+        for i in set(range(n)) - set(y):
+            data[i][i] += scale * nu
+        assert MapOperator(tuple(y), nu, shift, scale).matrix().dense() == IntMatrix(data)
 
     def test_non_injective_class_map_takes_the_product_route(self, monkeypatch):
         # c = e_0 for both basis vectors.  Read as a permutation, c would
@@ -366,16 +445,16 @@ class TestPermutationPairs:
     def test_signed_permutation_takes_the_product_route(self, monkeypatch):
         # the rotation r: e_0 -> -e_1, e_1 -> e_0 moves like the swap s.
         # Read as a permutation, it would pass against s by composition;
-        # it is a sparse operator instead, so s is conjugated onto it and
-        # the pair is refused.  Against -1 and the sign flip, neither of them
-        # a permutation, it multiplies: -1 commutes with it, the flip not.
+        # it is a matrix, not a map, so the pair is multiplied and refused,
+        # against s given as a matrix or as a map.  Against -1 it commutes,
+        # against the sign flip not.
         calls = self.count_products(monkeypatch)
         r = SparseMatrix(2, [{1: -1}, {0: 1}])
-        with pytest.raises(NonCommutingOperators):
-            ActionModule(2, {"r": r, "s": class_map([1, 0])})
-        assert calls == []
-        ActionModule(2, {"r": r, "m": SparseMatrix(2, [{0: -1}, {1: -1}])})
+        for s in (class_map([1, 0]), MapOperator((1, 0))):
+            with pytest.raises(NonCommutingOperators):
+                ActionModule(2, {"r": r, "s": s})
         assert calls
+        ActionModule(2, {"r": r, "m": SparseMatrix(2, [{0: -1}, {1: -1}])})
         with pytest.raises(NonCommutingOperators):
             ActionModule(2, {"r": r, "f": SparseMatrix(2, [{0: 1}, {1: -1}])})
 
@@ -414,6 +493,24 @@ class TestBuildKt:
         m = trivial_module({"X": 0, "plus": 3, "minus": 2})
         with pytest.raises(PlusMinusNotZero):
             build_kt(m, ["X"], "plus", "minus", window=(-4, 4))
+
+    def test_plus_minus_on_an_involution_needs_no_product(self, monkeypatch):
+        # 1 + neg and 1 - neg on Z^5, neg: a -> -a, multiply to 1 - neg^2 = 0;
+        # on b -> 2b, whose square b -> 4b is not the identity, they do not
+        neg = tuple(-a % 5 for a in range(5))
+        calls = TestPermutationPairs.count_products(monkeypatch)
+        m = ActionModule(5, {"plus": MapOperator(neg, shift=1),
+                             "minus": MapOperator(neg, shift=1, scale=-1)})
+        build_kt(m, [], "plus", "minus", window=(-3, 3))
+        assert calls == []
+        monkeypatch.undo()
+        assert (m.operator("plus") * m.operator("minus")).is_zero()
+        double = tuple(2 * b % 5 for b in range(5))
+        m = ActionModule(5, {"plus": MapOperator(double, shift=1),
+                             "minus": MapOperator(double, shift=1, scale=-1)})
+        assert not (m.operator("plus") * m.operator("minus")).is_zero()
+        with pytest.raises(PlusMinusNotZero):
+            build_kt(m, [], "plus", "minus", window=(-3, 3))
 
     def test_window_too_small(self):
         m = trivial_module({"X": 0, "plus": 2, "minus": 0})
@@ -460,11 +557,11 @@ class TestCompanions:
     def test_ktplus_agrees_with_kttot_high_degrees(self):
         # group-ring flavoured module: regular representation of Z/2 with a
         # unit Koszul operator, as in the resolution/completion comparison
-        reg_gamma = IntMatrix([[0, 1], [1, 0]])
         norm = IntMatrix([[1, 1], [1, 1]])
         one_minus_gamma = IntMatrix([[1, -1], [-1, 1]])
         x = IntMatrix([[0, 0], [0, 0]])
-        m = ActionModule(2, {"X": x, "N": norm, "D": one_minus_gamma, "gamma0": reg_gamma})
+        m = ActionModule(2, {"X": x, "N": norm, "D": one_minus_gamma,
+                             "gamma0": MapOperator((1, 0))})
         kt = build_kt(m, ["X"], "N", "D", window=(-4, 4))
         tot = companion(kt, "KTtot")
         plus = companion(kt, "KTplus")

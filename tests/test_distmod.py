@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import re
 import types
 
 import pytest
@@ -41,7 +42,7 @@ from uod.distmod import (
     xi0_basis,
     xi0_set,
 )
-from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators
+from uod.chainkit import ActionModule, GammaOrderUnbounded, MapOperator, NonCommutingOperators
 from uod.cli import main
 from uod.znf import (
     InducedOperatorUndefined,
@@ -480,12 +481,69 @@ class TestSparseOperators:
             u.induce(self.swap(af, xi(1, 12), xi(1, 6)))
 
     def test_gamma_of_infinite_order_raises(self):
-        # 2 times the identity commutes with every operator, so only the
-        # order certificate can reject it
+        # 2 times the identity, 1 + Op(id), commutes with every operator, so
+        # only the order certificate can reject it
         af = build_af(Q, 12)
-        doubling = SparseMatrix(af.rank, [{j: 2} for j in range(af.rank)])
+        doubling = MapOperator(tuple(range(af.rank)), shift=1)
         with pytest.raises(GammaOrderUnbounded):
             with_operator(af.operators, "gamma0", doubling)
+
+    def test_gamma_of_the_wrong_order_raises(self):
+        # the unit 3 generates (Z/7)^x: its permutation commutes with every
+        # operator of A(7) and has order 6, past the sign order 2
+        af = build_af(Q, 7)
+        unit = af.operators.maps["G[3]"]
+        assert ActionModule(af.rank, {"gamma0": unit}, order_bound=6).gamma_order() == 6
+        with pytest.raises(GammaOrderUnbounded, match="no order up to 2"):
+            with_operator(af.operators, "gamma0", unit)
+
+
+MOVED_IMAGE_CASES = [
+    pytest.param(Q, 12, id="Q-12"),
+    pytest.param(Q, 60, id="Q-60"),
+    pytest.param(F3, F3.mul(T, (1, 1)), id="F3-T^2+T"),
+]
+
+
+class TestXMaps:
+    """X_p is the fiber sum of Y_p on positions, completed by nu_p off its
+    image; the map is certified, and the matrix is built from it."""
+
+    @pytest.mark.parametrize("bk, f", MOVED_IMAGE_CASES)
+    def test_one_moved_image_raises(self, bk, f):
+        af = build_af(bk, f)
+        for p in af.primes:
+            name = x_op_name(bk, p)
+            y = list(af.operators.maps[name].images)
+            k = next(i for i, c in enumerate(af.basis) if c.order == f)
+            y[k] = next(i for i in af.table.inside(p) if i != y[k])
+            with pytest.raises(NonCommutingOperators, match=re.escape(repr(name))):
+                with_operator(af.operators, name, MapOperator(tuple(y), af.nu.get(p, 1)))
+
+    @pytest.mark.parametrize("bk, f", MOVED_IMAGE_CASES)
+    def test_the_matrix_is_the_maps(self, bk, f):
+        af = build_af(bk, f)
+        for name, op in af.operators.maps.items():
+            assert af.operators.operator(name) == op.matrix()
+        for p in af.primes:
+            y = af.operators.maps[x_op_name(bk, p)].images
+            assert set(y) == set(af.table.inside(p))
+
+    def test_an_image_off_the_inside_is_refused(self, monkeypatch):
+        # Y_2 at level 12 moved so that the class 1/12 maps to 1/12, a
+        # position outside Xi(6)
+        af = build_af(Q, 12)
+        table = af.table
+        real = table.y_images
+        k = af.index[xi(1, 12)]
+
+        def moved(g):
+            images = real(g)
+            return images[:k] + (k,) + images[k + 1:] if g == 2 else images
+
+        monkeypatch.setattr(table, "y_images", moved)
+        with pytest.raises(StructureCheckFailed, match="does not map Xi"):
+            build_af(Q, 12)
 
 
 class TestPartition:
@@ -623,7 +681,6 @@ class TestXi0Basis:
             af = build_af(bk, f)
             basis = xi0_basis(af)
             assert len(basis.classes) == len(af.group)
-            assert len(basis.pair_index) == af.rank
         assert not any(requested)
 
     def test_swapped_basis_raises(self, monkeypatch):
@@ -864,8 +921,8 @@ class TestTower:
         assert report.stabilized
 
     def test_transitions_commute_with_gamma(self):
-        report = u_tower(Q, 3, 2)
-        m = u_inclusion(report.levels[0].u, report.levels[1].u)
-        g1 = report.levels[0].u.operators["gamma0"].dense()
-        g2 = report.levels[1].u.operators["gamma0"].dense()
+        u1, u2 = (u_module(build_af(Q, 3**k)) for k in (1, 2))
+        m = u_inclusion(u1, u2)
+        g1 = u1.operators["gamma0"].dense()
+        g2 = u2.operators["gamma0"].dense()
         assert m * g1 == g2 * m

@@ -136,7 +136,8 @@ class TestThm442:
             af = build_af(bk, f)
             dense = {name: op.dense() for name, op in af.operators.operators.items()}
             gamma = dense["gamma0"]
-            module = ActionModule(af.rank, dense, af.operators.nu)
+            module = ActionModule(af.rank, {**dense, "gamma0": af.operators.maps["gamma0"]},
+                                  af.operators.nu)
             names = []
             for p in af.primes:
                 name = f"koszul[{bk.format_ideal(p)}]"

@@ -9,7 +9,13 @@ from dense_reference import (
     skprime_layout,
 )
 from uod import chainkit, cli, skcx
-from uod.chainkit import NonCommutingOperators, PlusMinusNotZero, WindowTooSmall, build_kt
+from uod.chainkit import (
+    MapOperator,
+    NonCommutingOperators,
+    PlusMinusNotZero,
+    WindowTooSmall,
+    build_kt,
+)
 from uod.cli import main
 from uod.distmod import BasisCertificateFailed
 from uod.skcx import (
@@ -166,18 +172,35 @@ class TestBuildSk:
         assert list(distribution_presentation(sk).entries) == expected
 
     def test_a_noncommuting_pair_is_refused(self, monkeypatch):
-        # T_3 with one extra entry no longer commutes with neg or with T_5
+        # the map of T_3 with one moved image, 1 -> 4 instead of 3, no longer
+        # commutes with neg: -4 = 11, but the image of -1 = 14 is 12
         real = skcx._fiber_operator
 
         def broken(p, denom):
             op = real(p, denom)
             if p != 3:
                 return op
-            return op + SparseMatrix(denom, [{1: 1}] + [{}] * (denom - 1))
+            return MapOperator((op.images[0], 4, *op.images[2:]), shift=1, scale=-1)
 
         monkeypatch.setattr(skcx, "_fiber_operator", broken)
         with pytest.raises(NonCommutingOperators):
             build_sk(15, 1)
+
+    def test_a_neg_that_is_not_an_involution_is_refused(self, monkeypatch):
+        # b -> 2b mod 15 commutes with every b -> pb, so the commutation
+        # certificate passes, but its square b -> 4b is not the identity
+        double = tuple(2 * b % 15 for b in range(15))
+        monkeypatch.setattr(skcx, "_sign_differentials", lambda denom: (
+            MapOperator(double, shift=1), MapOperator(double, shift=1, scale=-1)))
+        with pytest.raises(PlusMinusNotZero):
+            build_sk(15, 1)
+
+    def test_the_operators_are_their_maps_matrices(self):
+        sk = build_sk(15, 2)
+        for name, op in sk.module.maps.items():
+            assert sk.module.operator(name) == op.matrix()
+        plus, minus = sk.module.operator("plus"), sk.module.operator("minus")
+        assert (plus * minus).is_zero()
 
     def test_plus_minus_not_zero_is_refused(self, monkeypatch):
         # plus paired with itself still commutes with every T_p, so the
@@ -280,6 +303,33 @@ class TestViaNPeel:
         keep = skcx.depth_zero_numerators(sk.denominator)
         assert all(isinstance(d, SparseMatrix) for d in c.diff.values())
         assert {c.rank(n) for n in c.degrees()} == {len(keep)}
+
+    def test_the_sign_pair_is_induced_with_no_product_against_the_relations(self, monkeypatch):
+        sk = build_sk(15, 2)
+        rel = distribution_presentation(sk)
+        mul = SparseMatrix.__mul__
+
+        def spy(a, b):
+            assert b != rel, "a product against the relations"
+            return mul(a, b)
+
+        monkeypatch.setattr(SparseMatrix, "__mul__", spy)
+        quotient, even, odd = skcx._via_n_quotient(sk)
+        monkeypatch.undo()
+        assert even == quotient.induce(sk.module.operator("plus"))
+        assert odd == quotient.induce(sk.module.operator("minus"))
+
+    @pytest.mark.parametrize("name", ["plus", "minus"])
+    def test_a_neg_that_moves_a_multiple_off_is_refused(self, name):
+        # a module whose neg sends 3, a multiple of 3, to 4: (1 +- neg) T_3 e_3
+        # is then no longer a combination of the relations
+        sk = build_sk(15, 1)
+        op = sk.module.maps[name]
+        images = list(op.images)
+        images[3] = 4
+        sk.module.maps[name] = MapOperator(tuple(images), shift=op.shift, scale=op.scale)
+        with pytest.raises(InducedOperatorUndefined, match=name):
+            skcx._via_n_quotient(sk)
 
     def test_an_operator_that_breaks_the_relations_is_refused(self):
         sk = build_sk(15, 1)
