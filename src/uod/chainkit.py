@@ -15,8 +15,11 @@ Z^(c_n) / ker d_n is isomorphic to im d_n, which is free, the sequence
     H_n = Z^(c_n - rk d_n - rk d_{n+1})  +  tors(Z^(c_n) / im d_{n+1}),
 
 and both ranks and the torsion are read off the invariant factors of the
-differentials.  ``ChainComplex.homology`` therefore runs one Smith reduction
-without transforms per distinct differential, however wide the window.
+differentials.  ``homology_table`` is that formula on given (rank, torsion)
+pairs.  ``ChainComplex.homology`` feeds it one Smith reduction without
+transforms per distinct differential, however wide the window; the via-N
+complex of ``skcx``, the Tate complex of one involution, feeds it the two
+pairs of ``signh.involution_rank_torsion`` and is never built.
 
 Every block and every total differential is a ``znf.SparseMatrix``.
 ``build_kt`` builds the blocks from the operators' columns without
@@ -180,24 +183,26 @@ class ChainComplex:
         return range(self.lo, self.hi + 1)
 
     def homology(self) -> HomologyTable:
-        # the free-complex formula of the module docstring: each distinct
-        # differential is reduced once, without transforms
-        reduced = {}
-
-        def rank_tors(n):
-            d = self.diff.get(n)
-            if d is None:
-                return 0, ()
+        # each distinct differential is reduced once, without transforms
+        reduced, spots = {}, {}
+        for n, d in self.diff.items():
             if d not in reduced:
                 reduced[d] = rank_torsion(d)
-            return reduced[d]
+            spots[n] = reduced[d]
+        return homology_table({n: self.rank(n) for n in self.degrees()}, spots, self.stable)
 
-        spots = {n: rank_tors(n) for n in range(self.lo, self.hi + 2)}
-        entries = {
-            n: AbGroupInvariants(self.rank(n) - spots[n][0] - spots[n + 1][0], spots[n + 1][1])
-            for n in self.degrees()
-        }
-        return HomologyTable(entries, stable=self.stable)
+
+def homology_table(ranks: dict, spots: dict, stable=None) -> HomologyTable:
+    """The free-complex formula of the module docstring at each degree n of
+    ``ranks`` (n -> c_n): H_n = Z^(c_n - rk d_n - rk d_(n+1)) plus the
+    torsion of d_(n+1), where ``spots`` maps n to the (rank, torsion) of d_n
+    and an absent d_n is zero."""
+    zero = (0, ())
+    entries = {}
+    for n, c in ranks.items():
+        rank_in, torsion = spots.get(n + 1, zero)
+        entries[n] = AbGroupInvariants(c - spots.get(n, zero)[0] - rank_in, torsion)
+    return HomologyTable(entries, stable=stable)
 
 
 class MapOperator:

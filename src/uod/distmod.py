@@ -228,8 +228,9 @@ class UModule(FreeQuotient):
     on the depth-zero classes: ``section`` is |Xi(f)| x rank with the basis
     classes as columns, ``projection`` rank x |Xi(f)|.  ``operators`` holds
     the operators of A(f) induced by ``u_module`` with no product check,
-    which the relation certificate makes redundant; any other operator goes
-    through the checked ``induce``.
+    which the relation certificate makes redundant; any other operator must
+    first be certified to preserve the relations, as ``induce_preserving``
+    checks nothing.
 
     Building a UModule, directly or by ``dataclasses.replace``, certifies
     that its relations are the nonzero columns of the nu_p - X_p of its

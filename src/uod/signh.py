@@ -7,10 +7,19 @@ Conventions: for a generator gamma of order m acting on a free Z-module,
 with norm = 1 + gamma + ... + gamma^{m-1}.  Both theories are two-periodic;
 tables are reported at degrees 0 (even) and 1 (odd).  Sign-cohomology is the
 same list read with degrees i and 1-i paired, so only homology is computed.
-Only invariants are computed, never cycle representatives: ``tate_pair``
-reads both parities off two transform-free reductions.  The order of gamma
-is certified on the chain of powers that builds the norm (``norm_matrix``),
-with no second chain.
+Only invariants are computed, never cycle representatives, and the order
+of gamma is certified on the chain of powers that builds the norm
+(``norm_matrix``), with no second chain.
+
+Every Tate group of gamma is killed by m, so every invariant factor of
+1 - gamma and of the norm above 1 divides m.  For m = 2 (every archimedean
+level, and q = 3) that leaves 0, 1 and 2, and ``involution_rank_torsion``
+reads them with no elimination over Z: the rational ranks from the trace,
+rank(1 + gamma) = (n + tr gamma) / 2 and rank(1 - gamma) = n - that, and
+the 1s from ``znf.f2_rank`` of 1 + gamma, which is 1 - gamma mod 2.  The
+via-N complex of ``skcx`` is the Tate complex of one involution and reads
+the same engine.  Every other m (1, and q - 1 for q > 3) takes
+two transform-free reductions (``znf.rank_torsion``).
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 
 from .chainkit import HomologyTable
 from .distmod import UModule, build_af, u_module
-from .znf import AbGroupInvariants, rank_torsion
+from .znf import AbGroupInvariants, as_sparse, f2_rank, rank_torsion
 
 
 class OrderViolation(ValueError):
@@ -44,20 +53,45 @@ def norm_matrix(gamma, m: int):
     return out
 
 
+def involution_rank_torsion(gamma) -> tuple[tuple, tuple]:
+    """(rank, torsion) of 1 + gamma and of 1 - gamma, for gamma^2 = 1.
+
+    ``norm_matrix(gamma, 2)`` certifies gamma^2 = 1 with one product and
+    returns 1 + gamma.  Over Q, gamma is then diagonal with eigenvalues
+    +-1, so rank(1 + gamma) = (n + tr gamma) / 2, half the trace of
+    1 + gamma, which must be even (OrderViolation).  Both Tate groups are
+    killed by 2, so the invariant factors of 1 +- gamma are 0, 1 and 2, and
+    since 1 - gamma = 1 + gamma mod 2, r2 = ``f2_rank(1 + gamma)`` counts
+    the 1s of both: each operator's torsion is (2,) * (rank - r2).
+    """
+    plus = as_sparse(norm_matrix(gamma, 2))
+    twice = sum(col.get(j, 0) for j, col in enumerate(plus.entries))
+    if twice % 2:
+        raise OrderViolation(f"n + tr(gamma) = {twice} is odd")
+    r2 = f2_rank(plus)
+    ranks = (twice // 2, plus.rows - twice // 2)
+    return tuple((rank, (2,) * (rank - r2)) for rank in ranks)
+
+
 def tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
     """Even and odd Tate homology invariants, without representatives.
 
     (1 - gamma, norm) is a free two-periodic complex, so both parities have
     free rank n - rk(1 - gamma) - rk(norm); the even torsion is that of
-    Z^n / im(norm) and the odd torsion that of Z^n / im(1 - gamma).  Two
-    invariants-only reductions.  gamma is an ``IntMatrix`` or a
-    ``SparseMatrix`` (the induced operators of ``u_module``), and all the
-    algebra stays in its type.  ``norm_matrix`` certifies gamma^m = 1 on the
-    norm's own powers, before either reduction.
+    Z^n / im(norm) and the odd torsion that of Z^n / im(1 - gamma).  At
+    m = 2 the norm is 1 + gamma and both pairs come from
+    ``involution_rank_torsion``; at any other m, from two invariants-only
+    reductions.  gamma is an ``IntMatrix`` or a ``SparseMatrix`` (the
+    induced operators of ``u_module``), and all the algebra stays in its
+    type.  ``norm_matrix`` certifies gamma^m = 1 on the norm's own powers
+    on both routes, before any rank is read.
     """
-    norm = norm_matrix(gamma, m)
-    rank_gamma, tors_gamma = rank_torsion(type(gamma).identity(gamma.rows) - gamma)
-    rank_norm, tors_norm = rank_torsion(norm)
+    if m == 2:
+        (rank_norm, tors_norm), (rank_gamma, tors_gamma) = involution_rank_torsion(gamma)
+    else:
+        norm = norm_matrix(gamma, m)
+        rank_gamma, tors_gamma = rank_torsion(type(gamma).identity(gamma.rows) - gamma)
+        rank_norm, tors_norm = rank_torsion(norm)
     free = gamma.rows - rank_gamma - rank_norm
     return AbGroupInvariants(free, tors_norm), AbGroupInvariants(free, tors_gamma)
 

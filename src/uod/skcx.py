@@ -58,9 +58,11 @@ from .chainkit import (
     MapOperator,
     _check_window,
     check_plus_minus,
+    homology_table,
     scalar_kt,
 )
 from .distmod import BasisCertificateFailed, depth
+from .signh import involution_rank_torsion
 from .znf import (
     FreeQuotient,
     InducedOperatorUndefined,
@@ -164,18 +166,18 @@ def depth_zero_numerators(denom: int) -> list[int]:
 
 def _via_n_quotient(sk: SkComplex):
     """The boundary quotient, free on the depth-zero numerators, and the
-    sign differentials it induces.
+    involution gamma = P neg S that neg induces on it.
 
     The triangular peel certifies Z^{f^N} = span(kept numerators) + im(R),
     so the quotient is free on the kept numerators.  The relations are the
     columns T_p e_a at the multiples a of p.  ``build_sk`` has certified
-    that 1 +- neg commutes with every T_p and that neg is an involution, so
-    (1 +- neg) T_p e_a = T_p e_a +- T_p e_{-a}, which lies in im(R) once
-    neg maps the multiples of p onto themselves.  That is checked on the
-    map of each of plus and minus, or InducedOperatorUndefined, and both are
-    induced with no product against R.  A failed peel is a certificate
-    failure, never a FAIL verdict, and nothing falls back to a Smith
-    reduction.
+    that 1 +- neg commutes with every T_p, so neg T_p e_a = T_p e_{-a}, which
+    lies in im(R) once neg maps the multiples of p onto themselves.  That
+    is checked on the map of each of plus and minus, or
+    InducedOperatorUndefined, and neg is induced with no product against R.
+    Since P S = 1, the sign pair induces P (1 +- neg) S = 1 +- gamma.  A
+    failed peel is a certificate failure, never a FAIL verdict, and nothing
+    falls back to a Smith reduction.
     """
     denom = sk.denominator
     rel = distribution_presentation(sk)
@@ -195,12 +197,13 @@ def _via_n_quotient(sk: SkComplex):
                 f"{name} does not preserve the relations: neg moves a multiple "
                 "of a prime off the multiples"
             )
-    return (quotient, quotient.induce_preserving(sk.module.operator("plus")),
-            quotient.induce_preserving(sk.module.operator("minus")))
+    gamma = quotient.induce_preserving(MapOperator(sk.module.maps["plus"].images).matrix())
+    return quotient, gamma
 
 
-def via_n_complex(sk: SkComplex) -> ChainComplex:
-    """Level-N piece of the total complex of the boundary quotient.
+def via_n_homology(sk: SkComplex) -> HomologyTable:
+    """Homology of the level-N piece of the total complex of the boundary
+    quotient, on the window.
 
     In the full tower the quotient by the subgroup generated by the g != 1
     symbols and the prime boundaries is concentrated on the g = 1 row and is
@@ -208,15 +211,21 @@ def via_n_complex(sk: SkComplex) -> ChainComplex:
     spanned by the level-N numerators with the boundary relations that stay
     at this level, so homology here is the sign-homology of the level-f^N
     distribution module; agreement between consecutive N is checked by the
-    callers rather than assumed.  The peel makes that piece free on the
-    depth-zero numerators, and the complex is returned there, with the
-    sparse induced differentials.
+    callers rather than assumed.  The peel makes that piece free on the k
+    depth-zero numerators, where the complex is Z^k in every degree of the
+    window, with 1 + gamma out of the even degrees and 1 - gamma out of the
+    odd ones.  So its homology, edge degrees included, is
+    ``chainkit.homology_table`` of the two (rank, torsion) pairs of
+    ``signh.involution_rank_torsion``, whose certificate gamma^2 = 1 is
+    d o d = 0, since (1 + gamma)(1 - gamma) = 1 - gamma^2.  The complex
+    itself is never built.
     """
     lo, hi = sk.window
-    quotient, even, odd = _via_n_quotient(sk)
-    ranks = {n: quotient.section.cols for n in range(lo, hi + 1)}
-    diff = {n: even if n % 2 == 0 else odd for n in range(lo + 1, hi + 1)}
-    return ChainComplex(ranks, diff, stable=(lo + 1, hi - 1))
+    _, gamma = _via_n_quotient(sk)
+    plus, minus = involution_rank_torsion(gamma)
+    spots = {n: minus if n % 2 else plus for n in range(lo + 1, hi + 1)}
+    return homology_table({n: gamma.rows for n in range(lo, hi + 1)}, spots,
+                          stable=(lo + 1, hi - 1))
 
 
 def via_skprime_complex(sk: SkComplex) -> ChainComplex:
@@ -253,7 +262,7 @@ class SkComparison:
 
 def sk_quotients_homology(sk: SkComplex) -> SkComparison:
     """The two quotient routes and the scalar KT reference, compared."""
-    table_n = via_n_complex(sk).homology()
+    table_n = via_n_homology(sk)
     table_prime = via_skprime_complex(sk).homology()
     table_kt = scalar_kt([0] * len(sk.primes), 2, 0, sk.window).homology()
     agree = (

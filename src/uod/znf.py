@@ -68,6 +68,12 @@ A residual of the sparse stage with one nonzero per row and per column (m
 times a signed permutation, as in the almost-free complexes of ``ftate``)
 skips the dense stage: its invariants are read off its entries' absolute
 values, by the exponents of a coprime base of them in increasing order.
+
+``f2_rank`` is the rank modulo 2, with no elimination over Z: the odd
+entries of a ``SparseMatrix`` are split into the connected components of
+their columns and reduced in an XOR basis of bit-packed columns, one
+component at a time, so no int is longer than its component is tall.
+``signh`` reads the Tate groups of an involution off it.
 """
 
 from __future__ import annotations
@@ -816,6 +822,48 @@ def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
     return (1,) * units + diag + (0,) * (min(height, width) - units - len(diag))
 
 
+def f2_rank(m: SparseMatrix) -> int:
+    """Rank of ``m`` modulo 2.
+
+    Only the odd entries count.  Two rows are joined when a column has odd
+    entries in both (union-find, O(nnz)), so the columns fall into the
+    connected components of their rows, and the rank is the sum over the
+    components.  In each one the columns become ints with one bit per row,
+    rows numbered in order within the component, so an int is as long as
+    its component is tall; the columns go, fewest bits first, into an XOR
+    basis keyed by the highest bit.
+    """
+    cols = [rows for col in m.entries if (rows := [i for i, v in col.items() if v & 1])]
+    parent = {}
+
+    def find(i):
+        while parent.setdefault(i, i) != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for rows in cols:
+        for i in rows[1:]:
+            parent[find(i)] = find(rows[0])
+    components = {}
+    for rows in cols:
+        components.setdefault(find(rows[0]), []).append(rows)
+    rank = 0
+    for group in components.values():
+        bit = {i: k for k, i in enumerate(sorted({i for rows in group for i in rows}))}
+        basis = {}
+        for rows in sorted(group, key=len):
+            v = sum(1 << bit[i] for i in rows)
+            while v:
+                top = v.bit_length()
+                if top not in basis:
+                    basis[top] = v
+                    break
+                v ^= basis[top]
+        rank += len(basis)
+    return rank
+
+
 def _divisibility_chain(entries) -> tuple[int, ...]:
     """Invariant factors of diag(entries), for positive entries.
 
@@ -1027,28 +1075,17 @@ class FreeQuotient:
     three are ``SparseMatrix``.
 
     An operator induces P op S on the quotient once it maps im(R) into
-    itself.  ``induce`` checks that by the product P (op R);
-    ``induce_preserving`` forms P op S alone, for a caller that has
-    certified the preservation another way: ``distmod.u_module`` for the
-    commuting operators of A(f), whose relations are certified to be the
-    columns of the nu_p - X_p, and the via-N quotient of ``skcx`` for
-    1 +- neg, whose neg map is checked to keep the multiples of each p.
+    itself.  ``induce_preserving`` forms P op S for a caller that has
+    certified the preservation with no product against R:
+    ``distmod.u_module`` for the commuting operators of A(f), whose
+    relations are certified to be the columns of the nu_p - X_p, and the
+    via-N quotient of ``skcx`` for neg, whose map is checked to keep the
+    multiples of each p.
     """
 
     relations: SparseMatrix
     projection: SparseMatrix
     section: SparseMatrix
-
-    def induce(self, op: SparseMatrix) -> SparseMatrix:
-        """P op S, the map op induces on the quotient.
-
-        P kills exactly im(R), so op preserves the relations iff P (op R)
-        vanishes; otherwise InducedOperatorUndefined.  The result stays
-        sparse; callers that need dense algebra call ``dense()``.
-        """
-        if not (self.projection * (op * self.relations)).is_zero():
-            raise InducedOperatorUndefined("operator does not preserve the relations")
-        return self.induce_preserving(op)
 
     def induce_preserving(self, op: SparseMatrix) -> SparseMatrix:
         """P op S for an operator already known to map im(R) into itself.

@@ -51,6 +51,7 @@ from uod.distmod import (
 from uod.signh import norm_matrix
 from uod.znf import (
     AbGroupInvariants,
+    InducedOperatorUndefined,
     IntMatrix,
     ShapeMismatch,
     SparseMatrix,
@@ -60,6 +61,7 @@ from uod.znf import (
     image_basis,
     kernel_basis,
     preimage_lattice,
+    rank_torsion,
     solve,
 )
 
@@ -98,6 +100,17 @@ def gamma_order_by_powers(g, bound: int) -> int:
             return m
         power = power * g
     raise GammaOrderUnbounded(f"gamma0 has no order up to {bound}")
+
+
+def checked_induce(quotient, op: SparseMatrix) -> SparseMatrix:
+    """P op S, the map op induces on a ``znf.FreeQuotient``, after checking
+    by the product P (op R) that op preserves the relations R, or
+    InducedOperatorUndefined.  The oracle for the package's
+    ``induce_preserving``, whose callers certify preservation with no
+    product against R."""
+    if not (quotient.projection * (op * quotient.relations)).is_zero():
+        raise InducedOperatorUndefined("operator does not preserve the relations")
+    return quotient.induce_preserving(op)
 
 
 def class_matrix(images, index: dict) -> SparseMatrix:
@@ -519,6 +532,18 @@ def tate_cycles(gamma: IntMatrix, m: int) -> tuple[Subquotient, Subquotient]:
     return even, odd
 
 
+def rank_torsion_tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
+    """Even and odd Tate homology from two reductions over Z, at every m:
+    the free rank n - rk(1 - gamma) - rk(norm), the torsion of the norm's
+    cokernel (even) and of 1 - gamma's (odd).  The oracle for
+    ``signh.tate_pair``, which reads m = 2 off the trace and a rank mod 2."""
+    norm = norm_matrix(gamma, m)
+    rank_gamma, tors_gamma = rank_torsion(type(gamma).identity(gamma.rows) - gamma)
+    rank_norm, tors_norm = rank_torsion(norm)
+    free = gamma.rows - rank_gamma - rank_norm
+    return AbGroupInvariants(free, tors_norm), AbGroupInvariants(free, tors_gamma)
+
+
 def induced_kernel(map_on_modules: IntMatrix, source: Subquotient,
                    target: Subquotient) -> AbGroupInvariants:
     """Kernel invariants of the induced map on presented homology groups."""
@@ -595,7 +620,7 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     elements = list(af_g.group)
     for sigma in elements:
         perm = class_matrix([g_action(bk, sigma, xi) for xi in af_g.basis], af_g.index)
-        op = u_g.induce(perm).dense()
+        op = checked_induce(u_g, perm).dense()
         if acts_as_identity(op, ev_g) and acts_as_identity(op, od_g):
             trivial_count += 1
     return FunctorialityReport(
@@ -673,14 +698,15 @@ def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionRepo
 def sign_action_trivial_on_via_n(sk) -> tuple[int, int]:
     """How many unit classes act as the identity on the boundary-route homology."""
     denom = sk.denominator
-    quotient, even, odd = skcx._via_n_quotient(sk)
-    d_even, d_odd = even.dense(), odd.dense()
+    quotient, gamma = skcx._via_n_quotient(sk)
+    ident = IntMatrix.identity(gamma.rows)
+    d_even, d_odd = ident + gamma.dense(), ident - gamma.dense()
     spots = [homology_pair(d_even, d_odd), homology_pair(d_odd, d_even)]
     units = [t for t in range(denom) if gcd(t, denom) == 1]
     trivial = 0
     for t in units:
         perm = SparseMatrix(denom, [{t * a % denom: 1} for a in range(denom)])
-        op = quotient.induce(perm).dense()
+        op = checked_induce(quotient, perm).dense()
         if all(acts_as_identity(op, spot) for spot in spots):
             trivial += 1
     return trivial, len(units)

@@ -8,6 +8,7 @@ import types
 import pytest
 
 from dense_reference import (
+    checked_induce,
     class_matrix,
     lemma411_check,
     lemma411_reference_counts,
@@ -157,7 +158,7 @@ class TestUModule:
         u = u_module(build_af(Q, 4))
         bad = sparse(IntMatrix([[0, 1, 0, 0]] + [[0] * 4] * 3))
         with pytest.raises(InducedOperatorUndefined):
-            u.induce(bad)
+            checked_induce(u, bad)
 
     def test_composite_relations_vanish(self):
         # nu_g xi - sum over the Y_g fiber dies in U for every divisor g | f
@@ -284,15 +285,21 @@ class TestRelationCertificate:
         u = u_module(af)
         assert set(u.operators) == set(af.operators.operators)
         for name, op in af.operators.operators.items():
-            assert u.operators[name] == u.induce(op), name
+            assert u.operators[name] == checked_induce(u, op), name
 
     def test_no_product_with_the_projection(self, monkeypatch):
-        def refuse(*_args):
-            raise AssertionError("u_module ran the checked induce")
+        # the checked induce multiplies op by the relations; u_module never does
+        cases = [build_af(Q, 60), build_af(F3, F3.mul(T, (1, 1)))]
+        relations = [distribution_relations(af) for af in cases]
+        real = SparseMatrix.__mul__
 
-        monkeypatch.setattr(znf.FreeQuotient, "induce", refuse)
-        assert u_module(build_af(Q, 60)).rank == 16
-        assert u_module(build_af(F3, F3.mul(T, (1, 1)))).rank == 4
+        def spy(a, b):
+            assert all(b != rel for rel in relations), "u_module ran the checked induce"
+            return real(a, b)
+
+        monkeypatch.setattr(SparseMatrix, "__mul__", spy)
+        assert u_module(cases[0]).rank == 16
+        assert u_module(cases[1]).rank == 4
 
     @staticmethod
     def relations_with(monkeypatch, edit):
@@ -478,7 +485,7 @@ class TestSparseOperators:
         af = build_af(Q, 12)
         u = u_module(af)
         with pytest.raises(InducedOperatorUndefined):
-            u.induce(self.swap(af, xi(1, 12), xi(1, 6)))
+            checked_induce(u, self.swap(af, xi(1, 12), xi(1, 6)))
 
     def test_gamma_of_infinite_order_raises(self):
         # 2 times the identity, 1 + Op(id), commutes with every operator, so

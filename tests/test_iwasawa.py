@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import uod.iwasawa as iwasawa
 from uod.arith import ARCHIMEDEAN
-from uod.distmod import StructureCheckFailed, build_af, g_op_name, u_module
+from uod.distmod import StructureCheckFailed, build_af, distribution_relations, g_op_name, u_module
 from uod.iwasawa import (
     GeneratorMismatch,
     RankMismatch,
@@ -32,7 +32,7 @@ from uod.iwasawa import (
     uprime_compare,
     uprime_lattice,
 )
-from uod.znf import FreeQuotient, IntMatrix, SparseMatrix, snf_invariants, solve
+from uod.znf import IntMatrix, SparseMatrix, snf_invariants, solve
 
 
 def reduce_zeta_vector(vec, order: int):
@@ -461,11 +461,15 @@ class TestUPrime:
 
     def test_reads_the_induced_generators(self, monkeypatch):
         # u_module has certified that the relations are preserved, so the
-        # generators' induced maps are compared with no checked induce
-        def refuse(*_args):
-            raise AssertionError("uprime_compare induced an operator again")
+        # generators' induced maps are compared with no product against them
+        rel = distribution_relations(build_af(ARCHIMEDEAN, 60))
+        real = SparseMatrix.__mul__
 
-        monkeypatch.setattr(FreeQuotient, "induce", refuse)
+        def spy(a, b):
+            assert b != rel, "uprime_compare induced an operator again"
+            return real(a, b)
+
+        monkeypatch.setattr(SparseMatrix, "__mul__", spy)
         report = uprime_compare(60)
         assert report.equivariant
 

@@ -1,18 +1,27 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import PresentedComplex, block_diagonal, functoriality_report, tate_cycles
-from uod import znf
+from dense_reference import (
+    PresentedComplex,
+    block_diagonal,
+    functoriality_report,
+    rank_torsion_tate_pair,
+    tate_cycles,
+)
+from uod import signh, znf
 from uod.arith import ArchimedeanBackend, FunctionFieldBackend
 from uod.distmod import build_af, distribution_relations, u_module
 from uod.signh import (
     OrderViolation,
+    involution_rank_torsion,
     norm_matrix,
     sign_homology_U,
     tate_pair,
     verify_rank_theorem,
 )
-from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix
+from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix, rank_torsion
 
 Q = ArchimedeanBackend()
 F3 = FunctionFieldBackend(3)
@@ -45,6 +54,21 @@ def _dense_power(m, k):
     return out
 
 
+def _conjugate(draw, gamma):
+    """gamma conjugated by a product of up to four elementary matrices."""
+    n = gamma.rows
+    for i, j, c in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([1, -1, 2])),
+            max_size=4)):
+        if i == j:
+            continue
+        e = [[int(r == s) for s in range(n)] for r in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        gamma = IntMatrix(e) * gamma * IntMatrix(e_inv)
+    return gamma
+
+
 def _count_products(monkeypatch) -> list:
     """Spy on ``SparseMatrix.__mul__``: the list grows by one per product."""
     products = []
@@ -73,17 +97,22 @@ def finite_order_actions(draw):
     choices += [_cycle(l, -1) for l in range(1, m + 1) if m % (2 * l) == 0 and l <= 4]
     choices += [c for d, c in _CYCLOTOMIC.items() if m % d == 0]
     gamma = block_diagonal(draw(st.lists(st.sampled_from(choices), min_size=1, max_size=3)))
-    n = gamma.rows
-    for i, j, c in draw(st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([1, -1, 2])),
-            max_size=4)):
-        if i == j:
-            continue
-        e = [[int(r == s) for s in range(n)] for r in range(n)]
-        e_inv = [row[:] for row in e]
-        e[i][j], e_inv[i][j] = c, -c
-        gamma = IntMatrix(e) * gamma * IntMatrix(e_inv)
-    return gamma, m
+    return _conjugate(draw, gamma), m
+
+
+# the signed permutations of order dividing 2, block by block: 1, the sign,
+# the swap and the negated swap
+_INVOLUTION_BLOCKS = [IntMatrix([[1]]), IntMatrix([[-1]]), _cycle(2), -_cycle(2)]
+
+
+@st.composite
+def involutions(draw):
+    """An involution of Z^n, n <= 12: a signed permutation of order
+    dividing 2, conjugated by a product of elementary matrices."""
+    blocks = draw(st.lists(st.sampled_from(_INVOLUTION_BLOCKS), min_size=1, max_size=12))
+    while sum(b.rows for b in blocks) > 12:
+        blocks.pop()
+    return _conjugate(draw, block_diagonal(blocks))
 
 
 class TestTate:
@@ -100,7 +129,7 @@ class TestTate:
         with pytest.raises(OrderViolation):
             tate_pair(IntMatrix([[2]]), 2)
 
-    @pytest.mark.parametrize("m, length", [(2, 3), (6, 4), (6, 5)])
+    @pytest.mark.parametrize("m, length", [(2, 3), (2, 4), (6, 4), (6, 5)])
     def test_sparse_order_violation(self, m, length):
         # a sparse cycle whose length does not divide m
         with pytest.raises(OrderViolation, match=f"gamma\\^{m} is not the identity"):
@@ -170,19 +199,68 @@ class TestTate:
             assert tate_pair(IntMatrix.identity(2), m) == (AbGroupInvariants(0, (m, m)), TRIV)
         assert tate_pair(IntMatrix([[-1]]), 2) == (TRIV, Z2)
 
-    def test_two_invariants_only_reductions(self, monkeypatch):
-        calls = []
-        real = znf._run_smith
+    @staticmethod
+    def spied_tate_pair(monkeypatch, bk, f, m):
+        """tate_pair of U(f)'s gamma0 at m, with the Smith reductions and the
+        unit-pivot eliminations it ran."""
+        calls, eliminations = [], []
+        real_smith, real_invariants = znf._run_smith, znf._invariants
 
-        def spy(m, transforms):
+        def spy_smith(mat, transforms):
             calls.append(transforms)
-            return real(m, transforms)
+            return real_smith(mat, transforms)
 
-        gamma = u_module(build_af(Q, 15)).operators["gamma0"]
-        monkeypatch.setattr(znf, "_run_smith", spy)
-        even, odd = tate_pair(gamma, 2)
-        assert calls == [False] * 2
-        assert even == odd == AbGroupInvariants(0, (2, 2))
+        def spy_invariants(*args):
+            eliminations.append(args[1:])
+            return real_invariants(*args)
+
+        gamma = u_module(build_af(bk, f)).operators["gamma0"]
+        monkeypatch.setattr(znf, "_run_smith", spy_smith)
+        monkeypatch.setattr(znf, "_invariants", spy_invariants)
+        return tate_pair(gamma, m), calls, eliminations
+
+    def test_two_invariants_only_reductions(self, monkeypatch):
+        # m = 2 reads the trace and a rank mod 2: no reduction over Z
+        pair, calls, eliminations = self.spied_tate_pair(monkeypatch, Q, 15, 2)
+        assert calls == [] and eliminations == []
+        assert pair == (AbGroupInvariants(0, (2, 2)),) * 2
+
+    def test_two_invariants_only_reductions_at_order_6(self, monkeypatch):
+        # U(T^2 + T) over F_7: 1 - gamma and the norm are reduced
+        pair, calls, eliminations = self.spied_tate_pair(monkeypatch, F7, F7.mul(T, (1, 1)), 6)
+        assert calls == [False] * 2 and len(eliminations) == 2
+        assert pair == (AbGroupInvariants(0, (6, 6)),) * 2
+
+
+class TestInvolutionEngine:
+    """The m = 2 route against the two reductions over Z it replaces."""
+
+    @staticmethod
+    def check(gamma):
+        assert tate_pair(gamma, 2) == rank_torsion_tate_pair(gamma, 2)
+        one = type(gamma).identity(gamma.rows)
+        assert involution_rank_torsion(gamma) == (rank_torsion(one + gamma),
+                                                  rank_torsion(one - gamma))
+
+    def test_u_of_every_level_up_to_420(self):
+        for f in range(1, 421):
+            self.check(u_module(build_af(Q, f)).operators["gamma0"])
+
+    def test_u_of_every_f3_level_up_to_degree_4(self):
+        for degree in range(1, 5):
+            for low in itertools.product(range(3), repeat=degree):
+                self.check(u_module(build_af(F3, (*low, 1))).operators["gamma0"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(involutions())
+    def test_random_involutions(self, gamma):
+        self.check(gamma)
+
+    def test_an_odd_trace_is_refused(self, monkeypatch):
+        # 1 + gamma of trace 1: no involution has it
+        monkeypatch.setattr(signh, "norm_matrix", lambda gamma, m: SparseMatrix.identity(1))
+        with pytest.raises(OrderViolation, match="odd"):
+            involution_rank_torsion(SparseMatrix.identity(1))
 
 
 class TestSignHomologyU:

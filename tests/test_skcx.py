@@ -4,6 +4,7 @@ import pytest
 
 from dense_reference import (
     PresentedComplex,
+    checked_induce,
     sign_action_trivial_on_via_n,
     sk_inclusion_check,
     skprime_layout,
@@ -23,10 +24,17 @@ from uod.skcx import (
     build_sk,
     distribution_presentation,
     sk_quotients_homology,
-    via_n_complex,
+    via_n_homology,
     via_skprime_complex,
 )
-from uod.znf import AbGroupInvariants, InducedOperatorUndefined, IntMatrix, SparseMatrix
+from uod.signh import OrderViolation
+from uod.znf import (
+    AbGroupInvariants,
+    FreeQuotient,
+    InducedOperatorUndefined,
+    IntMatrix,
+    SparseMatrix,
+)
 
 Z2 = AbGroupInvariants(0, (2,))
 
@@ -260,7 +268,7 @@ class TestQuotientRoutes:
 
         for f in (3, 15):
             sk = build_sk(f, 1)
-            table = via_n_complex(sk).homology()
+            table = via_n_homology(sk)
             direct = sign_homology_U(ArchimedeanBackend(), f)
             assert table.agrees_with(direct)
 
@@ -294,15 +302,18 @@ class TestViaNPeel:
                              + [(f, 2) for f in range(2, 16) if squarefree(f)])
     def test_matches_the_dense_presented_complex(self, f, level):
         sk = build_sk(f, level)
-        table = via_n_complex(sk).homology()
+        table = via_n_homology(sk)
         assert table == dense_via_n_reference(sk).homology()
 
     def test_differentials_are_sparse_on_the_depth_zero_numerators(self):
+        # the differentials are 1 +- gamma, with gamma induced on the k
+        # depth-zero numerators
         sk = build_sk(15, 2)
-        c = via_n_complex(sk)
+        _, gamma = skcx._via_n_quotient(sk)
         keep = skcx.depth_zero_numerators(sk.denominator)
-        assert all(isinstance(d, SparseMatrix) for d in c.diff.values())
-        assert {c.rank(n) for n in c.degrees()} == {len(keep)}
+        assert isinstance(gamma, SparseMatrix)
+        assert gamma.rows == gamma.cols == len(keep)
+        assert set(via_n_homology(sk).entries) == set(range(sk.window[0], sk.window[1] + 1))
 
     def test_the_sign_pair_is_induced_with_no_product_against_the_relations(self, monkeypatch):
         sk = build_sk(15, 2)
@@ -314,10 +325,39 @@ class TestViaNPeel:
             return mul(a, b)
 
         monkeypatch.setattr(SparseMatrix, "__mul__", spy)
-        quotient, even, odd = skcx._via_n_quotient(sk)
+        quotient, gamma = skcx._via_n_quotient(sk)
         monkeypatch.undo()
-        assert even == quotient.induce(sk.module.operator("plus"))
-        assert odd == quotient.induce(sk.module.operator("minus"))
+        # P S = 1, so the sign pair induces 1 + gamma and 2 - (1 + gamma)
+        one = SparseMatrix.identity(gamma.rows)
+        assert one + gamma == checked_induce(quotient, sk.module.operator("plus"))
+        assert one - gamma == checked_induce(quotient, sk.module.operator("minus"))
+
+    def test_one_operator_is_induced(self, monkeypatch):
+        sk = build_sk(15, 2)
+        induced = []
+        real = FreeQuotient.induce_preserving
+
+        def spy(quotient, op):
+            induced.append(op)
+            return real(quotient, op)
+
+        monkeypatch.setattr(FreeQuotient, "induce_preserving", spy)
+        skcx._via_n_quotient(sk)
+        assert len(induced) == 1
+
+    def test_an_induced_gamma_off_order_two_is_refused(self, monkeypatch):
+        # one column of gamma changed: gamma^2 = 1 fails, so d o d = 0 does
+        real = skcx._via_n_quotient
+
+        def mutated(sk):
+            quotient, gamma = real(sk)
+            cols = list(gamma.entries)
+            cols[0] = {1: 1}
+            return quotient, SparseMatrix(gamma.rows, cols)
+
+        monkeypatch.setattr(skcx, "_via_n_quotient", mutated)
+        with pytest.raises(OrderViolation):
+            via_n_homology(build_sk(15, 2))
 
     @pytest.mark.parametrize("name", ["plus", "minus"])
     def test_a_neg_that_moves_a_multiple_off_is_refused(self, name):
@@ -333,12 +373,12 @@ class TestViaNPeel:
 
     def test_an_operator_that_breaks_the_relations_is_refused(self):
         sk = build_sk(15, 1)
-        quotient, _, _ = skcx._via_n_quotient(sk)
+        quotient, _ = skcx._via_n_quotient(sk)
         # swapping numerators 1 and 2 sends the 3-boundary of 0, which
         # meets 0, 5 and 10 only, to itself, but not the 5-boundary of 5
         swap = SparseMatrix(15, [{a: 1} for a in (0, 2, 1, *range(3, 15))])
         with pytest.raises(InducedOperatorUndefined):
-            quotient.induce(swap)
+            checked_induce(quotient, swap)
 
     @pytest.mark.parametrize("change", ["drop", "add"])
     def test_a_wrong_keep_set_exits_3_and_never_fails(self, monkeypatch, capsys, change):

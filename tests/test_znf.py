@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import block_diagonal, homology_pair, lattice_contains, subquotient
+from dense_reference import block_diagonal, checked_induce, homology_pair, lattice_contains, subquotient
 from uod import znf
 from uod.arith import ArchimedeanBackend, gf_group
 from uod.distmod import build_af, distribution_relations
@@ -460,6 +460,21 @@ class TestSparseInvariants:
         assert shapes == [(2, 2, False)]
 
 
+class TestF2Rank:
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(lambda d: sparse_matrix(*d)))
+    def test_counts_the_odd_invariant_factors(self, m):
+        # unimodular transforms stay invertible mod 2, so the rank mod 2 is
+        # the number of odd invariant factors
+        assert znf.f2_rank(sparse(m)) == sum(1 for d in snf_invariants(m) if d % 2)
+
+    def test_components_add(self):
+        # two blocks on disjoint rows and columns, and an even column
+        m = block_diagonal([IntMatrix([[1, 1], [1, 1]]), IntMatrix([[1, 0], [1, 1]]),
+                            IntMatrix([[2]])])
+        assert znf.f2_rank(sparse(m)) == 3
+
+
 class TestCokernel:
     """Invariants of Z^rows / im(m), dense and sparse."""
 
@@ -624,16 +639,16 @@ class TestFreeQuotient:
         assert q.projection * q.section == SparseMatrix.identity(2)
         # swapping e1 and e3 fixes e2 and e1 + e3; on the quotient e3 = -e1
         swap = SparseMatrix(4, [{0: 1}, {3: 1}, {2: 1}, {1: 1}])
-        assert q.induce(swap).dense() == IntMatrix([[1, 0], [0, -1]])
+        assert checked_induce(q, swap).dense() == IntMatrix([[1, 0], [0, -1]])
         # e0 -> e2 sends e0 to a relation, so it induces 0 there
         kill = SparseMatrix(4, [{2: 1}, {1: 1}, {2: 1}, {3: 1}])
-        assert q.induce(kill).dense() == IntMatrix([[0, 0], [0, 1]])
+        assert checked_induce(q, kill).dense() == IntMatrix([[0, 0], [0, 1]])
 
     def test_refuses_an_operator_that_breaks_the_relations(self):
         # swapping e0 and e2 sends the relation e2 to e0, which survives
         swap = SparseMatrix(4, [{2: 1}, {1: 1}, {0: 1}, {3: 1}])
         with pytest.raises(InducedOperatorUndefined):
-            self.quotient().induce(swap)
+            checked_induce(self.quotient(), swap)
 
 
 class TestKernel:
