@@ -4,7 +4,7 @@ theorems, all in integer arithmetic."""
 
 __version__ = "0.1.0"
 
-from .znf import AbGroupInvariants, IntMatrix, SnfResult, SparseMatrix, kernel_basis, snf
+from .znf import AbGroupInvariants, IntMatrix, SparseMatrix, kernel_basis
 from .chainkit import (
     ActionModule,
     ChainComplex,
@@ -27,7 +27,6 @@ __all__ = [
     "DoubleComplex",
     "HomologyTable",
     "IntMatrix",
-    "SnfResult",
     "SparseMatrix",
     "backend",
     "build_af",
@@ -42,7 +41,6 @@ __all__ = [
     "sign_group",
     "sign_homology_U",
     "sk_quotients_homology",
-    "snf",
     "tate_pair",
     "thm442_lhs",
     "u_module",

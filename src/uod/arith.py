@@ -387,9 +387,6 @@ class ArchimedeanBackend:
     def residue_mul(self, a, b, f):
         return (a * b) % f
 
-    def residue_neg(self, a, f):
-        return (-a) % f
-
     def residue_key(self, a):
         return a
 
@@ -548,9 +545,6 @@ class FunctionFieldBackend:
 
     def residue_mul(self, a, b, f):
         return self.residue_of(poly_mul(self.fq, a, b), f)
-
-    def residue_neg(self, a, f):
-        return poly_neg(self.fq, a)
 
     def residue_key(self, a):
         return sum(c * self.q**i for i, c in enumerate(a))

@@ -24,18 +24,18 @@ pairs of ``signh.involution_rank_torsion`` and is never built.
 Every block and every total differential is a ``znf.SparseMatrix``.
 ``build_kt`` builds the blocks from the operators' columns without
 validating them: the module's commutation certificate and plus * minus = 0
-already make them a double complex.  Both are read off position maps where
-the operators are given as ``MapOperator`` values, as on A(f) and the
-symbol module: each pair by one O(n) rule on the maps, and plus * minus = 0
-as neg o neg = id; only operators given as matrices, such as the 1 x 1
-scalars of ``scalar_kt``, are multiplied.  ``total_complex`` offsets each
-block's column dicts into the total column.  A window repeats its differentials, so
-every total degree whose differential equals an earlier one by value gets
-that same object: the d*d check of ``ChainComplex`` multiplies each
-distinct pair once, and ``homology`` reduces each distinct differential
-once through the sparse unit-pivot core of ``znf``.  ``scalar_kt`` is the
-total complex of the rank-one module with scalar operators, which the
-almost-free, comparison-theorem and numerator-killed routes all read.
+already make them a double complex.  Every operator is a ``MapOperator``,
+on A(f), on the symbol module and as the 1 x 1 scalars of ``scalar_kt``
+alike, so both are read off position maps with no product: each pair by
+one O(n) rule on the maps, and plus * minus = 0 on the coefficients of one
+involution.  ``total_complex`` offsets each block's column dicts into the
+total column.  A window repeats its differentials, so every total degree
+whose differential equals an earlier one by value gets that same object:
+the d*d check of ``ChainComplex`` multiplies each distinct pair once, and
+``homology`` reduces each distinct differential once through the sparse
+unit-pivot core of ``znf``.  ``scalar_kt`` is the total complex of the
+rank-one module with scalar operators, which the almost-free,
+comparison-theorem and numerator-killed routes all read.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .znf import (
     ShapeMismatch,
     SparseMatrix,
     _sparse,
-    as_sparse,
     rank_torsion,
     repeat_diagonal,
 )
@@ -211,10 +210,11 @@ class MapOperator:
     Op(y, nu) e_i = sum_{y(k) = i} e_k + nu [i not in im y] e_i is the fiber
     sum of a map y on positions, completed by the scalar nu where the fiber
     is empty.  X_p on A(f) is Op(Y_p, nu_p), a permutation pi is
-    Op(pi^-1, 0), and on Z^(f^N) the Koszul operator T_p is 1 - Op(b -> pb)
-    and the sign pair 1 +- Op(neg).  ``ActionModule`` certifies these on
-    their maps and hands on ``matrix()``, the ``SparseMatrix`` built from
-    the map, so the certificate covers the matrix every caller reads.
+    Op(pi^-1, 0), on Z^(f^N) the Koszul operator T_p is 1 - Op(b -> pb)
+    and the sign pair 1 +- Op(neg), and a scalar c is (c - 1) * 1 + Op(id).
+    ``ActionModule`` certifies these on their maps and hands on
+    ``matrix()``, the ``SparseMatrix`` built from the map, so the
+    certificate covers the matrix every caller reads.
     """
 
     def __init__(self, images: tuple, nu: int = 0, shift: int = 0, scale: int = 1):
@@ -273,16 +273,16 @@ class ActionModule:
     Operator names follow the conventions used downstream: ``X[p]`` for the
     fiber-sum operator of an ideal p, ``G[t]`` for a group element, and
     ``gamma0`` for the sign generator.  ``nu`` holds the integer scalars
-    attached to ideal names.  An operator is given as a ``MapOperator``
-    (kept in ``maps``) or as a matrix; ``operators`` holds every operator's
-    matrix, a map's built from the map.
+    attached to ideal names.  Every operator is given as a ``MapOperator``
+    (kept in ``maps``; anything else is a ``TypeError``), and ``operators``
+    holds the matrix built from each map.
 
     Construction certifies that every pair of operators commutes and that
     gamma0 has finite order at most ``order_bound``.
 
-    Two maps are certified by one O(n) rule with no product.  Write
-    F_y = Op(y, 0) and E_y for the diagonal projection onto the e_i with
-    i not in im y, so Op(y, nu) = F_y + nu E_y.  Op(y, nu) and Op(z, mu)
+    Each pair is certified by one O(n) rule on its maps, with no product.
+    Write F_y = Op(y, 0) and E_y for the diagonal projection onto the e_i
+    with i not in im y, so Op(y, nu) = F_y + nu E_y.  Op(y, nu) and Op(z, mu)
     commute when
       * y o z = z o y, compared as index lists, and
       * where mu != 0, y maps im z into im z and the complement of im z into
@@ -296,36 +296,28 @@ class ActionModule:
     F_z + mu E_z then gives equal sums.  Shifts and scales do not matter:
     (s + c A)(t + d B) - (t + d B)(s + c A) = cd (AB - BA).
 
-    Any pair with a matrix is checked by products, ``a * b == b * a`` as
-    ``SparseMatrix`` values.  gamma0 must be a map; its order is the least
-    common multiple of the cycle lengths of its permutation.
+    gamma0's order is the least common multiple of the cycle lengths of its
+    permutation.
     """
 
     def __init__(self, rank: int, operators: dict, nu: dict | None = None,
                  order_bound: int = GAMMA_ORDER_BOUND):
         self.rank = rank
-        self.maps = {n: op for n, op in operators.items() if isinstance(op, MapOperator)}
+        self.maps = dict(operators)
         for name, op in self.maps.items():
+            if not isinstance(op, MapOperator):
+                raise TypeError(f"operator {name!r} is not a MapOperator")
             y = op.images
             if len(y) != rank or (y and not 0 <= min(y) <= max(y) < rank):
                 raise ShapeMismatch(f"operator {name!r} is not a map of range({rank})")
         positions = tuple(range(rank))
-        self.operators = {n: op.matrix(positions) if n in self.maps else op
-                          for n, op in operators.items()}
+        self.operators = {n: op.matrix(positions) for n, op in self.maps.items()}
         self.nu = dict(nu or {})
         self.order_bound = order_bound
-        for name, op in self.operators.items():
-            if op.rows != rank or op.cols != rank:
-                raise ShapeMismatch(f"operator {name!r} is not {rank}x{rank}")
-        for a, b in itertools.combinations(sorted(self.operators), 2):
-            if a in self.maps and b in self.maps:
-                commute = _maps_commute(self.maps[a], self.maps[b])
-            else:
-                x, y = as_sparse(self.operators[a]), as_sparse(self.operators[b])
-                commute = x * y == y * x
-            if not commute:
+        for a, b in itertools.combinations(sorted(self.maps), 2):
+            if not _maps_commute(self.maps[a], self.maps[b]):
                 raise NonCommutingOperators(f"{a!r} and {b!r} do not commute")
-        if "gamma0" in self.operators:
+        if "gamma0" in self.maps:
             self.gamma_order()
 
     def operator(self, name: str):
@@ -335,9 +327,7 @@ class ActionModule:
         """The order of gamma0, the lcm of its map's cycle lengths;
         GammaOrderUnbounded if the map is not a permutation or the order
         passes the bound."""
-        g = self.maps.get("gamma0")
-        if g is None:
-            raise TypeError("gamma0 must be a MapOperator")
+        g = self.maps["gamma0"]
         y = g.images
         if g.shift or g.scale != 1 or len(set(y)) != len(y):
             raise GammaOrderUnbounded("gamma0 is not a permutation of the basis")
@@ -389,22 +379,23 @@ def _check_window(window, r):
 def check_plus_minus(module: ActionModule, plus_name: str, minus_name: str):
     """plus * minus = 0, or PlusMinusNotZero.
 
-    Two maps a + b Op(neg) and c + d Op(neg) on one involution neg
-    (neg o neg = id, so Op(neg)^2 = 1) multiply to
-    (ac + bd) + (ad + bc) Op(neg), which vanishes when both coefficients
-    do; that is checked on the map and the coefficients, with no product.
-    Any other pair is multiplied.
+    The check is exact for two operators a + b Op(neg) and c + d Op(neg) on
+    one involution neg (neg o neg = id, so Op(neg)^2 = 1); any other pair is
+    refused.  Their product is (ac + bd) + (ad + bc) Op(neg).  If neg is not
+    the identity, 1 and Op(neg) are independent, so the product vanishes
+    exactly when both coefficients do.  If neg is the identity, Op(neg) = 1
+    and the product is the scalar (a + b)(c + d).  No matrix is multiplied.
     """
-    plus, minus = module.maps.get(plus_name), module.maps.get(minus_name)
-    if plus is None or minus is None:
-        zero = (as_sparse(module.operator(plus_name))
-                * as_sparse(module.operator(minus_name))).is_zero()
+    plus, minus = module.maps[plus_name], module.maps[minus_name]
+    neg = plus.images
+    ident = list(range(len(neg)))
+    a, b, c, d = plus.shift, plus.scale, minus.shift, minus.scale
+    if minus.images != neg or [neg[k] for k in neg] != ident:
+        zero = False
+    elif list(neg) == ident:
+        zero = (a + b) * (c + d) == 0
     else:
-        neg = plus.images
-        zero = (minus.images == neg
-                and [neg[k] for k in neg] == list(range(len(neg)))
-                and plus.shift * minus.shift + plus.scale * minus.scale == 0
-                and plus.shift * minus.scale + plus.scale * minus.shift == 0)
+        zero = a * c + b * d == 0 and a * d + b * c == 0
     if not zero:
         raise PlusMinusNotZero(f"{plus_name!r} * {minus_name!r} is not zero")
 
@@ -420,21 +411,19 @@ def build_kt(module: ActionModule, ideal_names, plus_name: str, minus_name: str,
     at odd k, scaled by (-1)^|I|.
 
     Each row's three blocks are ``SparseMatrix`` values built from the
-    operators' columns (a dense operator is converted first).  They are not
-    validated as a double complex: ``ActionModule`` has certified that the
-    module's operators commute pairwise, and plus * minus = 0 is checked
-    here (``check_plus_minus``); with the alternating subset signs that
-    gives horizontal d^2 = 0, vertical d^2 = 0 and the anticommutation of
-    rows and columns.
+    operators' columns.  They are not validated as a double complex:
+    ``ActionModule`` has certified that the module's operators commute
+    pairwise, and plus * minus = 0 is checked here (``check_plus_minus``);
+    with the alternating subset signs that gives horizontal d^2 = 0,
+    vertical d^2 = 0 and the anticommutation of rows and columns.
     ``total_complex`` still checks d*d on the total differentials.
     """
     ideal_names = list(ideal_names)
     r = len(ideal_names)
     window = _check_window(window, r)
-    ops = [as_sparse(module.operator(name)) for name in ideal_names]
+    ops = [module.operator(name) for name in ideal_names]
     check_plus_minus(module, plus_name, minus_name)
-    plus = as_sparse(module.operator(plus_name))
-    minus = as_sparse(module.operator(minus_name))
+    plus, minus = module.operator(plus_name), module.operator(minus_name)
 
     d = module.rank
     subsets = [list(itertools.combinations(range(r), m)) for m in range(r + 1)]
@@ -517,9 +506,9 @@ def total_complex(d: DoubleComplex) -> ChainComplex:
 def scalar_kt(scalars, plus: int, minus: int, window=None) -> ChainComplex:
     """The total Koszul-Tate complex of the rank-one module Z on which the
     Koszul operators act by ``scalars`` and the vertical pair by ``plus``
-    and ``minus``."""
+    and ``minus``; the scalar c is the map shift * 1 + Op(id) with
+    shift = c - 1."""
     names = [f"f{i}" for i in range(len(scalars))]
-    ops = {name: SparseMatrix(1, [{0: c}]) for name, c in zip(names, scalars)}
-    ops["plus"] = SparseMatrix(1, [{0: plus}])
-    ops["minus"] = SparseMatrix(1, [{0: minus}])
+    ops = {name: MapOperator((0,), shift=c - 1)
+           for name, c in zip(names + ["plus", "minus"], [*scalars, plus, minus])}
     return total_complex(build_kt(ActionModule(1, ops), names, "plus", "minus", window))

@@ -5,12 +5,9 @@ floating point and no modular shortcut anywhere.  Matrices are immutable
 values, so all operations return new objects and are safe to share between
 threads.
 
-The dense reducer ``_Smith`` returns the diagonal invariant factors and,
-behind one ``transforms`` switch, the two unimodular transforms that realize
-them.  After a unit pivot the reduction skips its divisibility scan, since a
-unit divides every entry.  Only ``snf`` asks for the transforms; it has no
-caller in the package and stays public as the reference the tests hold
-every other entry point to.
+The dense reducer ``_Smith`` returns the diagonal invariant factors and
+tracks no transform.  After a unit pivot the reduction skips its
+divisibility scan, since a unit divides every entry.
 
 ``snf_invariants`` (and through it ``rank_torsion`` and
 ``cokernel_invariants``) tracks no transform and starts with a sparse
@@ -484,18 +481,6 @@ class AbGroupInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """L * M * R = diagonal(invariants), with both transforms unimodular."""
-
-    invariants: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
-
-    def diagonal(self) -> IntMatrix:
-        return IntMatrix.diagonal(self.invariants, rows=self.left.rows, cols=self.right.rows)
-
-
 def _xgcd(a: int, b: int):
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -512,50 +497,32 @@ def _xgcd(a: int, b: int):
 
 
 class _Smith:
-    """Mutable SNF state; the two transforms are tracked only on request."""
+    """Mutable SNF state: the matrix, reduced in place by unimodular row and
+    column operations."""
 
-    def __init__(self, m: IntMatrix, transforms: bool):
+    def __init__(self, m: IntMatrix):
         self.r, self.c = m.rows, m.cols
         self.a = [list(row) for row in m.data]
-        self.L = self.R = None
-        if transforms:
-            def ident(n):
-                return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-            self.L, self.R = ident(self.r), ident(self.c)
-
-    # Elementary operations keep the identity L*M0*R == A at every step.
 
     def row_swap(self, i, t):
         if i == t:
             return
         self.a[i], self.a[t] = self.a[t], self.a[i]
-        if self.L is not None:
-            self.L[i], self.L[t] = self.L[t], self.L[i]
 
     def col_swap(self, j, t):
         if j == t:
             return
         for row in self.a:
             row[j], row[t] = row[t], row[j]
-        if self.R is not None:
-            for row in self.R:
-                row[j], row[t] = row[t], row[j]
 
     def row_negate(self, i):
         self.a[i] = [-x for x in self.a[i]]
-        if self.L is not None:
-            self.L[i] = [-x for x in self.L[i]]
 
     def row_two(self, t, i, s, u, x, y):
         """Rows (t, i) <- (s*row_t + u*row_i, x*row_t + y*row_i); det = +-1."""
         at, ai = self.a[t], self.a[i]
         self.a[t] = [s * p + u * q for p, q in zip(at, ai)]
         self.a[i] = [x * p + y * q for p, q in zip(at, ai)]
-        if self.L is not None:
-            lt, li = self.L[t], self.L[i]
-            self.L[t] = [s * p + u * q for p, q in zip(lt, li)]
-            self.L[i] = [x * p + y * q for p, q in zip(lt, li)]
 
     def col_two(self, t, j, s, u, x, y):
         """Cols (t, j) <- (s*col_t + u*col_j, x*col_t + y*col_j); det = +-1."""
@@ -563,11 +530,6 @@ class _Smith:
             p, q = row[t], row[j]
             row[t] = s * p + u * q
             row[j] = x * p + y * q
-        if self.R is not None:
-            for row in self.R:
-                p, q = row[t], row[j]
-                row[t] = s * p + u * q
-                row[j] = x * p + y * q
 
     def _find_pivot(self, t):
         best = None
@@ -645,22 +607,9 @@ class _Smith:
         return tuple(self.a[i][i] for i in range(k))
 
 
-def _run_smith(m, transforms):
-    st = _Smith(m, transforms)
-    diag = st.reduce()
-    pack = lambda rows, n: _trusted(tuple(map(tuple, rows)), n) if rows is not None else None
-    return diag, pack(st.L, st.r), pack(st.R, st.c)
-
-
-def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form with transforms: left * m * right = diagonal.
-
-    The invariant factors are nonnegative and form a divisibility chain
-    (zeros trail).  ``left`` and ``right`` are unimodular.  The tests'
-    reference for every other Smith entry point, and the only caller that
-    asks ``_run_smith`` for transforms.
-    """
-    return SnfResult(*_run_smith(m, True))
+def _run_smith(m: IntMatrix) -> tuple:
+    """The diagonal of the Smith normal form of m, no transform tracked."""
+    return _Smith(m).reduce()
 
 
 def _hermite(m: IntMatrix) -> dict:
@@ -818,7 +767,7 @@ def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
                             len(left))
         # the Hermite basis spans the same column lattice, so it has the same
         # nonzero invariants, with bounded entries and only rank-many columns
-        diag = _run_smith(image_basis(residual), False)[0]
+        diag = _run_smith(image_basis(residual))
     return (1,) * units + diag + (0,) * (min(height, width) - units - len(diag))
 
 

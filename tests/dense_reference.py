@@ -6,8 +6,8 @@ constructions here work with representatives instead: A(f) built class by
 class, subquotients lattice(num)/lattice(den) on Hermite bases, chain maps
 and cones of dense complexes, complexes of presented groups, the companion
 complexes of a Koszul-Tate double complex, and the functoriality, inclusion
-and sign-action checks built on them, and the fiber identity class by
-class.  They are slow and independent of the package's shortcuts, which is
+and sign-action checks built on them, the fiber identity class by class,
+and ``snf``, the Smith normal form with its two transforms.  They are slow and independent of the package's shortcuts, which is
 what makes them references.
 """
 
@@ -55,6 +55,7 @@ from uod.znf import (
     IntMatrix,
     ShapeMismatch,
     SparseMatrix,
+    _Smith,
     _hermite,
     _reduce,
     cokernel_invariants,
@@ -81,12 +82,71 @@ def block_diagonal(blocks) -> IntMatrix:
     return IntMatrix(rows, cols)
 
 
+@dataclass(frozen=True)
+class SnfResult:
+    """L * M * R = diagonal(invariants), with both transforms unimodular."""
+
+    invariants: tuple[int, ...]
+    left: IntMatrix
+    right: IntMatrix
+
+    def diagonal(self) -> IntMatrix:
+        return IntMatrix.diagonal(self.invariants, rows=self.left.rows, cols=self.right.rows)
+
+
+class _TrackedSmith(_Smith):
+    """The package's Smith reduction, with every elementary operation also
+    applied to L (rows) or R (columns), so that L * M0 * R == A holds at
+    every step."""
+
+    def __init__(self, m: IntMatrix):
+        super().__init__(m)
+        self.L = [list(row) for row in IntMatrix.identity(self.r).data]
+        self.R = [list(row) for row in IntMatrix.identity(self.c).data]
+
+    def row_swap(self, i, t):
+        super().row_swap(i, t)
+        self.L[i], self.L[t] = self.L[t], self.L[i]
+
+    def col_swap(self, j, t):
+        super().col_swap(j, t)
+        for row in self.R:
+            row[j], row[t] = row[t], row[j]
+
+    def row_negate(self, i):
+        super().row_negate(i)
+        self.L[i] = [-x for x in self.L[i]]
+
+    def row_two(self, t, i, s, u, x, y):
+        super().row_two(t, i, s, u, x, y)
+        lt, li = self.L[t], self.L[i]
+        self.L[t] = [s * p + u * q for p, q in zip(lt, li)]
+        self.L[i] = [x * p + y * q for p, q in zip(lt, li)]
+
+    def col_two(self, t, j, s, u, x, y):
+        super().col_two(t, j, s, u, x, y)
+        for row in self.R:
+            p, q = row[t], row[j]
+            row[t] = s * p + u * q
+            row[j] = x * p + y * q
+
+
+def snf(m: IntMatrix) -> SnfResult:
+    """Smith normal form with transforms: left * m * right = diagonal.
+
+    The invariant factors are nonnegative and form a divisibility chain
+    (zeros trail).  ``left`` and ``right`` are unimodular.  The reference
+    the tests hold every Smith entry point of the package to.
+    """
+    st = _TrackedSmith(m)
+    diag = st.reduce()
+    return SnfResult(diag, IntMatrix(st.L, cols=st.r), IntMatrix(st.R, cols=st.c))
+
+
 def with_operator(module: ActionModule, name: str, op) -> ActionModule:
     """``module`` with ``op`` added or replaced under ``name``, certified
-    again like any new ``ActionModule``; the operators given as maps are
-    passed on as maps."""
-    return ActionModule(module.rank, {**module.operators, **module.maps, name: op},
-                        module.nu, module.order_bound)
+    again like any new ``ActionModule``."""
+    return ActionModule(module.rank, {**module.maps, name: op}, module.nu, module.order_bound)
 
 
 def gamma_order_by_powers(g, bound: int) -> int:

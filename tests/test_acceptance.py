@@ -17,6 +17,7 @@ from dense_reference import (
     lemma411_check,
     sign_action,
     sign_action_trivial_on_via_n,
+    snf,
 )
 from uod.arith import (
     ArchimedeanBackend,
@@ -27,7 +28,7 @@ from uod.arith import (
     xi_classes,
     y_map,
 )
-from uod.chainkit import ActionModule, build_kt
+from uod.chainkit import ActionModule, MapOperator, build_kt
 from uod.distmod import (
     build_af,
     lemma411_counts,
@@ -41,7 +42,7 @@ from uod.ftate import AlmostFreeSpec, ftate_closed_form, ftate_via_kt, thm442_lh
 from uod.iwasawa import distribution_relation_holds, u_of, u_values, uprime_compare
 from uod.signh import sign_homology_U, tate_pair
 from uod.skcx import build_sk, sk_quotients_homology
-from uod.znf import AbGroupInvariants, IntMatrix, cokernel_invariants, kernel_basis, snf
+from uod.znf import AbGroupInvariants, IntMatrix, cokernel_invariants, kernel_basis
 
 Q = ArchimedeanBackend()
 F2 = FunctionFieldBackend(2)
@@ -238,12 +239,15 @@ def test_criterion_11_property_suite():
         assert (m * k).is_zero()
 
     # Koszul side: invertible operator kills the edge row; windows stabilize
-    uni = IntMatrix([[2, 1], [1, 1]])
-    zero2 = IntMatrix.zeros(2, 2)
+    # (every operator is a map, shift * 1 + scale * Op(y, nu); the scalar c
+    # on Z is Op(id) + (c - 1))
+    uni = MapOperator((1, 1), nu=1)  # [[1, 1], [0, 1]]
+    zero2 = MapOperator((0, 1), shift=-1)
     module = ActionModule(2, {"X": uni, "plus": zero2, "minus": zero2})
     kt = build_kt(module, ["X"], "plus", "minus", window=(-3, 3))
     assert all(v.is_trivial for v in companion(kt, "K").homology().entries.values())
-    one = ActionModule(1, {"X": IntMatrix([[0]]), "p": IntMatrix([[2]]), "m": IntMatrix([[0]])})
+    one = ActionModule(1, {name: MapOperator((0,), shift=c - 1)
+                           for name, c in (("X", 0), ("p", 2), ("m", 0))})
     small = companion(build_kt(one, ["X"], "p", "m", window=(-5, 5)), "KTtot").homology()
     large = companion(build_kt(one, ["X"], "p", "m", window=(-8, 8)), "KTtot").homology()
     assert small.agrees_with(large)

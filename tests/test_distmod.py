@@ -14,6 +14,7 @@ from dense_reference import (
     lemma411_reference_counts,
     reference_af,
     sign_action,
+    snf,
     u_inclusion,
     with_operator,
 )
@@ -50,7 +51,6 @@ from uod.znf import (
     IntMatrix,
     SparseMatrix,
     image_basis,
-    snf,
 )
 
 Q = ArchimedeanBackend()
@@ -434,12 +434,14 @@ class TestLevelTables:
             distmod._check_fiber_sums(af.table, {**af.fibers, 2: fibers})
 
     def test_misdirected_group_column_is_refused(self):
+        # position 0 of a group element's map moved onto the image of
+        # position 1: column 0 empties into column 1
         af = build_af(Q, 12)
-        name = next(n for n in af.operators.operators if n.startswith("G["))
-        cols = list(af.operators.operators[name].entries)
-        cols[0] = cols[1]
+        name = next(n for n in af.operators.maps if n.startswith("G["))
+        y = list(af.operators.maps[name].images)
+        y[0] = y[1]
         with pytest.raises(NonCommutingOperators):
-            with_operator(af.operators, name, SparseMatrix(af.rank, cols))
+            with_operator(af.operators, name, MapOperator(tuple(y)))
 
 
 class TestSparseOperators:
@@ -477,9 +479,16 @@ class TestSparseOperators:
         return class_matrix(images, af.index)
 
     def test_injected_noncommuting_operator_raises(self):
+        # the swap of two classes as a map: a transposition is its own
+        # inverse, so Op of it is the class map's matrix
         af = build_af(Q, 12)
+        images = list(range(af.rank))
+        i, j = af.index[xi(1, 12)], af.index[xi(1, 6)]
+        images[i], images[j] = j, i
+        bad = MapOperator(tuple(images))
+        assert bad.matrix() == self.swap(af, xi(1, 12), xi(1, 6))
         with pytest.raises(NonCommutingOperators):
-            with_operator(af.operators, "bad", self.swap(af, xi(1, 12), xi(1, 6)))
+            with_operator(af.operators, "bad", bad)
 
     def test_class_map_off_the_relation_lattice_raises(self):
         af = build_af(Q, 12)
@@ -675,13 +684,14 @@ class TestXi0Basis:
             assert len(basis.classes) == 4
 
     def test_no_transform(self, monkeypatch):
-        # both certificates are invariants-only reductions
+        # no Smith reduction can track a transform, and both certificates
+        # stay in the sparse stage: none reaches the dense reduction at all
         dense = znf._run_smith
         requested = []
 
-        def spy(m, transforms):
-            requested.append(transforms)
-            return dense(m, transforms)
+        def spy(m):
+            requested.append(m)
+            return dense(m)
 
         monkeypatch.setattr(znf, "_run_smith", spy)
         for bk, f in ((Q, 60), (F3, F3.mul(T, (1, 1)))):

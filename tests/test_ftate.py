@@ -125,29 +125,34 @@ class TestThm442:
         # operators nu_p - X_p the quotient column is the Tate complex of the
         # distribution module itself, so its homology must equal the direct
         # route for both backends
+        # nu_p - X_p, the norm 1 + gamma (the sign order is 2 in every case)
+        # and 1 - gamma are all maps: shift * 1 + scale * Op(y, nu).  X_p
+        # itself stays out: the pair rule, which is only sufficient, refuses
+        # X_p next to nu_p - X_p, since nu_p completes the empty fibers
         from dense_reference import companion, with_operator
-        from uod.chainkit import ActionModule, build_kt
+        from uod.chainkit import ActionModule, MapOperator, build_kt
         from uod.distmod import build_af, x_op_name
         from uod.signh import norm_matrix, sign_homology_U
-        from uod.znf import IntMatrix
+
+        def one_minus(op, c=1):
+            return MapOperator(op.images, op.nu, c - op.shift, -op.scale)
 
         cases = [(Q, 6), (Q, 12), (F3, F3.mul(T, (1, 1)))]
         for bk, f in cases:
             af = build_af(bk, f)
-            dense = {name: op.dense() for name, op in af.operators.operators.items()}
-            gamma = dense["gamma0"]
-            module = ActionModule(af.rank, {**dense, "gamma0": af.operators.maps["gamma0"]},
-                                  af.operators.nu)
+            assert bk.sign_order == 2
+            gamma = af.operators.maps["gamma0"]
+            module = ActionModule(af.rank, {"gamma0": gamma}, af.operators.nu)
             names = []
             for p in af.primes:
                 name = f"koszul[{bk.format_ideal(p)}]"
-                scalar = IntMatrix.identity(af.rank)
-                module = with_operator(module, name, scalar - dense[x_op_name(bk, p)])
+                module = with_operator(module, name, one_minus(af.operators.maps[x_op_name(bk, p)],
+                                                               af.nu.get(p, 1)))
                 names.append(name)
-            module = with_operator(module, "norm", norm_matrix(gamma, bk.sign_order))
-            module = with_operator(
-                module, "one_minus", IntMatrix.identity(af.rank) - gamma
-            )
+            norm = MapOperator(gamma.images, shift=1)
+            assert norm.matrix() == norm_matrix(af.operators.operator("gamma0"), 2)
+            module = with_operator(module, "norm", norm)
+            module = with_operator(module, "one_minus", one_minus(gamma))
             kt = build_kt(module, names, "norm", "one_minus",
                           window=(-(len(names) + 3), len(names) + 3))
             tbar = companion(kt, "Tbar").homology()
@@ -161,3 +166,43 @@ class TestThm442:
                 # the odd part of the direct table
                 expected = direct[1] if n % 2 == 0 else direct[0]
                 assert tbar.entries[n] == expected, (bk.kind, f, n)
+
+
+def test_the_scalar_modules_are_certified_with_no_product(monkeypatch):
+    # the 1 x 1 scalars of scalar_kt are maps, so neither the commutation
+    # certificate nor plus * minus = 0 multiplies a matrix
+    from uod import chainkit
+    from uod.chainkit import scalar_kt
+    from uod.znf import IntMatrix, SparseMatrix
+
+    depth, entered, inside = [0], [], []
+
+    def certifying(fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            entered.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def counted(mul):
+        def wrapper(a, b):
+            if depth[0]:
+                inside.append((type(a).__name__, a.rows, b.cols))
+            return mul(a, b)
+        return wrapper
+
+    monkeypatch.setattr(chainkit.ActionModule, "__init__", certifying(chainkit.ActionModule.__init__))
+    monkeypatch.setattr(chainkit, "check_plus_minus", certifying(chainkit.check_plus_minus))
+    monkeypatch.setattr(SparseMatrix, "__mul__", counted(SparseMatrix.__mul__))
+    monkeypatch.setattr(IntMatrix, "__mul__", counted(IntMatrix.__mul__))
+    scalar_kt([0, 2, -2], 2, 0)
+    scalar_kt([], 0, 5, (-3, 3))
+    ftate_via_kt(AlmostFreeSpec(3, 4))
+    thm442_lhs(Q, 30)
+    thm442_lhs(Q, 3, {3: -1})
+    thm442_lhs(F3, F3.mul(T, (1, 1)))
+    assert entered.count("__init__") == entered.count("check_plus_minus") == 6
+    assert inside == []

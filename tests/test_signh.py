@@ -206,9 +206,9 @@ class TestTate:
         calls, eliminations = [], []
         real_smith, real_invariants = znf._run_smith, znf._invariants
 
-        def spy_smith(mat, transforms):
-            calls.append(transforms)
-            return real_smith(mat, transforms)
+        def spy_smith(mat):
+            calls.append(mat)
+            return real_smith(mat)
 
         def spy_invariants(*args):
             eliminations.append(args[1:])
@@ -228,7 +228,7 @@ class TestTate:
     def test_two_invariants_only_reductions_at_order_6(self, monkeypatch):
         # U(T^2 + T) over F_7: 1 - gamma and the norm are reduced
         pair, calls, eliminations = self.spied_tate_pair(monkeypatch, F7, F7.mul(T, (1, 1)), 6)
-        assert calls == [False] * 2 and len(eliminations) == 2
+        assert len(calls) == 2 and len(eliminations) == 2
         assert pair == (AbGroupInvariants(0, (6, 6)),) * 2
 
 

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import block_diagonal, checked_induce, homology_pair, lattice_contains, subquotient
+from dense_reference import block_diagonal, checked_induce, homology_pair, lattice_contains, snf, subquotient
 from uod import znf
 from uod.arith import ArchimedeanBackend, gf_group
 from uod.distmod import build_af, distribution_relations
@@ -24,7 +24,6 @@ from uod.znf import (
     kernel_basis,
     preimage_lattice,
     rank_torsion,
-    snf,
     snf_invariants,
     solve,
 )
@@ -110,7 +109,7 @@ def invariant_cases(draw):
 
 
 def dense_invariants(m):
-    return znf._run_smith(m, False)[0]
+    return znf._run_smith(m)
 
 
 def sparse_invariants(m):
@@ -423,7 +422,7 @@ class TestSparseInvariants:
         assert sparse_invariants(m) == dense_invariants(m)
 
     def test_monomial_residual_skips_the_dense_stage(self, monkeypatch):
-        def refuse(m, transforms):
+        def refuse(_m):
             raise AssertionError("a monomial residual reached _run_smith")
 
         monkeypatch.setattr(znf, "_run_smith", refuse)
@@ -448,16 +447,16 @@ class TestSparseInvariants:
         shapes = []
         dense = znf._run_smith
 
-        def spy(m, transforms):
-            shapes.append((m.rows, m.cols, transforms))
-            return dense(m, transforms)
+        def spy(m):
+            shapes.append((m.rows, m.cols))
+            return dense(m)
 
         monkeypatch.setattr(znf, "_run_smith", spy)
         unimodular = IntMatrix([[1, 1, 0, 0], [2, 3, 1, 0], [0, -1, 0, -1], [0, 0, 3, -2]])
         assert det_laplace(unimodular) in (1, -1)
         m = block_diagonal([unimodular, IntMatrix([[2, 4], [6, 8]]), IntMatrix.zeros(1, 1)])
         assert snf_invariants(m) == (1, 1, 1, 1, 2, 4, 0)
-        assert shapes == [(2, 2, False)]
+        assert shapes == [(2, 2)]
 
 
 class TestF2Rank:
