@@ -28,10 +28,12 @@ already make them a double complex.  Every operator is a ``MapOperator``,
 on A(f), on the symbol module and as the 1 x 1 scalars of ``scalar_kt``
 alike, so both are read off position maps with no product: each pair by
 one O(n) rule on the maps, and plus * minus = 0 on the coefficients of one
-involution.  ``total_complex`` offsets each block's column dicts into the
-total column.  A window repeats its differentials, so every total degree
-whose differential equals an earlier one by value gets that same object:
-the d*d check of ``ChainComplex`` multiplies each distinct pair once, and
+involution.  A module keeps each operator only as its map, and builds the
+operator's matrix from it where it is read.  ``total_complex`` offsets
+each block's column dicts into the total column.  A window repeats its
+differentials, so every total degree whose differential equals an earlier
+one by value gets that same object: the d*d check of ``ChainComplex``
+multiplies each distinct pair once, and
 ``homology`` reduces each distinct differential once through the sparse
 unit-pivot core of ``znf``.  ``scalar_kt`` is the total complex of the
 rank-one module with scalar operators, which the almost-free,
@@ -212,9 +214,9 @@ class MapOperator:
     is empty.  X_p on A(f) is Op(Y_p, nu_p), a permutation pi is
     Op(pi^-1, 0), on Z^(f^N) the Koszul operator T_p is 1 - Op(b -> pb)
     and the sign pair 1 +- Op(neg), and a scalar c is (c - 1) * 1 + Op(id).
-    ``ActionModule`` certifies these on their maps and hands on
-    ``matrix()``, the ``SparseMatrix`` built from the map, so the
-    certificate covers the matrix every caller reads.
+    ``ActionModule`` certifies these on their maps and keeps nothing else:
+    each matrix a caller reads is ``matrix()``, built from the map when it
+    is read, so the certificate covers it.
     """
 
     def __init__(self, images: tuple, nu: int = 0, shift: int = 0, scale: int = 1):
@@ -255,6 +257,8 @@ class MapOperator:
 def _maps_commute(a: MapOperator, b: MapOperator) -> bool:
     """The pair rule of ``ActionModule``, in O(n)."""
     y, z = a.images, b.images
+    if y == z and a.nu == b.nu:
+        return True
     if [y[k] for k in z] != [z[k] for k in y]:
         return False
     for x, other in ((y, b), (z, a)):
@@ -274,8 +278,9 @@ class ActionModule:
     fiber-sum operator of an ideal p, ``G[t]`` for a group element, and
     ``gamma0`` for the sign generator.  ``nu`` holds the integer scalars
     attached to ideal names.  Every operator is given as a ``MapOperator``
-    (kept in ``maps``; anything else is a ``TypeError``), and ``operators``
-    holds the matrix built from each map.
+    and kept only as that map, in ``maps`` (anything else is a
+    ``TypeError``); ``operator(name)`` builds its ``SparseMatrix`` from the
+    map on each call, so the matrix a caller reads is the certified map's.
 
     Construction certifies that every pair of operators commutes and that
     gamma0 has finite order at most ``order_bound``.
@@ -284,17 +289,23 @@ class ActionModule:
     Write F_y = Op(y, 0) and E_y for the diagonal projection onto the e_i
     with i not in im y, so Op(y, nu) = F_y + nu E_y.  Op(y, nu) and Op(z, mu)
     commute when
-      * y o z = z o y, compared as index lists, and
-      * where mu != 0, y maps im z into im z and the complement of im z into
-        itself, and symmetrically where nu != 0.
-    Proof: the transpose of F_y is the function matrix M_y (M_y e_k =
-    e_{y(k)}), and M_y M_z = M_{y o z}, so F_y F_z = (M_{z o y})^T and
-    F_z F_y = (M_{y o z})^T are equal.  Entry (k, i) of F_y E_z is [y(k) = i][i not in im z] and that
-    of E_z F_y is [k not in im z][y(k) = i], so the image condition gives
+      * y = z and nu = mu, or
+      * y o z = z o y, compared as index lists, and where mu != 0, y maps
+        im z into im z and the complement of im z into itself, and
+        symmetrically where nu != 0.
+    Proof: shifts and scales do not matter, since
+    (s + c A)(t + d B) - (t + d B)(s + c A) = cd (AB - BA).  In the first
+    case the two operators are polynomials in the one operator Op(y, nu).
+    This case comes first because the image condition fails for it when y
+    is not onto: no position outside im y maps outside im y.  In the
+    second, the transpose of F_y is the function matrix M_y
+    (M_y e_k = e_{y(k)}), and M_y M_z = M_{y o z}, so F_y F_z = (M_{z o y})^T
+    and F_z F_y = (M_{y o z})^T are equal.  Entry (k, i) of F_y E_z is
+    [y(k) = i][i not in im z] and that of E_z F_y is
+    [k not in im z][y(k) = i], so the image condition gives
     F_y E_z = E_z F_y, and symmetrically F_z E_y = E_y F_z; diagonal
     projections commute.  Expanding both products of F_y + nu E_y and
-    F_z + mu E_z then gives equal sums.  Shifts and scales do not matter:
-    (s + c A)(t + d B) - (t + d B)(s + c A) = cd (AB - BA).
+    F_z + mu E_z then gives equal sums.
 
     gamma0's order is the least common multiple of the cycle lengths of its
     permutation.
@@ -310,8 +321,7 @@ class ActionModule:
             y = op.images
             if len(y) != rank or (y and not 0 <= min(y) <= max(y) < rank):
                 raise ShapeMismatch(f"operator {name!r} is not a map of range({rank})")
-        positions = tuple(range(rank))
-        self.operators = {n: op.matrix(positions) for n, op in self.maps.items()}
+        self._positions = tuple(range(rank))
         self.nu = dict(nu or {})
         self.order_bound = order_bound
         for a, b in itertools.combinations(sorted(self.maps), 2):
@@ -320,8 +330,9 @@ class ActionModule:
         if "gamma0" in self.maps:
             self.gamma_order()
 
-    def operator(self, name: str):
-        return self.operators[name]
+    def operator(self, name: str) -> SparseMatrix:
+        """The matrix of the named operator, built from its map on each call."""
+        return self.maps[name].matrix(self._positions)
 
     def gamma_order(self) -> int:
         """The order of gamma0, the lcm of its map's cycle lengths;

@@ -27,17 +27,19 @@ of the position map of Y_p, completed by nu_p off its image Xi(f/p), which
 is checked; a group element or the sign permutes the positions by its
 unit, pi, and is given as Op(pi^-1), which is pi.
 ``chainkit.ActionModule`` certifies on those maps that all operators
-commute and that gamma0 has finite order, and builds each
-``znf.SparseMatrix`` from its map, with about one nonzero per class; the
-relation matrix, the section and the projection are sparse too, and their
-indices all come from the table, so they skip the validating constructor.  Building them, those certificates, and certifying
-that the relations are the columns of the nu_p - X_p, so that every
-commuting operator preserves them and induces an operator on U(f), all cost
-O(nnz), not |Xi(f)|^2, and multiply no matrices.
-The relation certificate runs once per ``UModule``, when it is built.
-The induced |G_f| x |G_f| operators are ``SparseMatrix`` values too, and
-the Tate pair of ``signh`` takes them as they are; the callers that do
-dense lattice algebra on them call ``dense()`` themselves.
+commute and that gamma0 has finite order, and keeps each operator only as
+its map: an operator's ``znf.SparseMatrix``, with about one nonzero per
+class, is built from the map where it is read.  The relation matrix, the
+section and the projection are sparse too, and their indices all come
+from the table, so they skip the validating constructor.  Building them,
+those certificates, and certifying that the relations are the columns of
+the nu_p - X_p, so that every commuting operator preserves them and
+induces an operator on U(f), all cost O(nnz), not |Xi(f)|^2, and multiply
+no matrices.  The relation certificate runs once per ``UModule``, when it
+is built.  No operator is induced then: ``UModule.operator`` induces the
+one a caller reads, as a |G_f| x |G_f| ``SparseMatrix`` that the Tate pair
+of ``signh`` takes as it is; the callers that do dense lattice algebra on
+it call ``dense()`` themselves.
 
 ``u_module`` certifies that basis with one triangular peel of the relation
 matrix (``znf.complement_projection``): every class outside Xi_0(f) gets a
@@ -226,11 +228,8 @@ def distribution_relations(af: AfModule) -> SparseMatrix:
 class UModule(FreeQuotient):
     """U(f), the free quotient of A(f) by the distribution relations, kept
     on the depth-zero classes: ``section`` is |Xi(f)| x rank with the basis
-    classes as columns, ``projection`` rank x |Xi(f)|.  ``operators`` holds
-    the operators of A(f) induced by ``u_module`` with no product check,
-    which the relation certificate makes redundant; any other operator must
-    first be certified to preserve the relations, as ``induce_preserving``
-    checks nothing.
+    classes as columns, ``projection`` rank x |Xi(f)|.  It keeps no
+    operator: ``operator(name)`` induces one of A(f)'s when it is read.
 
     Building a UModule, directly or by ``dataclasses.replace``, certifies
     that its relations are the nonzero columns of the nu_p - X_p of its
@@ -238,7 +237,6 @@ class UModule(FreeQuotient):
 
     parent: AfModule
     basis_classes: tuple
-    operators: dict           # induced operators on the free basis, SparseMatrix
 
     def __post_init__(self):
         _certify_relations(self.parent, self.relations)
@@ -246,6 +244,16 @@ class UModule(FreeQuotient):
     @property
     def rank(self) -> int:
         return self.section.cols
+
+    def operator(self, name: str) -> SparseMatrix:
+        """The operator of A(f) named ``name`` induced on U(f), P op S, built
+        from its map on each call.  No product against the relations is
+        needed: ``ActionModule`` certified that the operator commutes with
+        every X_p, and building this UModule certified that the relations
+        are the columns of the nu_p - X_p, so the operator preserves them.
+        Any operator not of A(f) must first be certified to preserve the
+        relations, as ``induce_preserving`` checks nothing."""
+        return self.induce_preserving(self.parent.operators.operator(name))
 
     def reduce_vector(self, vector) -> tuple:
         """The coordinates on U(f) of a vector of A(f), from the sparse
@@ -255,7 +263,7 @@ class UModule(FreeQuotient):
 
 
 def u_module(af: AfModule) -> UModule:
-    """U(f) on the depth-zero basis, with its induced operators.
+    """U(f) on the depth-zero basis.
 
     The depth-zero basis theorem says that Xi_0(f) spans a complement of the
     distribution relation lattice in A(f).  One triangular peel of the
@@ -267,10 +275,8 @@ def u_module(af: AfModule) -> UModule:
 
     Building the UModule certifies, in O(nnz), that the relations are the
     nonzero columns of the nu_p - X_p; a mismatch raises
-    StructureCheckFailed.  Every operator of A(f) commutes with the X_p, so
-    it preserves the relations, and its induced operator is P op S with no
-    P (op R) product.  The induced operators are ``SparseMatrix`` values,
-    |G_f| x |G_f|.
+    StructureCheckFailed.  No operator is induced here; ``UModule.operator``
+    induces one where it is read.
     """
     rel = distribution_relations(af)
     expected_rank = len(af.group)
@@ -282,12 +288,8 @@ def u_module(af: AfModule) -> UModule:
     if projection is None or len(xi0) != expected_rank:
         _diagnose(af, rel, len(xi0), expected_rank)
     section = position_matrix(af.rank, xi0)
-    induced = {}
-    u = UModule(relations=rel, projection=projection, section=section, parent=af,
-                basis_classes=tuple(af.basis[i] for i in xi0), operators=induced)
-    for name, op in af.operators.operators.items():
-        induced[name] = u.induce_preserving(op)
-    return u
+    return UModule(relations=rel, projection=projection, section=section, parent=af,
+                   basis_classes=tuple(af.basis[i] for i in xi0))
 
 
 def _certify_relations(af: AfModule, rel: SparseMatrix):
@@ -669,7 +671,7 @@ def u_tower(bk, f, n_levels: int, nu: dict | None = None) -> TowerReport:
     Levels outside the rank theorem (archimedean f = 2 mod 4) are exempt
     from the stabilization expectation and flagged instead.
     """
-    from .signh import tate_pair  # late import: signh builds on this module
+    from .signh import sign_homology_U  # late import: signh builds on this module
 
     if n_levels < 1:
         raise ValueError("need at least one level")
@@ -677,9 +679,8 @@ def u_tower(bk, f, n_levels: int, nu: dict | None = None) -> TowerReport:
     exception = bk.outside_rank_theorem(f)
     levels = []
     for k in range(1, n_levels + 1):
-        fk = bk.power(f, k)
-        gamma = u_module(build_af(bk, fk, nu)).operators["gamma0"]
-        levels.append(TowerLevel(k, fk, tate_pair(gamma, bk.sign_order)))
+        table = sign_homology_U(bk, f, nu, level=k)
+        levels.append(TowerLevel(k, bk.power(f, k), (table[0], table[1])))
     first = levels[0].sign_invariants
     stabilized = all(lv.sign_invariants == first for lv in levels)
     return TowerReport(levels, stabilized, exception, squarefree)

@@ -54,7 +54,8 @@ lam(xi) = u(n0(xi)/f) one integer per class.  So the relations and the
 equivariance are checked on lam and on permutations, in O(nnz): the
 relations are the nu_p - X_p, whose span every class map preserves, lam
 kills each of them, and each generator of G_f acts on A(f) by the
-permutation of the offsets n0, with U(f)'s operator induced from it.
+permutation of the offsets n0.  U(f)'s operator is induced from that
+permutation by definition, so the comparison forms no operator of U(f).
 """
 
 from __future__ import annotations
@@ -589,12 +590,12 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
     rank phi(f), so they are a basis of it.  The map is then an isomorphism
     and the index invariants are all 1.
 
-    Equivariance, per generator t of G_f: A(f)'s class map is rho(t), and
-    U(f)'s operator is its induced P rho(t) S; otherwise the report is not
-    equivariant.  Then mapped op = image S P rho(t) S = image rho(t) S =
-    perm mapped, perm the coordinate permutation by t: S P - 1 maps into
-    ker P = im R, which the image kills, and image rho(t) = perm image by
-    the orbit formula above.
+    Equivariance, per generator t of G_f: A(f)'s class map is rho(t), or
+    the report is not equivariant.  U(f)'s operator op for t is P rho(t) S
+    by definition (``UModule.operator``), so it is not formed here.  Then
+    mapped op = image S P rho(t) S = image rho(t) S = perm mapped, perm the
+    coordinate permutation by t: S P - 1 maps into ker P = im R, which the
+    image kills, and image rho(t) = perm image by the orbit formula above.
     """
     if f < 2:
         raise ValueError("comparison needs f > 1")
@@ -626,9 +627,8 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
     for sigma in af.group.generators():
         t = sigma.residue
         name = g_op_name(af.backend, t)
-        op = af.operators.operator(name)
-        if (op != position_matrix(af.rank, [where[t * n0 % f] for n0 in offsets])
-                or u.operators[name] != u.induce_preserving(op)):
+        if af.operators.operator(name) != position_matrix(
+                af.rank, [where[t * n0 % f] for n0 in offsets]):
             equivariant = False
             break
     return UPrimeReport(f, phi_f, equivariant)

@@ -81,10 +81,10 @@ def tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
     Z^n / im(norm) and the odd torsion that of Z^n / im(1 - gamma).  At
     m = 2 the norm is 1 + gamma and both pairs come from
     ``involution_rank_torsion``; at any other m, from two invariants-only
-    reductions.  gamma is an ``IntMatrix`` or a ``SparseMatrix`` (the
-    induced operators of ``u_module``), and all the algebra stays in its
-    type.  ``norm_matrix`` certifies gamma^m = 1 on the norm's own powers
-    on both routes, before any rank is read.
+    reductions.  gamma is an ``IntMatrix`` or a ``SparseMatrix`` (an
+    operator induced on U(f) by ``UModule.operator``), and all the algebra
+    stays in its type.  ``norm_matrix`` certifies gamma^m = 1 on the norm's
+    own powers on both routes, before any rank is read.
     """
     if m == 2:
         (rank_norm, tors_norm), (rank_gamma, tors_gamma) = involution_rank_torsion(gamma)
@@ -101,7 +101,7 @@ def sign_homology_U(bk, f, nu: dict | None = None, level: int = 1,
     """Both parities of the sign-homology of U(f^level)."""
     if u is None:
         u = u_module(build_af(bk, bk.power(f, level), nu))
-    even, odd = tate_pair(u.operators["gamma0"], bk.sign_order)
+    even, odd = tate_pair(u.operator("gamma0"), bk.sign_order)
     return HomologyTable({0: even, 1: odd}, periodic=True)
 
 

@@ -148,11 +148,10 @@ def distribution_presentation(sk: SkComplex) -> SparseMatrix:
     boundary quotient; they present the universal distribution at level f^N.
     They are the columns of T_p at the multiples of p.
     """
-    denom = sk.denominator
-    return SparseMatrix(denom, [
-        sk.module.operator(name).entries[a]
+    return SparseMatrix(sk.denominator, [
+        col
         for name, p in zip(_ideal_names(sk.primes), sk.primes)
-        for a in range(0, denom, p)
+        for col in sk.module.operator(name).entries[::p]
     ])
 
 
@@ -241,7 +240,8 @@ def via_skprime_complex(sk: SkComplex) -> ChainComplex:
     with m primes, in ``divisors_by_size`` order within each row m.
     """
     scalars = {}
-    for name, op in sk.module.operators.items():
+    for name in sk.module.maps:
+        op = sk.module.operator(name)
         if any(0 in col for col in op.entries[1:]):
             raise BasisCertificateFailed(
                 f"{name} sends a nonzero numerator to numerator 0 at level "

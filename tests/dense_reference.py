@@ -13,6 +13,7 @@ what makes them references.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 from math import gcd
@@ -147,6 +148,14 @@ def with_operator(module: ActionModule, name: str, op) -> ActionModule:
     """``module`` with ``op`` added or replaced under ``name``, certified
     again like any new ``ActionModule``."""
     return ActionModule(module.rank, {**module.maps, name: op}, module.nu, module.order_bound)
+
+
+def with_map_uncertified(module: ActionModule, name: str, op) -> ActionModule:
+    """A copy of ``module`` whose map under ``name`` is ``op``, past the
+    commutation certificate: a tamper that only a later check can see."""
+    tampered = copy.copy(module)
+    tampered.maps = {**module.maps, name: op}
+    return tampered
 
 
 def gamma_order_by_powers(g, bound: int) -> int:
@@ -667,7 +676,7 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     u_f = u_module(build_af(bk, f, nu))
     u_g = u_module(build_af(bk, g, nu))
     mat = u_inclusion(u_f, u_g)
-    gamma_f, gamma_g = u_f.operators["gamma0"].dense(), u_g.operators["gamma0"].dense()
+    gamma_f, gamma_g = u_f.operator("gamma0").dense(), u_g.operator("gamma0").dense()
     if mat * gamma_f != gamma_g * mat:
         raise RuntimeError("inclusion does not commute with the sign action")
     ev_f, od_f = tate_cycles(gamma_f, m)

@@ -163,7 +163,8 @@ def scaled(op: MapOperator, c: int) -> MapOperator:
 
 
 # Koszul operators are drawn in the ring Z[A] of one map A: zero on Z, the
-# swap gamma of Z[C2], the idempotent Op((0, 0)) and the rotation of Z[C3].
+# swap gamma of Z[C2], the idempotent Op((0, 0)), the rotation of Z[C3] and
+# Op((1, 1), 1) = [[1, 1], [0, 1]], whose ring holds the nilpotent A - 1.
 # Each lists pairs (u, v) with u v = 0 over one involution besides the
 # scalar ones on the identity: 1 +- gamma where A is gamma.  All of them
 # commute with the whole ring.
@@ -173,6 +174,7 @@ RING_BASES = [
     (MapOperator(SWAP), [(NORM, ONE_MINUS), (ONE_MINUS, NORM)]),
     (MapOperator((0, 0)), []),
     (MapOperator((1, 2, 0)), []),
+    (MapOperator((1, 1), 1), []),
 ]
 
 
@@ -398,6 +400,26 @@ class TestPermutationPairs:
         try:
             ActionModule(len(a.images), {"a": a, "b": b})
         except NonCommutingOperators:
+            return
+        x, w = a.matrix().dense(), b.matrix().dense()
+        assert x * w == w * x
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        st.integers(-2, 2), st.integers(-2, 2),
+        st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=2, max_size=2))))
+    def test_two_operators_on_one_map(self, case):
+        # shift + scale Op(y, nu) next to shift' + scale' Op(y, mu): accepted
+        # whenever nu = mu, and commuting as dense matrices whenever accepted
+        y, nu, mu, shifts, scales = case
+        a = MapOperator(tuple(y), nu, shifts[0], scales[0])
+        b = MapOperator(tuple(y), mu, shifts[1], scales[1])
+        try:
+            ActionModule(len(y), {"a": a, "b": b})
+        except NonCommutingOperators:
+            assert nu != mu
             return
         x, w = a.matrix().dense(), b.matrix().dense()
         assert x * w == w * x

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dense_reference import with_map_uncertified
 from uod import arith, cli, distmod, iwasawa
-from uod.chainkit import GammaOrderUnbounded, NonCommutingOperators, PlusMinusNotZero
+from uod.chainkit import GammaOrderUnbounded, MapOperator, NonCommutingOperators, PlusMinusNotZero
 from uod.cli import main
 from uod.distmod import g_op_name
-from uod.znf import ShapeMismatch, SparseMatrix
+from uod.znf import ShapeMismatch
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -281,14 +282,16 @@ class TestHarnessContract:
             f"error: sk compare levels are squarefree integers of at least 2; got --f {levels}\n")
 
     def test_uprime_non_equivariant_operator_is_a_fail(self, monkeypatch, tmp_path):
-        # an induced generator that is not the group action: FAIL, exit 1
+        # a generator's map on A(f) replaced by the identity past the
+        # commutation certificate, so that U(f)'s induced operator is not
+        # the group action: FAIL, exit 1
         real = iwasawa.u_module
 
         def tampered(af):
-            u = real(af)
             name = g_op_name(af.backend, af.group.generators()[0].residue)
-            wrong = SparseMatrix.identity(u.rank)
-            return dataclasses.replace(u, operators={**u.operators, name: wrong})
+            identity = MapOperator(tuple(range(af.rank)))
+            ops = with_map_uncertified(af.operators, name, identity)
+            return real(dataclasses.replace(af, operators=ops))
 
         monkeypatch.setattr(iwasawa, "u_module", tampered)
         out = tmp_path / "r.json"

@@ -111,7 +111,7 @@ class TestBuildAf:
 
     def test_operators_commute_with_group(self):
         af = build_af(Q, 12)
-        ops = af.operators.operators
+        ops = {name: af.operators.operator(name) for name in af.operators.maps}
         for name_a in ops:
             for name_b in ops:
                 assert ops[name_a] * ops[name_b] == ops[name_b] * ops[name_a]
@@ -142,12 +142,12 @@ class TestUModule:
             af = build_af(Q, f, nu)
             u = u_module(af)
             for p in af.primes:
-                induced = u.operators[x_op_name(Q, p)].dense()
+                induced = u.operator(x_op_name(Q, p)).dense()
                 assert induced == IntMatrix.identity(u.rank).scale(nu.get(p, 1))
 
     def test_gamma_has_sign_order(self):
         u = u_module(build_af(Q, 12))
-        g = u.operators["gamma0"]
+        g = u.operator("gamma0")
         assert g * g == SparseMatrix.identity(u.rank)
 
     def test_nonunit_nu_still_free(self):
@@ -283,9 +283,8 @@ class TestRelationCertificate:
     def test_induced_operators_match_the_checked_induce(self, bk, f, nu):
         af = build_af(bk, f, nu)
         u = u_module(af)
-        assert set(u.operators) == set(af.operators.operators)
-        for name, op in af.operators.operators.items():
-            assert u.operators[name] == checked_induce(u, op), name
+        for name in af.operators.maps:
+            assert u.operator(name) == checked_induce(u, af.operators.operator(name)), name
 
     def test_no_product_with_the_projection(self, monkeypatch):
         # the checked induce multiplies op by the relations; u_module never does
@@ -298,8 +297,11 @@ class TestRelationCertificate:
             return real(a, b)
 
         monkeypatch.setattr(SparseMatrix, "__mul__", spy)
-        assert u_module(cases[0]).rank == 16
-        assert u_module(cases[1]).rank == 4
+        for af, rank in zip(cases, (16, 4)):
+            u = u_module(af)
+            assert u.rank == rank
+            for name in af.operators.maps:
+                u.operator(name)
 
     @staticmethod
     def relations_with(monkeypatch, edit):
@@ -319,7 +321,7 @@ class TestRelationCertificate:
         bad = SparseMatrix(u.relations.rows, cols)
         with pytest.raises(StructureCheckFailed, match="nu_p - X_p"):
             UModule(relations=bad, projection=u.projection, section=u.section, parent=af,
-                    basis_classes=u.basis_classes, operators=u.operators)
+                    basis_classes=u.basis_classes)
         with pytest.raises(StructureCheckFailed, match="nu_p - X_p"):
             dataclasses.replace(u, relations=bad)
 
@@ -377,6 +379,50 @@ F2 = FunctionFieldBackend(2)
 FF_TABLE_LEVELS = [(F2, 4), (F3, 3), (F5, 2)]
 
 
+def held_matrices(obj) -> list:
+    """The attributes of ``obj`` that are a ``SparseMatrix`` or a dict,
+    list or tuple holding one."""
+    def holds(value):
+        if isinstance(value, SparseMatrix):
+            return True
+        if isinstance(value, dict):
+            value = list(value.values())
+        return isinstance(value, (list, tuple)) and any(map(holds, value))
+
+    return sorted(name for name, value in vars(obj).items() if holds(value))
+
+
+class TestOperatorsOnRead:
+    """Each operator is held once, as its certified map: neither A(f) nor
+    U(f) keeps an operator matrix, and U(f) induces only the operators a
+    command reads."""
+
+    @pytest.mark.parametrize("bk, f", [(Q, 60), (F3, F3.mul(T, (1, 1)))])
+    def test_no_operator_matrix_is_held(self, bk, f):
+        af = build_af(bk, f)
+        u = u_module(af)
+        for name in af.operators.maps:
+            u.operator(name)
+        assert held_matrices(af.operators) == []
+        assert held_matrices(u) == ["projection", "relations", "section"]
+
+    @pytest.mark.parametrize("argv, induced", [
+        (["structure", "--f", "60"], 0),
+        (["verify", "uprime", "--f", "60"], 0),
+        (["sign-homology", "--f", "60"], 1),
+        (["tower", "--f", "6", "--level", "1"], 1),
+        (["tower", "--f", "6", "--level", "3"], 3),
+    ], ids=["structure", "uprime", "sign-homology", "tower-1", "tower-3"])
+    def test_a_command_induces_only_what_it_reads(self, monkeypatch, capsys, argv, induced):
+        calls = []
+        real = znf.FreeQuotient.induce_preserving
+        monkeypatch.setattr(znf.FreeQuotient, "induce_preserving",
+                            lambda q, op: calls.append(op.rows) or real(q, op))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == induced
+
+
 class TestLevelTables:
     """A(f) on the per-level residue tables against the class-by-class
     reference of ``dense_reference.reference_af``, and the per-level depths
@@ -387,10 +433,9 @@ class TestLevelTables:
         af = build_af(bk, f, nu)
         ref = reference_af(bk, f, nu)
         assert af.basis == ref.basis
-        ops = af.operators.operators
-        assert list(ops) == list(ref.operators)
+        assert list(af.operators.maps) == list(ref.operators)
         for name, op in ref.operators.items():
-            assert ops[name] == op, (f, name)
+            assert af.operators.operator(name) == op, (f, name)
         assert af.operators.nu == {x_op_name(bk, p): (nu or {}).get(p, 1) for p in af.primes}
         fibers = {
             p: {af.basis[i]: tuple(af.basis[j] for j in js) for i, js in by_position.items()}
@@ -469,6 +514,8 @@ class TestSparseOperators:
                             classmethod(lambda cls, *a, **k: record(from_columns(cls, *a, **k))))
         monkeypatch.setattr(znf, "_trusted", lambda data, cols: record(trusted(data, cols)))
         u = u_module(build_af(bk, f))
+        for name in u.parent.operators.maps:
+            u.operator(name)
         assert u.parent.rank > len(u.parent.group)
         assert shapes == []
 
@@ -535,6 +582,17 @@ class TestXMaps:
             y[k] = next(i for i in af.table.inside(p) if i != y[k])
             with pytest.raises(NonCommutingOperators, match=re.escape(repr(name))):
                 with_operator(af.operators, name, MapOperator(tuple(y), af.nu.get(p, 1)))
+
+    def test_a_polynomial_in_x_is_accepted_next_to_it(self):
+        # 1 - X_2 on A(6) is on X_2's own map, which is not onto, with the
+        # same nu: the two commute as polynomials in X_2
+        af = build_af(Q, 6)
+        x2 = af.operators.maps[x_op_name(Q, 2)]
+        koszul = MapOperator(x2.images, 1, shift=1, scale=-1)
+        assert set(x2.images) != set(range(af.rank))
+        module = with_operator(af.operators, "koszul[2]", koszul)
+        x, k = module.operator(x_op_name(Q, 2)).dense(), module.operator("koszul[2]").dense()
+        assert x * k == k * x
 
     @pytest.mark.parametrize("bk, f", MOVED_IMAGE_CASES)
     def test_the_matrix_is_the_maps(self, bk, f):
@@ -940,6 +998,6 @@ class TestTower:
     def test_transitions_commute_with_gamma(self):
         u1, u2 = (u_module(build_af(Q, 3**k)) for k in (1, 2))
         m = u_inclusion(u1, u2)
-        g1 = u1.operators["gamma0"].dense()
-        g2 = u2.operators["gamma0"].dense()
+        g1 = u1.operator("gamma0").dense()
+        g2 = u2.operator("gamma0").dense()
         assert m * g1 == g2 * m

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -8,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import with_map_uncertified
 import uod.iwasawa as iwasawa
 from uod.arith import ARCHIMEDEAN
+from uod.chainkit import MapOperator
 from uod.distmod import StructureCheckFailed, build_af, distribution_relations, g_op_name, u_module
 from uod.iwasawa import (
     GeneratorMismatch,
@@ -522,7 +523,7 @@ def hermite_report(f: int, u) -> UPrimeReport:
         perm = IntMatrix.from_columns(
             [[1 if t * d % f == target else 0 for target in units] for d in units], rows=phi_f
         )
-        op = u.operators[g_op_name(ARCHIMEDEAN, t)].dense()
+        op = u.operator(g_op_name(ARCHIMEDEAN, t)).dense()
         equivariant = equivariant and perm * mapped == mapped * op
     return UPrimeReport(f, lattice.rank, equivariant)
 
@@ -644,15 +645,17 @@ class TestUPrimeCertificate:
 
     @pytest.mark.parametrize("f", [12, 60])
     def test_non_equivariant_operator_fails(self, f):
-        u = _module(f)
-        t = u.parent.group.generators()[0].residue
-        name = g_op_name(ARCHIMEDEAN, t)
-        op = u.operators[name]
-        for wrong in (
-            SparseMatrix.identity(op.rows),
-            op + SparseMatrix(op.rows, [{0: 1}] + [{}] * (op.cols - 1)),
-        ):
-            bad = dataclasses.replace(u, operators={**u.operators, name: wrong})
+        # a generator's map on A(f) replaced past the commutation
+        # certificate, by the identity or with two images swapped: U(f)'s
+        # operator is induced from it, and only the comparison with the
+        # offset permutation refuses it
+        af = build_af(ARCHIMEDEAN, f)
+        name = g_op_name(ARCHIMEDEAN, af.group.generators()[0].residue)
+        swapped = list(af.operators.maps[name].images)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        for wrong in (tuple(range(af.rank)), tuple(swapped)):
+            ops = with_map_uncertified(af.operators, name, MapOperator(wrong))
+            bad = u_module(dataclasses.replace(af, operators=ops))
             report = uprime_compare(f, bad)
             assert not report.equivariant
             assert report == hermite_report(f, bad)
@@ -677,19 +680,21 @@ class TestUPrimeCertificate:
 
     @pytest.mark.parametrize("f", [12, 60])
     def test_swapped_generator_permutation_is_not_equivariant(self, f):
-        # one generator's class map on A(f) with the images of two basis
-        # classes swapped, past the commutation certificate; u_module
-        # induces it as P op S, so U(f)'s operator agrees with it and only
-        # the comparison with the offset permutation refuses it
+        # one generator's class map on A(f) with the columns of two basis
+        # classes swapped, as a map past the commutation certificate; U(f)'s
+        # operator is induced from it as P op S, and only the comparison
+        # with the offset permutation refuses it
         af = build_af(ARCHIMEDEAN, f)
         name = g_op_name(ARCHIMEDEAN, af.group.generators()[0].residue)
         a, b = (next(iter(col)) for col in u_module(af).section.entries[:2])
         cols = list(af.operators.operator(name).entries)
         cols[a], cols[b] = cols[b], cols[a]
-        ops = copy.copy(af.operators)
-        ops.operators = {**ops.operators, name: SparseMatrix(af.rank, cols)}
+        swap = {a: b, b: a}
+        images = tuple(swap.get(i, i) for i in af.operators.maps[name].images)
+        ops = with_map_uncertified(af.operators, name, MapOperator(images))
+        assert ops.operator(name) == SparseMatrix(af.rank, cols)
         bad = u_module(dataclasses.replace(af, operators=ops))
-        assert bad.operators[name] == bad.induce_preserving(ops.operator(name))
+        assert bad.operator(name) == bad.induce_preserving(SparseMatrix(af.rank, cols))
         report = uprime_compare(f, bad)
         assert not report.equivariant
         assert report == hermite_report(f, bad)

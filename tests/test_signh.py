@@ -156,7 +156,7 @@ class TestTate:
 
     def test_one_power_chain_on_u(self, monkeypatch):
         # U(T^2 + T) over F_7, whose sign group has order 6
-        gamma = u_module(build_af(F7, F7.mul(T, (1, 1)))).operators["gamma0"]
+        gamma = u_module(build_af(F7, F7.mul(T, (1, 1)))).operator("gamma0")
         products = _count_products(monkeypatch)
         tate_pair(gamma, F7.sign_order)
         assert F7.sign_order == 6 and len(products) == 5
@@ -214,7 +214,7 @@ class TestTate:
             eliminations.append(args[1:])
             return real_invariants(*args)
 
-        gamma = u_module(build_af(bk, f)).operators["gamma0"]
+        gamma = u_module(build_af(bk, f)).operator("gamma0")
         monkeypatch.setattr(znf, "_run_smith", spy_smith)
         monkeypatch.setattr(znf, "_invariants", spy_invariants)
         return tate_pair(gamma, m), calls, eliminations
@@ -244,12 +244,12 @@ class TestInvolutionEngine:
 
     def test_u_of_every_level_up_to_420(self):
         for f in range(1, 421):
-            self.check(u_module(build_af(Q, f)).operators["gamma0"])
+            self.check(u_module(build_af(Q, f)).operator("gamma0"))
 
     def test_u_of_every_f3_level_up_to_degree_4(self):
         for degree in range(1, 5):
             for low in itertools.product(range(3), repeat=degree):
-                self.check(u_module(build_af(F3, (*low, 1))).operators["gamma0"])
+                self.check(u_module(build_af(F3, (*low, 1))).operator("gamma0"))
 
     @settings(max_examples=200, deadline=None)
     @given(involutions())

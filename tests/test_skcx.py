@@ -278,13 +278,15 @@ class TestQuotientRoutes:
         assert trivial == total
 
     def test_a_row_0_entry_off_column_0_exits_3(self, monkeypatch, capsys):
-        # T_3 also sending numerator 5 to numerator 0: the symbols with
+        # T_3's map moved to send 0 to 5, past the commutation certificate,
+        # so that T_3 sends numerator 5 to numerator 0: the symbols with
         # nonzero numerator no longer span a subcomplex, so the numerator-0
         # entries are no quotient complex
         def mutated(sk):
-            op = sk.module.operators["T3"]
-            extra = SparseMatrix(op.rows, [{}] * 5 + [{0: 1}] + [{}] * (op.cols - 6))
-            sk.module.operators["T3"] = op + extra
+            t3 = sk.module.maps["T3"]
+            images = (5,) + t3.images[1:]
+            sk.module.maps["T3"] = MapOperator(images, t3.nu, t3.shift, t3.scale)
+            assert sk.module.operator("T3").entries[5].get(0)
             return sk
 
         with pytest.raises(BasisCertificateFailed, match="numerator 0"):
