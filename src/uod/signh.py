@@ -12,14 +12,16 @@ of gamma is certified on the chain of powers that builds the norm
 (``norm_matrix``), with no second chain.
 
 Every Tate group of gamma is killed by m, so every invariant factor of
-1 - gamma and of the norm above 1 divides m.  For m = 2 (every archimedean
-level, and q = 3) that leaves 0, 1 and 2, and ``involution_rank_torsion``
+1 - gamma and of the norm above 1 divides m.  For m = 2^a (every
+archimedean level, and q = 3, 5, 9, 17, ...) ``two_power_rank_torsion``
 reads them with no elimination over Z: the rational ranks from the trace,
-rank(1 + gamma) = (n + tr gamma) / 2 and rank(1 - gamma) = n - that, and
-the 1s from ``znf.f2_rank`` of 1 + gamma, which is 1 - gamma mod 2.  The
-via-N complex of ``skcx`` is the Tate complex of one involution and reads
-the same engine.  Every other m (1, and q - 1 for q > 3) takes
-two transform-free reductions (``znf.rank_torsion``).
+rank(norm) = tr(norm) / m and rank(1 - gamma) = n - that, and the factors
+of valuation below a from ``znf.two_adic_counts``, modulo 2^a; the rest
+are m.  At m = 2 (``involution_rank_torsion``) 1 - gamma = 1 + gamma mod
+2, so one count, the rank mod 2 of 1 + gamma, serves both.  The via-N
+complex of ``skcx`` is the Tate complex of one involution and reads that
+case.  Every other m (1, and q - 1 with an odd factor: q = 4, 7, ...)
+takes two transform-free reductions over Z (``znf.rank_torsion``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from .chainkit import HomologyTable
 from .distmod import UModule, build_af, u_module
-from .znf import AbGroupInvariants, as_sparse, f2_rank, rank_torsion
+from .znf import AbGroupInvariants, as_sparse, rank_torsion, two_adic_counts
 
 
 class OrderViolation(ValueError):
@@ -53,24 +55,41 @@ def norm_matrix(gamma, m: int):
     return out
 
 
-def involution_rank_torsion(gamma) -> tuple[tuple, tuple]:
-    """(rank, torsion) of 1 + gamma and of 1 - gamma, for gamma^2 = 1.
+def two_power_rank_torsion(gamma, m: int) -> tuple[tuple, tuple]:
+    """(rank, torsion) of the norm and of 1 - gamma, for gamma^m = 1 with
+    m = 2^a, a >= 1.
 
-    ``norm_matrix(gamma, 2)`` certifies gamma^2 = 1 with one product and
-    returns 1 + gamma.  Over Q, gamma is then diagonal with eigenvalues
-    +-1, so rank(1 + gamma) = (n + tr gamma) / 2, half the trace of
-    1 + gamma, which must be even (OrderViolation).  Both Tate groups are
-    killed by 2, so the invariant factors of 1 +- gamma are 0, 1 and 2, and
-    since 1 - gamma = 1 + gamma mod 2, r2 = ``f2_rank(1 + gamma)`` counts
-    the 1s of both: each operator's torsion is (2,) * (rank - r2).
+    ``norm_matrix(gamma, m)`` certifies gamma^m = 1 and returns the norm N.
+    Over Q, N is m on the 1-eigenspace of gamma and 0 on the others, where
+    1 - gamma is invertible, so rank N = tr N / m, which must be an integer
+    (OrderViolation), and rank(1 - gamma) = n - rank N.  Both Tate groups
+    are killed by m, so every invariant factor of N and of 1 - gamma is 0
+    or 2^j with j <= a, and ``znf.two_adic_counts`` counts those with
+    j < a modulo 2^a; the rest of each rank is m.  At a = 1,
+    1 - gamma = 1 + gamma = N mod 2, so one count serves both.
     """
-    plus = as_sparse(norm_matrix(gamma, 2))
-    twice = sum(col.get(j, 0) for j, col in enumerate(plus.entries))
-    if twice % 2:
-        raise OrderViolation(f"n + tr(gamma) = {twice} is odd")
-    r2 = f2_rank(plus)
-    ranks = (twice // 2, plus.rows - twice // 2)
-    return tuple((rank, (2,) * (rank - r2)) for rank in ranks)
+    a = m.bit_length() - 1
+    norm = as_sparse(norm_matrix(gamma, m))
+    trace = sum(col.get(j, 0) for j, col in enumerate(norm.entries))
+    if trace % m:
+        raise OrderViolation(f"tr(norm) = {trace} is not divisible by {m}")
+    counts_norm = two_adic_counts(norm, a)
+    counts_gamma = counts_norm if a == 1 else two_adic_counts(
+        as_sparse(type(gamma).identity(gamma.rows) - gamma), a)
+    pairs = []
+    for rank, counts in ((trace // m, counts_norm), (norm.rows - trace // m, counts_gamma)):
+        torsion = tuple(1 << j for j, c in enumerate(counts) if j for _ in range(c))
+        pairs.append((rank, torsion + (m,) * (rank - sum(counts))))
+    return tuple(pairs)
+
+
+def involution_rank_torsion(gamma) -> tuple[tuple, tuple]:
+    """(rank, torsion) of 1 + gamma and of 1 - gamma, for gamma^2 = 1: the
+    a = 1 case of ``two_power_rank_torsion``, where the norm is 1 + gamma,
+    rank(1 + gamma) = (n + tr gamma) / 2, and one rank mod 2, r2, counts
+    the 1s of both, so each torsion is (2,) * (rank - r2).
+    """
+    return two_power_rank_torsion(gamma, 2)
 
 
 def tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
@@ -79,15 +98,15 @@ def tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInvariants]:
     (1 - gamma, norm) is a free two-periodic complex, so both parities have
     free rank n - rk(1 - gamma) - rk(norm); the even torsion is that of
     Z^n / im(norm) and the odd torsion that of Z^n / im(1 - gamma).  At
-    m = 2 the norm is 1 + gamma and both pairs come from
-    ``involution_rank_torsion``; at any other m, from two invariants-only
-    reductions.  gamma is an ``IntMatrix`` or a ``SparseMatrix`` (an
+    m = 2^a >= 2 both pairs come from ``two_power_rank_torsion``, the trace
+    and counts modulo 2^a; at any other m, from two invariants-only
+    reductions over Z.  gamma is an ``IntMatrix`` or a ``SparseMatrix`` (an
     operator induced on U(f) by ``UModule.operator``), and all the algebra
     stays in its type.  ``norm_matrix`` certifies gamma^m = 1 on the norm's
     own powers on both routes, before any rank is read.
     """
-    if m == 2:
-        (rank_norm, tors_norm), (rank_gamma, tors_gamma) = involution_rank_torsion(gamma)
+    if m > 1 and m & (m - 1) == 0:
+        (rank_norm, tors_norm), (rank_gamma, tors_gamma) = two_power_rank_torsion(gamma, m)
     else:
         norm = norm_matrix(gamma, m)
         rank_gamma, tors_gamma = rank_torsion(type(gamma).identity(gamma.rows) - gamma)

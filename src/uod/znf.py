@@ -66,11 +66,14 @@ times a signed permutation, as in the almost-free complexes of ``ftate``)
 skips the dense stage: its invariants are read off its entries' absolute
 values, by the exponents of a coprime base of them in increasing order.
 
-``f2_rank`` is the rank modulo 2, with no elimination over Z: the odd
-entries of a ``SparseMatrix`` are split into the connected components of
-their columns and reduced in an XOR basis of bit-packed columns, one
-component at a time, so no int is longer than its component is tall.
-``signh`` reads the Tate groups of an involution off it.
+``two_adic_counts`` counts the invariant factors of a ``SparseMatrix`` by
+2-adic valuation below a, modulo 2^a, with no elimination over Z: the
+entries nonzero mod 2^a are split into the connected components of their
+columns, and each component (small ones together) is reduced in a basis
+of columns packed one a-bit field per row, keyed by the highest odd
+field, one level of valuation at a time, so an int is as long as a times
+its component, or a bundle of small ones, is tall.  At a = 1 it is the rank modulo 2.  ``signh``
+reads the Tate groups of a sign of order 2^a off it.
 """
 
 from __future__ import annotations
@@ -771,18 +774,38 @@ def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
     return (1,) * units + diag + (0,) * (min(height, width) - units - len(diag))
 
 
-def f2_rank(m: SparseMatrix) -> int:
-    """Rank of ``m`` modulo 2.
+def two_adic_counts(m: SparseMatrix, a: int) -> tuple[int, ...]:
+    """How many invariant factors of ``m`` have 2-adic valuation j, for each
+    j < a, read modulo 2^a with no elimination over Z.
 
-    Only the odd entries count.  Two rows are joined when a column has odd
-    entries in both (union-find, O(nnz)), so the columns fall into the
-    connected components of their rows, and the rank is the sum over the
-    components.  In each one the columns become ints with one bit per row,
-    rows numbered in order within the component, so an int is as long as
-    its component is tall; the columns go, fewest bits first, into an XOR
-    basis keyed by the highest bit.
+    Only the entries nonzero mod 2^a count.  Two rows are joined when a
+    column has such entries in both (union-find, O(nnz)), so the columns
+    fall into the connected components of their rows.  Components share no
+    row and no sum below mixes two of them, so each is reduced on its own,
+    except that small ones are taken together, up to 64 columns, to save
+    the set-up of each.  In a group, a column becomes one int with an a-bit
+    field per row, rows numbered in order, each field holding the entry
+    mod 2^a.  Two columns add field by field modulo 2^a: XOR, then the
+    carries (the AND) moved up one bit within each field and added again
+    until none is left, so bits 0 and 1 of a sum are x0 ^ y0 and
+    x1 ^ y1 ^ (x0 & y0).
+
+    The columns go, fewest entries first, into a basis keyed by the highest
+    odd field: a column is added to the basis column keyed there until its
+    odd fields are new (it joins the basis) or gone (it is even).  The basis
+    is independent mod 2, so its size counts the invariant factors that are
+    units, and a combination of the columns is even only where its basis
+    coefficients are.  So the even part of the column span is spanned by
+    twice the basis and the even columns.  Halved (each field shifted down a
+    bit) and read modulo 2^(a - 1), that is the span of the next level,
+    where the basis grows by the factors of valuation 1, and so on up to
+    a - 1.  In the last level a field is one bit and the sum is XOR, so at
+    a = 1 the count is the rank of ``m`` modulo 2.
     """
-    cols = [rows for col in m.entries if (rows := [i for i, v in col.items() if v & 1])]
+    mask = (1 << a) - 1
+    # each column as the rows of its entries nonzero mod 2^a, fewest first
+    cols = [(rows, col) for col in m.entries if (rows := [i for i, v in col.items() if v & mask])]
+    cols.sort(key=lambda c: len(c[0]))
     parent = {}
 
     def find(i):
@@ -791,26 +814,60 @@ def f2_rank(m: SparseMatrix) -> int:
             i = parent[i]
         return i
 
-    for rows in cols:
+    for rows, _ in cols:
+        root = find(rows[0])
         for i in rows[1:]:
-            parent[find(i)] = find(rows[0])
+            # a row not seen before joins the root at once
+            if (up := parent.setdefault(i, root)) != root and (other := find(up)) != root:
+                parent[other] = root
     components = {}
-    for rows in cols:
-        components.setdefault(find(rows[0]), []).append(rows)
-    rank = 0
+    for c in cols:
+        components.setdefault(find(c[0][0]), []).append(c)
+    groups = []
     for group in components.values():
-        bit = {i: k for k, i in enumerate(sorted({i for rows in group for i in rows}))}
+        if groups and len(groups[-1]) + len(group) <= 64:
+            groups[-1] += group
+        else:
+            groups.append(group)
+    reached = [0] * a  # basis size after each level, summed over the groups
+    for group in groups:
+        at = {i: a * k for k, i in enumerate(sorted({i for rows, _ in group for i in rows}))}
+        # packed one at a time, so that only the basis is held
+        pending = (sum((col[i] & mask) << at[i] for i in rows) for rows, col in group)
         basis = {}
-        for rows in sorted(group, key=len):
-            v = sum(1 << bit[i] for i in rows)
+        for width in range(a, 1, -1):
+            odd = ((1 << a * len(at)) - 1) // mask  # bit 0 of every field
+            carries = odd * ((1 << width) - 2)  # bits 1 to width - 1 of every field
+            even = []
+            for v in pending:
+                while low := v & odd:
+                    top = low.bit_length()
+                    b = basis.get(top)
+                    if b is None:
+                        basis[top] = v
+                        break
+                    carry = v & b
+                    v ^= b
+                    while carry := carry << 1 & carries:
+                        carry, v = v & carry, v ^ carry
+                else:
+                    if v:
+                        even.append(v >> 1)
+            reached[a - width] += len(basis)
+            keep = odd * ((1 << width - 1) - 1)  # the fields mod 2^(width - 1)
+            basis = {top: b & keep for top, b in basis.items()}
+            pending = even
+        # one bit is left in each field: the sum is XOR, and nothing is left
+        # to halve
+        for v in pending:
             while v:
                 top = v.bit_length()
                 if top not in basis:
                     basis[top] = v
                     break
                 v ^= basis[top]
-        rank += len(basis)
-    return rank
+        reached[a - 1] += len(basis)
+    return tuple(n - below for n, below in zip(reached, [0] + reached[:-1]))
 
 
 def _divisibility_chain(entries) -> tuple[int, ...]:

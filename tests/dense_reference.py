@@ -605,7 +605,8 @@ def rank_torsion_tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInv
     """Even and odd Tate homology from two reductions over Z, at every m:
     the free rank n - rk(1 - gamma) - rk(norm), the torsion of the norm's
     cokernel (even) and of 1 - gamma's (odd).  The oracle for
-    ``signh.tate_pair``, which reads m = 2 off the trace and a rank mod 2."""
+    ``signh.tate_pair``, which reads every m = 2^a off the trace and the
+    invariant factors counted modulo 2^a."""
     norm = norm_matrix(gamma, m)
     rank_gamma, tors_gamma = rank_torsion(type(gamma).identity(gamma.rows) - gamma)
     rank_norm, tors_norm = rank_torsion(norm)

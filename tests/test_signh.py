@@ -28,6 +28,7 @@ F3 = FunctionFieldBackend(3)
 F2 = FunctionFieldBackend(2)
 F5 = FunctionFieldBackend(5)
 F7 = FunctionFieldBackend(7)
+F9 = FunctionFieldBackend(9)
 T = (0, 1)
 
 Z2 = AbGroupInvariants(0, (2,))
@@ -200,9 +201,9 @@ class TestTate:
         assert tate_pair(IntMatrix([[-1]]), 2) == (TRIV, Z2)
 
     @staticmethod
-    def spied_tate_pair(monkeypatch, bk, f, m):
-        """tate_pair of U(f)'s gamma0 at m, with the Smith reductions and the
-        unit-pivot eliminations it ran."""
+    def spied_reductions(monkeypatch):
+        """Lists that grow by one per Smith reduction and per unit-pivot
+        elimination run after this call."""
         calls, eliminations = [], []
         real_smith, real_invariants = znf._run_smith, znf._invariants
 
@@ -214,16 +215,27 @@ class TestTate:
             eliminations.append(args[1:])
             return real_invariants(*args)
 
-        gamma = u_module(build_af(bk, f)).operator("gamma0")
         monkeypatch.setattr(znf, "_run_smith", spy_smith)
         monkeypatch.setattr(znf, "_invariants", spy_invariants)
+        return calls, eliminations
+
+    def spied_tate_pair(self, monkeypatch, bk, f, m):
+        """tate_pair of U(f)'s gamma0 at m, with the Smith reductions and the
+        unit-pivot eliminations it ran."""
+        gamma = u_module(build_af(bk, f)).operator("gamma0")
+        calls, eliminations = self.spied_reductions(monkeypatch)
         return tate_pair(gamma, m), calls, eliminations
 
     def test_two_invariants_only_reductions(self, monkeypatch):
-        # m = 2 reads the trace and a rank mod 2: no reduction over Z
-        pair, calls, eliminations = self.spied_tate_pair(monkeypatch, Q, 15, 2)
+        # at m = 2, 4 and 8 the trace and counts modulo m: no reduction over Z
+        # (U(15) over Q, U(T^3 + T) over F_5 and U(T^2 + T) over F_9)
+        cases = [(Q, 15, 2, (2, 2)), (F5, (0, 1, 0, 1), 4, (4,) * 4), (F9, (0, 1, 1), 8, (8, 8))]
+        gammas = [u_module(build_af(bk, f)).operator("gamma0") for bk, f, _, _ in cases]
+        calls, eliminations = self.spied_reductions(monkeypatch)
+        for gamma, (bk, _, m, torsion) in zip(gammas, cases):
+            assert bk.sign_order == m
+            assert tate_pair(gamma, m) == (AbGroupInvariants(0, torsion),) * 2
         assert calls == [] and eliminations == []
-        assert pair == (AbGroupInvariants(0, (2, 2)),) * 2
 
     def test_two_invariants_only_reductions_at_order_6(self, monkeypatch):
         # U(T^2 + T) over F_7: 1 - gamma and the norm are reduced
@@ -257,10 +269,25 @@ class TestInvolutionEngine:
         self.check(gamma)
 
     def test_an_odd_trace_is_refused(self, monkeypatch):
-        # 1 + gamma of trace 1: no involution has it
-        monkeypatch.setattr(signh, "norm_matrix", lambda gamma, m: SparseMatrix.identity(1))
-        with pytest.raises(OrderViolation, match="odd"):
-            involution_rank_torsion(SparseMatrix.identity(1))
+        # a norm whose trace m does not divide: 1 + gamma of trace 1 at m = 2,
+        # and a norm of trace 2 at m = 4; no gamma of order m has either
+        for m, norm in ((2, SparseMatrix.identity(1)), (4, SparseMatrix(1, [{0: 2}]))):
+            monkeypatch.setattr(signh, "norm_matrix", lambda gamma, order, norm=norm: norm)
+            with pytest.raises(OrderViolation, match=f"not divisible by {m}"):
+                tate_pair(SparseMatrix.identity(1), m)
+
+
+class TestTwoPowerEngine:
+    """The m = 4 and m = 8 routes against the two reductions over Z they
+    replace, on U(f) at every monic f of small degree."""
+
+    @pytest.mark.parametrize("bk, top_degree", [(F5, 3), (F9, 2)], ids=["q5", "q9"])
+    def test_u_of_every_level(self, bk, top_degree):
+        m = bk.sign_order
+        for degree in range(top_degree + 1):
+            for low in itertools.product(range(bk.q), repeat=degree):
+                gamma = u_module(build_af(bk, (*low, 1))).operator("gamma0")
+                assert tate_pair(gamma, m) == rank_torsion_tate_pair(gamma, m)
 
 
 class TestSignHomologyU:

@@ -460,18 +460,68 @@ class TestSparseInvariants:
 
 
 class TestF2Rank:
+    """``two_adic_counts`` at a = 1, the rank modulo 2."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(lambda d: sparse_matrix(*d)))
     def test_counts_the_odd_invariant_factors(self, m):
         # unimodular transforms stay invertible mod 2, so the rank mod 2 is
         # the number of odd invariant factors
-        assert znf.f2_rank(sparse(m)) == sum(1 for d in snf_invariants(m) if d % 2)
+        assert znf.two_adic_counts(sparse(m), 1) == (sum(1 for d in snf_invariants(m) if d % 2),)
 
     def test_components_add(self):
         # two blocks on disjoint rows and columns, and an even column
         m = block_diagonal([IntMatrix([[1, 1], [1, 1]]), IntMatrix([[1, 0], [1, 1]]),
                             IntMatrix([[2]])])
-        assert znf.f2_rank(sparse(m)) == 3
+        assert znf.two_adic_counts(sparse(m), 1) == (3,)
+
+
+# entries of every 2-adic valuation up to 3, with odd parts 1 and 3
+two_adic_entries = st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, 6, -8, 12])
+
+
+def _two_adic_valuation(d: int) -> int:
+    return (d & -d).bit_length() - 1
+
+
+class TestTwoAdicCounts:
+    """Invariant factors counted by 2-adic valuation, read modulo 2^a."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
+        lambda d: sparse_matrix(*d, entries=two_adic_entries)))
+    def test_counts_the_invariant_factors_by_valuation(self, a, m):
+        # unimodular transforms stay invertible mod 2^a, so the Smith form
+        # mod 2^a has the invariant factors of valuation j < a
+        valuations = [_two_adic_valuation(d) for d in snf_invariants(m) if d]
+        assert znf.two_adic_counts(sparse(m), a) == tuple(valuations.count(j) for j in range(a))
+
+    def test_components_add_across_groups(self):
+        # 80 small components and one of 70 columns (a connected lower
+        # bidiagonal), which the reduction takes in separate groups
+        small = IntMatrix([[1, 1], [1, 3]])
+        chain = IntMatrix([[int(i == j or i == j + 1) for j in range(70)] for i in range(70)])
+        m = block_diagonal([small] * 40 + [chain] + [small] * 40)
+        valuations = [_two_adic_valuation(d) for d in snf_invariants(m) if d]
+        assert (valuations.count(0), valuations.count(1)) == (150, 80)
+        assert znf.two_adic_counts(sparse(m), 2) == (150, 80)
+
+    def test_carries_decide_the_next_level(self):
+        # sums whose rows carry out of the low bit: invariants 1, 1, 2 and
+        # 1, 1, 4, which sums without the carries would swap mod 4
+        m = IntMatrix([[0, 3, 1], [1, 1, 2], [1, 0, 1]])
+        assert snf_invariants(m) == (1, 1, 2)
+        assert znf.two_adic_counts(sparse(m), 2) == (2, 1)
+        m = IntMatrix([[0, 1, 1], [3, 2, 3], [1, 1, 0]])
+        assert snf_invariants(m) == (1, 1, 4)
+        assert znf.two_adic_counts(sparse(m), 3) == (2, 0, 1)
+
+    def test_a_basis_column_enters_the_next_level(self):
+        # (1, 2) and (0, 4) span a lattice with invariants 1 and 4; the even
+        # part of the span mod 8 needs twice the basis column as well
+        m = IntMatrix([[1, 0], [2, 4]])
+        assert snf_invariants(m) == (1, 4)
+        assert znf.two_adic_counts(sparse(m), 3) == (1, 0, 1)
 
 
 class TestCokernel:
