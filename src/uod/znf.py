@@ -12,14 +12,20 @@ divisibility scan, since a unit divides every entry.
 ``snf_invariants`` (and through it ``rank_torsion`` and
 ``cokernel_invariants``) tracks no transform and starts with a sparse
 stage: the nonzeros are held as row dicts with a column-to-rows index, and
-±1 entries are taken as pivots in Markowitz order, each replacing the
-matrix by its Schur complement.  A unit pivot turns M into diag(1) ⊕ S by unimodular row
-and column operations, so inv(M) = (1) ++ inv(S) and nothing is divided
-except by ±1.  The candidates wait in a priority queue keyed by their
-Markowitz cost: an entry is pushed when it becomes ±1, and a popped entry
-whose cost has risen since goes back with the new cost, so no pivot search
-rescans the matrix (Dumas, Saunders and Villard 2001).  The block left when
-no unit entry remains is replaced by the Hermite basis of its columns, which
+±1 entries are taken as pivots, each replacing the matrix by its Schur
+complement.  A unit pivot turns M into diag(1) ⊕ S by unimodular row and
+column operations, so inv(M) = (1) ++ inv(S) and nothing is divided except
+by ±1, whichever unit is taken.  The order follows Markowitz's cost
+(row nnz − 1)·(column nnz − 1) (Markowitz 1957): a unit alone in its
+column costs nothing and is taken first, and otherwise the pivot is a unit
+of a shortest row that holds one, in its column with the fewest rows.  A
+pivot set holds, for each row with a ±1 entry, the set of its ±1 columns,
+files those rows in buckets by length, and keeps the columns whose only
+nonzero is ±1.  A step writes only in the pivot row's columns, and the set
+is updated there, where an entry is written or cancelled, so it holds live
+candidates only and no pivot search rescans the matrix.  A matrix with one
+nonzero per row and per column skips the pivots.  The block left when no
+unit entry remains is replaced by the Hermite basis of its columns, which
 spans the same lattice and so has the same nonzero invariants, before
 ``_Smith`` reduces it.  ``rank_torsion`` and ``cokernel_invariants`` also
 take a ``SparseMatrix``, whose column dicts serve as the rows of its
@@ -78,7 +84,6 @@ reads the Tate groups of a sign of order 2^a off it.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
@@ -695,54 +700,67 @@ def _graph(a: IntMatrix, d: IntMatrix) -> IntMatrix:
     return a.vstack(IntMatrix.identity(a.cols)).hstack(d.vstack(IntMatrix.zeros(a.cols, d.cols)))
 
 
-def _pop_unit(queue: list, rows: dict, at: dict):
-    """The next ±1 pivot (row, column) in Markowitz order, or None.
+def _one_per_line(rows: dict, at: dict) -> bool:
+    """Whether every row and every column holds at most one nonzero."""
+    return all(len(r) == 1 for r in rows.values()) and all(len(hit) < 2 for hit in at.values())
 
-    ``queue`` is a heap of (cost when pushed, row, column) candidates, where
-    the cost of an entry is (row nnz − 1)·(column nnz − 1).  A candidate that
-    is no longer a ±1 entry is dropped; one whose cost has risen since it was
-    pushed goes back with the new cost, so the entry returned costs at most
-    the key of every candidate still queued.
+
+def _unit_pivots(rows: dict, at: dict):
+    """Eliminate ±1 pivots from the ``{row: {column: nonzero}}`` dict
+    ``rows`` until no ±1 entry is left, yielding each pivot (row, column)
+    before it is taken.
+
+    ``at`` maps each column to the rows with a nonzero there, and is kept
+    up to date.  A pivot is replaced by its Schur complement: row
+    k -= (a_kj / s) * pivot row clears column j, and the column operations
+    that then clear the pivot row touch no other row.  The pivot set holds
+    live candidates only: ``units`` maps each row that holds a ±1 entry to
+    the set of its ±1 columns, ``by_len[n]`` holds those rows with n
+    nonzeros, and ``free`` the columns whose only nonzero is ±1.  A step
+    writes only in the pivot row's columns, so only they are filed again.
+    A unit alone in its column is taken first, since it updates no other
+    row; otherwise the pivot is a ±1 entry of a shortest such row, in its
+    column with the fewest rows.
     """
-    while queue:
-        cost, i, j = heapq.heappop(queue)
-        r = rows.get(i)
-        if r is None or r.get(j) not in (1, -1):
-            continue
-        now = (len(r) - 1) * (len(at[j]) - 1)
-        if now > cost:
-            heapq.heappush(queue, (now, i, j))
-            continue
-        return i, j
-    return None
-
-
-def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
-    """Invariant factors of the height x width matrix with the given rows.
-
-    ``rows`` is a sequence of ``{column: nonzero}`` dicts, one per row, which
-    the elimination consumes.  A sparse matrix passes its column dicts as
-    the rows of its transpose, which has the same invariants.
-    """
-    rows = {i: r for i, r in enumerate(rows) if r}
-    at = {}  # column -> rows with a nonzero entry there
+    units = {}  # row -> its ±1 columns, for the rows that hold one
+    by_len = [set() for _ in range(len(at) + 1)]
     for i, r in rows.items():
-        for j in r:
-            at.setdefault(j, set()).add(i)
-    queue = [((len(r) - 1) * (len(at[j]) - 1), i, j)
-             for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1]
-    heapq.heapify(queue)
-    units = 0
-    while (unit := _pop_unit(queue, rows, at)) is not None:
-        i, j = unit
+        if u := {j for j, v in r.items() if v == 1 or v == -1}:
+            units[i] = u
+            by_len[len(r)].add(i)
+    free = set()
+    touched = at  # the columns to file in ``free`` again: all at first
+    n = 1  # no row in ``units`` is shorter
+    while True:
+        for c in touched:
+            hit = at[c]
+            if len(hit) == 1 and c in units.get(next(iter(hit)), ()):
+                free.add(c)
+            else:
+                free.discard(c)
+        if free:
+            j = free.pop()
+            (i,) = at[j]
+            del units[i]
+            by_len[len(rows[i])].discard(i)
+        else:
+            while n < len(by_len) and not by_len[n]:
+                n += 1
+            if n == len(by_len):
+                return
+            i = by_len[n].pop()
+            j = min(units.pop(i), key=lambda c: len(at[c]))
+        yield i, j
         pivot = rows.pop(i)
         for c in pivot:
             at[c].discard(i)
         s = pivot.pop(j)
-        # row k -= (a_kj / s) * pivot row clears column j; the column
-        # operations that then clear the pivot row touch no other row
         for k in at.pop(j):
             r = rows[k]
+            # out of the pivot set until its new entries are known
+            u = units.pop(k, set())
+            by_len[len(r)].discard(k)
+            u.discard(j)
             a = r.pop(j) * s
             for c, v in pivot.items():
                 old = r.get(c)
@@ -752,26 +770,48 @@ def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
                 elif old == a * v:
                     del r[c]
                     at[c].discard(k)
+                    u.discard(c)
                     continue
                 else:
                     w = r[c] = old - a * v
                 if w == 1 or w == -1:
-                    heapq.heappush(queue, ((len(r) - 1) * (len(at[c]) - 1), k, c))
-            if not r:
+                    u.add(c)
+                else:
+                    u.discard(c)
+            if u:
+                units[k] = u
+                by_len[len(r)].add(k)
+                n = min(n, len(r))
+            elif not r:
                 del rows[k]
-        units += 1
-    left = [j for j, hit in at.items() if hit]
-    if all(len(r) == 1 for r in rows.values()) and all(len(at[j]) == 1 for j in left):
-        # one nonzero per row and per column: diag(entries) up to signed
-        # permutations of the rows and the columns
+        touched = pivot
+
+
+def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
+    """Invariant factors of the height x width matrix with the given rows.
+
+    ``rows`` is a sequence of ``{column: nonzero}`` dicts, one per row, which
+    the elimination consumes.  A sparse matrix passes its column dicts as
+    the rows of its transpose, which has the same invariants.  A matrix
+    with one nonzero per row and per column goes straight to its entries.
+    """
+    rows = {i: r for i, r in enumerate(rows) if r}
+    at = {}  # column -> rows with a nonzero entry there
+    for i, r in rows.items():
+        for j in r:
+            at.setdefault(j, set()).add(i)
+    done = 0 if _one_per_line(rows, at) else sum(1 for _ in _unit_pivots(rows, at))
+    if _one_per_line(rows, at):
+        # diag(entries) up to signed permutations of the rows and the columns
         diag = _divisibility_chain([abs(v) for r in rows.values() for v in r.values()])
     else:
+        left = [j for j, hit in at.items() if hit]
         residual = _trusted(tuple(tuple(r.get(j, 0) for j in left) for r in rows.values()),
                             len(left))
         # the Hermite basis spans the same column lattice, so it has the same
         # nonzero invariants, with bounded entries and only rank-many columns
         diag = _run_smith(image_basis(residual))
-    return (1,) * units + diag + (0,) * (min(height, width) - units - len(diag))
+    return (1,) * done + diag + (0,) * (min(height, width) - done - len(diag))
 
 
 def two_adic_counts(m: SparseMatrix, a: int) -> tuple[int, ...]:
@@ -917,9 +957,9 @@ def _valuation(v: int, b: int) -> int:
 def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors only, with no transform tracked.
 
-    A sparse front end takes ±1 pivots in Markowitz order (fewest
-    (row nnz − 1)·(column nnz − 1) first, from a priority queue of the unit
-    entries) and replaces the matrix by its Schur complement; the dense
+    A sparse front end takes ±1 pivots, a unit alone in its column first,
+    else a unit of a shortest row that holds one, in its column with the
+    fewest rows, and replaces the matrix by its Schur complement; the dense
     ``_Smith`` reduces whatever is left once no unit entry remains.  A unit
     pivot makes M ~ diag(1) ⊕ S by unimodular row and column operations, so
     the invariants are (1,) per pivot followed by those of S, and nothing is

@@ -1,4 +1,3 @@
-import heapq
 from math import gcd
 
 import pytest
@@ -147,6 +146,86 @@ def costly_cases(draw):
         for i in (j % r, (j + 1) % r):
             data[i][j] = data[i][j] or draw(nonzero)
     return IntMatrix(data, cols=c)
+
+
+def column_index(rows):
+    """{column: rows with a nonzero there}, recounted from the rows."""
+    at = {}
+    for i, r in rows.items():
+        for j in r:
+            at.setdefault(j, set()).add(i)
+    return at
+
+
+def elementary_product(n, steps):
+    """The product of the elementary matrices 1 + c E_ij for the given
+    (i, j, c) with i != j, and its inverse."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for i, j, c in steps:
+        # a <- a (1 + c E_ij): column j += c * column i
+        for row in a:
+            row[j] += c * row[i]
+        # inv <- (1 - c E_ij) inv: row i -= c * row j
+        inv[i] = [x - c * y for x, y in zip(inv[i], inv[j])]
+    return IntMatrix(a), IntMatrix(inv)
+
+
+@st.composite
+def norm_cases(draw):
+    """The norm 1 + g + ... + g^(m-1) or 1 - g of a permutation g of order
+    dividing m = 3 or 6, conjugated by a few elementary matrices: rows full
+    of ±1 entries, as in the sign norms of the function-field levels with
+    q = 4 and q = 7."""
+    m = draw(st.sampled_from((3, 6)))
+    lengths = draw(st.lists(st.sampled_from([d for d in (1, 2, 3, 6) if m % d == 0]),
+                            min_size=1, max_size=5))
+    n = sum(lengths)
+    points = draw(st.permutations(range(n)))
+    image = list(range(n))
+    start = 0
+    for length in lengths:
+        cycle = points[start:start + length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            image[a] = b
+        start += length
+    g = IntMatrix([[int(image[j] == i) for j in range(n)] for i in range(n)])
+    if n > 1:
+        index = st.integers(0, n - 1)
+        steps = draw(st.lists(st.tuples(index, index, st.sampled_from((1, -1, 2)))
+                              .filter(lambda t: t[0] != t[1]), max_size=2 * n))
+        a, inv = elementary_product(n, steps)
+        g = a * g * inv
+    if draw(st.booleans()):
+        return IntMatrix.identity(n) - g
+    norm, power = IntMatrix.identity(n), IntMatrix.identity(n)
+    for _ in range(m - 1):
+        power = power * g
+        norm = norm + power
+    return norm
+
+
+@st.composite
+def relation_blocks(draw):
+    """Sparse relation columns, mostly ±1, and further columns that are
+    integer combinations of them, shuffled: the shape of the cokernel that
+    ``xi0_basis`` reduces."""
+    r = draw(st.integers(1, 14))
+    index = st.integers(0, r - 1)
+    entry = st.sampled_from((1, -1, 1, -1, 1, 2, -2, 3))
+    base = []
+    for _ in range(draw(st.integers(1, 12))):
+        col = [0] * r
+        for i in draw(st.lists(index, min_size=1, max_size=4, unique=True)):
+            col[i] = draw(entry)
+        base.append(col)
+    dependent = []
+    for _ in range(draw(st.integers(1, 8))):
+        picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.integers(-2, 2)),
+                              min_size=1, max_size=3))
+        dependent.append([sum(k * base[b][i] for b, k in picks) for i in range(r)])
+    cols = draw(st.permutations(base + dependent))
+    return IntMatrix.from_columns(cols, rows=r)
 
 
 def pairwise_chain(entries):
@@ -373,22 +452,67 @@ class TestSparseInvariants:
     @settings(max_examples=200, deadline=None)
     @given(costly_cases())
     def test_no_pivot_costs_zero(self, m):
-        # every unit pivot fills in, so queued costs go stale and re-keying
-        # decides the order
+        # every unit pivot fills in, so rows change length and move between
+        # the pivot set's buckets, and gain and lose units, as they go
         assert snf_invariants(m) == dense_invariants(m)
         assert sparse_invariants(m) == dense_invariants(m)
 
     def test_stale_candidates_are_rekeyed_or_dropped(self):
-        # (0, 0) was queued at cost 0 but now costs (3 - 1) * (2 - 1) = 2;
-        # row 2 no longer holds a unit at column 0 and row 3 is gone
-        rows = {0: {0: 1, 1: 1, 2: 1}, 1: {1: -1}, 2: {0: 5}}
-        at = {0: {0, 2}, 1: {0, 1}, 2: {0}}
-        queue = [(0, 2, 0), (0, 0, 0), (1, 1, 1), (0, 3, 3)]
-        heapq.heapify(queue)
-        assert znf._pop_unit(queue, rows, at) == (1, 1)
-        assert queue == [(2, 0, 0)]
-        assert znf._pop_unit(queue, rows, at) == (0, 0)
-        assert znf._pop_unit(queue, rows, at) is None
+        # no unit is alone in its column, so row 0 goes first as the shortest
+        # row with a unit; it fills row 1 in from 4 entries to 5, and takes
+        # both units of row 2 away, so row 1 goes next and row 2 never does
+        rows = {
+            0: {0: 1, 1: 2, 6: 3},
+            1: {0: 2, 2: 1, 7: 2, 8: 2},
+            2: {0: 1, 1: -1, 6: 3, 9: 7},
+            3: {2: 3, 10: 5},
+        }
+        at = column_index(rows)
+        pivots = znf._unit_pivots(rows, at)
+        assert next(pivots) == (0, 0)
+        assert next(pivots) == (1, 2)
+        assert rows == {
+            1: {2: 1, 7: 2, 8: 2, 1: -4, 6: -6},
+            2: {1: -3, 9: 7},
+            3: {2: 3, 10: 5},
+        }
+        assert next(pivots, None) is None
+        assert rows == {2: {1: -3, 9: 7}, 3: {10: 5, 7: -6, 8: -6, 1: 12, 6: 18}}
+        assert {c: hit for c, hit in at.items() if hit} == column_index(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(invariant_cases() | costly_cases() | norm_cases() | relation_blocks())
+    def test_each_pivot_is_a_lone_unit_or_a_unit_of_a_shortest_row(self, m):
+        # the pivot set against a recount from scratch at every step
+        rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m.data)}
+        rows = {i: r for i, r in rows.items() if r}
+        at = column_index(rows)
+        pivots = 0
+        for i, j in znf._unit_pivots(rows, at):
+            index = column_index(rows)
+            assert {c: hit for c, hit in at.items() if hit} == index
+            assert rows[i][j] in (1, -1)
+            lone = {c for c, hit in index.items()
+                    if len(hit) == 1 and rows[next(iter(hit))][c] in (1, -1)}
+            if lone:
+                # a unit alone in its column updates no other row
+                assert j in lone
+            else:
+                holders = [len(r) for r in rows.values() if any(v in (1, -1) for v in r.values())]
+                assert len(rows[i]) == min(holders)
+                assert len(at[j]) == min(len(at[c]) for c, v in rows[i].items() if v in (1, -1))
+            pivots += 1
+        assert {c: hit for c, hit in at.items() if hit} == column_index(rows)
+        assert not any(v in (1, -1) for r in rows.values() for v in r.values())
+        assert snf(m).invariants[:pivots] == (1,) * pivots
+
+    @settings(max_examples=200, deadline=None)
+    @given(norm_cases() | relation_blocks())
+    def test_unit_rich_shapes_match_the_dense_reference(self, m):
+        want = snf(m).invariants
+        assert snf_invariants(m) == want
+        assert sparse_invariants(m) == want
+        assert rank_torsion(sparse(m)) == rank_torsion(m)
 
     def test_relation_blocks(self):
         # the relation matrices of the direct route, on both paths
