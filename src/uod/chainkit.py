@@ -19,7 +19,7 @@ differentials.  ``homology_table`` is that formula on given (rank, torsion)
 pairs.  ``ChainComplex.homology`` feeds it one Smith reduction without
 transforms per distinct differential, however wide the window; the via-N
 complex of ``skcx``, the Tate complex of one involution, feeds it the two
-pairs of ``signh.involution_rank_torsion`` and is never built.
+pairs of ``signh.tate_spots`` at m = 2 and is never built.
 
 Every block and every total differential is a ``znf.SparseMatrix``.
 ``build_kt`` builds the blocks from the operators' columns without
@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from .znf import (
     AbGroupInvariants,
@@ -69,17 +68,6 @@ class PlusMinusNotZero(ValueError):
 
 class NonCommutingOperators(ValueError):
     pass
-
-
-class GammaOrderUnbounded(RuntimeError):
-    """gamma0 has no finite order up to the module's bound."""
-
-
-# The bound of a module that is not told its sign order.  The sign generator
-# of A(f) has order dividing q - 1 (2 over Z), so ``build_af`` passes the
-# backend's ``sign_order`` instead; the bound only has to stop the
-# certificate on an operator of infinite order.
-GAMMA_ORDER_BOUND = 64
 
 
 class WindowTooSmall(ValueError):
@@ -275,15 +263,16 @@ class ActionModule:
     """Free Z-module with named commuting endomorphisms.
 
     Operator names follow the conventions used downstream: ``X[p]`` for the
-    fiber-sum operator of an ideal p, ``G[t]`` for a group element, and
-    ``gamma0`` for the sign generator.  ``nu`` holds the integer scalars
-    attached to ideal names.  Every operator is given as a ``MapOperator``
-    and kept only as that map, in ``maps`` (anything else is a
-    ``TypeError``); ``operator(name)`` builds its ``SparseMatrix`` from the
-    map on each call, so the matrix a caller reads is the certified map's.
+    fiber-sum operator of an ideal p and ``G[t]`` for a group element, with
+    one more name for the sign generator, whose order ``signh.tate_pair``
+    certifies on its map where the order is read.  ``nu`` holds the
+    integer scalars attached to ideal names.  Every operator is given as a
+    ``MapOperator`` and kept only as that map, in ``maps`` (anything else
+    is a ``TypeError``); ``operator(name)`` builds its ``SparseMatrix``
+    from the map on each call, so the matrix a caller reads is the
+    certified map's.
 
-    Construction certifies that every pair of operators commutes and that
-    gamma0 has finite order at most ``order_bound``.
+    Construction certifies that every pair of operators commutes.
 
     Each pair is certified by one O(n) rule on its maps, with no product.
     Write F_y = Op(y, 0) and E_y for the diagonal projection onto the e_i
@@ -306,13 +295,9 @@ class ActionModule:
     F_y E_z = E_z F_y, and symmetrically F_z E_y = E_y F_z; diagonal
     projections commute.  Expanding both products of F_y + nu E_y and
     F_z + mu E_z then gives equal sums.
-
-    gamma0's order is the least common multiple of the cycle lengths of its
-    permutation.
     """
 
-    def __init__(self, rank: int, operators: dict, nu: dict | None = None,
-                 order_bound: int = GAMMA_ORDER_BOUND):
+    def __init__(self, rank: int, operators: dict, nu: dict | None = None):
         self.rank = rank
         self.maps = dict(operators)
         for name, op in self.maps.items():
@@ -323,35 +308,13 @@ class ActionModule:
                 raise ShapeMismatch(f"operator {name!r} is not a map of range({rank})")
         self._positions = tuple(range(rank))
         self.nu = dict(nu or {})
-        self.order_bound = order_bound
         for a, b in itertools.combinations(sorted(self.maps), 2):
             if not _maps_commute(self.maps[a], self.maps[b]):
                 raise NonCommutingOperators(f"{a!r} and {b!r} do not commute")
-        if "gamma0" in self.maps:
-            self.gamma_order()
 
     def operator(self, name: str) -> SparseMatrix:
         """The matrix of the named operator, built from its map on each call."""
         return self.maps[name].matrix(self._positions)
-
-    def gamma_order(self) -> int:
-        """The order of gamma0, the lcm of its map's cycle lengths;
-        GammaOrderUnbounded if the map is not a permutation or the order
-        passes the bound."""
-        g = self.maps["gamma0"]
-        y = g.images
-        if g.shift or g.scale != 1 or len(set(y)) != len(y):
-            raise GammaOrderUnbounded("gamma0 is not a permutation of the basis")
-        order, seen = 1, bytearray(len(y))
-        for start in range(len(y)):
-            length, k = 0, start
-            while not seen[k]:
-                seen[k], k, length = 1, y[k], length + 1
-            if length:
-                order = lcm(order, length)
-        if order > self.order_bound:
-            raise GammaOrderUnbounded(f"gamma0 has no order up to {self.order_bound}")
-        return order
 
 
 @dataclass(frozen=True)

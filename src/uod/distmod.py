@@ -175,8 +175,7 @@ def build_af(bk, f, nu: dict | None = None) -> AfModule:
         ops[g_op_name(bk, gen.residue)] = _permutation(table, gen.residue)
     ops["gamma0"] = _permutation(table, sign_group(bk, f).gamma.residue)
 
-    module = ActionModule(rank, ops, {x_op_name(bk, p): nu.get(p, 1) for p in primes},
-                          order_bound=bk.sign_order)
+    module = ActionModule(rank, ops, {x_op_name(bk, p): nu.get(p, 1) for p in primes})
     return AfModule(bk, f, nu, table, primes, fibers, module, group)
 
 

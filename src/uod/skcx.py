@@ -38,8 +38,9 @@ The via-N quotient is the free quotient certified by the triangular peel of
 the boundary relations (the columns of T_p at the multiples of p) onto the
 depth-zero numerators (``znf.complement_projection``), the same certificate
 as the direct route's depth-zero basis; plus and minus preserve the
-relations by a witness on the neg map, so they are induced as P d S with
-no product against the relations, and stay sparse.  The numerator-killed
+relations by a witness on the neg map, so ``signh.tate_spots`` induces
+plus, the orbit sums of neg, as the norm P (1 + neg) S with no product
+against the relations, and it stays sparse.  The numerator-killed
 route checks that the nonzero numerators span a subcomplex and is then
 ``chainkit.scalar_kt`` of the numerator-0 entries of the operators.
 """
@@ -62,7 +63,7 @@ from .chainkit import (
     scalar_kt,
 )
 from .distmod import BasisCertificateFailed, depth
-from .signh import involution_rank_torsion
+from .signh import tate_spots
 from .znf import (
     FreeQuotient,
     InducedOperatorUndefined,
@@ -164,8 +165,8 @@ def depth_zero_numerators(denom: int) -> list[int]:
 
 
 def _via_n_quotient(sk: SkComplex):
-    """The boundary quotient, free on the depth-zero numerators, and the
-    involution gamma = P neg S that neg induces on it.
+    """The boundary quotient, free on the depth-zero numerators, and the map
+    of neg, certified to preserve its relations.
 
     The triangular peel certifies Z^{f^N} = span(kept numerators) + im(R),
     so the quotient is free on the kept numerators.  The relations are the
@@ -173,10 +174,11 @@ def _via_n_quotient(sk: SkComplex):
     that 1 +- neg commutes with every T_p, so neg T_p e_a = T_p e_{-a}, which
     lies in im(R) once neg maps the multiples of p onto themselves.  That
     is checked on the map of each of plus and minus, or
-    InducedOperatorUndefined, and neg is induced with no product against R.
-    Since P S = 1, the sign pair induces P (1 +- neg) S = 1 +- gamma.  A
-    failed peel is a certificate failure, never a FAIL verdict, and nothing
-    falls back to a Smith reduction.
+    InducedOperatorUndefined, so neg induces gamma = P neg S with no
+    product against R, and since P S = 1 the sign pair induces
+    P (1 +- neg) S = 1 +- gamma.  Nothing is induced here.  A failed peel
+    is a certificate failure, never a FAIL verdict, and nothing falls back
+    to a Smith reduction.
     """
     denom = sk.denominator
     rel = distribution_presentation(sk)
@@ -196,8 +198,7 @@ def _via_n_quotient(sk: SkComplex):
                 f"{name} does not preserve the relations: neg moves a multiple "
                 "of a prime off the multiples"
             )
-    gamma = quotient.induce_preserving(MapOperator(sk.module.maps["plus"].images).matrix())
-    return quotient, gamma
+    return quotient, MapOperator(sk.module.maps["plus"].images)
 
 
 def via_n_homology(sk: SkComplex) -> HomologyTable:
@@ -215,15 +216,16 @@ def via_n_homology(sk: SkComplex) -> HomologyTable:
     window, with 1 + gamma out of the even degrees and 1 - gamma out of the
     odd ones.  So its homology, edge degrees included, is
     ``chainkit.homology_table`` of the two (rank, torsion) pairs of
-    ``signh.involution_rank_torsion``, whose certificate gamma^2 = 1 is
-    d o d = 0, since (1 + gamma)(1 - gamma) = 1 - gamma^2.  The complex
-    itself is never built.
+    ``signh.tate_spots`` at m = 2, the norm 1 + gamma and 1 - gamma.  Its
+    certificate gamma^2 = 1, the walk over neg's cycles, is d o d = 0,
+    since (1 + gamma)(1 - gamma) = 1 - gamma^2.  The complex itself is
+    never built.
     """
     lo, hi = sk.window
-    _, gamma = _via_n_quotient(sk)
-    plus, minus = involution_rank_torsion(gamma)
+    quotient, neg = _via_n_quotient(sk)
+    plus, minus = tate_spots(quotient, neg, 2)
     spots = {n: minus if n % 2 else plus for n in range(lo + 1, hi + 1)}
-    return homology_table({n: gamma.rows for n in range(lo, hi + 1)}, spots,
+    return homology_table({n: quotient.section.cols for n in range(lo, hi + 1)}, spots,
                           stable=(lo + 1, hi - 1))
 
 

@@ -423,15 +423,6 @@ def _sparse(rows: int, entries: tuple) -> SparseMatrix:
     return m
 
 
-def as_sparse(m) -> SparseMatrix:
-    """``m`` as a ``SparseMatrix``: an ``IntMatrix`` is converted, a
-    ``SparseMatrix`` is returned as it is."""
-    if isinstance(m, SparseMatrix):
-        return m
-    return _sparse(m.rows, tuple({i: v for i, v in enumerate(col) if v} for col in zip(*m.data))
-                   if m.rows else ({},) * m.cols)
-
-
 def repeat_diagonal(block: SparseMatrix, copies: int, sign: int = 1) -> SparseMatrix:
     """The block diagonal of ``copies`` copies of sign * block, sign = ±1."""
     n = block.rows

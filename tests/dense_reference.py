@@ -7,8 +7,10 @@ class, subquotients lattice(num)/lattice(den) on Hermite bases, chain maps
 and cones of dense complexes, complexes of presented groups, the companion
 complexes of a Koszul-Tate double complex, and the functoriality, inclusion
 and sign-action checks built on them, the fiber identity class by class,
-and ``snf``, the Smith normal form with its two transforms.  They are slow and independent of the package's shortcuts, which is
-what makes them references.
+``snf``, the Smith normal form with its two transforms, and
+``norm_matrix``, the norm of a finite-order matrix from its chain of
+powers.  They are slow and independent of the package's shortcuts, which
+is what makes them references.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from uod.arith import (
 from uod.chainkit import (
     ActionModule,
     ChainComplex,
-    GammaOrderUnbounded,
     HomologyTable,
     NotAComplex,
     total_complex,
@@ -49,7 +50,7 @@ from uod.distmod import (
     u_module,
     x_op_name,
 )
-from uod.signh import norm_matrix
+from uod.signh import OrderViolation
 from uod.znf import (
     AbGroupInvariants,
     InducedOperatorUndefined,
@@ -59,6 +60,7 @@ from uod.znf import (
     _Smith,
     _hermite,
     _reduce,
+    _sparse,
     cokernel_invariants,
     image_basis,
     kernel_basis,
@@ -147,7 +149,7 @@ def snf(m: IntMatrix) -> SnfResult:
 def with_operator(module: ActionModule, name: str, op) -> ActionModule:
     """``module`` with ``op`` added or replaced under ``name``, certified
     again like any new ``ActionModule``."""
-    return ActionModule(module.rank, {**module.maps, name: op}, module.nu, module.order_bound)
+    return ActionModule(module.rank, {**module.maps, name: op}, module.nu)
 
 
 def with_map_uncertified(module: ActionModule, name: str, op) -> ActionModule:
@@ -158,17 +160,43 @@ def with_map_uncertified(module: ActionModule, name: str, op) -> ActionModule:
     return tampered
 
 
-def gamma_order_by_powers(g, bound: int) -> int:
-    """Least m >= 1 with g^m = 1, from the powers of the matrix g;
-    GammaOrderUnbounded past ``bound``.  The oracle for ``ActionModule``'s
-    order of gamma0, which reads it off its map's cycles."""
+def gamma_order_by_powers(g, bound: int) -> int | None:
+    """Least m >= 1 with g^m = 1, from the powers of the matrix g, or None
+    past ``bound``.  The oracle for the order certificate of
+    ``signh.orbit_sums``, which reads it off the map's cycles."""
     ident = type(g).identity(g.rows)
     power = g
     for m in range(1, bound + 1):
         if power == ident:
             return m
         power = power * g
-    raise GammaOrderUnbounded(f"gamma0 has no order up to {bound}")
+    return None
+
+
+def norm_matrix(gamma, m: int):
+    """1 + gamma + ... + gamma^(m-1), of gamma's own matrix type, from the
+    chain of powers, which must end at gamma^m = 1 (OrderViolation): m - 1
+    products in all.  The oracle for the norm that ``signh.tate_spots``
+    induces once from the orbit sums of gamma0."""
+    if m < 1:
+        raise OrderViolation("order must be >= 1")
+    ident = type(gamma).identity(gamma.rows)
+    out, power = ident, gamma
+    for _ in range(m - 1):
+        out = out + power
+        power = power * gamma
+    if power != ident:
+        raise OrderViolation(f"gamma^{m} is not the identity")
+    return out
+
+
+def as_sparse(m) -> SparseMatrix:
+    """``m`` as a ``SparseMatrix``: an ``IntMatrix`` is converted, a
+    ``SparseMatrix`` is returned as it is."""
+    if isinstance(m, SparseMatrix):
+        return m
+    return _sparse(m.rows, tuple({i: v for i, v in enumerate(col) if v} for col in zip(*m.data))
+                   if m.rows else ({},) * m.cols)
 
 
 def checked_induce(quotient, op: SparseMatrix) -> SparseMatrix:
@@ -605,8 +633,9 @@ def rank_torsion_tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInv
     """Even and odd Tate homology from two reductions over Z, at every m:
     the free rank n - rk(1 - gamma) - rk(norm), the torsion of the norm's
     cokernel (even) and of 1 - gamma's (odd).  The oracle for
-    ``signh.tate_pair``, which reads every m = 2^a off the trace and the
-    invariant factors counted modulo 2^a."""
+    ``signh.tate_pair``, which induces the norm once from gamma0's orbit
+    sums and reads every m = 2^a off the trace and the invariant factors
+    counted modulo 2^a."""
     norm = norm_matrix(gamma, m)
     rank_gamma, tors_gamma = rank_torsion(type(gamma).identity(gamma.rows) - gamma)
     rank_norm, tors_norm = rank_torsion(norm)
@@ -768,7 +797,8 @@ def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionRepo
 def sign_action_trivial_on_via_n(sk) -> tuple[int, int]:
     """How many unit classes act as the identity on the boundary-route homology."""
     denom = sk.denominator
-    quotient, gamma = skcx._via_n_quotient(sk)
+    quotient, neg = skcx._via_n_quotient(sk)
+    gamma = checked_induce(quotient, neg.matrix())
     ident = IntMatrix.identity(gamma.rows)
     d_even, d_odd = ident + gamma.dense(), ident - gamma.dense()
     spots = [homology_pair(d_even, d_odd), homology_pair(d_odd, d_even)]

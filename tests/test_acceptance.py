@@ -42,7 +42,14 @@ from uod.ftate import AlmostFreeSpec, ftate_closed_form, ftate_via_kt, thm442_lh
 from uod.iwasawa import distribution_relation_holds, u_of, u_values, uprime_compare
 from uod.signh import sign_homology_U, tate_pair
 from uod.skcx import build_sk, sk_quotients_homology
-from uod.znf import AbGroupInvariants, IntMatrix, cokernel_invariants, kernel_basis
+from uod.znf import (
+    AbGroupInvariants,
+    FreeQuotient,
+    IntMatrix,
+    SparseMatrix,
+    cokernel_invariants,
+    kernel_basis,
+)
 
 Q = ArchimedeanBackend()
 F2 = FunctionFieldBackend(2)
@@ -279,8 +286,10 @@ def test_criterion_11_property_suite():
             assert all(v == 0 for v in u.reduce_vector(vec))
 
     # sign homology: induced modules vanish, parities balance
-    perm = IntMatrix([[0, 1], [1, 0]])
-    assert tate_pair(perm, 2) == (AbGroupInvariants(0), AbGroupInvariants(0))
+    one = SparseMatrix.identity(2)
+    swap = MapOperator((1, 0))
+    assert tate_pair(FreeQuotient(SparseMatrix.zeros(2, 0), one, one), swap, 2) == (
+        AbGroupInvariants(0), AbGroupInvariants(0))
     for f in (9, 12):
         table = sign_homology_U(Q, f, u=cached_u(Q, f))
         assert table[0].order() == table[1].order()

@@ -18,12 +18,12 @@ from dense_reference import (
     with_operator,
 )
 from uod import chainkit, znf
-from uod.znf import AbGroupInvariants, IntMatrix, SparseMatrix, kernel_basis
+from uod.signh import OrderViolation, tate_pair
+from uod.znf import AbGroupInvariants, FreeQuotient, IntMatrix, SparseMatrix, kernel_basis
 from uod.chainkit import (
     ActionModule,
     ChainComplex,
     DoubleComplex,
-    GammaOrderUnbounded,
     MapOperator,
     NonCommutingOperators,
     NotAComplex,
@@ -281,42 +281,64 @@ class TestActionModule:
         with pytest.raises(NonCommutingOperators):
             ActionModule(2, {"a": a, "b": b})
 
+    @staticmethod
+    def pair_on_the_whole(module, m):
+        """``signh.tate_pair`` of the module's gamma0 on Z^n itself, where
+        gamma0's order is certified on its map; ``ActionModule`` certifies
+        commutation only."""
+        one = SparseMatrix.identity(module.rank)
+        whole = FreeQuotient(SparseMatrix.zeros(module.rank, 0), one, one)
+        return tate_pair(whole, module.maps["gamma0"], m)
+
     def test_gamma_order(self):
         swap = MapOperator((1, 0))
         m = ActionModule(2, {"gamma0": swap})
-        assert m.gamma_order() == 2 == gamma_order_by_powers(m.operator("gamma0"), 64)
+        assert gamma_order_by_powers(m.operator("gamma0"), 64) == 2
+        self.pair_on_the_whole(m, 2)
+        with pytest.raises(OrderViolation, match="length 2, which does not divide 1"):
+            self.pair_on_the_whole(m, 1)
 
     def test_gamma_of_infinite_order_rejected(self):
         # a map that is not injective and a unipotent 1 + Op(y): neither is
         # a permutation, and the power oracle agrees that neither matrix has
-        # finite order
+        # finite order; the module takes both, and the order certificate
+        # refuses both
         for gamma in (MapOperator((0, 0)), MapOperator((1, 1), shift=1)):
-            with pytest.raises(GammaOrderUnbounded, match="not a permutation"):
-                ActionModule(2, {"gamma0": gamma})
-            with pytest.raises(GammaOrderUnbounded):
-                gamma_order_by_powers(gamma.matrix(), 64)
+            m = ActionModule(2, {"gamma0": gamma})
+            with pytest.raises(OrderViolation, match="not a permutation"):
+                self.pair_on_the_whole(m, 2)
+            assert gamma_order_by_powers(gamma.matrix(), 64) is None
 
     def test_gamma_given_as_a_matrix_is_refused(self):
         with pytest.raises(TypeError, match="MapOperator"):
             ActionModule(2, {"gamma0": IntMatrix([[0, 1], [1, 0]])})
 
-    def test_gamma_order_bound_is_the_modules_own(self):
-        # a cyclic shift of order 100 passes under its bound, fails under 99,
-        # and the bound survives with_operator
+    def test_gamma_order_is_read_at_the_sign_order(self):
+        # a cyclic shift of order 100 builds a module with no bound, also
+        # through with_operator; its order is read where its Tate groups
+        # are, passing at m = 100 and 200 and refused at 99 and 50
         n = 100
         shift = MapOperator(tuple((j - 1) % n for j in range(n)))
-        m = ActionModule(n, {"gamma0": shift}, order_bound=n)
-        assert m.gamma_order() == n
-        assert with_operator(m, "X", identity_map(n)).order_bound == n
-        with pytest.raises(GammaOrderUnbounded, match="no order up to 99"):
-            ActionModule(n, {"gamma0": shift}, order_bound=n - 1)
+        m = with_operator(ActionModule(n, {"gamma0": shift}), "X", identity_map(n))
+        # Z[Z/100] is induced from the trivial group, so both groups vanish
+        assert self.pair_on_the_whole(m, 100) == (AbGroupInvariants(0),) * 2
+        self.pair_on_the_whole(m, 200)
+        for order in (99, 50):
+            with pytest.raises(OrderViolation, match=f"length 100, which does not divide {order}"):
+                self.pair_on_the_whole(m, order)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
     def test_gamma_order_is_the_power_orders(self, pi):
+        # the cycle walk accepts the order of the matrix and refuses every
+        # m short of it
         gamma = MapOperator(tuple(pi))
-        order = ActionModule(len(pi), {"gamma0": gamma}).gamma_order()
-        assert order == gamma_order_by_powers(gamma.matrix(), 64)
+        m = ActionModule(len(pi), {"gamma0": gamma})
+        order = gamma_order_by_powers(gamma.matrix(), 64)
+        self.pair_on_the_whole(m, order)
+        for short in range(1, order):
+            with pytest.raises(OrderViolation):
+                self.pair_on_the_whole(m, short)
 
 
 def class_map(images):

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_reference import with_map_uncertified
-from uod import arith, cli, distmod, iwasawa
-from uod.chainkit import GammaOrderUnbounded, MapOperator, NonCommutingOperators, PlusMinusNotZero
+from dense_reference import with_map_uncertified, with_operator
+from uod import arith, cli, distmod, iwasawa, signh
+from uod.chainkit import MapOperator, NonCommutingOperators, PlusMinusNotZero
 from uod.cli import main
 from uod.distmod import g_op_name
+from uod.signh import OrderViolation
 from uod.znf import ShapeMismatch
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -408,14 +409,31 @@ class TestExitCodes:
         ShapeMismatch("mul 2x3 by 2x2"),
         NonCommutingOperators("'a' and 'b' do not commute"),
         PlusMinusNotZero("'plus' * 'minus' is not zero"),
-        GammaOrderUnbounded("gamma0 has no order up to 64"),
+        OrderViolation("the sign generator has a cycle of length 6, which does not divide 2"),
     ])
     def test_bug_class_errors_exit_3(self, monkeypatch, capsys, exc):
-        # three of these subclass ValueError, which otherwise means usage
+        # all four subclass ValueError, which otherwise means usage
         assert self.raising(monkeypatch, exc) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"internal check failed: {exc}\n"
+
+    def test_a_sign_generator_off_the_sign_order_exits_3(self, monkeypatch, capsys):
+        # gamma0 of A(7) replaced by the unit 3, which commutes with every
+        # operator and has order 6: the cycle walk refuses it at m = 2
+        real = signh.build_af
+
+        def tampered(bk, f, nu=None):
+            af = real(bk, f, nu)
+            unit = af.operators.maps[distmod.g_op_name(bk, 3)]
+            return dataclasses.replace(af, operators=with_operator(af.operators, "gamma0", unit))
+
+        monkeypatch.setattr(signh, "build_af", tampered)
+        assert main(["sign-homology", "--f", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal check failed: the sign generator has a cycle "
+                                "of length 6, which does not divide 2\n")
 
     def test_memory_error_exits_4_with_one_line(self, monkeypatch, capsys):
         assert self.raising(monkeypatch, MemoryError()) == 4

@@ -44,8 +44,9 @@ from uod.distmod import (
     xi0_basis,
     xi0_set,
 )
-from uod.chainkit import ActionModule, GammaOrderUnbounded, MapOperator, NonCommutingOperators
+from uod.chainkit import ActionModule, MapOperator, NonCommutingOperators
 from uod.cli import main
+from uod.signh import OrderViolation, sign_homology_U, tate_pair
 from uod.znf import (
     InducedOperatorUndefined,
     IntMatrix,
@@ -543,22 +544,29 @@ class TestSparseOperators:
         with pytest.raises(InducedOperatorUndefined):
             checked_induce(u, self.swap(af, xi(1, 12), xi(1, 6)))
 
+    @staticmethod
+    def with_gamma(af, gamma):
+        """U(f) of ``af`` with gamma0 replaced by ``gamma``, whose
+        commutation ``with_operator`` certifies."""
+        return u_module(dataclasses.replace(af, operators=with_operator(af.operators, "gamma0", gamma)))
+
     def test_gamma_of_infinite_order_raises(self):
         # 2 times the identity, 1 + Op(id), commutes with every operator, so
-        # only the order certificate can reject it
+        # only the order certificate, on gamma0's map, can reject it
         af = build_af(Q, 12)
         doubling = MapOperator(tuple(range(af.rank)), shift=1)
-        with pytest.raises(GammaOrderUnbounded):
-            with_operator(af.operators, "gamma0", doubling)
+        with pytest.raises(OrderViolation, match="not a permutation"):
+            sign_homology_U(Q, 12, u=self.with_gamma(af, doubling))
 
     def test_gamma_of_the_wrong_order_raises(self):
         # the unit 3 generates (Z/7)^x: its permutation commutes with every
         # operator of A(7) and has order 6, past the sign order 2
         af = build_af(Q, 7)
         unit = af.operators.maps["G[3]"]
-        assert ActionModule(af.rank, {"gamma0": unit}, order_bound=6).gamma_order() == 6
-        with pytest.raises(GammaOrderUnbounded, match="no order up to 2"):
-            with_operator(af.operators, "gamma0", unit)
+        u = self.with_gamma(af, unit)
+        tate_pair(u, unit, 6)
+        with pytest.raises(OrderViolation, match="length 6, which does not divide 2"):
+            sign_homology_U(Q, 7, u=u)
 
 
 MOVED_IMAGE_CASES = [

@@ -129,10 +129,10 @@ class TestThm442:
         # and 1 - gamma are all maps: shift * 1 + scale * Op(y, nu).  X_p
         # itself stays out: the pair rule, which is only sufficient, refuses
         # X_p next to nu_p - X_p, since nu_p completes the empty fibers
-        from dense_reference import companion, with_operator
+        from dense_reference import companion, norm_matrix, with_operator
         from uod.chainkit import ActionModule, MapOperator, build_kt
         from uod.distmod import build_af, x_op_name
-        from uod.signh import norm_matrix, sign_homology_U
+        from uod.signh import sign_homology_U
 
         def one_minus(op, c=1):
             return MapOperator(op.images, op.nu, c - op.shift, -op.scale)

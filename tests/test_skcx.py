@@ -311,7 +311,8 @@ class TestViaNPeel:
         # the differentials are 1 +- gamma, with gamma induced on the k
         # depth-zero numerators
         sk = build_sk(15, 2)
-        _, gamma = skcx._via_n_quotient(sk)
+        quotient, neg = skcx._via_n_quotient(sk)
+        gamma = quotient.induce_preserving(neg.matrix())
         keep = skcx.depth_zero_numerators(sk.denominator)
         assert isinstance(gamma, SparseMatrix)
         assert gamma.rows == gamma.cols == len(keep)
@@ -327,9 +328,11 @@ class TestViaNPeel:
             return mul(a, b)
 
         monkeypatch.setattr(SparseMatrix, "__mul__", spy)
-        quotient, gamma = skcx._via_n_quotient(sk)
+        quotient, neg = skcx._via_n_quotient(sk)
+        via_n_homology(sk)
         monkeypatch.undo()
         # P S = 1, so the sign pair induces 1 + gamma and 2 - (1 + gamma)
+        gamma = quotient.induce_preserving(neg.matrix())
         one = SparseMatrix.identity(gamma.rows)
         assert one + gamma == checked_induce(quotient, sk.module.operator("plus"))
         assert one - gamma == checked_induce(quotient, sk.module.operator("minus"))
@@ -345,21 +348,32 @@ class TestViaNPeel:
 
         monkeypatch.setattr(FreeQuotient, "induce_preserving", spy)
         skcx._via_n_quotient(sk)
+        assert induced == []
+        # the norm 1 + gamma, whose count mod 2 also serves 1 - gamma
+        via_n_homology(sk)
         assert len(induced) == 1
 
     def test_an_induced_gamma_off_order_two_is_refused(self, monkeypatch):
-        # one column of gamma changed: gamma^2 = 1 fails, so d o d = 0 does
+        # neg's map changed past build_sk: on 1, 2 and 4 into a cycle of
+        # length 6, and at 0 into a map that is not injective.  Either way
+        # gamma^2 = 1, and so d o d = 0, has no certificate, and the walk
+        # over neg's cycles refuses it
         real = skcx._via_n_quotient
+        sk = build_sk(15, 2)
+        y = sk.module.maps["plus"].images
+        six_cycle = {1: y[2], 2: y[4], 4: y[1]}
+        for change, message in ((six_cycle, "length 6, which does not divide 2"),
+                                ({0: y[1]}, "not a permutation")):
+            def mutated(sk, change=change):
+                quotient, neg = real(sk)
+                images = list(neg.images)
+                for a, b in change.items():
+                    images[a] = b
+                return quotient, MapOperator(tuple(images))
 
-        def mutated(sk):
-            quotient, gamma = real(sk)
-            cols = list(gamma.entries)
-            cols[0] = {1: 1}
-            return quotient, SparseMatrix(gamma.rows, cols)
-
-        monkeypatch.setattr(skcx, "_via_n_quotient", mutated)
-        with pytest.raises(OrderViolation):
-            via_n_homology(build_sk(15, 2))
+            monkeypatch.setattr(skcx, "_via_n_quotient", mutated)
+            with pytest.raises(OrderViolation, match=message):
+                via_n_homology(sk)
 
     @pytest.mark.parametrize("name", ["plus", "minus"])
     def test_a_neg_that_moves_a_multiple_off_is_refused(self, name):
