@@ -18,6 +18,15 @@ has.  Besides ring arithmetic (``mul``, ``divide``, ``gcd``, ``factor``,
 residues mod an ideal, ``norm``) and the sign data (``sign_order``,
 ``sign_scalar``, ``scalar_mul``), the interface carries:
 
+* ``residues(f)``: every residue mod f in key order, so that the residue
+  key of a (``residue_key``) is its index there;
+* ``units(e)`` and ``unit_keys(e)``: the units mod e in key order, and
+  their keys, by a sieve that strikes the multiples of each prime of e;
+* ``mul_keys(c, f, keys)``: the multiplication map a -> c a mod f on
+  residue keys.  Over Z a key is the residue.  Over F_q[T] a key's base-p
+  digits are the residue's F_p coordinates, so the map is F_p-linear and
+  is filled from its images of the keys p^t (``_linear_fill``), with one
+  ``residue_mul`` per digit and none per residue;
 * ``reduce_fraction(a, f)``: the (order, numerator) of [a/f] in lowest terms;
 * ``least_unit_lift(x, base, f)``: the least unit mod f reducing to x mod
   base;
@@ -30,27 +39,28 @@ residues mod an ideal, ``norm``) and the sign data (``sign_order``,
 ``kind`` is a label for reports and ``backend()``; nothing branches on it.
 
 Each level has one cached ``LevelTable``: the sorted class list Xi(f), the
-residue a mod f of each class [a/f] and the position of each residue.
-Numerator multiplication by c in A is the map a -> c a mod f on residues,
-so the Y_g fibers, the group elements and the sign act on positions, and
-``distmod`` builds A(f) from these integer tables with no class objects.
+residue a mod f of each class [a/f] and the position of each residue, built
+by divisor blocks from ``units`` and ``mul_keys``.  Numerator
+multiplication by c in A is the map a -> c a mod f on residues, so the Y_g
+fibers, the group elements and the sign act on positions through
+``mul_keys``, and ``distmod`` builds A(f) from these integer tables with no
+class objects.
 ``xi_classes`` reads the table, and ``fiber_map`` is the class view of its
 position fibers.  Class lists and fibers are tuples; the fiber dicts, the
 tables and the level groups are only read by their callers.  Each backend
 caches its factorisations, as tuples of (prime, exponent).
 
 Polynomials over F_q are tuples of field codes.  Their kernels (``poly_add``,
-``poly_mul``, ``poly_divmod``) index the tables of ``FqTable`` directly, and
-``poly_divmod``, through which every residue, gcd, inverse and CRT lift goes,
-is memoised in a bounded LRU cache of 2^14 divisions; residue inverses
-(``poly_inverse_mod``) have a bounded memo of their own.  ``fq_table`` refuses
-q > ``FQ_MAX`` = 4096 before it builds any q x q table.
+``poly_mul``, ``poly_divmod``) index the tables of ``FqTable`` directly,
+with no memo.  ``fq_table`` refuses q > ``FQ_MAX`` = 4096 before it builds
+any q x q table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress, count
 from math import gcd
 
 
@@ -119,24 +129,11 @@ def _least_irreducible(p: int, d: int):
 
 
 def _is_irreducible_p(coeffs, p):
-    d = len(coeffs) - 1
-    if d == 1:
-        return True
-    for tcode in range(1, p ** ((d // 2) + 1)):
-        tdeg = 0
-        n = tcode
-        while n >= p:
-            n //= p
-            tdeg += 1
-        if tdeg == 0:
-            continue
-        trial = [(tcode // p**i) % p for i in range(tdeg)] + [1]
-        if len(trial) - 1 > d // 2:
-            break
-        _, rem = _poly_divmod_p(coeffs, trial, p)
-        if not rem:
-            return False
-    return True
+    """Whether no monic polynomial of degree 1 .. d/2 divides coeffs."""
+    return all(
+        _poly_divmod_p(coeffs, [(code // p**i) % p for i in range(k)] + [1], p)[1]
+        for k in range(1, (len(coeffs) - 1) // 2 + 1) for code in range(p**k)
+    )
 
 
 class FqTable:
@@ -156,14 +153,15 @@ class FqTable:
             self.modulus = _least_irreducible(p, d)
         self.add_table = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
         self.mul_table = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        self.neg_table = [self._sub_codes(0, a) for a in range(q)]
-        self.inv_table = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_table[a][b] == 1:
-                    self.inv_table[a] = b
-                    break
+        self.neg_table = [row.index(0) for row in self.add_table]
+        self.inv_table = [None] + [row.index(1) for row in self.mul_table[1:]]
         self.generator = self._least_generator()
+        # each base-p digit of a code in a field of ``bits`` bits, wide enough
+        # for the sum of two digits below 2^(bits-1): see ``_linear_fill``
+        self.bits = (2 * p - 2).bit_length() + 1
+        self.spread = [
+            sum(x << (j * self.bits) for j, x in enumerate(self._digits(c))) for c in range(q)
+        ]
 
     def _digits(self, code):
         return [(code // self.p**i) % self.p for i in range(self.deg)]
@@ -173,9 +171,6 @@ class FqTable:
 
     def _add_raw(self, a, b):
         return self._code([(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
-
-    def _sub_codes(self, a, b):
-        return self._code([(x - y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
 
     def _mul_raw(self, a, b):
         if self.deg == 1:
@@ -286,13 +281,6 @@ def poly_scale(fq, c, a):
     return _trimmed([row[x] for x in a])
 
 
-# The depth tag inverts few distinct residues many times: each class's
-# transversal lift, and n mod m in every CRT lift (2,912 lifts over only 6
-# pairs (m, n) at ``verify yin --q 3 --f T^7+T``).  There, 5,098 inversions
-# had 164 distinct arguments, and each extended Euclid's products and
-# differences lie outside the division memo.  So the inverses are memoised
-# too, bounded and keyed by the table like the divisions.
-@lru_cache(maxsize=1 << 12)
 def poly_inverse_mod(fq, a, f):
     """The inverse of the residue a mod f; () when f is a unit."""
     if poly_deg(f) < 1:
@@ -309,14 +297,12 @@ def poly_inverse_mod(fq, a, f):
     return poly_divmod(fq, poly_scale(fq, fq.inv(r0[0]), s0), f)[1]
 
 
-# Residue arithmetic over F_q[T] divides the same few pairs again and again
-# (reductions mod a level, its prime powers and their gcds), so divisions are
-# memoised.  The memo is bounded; its key includes the table, since the same
-# tuples mean different polynomials over different fields.  A level of degree
-# 3 over F_5 makes about 1,400 distinct divisions; at ``verify yin --q 5 --f
-# T^5+T`` (45k distinct) a bound of 2^16 held 11 MB more than 2^14 and was no
-# faster.
-@lru_cache(maxsize=1 << 14)
+# Divisions are not memoised.  The class table, the group maps and the
+# depths take one residue product per basis vector of a linear map, not one
+# per residue, so ``verify yin --q 5 --f T^3+T`` makes 216 divisions (79
+# distinct) and ``--f T^5+T`` 338 (116 distinct), and none of nine
+# function-field commands, the largest in the CI smoke among them, ran
+# faster with a memo of 2^14.
 def poly_divmod(fq, a, b):
     """(quotient, remainder) of a by b; a and b are tuples."""
     if not b:
@@ -346,6 +332,51 @@ def poly_monic(fq, a):
     if not a:
         return a
     return poly_scale(fq, fq.inv(a[-1]), a)
+
+
+# A residue's key is the integer with its F_p coordinates as base-p digits,
+# since field codes are base-p digit vectors.  Its spread code holds the same
+# digits one ``fq.bits``-bit field each, so that adding two spread codes adds
+# all their coordinates at once.
+
+
+@lru_cache(maxsize=None)
+def _residue_space(fq, n):
+    """The residues of degree < n in key order, their spread codes, and the
+    key of each spread code.  The space of degree n is that of n - 1 with
+    each nonzero coefficient of T^(n-1) put on top."""
+    if n == 0:
+        return [()], [0], {0: 0}
+    low, low_spreads, _ = _residue_space(fq, n - 1)
+    shift = (n - 1) * fq.deg * fq.bits
+    padded = [a + (0,) * (n - 1 - len(a)) for a in low]
+    polys = low + [a + (c,) for c in range(1, fq.q) for a in padded]
+    spreads = low_spreads + [
+        s + (fq.spread[c] << shift) for c in range(1, fq.q) for s in low_spreads
+    ]
+    return polys, spreads, dict(zip(spreads, range(len(spreads))))
+
+
+def _linear_fill(fq, images, fields) -> list:
+    """Spread codes of the F_p-linear map that sends the code p^t to the
+    spread code ``images[t]``, on every code below p^len(images) in order:
+    the image of d p^t + r is that of r plus d times ``images[t]``.
+
+    The sum of two spread codes has each field at most 2p - 2, below
+    2^(bits-1), so adding 2^(bits-1) - p to every field (of ``fields``) sets
+    a field's top bit exactly when it reached p, and p is taken off those
+    fields."""
+    p, top = fq.p, fq.bits - 1
+    high = sum(1 << (i * fq.bits + top) for i in range(fields))
+    lift = (high >> top) * ((1 << top) - p)
+    out = [0]
+    for image in images:
+        base, step = out[:], 0
+        for _ in range(p - 1):
+            s = step + image
+            step = s - (((s + lift) & high) >> top) * p
+            out += [x - (((x + lift) & high) >> top) * p for x in map(step.__add__, base)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +410,22 @@ class ArchimedeanBackend:
         return f
 
     def residues(self, f: int):
+        """Every residue mod f, in key order: the key of a is a."""
         return range(f)
+
+    def unit_keys(self, e: int) -> list:
+        """The units mod e, ascending, by a sieve that strikes the multiples
+        of each prime dividing e."""
+        flags = bytearray([1]) * e
+        for p, _ in self.factor(e):
+            flags[::p] = bytes(len(range(0, e, p)))
+        return list(compress(range(e), flags))
+
+    units = unit_keys  # a residue is its own key
+
+    def mul_keys(self, c, f, keys) -> list:
+        """The key of c a mod f for the residue a of each key."""
+        return [(c * a) % f for a in keys]
 
     def residue_of(self, a: int, f: int) -> int:
         return a % f
@@ -534,11 +580,48 @@ class FunctionFieldBackend:
         return self.q ** poly_deg(f)
 
     def residues(self, f):
-        d = poly_deg(f)
-        return [self._decode(i, d) for i in range(self.q**d)]
+        """Every residue mod f, in key order; a shared list, not to be
+        changed."""
+        return _residue_space(self.fq, poly_deg(f))[0]
 
-    def _decode(self, index, d):
-        return poly_trim((index // self.q**i) % self.q for i in range(d))
+    def unit_keys(self, e) -> list:
+        """The keys of the units mod e, ascending, by a sieve: for each
+        prime P | e, the multiples P b with deg b < deg e - deg P are struck
+        by their spread codes, the map b -> P b filled by ``_mul_fill``."""
+        n = poly_deg(e)
+        spreads = _residue_space(self.fq, n)[1]
+        struck = set()
+        for prime, _ in self.factor(e):
+            struck.update(self._mul_fill(prime, e, (n - poly_deg(prime)) * self.fq.deg))
+        return [k for k, s in enumerate(spreads) if s not in struck]
+
+    def units(self, e) -> list:
+        """The units mod e in key order."""
+        polys = self.residues(e)
+        return [polys[k] for k in self.unit_keys(e)]
+
+    def mul_keys(self, c, f, keys) -> list:
+        """The key of c a mod f for the residue a of each key.
+
+        a -> c a mod f is F_p-linear on keys' digits, so it is filled
+        (``_linear_fill``) from the images of the codes p^t below the
+        largest key, one ``residue_mul`` each, and read back through the
+        spread-code index."""
+        top = max(keys)
+        images = self._mul_fill(c, f, next(t for t in count() if self.fq.p**t > top))
+        key_of = _residue_space(self.fq, poly_deg(f))[2]
+        return [key_of[images[k]] for k in keys]
+
+    def _mul_fill(self, c, f, digits) -> list:
+        """The spread codes of c a mod f for the residues a with keys below
+        p^digits, filled from the images of the residues with keys p^t."""
+        fq = self.fq
+        width = fq.deg * fq.bits
+        images = []
+        for t in range(digits):
+            image = self.residue_mul(c, (0,) * (t // fq.deg) + (fq.p ** (t % fq.deg),), f)
+            images.append(sum(fq.spread[x] << (i * width) for i, x in enumerate(image)))
+        return _linear_fill(fq, images, poly_deg(f) * fq.deg)
 
     def residue_of(self, a, f):
         return poly_divmod(self.fq, a, f)[1]
@@ -550,7 +633,7 @@ class FunctionFieldBackend:
         return sum(c * self.q**i for i, c in enumerate(a))
 
     def coprime(self, a, f) -> bool:
-        return self._gcd_raw(a, f) == self.one
+        return self.gcd(a, f) == self.one
 
     def residue_inverse(self, a, f):
         return poly_inverse_mod(self.fq, a, f)
@@ -575,10 +658,7 @@ class FunctionFieldBackend:
     def divides(self, g, f) -> bool:
         return not poly_divmod(self.fq, f, g)[1]
 
-    def gcd(self, f, g):
-        return self._gcd_raw(f, g)
-
-    def _gcd_raw(self, a, b):
+    def gcd(self, a, b):
         while b:
             a, b = b, poly_divmod(self.fq, a, b)[1]
         return poly_monic(self.fq, a)
@@ -590,19 +670,10 @@ class FunctionFieldBackend:
         out = []
         rest = poly_monic(self.fq, f)
         while poly_deg(rest) >= 1:
-            found = None
-            limit_deg = poly_deg(rest) // 2
-            c = self.q
-            while True:
-                trial = self._decode_monic(c)
-                if poly_deg(trial) > limit_deg:
-                    break
-                if self.divides(trial, rest):
-                    found = trial
-                    break
-                c += 1
-            if found is None:
-                found = rest
+            # the monic trials of degree k in key order, k = 1 .. deg/2
+            trials = (a + (0,) * (k - len(a)) + (1,) for k in range(1, poly_deg(rest) // 2 + 1)
+                      for a in _residue_space(self.fq, k)[0])
+            found = next((t for t in trials if self.divides(t, rest)), rest)
             e = 0
             while self.divides(found, rest):
                 rest = self.divide(rest, found)
@@ -611,16 +682,6 @@ class FunctionFieldBackend:
         out.sort(key=lambda pe: self.ideal_key(pe[0]))
         out = self._factor_cache[f] = tuple(out)
         return out
-
-    def _decode_monic(self, code):
-        # code >= 1 enumerates all monic polynomials: degree d block covers
-        # codes q^d .. q^{d+1}-1 via digits below the leading 1
-        d = 0
-        n = code
-        while n >= self.q:
-            n //= self.q
-            d += 1
-        return poly_trim([(code // self.q**i) % self.q for i in range(d)] + [1])
 
     def radical(self, f):
         r = self.one
@@ -694,8 +755,8 @@ class FunctionFieldBackend:
         lifts in residue-index order, and the first coprime one is the least.
         """
         b = poly_deg(base)
-        for i in range(self.q ** (poly_deg(f) - b)):
-            high = poly_trim((0,) * b + self._decode(i, poly_deg(f) - b))
+        for h in _residue_space(self.fq, poly_deg(f) - b)[0]:
+            high = (0,) * b + h if h else ()
             a = poly_add(self.fq, high, self.residue_of(poly_sub(self.fq, x, high), base))
             if self.coprime(a, f):
                 return a
@@ -848,16 +909,11 @@ def xi_from_fraction(bk, a, f) -> XiClass:
     return XiClass(bk.key, order, num)
 
 
-def xi_sort_key(bk, xi: XiClass):
-    return (bk.ideal_key(xi.order), bk.residue_key(xi.num))
-
-
 # Per-level caches.  Their values are never mutated, and uod runs every
 # command in a single thread, so check-then-set needs no lock; the same holds
 # for the memos inside a ``LevelTable``, for ``distmod._partition_cache`` and
 # for the backends' ``_factor_cache``.  These grow with the levels a process
-# visits; the ``poly_divmod`` memo is the one bounded cache, since it sees
-# every division of every level.
+# visits, as ``_residue_space`` grows with their degrees.
 _table_cache: dict = {}
 _group_cache: dict = {}
 
@@ -866,41 +922,63 @@ class LevelTable:
     """The classes of Xi(f) and their residues, built once per level.
 
     ``classes`` is Xi(f) in sorted order, ``residues[i]`` is the residue a
-    mod f with [a/f] = ``classes[i]``, and ``position`` maps each residue
-    to its place.  Multiplying numerators by c in A maps [a/f] to [c a/f],
-    so Y_g (c = g), a group element (c = its unit residue) and the sign
-    (c = gamma's residue) all act on positions through ``images``, with no
-    class objects.  ``y_images`` (Y_g's images), ``fibers`` and ``inside``
-    are memoised per divisor.
+    mod f with [a/f] = ``classes[i]``, ``keys[i]`` is its residue key, and
+    ``position`` maps each residue to its place.
+
+    The table is built by divisor blocks: Xi(f) is the disjoint union over
+    d | f of the classes [u/d] of exact order d, one for each unit u mod d,
+    and [u/d] = [u (f/d)/f].  So the divisors are walked in key order, each
+    block lists ``units(d)`` in key order, and the residue of [u/d] is the
+    key of u (f/d) from ``mul_keys``: no gcd, division or sort per residue.
+
+    Multiplying numerators by c in A maps [a/f] to [c a/f], so Y_g (c = g),
+    a group element (c = its unit residue) and the sign (c = gamma's
+    residue) all act on positions through ``images``, with no class
+    objects.  ``y_images`` (Y_g's images), ``fibers`` and ``inside`` are
+    memoised per divisor.
     """
 
     def __init__(self, bk, f):
         self.backend = bk
         self.level = f
-        pairs = sorted(
-            ((xi_from_fraction(bk, a, f), a) for a in bk.residues(f)),
-            key=lambda pair: xi_sort_key(bk, pair[0]),
-        )
-        self.classes = tuple(xi for xi, _ in pairs)
-        self.residues = tuple(a for _, a in pairs)
+        everything = bk.residues(f)
+        classes, keys, blocks = [], [], []
+        for d in bk.divisors(f):
+            units = bk.unit_keys(d)
+            blocks.append((d, len(keys), len(keys) + len(units)))
+            classes += [XiClass(bk.key, d, everything[k]) for k in units]
+            keys += bk.mul_keys(bk.divide(f, d), f, units)
+        self.classes = tuple(classes)
+        self.keys = tuple(keys)
+        self.residues = tuple(map(everything.__getitem__, keys))
         # one int object per position, shared by the fibers, the inside
         # tuples and the operator columns instead of a copy in each
-        self.positions = tuple(range(len(pairs)))
-        self.position = dict(zip(self.residues, self.positions))
+        self.positions = tuple(range(len(keys)))
+        self._blocks = tuple(blocks)
         self._y_images: dict = {}
         self._fibers: dict = {}
         self._inside: dict = {}
         self._views: dict = {}
 
     @cached_property
+    def position(self) -> dict:
+        """Position of each residue, built on first use."""
+        return dict(zip(self.residues, self.positions))
+
+    @cached_property
     def index(self) -> dict:
         """Position of each class, built on first use."""
         return dict(zip(self.classes, self.positions))
 
+    @cached_property
+    def _at_key(self) -> list:
+        """The position of each residue key: the keys are a permutation."""
+        return sorted(self.positions, key=self.keys.__getitem__)
+
     def images(self, c) -> list:
         """The position of [c a/f] for each class [a/f], in order."""
-        bk, f, position = self.backend, self.level, self.position
-        return [position[bk.residue_mul(c, a, f)] for a in self.residues]
+        at = self._at_key
+        return [at[k] for k in self.backend.mul_keys(c, self.level, self.keys)]
 
     def y_images(self, g) -> tuple:
         """``images(g)`` for a divisor g of f, as a tuple: the map of Y_g on
@@ -911,13 +989,15 @@ class LevelTable:
         return self._y_images[key]
 
     def inside(self, g) -> tuple:
-        """Positions of the classes of Xi(f/g) for g | f: [a/f] has order
-        dividing f/g exactly when g divides a."""
-        key = self.backend.ideal_key(g)
+        """Positions of the classes of Xi(f/g) for g | f: the blocks of the
+        orders d that divide f/g."""
+        bk = self.backend
+        key = bk.ideal_key(g)
         if key not in self._inside:
-            divides = self.backend.divides
+            rest = bk.divide(self.level, g)
             self._inside[key] = tuple(
-                i for i, a in zip(self.positions, self.residues) if divides(g, a)
+                i for d, start, stop in self._blocks if bk.divides(d, rest)
+                for i in range(start, stop)
             )
         return self._inside[key]
 
@@ -1005,9 +1085,7 @@ class GfGroup:
     def __init__(self, bk, f):
         self.backend = bk
         self.level = f
-        units = [a for a in bk.residues(f) if bk.coprime(a, f)]
-        units.sort(key=bk.residue_key)
-        self.elements = tuple(GfElement(bk.key, f, u) for u in units)
+        self.elements = tuple(GfElement(bk.key, f, u) for u in bk.units(f))
         self._index = {e.residue: i for i, e in enumerate(self.elements)}
         self.identity = GfElement(bk.key, f, bk.residue_of(bk.one, f))
 
@@ -1027,19 +1105,6 @@ class GfGroup:
         res = self.backend.residue_mul(x.residue, y.residue, self.level)
         return GfElement(self.backend.key, self.level, res)
 
-    def inv(self, x: GfElement) -> GfElement:
-        res = self.backend.residue_inverse(x.residue, self.level)
-        return GfElement(self.backend.key, self.level, res)
-
-    def power(self, x: GfElement, n: int) -> GfElement:
-        if n < 0:
-            x = self.inv(x)
-            n = -n
-        out = self.identity
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
-
     def element_order(self, x: GfElement) -> int:
         out = x
         n = 1
@@ -1049,37 +1114,39 @@ class GfGroup:
         return n
 
     def generators(self) -> list[GfElement]:
-        """A deterministic generating set, grown greedily in residue order."""
-        gens: list[GfElement] = []
-        have = {self.identity.residue}
-        for e in self.elements:
-            if e.residue in have:
+        """A deterministic generating set, grown greedily in residue order.
+
+        The closures run on element indices: each generator acts by its
+        multiplication map on the unit keys (``mul_keys``), built once."""
+        bk, f = self.backend, self.level
+        keys = bk.unit_keys(f)
+        index = dict(zip(keys, range(len(keys))))
+        one = index[bk.residue_key(self.identity.residue)]
+        gens, steps, have = [], [], {one}
+        for i, e in enumerate(self.elements):
+            if i in have:
                 continue
             gens.append(e)
-            have = self._closure(gens)
-            if len(have) == len(self.elements):
+            steps.append([index[k] for k in bk.mul_keys(e.residue, f, keys)])
+            have = _closure(one, steps)
+            if len(have) == len(keys):
                 break
         return gens
-
-    def _closure(self, gens):
-        have = {self.identity.residue}
-        frontier = [self.identity.residue]
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for g in gens:
-                    c = self.backend.residue_mul(a, g.residue, self.level)
-                    if c not in have:
-                        have.add(c)
-                        fresh.append(c)
-            frontier = fresh
-        return have
 
     def reduce_to(self, x: GfElement, g) -> GfElement:
         """Image under the natural surjection G_f -> G_g for g | f."""
         if not self.backend.divides(g, self.level):
             raise LevelMismatch("target level must divide the source level")
         return GfElement(self.backend.key, g, self.backend.residue_of(x.residue, g))
+
+
+def _closure(start, steps) -> set:
+    """The indices reached from ``start`` by the maps ``steps``."""
+    have, frontier = {start}, [start]
+    while frontier:
+        frontier = {step[a] for a in frontier for step in steps} - have
+        have |= frontier
+    return have
 
 
 def gf_group(bk, f) -> GfGroup:
@@ -1121,24 +1188,3 @@ class SignGroup:
 def sign_group(bk, f) -> SignGroup:
     gamma = GfElement(bk.key, f, bk.scalar_mul(bk.sign_scalar, bk.one, f))
     return SignGroup(bk.key, f, bk.sign_order, gamma, bk.sign_label)
-
-
-def ideal_arithmetic(bk, op: str, *inputs):
-    """Dispatcher matching the ideal-arithmetic contract."""
-    if op == "multiply":
-        out = inputs[0]
-        for f in inputs[1:]:
-            out = bk.mul(out, f)
-        return out
-    if op == "divide":
-        return bk.divide(*inputs)
-    if op == "gcd":
-        out = inputs[0]
-        for f in inputs[1:]:
-            out = bk.gcd(out, f)
-        return out
-    if op == "radical":
-        return bk.radical(inputs[0])
-    if op == "factor":
-        return bk.factor(inputs[0])
-    raise ValueError(f"unknown ideal operation {op!r}")

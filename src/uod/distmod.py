@@ -36,10 +36,10 @@ those certificates, and certifying that the relations are the columns of
 the nu_p - X_p, so that every commuting operator preserves them and
 induces an operator on U(f), all cost O(nnz), not |Xi(f)|^2, and multiply
 no matrices.  The relation certificate runs once per ``UModule``, when it
-is built.  No operator is induced then: ``UModule.operator`` induces the
-one a caller reads, as a |G_f| x |G_f| ``SparseMatrix`` that the Tate pair
-of ``signh`` takes as it is; the callers that do dense lattice algebra on
-it call ``dense()`` themselves.
+is built.  No operator is induced then: any commuting operator of A(f)
+induces P op S on U(f) through ``induce_preserving``, and ``signh``
+induces only the sign's orbit norm, and 1 - gamma0 when the sign order is
+above 2, that way.
 
 ``u_module`` certifies that basis with one triangular peel of the relation
 matrix (``znf.complement_projection``): every class outside Xi_0(f) gets a
@@ -228,7 +228,8 @@ class UModule(FreeQuotient):
     """U(f), the free quotient of A(f) by the distribution relations, kept
     on the depth-zero classes: ``section`` is |Xi(f)| x rank with the basis
     classes as columns, ``projection`` rank x |Xi(f)|.  It keeps no
-    operator: ``operator(name)`` induces one of A(f)'s when it is read.
+    operator: one of A(f)'s is induced by ``induce_preserving`` where it
+    is read.
 
     Building a UModule, directly or by ``dataclasses.replace``, certifies
     that its relations are the nonzero columns of the nu_p - X_p of its
@@ -243,16 +244,6 @@ class UModule(FreeQuotient):
     @property
     def rank(self) -> int:
         return self.section.cols
-
-    def operator(self, name: str) -> SparseMatrix:
-        """The operator of A(f) named ``name`` induced on U(f), P op S, built
-        from its map on each call.  No product against the relations is
-        needed: ``ActionModule`` certified that the operator commutes with
-        every X_p, and building this UModule certified that the relations
-        are the columns of the nu_p - X_p, so the operator preserves them.
-        Any operator not of A(f) must first be certified to preserve the
-        relations, as ``induce_preserving`` checks nothing."""
-        return self.induce_preserving(self.parent.operators.operator(name))
 
     def reduce_vector(self, vector) -> tuple:
         """The coordinates on U(f) of a vector of A(f), from the sparse
@@ -274,8 +265,7 @@ def u_module(af: AfModule) -> UModule:
 
     Building the UModule certifies, in O(nnz), that the relations are the
     nonzero columns of the nu_p - X_p; a mismatch raises
-    StructureCheckFailed.  No operator is induced here; ``UModule.operator``
-    induces one where it is read.
+    StructureCheckFailed.  No operator is induced here.
     """
     rel = distribution_relations(af)
     expected_rank = len(af.group)
@@ -389,19 +379,23 @@ class _LevelPartition:
         (a unit mod f), in ``xi_classes`` order.
 
         With x = num * lift^{-1} for num's transversal lift, the CRT
-        component of x at p is trivial exactly when x = 1 mod p^e, so the
-        depth counts those p; each lift is inverted once.  ``decompose``
-        takes the same steps one class at a time, with its checks.
+        component of x at p is trivial exactly when x = 1 mod p^e, that is
+        when num = lift mod p^e, so the depth counts the p^e at which num
+        and its lift agree.  Reducing all the units mod the base and mod
+        each p^e is one map of residue keys each (``mul_keys`` by 1), and
+        the lifts are reduced once.  ``decompose`` takes the steps of the
+        definition one class at a time, with its checks.
         """
-        bk, f = self.backend, self.level
-        inverse = {b: bk.residue_inverse(lift, f) for b, lift in self.transversal.items()}
-        ones = [(pe, bk.residue_of(bk.one, pe)) for pe in self.prime_powers.values()]
-        out = {}
-        for e in self.group:
-            num = e.residue
-            x = bk.residue_mul(num, inverse[bk.residue_of(num, self.base)], f)
-            out[num] = sum(1 for pe, one in ones if bk.residue_of(x, pe) == one)
-        return out
+        bk = self.backend
+        keys = bk.unit_keys(self.level)
+        bases = bk.mul_keys(bk.one, self.base, keys)
+        agree = [0] * len(keys)
+        for pe in self.prime_powers.values():
+            lifts = {bk.residue_key(b): bk.residue_key(bk.residue_of(lift, pe))
+                     for b, lift in self.transversal.items()}
+            agree = [n + (lifts[b] == k)
+                     for n, b, k in zip(agree, bases, bk.mul_keys(bk.one, pe, keys))]
+        return dict(zip((e.residue for e in self.group), agree))
 
     def _is_one_mod(self, residue, modulus) -> bool:
         bk = self.backend

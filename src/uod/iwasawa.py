@@ -592,7 +592,7 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
 
     Equivariance, per generator t of G_f: A(f)'s class map is rho(t), or
     the report is not equivariant.  U(f)'s operator op for t is P rho(t) S
-    by definition (``UModule.operator``), so it is not formed here.  Then
+    by definition (``induce_preserving``), so it is not formed here.  Then
     mapped op = image S P rho(t) S = image rho(t) S = perm mapped, perm the
     coordinate permutation by t: S P - 1 maps into ker P = im R, which the
     image kills, and image rho(t) = perm image by the orbit formula above.

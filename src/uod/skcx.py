@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .arith import ARCHIMEDEAN, xi_from_fraction
+from .arith import ARCHIMEDEAN
 from .chainkit import (
     ActionModule,
     ChainComplex,
@@ -62,7 +62,7 @@ from .chainkit import (
     homology_table,
     scalar_kt,
 )
-from .distmod import BasisCertificateFailed, depth
+from .distmod import BasisCertificateFailed, level_partition
 from .signh import tate_spots
 from .znf import (
     FreeQuotient,
@@ -157,11 +157,16 @@ def distribution_presentation(sk: SkComplex) -> SparseMatrix:
 
 
 def depth_zero_numerators(denom: int) -> list[int]:
-    """The numerators a whose class a/denom has depth zero."""
-    return [
-        a for a in range(denom)
-        if depth(ARCHIMEDEAN, xi_from_fraction(ARCHIMEDEAN, a, denom)) == 0
-    ]
+    """The numerators a whose class a/denom has depth zero, ascending.
+
+    They are read by divisor blocks, as in ``arith.LevelTable``: the class
+    [u/d] of exact order d | denom has numerator u (denom/d), and the zero
+    class has depth zero."""
+    keep = [0]
+    for d in ARCHIMEDEAN.divisors(denom)[1:]:
+        depths = level_partition(ARCHIMEDEAN, d).depths.items()
+        keep += [u * (denom // d) for u, dep in depths if dep == 0]
+    return sorted(keep)
 
 
 def _via_n_quotient(sk: SkComplex):

@@ -1114,9 +1114,9 @@ class FreeQuotient:
     An operator induces P op S on the quotient once it maps im(R) into
     itself.  ``induce_preserving`` forms P op S for a caller that has
     certified the preservation with no product against R:
-    ``distmod.UModule.operator`` for the commuting operators of A(f), each
-    induced where it is read, the relations being certified to be the
-    columns of the nu_p - X_p when the UModule is built, and the
+    the commuting operators of A(f) on ``distmod.UModule``, each induced
+    where it is read, the relations being certified to be the columns of
+    the nu_p - X_p when the UModule is built, and the
     via-N quotient of ``skcx`` for neg, whose map is checked to keep the
     multiples of each p.
     """

@@ -2,9 +2,11 @@
 
 The package computes homology from invariant factors alone, keeps every
 complex sparse and builds A(f) on per-level residue tables.  The
-constructions here work with representatives instead: A(f) built class by
-class, subquotients lattice(num)/lattice(den) on Hermite bases, chain maps
-and cones of dense complexes, complexes of presented groups, the companion
+constructions here work with representatives instead: the class table
+built residue by residue, A(f) built class by class, the operators of A(f)
+induced on U(f) by name, subquotients lattice(num)/lattice(den) on
+Hermite bases, chain maps and cones of dense complexes, complexes of
+presented groups, the companion
 complexes of a Koszul-Tate double complex, and the functoriality, inclusion
 and sign-action checks built on them, the fiber identity class by class,
 ``snf``, the Smith normal form with its two transforms, and
@@ -30,7 +32,6 @@ from uod.arith import (
     xi_classes,
     xi_from_fraction,
     xi_in_level,
-    xi_sort_key,
     y_fiber,
     y_map,
 )
@@ -224,6 +225,28 @@ class ReferenceAf:
     relations: SparseMatrix
 
 
+def xi_sort_key(bk, xi: XiClass):
+    return (bk.ideal_key(xi.order), bk.residue_key(xi.num))
+
+
+def reference_table(bk, f) -> list:
+    """The (class, residue) pairs of Xi(f) in sorted order, built one
+    residue at a time as ``arith.LevelTable`` built them before its divisor
+    blocks: each residue a mod f reduced to lowest terms by
+    ``xi_from_fraction`` (a gcd and a division), then one sort."""
+    return sorted(((xi_from_fraction(bk, a, f), a) for a in bk.residues(f)),
+                  key=lambda pair: xi_sort_key(bk, pair[0]))
+
+
+def induced_operator(u, name: str) -> SparseMatrix:
+    """The operator of A(f) named ``name`` induced on U(f), P op S, built
+    from its map on each call.  No product against the relations is
+    needed: ``ActionModule`` certified that the operator commutes with every
+    X_p, and building the UModule certified that the relations are the
+    columns of the nu_p - X_p, so the operator preserves them."""
+    return u.induce_preserving(u.parent.operators.operator(name))
+
+
 def reference_af(bk, f, nu: dict | None = None) -> ReferenceAf:
     """A(f) built class by class, as ``build_af`` built it before its level
     tables: Xi(f) from ``xi_from_fraction``, the Y_p fibers from ``y_map``,
@@ -232,8 +255,7 @@ def reference_af(bk, f, nu: dict | None = None) -> ReferenceAf:
     the relations nu_p xi - sum(fiber), every matrix through the validating
     ``SparseMatrix`` constructor."""
     nu = dict(nu or {})
-    basis = tuple(sorted({xi_from_fraction(bk, a, f) for a in bk.residues(f)},
-                         key=lambda xi: xi_sort_key(bk, xi)))
+    basis = tuple(xi for xi, _ in reference_table(bk, f))
     index = {xi: i for i, xi in enumerate(basis)}
     fibers, operators, relations = {}, {}, []
     for p, _ in bk.factor(f):
@@ -706,7 +728,8 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     u_f = u_module(build_af(bk, f, nu))
     u_g = u_module(build_af(bk, g, nu))
     mat = u_inclusion(u_f, u_g)
-    gamma_f, gamma_g = u_f.operator("gamma0").dense(), u_g.operator("gamma0").dense()
+    gamma_f = induced_operator(u_f, "gamma0").dense()
+    gamma_g = induced_operator(u_g, "gamma0").dense()
     if mat * gamma_f != gamma_g * mat:
         raise RuntimeError("inclusion does not commute with the sign action")
     ev_f, od_f = tate_cycles(gamma_f, m)

@@ -14,7 +14,6 @@ from uod.arith import (
     fq_table,
     g_action,
     gf_group,
-    ideal_arithmetic,
     parse_polynomial,
     poly_add,
     poly_deg,
@@ -73,16 +72,16 @@ class TestFqTables:
 
 class TestIdealArithmetic:
     def test_radical_archimedean(self):
-        assert ideal_arithmetic(Q, "radical", 12) == 6
+        assert Q.radical(12) == 6
 
     def test_factor_f3(self):
         t2_plus_t = parse_polynomial("T^2+T", 3)
-        factors = ideal_arithmetic(F3, "factor", t2_plus_t)
+        factors = F3.factor(t2_plus_t)
         assert factors == ((T, 1), (T_PLUS_1, 1))
 
     def test_divide_not_divisible(self):
         with pytest.raises(NotDivisible):
-            ideal_arithmetic(F3, "divide", T, T_PLUS_1)
+            F3.divide(T, T_PLUS_1)
 
     def test_factor_with_multiplicity(self):
         sq = F3.mul(T, T)
@@ -225,8 +224,13 @@ class TestGfGroup:
     def test_generators_generate(self):
         for f in (8, 12, 15, 16, 105):
             g = gf_group(Q, f)
-            gens = g.generators()
-            assert len(g._closure(gens)) == len(g)
+            gens = [s.residue for s in g.generators()]
+            # the closure by residue products, independent of the index maps
+            have = frontier = {g.identity.residue}
+            while frontier:
+                frontier = {a * s % f for a in frontier for s in gens} - have
+                have = have | frontier
+            assert have == {e.residue for e in g}
 
     def test_reduction_map(self):
         g12 = gf_group(Q, 12)
@@ -405,7 +409,6 @@ class TestPolynomialKernels:
         assert poly_mul(fq, a, b) == ref_mul(fq, a, b)
         want = ref_divmod(fq, a, b)
         assert poly_divmod(fq, a, b) == want
-        assert poly_divmod(fq, a, b) == want  # the memoised call
         quo, rem = want
         assert poly_add(fq, poly_mul(fq, quo, b), rem) == a
         assert poly_deg(rem) < poly_deg(b)

@@ -148,8 +148,8 @@ class TestBackendMethods:
         # every level of degree <= 5 with a nontrivial base f / rad f, the
         # base the depth transversal lifts from, and every residue mod base
         for bk in (FunctionFieldBackend(2), FunctionFieldBackend(3)):
-            for code in range(bk.q, bk.q**6):
-                f = bk._decode_monic(code)
+            for f in (low + (0,) * (n - len(low)) + (1,)
+                      for n in range(1, 6) for low in bk.residues(bk.power((0, 1), n))):
                 base = bk.divide(f, bk.radical(f))
                 if base == bk.one:
                     continue

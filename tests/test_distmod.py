@@ -10,9 +10,11 @@ import pytest
 from dense_reference import (
     checked_induce,
     class_matrix,
+    induced_operator,
     lemma411_check,
     lemma411_reference_counts,
     reference_af,
+    reference_table,
     sign_action,
     snf,
     u_inclusion,
@@ -143,12 +145,12 @@ class TestUModule:
             af = build_af(Q, f, nu)
             u = u_module(af)
             for p in af.primes:
-                induced = u.operator(x_op_name(Q, p)).dense()
+                induced = induced_operator(u, x_op_name(Q, p)).dense()
                 assert induced == IntMatrix.identity(u.rank).scale(nu.get(p, 1))
 
     def test_gamma_has_sign_order(self):
         u = u_module(build_af(Q, 12))
-        g = u.operator("gamma0")
+        g = induced_operator(u, "gamma0")
         assert g * g == SparseMatrix.identity(u.rank)
 
     def test_nonunit_nu_still_free(self):
@@ -285,7 +287,7 @@ class TestRelationCertificate:
         af = build_af(bk, f, nu)
         u = u_module(af)
         for name in af.operators.maps:
-            assert u.operator(name) == checked_induce(u, af.operators.operator(name)), name
+            assert induced_operator(u, name) == checked_induce(u, af.operators.operator(name)), name
 
     def test_no_product_with_the_projection(self, monkeypatch):
         # the checked induce multiplies op by the relations; u_module never does
@@ -302,7 +304,7 @@ class TestRelationCertificate:
             u = u_module(af)
             assert u.rank == rank
             for name in af.operators.maps:
-                u.operator(name)
+                induced_operator(u, name)
 
     @staticmethod
     def relations_with(monkeypatch, edit):
@@ -377,7 +379,11 @@ class TestPeelCoverage:
 
 
 F2 = FunctionFieldBackend(2)
+# q = 4, 8 and 9 have p < q, so each coefficient's code holds several base-p
+# digits of the residue key
 FF_TABLE_LEVELS = [(F2, 4), (F3, 3), (F5, 2)]
+FF_TABLE_LEVELS += [(FunctionFieldBackend(q), 2) for q in (4, 7, 8, 9)]
+FF_TABLE_IDS = ["F2", "F3", "F5", "F4", "F7", "F8", "F9"]
 
 
 def held_matrices(obj) -> list:
@@ -403,7 +409,7 @@ class TestOperatorsOnRead:
         af = build_af(bk, f)
         u = u_module(af)
         for name in af.operators.maps:
-            u.operator(name)
+            induced_operator(u, name)
         assert held_matrices(af.operators) == []
         assert held_matrices(u) == ["projection", "relations", "section"]
 
@@ -454,7 +460,7 @@ class TestLevelTables:
         for f in (12, 36, 60):
             self.assert_matches_reference(Q, f, nu)
 
-    @pytest.mark.parametrize("bk, degree", FF_TABLE_LEVELS, ids=["F2", "F3", "F5"])
+    @pytest.mark.parametrize("bk, degree", FF_TABLE_LEVELS, ids=FF_TABLE_IDS)
     def test_function_field_levels(self, bk, degree):
         for f in monic_levels(bk, degree):
             self.assert_matches_reference(bk, f)
@@ -465,7 +471,7 @@ class TestLevelTables:
             depths = distmod.level_depths(Q, f)
             assert depths == tuple(partition_tag(Q, c).depth for c in xi_classes(Q, f)), f
 
-    @pytest.mark.parametrize("bk, degree", FF_TABLE_LEVELS, ids=["F2", "F3", "F5"])
+    @pytest.mark.parametrize("bk, degree", FF_TABLE_LEVELS, ids=FF_TABLE_IDS)
     def test_function_field_depths_match_the_partition_tags(self, bk, degree):
         for f in monic_levels(bk, degree):
             depths = distmod.level_depths(bk, f)
@@ -488,6 +494,56 @@ class TestLevelTables:
         y[0] = y[1]
         with pytest.raises(NonCommutingOperators):
             with_operator(af.operators, name, MapOperator(tuple(y)))
+
+
+class TestBlockTable:
+    """The divisor-block class table, the unit sieve and the linear digit
+    kernel against the per-residue constructions they replaced."""
+
+    @staticmethod
+    def assert_table_matches_reference(bk, f):
+        table = arith.level_table(bk, f)
+        ref = reference_table(bk, f)
+        assert table.classes == tuple(xi for xi, _ in ref), f
+        assert table.residues == tuple(a for _, a in ref), f
+        assert table.keys == tuple(bk.residue_key(a) for _, a in ref), f
+        for g in bk.divisors(f):
+            assert table.inside(g) == tuple(
+                i for i, a in enumerate(table.residues) if bk.divides(g, a)), (f, g)
+
+    @staticmethod
+    def assert_images_are_residue_products(bk, f):
+        # every X_p, every group generator and gamma0 of A(f)
+        table = arith.level_table(bk, f)
+        multipliers = [p for p, _ in bk.factor(f)]
+        multipliers += [g.residue for g in arith.gf_group(bk, f).generators()]
+        multipliers.append(arith.sign_group(bk, f).gamma.residue)
+        for c in multipliers:
+            want = [table.position[bk.residue_mul(c, a, f)] for a in table.residues]
+            assert table.images(c) == want, (f, c)
+
+    def test_q_levels_up_to_400(self):
+        for f in range(1, 401):
+            assert Q.units(f) == [a for a in Q.residues(f) if Q.coprime(a, f)], f
+            self.assert_table_matches_reference(Q, f)
+            self.assert_images_are_residue_products(Q, f)
+
+    @pytest.mark.parametrize("bk, degree", FF_TABLE_LEVELS, ids=FF_TABLE_IDS)
+    def test_function_field_levels(self, bk, degree):
+        for f in [bk.one] + monic_levels(bk, degree):
+            units = sorted((a for a in bk.residues(f) if bk.coprime(a, f)), key=bk.residue_key)
+            assert bk.units(f) == units, f
+            assert arith.gf_group(bk, f).elements == tuple(
+                arith.GfElement(bk.key, f, u) for u in units), f
+            self.assert_table_matches_reference(bk, f)
+            self.assert_images_are_residue_products(bk, f)
+
+    @pytest.mark.parametrize("q, f", [(3, "T^7+T"), (5, "T^4+T^3+2"), (8, "T^3+T"), (9, "T^3+T")])
+    def test_deeper_function_field_levels(self, q, f):
+        bk = FunctionFieldBackend(q)
+        f = bk.parse_ideal(f)
+        self.assert_table_matches_reference(bk, f)
+        self.assert_images_are_residue_products(bk, f)
 
 
 class TestSparseOperators:
@@ -516,7 +572,7 @@ class TestSparseOperators:
         monkeypatch.setattr(znf, "_trusted", lambda data, cols: record(trusted(data, cols)))
         u = u_module(build_af(bk, f))
         for name in u.parent.operators.maps:
-            u.operator(name)
+            induced_operator(u, name)
         assert u.parent.rank > len(u.parent.group)
         assert shapes == []
 
@@ -1006,6 +1062,6 @@ class TestTower:
     def test_transitions_commute_with_gamma(self):
         u1, u2 = (u_module(build_af(Q, 3**k)) for k in (1, 2))
         m = u_inclusion(u1, u2)
-        g1 = u1.operator("gamma0").dense()
-        g2 = u2.operator("gamma0").dense()
+        g1 = induced_operator(u1, "gamma0").dense()
+        g2 = induced_operator(u2, "gamma0").dense()
         assert m * g1 == g2 * m

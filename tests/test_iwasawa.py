@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import with_map_uncertified
+from dense_reference import induced_operator, with_map_uncertified
 import uod.iwasawa as iwasawa
 from uod.arith import ARCHIMEDEAN
 from uod.chainkit import MapOperator
@@ -523,7 +523,7 @@ def hermite_report(f: int, u) -> UPrimeReport:
         perm = IntMatrix.from_columns(
             [[1 if t * d % f == target else 0 for target in units] for d in units], rows=phi_f
         )
-        op = u.operator(g_op_name(ARCHIMEDEAN, t)).dense()
+        op = induced_operator(u, g_op_name(ARCHIMEDEAN, t)).dense()
         equivariant = equivariant and perm * mapped == mapped * op
     return UPrimeReport(f, lattice.rank, equivariant)
 
@@ -694,7 +694,7 @@ class TestUPrimeCertificate:
         ops = with_map_uncertified(af.operators, name, MapOperator(images))
         assert ops.operator(name) == SparseMatrix(af.rank, cols)
         bad = u_module(dataclasses.replace(af, operators=ops))
-        assert bad.operator(name) == bad.induce_preserving(SparseMatrix(af.rank, cols))
+        assert induced_operator(bad, name) == bad.induce_preserving(SparseMatrix(af.rank, cols))
         report = uprime_compare(f, bad)
         assert not report.equivariant
         assert report == hermite_report(f, bad)

@@ -8,6 +8,7 @@ from dense_reference import (
     as_sparse,
     block_diagonal,
     functoriality_report,
+    induced_operator,
     norm_matrix,
     rank_torsion_tate_pair,
     tate_cycles,
@@ -131,7 +132,7 @@ def _check_u(u, m):
     """tate_pair of U's gamma0 at m against the two reductions over Z, and
     the induced orbit norm against the oracle's chain of powers."""
     perm = u.parent.operators.maps["gamma0"]
-    gamma = u.operator("gamma0")
+    gamma = induced_operator(u, "gamma0")
     assert u.induce_preserving(orbit_sums(perm, m)) == norm_matrix(gamma, m)
     assert tate_pair(u, perm, m) == rank_torsion_tate_pair(gamma, m)
 
@@ -335,7 +336,7 @@ class TestInvolutionEngine:
     @staticmethod
     def check(u):
         _check_u(u, 2)
-        gamma = u.operator("gamma0")
+        gamma = induced_operator(u, "gamma0")
         one = SparseMatrix.identity(gamma.rows)
         assert tate_spots(u, u.parent.operators.maps["gamma0"], 2) == (
             rank_torsion(one + gamma), rank_torsion(one - gamma))

@@ -17,8 +17,9 @@ from uod.chainkit import (
     WindowTooSmall,
     build_kt,
 )
+from uod.arith import ARCHIMEDEAN, xi_from_fraction
 from uod.cli import main
-from uod.distmod import BasisCertificateFailed
+from uod.distmod import BasisCertificateFailed, depth
 from uod.skcx import (
     NotSquarefree,
     build_sk,
@@ -306,6 +307,16 @@ class TestViaNPeel:
         sk = build_sk(f, level)
         table = via_n_homology(sk)
         assert table == dense_via_n_reference(sk).homology()
+
+    @pytest.mark.parametrize("denoms", [range(1, 301), (15**3, 35**2, 105**2)])
+    def test_depth_zero_numerators_are_the_per_numerator_depths(self, denoms):
+        # the divisor-block reading against each numerator's class in
+        # lowest terms and its depth
+        for denom in denoms:
+            assert skcx.depth_zero_numerators(denom) == [
+                a for a in range(denom)
+                if depth(ARCHIMEDEAN, xi_from_fraction(ARCHIMEDEAN, a, denom)) == 0
+            ], denom
 
     def test_differentials_are_sparse_on_the_depth_zero_numerators(self):
         # the differentials are 1 +- gamma, with gamma induced on the k
