@@ -4,7 +4,7 @@ theorems, all in integer arithmetic."""
 
 __version__ = "0.1.0"
 
-from .znf import AbGroupInvariants, IntMatrix, SparseMatrix, kernel_basis
+from .znf import AbGroupInvariants, SparseMatrix
 from .chainkit import (
     ActionModule,
     ChainComplex,
@@ -17,7 +17,7 @@ from .distmod import build_af, partition_tag, u_module, u_tower, xi0_basis
 from .signh import sign_homology_U, tate_pair, verify_rank_theorem
 from .ftate import AlmostFreeSpec, ftate_closed_form, ftate_via_kt, thm442_lhs
 from .skcx import build_sk, sk_quotients_homology
-from .iwasawa import characters, u_values, uprime_compare, uprime_lattice
+from .iwasawa import characters, u_values, uprime_compare
 
 __all__ = [
     "AbGroupInvariants",
@@ -26,7 +26,6 @@ __all__ = [
     "ChainComplex",
     "DoubleComplex",
     "HomologyTable",
-    "IntMatrix",
     "SparseMatrix",
     "backend",
     "build_af",
@@ -36,7 +35,6 @@ __all__ = [
     "ftate_closed_form",
     "ftate_via_kt",
     "gf_group",
-    "kernel_basis",
     "partition_tag",
     "sign_group",
     "sign_homology_U",
@@ -47,7 +45,6 @@ __all__ = [
     "u_tower",
     "u_values",
     "uprime_compare",
-    "uprime_lattice",
     "verify_rank_theorem",
     "xi0_basis",
     "xi_classes",

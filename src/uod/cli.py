@@ -44,7 +44,7 @@ from .signh import (
     verify_rank_theorem,
 )
 from .skcx import build_sk, sk_quotients_homology
-from .znf import AbGroupInvariants, NoIntegerSolution, ShapeMismatch
+from .znf import AbGroupInvariants, ShapeMismatch
 
 
 class UsageError(ValueError):
@@ -609,7 +609,6 @@ def main(argv=None) -> int:
         BasisCertificateFailed,
         NotAComplex,
         OrderViolation,
-        NoIntegerSolution,
         RationalityFailure,
         ShapeMismatch,
         NonCommutingOperators,

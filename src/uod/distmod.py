@@ -86,7 +86,6 @@ from .znf import (
     _sparse,
     cokernel_invariants,
     complement_projection,
-    kernel_basis,
 )
 
 
@@ -546,7 +545,9 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     U(f); |Xi_0(f)| generators of Z^{|Xi_0(f)|} are a basis.  Both
     matrices reach the unit-pivot invariants as sparse columns, and each
     class's depth is computed once.  Neither reduction shares code with the
-    peel ``u_module`` uses.
+    peel ``u_module`` uses.  A failure is explained by one more sparse
+    reduction, of the relations beside the coordinate vectors of Xi_0(f),
+    whose cokernel is U(f)/<Xi_0>.
     """
     bk = af.backend
     table = af.table
@@ -580,21 +581,20 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     if is_basis and all(d == 1 for d in lattice_inv):
         return Xi0Basis(tuple(af.basis[i] for i in xi0_here))
     if is_basis:
-        quotient_inv = (1,) * k
+        found = f"quotient {(1,) * k}"
     else:
-        # only to say how it failed: the invariant factors of the images of
-        # Xi_0 in the free part Z^n / sat(im R), where sat(im R) is the
-        # lattice killed by every row that kills im R; what the images miss
-        # of the free part has their nonunit invariants
-        sat = kernel_basis(kernel_basis(rel.dense().transpose()).transpose())
-        missed = cokernel_invariants(sat.hstack(position_matrix(af.rank, xi0_here).dense()))
-        rank = quotient.free_rank - missed.free_rank
-        quotient_inv = ((1,) * (rank - len(missed.torsion)) + missed.torsion
-                        + (0,) * (min(quotient.free_rank, k) - rank))
-    note = "" if free else f"; U(f) is {quotient}, not Z^{k}"
-    raise BasisCertificateFailed(
-        f"certificates: lattice {lattice_inv}, quotient {quotient_inv}{note}"
-    )
+        # only to say how it failed, with one more sparse reduction: what
+        # the images of Xi_0 miss of U(f) is U(f)/<Xi_0> = Z^n / (im R +
+        # span e_Xi0).  When U(f) = Z^k its nonunit invariant factors are
+        # those of the images
+        missed = cokernel_invariants(
+            _sparse(af.rank, rel.entries + position_matrix(af.rank, xi0_here).entries))
+        if free:
+            units = k - missed.free_rank - len(missed.torsion)
+            found = f"quotient {(1,) * units + missed.torsion + (0,) * missed.free_rank}"
+        else:
+            found = f"U(f)/<Xi_0> is {missed}; U(f) is {quotient}, not Z^{k}"
+    raise BasisCertificateFailed(f"certificates: lattice {lattice_inv}, {found}")
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ from .distmod import (
     position_matrix,
     u_module,
 )
-from .znf import IntMatrix, SparseMatrix, image_basis
+from .znf import SparseMatrix
 
 
 class RationalityFailure(ArithmeticError):
@@ -507,27 +507,6 @@ class UPrimeReport:
     equivariant: bool
 
 
-@dataclass(frozen=True)
-class UPrimeLattice:
-    """The classical lattice in Q[G_f]: group translates of u-orbit vectors.
-
-    Coordinates are indexed by the unit residues in ``group`` order; the
-    ``basis`` matrix is for the lattice scaled by ``denominator`` (every
-    generating vector times the denominator is integral).  The Z-rank always
-    equals |G_f|, enforced at construction.
-    """
-
-    level: int
-    group: tuple
-    generators: tuple        # rational vectors, one per (divisor, translate)
-    denominator: int
-    basis: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return self.basis.cols
-
-
 def _generator_offsets(f: int, units) -> list:
     """n0 = sigma f/g mod f for the U'(f) generators (g, sigma), g | f and
     sigma a unit mod f, divisors outermost: each generator is the orbit
@@ -539,23 +518,6 @@ def _orbit_indices(n0: int, inverses, f: int) -> list:
     """The n of u(n/f) at each coordinate delta of the orbit vector of the
     class n0/f, n = delta^-1 n0 mod f; ``inverses`` holds the delta^-1."""
     return [dinv * n0 % f for dinv in inverses]
-
-
-def uprime_lattice(f: int) -> UPrimeLattice:
-    units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
-    inverses = [pow(delta, -1, f) for delta in units]
-    denom, orbit = _orbit_table(f)
-    # coordinate at delta of sigma * (u(delta^-1 / g))_delta, as an index n
-    # of u(n/f)
-    at = [_orbit_indices(n0, inverses, f) for n0 in _generator_offsets(f, units)]
-    values = [Fraction(v, denom) for v in orbit]
-    generators = tuple(tuple(values[n] for n in col) for col in at)
-    basis = image_basis(
-        IntMatrix.from_columns([[orbit[n] for n in col] for col in at], rows=len(units))
-    )
-    if basis.cols != len(units):
-        raise RankMismatch(f"lattice rank {basis.cols}, expected {len(units)}")
-    return UPrimeLattice(f, tuple(units), generators, denom, basis)
 
 
 def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:

@@ -1,46 +1,44 @@
-"""Exact linear algebra over Z: Smith and Hermite forms, kernels, free quotients.
+"""Exact linear algebra over Z: Smith and Hermite forms and free quotients.
 
 Everything here works with arbitrary-precision Python integers; there is no
 floating point and no modular shortcut anywhere.  Matrices are immutable
 values, so all operations return new objects and are safe to share between
 threads.
 
-The dense reducer ``_Smith`` returns the diagonal invariant factors and
-tracks no transform.  After a unit pivot the reduction skips its
-divisibility scan, since a unit divides every entry.
+The dense reducer ``_Smith`` works on a list of rows, returns the diagonal
+invariant factors and tracks no transform.  After a unit pivot the
+reduction skips its divisibility scan, since a unit divides every entry.
 
-``snf_invariants`` (and through it ``rank_torsion`` and
-``cokernel_invariants``) tracks no transform and starts with a sparse
-stage: the nonzeros are held as row dicts with a column-to-rows index, and
-±1 entries are taken as pivots, each replacing the matrix by its Schur
-complement.  A unit pivot turns M into diag(1) ⊕ S by unimodular row and
-column operations, so inv(M) = (1) ++ inv(S) and nothing is divided except
-by ±1, whichever unit is taken.  The order follows Markowitz's cost
-(row nnz − 1)·(column nnz − 1) (Markowitz 1957): a unit alone in its
-column costs nothing and is taken first, and otherwise the pivot is a unit
-of a shortest row that holds one, in its column with the fewest rows.  A
-pivot set holds, for each row with a ±1 entry, the set of its ±1 columns,
-files those rows in buckets by length, and keeps the columns whose only
-nonzero is ±1.  A step writes only in the pivot row's columns, and the set
-is updated there, where an entry is written or cancelled, so it holds live
-candidates only and no pivot search rescans the matrix.  A matrix with one
-nonzero per row and per column skips the pivots.  The block left when no
-unit entry remains is replaced by the Hermite basis of its columns, which
-spans the same lattice and so has the same nonzero invariants, before
-``_Smith`` reduces it.  ``rank_torsion`` and ``cokernel_invariants`` also
-take a ``SparseMatrix``, whose column dicts serve as the rows of its
-transpose (same invariants), so a sparse matrix is never densified for them.
+``rank_torsion`` and ``cokernel_invariants`` take a ``SparseMatrix``, whose
+column dicts serve as the rows of its transpose (same invariants), so a
+sparse matrix is never densified for them.  They track no transform and
+start with a sparse stage: the nonzeros are held as row dicts with a
+column-to-rows index, and ±1 entries are taken as pivots, each replacing
+the matrix by its Schur complement.  A unit pivot turns M into diag(1) ⊕ S
+by unimodular row and column operations, so inv(M) = (1) ++ inv(S) and
+nothing is divided except by ±1, whichever unit is taken.  The order
+follows Markowitz's cost (row nnz − 1)·(column nnz − 1) (Markowitz 1957): a
+unit alone in its column costs nothing and is taken first, and otherwise
+the pivot is a unit of a shortest row that holds one, in its column with
+the fewest rows.  A pivot set holds, for each row with a ±1 entry, the set
+of its ±1 columns, files those rows in buckets by length, and keeps the
+columns whose only nonzero is ±1.  A step writes only in the pivot row's
+columns, and the set is updated there, where an entry is written or
+cancelled, so it holds live candidates only and no pivot search rescans the
+matrix.  A matrix with one nonzero per row and per column skips the pivots.
 
-Every lattice operation goes through one reduced column Hermite basis
-(Domich, Kannan and Trotter 1987; Havas, Majewski and Matthews 1998): zero
-above each pivot, a positive pivot, and every entry in another column's
-pivot row in [0, pivot).  Generators are inserted one at a time and only the
-columns an insertion touched are reduced again, so the entries stay bounded
-by the pivots, where Smith transforms grew to hundreds of thousands of bits.
-``image_basis`` is that basis.  ``preimage_lattice(a, d)`` is the part of
-the basis of the graph {(a x + d y, x)} that pivots below a's rows;
-``kernel_basis`` is the preimage of 0, and ``solve`` reduces (b, 0) against
-the basis of the graph of a, which leaves (0, -x) with a x = b.
+The block left when no unit entry remains is written out as plain lists,
+one per column, and replaced by the reduced column Hermite basis of those
+columns (Domich, Kannan and Trotter 1987; Havas, Majewski and Matthews
+1998): zero above each pivot, a positive pivot, and every entry in another
+column's pivot row in [0, pivot).  It spans the same lattice, so it has the
+same nonzero invariants, with only rank-many columns; ``_Smith`` takes
+those columns as its rows, the transpose having the same invariants.
+Generators are inserted one at a time and only the columns an insertion
+touched are reduced again, so the entries stay bounded by the pivots, where
+Smith transforms grew to hundreds of thousands of bits.  The dense lattice
+operations (images, kernels, preimages, solutions) and the dense matrix
+type they work on are built on ``_hermite`` in ``tests/dense_reference.py``.
 
 The one quotient with a splitting of Z^n is ``FreeQuotient``, certified by
 ``complement_projection``, a triangular peel for the case where a known set
@@ -61,8 +59,7 @@ about one nonzero per column, so they are ``SparseMatrix`` values: immutable,
 column-sparse (each column a ``{row: nonzero}`` dict) and multiplied by
 walking nonzeros only.  Products, sums, equality and the zero test all cost
 O(nnz), which is what makes the commutation and induction certificates on
-A(f) linear in |Xi(f)|; ``dense()`` hands an ``IntMatrix`` to the callers
-that need dense arithmetic.  The operators of the symbol module of
+A(f) linear in |Xi(f)|.  The operators of the symbol module of
 ``skcx``, the differentials they induce on its via-N quotient, and the
 Koszul-Tate blocks and total complexes of ``chainkit`` are ``SparseMatrix``
 values too.
@@ -86,16 +83,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd
 
 
 class ShapeMismatch(ValueError):
     """Operands have incompatible dimensions."""
-
-
-class NoIntegerSolution(ValueError):
-    """A x = b has no solution over Z."""
 
 
 class NotAComplement(ValueError):
@@ -108,181 +100,6 @@ class InducedOperatorUndefined(RuntimeError):
     their quotient."""
 
 
-class IntMatrix:
-    """Immutable dense integer matrix.
-
-    Rows are stored as tuples of Python ints, so entries never overflow.
-    ``rows == 0`` or ``cols == 0`` are legal and show up routinely as empty
-    differentials or empty relation sets.
-    """
-
-    __slots__ = ("rows", "cols", "data", "_hash")
-
-    def __init__(self, data, cols=None):
-        data = tuple(tuple(map(int, row)) for row in data)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ShapeMismatch("ragged rows")
-            if cols is not None and cols != width:
-                raise ShapeMismatch("cols does not match row width")
-            cols = width
-        else:
-            cols = 0 if cols is None else int(cols)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, *args):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.diagonal([1] * n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        cols = int(cols)
-        return _trusted(((0,) * cols,) * int(rows), cols)
-
-    @classmethod
-    def diagonal(cls, entries, rows=None, cols=None) -> "IntMatrix":
-        entries = [int(e) for e in entries]
-        rows = len(entries) if rows is None else int(rows)
-        cols = len(entries) if cols is None else int(cols)
-        data = [[0] * cols for _ in range(rows)]
-        for i in range(min(rows, cols, len(entries))):
-            data[i][i] = entries[i]
-        return _trusted(tuple(map(tuple, data)), cols)
-
-    @classmethod
-    def from_columns(cls, columns, rows=None) -> "IntMatrix":
-        columns = [tuple(c) for c in columns]
-        if not columns:
-            return cls.zeros(0 if rows is None else rows, 0)
-        if any(len(c) != len(columns[0]) for c in columns):
-            raise ShapeMismatch("ragged columns")
-        return cls(tuple(zip(*columns)), cols=len(columns))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
-
-    def column(self, j):
-        return tuple(row[j] for row in self.data)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.cols, self.data))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols})"
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.data))
-
-    def __neg__(self):
-        return _trusted(tuple(tuple(-x for x in row) for row in self.data), self.cols)
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatch(f"add {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        return _trusted(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
-            self.cols,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k: int) -> "IntMatrix":
-        k = int(k)
-        return _trusted(tuple(tuple(k * x for x in row) for row in self.data), self.cols)
-
-    def __mul__(self, other):
-        # Most operators here are permutations or fiber sums, so each row of
-        # the right operand is reduced once to its nonzero (column, entry)
-        # pairs and every product term walks only those.
-        if self.cols != other.rows:
-            raise ShapeMismatch(f"mul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        width = other.cols
-        js = range(width)
-        nonzeros = [list(zip(compress(js, brow), compress(brow, brow))) for brow in other.data]
-        out = []
-        for row in self.data:
-            acc = [0] * width
-            for a, pairs in compress(zip(row, nonzeros), row):
-                if a == 1:
-                    for j, b in pairs:
-                        acc[j] += b
-                elif a == -1:
-                    for j, b in pairs:
-                        acc[j] -= b
-                else:
-                    for j, b in pairs:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return _trusted(tuple(out), width)
-
-    def transpose(self) -> "IntMatrix":
-        if not self.rows:
-            return IntMatrix.zeros(self.cols, 0)
-        return _trusted(tuple(zip(*self.data)), self.rows)
-
-    def hstack(self, other) -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ShapeMismatch("hstack row mismatch")
-        return _trusted(
-            tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
-            self.cols + other.cols,
-        )
-
-    def vstack(self, other) -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ShapeMismatch("vstack col mismatch")
-        return _trusted(self.data + other.data, self.cols)
-
-    def submatrix(self, row_indices, col_indices) -> "IntMatrix":
-        data = self.data
-        rows = [data[i] for i in row_indices]
-        col_indices = list(col_indices)
-        return _trusted(
-            tuple(tuple(row[j] for j in col_indices) for row in rows),
-            len(col_indices),
-        )
-
-
-def _trusted(data: tuple, cols: int) -> "IntMatrix":
-    """An IntMatrix around ``data``, a tuple of equal-length tuples of ints.
-
-    Internal constructors whose entries already are Python ints (they come
-    from other matrices or from integer arithmetic) skip ``__init__``'s
-    coercion and ragged-row check.
-    """
-    m = object.__new__(IntMatrix)
-    object.__setattr__(m, "rows", len(data))
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "data", data)
-    return m
-
-
 class SparseMatrix:
     """Immutable column-sparse integer matrix.
 
@@ -292,12 +109,11 @@ class SparseMatrix:
     a product walks only the nonzeros: column j of ``a * b`` is the sum of
     ``b[k, j] * a.column(k)`` over the nonzeros of column j of b, O(nnz) for
     permutations and fiber sums.  Sums and differences merge the column
-    dicts, and ``submatrix`` picks rows and columns.  ``dense()`` converts
-    to an ``IntMatrix`` for the callers that need dense arithmetic.
+    dicts, and ``submatrix`` picks rows and columns.
 
-    Like ``IntMatrix`` it is hashable: the hash is cached on first use and
-    equal matrices hash alike, so homology computations can memoise their
-    differentials by value.
+    It is hashable: the hash is cached on first use and equal matrices hash
+    alike, so homology computations can memoise their differentials by
+    value.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
@@ -401,13 +217,6 @@ class SparseMatrix:
             tuple({slot[i]: v for i, v in entries[j].items() if i in slot} for j in col_indices),
         )
 
-    def dense(self) -> IntMatrix:
-        data = [[0] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self.entries):
-            for i, v in col.items():
-                data[i][j] = v
-        return _trusted(tuple(map(tuple, data)), self.cols)
-
 
 def _init_sparse(m, rows: int, entries: tuple):
     object.__setattr__(m, "rows", rows)
@@ -496,12 +305,12 @@ def _xgcd(a: int, b: int):
 
 
 class _Smith:
-    """Mutable SNF state: the matrix, reduced in place by unimodular row and
-    column operations."""
+    """Mutable SNF state: a list of rows, each a list of ints, reduced in
+    place by unimodular row and column operations."""
 
-    def __init__(self, m: IntMatrix):
-        self.r, self.c = m.rows, m.cols
-        self.a = [list(row) for row in m.data]
+    def __init__(self, rows: list):
+        self.r, self.c = len(rows), len(rows[0]) if rows else 0
+        self.a = rows
 
     def row_swap(self, i, t):
         if i == t:
@@ -606,16 +415,19 @@ class _Smith:
         return tuple(self.a[i][i] for i in range(k))
 
 
-def _run_smith(m: IntMatrix) -> tuple:
-    """The diagonal of the Smith normal form of m, no transform tracked."""
-    return _Smith(m).reduce()
+def _run_smith(rows: list) -> tuple:
+    """The diagonal of the Smith normal form of the matrix with the given
+    rows, lists of ints that the reduction overwrites; no transform
+    tracked."""
+    return _Smith(rows).reduce()
 
 
-def _hermite(m: IntMatrix) -> dict:
-    """Reduced column Hermite basis of the lattice spanned by the columns of m.
+def _hermite(columns, height: int) -> dict:
+    """Reduced column Hermite basis of the lattice spanned by ``columns``,
+    each a list of ``height`` ints, which the insertion takes over.
 
     Returns {pivot row: column} in pivot order, each column a list of
-    ``m.rows`` ints that is zero above its pivot row and positive on it;
+    ``height`` ints that is zero above its pivot row and positive on it;
     every entry in another column's pivot row lies in [0, that pivot).
     Generators are inserted one at a time: a generator is cleared against
     the pivot of each row it reaches, by subtraction when that pivot divides
@@ -625,10 +437,9 @@ def _hermite(m: IntMatrix) -> dict:
     again.  No transform is tracked, and the entries stay bounded.
     """
     basis = {}
-    for v in m.columns():
-        v = list(v)
+    for v in columns:
         touched = set()
-        for i in range(m.rows):
+        for i in range(height):
             x = v[i]
             if not x:
                 continue
@@ -672,23 +483,6 @@ def _rereduce(basis: dict, touched: set):
             if q:
                 col[p:] = [y - q * z for y, z in zip(col[p:], c[p:])]
                 dirty.add(k)
-
-
-def _reduce(basis: dict, v) -> list:
-    """``v`` less the combination of the Hermite ``basis`` that brings each
-    of its pivot-row entries into [0, pivot); zero exactly when v lies in
-    the lattice."""
-    v = list(v)
-    for p, c in basis.items():
-        q = v[p] // c[p]
-        if q:
-            v = [z - q * y for y, z in zip(c, v)]
-    return v
-
-
-def _graph(a: IntMatrix, d: IntMatrix) -> IntMatrix:
-    """The matrix [[a, d], [1, 0]], whose columns span {(a x + d y, x)}."""
-    return a.vstack(IntMatrix.identity(a.cols)).hstack(d.vstack(IntMatrix.zeros(a.cols, d.cols)))
 
 
 def _one_per_line(rows: dict, at: dict) -> bool:
@@ -796,12 +590,17 @@ def _invariants(rows, height: int, width: int) -> tuple[int, ...]:
         # diag(entries) up to signed permutations of the rows and the columns
         diag = _divisibility_chain([abs(v) for r in rows.values() for v in r.values()])
     else:
-        left = [j for j, hit in at.items() if hit]
-        residual = _trusted(tuple(tuple(r.get(j, 0) for j in left) for r in rows.values()),
-                            len(left))
+        # the residual's columns, over the rows left
+        slot = {j: t for t, j in enumerate(j for j, hit in at.items() if hit)}
+        columns = [[0] * len(rows) for _ in slot]
+        for i, r in enumerate(rows.values()):
+            for j, v in r.items():
+                columns[slot[j]][i] = v
         # the Hermite basis spans the same column lattice, so it has the same
-        # nonzero invariants, with bounded entries and only rank-many columns
-        diag = _run_smith(image_basis(residual))
+        # nonzero invariants, with bounded entries and only rank-many
+        # columns; they go to _Smith as rows, since the transpose has the
+        # same invariants too
+        diag = _run_smith(list(_hermite(columns, len(rows)).values()))
     return (1,) * done + diag + (0,) * (min(height, width) - done - len(diag))
 
 
@@ -945,89 +744,19 @@ def _valuation(v: int, b: int) -> int:
     return e
 
 
-def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only, with no transform tracked.
-
-    A sparse front end takes ±1 pivots, a unit alone in its column first,
-    else a unit of a shortest row that holds one, in its column with the
-    fewest rows, and replaces the matrix by its Schur complement; the dense
-    ``_Smith`` reduces whatever is left once no unit entry remains.  A unit
-    pivot makes M ~ diag(1) ⊕ S by unimodular row and column operations, so
-    the invariants are (1,) per pivot followed by those of S, and nothing is
-    ever divided except by ±1.
-    """
-    width = range(m.cols)
-    rows = [dict(zip(compress(width, row), compress(row, row))) for row in m.data]
-    return _invariants(rows, m.rows, m.cols)
-
-
-def _diagonal(m) -> tuple[int, ...]:
-    """Invariant factors of an ``IntMatrix`` or a ``SparseMatrix``."""
-    if isinstance(m, SparseMatrix):
-        return _invariants([dict(col) for col in m.entries], m.cols, m.rows)
-    return snf_invariants(m)
-
-
-def rank_torsion(m) -> tuple[int, tuple[int, ...]]:
+def rank_torsion(m: SparseMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank of ``m`` and the torsion of Z^rows / im(m), with no transform.
 
-    ``m`` is an ``IntMatrix`` or a ``SparseMatrix``.  The torsion is the
-    invariant factors above 1, a divisibility chain.
+    The column dicts of ``m`` are reduced as the rows of its transpose,
+    which has the same invariants.  The torsion is the invariant factors
+    above 1, a divisibility chain.
     """
-    diag = _diagonal(m)
+    diag = _invariants([dict(col) for col in m.entries], m.cols, m.rows)
     return sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of {x : m x = 0}, in reduced Hermite form.
-
-    The kernel of an integer matrix is a saturated sublattice (Z^n modulo it
-    embeds in the free group Z^m), so any basis of it is automatically
-    primitive: the SNF of the returned matrix has all invariants 1.
-    """
-    return preimage_lattice(m, IntMatrix.zeros(m.rows, 0))
-
-
-def image_basis(m: IntMatrix) -> IntMatrix:
-    """The reduced Hermite basis of the lattice spanned by the columns of m."""
-    return IntMatrix.from_columns(_hermite(m).values(), rows=m.rows)
-
-
-def preimage_lattice(a: IntMatrix, denominator_gens: IntMatrix) -> IntMatrix:
-    """Basis of {x : a x in lattice(denominator_gens)}, in reduced Hermite form.
-
-    In the Hermite basis of the graph {(a x + d y, x)} the columns that pivot
-    at or below row ``a.rows`` are zero in the first ``a.rows`` rows, and
-    their lower parts are a basis of the preimage.
-    """
-    n = a.rows
-    lower = [c[n:] for p, c in _hermite(_graph(a, denominator_gens)).items() if p >= n]
-    return IntMatrix.from_columns(lower, rows=a.cols)
-
-
-def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Some integer X with a @ X = b, or raise NoIntegerSolution.
-
-    Each column of (b, 0) is reduced against the Hermite basis of the graph
-    columns (a e_j, e_j); b lies in the lattice exactly when that leaves
-    (0, -x), and then a x = b.  When the columns of ``a`` are a lattice
-    basis the solution is unique.
-    """
-    if a.rows != b.rows:
-        raise ShapeMismatch("solve: row mismatch")
-    basis = _hermite(_graph(a, IntMatrix.zeros(a.rows, 0)))
-    cols = []
-    for col in b.vstack(IntMatrix.zeros(a.cols, b.cols)).columns():
-        rest = _reduce(basis, col)
-        if any(rest[: a.rows]):
-            raise NoIntegerSolution("a column of b is outside the lattice of a")
-        cols.append([-x for x in rest[a.rows:]])
-    return IntMatrix.from_columns(cols, rows=a.cols)
-
-
-def cokernel_invariants(m) -> AbGroupInvariants:
-    """Invariants of Z^rows / im(m) for an ``IntMatrix`` or a ``SparseMatrix``,
-    with no transform tracked."""
+def cokernel_invariants(m: SparseMatrix) -> AbGroupInvariants:
+    """Invariants of Z^rows / im(m), with no transform tracked."""
     rank, torsion = rank_torsion(m)
     return AbGroupInvariants(m.rows - rank, torsion)
 

@@ -2,13 +2,18 @@
 
 The package computes homology from invariant factors alone, keeps every
 complex sparse and builds A(f) on per-level residue tables.  The
-constructions here work with representatives instead: the class table
+constructions here work with representatives instead: ``IntMatrix``, the
+dense integer matrix, with ``dense`` and ``as_sparse`` between it and
+``SparseMatrix``; the lattice operations on the package's Hermite basis
+(``image_basis``, ``kernel_basis``, ``preimage_lattice`` and ``solve``) and
+``snf_invariants`` on its unit-pivot core; the class table
 built residue by residue, A(f) built class by class, the operators of A(f)
 induced on U(f) by name, subquotients lattice(num)/lattice(den) on
 Hermite bases, chain maps and cones of dense complexes, complexes of
 presented groups, the companion
 complexes of a Koszul-Tate double complex, and the functoriality, inclusion
 and sign-action checks built on them, the fiber identity class by class,
+the classical lattice U'(f) on its Hermite basis (``uprime_lattice``),
 ``snf``, the Smith normal form with its two transforms, and
 ``norm_matrix``, the norm of a finite-order matrix from its chain of
 powers.  They are slow and independent of the package's shortcuts, which
@@ -20,6 +25,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from uod import skcx
@@ -51,24 +58,308 @@ from uod.distmod import (
     u_module,
     x_op_name,
 )
+from uod.iwasawa import RankMismatch, _generator_offsets, _orbit_indices, _orbit_table
 from uod.signh import OrderViolation
 from uod.znf import (
     AbGroupInvariants,
     InducedOperatorUndefined,
-    IntMatrix,
     ShapeMismatch,
     SparseMatrix,
     _Smith,
     _hermite,
-    _reduce,
+    _invariants,
     _sparse,
     cokernel_invariants,
-    image_basis,
-    kernel_basis,
-    preimage_lattice,
     rank_torsion,
-    solve,
 )
+
+
+# -- the dense matrix type ---------------------------------------------------
+
+class NoIntegerSolution(ValueError):
+    """A x = b has no solution over Z."""
+
+
+class IntMatrix:
+    """Immutable dense integer matrix.
+
+    Rows are stored as tuples of Python ints, so entries never overflow.
+    ``rows == 0`` or ``cols == 0`` are legal and show up routinely as empty
+    differentials or empty relation sets.
+    """
+
+    __slots__ = ("rows", "cols", "data", "_hash")
+
+    def __init__(self, data, cols=None):
+        data = tuple(tuple(map(int, row)) for row in data)
+        if data:
+            width = len(data[0])
+            if any(len(row) != width for row in data):
+                raise ShapeMismatch("ragged rows")
+            if cols is not None and cols != width:
+                raise ShapeMismatch("cols does not match row width")
+            cols = width
+        else:
+            cols = 0 if cols is None else int(cols)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+
+    def __setattr__(self, *args):
+        raise AttributeError("IntMatrix is immutable")
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        return cls.diagonal([1] * n)
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        cols = int(cols)
+        return _trusted(((0,) * cols,) * int(rows), cols)
+
+    @classmethod
+    def diagonal(cls, entries, rows=None, cols=None) -> "IntMatrix":
+        entries = [int(e) for e in entries]
+        rows = len(entries) if rows is None else int(rows)
+        cols = len(entries) if cols is None else int(cols)
+        data = [[0] * cols for _ in range(rows)]
+        for i in range(min(rows, cols, len(entries))):
+            data[i][i] = entries[i]
+        return _trusted(tuple(map(tuple, data)), cols)
+
+    @classmethod
+    def from_columns(cls, columns, rows=None) -> "IntMatrix":
+        columns = [tuple(c) for c in columns]
+        if not columns:
+            return cls.zeros(0 if rows is None else rows, 0)
+        if any(len(c) != len(columns[0]) for c in columns):
+            raise ShapeMismatch("ragged columns")
+        return cls(tuple(zip(*columns)), cols=len(columns))
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.data[i][j]
+
+    def row(self, i):
+        return self.data[i]
+
+    def column(self, j):
+        return tuple(row[j] for row in self.data)
+
+    def columns(self):
+        return [self.column(j) for j in range(self.cols)]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, IntMatrix)
+            and self.cols == other.cols
+            and self.data == other.data
+        )
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.cols, self.data))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __repr__(self):
+        return f"IntMatrix({self.rows}x{self.cols})"
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.data))
+
+    def __neg__(self):
+        return _trusted(tuple(tuple(-x for x in row) for row in self.data), self.cols)
+
+    def __add__(self, other):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeMismatch(f"add {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        return _trusted(
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
+            self.cols,
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, k: int) -> "IntMatrix":
+        k = int(k)
+        return _trusted(tuple(tuple(k * x for x in row) for row in self.data), self.cols)
+
+    def __mul__(self, other):
+        # Most operators here are permutations or fiber sums, so each row of
+        # the right operand is reduced once to its nonzero (column, entry)
+        # pairs and every product term walks only those.
+        if self.cols != other.rows:
+            raise ShapeMismatch(f"mul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        width = other.cols
+        js = range(width)
+        nonzeros = [list(zip(compress(js, brow), compress(brow, brow))) for brow in other.data]
+        out = []
+        for row in self.data:
+            acc = [0] * width
+            for a, pairs in compress(zip(row, nonzeros), row):
+                if a == 1:
+                    for j, b in pairs:
+                        acc[j] += b
+                elif a == -1:
+                    for j, b in pairs:
+                        acc[j] -= b
+                else:
+                    for j, b in pairs:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return _trusted(tuple(out), width)
+
+    def transpose(self) -> "IntMatrix":
+        if not self.rows:
+            return IntMatrix.zeros(self.cols, 0)
+        return _trusted(tuple(zip(*self.data)), self.rows)
+
+    def hstack(self, other) -> "IntMatrix":
+        if self.rows != other.rows:
+            raise ShapeMismatch("hstack row mismatch")
+        return _trusted(
+            tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
+            self.cols + other.cols,
+        )
+
+    def vstack(self, other) -> "IntMatrix":
+        if self.cols != other.cols:
+            raise ShapeMismatch("vstack col mismatch")
+        return _trusted(self.data + other.data, self.cols)
+
+    def submatrix(self, row_indices, col_indices) -> "IntMatrix":
+        data = self.data
+        rows = [data[i] for i in row_indices]
+        col_indices = list(col_indices)
+        return _trusted(
+            tuple(tuple(row[j] for j in col_indices) for row in rows),
+            len(col_indices),
+        )
+
+
+def _trusted(data: tuple, cols: int) -> "IntMatrix":
+    """An IntMatrix around ``data``, a tuple of equal-length tuples of ints.
+
+    Internal constructors whose entries already are Python ints (they come
+    from other matrices or from integer arithmetic) skip ``__init__``'s
+    coercion and ragged-row check.
+    """
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", len(data))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "data", data)
+    return m
+
+
+
+def dense(m: SparseMatrix) -> IntMatrix:
+    """``m`` as an ``IntMatrix``."""
+    data = [[0] * m.cols for _ in range(m.rows)]
+    for j, col in enumerate(m.entries):
+        for i, v in col.items():
+            data[i][j] = v
+    return _trusted(tuple(map(tuple, data)), m.cols)
+
+
+def as_sparse(m) -> SparseMatrix:
+    """``m`` as a ``SparseMatrix``: an ``IntMatrix`` is converted, a
+    ``SparseMatrix`` is returned as it is."""
+    if isinstance(m, SparseMatrix):
+        return m
+    return _sparse(m.rows, tuple({i: v for i, v in enumerate(col) if v} for col in zip(*m.data))
+                   if m.rows else ({},) * m.cols)
+
+
+def snf_invariants(m: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of ``m`` through the package's unit-pivot core,
+    with the rows of ``m`` as its rows."""
+    width = range(m.cols)
+    rows = [dict(zip(compress(width, row), compress(row, row))) for row in m.data]
+    return _invariants(rows, m.rows, m.cols)
+
+
+# -- lattice operations on the Hermite basis ---------------------------------
+#
+# Every lattice operation goes through the package's reduced column Hermite
+# basis ``_hermite``.  ``image_basis`` is that basis.
+# ``preimage_lattice(a, d)`` is the part of the basis of the graph
+# {(a x + d y, x)} that pivots below a's rows; ``kernel_basis`` is the
+# preimage of 0, and ``solve`` reduces (b, 0) against the basis of the graph
+# of a, which leaves (0, -x) with a x = b.
+
+def hermite(m: IntMatrix) -> dict:
+    """``_hermite`` of the columns of ``m``."""
+    return _hermite([list(c) for c in m.columns()], m.rows)
+
+
+def _reduce(basis: dict, v) -> list:
+    """``v`` less the combination of the Hermite ``basis`` that brings each
+    of its pivot-row entries into [0, pivot); zero exactly when v lies in
+    the lattice."""
+    v = list(v)
+    for p, c in basis.items():
+        q = v[p] // c[p]
+        if q:
+            v = [z - q * y for y, z in zip(c, v)]
+    return v
+
+
+def _graph(a: IntMatrix, d: IntMatrix) -> IntMatrix:
+    """The matrix [[a, d], [1, 0]], whose columns span {(a x + d y, x)}."""
+    return a.vstack(IntMatrix.identity(a.cols)).hstack(d.vstack(IntMatrix.zeros(a.cols, d.cols)))
+
+
+
+def kernel_basis(m: IntMatrix) -> IntMatrix:
+    """Columns form a basis of {x : m x = 0}, in reduced Hermite form.
+
+    The kernel of an integer matrix is a saturated sublattice (Z^n modulo it
+    embeds in the free group Z^m), so any basis of it is automatically
+    primitive: the SNF of the returned matrix has all invariants 1.
+    """
+    return preimage_lattice(m, IntMatrix.zeros(m.rows, 0))
+
+
+def image_basis(m: IntMatrix) -> IntMatrix:
+    """The reduced Hermite basis of the lattice spanned by the columns of m."""
+    return IntMatrix.from_columns(hermite(m).values(), rows=m.rows)
+
+
+def preimage_lattice(a: IntMatrix, denominator_gens: IntMatrix) -> IntMatrix:
+    """Basis of {x : a x in lattice(denominator_gens)}, in reduced Hermite form.
+
+    In the Hermite basis of the graph {(a x + d y, x)} the columns that pivot
+    at or below row ``a.rows`` are zero in the first ``a.rows`` rows, and
+    their lower parts are a basis of the preimage.
+    """
+    n = a.rows
+    lower = [c[n:] for p, c in hermite(_graph(a, denominator_gens)).items() if p >= n]
+    return IntMatrix.from_columns(lower, rows=a.cols)
+
+
+def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Some integer X with a @ X = b, or raise NoIntegerSolution.
+
+    Each column of (b, 0) is reduced against the Hermite basis of the graph
+    columns (a e_j, e_j); b lies in the lattice exactly when that leaves
+    (0, -x), and then a x = b.  When the columns of ``a`` are a lattice
+    basis the solution is unique.
+    """
+    if a.rows != b.rows:
+        raise ShapeMismatch("solve: row mismatch")
+    basis = hermite(_graph(a, IntMatrix.zeros(a.rows, 0)))
+    cols = []
+    for col in b.vstack(IntMatrix.zeros(a.cols, b.cols)).columns():
+        rest = _reduce(basis, col)
+        if any(rest[: a.rows]):
+            raise NoIntegerSolution("a column of b is outside the lattice of a")
+        cols.append([-x for x in rest[a.rows:]])
+    return IntMatrix.from_columns(cols, rows=a.cols)
+
 
 
 # -- matrices and modules ----------------------------------------------------
@@ -104,7 +395,8 @@ class _TrackedSmith(_Smith):
     every step."""
 
     def __init__(self, m: IntMatrix):
-        super().__init__(m)
+        super().__init__([list(row) for row in m.data])
+        self.c = m.cols  # also when m has no rows
         self.L = [list(row) for row in IntMatrix.identity(self.r).data]
         self.R = [list(row) for row in IntMatrix.identity(self.c).data]
 
@@ -189,15 +481,6 @@ def norm_matrix(gamma, m: int):
     if power != ident:
         raise OrderViolation(f"gamma^{m} is not the identity")
     return out
-
-
-def as_sparse(m) -> SparseMatrix:
-    """``m`` as a ``SparseMatrix``: an ``IntMatrix`` is converted, a
-    ``SparseMatrix`` is returned as it is."""
-    if isinstance(m, SparseMatrix):
-        return m
-    return _sparse(m.rows, tuple({i: v for i, v in enumerate(col) if v} for col in zip(*m.data))
-                   if m.rows else ({},) * m.cols)
 
 
 def checked_induce(quotient, op: SparseMatrix) -> SparseMatrix:
@@ -356,7 +639,7 @@ def lattice_contains(basis_or_gens: IntMatrix, vectors: IntMatrix) -> bool:
     """True when every column of ``vectors`` lies in the span of the columns."""
     if basis_or_gens.rows != vectors.rows:
         raise ShapeMismatch("lattice_contains: row mismatch")
-    basis = _hermite(basis_or_gens)
+    basis = hermite(basis_or_gens)
     return not any(any(_reduce(basis, col)) for col in vectors.columns())
 
 
@@ -378,7 +661,7 @@ def subquotient(numerator_gens: IntMatrix, denominator_gens: IntMatrix) -> Subqu
     """Quotient of one column lattice by another; denominator must be contained."""
     basis = image_basis(numerator_gens)
     rel = solve(basis, denominator_gens)
-    return Subquotient(cokernel_invariants(rel), basis, rel)
+    return Subquotient(cokernel_invariants(as_sparse(rel)), basis, rel)
 
 
 def homology_pair(d_out: IntMatrix, d_in: IntMatrix) -> Subquotient:
@@ -391,19 +674,21 @@ def homology_pair(d_out: IntMatrix, d_in: IntMatrix) -> Subquotient:
 # -- dense complexes, chain maps and cones -----------------------------------
 
 def dense_differential(c: ChainComplex, n: int) -> IntMatrix:
-    d = c.differential(n)
-    return d.dense() if isinstance(d, SparseMatrix) else d
+    return dense(c.differential(n))
 
 
 def make_complex(ranks, differentials, bottom_degree: int = 0) -> ChainComplex:
     """Complex from a rank list and consecutive differentials.
 
-    ``differentials[i]`` maps degree bottom+i+1 to degree bottom+i and must be
-    shaped ranks[i] x ranks[i+1].  Rejects data violating d*d = 0.
+    ``differentials[i]`` (an ``IntMatrix``, a ``SparseMatrix`` or a list of
+    rows) maps degree bottom+i+1 to degree bottom+i and must be shaped
+    ranks[i] x ranks[i+1].  The complex holds them as ``SparseMatrix``
+    values.  Rejects data violating d*d = 0.
     """
     ranks = list(ranks)
     differentials = [
-        d if isinstance(d, IntMatrix) else IntMatrix(d) for d in differentials
+        as_sparse(d if isinstance(d, (IntMatrix, SparseMatrix)) else IntMatrix(d))
+        for d in differentials
     ]
     if len(differentials) != max(len(ranks) - 1, 0):
         raise ShapeMismatch("need exactly len(ranks)-1 differentials")
@@ -416,7 +701,7 @@ def twist(c: ChainComplex, k: int) -> ChainComplex:
     """Degree shift by k with differentials scaled by (-1)^k."""
     sign = -1 if k % 2 else 1
     ranks = {n + k: r for n, r in c.ranks.items()}
-    diff = {n + k: dense_differential(c, n).scale(sign) for n in c.diff}
+    diff = {n + k: as_sparse(dense_differential(c, n).scale(sign)) for n in c.diff}
     return ChainComplex(ranks, diff)
 
 
@@ -478,7 +763,7 @@ def mapping_cone(f: ChainMap) -> MappingCone:
         bottom = f.component(n - 1).hstack(dense_differential(y, n))
         m = top.vstack(bottom)
         if m.rows and m.cols:
-            diff[n] = m
+            diff[n] = as_sparse(m)
     cone = ChainComplex(ranks, diff)
     incl = ChainMap(
         y,
@@ -623,14 +908,14 @@ def companion(kt, which: str):
         return ChainComplex(column, vertical, stable=(lo + 1, hi - 1))
     if which == "Kbar":
         # each Koszul spot modulo the image of the odd (minus) operator
-        rels = {m: kt.odd[m].dense() for m in row}
-        diff = {m: kt.horizontal[m].dense() for m in range(1, r + 1)}
+        rels = {m: dense(kt.odd[m]) for m in row}
+        diff = {m: dense(kt.horizontal[m]) for m in range(1, r + 1)}
         return PresentedComplex(row, rels, diff)
     if which == "Tbar":
         # the Tate column modulo the images of all Koszul operators: the
         # horizontal map out of the singleton row is [f_1 | ... | f_r]
-        rel = kt.horizontal[1].dense() if r else IntMatrix.zeros(kt.rank(0), 0)
-        diff = {n: d.dense() for n, d in vertical.items()}
+        rel = dense(kt.horizontal[1]) if r else IntMatrix.zeros(kt.rank(0), 0)
+        diff = {n: dense(d) for n, d in vertical.items()}
         return PresentedComplex(column, {n: rel for n in column}, diff,
                                 stable=(lo + 1, hi - 1))
     if which == "KTtot":
@@ -659,8 +944,8 @@ def rank_torsion_tate_pair(gamma, m: int) -> tuple[AbGroupInvariants, AbGroupInv
     sums and reads every m = 2^a off the trace and the invariant factors
     counted modulo 2^a."""
     norm = norm_matrix(gamma, m)
-    rank_gamma, tors_gamma = rank_torsion(type(gamma).identity(gamma.rows) - gamma)
-    rank_norm, tors_norm = rank_torsion(norm)
+    rank_gamma, tors_gamma = rank_torsion(as_sparse(type(gamma).identity(gamma.rows) - gamma))
+    rank_norm, tors_norm = rank_torsion(as_sparse(norm))
     free = gamma.rows - rank_gamma - rank_norm
     return AbGroupInvariants(free, tors_norm), AbGroupInvariants(free, tors_gamma)
 
@@ -711,7 +996,7 @@ def u_inclusion(u_small, u_big) -> IntMatrix:
     incl = position_matrix(len(big.classes), [
         big.position[small.backend.residue_mul(scale, a, big.level)] for a in small.residues
     ])
-    return (u_big.projection * (incl * u_small.section)).dense()
+    return dense(u_big.projection * (incl * u_small.section))
 
 
 def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityReport:
@@ -728,8 +1013,8 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     u_f = u_module(build_af(bk, f, nu))
     u_g = u_module(build_af(bk, g, nu))
     mat = u_inclusion(u_f, u_g)
-    gamma_f = induced_operator(u_f, "gamma0").dense()
-    gamma_g = induced_operator(u_g, "gamma0").dense()
+    gamma_f = dense(induced_operator(u_f, "gamma0"))
+    gamma_g = dense(induced_operator(u_g, "gamma0"))
     if mat * gamma_f != gamma_g * mat:
         raise RuntimeError("inclusion does not commute with the sign action")
     ev_f, od_f = tate_cycles(gamma_f, m)
@@ -742,7 +1027,7 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
     elements = list(af_g.group)
     for sigma in elements:
         perm = class_matrix([g_action(bk, sigma, xi) for xi in af_g.basis], af_g.index)
-        op = checked_induce(u_g, perm).dense()
+        op = dense(checked_induce(u_g, perm))
         if acts_as_identity(op, ev_g) and acts_as_identity(op, od_g):
             trivial_count += 1
     return FunctorialityReport(
@@ -823,13 +1108,55 @@ def sign_action_trivial_on_via_n(sk) -> tuple[int, int]:
     quotient, neg = skcx._via_n_quotient(sk)
     gamma = checked_induce(quotient, neg.matrix())
     ident = IntMatrix.identity(gamma.rows)
-    d_even, d_odd = ident + gamma.dense(), ident - gamma.dense()
+    d_even, d_odd = ident + dense(gamma), ident - dense(gamma)
     spots = [homology_pair(d_even, d_odd), homology_pair(d_odd, d_even)]
     units = [t for t in range(denom) if gcd(t, denom) == 1]
     trivial = 0
     for t in units:
         perm = SparseMatrix(denom, [{t * a % denom: 1} for a in range(denom)])
-        op = checked_induce(quotient, perm).dense()
+        op = dense(checked_induce(quotient, perm))
         if all(acts_as_identity(op, spot) for spot in spots):
             trivial += 1
     return trivial, len(units)
+
+
+# -- the classical lattice ---------------------------------------------------
+
+@dataclass(frozen=True)
+class UPrimeLattice:
+    """The classical lattice in Q[G_f]: group translates of u-orbit vectors.
+
+    Coordinates are indexed by the unit residues in ``group`` order; the
+    ``basis`` matrix is for the lattice scaled by ``denominator`` (every
+    generating vector times the denominator is integral).  The Z-rank always
+    equals |G_f|, enforced at construction.  The Hermite-basis reference for
+    ``iwasawa.uprime_compare``, which certifies the comparison with no basis
+    of the lattice.
+    """
+
+    level: int
+    group: tuple
+    generators: tuple        # rational vectors, one per (divisor, translate)
+    denominator: int
+    basis: IntMatrix
+
+    @property
+    def rank(self) -> int:
+        return self.basis.cols
+
+
+def uprime_lattice(f: int) -> UPrimeLattice:
+    units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
+    inverses = [pow(delta, -1, f) for delta in units]
+    denom, orbit = _orbit_table(f)
+    # coordinate at delta of sigma * (u(delta^-1 / g))_delta, as an index n
+    # of u(n/f)
+    at = [_orbit_indices(n0, inverses, f) for n0 in _generator_offsets(f, units)]
+    values = [Fraction(v, denom) for v in orbit]
+    generators = tuple(tuple(values[n] for n in col) for col in at)
+    basis = image_basis(
+        IntMatrix.from_columns([[orbit[n] for n in col] for col in at], rows=len(units))
+    )
+    if basis.cols != len(units):
+        raise RankMismatch(f"lattice rank {basis.cols}, expected {len(units)}")
+    return UPrimeLattice(f, tuple(units), generators, denom, basis)

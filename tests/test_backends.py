@@ -40,8 +40,8 @@ def test_no_smith_call_asks_for_transforms():
     # src/uod can track a transform; snf, which did, lives in the tests
     from uod import znf
 
-    assert list(inspect.signature(znf._run_smith).parameters) == ["m"]
-    assert list(inspect.signature(znf._Smith).parameters) == ["m"]
+    assert list(inspect.signature(znf._run_smith).parameters) == ["rows"]
+    assert list(inspect.signature(znf._Smith).parameters) == ["rows"]
     assert not hasattr(znf, "snf") and not hasattr(uod, "snf")
     calls = [
         (path.name, node)

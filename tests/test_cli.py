@@ -435,6 +435,37 @@ class TestExitCodes:
         assert captured.err == ("internal check failed: the sign generator has a cycle "
                                 "of length 6, which does not divide 2\n")
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+    def test_a_corrupted_relation_at_a_large_level_reports_in_little_memory(self):
+        # one doubled relation at f = 5040 (|Xi(f)| = 5,040, 5,928 relations)
+        # fails the basis certificate; its diagnosis is one sparse reduction,
+        # so it reports exit 3 under a 1 GiB cap on the child, where a dense
+        # diagnosis ran out of memory
+        script = (
+            "import sys\n"
+            "from uod import cli, distmod, znf\n"
+            "real = distmod.distribution_relations\n"
+            "def doubled(af):\n"
+            "    rel = real(af)\n"
+            "    first = {i: 2 * v for i, v in rel.entries[0].items()}\n"
+            "    return znf.SparseMatrix(rel.rows, (first,) + rel.entries[1:])\n"
+            "distmod.distribution_relations = doubled\n"
+            "sys.exit(cli.main(['verify', 'basis', '--f', '5040']))\n"
+        )
+
+        def cap():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, preexec_fn=cap, timeout=120)
+        assert run.returncode == 3, run.stderr
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal check failed: certificates:")
+
     def test_memory_error_exits_4_with_one_line(self, monkeypatch, capsys):
         assert self.raising(monkeypatch, MemoryError()) == 4
         captured = capsys.readouterr()

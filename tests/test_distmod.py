@@ -7,9 +7,13 @@ import types
 
 import pytest
 
+import dense_reference
 from dense_reference import (
+    IntMatrix,
     checked_induce,
     class_matrix,
+    dense,
+    image_basis,
     induced_operator,
     lemma411_check,
     lemma411_reference_counts,
@@ -49,12 +53,7 @@ from uod.distmod import (
 from uod.chainkit import ActionModule, MapOperator, NonCommutingOperators
 from uod.cli import main
 from uod.signh import OrderViolation, sign_homology_U, tate_pair
-from uod.znf import (
-    InducedOperatorUndefined,
-    IntMatrix,
-    SparseMatrix,
-    image_basis,
-)
+from uod.znf import InducedOperatorUndefined, SparseMatrix
 
 Q = ArchimedeanBackend()
 F3 = FunctionFieldBackend(3)
@@ -145,7 +144,7 @@ class TestUModule:
             af = build_af(Q, f, nu)
             u = u_module(af)
             for p in af.primes:
-                induced = induced_operator(u, x_op_name(Q, p)).dense()
+                induced = dense(induced_operator(u, x_op_name(Q, p)))
                 assert induced == IntMatrix.identity(u.rank).scale(nu.get(p, 1))
 
     def test_gamma_has_sign_order(self):
@@ -189,7 +188,7 @@ def dense_u_projection(af, basis_classes):
         [[1 if i == af.index[c] else 0 for i in range(af.rank)] for c in basis_classes],
         rows=af.rank,
     )
-    w = section.hstack(image_basis(distribution_relations(af).dense()))
+    w = section.hstack(image_basis(dense(distribution_relations(af))))
     res = snf(w)
     assert w.rows == w.cols and all(d == 1 for d in res.invariants)
     return (res.right * res.left).submatrix(range(len(basis_classes)), range(af.rank))
@@ -213,7 +212,7 @@ class TestUModuleCertificate:
     def test_projection_matches_dense_reference(self, bk, f, nu):
         af = build_af(bk, f, nu)
         u = u_module(af)
-        assert u.projection.dense() == dense_u_projection(af, u.basis_classes)
+        assert dense(u.projection) == dense_u_projection(af, u.basis_classes)
         assert u.projection * u.section == SparseMatrix.identity(u.rank)
         assert (u.projection * u.relations).is_zero()
         assert u.rank == len(af.group)
@@ -238,7 +237,7 @@ class TestUModuleCertificate:
             u_module(build_af(Q, 4))
 
     def test_torsion_quotient_raises_structure_error(self, monkeypatch):
-        doubled = lambda af: sparse(distribution_relations(af).dense().scale(2))
+        doubled = lambda af: sparse(dense(distribution_relations(af)).scale(2))
         monkeypatch.setattr(distmod, "distribution_relations", doubled)
         with pytest.raises(StructureCheckFailed, match="computed as"):
             u_module(build_af(Q, 4))
@@ -559,7 +558,7 @@ class TestSparseOperators:
             return m
 
         init, mul = IntMatrix.__init__, IntMatrix.__mul__
-        from_columns, trusted = IntMatrix.from_columns.__func__, znf._trusted
+        from_columns, trusted = IntMatrix.from_columns.__func__, dense_reference._trusted
 
         def spy_init(m, *args, **kwargs):
             init(m, *args, **kwargs)
@@ -569,7 +568,8 @@ class TestSparseOperators:
         monkeypatch.setattr(IntMatrix, "__mul__", lambda a, b: record(mul(a, b)))
         monkeypatch.setattr(IntMatrix, "from_columns",
                             classmethod(lambda cls, *a, **k: record(from_columns(cls, *a, **k))))
-        monkeypatch.setattr(znf, "_trusted", lambda data, cols: record(trusted(data, cols)))
+        monkeypatch.setattr(dense_reference, "_trusted",
+                            lambda data, cols: record(trusted(data, cols)))
         u = u_module(build_af(bk, f))
         for name in u.parent.operators.maps:
             induced_operator(u, name)
@@ -655,7 +655,7 @@ class TestXMaps:
         koszul = MapOperator(x2.images, 1, shift=1, scale=-1)
         assert set(x2.images) != set(range(af.rank))
         module = with_operator(af.operators, "koszul[2]", koszul)
-        x, k = module.operator(x_op_name(Q, 2)).dense(), module.operator("koszul[2]").dense()
+        x, k = dense(module.operator(x_op_name(Q, 2))), dense(module.operator("koszul[2]"))
         assert x * k == k * x
 
     @pytest.mark.parametrize("bk, f", MOVED_IMAGE_CASES)
@@ -855,7 +855,7 @@ class TestXi0Basis:
         true_relations = distribution_relations
 
         def relations(af):
-            rel = true_relations(af).dense()
+            rel = dense(true_relations(af))
             if torsion == "doubled":
                 return sparse(rel.scale(2))
             col = [0] * af.rank
@@ -863,10 +863,12 @@ class TestXi0Basis:
             return sparse(rel.hstack(IntMatrix.from_columns([col], rows=af.rank)))
 
         monkeypatch.setattr(distmod, "distribution_relations", relations)
-        # the two Xi_0 images span the free part, Z here and Z^2 when doubled
+        # U(f) is not free, so the diagnosis reports U(f)/<Xi_0>: the two
+        # Xi_0 images generate U(f) = Z + Z/2 under the extra relation, and
+        # miss (Z/2)^2 of it when every relation is doubled
         message = {
-            "extra": r"quotient \(1,\); U\(f\) is Z \+ Z/2, not Z\^2$",
-            "doubled": r"quotient \(1, 1\); U\(f\) is Z\^2 \+ Z/2 \+ Z/2, not Z\^2$",
+            "extra": r"U\(f\)/<Xi_0> is 0; U\(f\) is Z \+ Z/2, not Z\^2$",
+            "doubled": r"U\(f\)/<Xi_0> is Z/2 \+ Z/2; U\(f\) is Z\^2 \+ Z/2 \+ Z/2, not Z\^2$",
         }[torsion]
         with pytest.raises(BasisCertificateFailed, match=message):
             xi0_basis(build_af(Q, 4))
@@ -1062,6 +1064,6 @@ class TestTower:
     def test_transitions_commute_with_gamma(self):
         u1, u2 = (u_module(build_af(Q, 3**k)) for k in (1, 2))
         m = u_inclusion(u1, u2)
-        g1 = induced_operator(u1, "gamma0").dense()
-        g2 = induced_operator(u2, "gamma0").dense()
+        g1 = dense(induced_operator(u1, "gamma0"))
+        g2 = dense(induced_operator(u2, "gamma0"))
         assert m * g1 == g2 * m

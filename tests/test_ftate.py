@@ -104,9 +104,8 @@ class TestThm442:
         # independent check of the previous value: the total complex with one
         # Koszul operator -2 and vertical [2; 0] has, per degree, matrix
         # [[2 or 0, -2], [0, -(0 or 2)]] acting on Z^2; brute-force both
-        # parities with the generic machinery in znf only.
-        from dense_reference import homology_pair
-        from uod.znf import IntMatrix
+        # parities with the dense lattice references only.
+        from dense_reference import IntMatrix, homology_pair
 
         d_even = IntMatrix([[2, -2], [0, 0]])
         d_odd = IntMatrix([[0, -2], [0, -2]])
@@ -172,8 +171,9 @@ def test_the_scalar_modules_are_certified_with_no_product(monkeypatch):
     # the 1 x 1 scalars of scalar_kt are maps, so neither the commutation
     # certificate nor plus * minus = 0 multiplies a matrix
     from uod import chainkit
+    from dense_reference import IntMatrix
     from uod.chainkit import scalar_kt
-    from uod.znf import IntMatrix, SparseMatrix
+    from uod.znf import SparseMatrix
 
     depth, entered, inside = [0], [], []
 

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import induced_operator, with_map_uncertified
+from dense_reference import (
+    IntMatrix,
+    dense,
+    induced_operator,
+    snf_invariants,
+    solve,
+    uprime_lattice,
+    with_map_uncertified,
+)
 import uod.iwasawa as iwasawa
+from uod import znf
 from uod.arith import ARCHIMEDEAN
 from uod.chainkit import MapOperator
 from uod.distmod import StructureCheckFailed, build_af, distribution_relations, g_op_name, u_module
@@ -31,9 +40,8 @@ from uod.iwasawa import (
     u_of,
     u_values,
     uprime_compare,
-    uprime_lattice,
 )
-from uod.znf import IntMatrix, SparseMatrix, snf_invariants, solve
+from uod.znf import SparseMatrix
 
 
 def reduce_zeta_vector(vec, order: int):
@@ -512,8 +520,8 @@ def hermite_report(f: int, u) -> UPrimeReport:
     units = list(lattice.group)
     phi_f = len(units)
     image = _image(f, u)
-    assert (image * u.relations.dense()).is_zero(), "a relation survives the map"
-    mapped = image * u.section.dense()
+    assert (image * dense(u.relations)).is_zero(), "a relation survives the map"
+    mapped = image * dense(u.section)
     coords = solve(lattice.basis, mapped)
     assert coords.rows == coords.cols == phi_f and set(snf_invariants(coords)) <= {1}, \
         "the map is not a basis of U'(f)"
@@ -523,7 +531,7 @@ def hermite_report(f: int, u) -> UPrimeReport:
         perm = IntMatrix.from_columns(
             [[1 if t * d % f == target else 0 for target in units] for d in units], rows=phi_f
         )
-        op = induced_operator(u, g_op_name(ARCHIMEDEAN, t)).dense()
+        op = dense(induced_operator(u, g_op_name(ARCHIMEDEAN, t)))
         equivariant = equivariant and perm * mapped == mapped * op
     return UPrimeReport(f, lattice.rank, equivariant)
 
@@ -550,7 +558,7 @@ def _exact_rank(vectors) -> int:
 def _mapped_columns(f, u):
     """The columns of the induced map on U(f)'s basis: the image times the
     section."""
-    return (_image(f, u) * u.section.dense()).columns()
+    return (_image(f, u) * dense(u.section)).columns()
 
 
 class TestUPrimeCertificate:
@@ -561,11 +569,11 @@ class TestUPrimeCertificate:
         assert report == hermite_report(f, u)
 
     def test_structural_route_builds_no_lattice_basis(self, monkeypatch):
+        # _hermite is the only lattice basis src/uod can build
         def refuse(*_args):
             raise AssertionError("uprime_compare built a lattice basis")
 
-        monkeypatch.setattr(iwasawa, "uprime_lattice", refuse)
-        monkeypatch.setattr(iwasawa, "image_basis", refuse)
+        monkeypatch.setattr(znf, "_hermite", refuse)
         assert uprime_compare(120) == UPrimeReport(120, 32, True)
 
     @pytest.mark.parametrize("f", [12, 60, 81])
@@ -577,8 +585,7 @@ class TestUPrimeCertificate:
         def refuse(*_args):
             raise AssertionError("a short count built a lattice basis")
 
-        monkeypatch.setattr(iwasawa, "uprime_lattice", refuse)
-        monkeypatch.setattr(iwasawa, "image_basis", refuse)
+        monkeypatch.setattr(znf, "_hermite", refuse)
         phi = len(u.basis_classes)
         with pytest.raises(RankMismatch, match=f"lattice rank {phi - 1}, expected {phi}"):
             uprime_compare(f, u)
@@ -674,7 +681,7 @@ class TestUPrimeCertificate:
         i, j = next((i, j) for i, j in itertools.combinations(range(len(lam)), 2)
                     if lam[i] == lam[j] and orbits[i] != orbits[j])
         extra = SparseMatrix(u.relations.rows, [*u.relations.entries, {i: 1, j: -1}])
-        assert not (image * extra.dense()).is_zero()
+        assert not (image * dense(extra)).is_zero()
         with pytest.raises(StructureCheckFailed, match="nu_p - X_p"):
             uprime_compare(f, dataclasses.replace(u, relations=extra))
 

@@ -3,8 +3,10 @@ from dataclasses import dataclass
 import pytest
 
 from dense_reference import (
+    IntMatrix,
     PresentedComplex,
     checked_induce,
+    dense,
     sign_action_trivial_on_via_n,
     sk_inclusion_check,
     skprime_layout,
@@ -29,13 +31,7 @@ from uod.skcx import (
     via_skprime_complex,
 )
 from uod.signh import OrderViolation
-from uod.znf import (
-    AbGroupInvariants,
-    FreeQuotient,
-    InducedOperatorUndefined,
-    IntMatrix,
-    SparseMatrix,
-)
+from uod.znf import AbGroupInvariants, FreeQuotient, InducedOperatorUndefined, SparseMatrix
 
 Z2 = AbGroupInvariants(0, (2,))
 
@@ -111,7 +107,7 @@ def dense_via_n_reference(sk):
     subquotient formula on the Hermite bases, independent of the peel."""
     lo, hi = sk.window
     denom = sk.denominator
-    rel = distribution_presentation(sk).dense()
+    rel = dense(distribution_presentation(sk))
     neg = IntMatrix.from_columns(
         [[1 if i == (-a) % denom else 0 for i in range(denom)] for a in range(denom)]
     )

@@ -3,28 +3,37 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import block_diagonal, checked_induce, homology_pair, lattice_contains, snf, subquotient
+from dense_reference import (
+    IntMatrix,
+    NoIntegerSolution,
+    as_sparse,
+    block_diagonal,
+    checked_induce,
+    dense,
+    homology_pair,
+    image_basis,
+    kernel_basis,
+    lattice_contains,
+    preimage_lattice,
+    snf,
+    snf_invariants,
+    solve,
+    subquotient,
+    uprime_lattice,
+)
 from uod import znf
 from uod.arith import ArchimedeanBackend, gf_group
 from uod.distmod import build_af, distribution_relations
-from uod.iwasawa import uprime_lattice
 from uod.znf import (
     AbGroupInvariants,
     FreeQuotient,
     InducedOperatorUndefined,
-    IntMatrix,
-    NoIntegerSolution,
     NotAComplement,
     ShapeMismatch,
     SparseMatrix,
     cokernel_invariants,
     complement_projection,
-    image_basis,
-    kernel_basis,
-    preimage_lattice,
     rank_torsion,
-    snf_invariants,
-    solve,
 )
 
 
@@ -108,7 +117,20 @@ def invariant_cases(draw):
 
 
 def dense_invariants(m):
-    return znf._run_smith(m)
+    return znf._run_smith([list(row) for row in m.data])
+
+
+def split(diag):
+    """(rank, torsion) of an invariant-factor diagonal, as ``rank_torsion``
+    reports it."""
+    return sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
+
+
+def cokernel_of(m: IntMatrix) -> AbGroupInvariants:
+    """Invariants of Z^rows / im(m) with the rows of ``m`` as the rows of the
+    unit-pivot core, where ``cokernel_invariants`` takes its columns."""
+    rank, torsion = split(snf_invariants(m))
+    return AbGroupInvariants(m.rows - rank, torsion)
 
 
 def sparse_invariants(m):
@@ -145,6 +167,23 @@ def costly_cases(draw):
     for j in range(c):
         for i in (j % r, (j + 1) % r):
             data[i][j] = data[i][j] or draw(nonzero)
+    return IntMatrix(data, cols=c)
+
+
+@st.composite
+def unit_free_cases(draw):
+    """Matrices with no ±1 entry, so that no unit pivot is taken, and with
+    two nonzeros in row 0, so that the residual is not monomial: the whole
+    matrix reaches ``_hermite`` and ``_Smith``.  Entries go far beyond
+    machine words, and some cases are rank-deficient."""
+    r, c = draw(st.integers(1, 7)), draw(st.integers(2, 7))
+    pool = st.sampled_from((0, 0, 0, 2, -2, 3, 4, -6, 9, 10**12 + 3, -(2**70)))
+    data = [[draw(pool) for _ in range(c)] for _ in range(r)]
+    nonzero = st.sampled_from((2, -3, 5, 6))
+    data[0][0], data[0][1] = data[0][0] or draw(nonzero), data[0][1] or draw(nonzero)
+    if r > 1 and draw(st.booleans()):
+        # the last row twice the first: no unit appears, and the rank drops
+        data[-1] = [2 * x for x in data[0]]
     return IntMatrix(data, cols=c)
 
 
@@ -312,18 +351,18 @@ class TestSparseMatrix:
     def test_agrees_with_intmatrix(self, case):
         a, b, other = case
         sa, sb, so = sparse(a), sparse(b), sparse(other)
-        assert sa.dense() == a and (sa.rows, sa.cols) == (a.rows, a.cols)
+        assert dense(sa) == a and (sa.rows, sa.cols) == (a.rows, a.cols)
         prod = sa * sb
         assert (prod.rows, prod.cols) == (a.rows, b.cols)
-        assert prod.dense() == a * b
+        assert dense(prod) == a * b
         assert prod.is_zero() == (a * b).is_zero()
         assert sa.is_zero() == a.is_zero()
         assert [sa.column(j) for j in range(a.cols)] == a.columns()
         assert (sa == so) == (a == other)
-        assert (sa + so).dense() == a + other and (sa - so).dense() == a - other
+        assert dense(sa + so) == a + other and dense(sa - so) == a - other
         assert (sa - sa).entries == tuple({} for _ in sa.entries)  # no zero is stored
         assert sa == sparse(a) and sa != a
-        assert SparseMatrix.identity(a.rows).dense() == IntMatrix.identity(a.rows)
+        assert dense(SparseMatrix.identity(a.rows)) == IntMatrix.identity(a.rows)
         assert SparseMatrix.identity(a.rows) * sa == sa == sa * SparseMatrix.identity(a.cols)
 
     @settings(max_examples=200, deadline=None)
@@ -345,14 +384,14 @@ class TestSparseMatrix:
         cols = [rng.randrange(a.cols) for _ in range(rng.randint(0, 4))] if a.cols else []
         sub = sparse(a).submatrix(rows, cols)
         assert (sub.rows, sub.cols) == (len(rows), len(cols))
-        assert sub.dense() == a.submatrix(rows, cols)
+        assert dense(sub) == a.submatrix(rows, cols)
 
     def test_zeros_are_not_stored(self):
         m = SparseMatrix(3, [{0: 0, 2: 5}, {}, {1: -1}])
         assert m.entries == ({2: 5}, {}, {1: -1})
         assert m == SparseMatrix(3, [{2: 5}, {1: 0}, {1: -1}])
         assert SparseMatrix(2, [{0: 0}]).is_zero()
-        assert SparseMatrix(4, []).dense() == IntMatrix.zeros(4, 0)
+        assert dense(SparseMatrix(4, [])) == IntMatrix.zeros(4, 0)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatch):
@@ -420,12 +459,12 @@ class TestSnf:
             m = IntMatrix(rows)
             assert abs(det_laplace(m)) == 6
             assert self.check_snf(m).invariants == (1, 1, 6)
-            assert rank_torsion(m) == (3, (6,))
+            assert rank_torsion(sparse(m)) == (3, (6,))
 
     def test_rank_torsion(self):
-        assert rank_torsion(IntMatrix([[2, 4], [6, 8]])) == (2, (2, 4))
-        assert rank_torsion(IntMatrix([[1, 2], [2, 4]])) == (1, ())
-        assert rank_torsion(IntMatrix.zeros(3, 0)) == (0, ())
+        assert rank_torsion(sparse(IntMatrix([[2, 4], [6, 8]]))) == (2, (2, 4))
+        assert rank_torsion(sparse(IntMatrix([[1, 2], [2, 4]]))) == (1, ())
+        assert rank_torsion(sparse(IntMatrix.zeros(3, 0))) == (0, ())
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices, st.randoms(use_true_random=False))
@@ -435,7 +474,7 @@ class TestSnf:
         rng.shuffle(rows)
         rng.shuffle(cols)
         shuffled = m.submatrix(rows, cols)
-        assert cokernel_invariants(m) == cokernel_invariants(shuffled)
+        assert cokernel_invariants(sparse(m)) == cokernel_invariants(sparse(shuffled))
 
 
 class TestSparseInvariants:
@@ -446,8 +485,8 @@ class TestSparseInvariants:
         assert snf_invariants(m) == want
         # sparse columns reach the same core as the rows of the transpose
         assert sparse_invariants(m) == want
-        assert rank_torsion(sparse(m)) == rank_torsion(m)
-        assert cokernel_invariants(sparse(m)) == cokernel_invariants(m)
+        assert rank_torsion(sparse(m)) == split(want)
+        assert cokernel_invariants(sparse(m)) == cokernel_of(m)
 
     @settings(max_examples=200, deadline=None)
     @given(costly_cases())
@@ -456,6 +495,27 @@ class TestSparseInvariants:
         # the pivot set's buckets, and gain and lose units, as they go
         assert snf_invariants(m) == dense_invariants(m)
         assert sparse_invariants(m) == dense_invariants(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_free_cases())
+    def test_unit_free_matrices_reach_the_dense_stage_whole(self, m):
+        # the columns of as_sparse(m) are the rows of the core, so the
+        # residual's columns, which _hermite takes, are the nonzero rows of
+        # m on its nonzero columns
+        reached = []
+        real = znf._hermite
+
+        def spy(columns, height):
+            reached.append((sorted(map(tuple, columns)), height))
+            return real(columns, height)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(znf, "_hermite", spy)
+            got = rank_torsion(as_sparse(m))
+        nonzero = [j for j in range(m.cols) if any(m.column(j))]
+        rows = sorted(tuple(row[j] for j in nonzero) for row in m.data if any(row))
+        assert reached == [(rows, len(nonzero))]
+        assert got == split(snf(m).invariants)
 
     def test_stale_candidates_are_rekeyed_or_dropped(self):
         # no unit is alone in its column, so row 0 goes first as the shortest
@@ -512,13 +572,13 @@ class TestSparseInvariants:
         want = snf(m).invariants
         assert snf_invariants(m) == want
         assert sparse_invariants(m) == want
-        assert rank_torsion(sparse(m)) == rank_torsion(m)
+        assert rank_torsion(sparse(m)) == split(want)
 
     def test_relation_blocks(self):
         # the relation matrices of the direct route, on both paths
         for f in (140, 156):
             rel = distribution_relations(build_af(Q, f))
-            want = cokernel_invariants(rel.dense())
+            want = cokernel_of(dense(rel))
             assert want == cokernel_invariants(rel) == AbGroupInvariants(len(gf_group(Q, f)))
 
     def test_shapes_and_zeros(self):
@@ -569,11 +629,11 @@ class TestSparseInvariants:
     def test_dense_stage_sees_only_the_residual(self, monkeypatch):
         # a unimodular sparse block next to a block with no unit entry
         shapes = []
-        dense = znf._run_smith
+        real = znf._run_smith
 
-        def spy(m):
-            shapes.append((m.rows, m.cols))
-            return dense(m)
+        def spy(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return real(rows)
 
         monkeypatch.setattr(znf, "_run_smith", spy)
         unimodular = IntMatrix([[1, 1, 0, 0], [2, 3, 1, 0], [0, -1, 0, -1], [0, 0, 3, -2]])
@@ -653,17 +713,17 @@ class TestCokernel:
 
     def test_two_times_identity(self):
         m = IntMatrix.diagonal([2, 2])
-        assert cokernel_invariants(m) == cokernel_invariants(sparse(m)) == AbGroupInvariants(0, (2, 2))
+        assert cokernel_of(m) == cokernel_invariants(sparse(m)) == AbGroupInvariants(0, (2, 2))
 
     def test_single_column(self):
         m = IntMatrix([[1], [1]])
-        assert cokernel_invariants(m) == cokernel_invariants(sparse(m)) == AbGroupInvariants(1)
+        assert cokernel_of(m) == cokernel_invariants(sparse(m)) == AbGroupInvariants(1)
 
     def test_u4_relation_matrix(self):
         # A(4) has basis [0], [1/4], [1/2], [3/4]; the two level-4 relations
         # are [0] - [0] - [1/2] and [1/2] - [1/4] - [3/4].
         rel = IntMatrix.from_columns([(0, 0, -1, 0), (0, -1, 1, -1)])
-        assert cokernel_invariants(rel) == cokernel_invariants(sparse(rel)) == AbGroupInvariants(2)
+        assert cokernel_of(rel) == cokernel_invariants(sparse(rel)) == AbGroupInvariants(2)
 
 
 def reference_projection(rel, keep):
@@ -688,7 +748,7 @@ def sparse(m: IntMatrix) -> SparseMatrix:
 
 def project(rel: IntMatrix, keep) -> IntMatrix:
     """complement_projection on the sparse copy of ``rel``, read back dense."""
-    return complement_projection(sparse(rel), keep).dense()
+    return dense(complement_projection(sparse(rel), keep))
 
 
 keep_cases = small_matrices.flatmap(
@@ -812,10 +872,10 @@ class TestFreeQuotient:
         assert q.projection * q.section == SparseMatrix.identity(2)
         # swapping e1 and e3 fixes e2 and e1 + e3; on the quotient e3 = -e1
         swap = SparseMatrix(4, [{0: 1}, {3: 1}, {2: 1}, {1: 1}])
-        assert checked_induce(q, swap).dense() == IntMatrix([[1, 0], [0, -1]])
+        assert dense(checked_induce(q, swap)) == IntMatrix([[1, 0], [0, -1]])
         # e0 -> e2 sends e0 to a relation, so it induces 0 there
         kill = SparseMatrix(4, [{2: 1}, {1: 1}, {2: 1}, {3: 1}])
-        assert checked_induce(q, kill).dense() == IntMatrix([[0, 0], [0, 1]])
+        assert dense(checked_induce(q, kill)) == IntMatrix([[0, 0], [0, 1]])
 
     def test_refuses_an_operator_that_breaks_the_relations(self):
         # swapping e0 and e2 sends the relation e2 to e0, which survives
