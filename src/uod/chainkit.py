@@ -29,15 +29,20 @@ on A(f), on the symbol module and as the 1 x 1 scalars of ``scalar_kt``
 alike, so both are read off position maps with no product: each pair by
 one O(n) rule on the maps, and plus * minus = 0 on the coefficients of one
 involution.  A module keeps each operator only as its map, and builds the
-operator's matrix from it where it is read.  ``total_complex`` offsets
-each block's column dicts into the total column.  A window repeats its
-differentials, so every total degree whose differential equals an earlier
-one by value gets that same object: the d*d check of ``ChainComplex``
-multiplies each distinct pair once, and
-``homology`` reduces each distinct differential once through the sparse
-unit-pivot core of ``znf``.  ``scalar_kt`` is the total complex of the
-rank-one module with scalar operators, which the almost-free,
-comparison-theorem and numerator-killed routes all read.
+operator's matrix from it where it is read, or only the columns a caller
+reads (``ActionModule.columns``).  ``build_kt`` builds one sign block per
+distinct (count, sign).  ``total_complex`` offsets each block's column
+dicts into the total column.  A window repeats its differentials: the rows
+present at t and at t - 1 and the parity of t fix a differential, so each
+distinct one is built once, and every total degree whose differential
+equals an earlier one by value gets that same object: the d*d check of
+``ChainComplex`` multiplies each distinct pair once, and ``homology``,
+read once per complex, reduces each distinct differential once through the
+sparse unit-pivot core of ``znf``.  ``scalar_kt`` is the total complex of
+the rank-one module with scalar operators, which the almost-free,
+comparison-theorem and numerator-killed routes all read; it is memoised
+per process on its data and window, so routes and levels with the same
+data share one complex and one homology table.
 """
 
 from __future__ import annotations
@@ -130,13 +135,15 @@ class ChainComplex:
     n-1; absent degrees have rank zero and an absent differential reads as
     a sparse zero matrix.  Composition of consecutive differentials is
     checked at construction, and ``homology`` reduces the sparse columns as
-    they are, memoising each differential by value.
+    they are, memoising each differential by value, and keeps its table:
+    a complex is not changed once built.
     """
 
     def __init__(self, ranks: dict, diff: dict, stable=None):
         self.ranks = {n: r for n, r in ranks.items() if r}
         self.diff = {}
         self.stable = stable
+        self._table = None
         if self.ranks:
             self.lo = min(self.ranks)
             self.hi = max(self.ranks)
@@ -172,13 +179,17 @@ class ChainComplex:
         return range(self.lo, self.hi + 1)
 
     def homology(self) -> HomologyTable:
-        # each distinct differential is reduced once, without transforms
-        reduced, spots = {}, {}
-        for n, d in self.diff.items():
-            if d not in reduced:
-                reduced[d] = rank_torsion(d)
-            spots[n] = reduced[d]
-        return homology_table({n: self.rank(n) for n in self.degrees()}, spots, self.stable)
+        # read once per complex; each distinct differential is reduced once,
+        # without transforms
+        if self._table is None:
+            reduced, spots = {}, {}
+            for n, d in self.diff.items():
+                if d not in reduced:
+                    reduced[d] = rank_torsion(d)
+                spots[n] = reduced[d]
+            self._table = homology_table({n: self.rank(n) for n in self.degrees()}, spots,
+                                         self.stable)
+        return self._table
 
 
 def homology_table(ranks: dict, spots: dict, stable=None) -> HomologyTable:
@@ -241,6 +252,28 @@ class MapOperator:
                     del col[i]
         return _sparse(len(cols), tuple(cols))
 
+    def columns(self, at, positions) -> list:
+        """The columns of ``matrix(positions)`` at the positions ``at``,
+        drawn from ``positions``, built alone: column i holds the fiber of i
+        under the map, scaled, plus shift on the diagonal.  Every row index
+        is an int of ``positions``."""
+        shift, scale = self.shift, self.scale
+        cols = {i: {i: shift} if shift else {} for i in at}
+        for k, i in zip(positions, self.images):
+            col = cols.get(i)
+            if col is not None:
+                col[k] = col.get(k, 0) + scale
+        if self.nu:
+            flags = self.in_image
+            for i, col in cols.items():
+                if not flags[i]:
+                    col[i] = shift + scale * self.nu
+        if shift:
+            for i, col in cols.items():
+                if not col[i]:
+                    del col[i]
+        return list(cols.values())
+
 
 def _maps_commute(a: MapOperator, b: MapOperator) -> bool:
     """The pair rule of ``ActionModule``, in O(n)."""
@@ -270,7 +303,10 @@ class ActionModule:
     ``MapOperator`` and kept only as that map, in ``maps`` (anything else
     is a ``TypeError``); ``operator(name)`` builds its ``SparseMatrix``
     from the map on each call, so the matrix a caller reads is the
-    certified map's.
+    certified map's, and ``columns(name, at)`` builds only some of its
+    columns.  Each map's images are taken over as the module's position
+    ints, equal as values, so at rank n the maps and every matrix read from
+    them share n int objects.
 
     Construction certifies that every pair of operators commutes.
 
@@ -300,13 +336,20 @@ class ActionModule:
     def __init__(self, rank: int, operators: dict, nu: dict | None = None):
         self.rank = rank
         self.maps = dict(operators)
+        self._positions = positions = tuple(range(rank))
+        shared = {}
         for name, op in self.maps.items():
             if not isinstance(op, MapOperator):
                 raise TypeError(f"operator {name!r} is not a MapOperator")
             y = op.images
             if len(y) != rank or (y and not 0 <= min(y) <= max(y) < rank):
                 raise ShapeMismatch(f"operator {name!r} is not a map of range({rank})")
-        self._positions = tuple(range(rank))
+            # the images, equal as values, become the module's position ints:
+            # one int object per position for all maps and every matrix read
+            # from them; y stays referenced, so its id is not reused
+            if id(y) not in shared:
+                shared[id(y)] = y, tuple([positions[i] for i in y])
+            op.images = shared[id(y)][1]
         self.nu = dict(nu or {})
         for a, b in itertools.combinations(sorted(self.maps), 2):
             if not _maps_commute(self.maps[a], self.maps[b]):
@@ -315,6 +358,11 @@ class ActionModule:
     def operator(self, name: str) -> SparseMatrix:
         """The matrix of the named operator, built from its map on each call."""
         return self.maps[name].matrix(self._positions)
+
+    def columns(self, name: str, at: slice) -> list:
+        """The columns at the positions ``range(rank)[at]`` of the named
+        operator's matrix, built from its map alone (``MapOperator.columns``)."""
+        return self.maps[name].columns(self._positions[at], self._positions)
 
 
 @dataclass(frozen=True)
@@ -420,10 +468,15 @@ def build_kt(module: ActionModule, ideal_names, plus_name: str, minus_name: str,
                         col[t0 + a] = sign * v
                 columns.append(col)
         horizontal.append(SparseMatrix(d * len(subsets[m - 1]), columns))
-    signs = [-1 if m % 2 else 1 for m in range(r + 1)]
-    even = tuple(repeat_diagonal(plus, len(s), sign) for s, sign in zip(subsets, signs))
-    odd = tuple(repeat_diagonal(minus, len(s), sign) for s, sign in zip(subsets, signs))
-    return DoubleComplex(window, tuple(horizontal), even, odd)
+    # rows m and r - m have one count, so each (count, sign) block is built once
+    keys = [(len(s), -1 if m % 2 else 1) for m, s in enumerate(subsets)]
+    even, odd = {}, {}
+    for key in keys:
+        if key not in even:
+            even[key] = repeat_diagonal(plus, *key)
+            odd[key] = repeat_diagonal(minus, *key)
+    return DoubleComplex(window, tuple(horizontal), tuple(even[k] for k in keys),
+                         tuple(odd[k] for k in keys))
 
 
 def total_complex(d: DoubleComplex) -> ChainComplex:
@@ -432,12 +485,15 @@ def total_complex(d: DoubleComplex) -> ChainComplex:
     Each column of a total differential is the block column of the
     horizontal map into (m-1, n) and of the vertical map into (m, n-1), its
     rows offset to where those blocks sit in the degree below; those two
-    never overlap.  A total differential equal by value to an earlier one
-    is that same object, so the d*d check of ``ChainComplex`` multiplies
-    each distinct pair once and ``homology`` reduces each distinct
-    differential once.  The degrees at least r + 2 above the window's lower
-    edge and 2 below its upper edge, with r the number of Koszul operators,
-    are unaffected by the truncation and are marked ``stable``.
+    never overlap.  Those blocks and offsets depend only on the rows present
+    at t and at t - 1 and on the parity of t, so each distinct such key is
+    built once; past the window's edges only the parity varies.  A total
+    differential equal by value to an earlier one is that same object, so
+    the d*d check of ``ChainComplex`` multiplies each distinct pair once and
+    ``homology`` reduces each distinct differential once.  The degrees at
+    least r + 2 above the window's lower edge and 2 below its upper edge,
+    with r the number of Koszul operators, are unaffected by the truncation
+    and are marked ``stable``.
     """
     lo, hi = d.window
     r = len(d.even) - 1
@@ -453,10 +509,14 @@ def total_complex(d: DoubleComplex) -> ChainComplex:
                 pos += row_rank[m]
         offsets[total], ranks[total] = off, pos
     diff = {}
-    interned = {}
+    built, interned = {}, {}
     for t, off in offsets.items():
         below = offsets.get(t - 1)
         if below is None:
+            continue
+        key = (tuple(m for m, _ in off), tuple(m for m, _ in below), t % 2)
+        if key in built:
+            diff[t] = built[key]
             continue
         columns = []
         for m, n in off:
@@ -473,16 +533,32 @@ def total_complex(d: DoubleComplex) -> ChainComplex:
                         col[r0 + i] = v
                 columns.append(col)
         mat = _sparse(ranks[t - 1], tuple(columns))
-        diff[t] = interned.setdefault(mat, mat)
+        diff[t] = built[key] = interned.setdefault(mat, mat)
     return ChainComplex(ranks, diff, stable=(lo + r + 2, hi - 2))
+
+
+# (scalars, plus, minus, window) -> the total complex of ``scalar_kt``
+_SCALAR_KT: dict = {}
 
 
 def scalar_kt(scalars, plus: int, minus: int, window=None) -> ChainComplex:
     """The total Koszul-Tate complex of the rank-one module Z on which the
     Koszul operators act by ``scalars`` and the vertical pair by ``plus``
     and ``minus``; the scalar c is the map shift * 1 + Op(id) with
-    shift = c - 1."""
-    names = [f"f{i}" for i in range(len(scalars))]
-    ops = {name: MapOperator((0,), shift=c - 1)
-           for name, c in zip(names + ["plus", "minus"], [*scalars, plus, minus])}
-    return total_complex(build_kt(ActionModule(1, ops), names, "plus", "minus", window))
+    shift = c - 1.
+
+    The complex, and with it its homology table, is memoised per process
+    on (scalars, plus, minus, window), the window as ``_check_window``
+    reads it: the numerator-killed route and the KT reference of ``skcx``
+    have the same data at every level, and so do ``thm442`` and ``ftate``
+    at m = 2, so each such table is reduced once."""
+    window = _check_window(window, len(scalars))
+    key = (tuple(scalars), plus, minus, window)
+    total = _SCALAR_KT.get(key)
+    if total is None:
+        names = [f"f{i}" for i in range(len(scalars))]
+        ops = {name: MapOperator((0,), shift=c - 1)
+               for name, c in zip(names + ["plus", "minus"], [*scalars, plus, minus])}
+        total = _SCALAR_KT[key] = total_complex(
+            build_kt(ActionModule(1, ops), names, "plus", "minus", window))
+    return total

@@ -581,7 +581,7 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
     if is_basis and all(d == 1 for d in lattice_inv):
         return Xi0Basis(tuple(af.basis[i] for i in xi0_here))
     if is_basis:
-        found = f"quotient {(1,) * k}"
+        found = f"quotient {_factor_summary((1,) * k)}"
     else:
         # only to say how it failed, with one more sparse reduction: what
         # the images of Xi_0 miss of U(f) is U(f)/<Xi_0> = Z^n / (im R +
@@ -591,10 +591,20 @@ def xi0_basis(af: AfModule) -> Xi0Basis:
             _sparse(af.rank, rel.entries + position_matrix(af.rank, xi0_here).entries))
         if free:
             units = k - missed.free_rank - len(missed.torsion)
-            found = f"quotient {(1,) * units + missed.torsion + (0,) * missed.free_rank}"
+            factors = (1,) * units + missed.torsion + (0,) * missed.free_rank
+            found = f"quotient {_factor_summary(factors)}"
         else:
             found = f"U(f)/<Xi_0> is {missed}; U(f) is {quotient}, not Z^{k}"
-    raise BasisCertificateFailed(f"certificates: lattice {lattice_inv}, {found}")
+    lattice = _factor_summary(lattice_inv)
+    raise BasisCertificateFailed(f"certificates: lattice {lattice}, {found}")
+
+
+def _factor_summary(factors: tuple) -> str:
+    """Invariant factors as the count of units and the tuple of the others,
+    so a failure message stays one short line at any rank."""
+    rest = tuple(d for d in factors if d != 1)
+    units = len(factors) - len(rest)
+    return f"{units} unit{'' if units == 1 else 's'}" + (f" and {rest}" if rest else "")
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,17 @@ anticommutation.  Neither check multiplies a matrix.  Every matrix is a
 ``znf.SparseMatrix``.
 
 The via-N quotient is the free quotient certified by the triangular peel of
-the boundary relations (the columns of T_p at the multiples of p) onto the
-depth-zero numerators (``znf.complement_projection``), the same certificate
-as the direct route's depth-zero basis; plus and minus preserve the
-relations by a witness on the neg map, so ``signh.tate_spots`` induces
+the boundary relations (the columns of T_p at the multiples of p, each read
+off the map as the fiber above it, with no other column of T_p built) onto
+the depth-zero numerators (``znf.complement_projection``), the same
+certificate as the direct route's depth-zero basis; plus and minus preserve
+the relations by a witness on the neg map, so ``signh.tate_spots`` induces
 plus, the orbit sums of neg, as the norm P (1 + neg) S with no product
 against the relations, and it stays sparse.  The numerator-killed
-route checks that the nonzero numerators span a subcomplex and is then
-``chainkit.scalar_kt`` of the numerator-0 entries of the operators.
+route checks on each map that the nonzero numerators span a subcomplex and
+is then ``chainkit.scalar_kt`` of the numerator-0 entries of the operators,
+shift + scale, with no matrix built.  Those entries are ([0] * r, 2, 0),
+the scalar KT reference's own data, so the two read one memoised table.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from .znf import (
     InducedOperatorUndefined,
     NotAComplement,
     SparseMatrix,
+    _sparse,
     complement_projection,
 )
 
@@ -147,13 +151,15 @@ def distribution_presentation(sk: SkComplex) -> SparseMatrix:
     exactly when p divides the numerator (otherwise the whole fiber escapes
     to level N+1), so those are the relations of the level-N piece of the
     boundary quotient; they present the universal distribution at level f^N.
-    They are the columns of T_p at the multiples of p.
+    They are the columns of T_p at the multiples of p, each built alone
+    from the map as the fiber above it (``ActionModule.columns``), with no
+    other column of T_p built.
     """
-    return SparseMatrix(sk.denominator, [
+    return _sparse(sk.denominator, tuple(
         col
         for name, p in zip(_ideal_names(sk.primes), sk.primes)
-        for col in sk.module.operator(name).entries[::p]
-    ])
+        for col in sk.module.columns(name, slice(None, None, p))
+    ))
 
 
 def depth_zero_numerators(denom: int) -> list[int]:
@@ -239,22 +245,23 @@ def via_skprime_complex(sk: SkComplex) -> ChainComplex:
 
     Those symbols span a subcomplex exactly when no operator of the module
     sends a nonzero numerator to numerator 0: row 0 of every operator is
-    zero off column 0, which is checked in O(nnz) and raises
-    ``BasisCertificateFailed`` if it fails.  The quotient is then
-    ``scalar_kt`` of the operators' numerator-0 entries.
+    zero off column 0.  Row 0 of shift * 1 + scale * Op(y, nu) off the
+    diagonal is scale at column y(0), so that holds exactly when y(0) = 0,
+    which is read off each map, or ``BasisCertificateFailed``.  Then 0 is
+    in the image of y, so the numerator-0 entry is shift + scale, and the
+    quotient is ``scalar_kt`` of those entries.  No matrix is built.
 
     The total degree t holds the symbols [0, g, t - m] for the divisors g
     with m primes, in ``divisors_by_size`` order within each row m.
     """
     scalars = {}
-    for name in sk.module.maps:
-        op = sk.module.operator(name)
-        if any(0 in col for col in op.entries[1:]):
+    for name, op in sk.module.maps.items():
+        if op.images[0] != 0:
             raise BasisCertificateFailed(
                 f"{name} sends a nonzero numerator to numerator 0 at level "
                 f"{sk.denominator}: the numerator-killed quotient is not a complex"
             )
-        scalars[name] = op.entries[0].get(0, 0)
+        scalars[name] = op.shift + op.scale
     return scalar_kt([scalars[name] for name in _ideal_names(sk.primes)],
                      scalars["plus"], scalars["minus"], sk.window)
 

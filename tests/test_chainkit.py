@@ -488,6 +488,42 @@ class TestPermutationPairs:
             ActionModule(2, ops)
 
 
+class TestMapColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2]),
+        st.sets(st.integers(0, n - 1)))))
+    def test_columns_are_the_matrix_columns(self, drawn):
+        images, nu, shift, scale, at = drawn
+        op = MapOperator(tuple(images), nu, shift, scale)
+        positions = tuple(range(len(images)))
+        at = sorted(at)
+        entries = op.matrix(positions).entries
+        assert op.columns(tuple(at), positions) == [entries[i] for i in at]
+
+    def test_the_module_reads_columns_at_a_slice(self):
+        op = MapOperator(tuple(3 * b % 9 for b in range(9)), shift=1, scale=-1)
+        m = ActionModule(9, {"T": op})
+        assert m.columns("T", slice(None, None, 3)) == list(m.operator("T").entries[::3])
+
+    def test_the_maps_share_the_module_position_ints(self):
+        # equal values, but the module's int objects, one per position, and
+        # one tuple for two operators on one map
+        neg = tuple(-a % 700 for a in range(700))
+        plus, minus = MapOperator(neg, shift=1), MapOperator(neg, shift=1, scale=-1)
+        m = ActionModule(700, {"plus": plus, "minus": minus})
+        positions = m._positions
+        assert plus.images == neg and plus.images is minus.images
+        assert all(i is positions[i] for i in plus.images)
+        assert all(i is positions[i] for col in m.operator("plus").entries for i in col)
+
+    @pytest.mark.parametrize("images", [(0, 2), (-1, 0), (0,)])
+    def test_a_map_off_the_positions_is_refused(self, images):
+        with pytest.raises(ShapeMismatch, match="not a map of range"):
+            ActionModule(2, {"a": MapOperator(images)})
+
+
 class TestBuildKt:
     def test_limit_shape(self):
         # one ideal acting by zero, plus = 2, minus = 0: column ranks 1 per row
@@ -504,6 +540,20 @@ class TestBuildKt:
         tot = companion(kt, "KTtot")
         assert t.ranks == tot.ranks
         assert all(t.differential(n) == tot.differential(n) for n in t.degrees())
+
+    def test_sign_blocks_are_built_once_per_count_and_sign(self, monkeypatch):
+        # rows 0..4 of four operators have counts 1, 4, 6, 4, 1 and signs
+        # +, -, +, -, +: three distinct blocks out of each of plus and minus
+        calls = []
+        real = chainkit.repeat_diagonal
+        monkeypatch.setattr(chainkit, "repeat_diagonal",
+                            lambda *args: calls.append(args[1:]) or real(*args))
+        names = ["X0", "X1", "X2", "X3"]
+        m = trivial_module(dict.fromkeys(names, 0) | {"plus": 2, "minus": 0})
+        kt = build_kt(m, names, "plus", "minus", window=(-7, 7))
+        assert sorted(calls) == sorted([(1, 1), (4, -1), (6, 1)] * 2)
+        assert kt.even[0] is kt.even[4] and kt.odd[1] is kt.odd[3]
+        assert [kt.rank(row) for row in range(5)] == [1, 4, 6, 4, 1]
 
     def test_plus_minus_not_zero(self):
         m = trivial_module({"X": 0, "plus": 3, "minus": 2})
@@ -892,6 +942,39 @@ class TestSparseTotal:
         for t in range(got.lo, got.hi + 2):
             assert dense(got.differential(t)) == diff.get(t, IntMatrix.zeros(
                 got.rank(t - 1), got.rank(t)))
+
+    def test_each_distinct_total_differential_is_built_once(self, monkeypatch):
+        # past the edges of the window only the parity of t tells the
+        # differentials apart, so a wider window builds no more of them
+        m = trivial_module({"X": 3, "Y": -1, "plus": 2, "minus": 0})
+        built = {}
+        for window in ((-6, 6), (-16, 16)):
+            kt = build_kt(m, ["X", "Y"], "plus", "minus", window=window)
+            calls = []
+            real = chainkit._sparse
+            monkeypatch.setattr(chainkit, "_sparse",
+                                lambda *args: calls.append(args[0]) or real(*args))
+            total = total_complex(kt)
+            monkeypatch.undo()
+            built[window] = len(calls)
+            assert len(calls) < len(total.diff)
+            assert total.homology().entries == per_degree_homology(total)
+        assert built[(-6, 6)] == built[(-16, 16)]
+
+    def test_two_windows_with_the_same_scalars_give_two_tables(self):
+        narrow = scalar_kt([0, 0], 2, 0, (-5, 5))
+        wide = scalar_kt([0, 0], 2, 0, (-7, 7))
+        assert narrow is not wide
+        assert narrow.homology() != wide.homology()
+        assert set(wide.homology().entries) - set(narrow.homology().entries)
+        # the default window is (-5, 5) at r = 2, so that call is the memo's
+        assert scalar_kt((0, 0), 2, 0) is narrow
+        assert scalar_kt([0, 0], 2, 0, (-7, 7)).homology() is wide.homology()
+
+    def test_the_memo_keeps_plus_and_minus_apart(self):
+        # the bare Tate column: [3; 0] and [0; 3] put Z/3 at opposite parities
+        assert scalar_kt([], 3, 0).homology()[0] == ZERO
+        assert scalar_kt([], 0, 3).homology()[0] == AbGroupInvariants(0, (3,))
 
     def test_a_double_complex_that_is_not_one_is_refused(self):
         # rows and columns commute instead of anticommuting: stored as it

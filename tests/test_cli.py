@@ -465,6 +465,8 @@ class TestExitCodes:
         assert run.stdout == ""
         lines = run.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("internal check failed: certificates:")
+        # the 5,040 unit factors of the lattice are counted, not listed
+        assert len(lines[0]) < 300, lines[0]
 
     def test_memory_error_exits_4_with_one_line(self, monkeypatch, capsys):
         assert self.raising(monkeypatch, MemoryError()) == 4

@@ -176,6 +176,36 @@ class TestBuildSk:
                     for p in sk.primes for a in range(0, sk.denominator, p)]
         assert list(distribution_presentation(sk).entries) == expected
 
+    @pytest.mark.parametrize("f, level", [(f, 1) for f in range(2, 71) if squarefree(f)]
+                             + [(f, n) for f in (3, 15, 35) for n in (2, 3)])
+    def test_distribution_presentation_is_read_off_the_maps(self, f, level):
+        # the fibers of each map against the columns of its full matrix
+        sk = build_sk(f, level)
+        expected = [col for name, p in zip(skcx._ideal_names(sk.primes), sk.primes)
+                    for col in sk.module.operator(name).entries[::p]]
+        assert list(distribution_presentation(sk).entries) == expected
+
+    def test_distribution_presentation_keeps_the_shared_position_ints(self):
+        # every row index is one of the module's position ints, not a fresh
+        # int per entry, which at f^N ~ 10^6 is what the relations hold
+        sk = build_sk(35, 2)
+        positions = sk.module._positions
+        rel = distribution_presentation(sk)
+        assert all(i is positions[i] for col in rel.entries for i in col)
+
+    def test_the_symbol_routes_build_no_operator_matrix(self, monkeypatch):
+        # the 1 x 1 scalars of scalar_kt are still read as matrices
+        sk = build_sk(15, 2)
+        real = MapOperator.matrix
+
+        def refuse(op, *args):
+            assert op not in sk.module.maps.values(), "a symbol operator's matrix was built"
+            return real(op, *args)
+
+        monkeypatch.setattr(MapOperator, "matrix", refuse)
+        distribution_presentation(sk)
+        via_skprime_complex(sk)
+
     def test_a_noncommuting_pair_is_refused(self, monkeypatch):
         # the map of T_3 with one moved image, 1 -> 4 instead of 3, no longer
         # commutes with neg: -4 = 11, but the image of -1 = 14 is 12
@@ -258,6 +288,35 @@ class TestQuotientRoutes:
         mid = 0
         assert total.rank(mid) == 4
         assert len(layout[mid]) == 4
+
+    def test_via_skprime_is_the_kt_reference_reduced_once(self, monkeypatch):
+        # the numerator-killed scalars are ([0] * r, 2, 0): the KT
+        # reference's own data, so both read one memoised table
+        sk = build_sk(15, 2)
+        assert via_skprime_complex(sk) is chainkit.scalar_kt([0, 0], 2, 0, sk.window)
+        reductions = []
+        real = chainkit.rank_torsion
+        monkeypatch.setattr(chainkit, "rank_torsion", lambda m: reductions.append(m) or real(m))
+        cmp = sk_quotients_homology(sk)
+        assert cmp.via_skprime is cmp.kt
+        assert len(reductions) == len(set(reductions))
+
+    def test_sk_compare_builds_each_scalar_kt_key_once(self, monkeypatch, capsys):
+        keys = []
+        real = chainkit.build_kt
+
+        def spy(module, names, plus, minus, window=None):
+            scalars = tuple(module.maps[n].shift + module.maps[n].scale
+                            for n in (*names, plus, minus))
+            keys.append((scalars, window))
+            return real(module, names, plus, minus, window)
+
+        monkeypatch.setattr(chainkit, "build_kt", spy)
+        assert main(["sk", "compare", "--f", "35", "--level", "3"]) == 0
+        capsys.readouterr()
+        # three levels, each with the numerator-killed route and the KT
+        # reference, on one (scalars, window)
+        assert [scalars for scalars, _ in keys] == [(0, 0, 2, 0)]
 
     def test_via_n_matches_direct_sign_homology(self):
         from uod.arith import ArchimedeanBackend
