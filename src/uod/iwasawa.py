@@ -16,10 +16,11 @@ Orthogonality on (Z/f_S)^x inverts the transform:
 
 an integer for every unit x, at a cost of 2^r terms (r primes).  Each level
 is cached as these integers with phi(f); ``Fraction`` values are made only
-for reports and ``u_of``.
+for reports.
 
 Certificate.  Before a level's values are used they are substituted back
-into the defining identity for every one of the phi(f) characters.  (Z/f)^x
+into the defining identity for every one of the phi(f) characters, by the
+level's own transform or through the distribution relations (below).  (Z/f)^x
 is the product of CRT-local cyclic factors, with one discrete-log table per
 prime power (a primitive root, or -1 and 5 at 2^k), so the transform
 sum_x phi(f) u(x/f) chi(x) over all chi is a multidimensional transform,
@@ -35,8 +36,22 @@ coefficient can wrap (``_certify``).  Any difference raises
 ``RationalityFailure``.  A character's conductor is the product of its
 local conductors, read off its exponents on each prime-power factor.
 
+Certificate through the relations.  Take d | f with prime support S and
+d_S the part of f on S, so d | d_S.  The level-f relation with g = d_S/d
+and b = x f/d_S says u(x/d) = sum_{i<g} u((x + i d)/d_S), each x + i d a
+unit mod d_S, so T_d(chi) = T_{d_S}(chi o pi) = prod_{p | d} (1 - chi*(p))
+for every chi mod d, T the character transform and pi the reduction mod d:
+the identity at d follows from the identity at d_S and the relations.  A
+level-f table therefore transforms only the 2^r parts d_S of f, checks the
+relations once, and counts every other divisor level as certified when
+they hold; if one fails, every level is transformed on its own.  A level
+certified either way is recorded for the process and never certified again
+(``_level_table``).
+
 Distribution relations at level f are integer comparisons in one table
-U[n] = L u(n/f), 0 <= n < f, with L the lcm of phi(d) over d | f.
+U[n] = L u(n/f), 0 <= n < f, with L the lcm of phi(d) over d | f.  They
+include the relations at every divisor of f, so once they hold at f they
+are not checked again at a divisor.
 
 The classical lattice at level f is the Z[G_f]-span in Q[G_f] of the vectors
 (u(t_gamma / g))_gamma for divisors g | f; it is free of rank |G_f|, and the
@@ -297,8 +312,8 @@ def characters(f: int) -> list[DirichletChar]:
 
 
 @lru_cache(maxsize=None)
-def _level(f: int):
-    """(phi(f), {x: phi(f) u(x/f)}) over the units x mod f, certified."""
+def _closed_form(f: int):
+    """(phi(f), {x: phi(f) u(x/f)}) over the units x mod f, not certified."""
     units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
     phi = len(units)
     terms = [(phi, f, 1)]  # (+-phi(f_S), f_S, m_S) per subset S of the primes
@@ -306,8 +321,25 @@ def _level(f: int):
         pk = p**k
         terms += [(-c // (pk - pk // p), m // pk, r * p) for c, m, r in terms]
     scaled = {x: sum(c for c, m, r in terms if (x - r) % m == 0) for x in units}
-    _certify(f, scaled)
     return phi, scaled
+
+
+# The levels certified in this process, by their own transform or through a
+# level table's relations, with their closed forms
+_CERTIFIED: dict = {}
+# The levels whose distribution relations held; each stands for its divisors
+_RELATIONS_HELD: set = set()
+
+
+def _level(f: int):
+    """The closed form at f, certified by its own transform unless it is
+    certified already."""
+    level = _CERTIFIED.get(f)
+    if level is None:
+        level = _closed_form(f)
+        _certify(f, level[1])
+        _CERTIFIED[f] = level
+    return level
 
 
 def _slot_bits(scaled: dict, e: int, r: int) -> int:
@@ -441,31 +473,36 @@ def u_values(f: int) -> dict:
     return {x: Fraction(v, phi) for x, v in scaled.items()}
 
 
-def u_of(value: Fraction) -> Fraction:
-    """u at any rational, through the reduced fraction's level."""
-    value = Fraction(value) % 1
-    f = value.denominator
-    phi, scaled = _level(f)
-    return Fraction(scaled[value.numerator], phi)
-
-
-def distribution_relation_holds(a: Fraction, g: int) -> bool:
-    """u(a) = sum_{i<g} u((a+i)/g), checked exactly."""
-    total = sum((u_of(Fraction(a + i, g)) for i in range(g)), Fraction(0))
-    return total == u_of(a)
-
-
 @lru_cache(maxsize=None)
 def _level_table(f: int):
-    """(L, U) with U[n] = L u(n/f) for 0 <= n < f, L = lcm of phi(d), d | f."""
-    levels = {d: _level(d) for d in ARCHIMEDEAN.divisors(f)}
+    """(L, U, held) with U[n] = L u(n/f) for 0 <= n < f, L = lcm of phi(d)
+    over d | f, and held whether every distribution relation at level f
+    holds (``_relations_hold``).
+
+    Only the parts d_S of f on a set S of its primes, the divisors d with
+    gcd(d, f/d) = 1, are certified by their own transform.  Once the
+    relations hold, every other divisor d is certified by the identity at
+    the part of f on the primes of d (the module docstring); if one fails,
+    every level is transformed.  The relations are not checked again when
+    they held at a multiple of f, whose relations include them.
+    """
+    divisors = ARCHIMEDEAN.divisors(f)
+    levels = {d: _level(d) if gcd(d, f // d) == 1 else _closed_form(d) for d in divisors}
     scale = lcm(*(phi for phi, _ in levels.values()))
     table = []
     for n in range(f):
         g = gcd(n, f)
         phi, scaled = levels[f // g]
         table.append(scaled[n // g] * (scale // phi))
-    return scale, tuple(table)
+    held = any(m % f == 0 for m in _RELATIONS_HELD) or _relations_hold(table, f)
+    for d in divisors:
+        if d not in _CERTIFIED:
+            if not held:
+                _certify(d, levels[d][1])
+            _CERTIFIED[d] = levels[d]
+    if held:
+        _RELATIONS_HELD.add(f)
+    return scale, tuple(table), held
 
 
 def _relations_hold(table, f: int) -> bool:
@@ -481,13 +518,13 @@ def _relations_hold(table, f: int) -> bool:
 def level_relations_hold(f: int) -> bool:
     """Every relation u(a) = sum_{i<g} u((a+i)/g) with g | f, g > 1 and a in
     (g/f)Z ∩ [0, 1), compared as integers in the level-f table."""
-    return _relations_hold(_level_table(f)[1], f)
+    return _level_table(f)[2]
 
 
 def _orbit_table(f: int):
     """(D, W): D the lcm of the reduced denominators of u(n/f), 0 <= n < f,
     and W[n] = D u(n/f), all integers."""
-    scale, table = _level_table(f)
+    scale, table, _ = _level_table(f)
     common = gcd(scale, *table)
     return scale // common, [v // common for v in table]
 

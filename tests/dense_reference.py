@@ -14,6 +14,8 @@ presented groups, the companion
 complexes of a Koszul-Tate double complex, and the functoriality, inclusion
 and sign-action checks built on them, the fiber identity class by class,
 the classical lattice U'(f) on its Hermite basis (``uprime_lattice``),
+the u-function at a rational and its distribution relations one by one
+(``u_of``, ``distribution_relation_holds``),
 ``snf``, the Smith normal form with its two transforms, and
 ``norm_matrix``, the norm of a finite-order matrix from its chain of
 powers.  They are slow and independent of the package's shortcuts, which
@@ -58,7 +60,7 @@ from uod.distmod import (
     u_module,
     x_op_name,
 )
-from uod.iwasawa import RankMismatch, _generator_offsets, _orbit_indices, _orbit_table
+from uod.iwasawa import RankMismatch, _generator_offsets, _level, _orbit_indices, _orbit_table
 from uod.signh import OrderViolation
 from uod.znf import (
     AbGroupInvariants,
@@ -1118,6 +1120,21 @@ def sign_action_trivial_on_via_n(sk) -> tuple[int, int]:
         if all(acts_as_identity(op, spot) for spot in spots):
             trivial += 1
     return trivial, len(units)
+
+
+# -- the u-function at a rational --------------------------------------------
+
+def u_of(value: Fraction) -> Fraction:
+    """u at any rational, through the reduced fraction's level."""
+    value = Fraction(value) % 1
+    phi, scaled = _level(value.denominator)
+    return Fraction(scaled[value.numerator], phi)
+
+
+def distribution_relation_holds(a: Fraction, g: int) -> bool:
+    """u(a) = sum_{i<g} u((a+i)/g), checked exactly."""
+    total = sum((u_of(Fraction(a + i, g)) for i in range(g)), Fraction(0))
+    return total == u_of(a)
 
 
 # -- the classical lattice ---------------------------------------------------

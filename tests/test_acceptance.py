@@ -15,12 +15,14 @@ from dense_reference import (
     IntMatrix,
     as_sparse,
     companion,
+    distribution_relation_holds,
     functoriality_report,
     lemma411_check,
     sign_action,
     kernel_basis,
     sign_action_trivial_on_via_n,
     snf,
+    u_of,
 )
 from uod.arith import (
     ArchimedeanBackend,
@@ -42,7 +44,7 @@ from uod.distmod import (
     xi0_set,
 )
 from uod.ftate import AlmostFreeSpec, ftate_closed_form, ftate_via_kt, thm442_lhs
-from uod.iwasawa import distribution_relation_holds, u_of, u_values, uprime_compare
+from uod.iwasawa import u_values, uprime_compare
 from uod.signh import sign_homology_U, tate_pair
 from uod.skcx import build_sk, sk_quotients_homology
 from uod.znf import AbGroupInvariants, FreeQuotient, SparseMatrix, cokernel_invariants

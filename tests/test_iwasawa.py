@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from dense_reference import (
     IntMatrix,
     dense,
+    distribution_relation_holds,
     induced_operator,
     snf_invariants,
     solve,
+    u_of,
     uprime_lattice,
     with_map_uncertified,
 )
@@ -20,6 +22,7 @@ import uod.iwasawa as iwasawa
 from uod import znf
 from uod.arith import ARCHIMEDEAN
 from uod.chainkit import MapOperator
+from uod.cli import main
 from uod.distmod import StructureCheckFailed, build_af, distribution_relations, g_op_name, u_module
 from uod.iwasawa import (
     GeneratorMismatch,
@@ -28,16 +31,16 @@ from uod.iwasawa import (
     RelationNotKilled,
     UPrimeReport,
     _certify,
+    _closed_form,
     _level,
+    _level_table,
     _slot_bits,
     _relations_hold,
     _span_rank,
     _unit_group,
     characters,
     cyclotomic_polynomial,
-    distribution_relation_holds,
     level_relations_hold,
-    u_of,
     u_values,
     uprime_compare,
 )
@@ -49,13 +52,14 @@ def reduce_zeta_vector(vec, order: int):
     coefficient by coefficient: the test-only reference for the packed
     divisibility test of ``_certify``."""
     phi = list(cyclotomic_polynomial(order))
+    terms = [(j, p) for j, p in enumerate(phi) if p]
     num = list(vec)
     deg = len(phi) - 1
     for i in range(len(num) - 1, deg - 1, -1):
         c = num[i]
         if c:
             shift = i - deg
-            for j, p in enumerate(phi):
+            for j, p in terms:
                 num[shift + j] -= c * p
     return num[:deg] + [0] * max(deg - len(num), 0)
 
@@ -226,6 +230,55 @@ def reference_u_values(f: int) -> dict:
 REFERENCE_LEVELS = list(range(1, 151)) + [180, 240, 432, 600]
 
 
+def forget_levels():
+    """Forget every level certified and every relation check made so far in
+    this process, so that the next table certifies from the start."""
+    # the imported names: a test may have patched the module's
+    _closed_form.cache_clear()
+    _level_table.cache_clear()
+    iwasawa._CERTIFIED.clear()
+    iwasawa._RELATIONS_HELD.clear()
+
+
+@pytest.fixture
+def fresh_levels():
+    # forgotten after the test too: it may have certified changed values
+    forget_levels()
+    yield
+    forget_levels()
+
+
+@pytest.fixture
+def transformed(monkeypatch):
+    """The levels ``_certify`` is called at, in call order."""
+    seen = []
+
+    def spy(f, scaled):
+        seen.append(f)
+        return _certify(f, scaled)
+
+    monkeypatch.setattr(iwasawa, "_certify", spy)
+    return seen
+
+
+def uncertified_table(f: int, closed_form) -> list:
+    """The level-f table of ``_level_table``, built from these closed forms
+    with no certificate."""
+    levels = {d: closed_form(d) for d in ARCHIMEDEAN.divisors(f)}
+    scale = lcm(*(phi for phi, _ in levels.values()))
+    table = []
+    for n in range(f):
+        g = gcd(n, f)
+        phi, scaled = levels[f // g]
+        table.append(scaled[n // g] * (scale // phi))
+    return table
+
+
+def prime_part(f: int, d: int) -> int:
+    """The part of f on the primes of d."""
+    return prod(p**k for p, k in ARCHIMEDEAN.factor(f) if d % p == 0)
+
+
 class TestCyclotomic:
     def test_small_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -344,7 +397,7 @@ class TestUValues:
         # 160 + phi(3) - phi(1) = 161 over phi(600) = 160
         assert u_values(600)[1] == Fraction(161, 160)
 
-    def test_certificate_checks_every_character(self, monkeypatch):
+    def test_certificate_checks_every_character(self, fresh_levels, monkeypatch):
         checked = {}
 
         def recording(f, scaled):
@@ -353,9 +406,24 @@ class TestUValues:
 
         monkeypatch.setattr(iwasawa, "_certify", recording)
         for f in REFERENCE_LEVELS:
-            # the uncached body, so that every level is computed again
-            phi, _ = _level.__wrapped__(f)
-            assert checked[f] == phi == len(characters(f)), f
+            # forgotten levels, so that the level-f table certifies each again
+            forget_levels()
+            checked.clear()
+            assert level_relations_hold(f), f
+            divisors = ARCHIMEDEAN.divisors(f)
+            parts = {prime_part(f, d) for d in divisors}
+            assert set(checked) == parts and len(parts) == 2 ** len(ARCHIMEDEAN.factor(f)), f
+            for d, count in checked.items():
+                assert count == len(characters(d)), (f, d)
+            # each character mod d is read at the transformed part s of f on
+            # the primes of d, as the character mod s of conductor dividing d
+            covered = 0
+            for d in divisors:
+                s = prime_part(f, d)
+                chars = [ch for ch in characters(s) if d % ch.conductor == 0]
+                assert len(chars) == len(characters(d)), (f, d)
+                covered += len(chars)
+            assert covered == f
 
     @pytest.mark.parametrize("f", [5, 12, 64, 81, 600])
     def test_certificate_rejects_a_moved_unit(self, f):
@@ -419,14 +487,103 @@ class TestUValues:
             assert expected and level_relations_hold(f), f
 
     @pytest.mark.parametrize("f", [12, 64, 81, 600])
-    def test_level_relations_reject_a_changed_entry(self, f):
-        _, table = iwasawa._level_table(f)
+    def test_level_relations_reject_a_changed_entry(self, fresh_levels, f):
+        # forgotten levels: this table checked its relations itself
+        _, table, held = iwasawa._level_table(f)
+        assert held and f in iwasawa._RELATIONS_HELD
         assert _relations_hold(table, f)
         # u(0) sits on both sides of every relation it enters, so it is left out
         for n in (1, f // 3, f - 1):
             bad = list(table)
             bad[n] += 1
             assert not _relations_hold(bad, f), (f, n)
+
+
+class TestLevelTable:
+    """A level-f table transforms only the parts of f on a set of its
+    primes; every other divisor level is certified through the level-f
+    relations, and no level is certified twice in a process."""
+
+    @pytest.mark.parametrize("f, parts", [
+        (600, {1, 3, 8, 24, 25, 75, 200, 600}),
+        (81, {1, 81}),
+        # squarefree: every divisor is the part of f on its own primes
+        (210, set(ARCHIMEDEAN.divisors(210))),
+    ])
+    def test_transforms_only_the_parts_of_f(self, fresh_levels, transformed, f, parts):
+        assert level_relations_hold(f)
+        assert sorted(transformed) == sorted(parts)
+        assert set(iwasawa._CERTIFIED) == set(ARCHIMEDEAN.divisors(f))
+
+    def test_every_level_up_to_400_is_exact(self, fresh_levels, transformed):
+        # downwards: d is first reached in the table of its largest multiple
+        # up to 400, and transformed only if it is a part of that multiple
+        for f in range(400, 0, -1):
+            assert level_relations_hold(f), f
+        first = {d: 400 // d * d for d in range(1, 401)}
+        parts = [d for d, f in first.items() if gcd(d, f // d) == 1]
+        assert sorted(transformed) == parts and len(parts) == 400 - 86
+        for d in range(1, 401):
+            assert _certify(d, iwasawa._CERTIFIED[d][1]) == len(characters(d)), d
+        # the transformed levels took the certificate they always took; the
+        # reference inversion, O(phi(d)^2) per level, is compared with the
+        # 86 levels that the relations certified
+        for d in sorted(set(first) - set(parts)):
+            assert u_values(d) == reference_u_values(d), d
+
+    @pytest.mark.parametrize("f, d", [(600, 300), (81, 27)])
+    def test_a_changed_value_off_the_parts_exits_3(self, fresh_levels, monkeypatch, capsys, f, d):
+        # d is no part of f, so only the relations can send it to its own
+        # transform
+        assert gcd(d, f // d) > 1
+        closed_form = iwasawa._closed_form
+
+        def changed(level):
+            phi, scaled = closed_form(level)
+            if level == d:
+                scaled = dict(scaled)
+                scaled[min(scaled)] += 1
+            return phi, scaled
+
+        monkeypatch.setattr(iwasawa, "_closed_form", changed)
+        assert main(["verify", "u-function", "--f", str(f)]) == 3
+        assert f"character identity fails at level {d}\n" in capsys.readouterr().err
+
+    def test_a_distribution_other_than_u_is_refused(self, fresh_levels, monkeypatch, capsys):
+        # u doubled at every level but 1 keeps every distribution relation
+        # (the u(i/g), 0 < i < g, sum to 0), so only the transforms refuse it
+        closed_form = iwasawa._closed_form
+
+        def doubled(level):
+            phi, scaled = closed_form(level)
+            return phi, {x: v * (1 if level == 1 else 2) for x, v in scaled.items()}
+
+        for f in (12, 60, 81):
+            assert _relations_hold(uncertified_table(f, doubled), f), f
+        monkeypatch.setattr(iwasawa, "_closed_form", doubled)
+        assert main(["verify", "uprime", "--f", "60"]) == 3
+        assert "character identity fails" in capsys.readouterr().err
+
+    def test_a_divisor_of_a_checked_level_is_certified_already(
+            self, fresh_levels, monkeypatch, capsys):
+        assert main(["verify", "u-function", "--f", "600"]) == 0
+        calls = []
+        monkeypatch.setattr(iwasawa, "_certify", lambda *args: calls.append("certify"))
+        monkeypatch.setattr(iwasawa, "_relations_hold", lambda *args: calls.append("relations"))
+        assert main(["verify", "uprime", "--f", "60"]) == 0
+        assert calls == []
+
+    def test_a_multiple_transforms_its_own_parts(self, fresh_levels, monkeypatch, transformed):
+        # the relations at 60 are some of those at 600, not the other way
+        assert level_relations_hold(60)
+        transformed.clear()
+        checked = []
+        relations = iwasawa._relations_hold
+        monkeypatch.setattr(iwasawa, "_relations_hold",
+                            lambda table, f: checked.append(f) or relations(table, f))
+        assert level_relations_hold(600)
+        assert sorted(transformed) == [8, 24, 25, 75, 200, 600]
+        assert checked == [600]
 
 
 class TestUPrime:
