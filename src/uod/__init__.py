@@ -17,7 +17,7 @@ from .distmod import build_af, partition_tag, u_module, u_tower, xi0_basis
 from .signh import sign_homology_U, tate_pair, verify_rank_theorem
 from .ftate import AlmostFreeSpec, ftate_closed_form, ftate_via_kt, thm442_lhs
 from .skcx import build_sk, sk_quotients_homology
-from .iwasawa import characters, u_values, uprime_compare
+from .iwasawa import u_values, uprime_compare
 
 __all__ = [
     "AbGroupInvariants",
@@ -31,7 +31,6 @@ __all__ = [
     "build_af",
     "build_kt",
     "build_sk",
-    "characters",
     "ftate_closed_form",
     "ftate_via_kt",
     "gf_group",

@@ -38,11 +38,12 @@ distinct one is built once, and every total degree whose differential
 equals an earlier one by value gets that same object: the d*d check of
 ``ChainComplex`` multiplies each distinct pair once, and ``homology``,
 read once per complex, reduces each distinct differential once through the
-sparse unit-pivot core of ``znf``.  ``scalar_kt`` is the total complex of
-the rank-one module with scalar operators, which the almost-free,
-comparison-theorem and numerator-killed routes all read; it is memoised
-per process on its data and window, so routes and levels with the same
-data share one complex and one homology table.
+sparse unit-pivot core of ``znf``.  ``scalar_kt`` is the homology table of
+the total complex of the rank-one module with scalar operators
+(``scalar_kt_complex``), which the almost-free, comparison-theorem and
+numerator-killed routes all read; the table is memoised per process on its
+data and window, so routes and levels with the same data share one table,
+and the complex is dropped once it is reduced.
 """
 
 from __future__ import annotations
@@ -537,28 +538,31 @@ def total_complex(d: DoubleComplex) -> ChainComplex:
     return ChainComplex(ranks, diff, stable=(lo + r + 2, hi - 2))
 
 
-# (scalars, plus, minus, window) -> the total complex of ``scalar_kt``
-_SCALAR_KT: dict = {}
-
-
-def scalar_kt(scalars, plus: int, minus: int, window=None) -> ChainComplex:
+def scalar_kt_complex(scalars, plus: int, minus: int, window=None) -> ChainComplex:
     """The total Koszul-Tate complex of the rank-one module Z on which the
     Koszul operators act by ``scalars`` and the vertical pair by ``plus``
     and ``minus``; the scalar c is the map shift * 1 + Op(id) with
-    shift = c - 1.
+    shift = c - 1."""
+    names = [f"f{i}" for i in range(len(scalars))]
+    ops = {name: MapOperator((0,), shift=c - 1)
+           for name, c in zip(names + ["plus", "minus"], [*scalars, plus, minus])}
+    return total_complex(build_kt(ActionModule(1, ops), names, "plus", "minus", window))
 
-    The complex, and with it its homology table, is memoised per process
-    on (scalars, plus, minus, window), the window as ``_check_window``
-    reads it: the numerator-killed route and the KT reference of ``skcx``
-    have the same data at every level, and so do ``thm442`` and ``ftate``
-    at m = 2, so each such table is reduced once."""
+
+# (scalars, plus, minus, window) -> the homology table of ``scalar_kt``
+_SCALAR_KT: dict = {}
+
+
+def scalar_kt(scalars, plus: int, minus: int, window=None) -> HomologyTable:
+    """The homology table of ``scalar_kt_complex``, memoised per process on
+    (scalars, plus, minus, window), the window as ``_check_window`` reads
+    it.  The numerator-killed route and the KT reference of ``skcx`` have
+    the same data at every level, and so do ``thm442`` and ``ftate`` at
+    m = 2, so each such table is reduced once; the complex itself, with its
+    differentials, is not kept."""
     window = _check_window(window, len(scalars))
     key = (tuple(scalars), plus, minus, window)
-    total = _SCALAR_KT.get(key)
-    if total is None:
-        names = [f"f{i}" for i in range(len(scalars))]
-        ops = {name: MapOperator((0,), shift=c - 1)
-               for name, c in zip(names + ["plus", "minus"], [*scalars, plus, minus])}
-        total = _SCALAR_KT[key] = total_complex(
-            build_kt(ActionModule(1, ops), names, "plus", "minus", window))
-    return total
+    table = _SCALAR_KT.get(key)
+    if table is None:
+        table = _SCALAR_KT[key] = scalar_kt_complex(scalars, plus, minus, window).homology()
+    return table

@@ -54,8 +54,7 @@ def ftate_via_kt(spec: AlmostFreeSpec, window=None) -> HomologyTable:
     """Interior homology of KT^tot(Z, {0}^r, [m; 0])."""
     if spec.rank == 0:
         raise RankZeroUnsupported("the KT route requires positive rank")
-    total = scalar_kt([0] * spec.rank, spec.torsion_order, 0, window)
-    return total.homology()
+    return scalar_kt([0] * spec.rank, spec.torsion_order, 0, window)
 
 
 def thm442_lhs(bk, f, nu: dict | None = None, window=None) -> HomologyTable:
@@ -79,5 +78,4 @@ def thm442_lhs(bk, f, nu: dict | None = None, window=None) -> HomologyTable:
     if not bk.comparison_nu_ok(nu.get(p, 1) for p, _ in factors):
         raise HypothesisViolated("archimedean comparison requires unit nu values")
     scalars = [nu.get(p, 1) - 1 for p, _ in factors]
-    total = scalar_kt(scalars, bk.sign_order, 0, window)
-    return total.homology()
+    return scalar_kt(scalars, bk.sign_order, 0, window)

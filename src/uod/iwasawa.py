@@ -33,8 +33,8 @@ must vanish modulo the cyclotomic polynomial Phi_e, which is tested exactly
 as (x^e - 1) dividing the difference times (x^e - 1)/Phi_e, with the slot
 width B chosen per level from the size of its values so that no packed
 coefficient can wrap (``_certify``).  Any difference raises
-``RationalityFailure``.  A character's conductor is the product of its
-local conductors, read off its exponents on each prime-power factor.
+``RationalityFailure``.  Whether p divides a character's conductor is read
+off its exponents on the factors of the power of p.
 
 Certificate through the relations.  Take d | f with prime support S and
 d_S the part of f on S, so d | d_S.  The level-f relation with g = d_S/d
@@ -60,10 +60,14 @@ distribution with it.  That isomorphism is certified by structure, with no
 basis of the lattice: the classes of Xi(f) give exactly the lattice's
 generators, every distribution relation is killed by the map, U(f)'s
 section is a right inverse of its projection, and the lattice has rank
-|G_f| over Q.  That rank is a count of characters: the number of chi at
-which some orbit vector has a nonzero transform, taken exactly in
-Q(zeta_e) by the same packed transform as the certificate above
-(``_span_rank``).  The map is G_f-equivariant by construction: the
+|G_f| over Q.  That rank follows from the conductor lemma (Washington,
+Introduction to Cyclotomic Fields, Ch. 3) with no count: for chi mod f of
+conductor c, the orbit vector v_c of the class 1/c depends on delta mod c
+only, so its transform at chi is phi(f)/phi(c) times the identity at level
+c, prod_{p | c} (1 - 0) = 1, which is nonzero; every character is reached.
+Its premises are checked: 1/c is a generator, level c is certified, and
+each value the map reads is the certified value of its level
+(``uprime_compare``).  The map is G_f-equivariant by construction: the
 coordinate at delta of the image of xi is lam(delta^-1 xi), with
 lam(xi) = u(n0(xi)/f) one integer per class.  So the relations and the
 equivariance are checked on lam and on permutations, in O(nnz): the
@@ -95,10 +99,6 @@ from .znf import SparseMatrix
 
 
 class RationalityFailure(ArithmeticError):
-    pass
-
-
-class RankMismatch(RuntimeError):
     pass
 
 
@@ -150,7 +150,7 @@ def _cofactor(e: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The unit group (Z/fZ)^x, one prime power at a time, and its characters
+# The unit group (Z/fZ)^x, one prime power at a time
 
 
 @dataclass(frozen=True)
@@ -163,26 +163,6 @@ class _PrimePower:
     modulus: int
     orders: tuple
     logs: dict  # unit residue mod p^k -> exponents over the generators
-
-    def conductor(self, exps) -> int:
-        """Least p^j such that the local character with these exponents is
-        trivial on the units = 1 mod p^j.
-
-        For odd p those units are the powers of the primitive root by
-        multiples of (p - 1) p^(j-1); at 2^k, k >= 3, and j >= 2 they are the
-        powers of 5 by multiples of 2^(j-2).  So a nonzero exponent c on the
-        last generator gives p^(k - v_p(c)), which is also 4 for the one
-        nontrivial character mod 4.  Otherwise the character is trivial, or
-        it is the sign character, of conductor 4.
-        """
-        c = exps[-1] if exps else 0
-        if c:
-            v = 0
-            while c % self.p == 0:
-                c //= self.p
-                v += 1
-            return self.p ** (self.k - v)
-        return 4 if any(exps) else 1
 
 
 @lru_cache(maxsize=None)
@@ -242,15 +222,6 @@ class _UnitGroup:
             out += k
         return out
 
-    def conductor(self, exps) -> int:
-        out = 1
-        at = 0
-        for loc in self.local:
-            n = len(loc.orders)
-            out *= loc.conductor(exps[at : at + n])
-            at += n
-        return out
-
     def prime_data(self):
         """Per prime p | f: the factors of its prime power, and the exponents
         of the unit that is p away from p and 1 at p (so chi*(p) is
@@ -273,38 +244,6 @@ class _UnitGroup:
 @lru_cache(maxsize=None)
 def _unit_group(f: int) -> _UnitGroup:
     return _UnitGroup(f)
-
-
-@dataclass(frozen=True)
-class DirichletChar:
-    """Character of (Z/fZ)^x with values recorded as powers of zeta_e."""
-
-    modulus: int
-    exponent: int               # e = exponent of the unit group
-    gen_exponents: tuple        # chi(g_i) = zeta_e^{gen_exponents[i]}, g_i the
-                                # generators of the CRT-local cyclic factors
-    conductor: int
-
-    def log_value(self, x: int):
-        """k with chi(x) = zeta_e^k, or None when gcd(x, modulus) > 1."""
-        ex = _unit_group(self.modulus).log(x)
-        if ex is None:
-            return None
-        return sum(a * k for a, k in zip(self.gen_exponents, ex)) % self.exponent
-
-
-def characters(f: int) -> list[DirichletChar]:
-    """All characters of (Z/fZ)^x with conductors, trivial character first."""
-    group = _unit_group(f)
-    return [
-        DirichletChar(
-            f,
-            group.exponent,
-            tuple(s * c for s, c in zip(group.steps, exps)),
-            group.conductor(exps),
-        )
-        for exps in product(*map(range, group.orders))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -433,40 +372,6 @@ def _certify(f: int, scaled: dict) -> int:
     return checked
 
 
-def _span_rank(f: int, units, vectors) -> int:
-    """The rank over Q of the Z[G_f]-span of integer vectors on (Z/f)^x,
-    each indexed like ``units``.
-
-    The rank over Q is the dimension of the complex span in C[G_f], which
-    is the sum of one line per character chi; the span of the translates
-    of v is the sum of the lines of the chi at which
-    T(v)(chi) = sum_x v(x) chi(x) is nonzero (the group-determinant
-    principle).  So the rank is the number of characters at which some
-    T(v_i)(chi) is nonzero in Q(zeta_e), that is not divisible by Phi_e in
-    Z[x]/(x^e - 1), or again not killed by Psi_e there.
-
-    The vectors are stacked as base-2^b digits of one vector,
-    w = sum_i 2^(ib) v_i, and transformed once.  The transform is linear,
-    so each coefficient of T(w)(chi) Psi_e is sum_i 2^(ib) c_i with c_i the
-    same coefficient of T(v_i)(chi) Psi_e, and |c_i| <= ||v_i||_1 ||Psi_e||_1
-    < 2^(b-2) by the choice of b.  Digits that small represent 0 only when
-    each is 0, so T(w)(chi) Psi_e is zero exactly when every
-    T(v_i)(chi) Psi_e is.  Those coefficients are below 2^(kb-1) for k
-    vectors, so with the slot width kb + 2 the argument of ``_certify``
-    carries over: a zero packed residue is a zero polynomial.
-    """
-    group = _unit_group(f)
-    norm = max((sum(map(abs, v)) for v in vectors), default=0)
-    b = (norm * sum(map(abs, _cofactor(group.exponent)))).bit_length() + 2
-    stacked = [sum(v[at] << (i * b) for i, v in enumerate(vectors)) for at in range(len(units))]
-    width = b * len(vectors) + 2
-    table, reduce, _ = _transform(group, dict(zip(units, stacked)), width)
-    # t Psi_e by one shift per nonzero coefficient of Psi_e: the slots are
-    # wide here, so that is cheaper than multiplying by packed Psi_e
-    psi = [(a, k * width) for k, a in enumerate(_cofactor(group.exponent)) if a]
-    return sum(1 for t in table if reduce(sum(a * (t << shift) for a, shift in psi)))
-
-
 def u_values(f: int) -> dict:
     """Exact values u(x/f) for x prime to f, from the certified closed form."""
     phi, scaled = _level(f)
@@ -547,14 +452,8 @@ class UPrimeReport:
 def _generator_offsets(f: int, units) -> list:
     """n0 = sigma f/g mod f for the U'(f) generators (g, sigma), g | f and
     sigma a unit mod f, divisors outermost: each generator is the orbit
-    vector of the class n0/f (``_orbit_indices``)."""
+    vector of the class n0/f, u(delta^-1 n0/f) at the coordinate delta."""
     return [sigma * (f // g) % f for g in ARCHIMEDEAN.divisors(f) for sigma in units]
-
-
-def _orbit_indices(n0: int, inverses, f: int) -> list:
-    """The n of u(n/f) at each coordinate delta of the orbit vector of the
-    class n0/f, n = delta^-1 n0 mod f; ``inverses`` holds the delta^-1."""
-    return [dinv * n0 % f for dinv in inverses]
 
 
 def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
@@ -579,10 +478,21 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
       Then so does every row lam rho(delta^-1), im R being G_f-stable;
     * section: P S = 1 for U(f)'s projection P and section S, or
       StructureCheckFailed.  P kills exactly im R, so A(f) = im S + im R;
-    * lattice rank: the span of the G_f-translates of the orbit vectors v_g
-      of the classes 1/g, g | f, which are the generators of U'(f), has
-      rank phi(f) over Q by the character count of ``_span_rank``, or
-      RankMismatch.
+    * lattice rank, by the conductor lemma: take chi mod f of conductor c.
+      The orbit vector of the class 1/c, v_c(delta) = u(delta^-1/c),
+      depends on delta mod c only, and each unit mod c has phi(f)/phi(c)
+      lifts mod f, so T(v_c)(chi) = sum_delta v_c(delta) chi(delta) is
+      phi(f)/phi(c) times the level-c transform of u at the primitive
+      character behind chi^-1.  Every p | c divides its conductor, so the
+      identity at c makes that transform prod_{p | c} (1 - 0) = 1, and
+      T(v_c)(chi) = phi(f)/phi(c) is nonzero.  The span of the translates
+      of the generators holds one line per character, so it has rank
+      phi(f) over Q.  The premises are checked: 1/c is a generator (the
+      generator identity above); level c is certified, by its transform
+      or through the relations, before ``_orbit_table`` returns; and each
+      value the map reads is its level's certified value,
+      W[n] phi(c) = D phi(c) u((n/g)/c) for g = gcd(n, f) and c = f/g,
+      W and D as ``_orbit_table`` gives them, or RationalityFailure.
 
     R is killed and A(f) = im S + im R, so ``mapped`` = image S, the map on
     U(f)'s free basis, spans U'(f); its phi(f) columns span a lattice of
@@ -603,7 +513,7 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
     af = u.parent
     units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
     phi_f = len(units)
-    _, orbit = _orbit_table(f)
+    denom, orbit = _orbit_table(f)
 
     offsets = [xi.num * (f // xi.order) % f for xi in af.basis]
     if sorted(offsets) != sorted(set(_generator_offsets(f, units))):
@@ -613,13 +523,11 @@ def uprime_compare(f: int, u: UModule | None = None) -> UPrimeReport:
         raise RelationNotKilled("distribution relations survive the u-orbit map")
     if u.section.cols != phi_f or u.projection * u.section != SparseMatrix.identity(phi_f):
         raise StructureCheckFailed("the section of U(f) is not a right inverse of its projection")
-    # the classes 1/g have n0 = f/g, which is 0 at g = 1
-    inverses = [pow(delta, -1, f) for delta in units]
-    vectors = [[orbit[n] for n in _orbit_indices(n0, inverses, f)]
-               for n0 in offsets if n0 == 0 or f % n0 == 0]
-    rank = _span_rank(f, units, vectors)
-    if rank != phi_f:
-        raise RankMismatch(f"lattice rank {rank}, expected {phi_f}")
+    for n, w in enumerate(orbit):
+        g = gcd(n, f)
+        level = _CERTIFIED.get(f // g)
+        if level is None or w * level[0] != denom * level[1][n // g]:
+            raise RationalityFailure(f"u({n}/{f}) is not the certified value at level {f // g}")
 
     where = {n0: i for i, n0 in enumerate(offsets)}
     equivariant = True

@@ -43,7 +43,7 @@ the relations by a witness on the neg map, so ``signh.tate_spots`` induces
 plus, the orbit sums of neg, as the norm P (1 + neg) S with no product
 against the relations, and it stays sparse.  The numerator-killed
 route checks on each map that the nonzero numerators span a subcomplex and
-is then ``chainkit.scalar_kt`` of the numerator-0 entries of the operators,
+reads ``chainkit.scalar_kt`` of the numerator-0 entries of the operators,
 shift + scale, with no matrix built.  Those entries are ([0] * r, 2, 0),
 the scalar KT reference's own data, so the two read one memoised table.
 """
@@ -57,7 +57,6 @@ from math import prod
 from .arith import ARCHIMEDEAN
 from .chainkit import (
     ActionModule,
-    ChainComplex,
     HomologyTable,
     MapOperator,
     _check_window,
@@ -240,8 +239,9 @@ def via_n_homology(sk: SkComplex) -> HomologyTable:
                           stable=(lo + 1, hi - 1))
 
 
-def via_skprime_complex(sk: SkComplex) -> ChainComplex:
-    """Total complex of the quotient by all symbols with nonzero numerator.
+def via_skprime_homology(sk: SkComplex) -> HomologyTable:
+    """Homology of the total complex of the quotient by all symbols with
+    nonzero numerator.
 
     Those symbols span a subcomplex exactly when no operator of the module
     sends a nonzero numerator to numerator 0: row 0 of every operator is
@@ -249,7 +249,8 @@ def via_skprime_complex(sk: SkComplex) -> ChainComplex:
     diagonal is scale at column y(0), so that holds exactly when y(0) = 0,
     which is read off each map, or ``BasisCertificateFailed``.  Then 0 is
     in the image of y, so the numerator-0 entry is shift + scale, and the
-    quotient is ``scalar_kt`` of those entries.  No matrix is built.
+    quotient is the complex of ``scalar_kt`` of those entries, whose
+    memoised table this is.  No matrix of the module is built.
 
     The total degree t holds the symbols [0, g, t - m] for the divisors g
     with m primes, in ``divisors_by_size`` order within each row m.
@@ -277,8 +278,8 @@ class SkComparison:
 def sk_quotients_homology(sk: SkComplex) -> SkComparison:
     """The two quotient routes and the scalar KT reference, compared."""
     table_n = via_n_homology(sk)
-    table_prime = via_skprime_complex(sk).homology()
-    table_kt = scalar_kt([0] * len(sk.primes), 2, 0, sk.window).homology()
+    table_prime = via_skprime_homology(sk)
+    table_kt = scalar_kt([0] * len(sk.primes), 2, 0, sk.window)
     agree = (
         table_n.agrees_with(table_prime)
         and table_prime.agrees_with(table_kt)

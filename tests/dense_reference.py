@@ -15,7 +15,9 @@ complexes of a Koszul-Tate double complex, and the functoriality, inclusion
 and sign-action checks built on them, the fiber identity class by class,
 the classical lattice U'(f) on its Hermite basis (``uprime_lattice``),
 the u-function at a rational and its distribution relations one by one
-(``u_of``, ``distribution_relation_holds``),
+(``u_of``, ``distribution_relation_holds``), the characters of (Z/f)^x
+with their conductors (``characters``), the rank of a span of vectors on
+(Z/f)^x as a count of characters (``_span_rank``),
 ``snf``, the Smith normal form with its two transforms, and
 ``norm_matrix``, the norm of a finite-order matrix from its chain of
 powers.  They are slow and independent of the package's shortcuts, which
@@ -28,7 +30,7 @@ import copy
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from math import gcd
 
 from uod import skcx
@@ -49,6 +51,7 @@ from uod.chainkit import (
     ChainComplex,
     HomologyTable,
     NotAComplex,
+    scalar_kt_complex,
     total_complex,
 )
 from uod.distmod import (
@@ -60,7 +63,14 @@ from uod.distmod import (
     u_module,
     x_op_name,
 )
-from uod.iwasawa import RankMismatch, _generator_offsets, _level, _orbit_indices, _orbit_table
+from uod.iwasawa import (
+    _cofactor,
+    _generator_offsets,
+    _level,
+    _orbit_table,
+    _transform,
+    _unit_group,
+)
 from uod.signh import OrderViolation
 from uod.znf import (
     AbGroupInvariants,
@@ -1046,8 +1056,18 @@ def functoriality_report(bk, f, g, nu: dict | None = None) -> FunctorialityRepor
 
 # -- the symbol route --------------------------------------------------------
 
+def via_skprime_complex(sk) -> ChainComplex:
+    """The total complex whose table ``skcx.via_skprime_homology`` reads:
+    ``chainkit.scalar_kt_complex`` of the numerator-0 entries of the
+    module's operators, once that function's check on the maps passes."""
+    skcx.via_skprime_homology(sk)
+    entry = {name: op.shift + op.scale for name, op in sk.module.maps.items()}
+    return scalar_kt_complex([entry[name] for name in skcx._ideal_names(sk.primes)],
+                             entry["plus"], entry["minus"], sk.window)
+
+
 def skprime_layout(sk) -> dict:
-    """Each total degree t of ``skcx.via_skprime_complex`` as its ordered
+    """Each total degree t of ``via_skprime_complex`` as its ordered
     list of (m, n, divisor) blocks of size one."""
     lo, hi = sk.window
     layout = {}
@@ -1076,8 +1096,8 @@ def sk_inclusion_check(f: int, g: int, level: int, window=None) -> InclusionRepo
         window = (-(r_g + 3), r_g + 3)
     sk_f = skcx.build_sk(f, level, window)
     sk_g = skcx.build_sk(g, level, window)
-    total_f, layout_f = skcx.via_skprime_complex(sk_f), skprime_layout(sk_f)
-    total_g, layout_g = skcx.via_skprime_complex(sk_g), skprime_layout(sk_g)
+    total_f, layout_f = via_skprime_complex(sk_f), skprime_layout(sk_f)
+    total_g, layout_g = via_skprime_complex(sk_g), skprime_layout(sk_g)
     components = {}
     for t, blocks in layout_f.items():
         rows = total_g.rank(t)
@@ -1137,7 +1157,113 @@ def distribution_relation_holds(a: Fraction, g: int) -> bool:
     return total == u_of(a)
 
 
+# -- Dirichlet characters and their conductors --------------------------------
+
+def local_conductor(loc, exps) -> int:
+    """Least p^j such that the character of (Z/p^k)^x with these exponents
+    over the generators of ``loc`` is trivial on the units = 1 mod p^j.
+
+    For odd p those units are the powers of the primitive root by multiples
+    of (p - 1) p^(j-1); at 2^k, k >= 3, and j >= 2 they are the powers of 5
+    by multiples of 2^(j-2).  So a nonzero exponent c on the last generator
+    gives p^(k - v_p(c)), which is also 4 for the one nontrivial character
+    mod 4.  Otherwise the character is trivial, or it is the sign
+    character, of conductor 4.
+    """
+    c = exps[-1] if exps else 0
+    if c:
+        v = 0
+        while c % loc.p == 0:
+            c //= loc.p
+            v += 1
+        return loc.p ** (loc.k - v)
+    return 4 if any(exps) else 1
+
+
+def conductor(group, exps) -> int:
+    """The conductor of the character of ``group`` with these exponents: the
+    product of its local conductors."""
+    out = 1
+    at = 0
+    for loc in group.local:
+        n = len(loc.orders)
+        out *= local_conductor(loc, exps[at : at + n])
+        at += n
+    return out
+
+
+@dataclass(frozen=True)
+class DirichletChar:
+    """Character of (Z/fZ)^x with values recorded as powers of zeta_e."""
+
+    modulus: int
+    exponent: int               # e = exponent of the unit group
+    gen_exponents: tuple        # chi(g_i) = zeta_e^{gen_exponents[i]}, g_i the
+                                # generators of the CRT-local cyclic factors
+    conductor: int
+
+    def log_value(self, x: int):
+        """k with chi(x) = zeta_e^k, or None when gcd(x, modulus) > 1."""
+        ex = _unit_group(self.modulus).log(x)
+        if ex is None:
+            return None
+        return sum(a * k for a, k in zip(self.gen_exponents, ex)) % self.exponent
+
+
+def characters(f: int) -> list[DirichletChar]:
+    """All characters of (Z/fZ)^x with conductors, trivial character first."""
+    group = _unit_group(f)
+    return [
+        DirichletChar(
+            f,
+            group.exponent,
+            tuple(s * c for s, c in zip(group.steps, exps)),
+            conductor(group, exps),
+        )
+        for exps in product(*map(range, group.orders))
+    ]
+
+
+def _span_rank(f: int, units, vectors) -> int:
+    """The rank over Q of the Z[G_f]-span of integer vectors on (Z/f)^x,
+    each indexed like ``units``.
+
+    The rank over Q is the dimension of the complex span in C[G_f], which
+    is the sum of one line per character chi; the span of the translates
+    of v is the sum of the lines of the chi at which
+    T(v)(chi) = sum_x v(x) chi(x) is nonzero (the group-determinant
+    principle).  So the rank is the number of characters at which some
+    T(v_i)(chi) is nonzero in Q(zeta_e), that is not divisible by Phi_e in
+    Z[x]/(x^e - 1), or again not killed by Psi_e there.
+
+    The vectors are stacked as base-2^b digits of one vector,
+    w = sum_i 2^(ib) v_i, and transformed once by the package's packed
+    ``_transform``.  The transform is linear, so each coefficient of
+    T(w)(chi) Psi_e is sum_i 2^(ib) c_i with c_i the same coefficient of
+    T(v_i)(chi) Psi_e, and |c_i| <= ||v_i||_1 ||Psi_e||_1 < 2^(b-2) by the
+    choice of b.  Digits that small represent 0 only when each is 0, so
+    T(w)(chi) Psi_e is zero exactly when every T(v_i)(chi) Psi_e is.  Those
+    coefficients are below 2^(kb-1) for k vectors, so with the slot width
+    kb + 2 a zero packed residue is a zero polynomial, as in
+    ``iwasawa._certify``.
+    """
+    group = _unit_group(f)
+    norm = max((sum(map(abs, v)) for v in vectors), default=0)
+    b = (norm * sum(map(abs, _cofactor(group.exponent)))).bit_length() + 2
+    stacked = [sum(v[at] << (i * b) for i, v in enumerate(vectors)) for at in range(len(units))]
+    width = b * len(vectors) + 2
+    table, reduce, _ = _transform(group, dict(zip(units, stacked)), width)
+    # t Psi_e by one shift per nonzero coefficient of Psi_e: the slots are
+    # wide here, so that is cheaper than multiplying by packed Psi_e
+    psi = [(a, k * width) for k, a in enumerate(_cofactor(group.exponent)) if a]
+    return sum(1 for t in table if reduce(sum(a * (t << shift) for a, shift in psi)))
+
+
 # -- the classical lattice ---------------------------------------------------
+
+class LatticeRankMismatch(RuntimeError):
+    pass
+
 
 @dataclass(frozen=True)
 class UPrimeLattice:
@@ -1168,12 +1294,12 @@ def uprime_lattice(f: int) -> UPrimeLattice:
     denom, orbit = _orbit_table(f)
     # coordinate at delta of sigma * (u(delta^-1 / g))_delta, as an index n
     # of u(n/f)
-    at = [_orbit_indices(n0, inverses, f) for n0 in _generator_offsets(f, units)]
+    at = [[dinv * n0 % f for dinv in inverses] for n0 in _generator_offsets(f, units)]
     values = [Fraction(v, denom) for v in orbit]
     generators = tuple(tuple(values[n] for n in col) for col in at)
     basis = image_basis(
         IntMatrix.from_columns([[orbit[n] for n in col] for col in at], rows=len(units))
     )
     if basis.cols != len(units):
-        raise RankMismatch(f"lattice rank {basis.cols}, expected {len(units)}")
+        raise LatticeRankMismatch(f"lattice rank {basis.cols}, expected {len(units)}")
     return UPrimeLattice(f, tuple(units), generators, denom, basis)

@@ -27,6 +27,7 @@ from uod.chainkit import (
     ActionModule,
     ChainComplex,
     DoubleComplex,
+    HomologyTable,
     MapOperator,
     NonCommutingOperators,
     NotAComplex,
@@ -36,6 +37,7 @@ from uod.chainkit import (
     build_kt,
     check_plus_minus,
     scalar_kt,
+    scalar_kt_complex,
     total_complex,
 )
 
@@ -931,7 +933,8 @@ class TestSparseTotal:
     def test_scalar_kt_is_the_total_of_the_rank_one_module(self, scalars, plus, minus, window):
         # against the dense paste of the 1 x 1 scalar blocks, cell by cell
         r = len(scalars)
-        got = scalar_kt(scalars, plus, minus, window)
+        got = scalar_kt_complex(scalars, plus, minus, window)
+        assert scalar_kt(scalars, plus, minus, window) == got.homology()
         window = window or (-(r + 3), r + 3)
         ops = [IntMatrix([[c]]) for c in scalars]
         ranks, diff = dense_paste_total(
@@ -965,16 +968,23 @@ class TestSparseTotal:
         narrow = scalar_kt([0, 0], 2, 0, (-5, 5))
         wide = scalar_kt([0, 0], 2, 0, (-7, 7))
         assert narrow is not wide
-        assert narrow.homology() != wide.homology()
-        assert set(wide.homology().entries) - set(narrow.homology().entries)
+        assert narrow != wide
+        assert set(wide.entries) - set(narrow.entries)
         # the default window is (-5, 5) at r = 2, so that call is the memo's
         assert scalar_kt((0, 0), 2, 0) is narrow
-        assert scalar_kt([0, 0], 2, 0, (-7, 7)).homology() is wide.homology()
+        assert scalar_kt([0, 0], 2, 0, (-7, 7)) is wide
 
     def test_the_memo_keeps_plus_and_minus_apart(self):
         # the bare Tate column: [3; 0] and [0; 3] put Z/3 at opposite parities
-        assert scalar_kt([], 3, 0).homology()[0] == ZERO
-        assert scalar_kt([], 0, 3).homology()[0] == AbGroupInvariants(0, (3,))
+        assert scalar_kt([], 3, 0)[0] == ZERO
+        assert scalar_kt([], 0, 3)[0] == AbGroupInvariants(0, (3,))
+
+    def test_the_memo_keeps_tables_not_complexes(self):
+        # a complex and its differentials are dropped once reduced
+        scalar_kt([0, 0, 0], 2, 0)
+        scalar_kt([1, -1], 0, 5, (-6, 6))
+        assert len(chainkit._SCALAR_KT) == 2
+        assert all(type(t) is HomologyTable for t in chainkit._SCALAR_KT.values())
 
     def test_a_double_complex_that_is_not_one_is_refused(self):
         # rows and columns commute instead of anticommuting: stored as it

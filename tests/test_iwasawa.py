@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from dense_reference import (
     IntMatrix,
+    _span_rank,
+    characters,
     dense,
     distribution_relation_holds,
     induced_operator,
@@ -20,13 +22,12 @@ from dense_reference import (
 )
 import uod.iwasawa as iwasawa
 from uod import znf
-from uod.arith import ARCHIMEDEAN
+from uod.arith import ARCHIMEDEAN, gf_group
 from uod.chainkit import MapOperator
 from uod.cli import main
 from uod.distmod import StructureCheckFailed, build_af, distribution_relations, g_op_name, u_module
 from uod.iwasawa import (
     GeneratorMismatch,
-    RankMismatch,
     RationalityFailure,
     RelationNotKilled,
     UPrimeReport,
@@ -36,9 +37,7 @@ from uod.iwasawa import (
     _level_table,
     _slot_bits,
     _relations_hold,
-    _span_rank,
     _unit_group,
-    characters,
     cyclotomic_polynomial,
     level_relations_hold,
     u_values,
@@ -499,6 +498,18 @@ class TestUValues:
             assert not _relations_hold(bad, f), (f, n)
 
 
+def one_value_changed(closed_form, d: int):
+    """``closed_form`` with its smallest unit's value at level d off by one."""
+    def changed(level):
+        phi, scaled = closed_form(level)
+        if level == d:
+            scaled = dict(scaled)
+            scaled[min(scaled)] += 1
+        return phi, scaled
+
+    return changed
+
+
 class TestLevelTable:
     """A level-f table transforms only the parts of f on a set of its
     primes; every other divisor level is certified through the level-f
@@ -536,17 +547,18 @@ class TestLevelTable:
         # d is no part of f, so only the relations can send it to its own
         # transform
         assert gcd(d, f // d) > 1
-        closed_form = iwasawa._closed_form
-
-        def changed(level):
-            phi, scaled = closed_form(level)
-            if level == d:
-                scaled = dict(scaled)
-                scaled[min(scaled)] += 1
-            return phi, scaled
-
-        monkeypatch.setattr(iwasawa, "_closed_form", changed)
+        monkeypatch.setattr(iwasawa, "_closed_form", one_value_changed(iwasawa._closed_form, d))
         assert main(["verify", "u-function", "--f", str(f)]) == 3
+        assert f"character identity fails at level {d}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f, d", [(60, 30), (81, 27)])
+    def test_a_changed_conductor_level_off_the_parts_exits_3_in_uprime(
+            self, fresh_levels, monkeypatch, capsys, f, d):
+        # the rank of U'(f) rests on the identity at every conductor level
+        # c | f; one certified through the relations is still refused
+        assert gcd(d, f // d) > 1
+        monkeypatch.setattr(iwasawa, "_closed_form", one_value_changed(iwasawa._closed_form, d))
+        assert main(["verify", "uprime", "--f", str(f)]) == 3
         assert f"character identity fails at level {d}\n" in capsys.readouterr().err
 
     def test_a_distribution_other_than_u_is_refused(self, fresh_levels, monkeypatch, capsys):
@@ -733,20 +745,6 @@ class TestUPrimeCertificate:
         monkeypatch.setattr(znf, "_hermite", refuse)
         assert uprime_compare(120) == UPrimeReport(120, 32, True)
 
-    @pytest.mark.parametrize("f", [12, 60, 81])
-    def test_short_count_raises_and_builds_no_lattice_basis(self, monkeypatch, f):
-        u = _module(f)
-        rank = iwasawa._span_rank
-        monkeypatch.setattr(iwasawa, "_span_rank", lambda *args: rank(*args) - 1)
-
-        def refuse(*_args):
-            raise AssertionError("a short count built a lattice basis")
-
-        monkeypatch.setattr(znf, "_hermite", refuse)
-        phi = len(u.basis_classes)
-        with pytest.raises(RankMismatch, match=f"lattice rank {phi - 1}, expected {phi}"):
-            uprime_compare(f, u)
-
     def test_singular_map_is_never_an_isomorphism(self):
         # two basis classes sent to the same image: the section is no right
         # inverse of the projection, so the map is refused before any count
@@ -790,22 +788,19 @@ class TestUPrimeCertificate:
     @pytest.mark.parametrize("f", [12, 60])
     def test_zeroed_norm_value_fails_the_rank_check(self, monkeypatch, f):
         # u(0) cancels from every relation it enters; at 0 the norm class
-        # maps to zero, and no other orbit vector has a nonzero transform at
-        # the trivial character, so the count is one short
+        # maps to zero, so the orbit vector of the class 1/1 = 0 has no nonzero
+        # transform at the trivial character, and the conductor lemma's
+        # premise that the map reads the certified u(0) refuses it
         table = iwasawa._orbit_table
 
         def zeroed(level):
             denom, orbit = table(level)
             return denom, [0] + list(orbit[1:])
 
-        rank = iwasawa._span_rank
-        ranks = []
-        monkeypatch.setattr(iwasawa, "_span_rank", lambda *a: ranks.append(rank(*a)) or ranks[-1])
         monkeypatch.setattr(iwasawa, "_orbit_table", zeroed)
         u = _module(f)
-        with pytest.raises(RankMismatch):
+        with pytest.raises(RationalityFailure, match=f"u\\(0/{f}\\) is not the certified value"):
             uprime_compare(f, u)
-        assert ranks == [len(u.basis_classes) - 1]
 
     @pytest.mark.parametrize("f", [12, 60])
     def test_non_equivariant_operator_fails(self, f):
@@ -904,3 +899,14 @@ class TestSpanRank:
         expected = _exact_rank(_translates(f, units, [w]))
         assert expected > 0
         assert _span_rank(f, units, [[(1 << 40) * a for a in w], [-a for a in w]]) == expected
+
+    @pytest.mark.parametrize("f", list(range(1, 421)) + [5040])
+    def test_the_classes_1_over_c_span_full_rank(self, f):
+        # the conductor lemma behind uprime_compare's rank, against the
+        # character count: the orbit vectors v_c(delta) = u(delta^-1/c),
+        # c | f, reach every character mod f
+        units = [el.residue for el in gf_group(ARCHIMEDEAN, f)]
+        _, orbit = iwasawa._orbit_table(f)
+        vectors = [[orbit[pow(delta, -1, f) * (f // c) % f] for delta in units]
+                   for c in ARCHIMEDEAN.divisors(f)]
+        assert _span_rank(f, units, vectors) == len(units)

@@ -10,6 +10,7 @@ from dense_reference import (
     sign_action_trivial_on_via_n,
     sk_inclusion_check,
     skprime_layout,
+    via_skprime_complex,
 )
 from uod import chainkit, cli, skcx
 from uod.chainkit import (
@@ -28,7 +29,7 @@ from uod.skcx import (
     distribution_presentation,
     sk_quotients_homology,
     via_n_homology,
-    via_skprime_complex,
+    via_skprime_homology,
 )
 from uod.signh import OrderViolation
 from uod.znf import AbGroupInvariants, FreeQuotient, InducedOperatorUndefined, SparseMatrix
@@ -204,7 +205,7 @@ class TestBuildSk:
 
         monkeypatch.setattr(MapOperator, "matrix", refuse)
         distribution_presentation(sk)
-        via_skprime_complex(sk)
+        via_skprime_homology(sk)
 
     def test_a_noncommuting_pair_is_refused(self, monkeypatch):
         # the map of T_3 with one moved image, 1 -> 4 instead of 3, no longer
@@ -293,7 +294,7 @@ class TestQuotientRoutes:
         # the numerator-killed scalars are ([0] * r, 2, 0): the KT
         # reference's own data, so both read one memoised table
         sk = build_sk(15, 2)
-        assert via_skprime_complex(sk) is chainkit.scalar_kt([0, 0], 2, 0, sk.window)
+        assert via_skprime_homology(sk) is chainkit.scalar_kt([0, 0], 2, 0, sk.window)
         reductions = []
         real = chainkit.rank_torsion
         monkeypatch.setattr(chainkit, "rank_torsion", lambda m: reductions.append(m) or real(m))
@@ -346,7 +347,7 @@ class TestQuotientRoutes:
             return sk
 
         with pytest.raises(BasisCertificateFailed, match="numerator 0"):
-            via_skprime_complex(mutated(build_sk(15, 1)))
+            via_skprime_homology(mutated(build_sk(15, 1)))
         real = cli.build_sk
         monkeypatch.setattr(cli, "build_sk", lambda *args: mutated(real(*args)))
         assert main(["sk", "compare", "--f", "15"]) == 3
