@@ -282,21 +282,20 @@ def u_module(af: AfModule) -> UModule:
 
 def _certify_relations(af: AfModule, rel: SparseMatrix):
     """Check that the nonzero columns of ``rel`` are those of the nu_p - X_p,
-    over ``af.primes`` and then the basis, in that order; O(nnz).
+    over ``af.primes`` and then the basis, in that order; O(nnz).  Each
+    nu_p - X_p is read off X_p's map, with no matrix of X_p built.
 
     Then im(rel) = sum_p im(nu_p - X_p).  ``ActionModule`` has certified
     that every operator of A(f) commutes with each X_p, so each maps every
     im(nu_p - X_p), and with them im(rel), into itself: the relations are
     preserved with no product against the projection.
     """
+    positions = af.table.positions
     expected = []
     for p in af.primes:
-        nu_p = af.nu.get(p, 1)
-        for j, col in enumerate(af.x_operator(p).entries):
-            diff = {i: -v for i, v in col.items()}
-            diff[j] = diff.get(j, 0) + nu_p
-            if any(diff.values()):
-                expected.append({i: v for i, v in diff.items() if v})
+        x = af.operators.maps[x_op_name(af.backend, p)]
+        diff = MapOperator(x.images, x.nu, shift=af.nu.get(p, 1), scale=-1)
+        expected += [col for col in diff.columns(positions, positions) if col]
     if [col for col in rel.entries if col] != expected:
         raise StructureCheckFailed(
             "the distribution relations are not the nonzero columns of nu_p - X_p"

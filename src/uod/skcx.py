@@ -64,7 +64,7 @@ from .chainkit import (
     homology_table,
     scalar_kt,
 )
-from .distmod import BasisCertificateFailed, level_partition
+from .distmod import BasisCertificateFailed, level_partition, position_matrix
 from .signh import tate_spots
 from .znf import (
     FreeQuotient,
@@ -183,7 +183,7 @@ def _via_n_quotient(sk: SkComplex):
     columns T_p e_a at the multiples a of p.  ``build_sk`` has certified
     that 1 +- neg commutes with every T_p, so neg T_p e_a = T_p e_{-a}, which
     lies in im(R) once neg maps the multiples of p onto themselves.  That
-    is checked on the map of each of plus and minus, or
+    is checked once on each distinct map of plus and minus, or
     InducedOperatorUndefined, so neg induces gamma = P neg S with no
     product against R, and since P S = 1 the sign pair induces
     P (1 +- neg) S = 1 +- gamma.  Nothing is induced here.  A failed peel
@@ -200,9 +200,12 @@ def _via_n_quotient(sk: SkComplex):
             f"the boundary relations at level {denom} do not peel onto the "
             f"depth-zero numerators: {exc}"
         ) from exc
-    quotient = FreeQuotient(rel, projection, SparseMatrix(denom, [{a: 1} for a in keep]))
-    for name in ("plus", "minus"):
-        neg = sk.module.maps[name].images
+    quotient = FreeQuotient(rel, projection, position_matrix(denom, keep))
+    negs = {name: sk.module.maps[name].images for name in ("plus", "minus")}
+    if negs["minus"] is negs["plus"]:
+        # build_sk gives both the one interned neg map: walk it once
+        del negs["minus"]
+    for name, neg in negs.items():
         if any(neg[a] % p for p in sk.primes for a in range(0, denom, p)):
             raise InducedOperatorUndefined(
                 f"{name} does not preserve the relations: neg moves a multiple "

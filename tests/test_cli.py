@@ -194,6 +194,71 @@ class TestOtherCommands:
         assert report["checks"][0]["tables"]["exception_flagged"] is True
 
 
+_REPORT_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+    st.characters(),
+))
+_REPORT_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(2**130), 2**130), _REPORT_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_REPORT_TEXT, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+# one command of each subcommand, each quick
+_ONE_PER_SUBCOMMAND = [
+    ["structure", "--f", "12"],
+    ["sign-homology", "--backend", "fq", "--q", "3", "--f", "T^2+T"],
+    ["verify", "kubert", "--f", "3,4,6"],
+    ["verify", "yin", "--q", "3", "--f", "T^2+T"],
+    ["verify", "thm442", "--f", "15"],
+    ["verify", "basis", "--f", "12"],
+    ["verify", "lemma411", "--f", "12"],
+    ["verify", "u-function", "--f", "12"],
+    ["verify", "uprime", "--f", "12"],
+    ["sk", "compare", "--f", "15", "--level", "2"],
+    ["ftate", "--r", "2", "--m", "3"],
+    ["tower", "--f", "12", "--level", "2"],
+]
+
+
+class TestReportText:
+    @settings(max_examples=300, deadline=None)
+    @given(_REPORT_VALUE)
+    def test_equals_json_dumps_sorted_with_indent_2(self, value):
+        assert cli.report_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        1.5,
+        {"a": [0.0]},
+        {1, 2},
+        {"a": frozenset()},
+        {1: "one"},
+        {"a": [{None: 0}]},
+    ], ids=["float", "nested-float", "set", "nested-set", "int-key", "nested-none-key"])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli.report_text(value)
+
+    @pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND, ids=" ".join)
+    def test_stdout_and_out_file_are_the_canonical_json(self, tmp_path, capsys, argv):
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        # the --out run records its own command line in the manifest, and
+        # differs from stdout in that string alone
+        path = tmp_path / "report.json"
+        main(argv + ["--out", str(path)])
+        assert capsys.readouterr().out == ""
+        command = " ".join(["uod", *argv])
+        expected = out.replace(json.dumps(command), json.dumps(f"{command} --out {path}"), 1)
+        assert expected != out
+        assert path.read_text(encoding="utf-8") == expected
+
+
 class TestHarnessContract:
     def test_byte_identical_reruns(self, tmp_path):
         _, first = run_json(tmp_path, ["verify", "kubert", "--f", "3,4,5,15"])
