@@ -18,10 +18,10 @@ memory.  Exit 1 means FAIL and nothing else.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+import types
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -460,100 +460,143 @@ def cmd_tower(args):
 
 
 # ---------------------------------------------------------------------------
-# wiring
+# wiring: the command-line grammar, one table that both ``_walk`` and
+# ``build_parser`` read
+
+# A flag's spec is its ``add_argument`` keywords: "action" "store_true" for
+# a switch, "type" int (else the text as given), "default" (None if absent),
+# "choices", "required" and "help".
+_OUTPUT = {
+    "--out": {"help": "write the JSON report to this file"},
+    "--csv": {"help": "write a flat CSV of the checks to this file"},
+    "--pretty": {"action": "store_true", "default": False, "help": "human-readable table"},
+}
+_BACKEND = {
+    "--backend": {"choices": ["q", "fq"], "default": "q"},
+    "--q": {"type": int, "default": None, "help": "prime power for fq"},
+}
+_F = {"--f": {"required": True}}
+_IDEALS = {"--f": {"required": True, "help": "ideal or comma list of ideals"}}
+_NU = {"--nu": {"default": None, "help": "nu values, e.g. 2=-1,3=1"}}
+_LEVEL = {"--level": {"type": int, "default": 1}}
+_WINDOW = {"--window": {"type": int, "default": None}}
+_LEVELED = {**_OUTPUT, **_BACKEND, **_IDEALS, **_NU, **_LEVEL}
+
+# command path -> (the cmd_* function that runs it, its line in the help of
+# its parent or None for no line, its flags in help order)
+_COMMANDS = {
+    ("structure",): ("cmd_structure", "rank and basis of the distribution module", _LEVELED),
+    ("sign-homology",): ("cmd_sign_homology", "both parities of the sign homology", _LEVELED),
+    ("verify", "kubert"): ("cmd_verify_kubert", None, {**_OUTPUT, **_F}),
+    ("verify", "yin"): (
+        "cmd_verify_yin", None, {**_OUTPUT, "--q": {"type": int, "required": True}, **_F}),
+    ("verify", "thm442"): (
+        "cmd_verify_thm442", None, {**_OUTPUT, **_BACKEND, **_IDEALS, **_NU, **_WINDOW}),
+    ("verify", "basis"): ("cmd_verify_basis", None, {**_OUTPUT, **_BACKEND, **_IDEALS}),
+    ("verify", "lemma411"): ("cmd_verify_lemma411", None, {**_OUTPUT, **_BACKEND, **_IDEALS}),
+    ("verify", "u-function"): ("cmd_verify_ufunction", None, {**_OUTPUT, **_F}),
+    ("verify", "uprime"): ("cmd_verify_uprime", None, {**_OUTPUT, **_F}),
+    ("sk", "compare"): ("cmd_sk_compare", None, {**_OUTPUT, **_F, **_LEVEL, **_WINDOW}),
+    ("ftate",): ("cmd_ftate", "almost-free homology, closed form vs complex", {
+        **_OUTPUT,
+        "--r": {"type": int, "default": None},
+        "--m": {"type": int, "default": None},
+        "--grid": {"default": None, "help": "RxM sweep, e.g. 6x6"},
+        **_WINDOW,
+    }),
+    ("tower",): ("cmd_tower", "level towers and stabilization", _LEVELED),
+}
+# the first word of a two-word path -> (the attribute that holds the second
+# word, its line in the top-level help)
+_GROUPS = {
+    "verify": ("verify_what", "theorem verification campaigns"),
+    "sk": ("sk_what", "symbol double complex routes"),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refuses a command line with one ``prog: error: ...`` line and exit 2,
-    like every other refusal, instead of argparse's usage text.  Subparsers
-    take the class of their parent."""
+def _walk(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off
+    the table, or None where the walk does not fully understand ``argv``: an
+    unknown word or flag (``-h``, ``--help``, ``--`` and abbreviations among
+    them), a repeated flag, a value that starts with ``-``, a value that is
+    not an int where one is wanted or is outside the choices, or a missing
+    required flag.  ``main`` hands those to argparse, which parses or refuses
+    them."""
+    path = tuple(argv[:1])
+    if path not in _COMMANDS:
+        path = tuple(argv[:2])
+    if path not in _COMMANDS:
+        return None
+    run, _, flags = _COMMANDS[path]
+    given = {}
+    words = iter(argv[len(path):])
+    for word in words:
+        name, eq, value = word.partition("=")
+        spec = flags.get(name)
+        if spec is None or name in given:
+            return None
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            given[name] = True
+            continue
+        if not eq:
+            # a flag that ends the line has no value, and is declined below
+            value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[name] = value
+    values = {"command": path[0], "run": run}
+    if len(path) == 2:
+        values[_GROUPS[path[0]][0]] = path[1]
+    for name, spec in flags.items():
+        if name in given:
+            values[name[2:]] = given[name]
+        elif spec.get("required"):
+            return None
+        else:
+            values[name[2:]] = spec.get("default")
+    return types.SimpleNamespace(**values)
 
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
 
+def build_parser():
+    """The argparse parser of the same table.  It refuses a command line
+    with one ``prog: error: ...`` line and exit 2, like every other
+    refusal, instead of argparse's usage text."""
+    import argparse
 
-def build_parser() -> argparse.ArgumentParser:
-    output = _Parser(add_help=False)
-    output.add_argument("--out", help="write the JSON report to this file")
-    output.add_argument("--csv", help="write a flat CSV of the checks to this file")
-    output.add_argument("--pretty", action="store_true", help="human-readable table")
+    class Parser(argparse.ArgumentParser):
+        # subparsers take the class of their parent
+        def error(self, message):
+            self.exit(2, f"{self.prog}: error: {message}\n")
 
-    parser = _Parser(
+    parser = Parser(
         prog="uod",
         description="exact universal-ordinary-distribution computations and checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, q_flag=True, nu_flag=True, level_flag=True):
-        if q_flag:
-            p.add_argument("--backend", choices=["q", "fq"], default="q")
-            p.add_argument("--q", type=int, default=None, help="prime power for fq")
-        p.add_argument("--f", required=True, help="ideal or comma list of ideals")
-        if nu_flag:
-            p.add_argument("--nu", default=None, help="nu values, e.g. 2=-1,3=1")
-        if level_flag:
-            p.add_argument("--level", type=int, default=1)
-
-    p = sub.add_parser("structure", parents=[output], help="rank and basis of the distribution module")
-    common(p)
-    p.set_defaults(run="cmd_structure")
-
-    p = sub.add_parser("sign-homology", parents=[output], help="both parities of the sign homology")
-    common(p)
-    p.set_defaults(run="cmd_sign_homology")
-
-    verify = sub.add_parser("verify", help="theorem verification campaigns")
-    vsub = verify.add_subparsers(dest="verify_what", required=True)
-
-    p = vsub.add_parser("kubert", parents=[output])
-    p.add_argument("--f", required=True)
-    p.set_defaults(run="cmd_verify_kubert")
-
-    p = vsub.add_parser("yin", parents=[output])
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--f", required=True)
-    p.set_defaults(run="cmd_verify_yin")
-
-    p = vsub.add_parser("thm442", parents=[output])
-    common(p, level_flag=False)
-    p.add_argument("--window", type=int, default=None)
-    p.set_defaults(run="cmd_verify_thm442")
-
-    p = vsub.add_parser("basis", parents=[output])
-    common(p, nu_flag=False, level_flag=False)
-    p.set_defaults(run="cmd_verify_basis")
-
-    p = vsub.add_parser("lemma411", parents=[output])
-    common(p, nu_flag=False, level_flag=False)
-    p.set_defaults(run="cmd_verify_lemma411")
-
-    p = vsub.add_parser("u-function", parents=[output])
-    p.add_argument("--f", required=True)
-    p.set_defaults(run="cmd_verify_ufunction")
-
-    p = vsub.add_parser("uprime", parents=[output])
-    p.add_argument("--f", required=True)
-    p.set_defaults(run="cmd_verify_uprime")
-
-    sk = sub.add_parser("sk", help="symbol double complex routes")
-    ssub = sk.add_subparsers(dest="sk_what", required=True)
-    p = ssub.add_parser("compare", parents=[output])
-    p.add_argument("--f", required=True)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--window", type=int, default=None)
-    p.set_defaults(run="cmd_sk_compare")
-
-    p = sub.add_parser("ftate", parents=[output], help="almost-free homology, closed form vs complex")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--grid", default=None, help="RxM sweep, e.g. 6x6")
-    p.add_argument("--window", type=int, default=None)
-    p.set_defaults(run="cmd_ftate")
-
-    p = sub.add_parser("tower", parents=[output], help="level towers and stabilization")
-    common(p)
-    p.set_defaults(run="cmd_tower")
-
+    groups = {}
+    for path, (run, line, flags) in _COMMANDS.items():
+        parent = sub
+        if len(path) == 2:
+            if path[0] not in groups:
+                dest, group_line = _GROUPS[path[0]]
+                group = sub.add_parser(path[0], help=group_line)
+                groups[path[0]] = group.add_subparsers(dest=dest, required=True)
+            parent = groups[path[0]]
+        # a help keyword, even None, gives the command a line in its
+        # parent's help
+        p = parent.add_parser(path[-1], **({} if line is None else {"help": line}))
+        for name, spec in flags.items():
+            p.add_argument(name, **spec)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -643,27 +686,38 @@ def _manifest_parameters(args) -> dict:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser of ``build_parser``, built on the first ``main`` call of a
-    process and reused by the later ones.  Building it takes about 1 ms
-    (0.8 ms with CPython 3.11 on an AMD EPYC core): 16 parsers at about
-    35 us each and 56 arguments at about 5 us each, since ``add_argument``
-    makes a help formatter that sizes the terminal.  The first use of
-    argparse in a process adds about 0.6 ms, as its gettext imports
-    ``locale``.  Building it at import would add all of that to every
-    start-up."""
+    process that the walk declines, and reused by the later ones.  With
+    CPython 3.11 on an AMD EPYC core, the first build costs about 3 ms:
+    0.9 ms to import argparse with gettext, then 1.9 ms to build (1.1 ms
+    for a second build; the first lookup of a message imports ``locale``).
+    The walk that spares an accepted call all of it takes about 10 us on a
+    first call and 1.5 us after."""
     return build_parser()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    args = _walk(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        # the parser names its command, which is looked up at each call
+        # the table names each command's function, looked up at each call
         checks = globals()[args.run](args)
+        manifest = {
+            "command": " ".join(["uod"] + argv),
+            "backend": getattr(args, "backend", "q"),
+            "q": getattr(args, "q", None),
+            "parameters": _manifest_parameters(args),
+            "version": __version__,
+        }
+        report = {"manifest": manifest, "checks": checks}
+        # a value of no report type is a bug: TypeError, exit 3
+        payload = report_text(report) + "\n"
     except (
         StructureCheckFailed,
         BasisCertificateFailed,
@@ -694,15 +748,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    manifest = {
-        "command": " ".join(["uod"] + argv),
-        "backend": getattr(args, "backend", "q"),
-        "q": getattr(args, "q", None),
-        "parameters": _manifest_parameters(args),
-        "version": __version__,
-    }
-    report = {"manifest": manifest, "checks": checks}
-    payload = report_text(report) + "\n"
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

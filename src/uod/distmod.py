@@ -142,9 +142,6 @@ class AfModule:
     def rank(self) -> int:
         return len(self.table.classes)
 
-    def x_operator(self, p) -> SparseMatrix:
-        return self.operators.operator(x_op_name(self.backend, p))
-
 
 def position_matrix(rows: int, positions) -> SparseMatrix:
     """Column j is the basis vector at ``positions[j]``, each in range(rows)."""

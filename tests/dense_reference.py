@@ -7,7 +7,8 @@ dense integer matrix, with ``dense`` and ``as_sparse`` between it and
 ``SparseMatrix``; the lattice operations on the package's Hermite basis
 (``image_basis``, ``kernel_basis``, ``preimage_lattice`` and ``solve``) and
 ``snf_invariants`` on its unit-pivot core; the class table
-built residue by residue, A(f) built class by class, the operators of A(f)
+built residue by residue, A(f) built class by class, the fiber-sum
+operator X_p of A(f) as a matrix (``x_operator``), the operators of A(f)
 induced on U(f) by name, subquotients lattice(num)/lattice(den) on
 Hermite bases, chain maps and cones of dense complexes, complexes of
 presented groups, the companion
@@ -463,6 +464,11 @@ def with_map_uncertified(module: ActionModule, name: str, op) -> ActionModule:
     tampered = copy.copy(module)
     tampered.maps = {**module.maps, name: op}
     return tampered
+
+
+def x_operator(af, p) -> SparseMatrix:
+    """The fiber-sum operator X_p of A(f) as a matrix, built from its map."""
+    return af.operators.operator(x_op_name(af.backend, p))
 
 
 def gamma_order_by_powers(g, bound: int) -> int | None:

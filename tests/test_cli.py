@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -558,6 +559,24 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(message)
 
+    @pytest.mark.parametrize("value", [0.5, {1, 2}], ids=["float", "set"])
+    def test_a_table_value_of_no_report_type_exits_3(self, monkeypatch, capsys, tmp_path, value):
+        # the report writer refuses it with a TypeError: a bug, never FAIL
+        real = cli.cmd_ftate
+
+        def tampered(args):
+            checks = real(args)
+            checks[0]["tables"]["extra"] = value
+            return checks
+
+        monkeypatch.setattr(cli, "cmd_ftate", tampered)
+        out = tmp_path / "report.json"
+        assert main(["ftate", "--r", "1", "--m", "2", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("internal error: TypeError: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("exc", [KeyError("gamma0"), TypeError("bad operand"), LookupError()])
     def test_unexpected_exception_exits_3(self, monkeypatch, capsys, exc):
         assert self.raising(monkeypatch, exc) == 3
@@ -634,6 +653,223 @@ class TestExitCodeFuzz:
         else:
             assert err == ""
             json.loads(out)
+
+
+# -- the grammar table against argparse --------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# stray words mixed into the draws of cli_argv, most of them syntax the walk
+# leaves to argparse
+_STRAY = st.sampled_from([
+    ["--"], ["-h"], ["--help"], ["--pretty"], ["--pretty=1"], ["--out", "r.json"], ["--csv=c.csv"],
+    ["--backend", "fq"], ["--backend", "z"], ["--backend=q"], ["--q", "3"], ["--q=x"],
+    ["--level", "-1"], ["--window=-2"], ["--f"], ["--nu", "2=-1"], ["--grid", "2x2"], ["--r=1"],
+    ["--lev", "2"], ["--ba=fq"], ["x"],
+])
+_VALUE = st.sampled_from(["q", "fq", "z", "2", "7", "x", "", "1.5", " 3", "-1"])
+_FLAG = st.sampled_from(["--out", "--csv", "--pretty", "--backend", "--q", "--f", "--nu", "--level",
+                         "--window", "--r", "--m", "--grid"])
+
+
+@st.composite
+def widened_argv(draw):
+    """A cli_argv draw with its flags repeated, abbreviated, split into two
+    words, given other values (some that start with "-") or dropped, and
+    with flags of any command and stray words inserted among them."""
+    argv = draw(cli_argv())
+    start = 2 if argv[0] in ("verify", "sk") else 1
+    for _ in range(draw(st.integers(0, 3))):
+        if len(argv) == start:
+            break
+        i = draw(st.integers(start, len(argv) - 1))
+        name, eq, value = argv[i].partition("=")
+        # the value of a flag written as two words is the next word
+        pair = not eq and name.startswith("--") and i + 1 < len(argv)
+        # "flag" twice: an inserted flag is what most often meets a type or
+        # choices check on an argv the walk reads
+        edit = draw(st.sampled_from(
+            ["repeat", "abbreviate", "split", "value", "drop", "stray", "flag", "flag"]))
+        if edit == "repeat" and (eq or pair):
+            argv.append(f"{name}={draw(_VALUE)}")
+        elif edit == "abbreviate" and name.startswith("--") and len(name) > 3:
+            argv[i] = name[:draw(st.integers(3, len(name) - 1))] + eq + value
+        elif edit == "split" and eq:
+            argv[i:i + 1] = [name, value]
+        elif edit == "value" and eq:
+            argv[i] = f"{name}={draw(_VALUE)}"
+        elif edit == "value" and pair:
+            argv[i + 1] = draw(_VALUE)
+        elif edit == "drop":
+            del argv[i]
+        elif edit == "flag":
+            name = draw(_FLAG)
+            argv[i:i] = [name, draw(_VALUE)] if draw(st.booleans()) else [f"{name}={draw(_VALUE)}"]
+        else:
+            argv[i:i] = draw(_STRAY)
+    return argv
+
+
+def _typed(namespace):
+    return {key: (type(value), value) for key, value in vars(namespace).items()}
+
+
+def _pool_and_ci_commands():
+    """Every op of the benchmark's pools and seed_failures, and every
+    command the CI workflow runs through ``python -m uod``."""
+    workloads = json.loads((ROOT / "benchmarks" / "workloads.json").read_text())
+    pool = [op for workload in workloads["workloads"].values()
+            for slot in workload["slots"] for op in slot["ops"]]
+    probes = [probe["argv"] for probe in workloads["seed_failures"]]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    smoke = re.findall(r"python -m uod ([^>\n$]+?) >", workflow)
+    loop = re.search(r"for cmd in (.*?); do", workflow, re.S).group(1)
+    report_format = re.findall(r'"([^"]+)"', loop)
+    assert pool and probes and smoke and report_format
+    return sorted(set(pool + probes + smoke + report_format))
+
+
+_HELP = {
+    "--help": """\
+usage: uod [-h] {structure,sign-homology,verify,sk,ftate,tower} ...
+
+exact universal-ordinary-distribution computations and checks
+
+positional arguments:
+  {structure,sign-homology,verify,sk,ftate,tower}
+    structure           rank and basis of the distribution module
+    sign-homology       both parities of the sign homology
+    verify              theorem verification campaigns
+    sk                  symbol double complex routes
+    ftate               almost-free homology, closed form vs complex
+    tower               level towers and stabilization
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "verify --help": """\
+usage: uod verify [-h]
+                  {kubert,yin,thm442,basis,lemma411,u-function,uprime} ...
+
+positional arguments:
+  {kubert,yin,thm442,basis,lemma411,u-function,uprime}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "verify basis --help": """\
+usage: uod verify basis [-h] [--out OUT] [--csv CSV] [--pretty]
+                        [--backend {q,fq}] [--q Q] --f F
+
+options:
+  -h, --help        show this help message and exit
+  --out OUT         write the JSON report to this file
+  --csv CSV         write a flat CSV of the checks to this file
+  --pretty          human-readable table
+  --backend {q,fq}
+  --q Q             prime power for fq
+  --f F             ideal or comma list of ideals
+""",
+}
+
+# the namespace argparse built for one command line of each command path
+# before the grammar was a table; every one also holds out=None, csv=None
+# and pretty=False
+_NAMESPACES = {
+    "structure --f 12": dict(command="structure", backend="q", q=None, f="12", nu=None,
+                             level=1, run="cmd_structure"),
+    "sign-homology --f 12": dict(command="sign-homology", backend="q", q=None, f="12",
+                                 nu=None, level=1, run="cmd_sign_homology"),
+    "verify kubert --f 3": dict(command="verify", verify_what="kubert", f="3",
+                                run="cmd_verify_kubert"),
+    "verify yin --q 3 --f T": dict(command="verify", verify_what="yin", q=3, f="T",
+                                   run="cmd_verify_yin"),
+    "verify thm442 --f 15": dict(command="verify", verify_what="thm442", backend="q", q=None,
+                                 f="15", nu=None, window=None, run="cmd_verify_thm442"),
+    "verify basis --f 12": dict(command="verify", verify_what="basis", backend="q", q=None,
+                                f="12", run="cmd_verify_basis"),
+    "verify lemma411 --f 12": dict(command="verify", verify_what="lemma411", backend="q",
+                                   q=None, f="12", run="cmd_verify_lemma411"),
+    "verify u-function --f 12": dict(command="verify", verify_what="u-function", f="12",
+                                     run="cmd_verify_ufunction"),
+    "verify uprime --f 12": dict(command="verify", verify_what="uprime", f="12",
+                                 run="cmd_verify_uprime"),
+    "sk compare --f 15": dict(command="sk", sk_what="compare", f="15", level=1, window=None,
+                              run="cmd_sk_compare"),
+    "ftate --grid 2x2": dict(command="ftate", r=None, m=None, grid="2x2", window=None,
+                             run="cmd_ftate"),
+    "tower --f 6": dict(command="tower", backend="q", q=None, f="6", nu=None, level=1,
+                        run="cmd_tower"),
+}
+
+
+class TestGrammar:
+    """``main`` reads a command line off the grammar table (``cli._walk``)
+    and hands what the walk declines to argparse's parser of the same
+    table, which stays the oracle of what a command line means."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(widened_argv())
+    def test_an_accepted_argv_is_parsed_as_argparse_parses_it(self, argv):
+        walked = cli._walk(argv)
+        if walked is not None:
+            assert _typed(walked) == _typed(cli.build_parser().parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["nonsense"],
+        ["verify"],
+        ["--help"],
+        ["verify", "basis", "-h"],
+        ["structure", "--f", "12", "extra"],
+        ["structure", "--", "--f", "12"],
+        ["structure", "--f", "12", "--lev", "2"],
+        ["structure", "--f", "12", "--f", "13"],
+        ["structure", "--f", "12", "--pretty", "--pretty"],
+        ["structure", "--f", "12", "--pretty=1"],
+        ["structure", "--f", "-12"],
+        ["structure", "--f=-12"],
+        ["structure", "--f"],
+        ["structure", "--f", "12", "--level", "two"],
+        ["tower", "--f", "6", "--backend", "z"],
+        ["verify", "basis"],
+        ["verify", "yin", "--f", "T"],
+    ], ids=" ".join)
+    def test_what_the_walk_leaves_to_argparse(self, argv):
+        assert cli._walk(argv) is None
+
+    @pytest.mark.parametrize("command", _pool_and_ci_commands())
+    def test_pool_and_ci_commands_take_the_walk(self, command):
+        argv = command.split()
+        walked = cli._walk(argv)
+        assert walked is not None
+        assert _typed(walked) == _typed(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", list(_NAMESPACES))
+    def test_the_defaults_are_argparse_s_before_the_table(self, command):
+        expected = dict(out=None, csv=None, pretty=False, **_NAMESPACES[command])
+        assert _typed(cli._walk(command.split())) == _typed(types.SimpleNamespace(**expected))
+
+    def test_the_accept_path_imports_no_argparse(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from uod.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['sk', 'compare', '--f', '13', '--level', '2']),\n"
+            "             main(['verify', 'basis', '--f', '12'])]\n"
+            "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env)
+        assert (run.returncode, run.stdout) == (0, "[0, 0] []\n"), run.stderr
+
+    @pytest.mark.parametrize("command", list(_HELP))
+    def test_help_texts(self, monkeypatch, capsys, command):
+        # argparse wraps its help at the terminal's width, read from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(command.split()) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (_HELP[command], "")
 
 
 class TestRelationCertificate:

@@ -23,6 +23,7 @@ from dense_reference import (
     snf,
     u_inclusion,
     with_operator,
+    x_operator,
 )
 from uod import arith, distmod, znf
 from uod.arith import (
@@ -89,7 +90,7 @@ class TestBuildAf:
     def test_rank_and_x2_column(self):
         af = build_af(Q, 4)
         assert af.rank == 4
-        x2 = af.x_operator(2)
+        x2 = x_operator(af, 2)
         col = x2.column(af.index[xi(1, 2)])
         expected = [0] * 4
         expected[af.index[xi(1, 4)]] = 1
@@ -107,7 +108,7 @@ class TestBuildAf:
 
     def test_boundary_uses_nu(self):
         af = build_af(Q, 4, {2: -1})
-        x2 = af.x_operator(2)
+        x2 = x_operator(af, 2)
         j = af.index[xi(1, 4)]  # order 4 = boundary layer for p = 2
         assert x2.column(j)[j] == -1
 
